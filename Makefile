@@ -1,5 +1,5 @@
 # Development entry points. `make check` is the expanded tier-1
-# verification and mirrors CI (.github/workflows/ci.yml) exactly.
+# verification; CI (.github/workflows/ci.yml) runs exactly this target.
 
 .PHONY: check build test lint race bench profile trace-demo
 
@@ -12,12 +12,11 @@ check:
 profile:
 	./scripts/profile.sh $(BENCHTIME)
 
-# bench refreshes BENCH_PR9.json: the two key benchmarks with -benchmem,
-# the simulated-ns-per-wall-ns figure of merit, the fabric core-scaling
-# curve at -p 1/2/8, and `psbench all` wall time at -j 1 vs -j $(nproc).
-# Pass BENCHTIME to trade precision for speed (default 10x).
+# bench runs every workload of the repository's benchmark (bench/,
+# declared in BENCHMARK.json). For one workload or a traced run call
+# bench/run.sh directly; see bench/README.md.
 bench:
-	./scripts/bench.sh $(BENCHTIME)
+	bash bench/run.sh
 
 build:
 	go build ./...

@@ -96,8 +96,8 @@ func BenchmarkRouterIPv4GPU(b *testing.B) {
 // at 1, 2 and 8 partition workers. The result bytes are identical for
 // every worker count — CI enforces that — so the ns/op spread is the
 // pure core-scaling curve of the windowed world scheduler. On a
-// single-core host the curve is flat; scripts/bench.sh records it with
-// the host's core count in BENCH_PR10.json either way.
+// single-core host the curve is flat; BENCH_PR10.json records it with
+// the host's core count either way.
 func BenchmarkFabricWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("p%d", workers), func(b *testing.B) {

@@ -42,6 +42,7 @@ func NewIPsecGW(numPorts int) *IPsecGW {
 type ipsecState struct {
 	sa      []int // SA (and output port) per packet
 	espLens []int
+	esp     [2048]byte // RunKernel's staging buffer for one ESP packet
 }
 
 // Name implements core.App.
@@ -56,8 +57,15 @@ func (a *IPsecGW) Kernel() *gpu.KernelSpec { return &gpu.KernelIPsec }
 // from/to GPU, weighing on the burden of IOHs").
 func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 	n := len(c.Bufs)
-	st := &ipsecState{sa: make([]int, n), espLens: make([]int, n)}
-	c.State = st
+	// Recycled chunks keep their State scratch; reinitialize it fully —
+	// stale sa/espLens entries belong to an unrelated earlier chunk.
+	st, ok := c.State.(*ipsecState)
+	if !ok {
+		st = &ipsecState{}
+		c.State = st
+	}
+	st.sa = scratch(st.sa, n)
+	st.espLens = scratch(st.espLens, n)
 	var d packet.Decoder
 	inBytes, outBytes := 0, 0
 	for i, b := range c.Bufs {
@@ -86,14 +94,13 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 // parallel GPU implementation.
 func (a *IPsecGW) RunKernel(c *core.Chunk) {
 	st := c.State.(*ipsecState)
-	var scratch [2048]byte
 	for i, b := range c.Bufs {
 		if c.OutPorts[i] != -2 {
 			continue
 		}
 		sa := a.SAs[st.sa[i]]
 		inner := b.Data[packet.EthHdrLen:]
-		outer, err := sa.Encap(scratch[:0:len(scratch)], inner)
+		outer, err := sa.Encap(st.esp[:0], inner)
 		if err != nil {
 			a.Errors++
 			c.OutPorts[i] = -1

@@ -37,8 +37,6 @@ func NewIPsecTerm(sas []*ipsec.SA, tbl *ipv4.Table, numPorts int) *IPsecTerm {
 type ipsecTermState struct {
 	sa   []*ipsec.SA
 	hops []uint16
-	// lens caches the decrypt+auth byte volume for the cost model.
-	bytes int
 }
 
 // Name implements core.App.
@@ -51,8 +49,14 @@ func (a *IPsecTerm) Kernel() *gpu.KernelSpec { return &gpu.KernelIPsec }
 // PreShade classifies ESP packets and locates their SA by SPI.
 func (a *IPsecTerm) PreShade(c *core.Chunk) core.PreResult {
 	n := len(c.Bufs)
-	st := &ipsecTermState{sa: make([]*ipsec.SA, n), hops: make([]uint16, n)}
-	c.State = st
+	// Recycled chunks keep their State scratch; reinitialize it fully.
+	st, ok := c.State.(*ipsecTermState)
+	if !ok {
+		st = &ipsecTermState{}
+		c.State = st
+	}
+	st.sa = scratch(st.sa, n)
+	st.hops = scratch(st.hops, n)
 	var d packet.Decoder
 	inBytes := 0
 	for i, b := range c.Bufs {
@@ -76,7 +80,6 @@ func (a *IPsecTerm) PreShade(c *core.Chunk) core.PreResult {
 		c.OutPorts[i] = -2
 		inBytes += len(b.Data)
 	}
-	st.bytes = inBytes
 	return core.PreResult{
 		CPUCycles:   float64(n) * model.AppIPsecPreCycles,
 		Threads:     n,

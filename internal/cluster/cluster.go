@@ -271,17 +271,3 @@ func Evaluate(cfg Config, scheme Routing, m Matrix) (Result, error) {
 	res.ThroughputGbps = total * min(res.Admissible, 1)
 	return res, nil
 }
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

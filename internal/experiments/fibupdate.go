@@ -136,10 +136,3 @@ func fibDoubleBuffer(base, churn []route.Entry) []string {
 		fmt.Sprintf("%d", 1<<24), // full rebuild touches every cell
 		fmt.Sprintf("%.1f", router.DeliveredGbps())}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

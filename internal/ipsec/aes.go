@@ -1,163 +1,64 @@
-// Package ipsec implements the cryptographic data path of PacketShader's
-// IPsec gateway (§6.2.4): AES-128 in CTR mode for the block cipher and
-// HMAC-SHA1-96 for authentication, wrapped in ESP tunnel-mode
-// encapsulation. The primitives are implemented from scratch (and
-// verified against the Go standard library and FIPS/RFC vectors in the
-// tests) because they are exactly the computation the paper offloads to
-// the GPU: AES parallelized per 16-byte block, SHA1 per packet.
+// Package ipsec implements the data path of PacketShader's IPsec
+// gateway (§6.2.4): AES-128 in CTR mode and HMAC-SHA1-96, wrapped in ESP
+// tunnel-mode encapsulation. The block cipher and the hash come from the
+// Go standard library; this package owns the framing around them — the
+// RFC 3686 counter block, the RFC 2404 truncation, and the RFC 4303 ESP
+// layout, padding and anti-replay window. The host's crypto speed never
+// reaches the results: what the paper offloads to the GPU (AES per
+// 16-byte block, SHA1 per packet) is charged on the virtual clock by
+// gpu.KernelIPsec and model.IPsecCPUPer{Packet,Byte}Cycles.
 package ipsec
 
-import "encoding/binary"
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // AES-128 parameters.
 const (
-	AESBlockSize = 16
+	AESBlockSize = aes.BlockSize
 	AESKeySize   = 16
-	aesRounds    = 10
 )
 
-// sbox is the AES S-box (FIPS-197 §5.1.1).
-var sbox = [256]byte{
-	0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-	0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-	0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-	0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-	0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-	0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-	0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-	0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-	0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-	0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-	0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-	0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-	0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-	0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-	0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-	0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-}
-
-// rcon round constants for key expansion.
-var rcon = [11]uint32{
-	0x00000000, 0x01000000, 0x02000000, 0x04000000, 0x08000000,
-	0x10000000, 0x20000000, 0x40000000, 0x80000000, 0x1b000000, 0x36000000,
-}
-
-// AES is an expanded AES-128 encryption key. CTR mode needs only the
-// encryption direction.
+// AES is an AES-128 key in the encryption direction, which is all CTR
+// mode needs. The counter and keystream blocks live in the struct
+// because stack arrays passed through the cipher.Block interface escape
+// to the heap on every CTR call; an AES therefore serves one goroutine
+// at a time, like the SA that owns it.
 type AES struct {
-	rk [4 * (aesRounds + 1)]uint32
+	block   cipher.Block
+	ctr, ks [AESBlockSize]byte
 }
 
-// NewAES expands a 16-byte key (panics on wrong length — keys come from
+// NewAES prepares a 16-byte key (panics on wrong length — keys come from
 // the SA configuration, not the wire).
 func NewAES(key []byte) *AES {
 	if len(key) != AESKeySize {
 		panic("ipsec: AES-128 key must be 16 bytes")
 	}
-	var a AES
-	for i := 0; i < 4; i++ {
-		a.rk[i] = binary.BigEndian.Uint32(key[4*i:])
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err) // only a bad key length, excluded above
 	}
-	for i := 4; i < len(a.rk); i++ {
-		t := a.rk[i-1]
-		if i%4 == 0 {
-			t = subWord(rotWord(t)) ^ rcon[i/4]
-		}
-		a.rk[i] = a.rk[i-4] ^ t
-	}
-	return &a
+	return &AES{block: block}
 }
 
-func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
-
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-// xtime multiplies by x in GF(2^8) with the AES polynomial.
-func xtime(b byte) byte {
-	if b&0x80 != 0 {
-		return b<<1 ^ 0x1b
-	}
-	return b << 1
-}
-
-// Encrypt encrypts one 16-byte block src into dst (may alias).
-func (a *AES) Encrypt(dst, src []byte) {
-	var s [16]byte
-	copy(s[:], src[:16])
-	addRoundKey(&s, a.rk[0:4])
-	for r := 1; r < aesRounds; r++ {
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		addRoundKey(&s, a.rk[4*r:4*r+4])
-	}
-	subBytes(&s)
-	shiftRows(&s)
-	addRoundKey(&s, a.rk[4*aesRounds:4*aesRounds+4])
-	copy(dst[:16], s[:])
-}
-
-func addRoundKey(s *[16]byte, rk []uint32) {
-	for c := 0; c < 4; c++ {
-		w := rk[c]
-		s[4*c+0] ^= byte(w >> 24)
-		s[4*c+1] ^= byte(w >> 16)
-		s[4*c+2] ^= byte(w >> 8)
-		s[4*c+3] ^= byte(w)
-	}
-}
-
-func subBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
-// shiftRows operates on the column-major state layout (state[r + 4c]
-// transposed: our s is byte i of column i/4, row i%4).
-func shiftRows(s *[16]byte) {
-	// Row 1: shift left by 1.
-	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
-	// Row 2: shift left by 2.
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	// Row 3: shift left by 3.
-	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func mixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
-		s[4*c+3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
-	}
-}
-
-// CTR applies AES-CTR keystream to src into dst (encrypt == decrypt).
-// The 16-byte counter block follows RFC 3686: nonce(4) | iv(8) |
-// counter(4), with the counter starting at 1. blocks processed =
-// ceil(len/16); the per-block keystream generation is the unit the GPU
+// CTR applies AES-CTR keystream to src into dst (encrypt == decrypt;
+// dst may be src). The 16-byte counter block follows RFC 3686: nonce(4)
+// | iv(8) | counter(4), with the counter starting at 1. blocks processed
+// = ceil(len/16); the per-block keystream generation is the unit the GPU
 // kernel parallelizes (§6.2.4: "we chop packets into AES blocks (16B)
 // and map each block to one GPU thread").
 func (a *AES) CTR(dst, src []byte, nonce uint32, iv uint64) {
-	var ctrBlock, ks [16]byte
-	binary.BigEndian.PutUint32(ctrBlock[0:4], nonce)
-	binary.BigEndian.PutUint64(ctrBlock[4:12], iv)
+	binary.BigEndian.PutUint32(a.ctr[0:4], nonce)
+	binary.BigEndian.PutUint64(a.ctr[4:12], iv)
 	ctr := uint32(1)
 	for off := 0; off < len(src); off += AESBlockSize {
-		binary.BigEndian.PutUint32(ctrBlock[12:16], ctr)
-		a.Encrypt(ks[:], ctrBlock[:])
-		n := len(src) - off
-		if n > AESBlockSize {
-			n = AESBlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ ks[i]
-		}
+		binary.BigEndian.PutUint32(a.ctr[12:16], ctr)
+		a.block.Encrypt(a.ks[:], a.ctr[:])
+		subtle.XORBytes(dst[off:], src[off:], a.ks[:])
 		ctr++
 	}
 }

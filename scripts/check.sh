@@ -1,8 +1,10 @@
 #!/bin/sh
-# check.sh mirrors .github/workflows/ci.yml locally: build, vet, the
-# pslint determinism linters, the full test suite, and race tests on the
-# concurrency-bearing packages. This is the repository's expanded tier-1
-# verification (see ROADMAP.md); `make check` runs it.
+# check.sh is the repository's expanded tier-1 verification (see
+# ROADMAP.md): build, vet, the pslint determinism linters, the full test
+# suite (root module and the nested bench/ module), the byte-identity
+# gates, a short FuzzDecap run, and race tests on the concurrency-bearing
+# packages. `make check` runs it, and so does CI — there is no second
+# copy of these steps in .github/workflows/ci.yml.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +30,13 @@ go run ./cmd/pslint -report-stale "$PSLINT_REPORT"
 echo "== go test ./..."
 go test ./...
 
+# bench/ is a nested module, invisible to the root ./... patterns.
+echo "== bench module: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
+
+echo "== fuzz smoke (FuzzDecap, 5s)"
+go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
+
 echo "== trace/metrics determinism (byte-identical across runs)"
 go test -count=1 -run 'TestObsOutputByteIdenticalAcrossRuns|TestObsSpansCoverGPUAndPCIeBusyTime' ./internal/experiments
 
@@ -44,7 +53,7 @@ go build -o "$PSBENCH_BIN" ./cmd/psbench
 "$PSBENCH_BIN" fabric cluster leafspine -metrics -p 1 >/tmp/psbench-p1.$$ 2>/dev/null
 "$PSBENCH_BIN" fabric cluster leafspine -metrics -p 8 >/tmp/psbench-p8.$$ 2>/dev/null
 cmp /tmp/psbench-p1.$$ /tmp/psbench-p8.$$
-rm -f "$PSBENCH_BIN" /tmp/psbench-p1.$$ /tmp/psbench-p8.$$
+rm -f /tmp/psbench-p1.$$ /tmp/psbench-p8.$$
 
 echo "== pshaderd replay: control script byte-identical across runs"
 PSHADER_BIN="$(mktemp)"
@@ -59,8 +68,6 @@ cmp /tmp/pshaderd-trace1.$$ /tmp/pshaderd-trace2.$$
 rm -f "$PSHADER_BIN" /tmp/pshaderd-run[12].$$ /tmp/pshaderd-trace[12].$$
 
 echo "== churn experiment: run-twice byte-identical"
-PSBENCH_BIN="$(mktemp)"
-go build -o "$PSBENCH_BIN" ./cmd/psbench
 "$PSBENCH_BIN" churn >/tmp/psbench-churn1.$$ 2>/dev/null
 "$PSBENCH_BIN" churn >/tmp/psbench-churn2.$$ 2>/dev/null
 cmp /tmp/psbench-churn1.$$ /tmp/psbench-churn2.$$
