@@ -29,7 +29,7 @@ lint:
 	go run ./cmd/pslint ./...
 
 race:
-	go test -race ./internal/sim ./internal/core ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
+	go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 	go test -race -short ./internal/experiments
 
 # trace-demo produces a sample Perfetto trace plus a metrics dump from

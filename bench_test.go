@@ -74,9 +74,6 @@ func BenchmarkAblationDesignChoices(b *testing.B) { benchExperiment(b, "ablation
 // BenchmarkClusterVLB evaluates the §7 horizontal-scaling extension.
 func BenchmarkClusterVLB(b *testing.B) { benchExperiment(b, "cluster") }
 
-// BenchmarkFIBUpdate compares the §7 FIB-update strategies under churn.
-func BenchmarkFIBUpdate(b *testing.B) { benchExperiment(b, "fibupdate") }
-
 // BenchmarkRouterIPv4GPU measures a single CPU+GPU IPv4 run through the
 // public API (Gbps is reported via the experiment tables; this measures
 // simulation cost per virtual millisecond).
@@ -102,13 +99,15 @@ func BenchmarkFabricWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("p%d", workers), func(b *testing.B) {
 			cfg := cluster.FabricConfig{
-				Cluster: cluster.Config{
-					Nodes:              16,
-					ExternalGbps:       40,
-					NodeForwardingGbps: 40,
-					InternalLinkGbps:   10,
+				Topo: &cluster.FullMesh{
+					Cluster: cluster.Config{
+						Nodes:              16,
+						ExternalGbps:       40,
+						NodeForwardingGbps: 40,
+						InternalLinkGbps:   10,
+					},
+					Scheme: cluster.VLB,
 				},
-				Scheme:      cluster.VLB,
 				Matrix:      cluster.Uniform(16, 200),
 				LinkLatency: 50 * sim.Microsecond,
 				Horizon:     50 * sim.Millisecond,

@@ -38,15 +38,9 @@ type FlowModel struct {
 
 // FabricConfig describes one fabric run.
 type FabricConfig struct {
-	// Cluster supplies the full-mesh capacities: Nodes, ExternalGbps,
-	// NodeForwardingGbps, InternalLinkGbps. Ignored when Topo is set.
-	Cluster Config
-	// Scheme is Direct or VLB for the full mesh. (DirectVLB's spill
-	// decision needs global link-occupancy knowledge and is left to
-	// the analytic model.) Ignored when Topo is set.
-	Scheme Routing
-	// Topo overrides the interconnect; nil means the full mesh built
-	// from Cluster and Scheme.
+	// Topo is the interconnect: a FullMesh (Direct or VLB — DirectVLB's
+	// spill decision needs global link-occupancy knowledge and is left
+	// to the analytic model) or a LeafSpine. Required.
 	Topo Topology
 	// Matrix is the offered load, Gbps entering external node i
 	// destined to external node j.
@@ -150,12 +144,12 @@ func gbpsTime(bits uint64, gbps float64) sim.Duration {
 	return sim.DurationFromSeconds(float64(bits) / (gbps * 1e9))
 }
 
+// splitmix64 draws the next value of the stateful sim.SplitMix64
+// stream at *state.
 func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r := sim.SplitMix64(*state)
+	*state += sim.SplitMixGamma
+	return r
 }
 
 // zipfTable precomputes the cumulative weights of k^-s over
@@ -180,7 +174,7 @@ func zipfDraw(cum []float64, rng *uint64) int {
 func RunFabric(cfg FabricConfig) (FabricResult, error) {
 	topo := cfg.Topo
 	if topo == nil {
-		topo = &FullMesh{Cluster: cfg.Cluster, Scheme: cfg.Scheme}
+		return FabricResult{}, fmt.Errorf("fabric: Topo is required")
 	}
 	if err := topo.Validate(); err != nil {
 		return FabricResult{}, err
@@ -273,7 +267,7 @@ func RunFabric(cfg FabricConfig) (FabricResult, error) {
 // consumes and drops what reaches it). The callback only enqueues the
 // event on the node's faultq; the forwarder drains the queue before
 // consulting alive/up, so the toggles themselves stay forwarder-owned
-// (the same scheduler→proc hand-off as the core gpuStatus queue).
+// (the same scheduler→proc hand-off as the core control mailbox).
 // Liveness is only ever *read* when a batch is processed, and at any
 // instant the callback's setup-time seq sorts before a batch wakeup,
 // so drain-before-use observes exactly the state the direct write

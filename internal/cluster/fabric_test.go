@@ -10,8 +10,7 @@ import (
 
 func fabCfg(n int, scheme Routing, m Matrix, workers int) FabricConfig {
 	return FabricConfig{
-		Cluster:     ps(n),
-		Scheme:      scheme,
+		Topo:        &FullMesh{Cluster: ps(n), Scheme: scheme},
 		Matrix:      m,
 		LinkLatency: 50 * sim.Microsecond,
 		Horizon:     5 * sim.Millisecond,
@@ -150,8 +149,9 @@ func TestFabricValidation(t *testing.T) {
 		name string
 		mut  func(*FabricConfig)
 	}{
-		{"bad cluster", func(c *FabricConfig) { c.Cluster.Nodes = 1 }},
-		{"directvlb unmodeled", func(c *FabricConfig) { c.Scheme = DirectVLB }},
+		{"no topology", func(c *FabricConfig) { c.Topo = nil }},
+		{"bad cluster", func(c *FabricConfig) { c.Topo.(*FullMesh).Cluster.Nodes = 1 }},
+		{"directvlb unmodeled", func(c *FabricConfig) { c.Topo.(*FullMesh).Scheme = DirectVLB }},
 		{"matrix size", func(c *FabricConfig) { c.Matrix = Uniform(5, 40) }},
 		{"zero link latency", func(c *FabricConfig) { c.LinkLatency = 0 }},
 		{"zero horizon", func(c *FabricConfig) { c.Horizon = 0 }},

@@ -238,24 +238,3 @@ func TestLeafSpineValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestFullMeshTopologyMatchesLegacyConfig: a FabricConfig that sets Topo
-// to the equivalent FullMesh must reproduce the Cluster/Scheme path
-// byte-for-byte — the Topology abstraction cost nothing in fidelity.
-func TestFullMeshTopologyMatchesLegacyConfig(t *testing.T) {
-	legacy, err := RunFabric(fabCfg(8, VLB, Uniform(8, 160), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fabCfg(8, VLB, Uniform(8, 160), 2)
-	cfg.Topo = &FullMesh{Cluster: cfg.Cluster, Scheme: cfg.Scheme}
-	cfg.Cluster = Config{} // must be ignored when Topo is set
-	cfg.Scheme = Direct
-	viaTopo, err := RunFabric(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaTopo, legacy) {
-		t.Errorf("explicit FullMesh differs from legacy config:\n got %+v\nwant %+v", viaTopo, legacy)
-	}
-}

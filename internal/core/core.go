@@ -9,7 +9,6 @@
 package core
 
 import (
-	"packetshader/internal/faults"
 	"packetshader/internal/hw/gpu"
 	"packetshader/internal/hw/nic"
 	"packetshader/internal/model"
@@ -141,9 +140,6 @@ type Config struct {
 	// the framework).
 	FIBUpdate FIBUpdateMode
 
-	// Faults, when non-nil, is a fault plan armed (relative to start
-	// time) when the router starts.
-	Faults *faults.Plan
 	// GPUWatchdog is how long a master waits on a launch before
 	// declaring the device stalled and falling back to the CPU path.
 	// Zero selects the default.
@@ -208,11 +204,10 @@ type Router struct {
 	App     App
 	Devices []*gpu.Device
 
-	workers  []*worker
-	masters  []*master
-	Stats    Stats
-	obs      *routerObs
-	injector *faults.Injector
+	workers []*worker
+	masters []*master
+	Stats   Stats
+	obs     *routerObs
 
 	// chunkFree is the router's Chunk free list (deterministic LIFO —
 	// sync.Pool would introduce scheduling-dependent reuse): the hot
@@ -268,7 +263,7 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 			m = &master{
 				router: r, node: n, dev: dev,
 				inQ:       sim.NewQueue[*Chunk](env, model.InputQueueDepth),
-				tuneQ:     newTuneQueue(env),
+				mail:      newMailbox(env),
 				gatherMax: cfg.GatherMax,
 			}
 			r.masters = append(r.masters, m)
@@ -280,8 +275,7 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 				node:     n,
 				master:   m,
 				outQ:     sim.NewQueue[*Chunk](env, model.OutputQueueDepth),
-				ctrlQ:    sim.NewQueue[gpuStatus](env, 0),
-				tuneQ:    newTuneQueue(env),
+				mail:     newMailbox(env),
 				txBufs:   make([][]*packet.Buf, len(r.Engine.Ports)),
 				chunkCap: cfg.ChunkCap,
 				opp:      cfg.OpportunisticOffload,
@@ -336,15 +330,9 @@ func (r *Router) SetSource(src nic.FrameSource) {
 // Source returns the frame source installed by SetSource (nil before).
 func (r *Router) Source() any { return r.src }
 
-// Start launches all worker and master processes and arms the fault
-// plan, if the config carries one, relative to the current time.
+// Start launches all worker and master processes.
 func (r *Router) Start() {
 	r.start = r.Env.Now()
-	if r.Cfg.Faults.Len() > 0 {
-		r.injector = faults.NewInjector(r.Env, r.Cfg.Faults, r)
-		r.injector.SetTrace(r.obs.tr, r.obs.faultTrack)
-		r.injector.Arm()
-	}
 	for _, m := range r.masters {
 		m := m
 		r.Env.Go("master", func(p *sim.Proc) { m.run(p) })

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"packetshader/internal/faults"
 	"packetshader/internal/hw/gpu"
 	"packetshader/internal/model"
 	"packetshader/internal/packet"
@@ -69,12 +68,33 @@ func (seqSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 
 func runRouter(t *testing.T, cfg Config, app App, window sim.Duration) *Router {
 	t.Helper()
-	env := sim.NewEnv()
-	r := New(env, cfg, app)
-	r.SetSource(seqSource{})
+	env, r := newRouter(cfg, app)
 	r.Start()
 	env.Run(sim.Time(window))
 	return r
+}
+
+// newRouter builds an unstarted router fed by seqSource.
+func newRouter(cfg Config, app App) (*sim.Env, *Router) {
+	env := sim.NewEnv()
+	r := New(env, cfg, app)
+	r.SetSource(seqSource{})
+	return env, r
+}
+
+// The fault tests drive the Router's hardware hooks straight from
+// env.At: the control plane that normally schedules them
+// (internal/ctrl) imports core, so core's tests cannot use it. Call
+// these before Start, as the controller is attached before Start.
+
+func gpuOutage(env *sim.Env, r *Router, node int, at, dur sim.Duration) {
+	env.At(sim.Time(at), func() { r.FailGPU(node) })
+	env.At(sim.Time(at+dur), func() { r.RepairGPU(node) })
+}
+
+func linkFlap(env *sim.Env, r *Router, port int, at, dur sim.Duration) {
+	env.At(sim.Time(at), func() { r.SetCarrier(port, false) })
+	env.At(sim.Time(at+dur), func() { r.SetCarrier(port, true) })
 }
 
 func TestCPUOnlyModeForwards(t *testing.T) {
@@ -327,8 +347,10 @@ func TestGPUOutageFallsBackAndRecovers(t *testing.T) {
 	cfg.GPUWatchdog = 100 * sim.Microsecond
 	cfg.GPUBackoff = 500 * sim.Microsecond
 	cfg.GPUBackoffMax = 2 * sim.Millisecond
-	cfg.Faults = faults.NewPlan().GPUOutage(0, 2*sim.Millisecond, 3*sim.Millisecond)
-	r := runRouter(t, cfg, app, 10*sim.Millisecond)
+	env, r := newRouter(cfg, app)
+	gpuOutage(env, r, 0, 2*sim.Millisecond, 3*sim.Millisecond)
+	r.Start()
+	env.Run(sim.Time(10 * sim.Millisecond))
 
 	if r.Stats.GPUStalls == 0 {
 		t.Fatal("watchdog never detected the stall")
@@ -371,10 +393,8 @@ func TestGPUOutageThroughputStaysUp(t *testing.T) {
 	envelope := cpuOnly.DeliveredGbps()
 
 	cfg := base
-	cfg.Faults = faults.NewPlan().GPUOutage(0, 1*sim.Millisecond, 20*sim.Millisecond)
-	env := sim.NewEnv()
-	r := New(env, cfg, newEchoApp(2))
-	r.SetSource(seqSource{})
+	env, r := newRouter(cfg, newEchoApp(2))
+	gpuOutage(env, r, 0, 1*sim.Millisecond, 20*sim.Millisecond)
 	r.Start()
 	env.Run(sim.Time(3 * sim.Millisecond)) // fail at 1ms, detect, degrade
 	r.ResetMeasurement()
@@ -391,10 +411,8 @@ func TestGPUOutageThroughputStaysUp(t *testing.T) {
 func TestLinkFlapDropsThenResumes(t *testing.T) {
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
-	cfg.Faults = faults.NewPlan().LinkFlap(1, 1*sim.Millisecond, 1*sim.Millisecond)
-	env := sim.NewEnv()
-	r := New(env, cfg, app)
-	r.SetSource(seqSource{})
+	env, r := newRouter(cfg, app)
+	linkFlap(env, r, 1, 1*sim.Millisecond, 1*sim.Millisecond)
 	r.Start()
 	env.Run(sim.Time(2 * sim.Millisecond)) // carrier down 1ms..2ms
 	drops := r.CarrierDrops()
@@ -416,12 +434,9 @@ func TestWorkersSurviveFullCarrierOutage(t *testing.T) {
 	// workers poll instead of retiring permanently.
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
-	cfg.Faults = faults.NewPlan().
-		LinkFlap(0, 1*sim.Millisecond, 1*sim.Millisecond).
-		LinkFlap(1, 1*sim.Millisecond, 1*sim.Millisecond)
-	env := sim.NewEnv()
-	r := New(env, cfg, app)
-	r.SetSource(seqSource{})
+	env, r := newRouter(cfg, app)
+	linkFlap(env, r, 0, 1*sim.Millisecond, 1*sim.Millisecond)
+	linkFlap(env, r, 1, 1*sim.Millisecond, 1*sim.Millisecond)
 	r.Start()
 	env.Run(sim.Time(2 * sim.Millisecond))
 	fetched := r.Stats.Packets
@@ -434,8 +449,10 @@ func TestWorkersSurviveFullCarrierOutage(t *testing.T) {
 func TestRxDropBurstAccounted(t *testing.T) {
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
-	cfg.Faults = faults.NewPlan().RxDropBurst(0, 1*sim.Millisecond, 500*sim.Microsecond)
-	r := runRouter(t, cfg, app, 3*sim.Millisecond)
+	env, r := newRouter(cfg, app)
+	env.At(sim.Time(1*sim.Millisecond), func() { r.RxDropBurst(0, 500*sim.Microsecond) })
+	r.Start()
+	env.Run(sim.Time(3 * sim.Millisecond))
 	_, rxDropped, _, _ := r.Engine.AggregateStats()
 	if rxDropped == 0 {
 		t.Error("drop burst produced no RX drops")
@@ -444,13 +461,15 @@ func TestRxDropBurstAccounted(t *testing.T) {
 
 func TestFaultPlanIgnoredGracefullyInCPUMode(t *testing.T) {
 	// GPU faults target devices that do not exist in CPU-only mode; the
-	// plan must be a no-op, not a crash.
+	// hooks must be no-ops, not crashes.
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
-	cfg.Faults = faults.NewPlan().
-		GPUOutage(0, 1*sim.Millisecond, 1*sim.Millisecond).
-		PCIeRetrain(1, 1*sim.Millisecond, 1*sim.Millisecond)
-	r := runRouter(t, cfg, app, 3*sim.Millisecond)
+	env, r := newRouter(cfg, app)
+	gpuOutage(env, r, 0, 1*sim.Millisecond, 1*sim.Millisecond)
+	env.At(sim.Time(1*sim.Millisecond), func() { r.RetrainPCIe(1, 2) })
+	env.At(sim.Time(2*sim.Millisecond), func() { r.RetrainPCIe(1, 1) })
+	r.Start()
+	env.Run(sim.Time(3 * sim.Millisecond))
 	if r.Stats.GPUStalls != 0 || r.DegradedTime() != 0 {
 		t.Error("CPU-only run recorded GPU fault effects")
 	}
@@ -463,10 +482,11 @@ func TestFaultRunsDeterministic(t *testing.T) {
 	run := func() (Stats, uint64, sim.Duration) {
 		cfg := smallConfig(ModeGPU)
 		cfg.GPUWatchdog = 100 * sim.Microsecond
-		cfg.Faults = faults.NewPlan().
-			GPUOutage(0, 1*sim.Millisecond, 2*sim.Millisecond).
-			LinkFlap(1, 2*sim.Millisecond, 500*sim.Microsecond)
-		r := runRouter(t, cfg, newEchoApp(2), 6*sim.Millisecond)
+		env, r := newRouter(cfg, newEchoApp(2))
+		gpuOutage(env, r, 0, 1*sim.Millisecond, 2*sim.Millisecond)
+		linkFlap(env, r, 1, 2*sim.Millisecond, 500*sim.Microsecond)
+		r.Start()
+		env.Run(sim.Time(6 * sim.Millisecond))
 		return r.Stats, r.CarrierDrops(), r.DegradedTime()
 	}
 	s1, c1, d1 := run()
@@ -501,5 +521,44 @@ func TestRecycledChunksDontLeakStalePorts(t *testing.T) {
 	}
 	if _, _, tx, _ := r.Engine.AggregateStats(); tx == 0 {
 		t.Error("nothing transmitted")
+	}
+}
+
+// TestMailboxAppliesInPostOrder pins the one-queue contract: a retune
+// from the control plane and a hold-out from the master posted at the
+// same instant reach a worker through the same mailbox and are folded
+// in post order by a single drain — whichever of the two drain points
+// runs first.
+func TestMailboxAppliesInPostOrder(t *testing.T) {
+	env, r := newRouter(smallConfig(ModeGPU), newEchoApp(2))
+	m, w := r.masters[0], r.workers[0]
+	at := sim.Time(1 * sim.Millisecond)
+	retry := at + sim.Time(5*sim.Millisecond)
+	// Same instant, scheduling order = post order: cap 7, hold-out on,
+	// cap 9, hold-out off with a later retry, opportunistic on.
+	env.At(at, func() { r.SetChunkCap(7) })
+	env.At(at, func() { m.gpuOut, m.retryAt = true, retry; m.publishStatus() })
+	env.At(at, func() { r.SetChunkCap(9) })
+	env.At(at, func() { m.gpuOut, m.retryAt = false, retry+1; m.publishStatus() })
+	env.At(at, func() { r.SetOpportunistic(true) })
+	env.Run(at)
+
+	if got := w.mail.Len(); got != 5 {
+		t.Fatalf("worker mailbox holds %d messages, want all 5 on the one queue", got)
+	}
+	// The offload-decision drain point folds the knob messages too.
+	if w.gpuHeldOut(env.Now()) {
+		t.Error("worker holds the GPU out: hold-out messages applied out of post order")
+	}
+	if w.chunkCap != 9 || !w.opp || w.gpuOut || w.gpuRetryAt != retry+1 {
+		t.Errorf("after drain: chunkCap=%d opp=%v gpuOut=%v retryAt=%v; want 9 true false %v",
+			w.chunkCap, w.opp, w.gpuOut, w.gpuRetryAt, retry+1)
+	}
+	if w.mail.Len() != 0 {
+		t.Errorf("%d messages left after one drain", w.mail.Len())
+	}
+	// The master's own mailbox got the three retunes, not its hold-outs.
+	if m.mail.Len() != 3 {
+		t.Errorf("master mailbox holds %d messages, want 3", m.mail.Len())
 	}
 }

@@ -1,16 +1,15 @@
 package core
 
 import (
-	"packetshader/internal/faults"
+	"packetshader/internal/obs"
 	"packetshader/internal/sim"
 )
 
-// Router implements faults.Target: the injector manipulates the
-// hardware models through these hooks. All of them are non-blocking
-// (they run in scheduler context). Out-of-range nodes and nodes without
-// a device (CPU-only mode) are ignored, so one plan can drive both
-// modes.
-var _ faults.Target = (*Router)(nil)
+// Hardware hooks: the control plane (internal/ctrl) degrades and
+// repairs the hardware models through these methods. All of them are
+// non-blocking (they run in scheduler context, Env.At callbacks).
+// Out-of-range nodes and nodes without a device (CPU-only mode) are
+// ignored, so one fault plan can drive both modes.
 
 // SetCarrier raises or drops the carrier on both sides of a port: RX
 // queues stop receiving and the TX side drops instead of blocking.
@@ -83,6 +82,10 @@ func (r *Router) CarrierDrops() uint64 {
 	return n
 }
 
-// Injector returns the armed fault injector (nil when the config has no
-// plan or the router has not started).
-func (r *Router) Injector() *faults.Injector { return r.injector }
+// TraceFault records one delivered hardware command as an instant on
+// the faults/injector trace track (inert until EnableObs).
+func (r *Router) TraceFault(name string, port, node int) {
+	r.obs.tr.Instant(r.obs.faultTrack, name, r.Env.Now(),
+		obs.Arg{Key: "port", Val: int64(port)},
+		obs.Arg{Key: "node", Val: int64(node)})
+}

@@ -24,11 +24,11 @@ type master struct {
 	node   int
 	dev    *gpu.Device
 	inQ    *sim.Queue[*Chunk]
-	tuneQ  *sim.Queue[tuneMsg] // live knob changes posted by the control plane
+	mail   *sim.Queue[ctlMsg] // control mailbox: knob changes
 
 	// gatherMax is the master's private copy of the one runtime-tunable
-	// knob it consults per launch, seeded from the Config and updated
-	// solely by draining tuneQ (see tuning.go).
+	// knob it consults per launch, written solely by drainMail
+	// (mailbox.go).
 	gatherMax int
 
 	// gpuOut marks the device held out after a watchdog stall; retryAt
@@ -47,29 +47,23 @@ type master struct {
 	gather []*Chunk
 }
 
-// gpuStatus is the hold-out state the master posts to its workers'
-// control queues on every transition (stall and recovery). Workers keep
-// their own copy, so the master↔worker hand-off flows through an
-// explicit sim.Queue — a scheduler-visible lookahead boundary — instead
-// of workers reading the master's fields directly.
-type gpuStatus struct {
-	out     bool
-	retryAt sim.Time
-}
-
 // heldOut reports whether the master itself should bypass the GPU right
 // now (the workers decide from their queue-fed copy; see
 // worker.gpuHeldOut).
 func (m *master) heldOut(now sim.Time) bool { return m.gpuOut && now < m.retryAt }
 
-// publishStatus posts the current hold-out state to every worker on this
-// master's node, in worker-index order. The control queues are unbounded
-// so TryPut cannot fail.
+// publishStatus posts the current hold-out state to the mailbox of
+// every worker on this master's node, in worker-index order, on every
+// transition (stall and recovery). Workers keep their own copy, so the
+// master↔worker hand-off flows through an explicit sim.Queue — a
+// scheduler-visible lookahead boundary — instead of workers reading the
+// master's fields directly. The mailboxes are unbounded so TryPut
+// cannot fail.
 func (m *master) publishStatus() {
-	st := gpuStatus{out: m.gpuOut, retryAt: m.retryAt}
+	st := ctlMsg{kind: ctlHoldOut, on: m.gpuOut, retryAt: m.retryAt}
 	for _, w := range m.router.workers {
 		if w.node == m.node {
-			w.ctrlQ.TryPut(st)
+			w.mail.TryPut(st)
 		}
 	}
 }
@@ -88,7 +82,7 @@ func (m *master) run(p *sim.Proc) {
 	}
 	for {
 		first := m.inQ.Get(p)
-		m.drainTuning()
+		m.drainMail()
 		m.gather = append(m.gather[:0], first)
 		if m.gatherMax > 1 {
 			// Gather (§5.4): take whatever else is already queued.

@@ -19,8 +19,9 @@ type routerObs struct {
 	workerTracks []obs.TrackID
 	masterTracks []obs.TrackID
 
-	// faultTrack carries the injector's event instants plus nothing
-	// else, so fault timelines read separately from the pipeline.
+	// faultTrack carries the hardware-command instants (TraceFault)
+	// plus nothing else, so fault timelines read separately from the
+	// pipeline.
 	faultTrack obs.TrackID
 
 	// chunkLatency measures fetch-complete → TX-handoff per chunk;

@@ -18,21 +18,17 @@ type worker struct {
 	rr     int // round-robin cursor over ifaces (§5.2: fairness)
 
 	master *master
-	outQ   *sim.Queue[*Chunk]    // results returned by the master
-	ctrlQ  *sim.Queue[gpuStatus] // hold-out updates posted by the master
-	tuneQ  *sim.Queue[tuneMsg]   // live knob changes posted by the control plane
+	outQ   *sim.Queue[*Chunk] // results returned by the master
+	mail   *sim.Queue[ctlMsg] // control mailbox: knob changes and hold-out updates
 
 	// chunkCap and opp are the worker's private copies of the two
-	// runtime-tunable knobs it consults per chunk, seeded from the Config
-	// and updated solely by draining tuneQ (see tuning.go).
-	chunkCap int
-	opp      bool
-
-	// gpuOut/gpuRetryAt mirror the master's hold-out state, fed solely by
-	// draining ctrlQ. Under the cooperative scheduler every transition
-	// ordered before a drain has already been posted, so the mirror
-	// equals the master's state at each offload decision — which is what
-	// makes this mediation behavior-preserving.
+	// runtime-tunable knobs it consults per chunk; gpuOut/gpuRetryAt
+	// mirror the master's hold-out state. Under the cooperative
+	// scheduler every transition ordered before a drain has already been
+	// posted, so the mirror equals the master's state at each offload
+	// decision. All four are written solely by drainMail (mailbox.go).
+	chunkCap   int
+	opp        bool
 	gpuOut     bool
 	gpuRetryAt sim.Time
 
@@ -59,7 +55,7 @@ func (w *worker) maxInflight() int {
 func (w *worker) run(p *sim.Proc) {
 	gpuMode := w.router.Cfg.Mode == ModeGPU && w.master != nil
 	for {
-		w.drainTuning()
+		w.drainMail()
 		// 1. Finish any chunks the master has returned.
 		for {
 			c, ok := w.outQ.TryGet()
@@ -125,18 +121,11 @@ func (w *worker) run(p *sim.Proc) {
 	}
 }
 
-// gpuHeldOut drains any hold-out updates the master has posted to the
-// control queue, then reports whether the GPU should be bypassed right
-// now.
+// gpuHeldOut drains the mailbox (the master may have posted a hold-out
+// update since the loop top), then reports whether the GPU should be
+// bypassed right now.
 func (w *worker) gpuHeldOut(now sim.Time) bool {
-	for {
-		st, ok := w.ctrlQ.TryGet()
-		if !ok {
-			break
-		}
-		w.gpuOut = st.out
-		w.gpuRetryAt = st.retryAt
-	}
+	w.drainMail()
 	return w.gpuOut && now < w.gpuRetryAt
 }
 

@@ -23,9 +23,9 @@ type Config struct {
 }
 
 // exec is the per-command delivery record. Each scheduled callback owns
-// exactly its own record (captured loop-locally in Attach, the
-// injector's pattern), so deliveries share no mutable state; the
-// Controller's accessors merge the records at read time.
+// exactly its own record (captured loop-locally in Attach), so
+// deliveries share no mutable state; the Controller's accessors merge
+// the records at read time.
 type exec struct {
 	cmd     Command
 	fired   bool
@@ -77,7 +77,7 @@ func Attach(env *sim.Env, router *core.Router, script *Script, cfg Config) (*Con
 		rec := &c.recs[i]
 		// The record writes happen here, through the loop-local
 		// capture: run() never sees rec, so no two callbacks share
-		// mutable state (the injector's delivery-record pattern).
+		// mutable state.
 		env.At(now+sim.Time(rec.cmd.At), func() {
 			applied, cells, errs := c.run(rec.cmd)
 			rec.fired = true
@@ -104,10 +104,26 @@ func precheck(cmd Command, router *core.Router, cfg Config) error {
 		if cmd.N < 1 {
 			return fmt.Errorf("ctrl: %s %d at %v: value must be >= 1", cmd.Op, cmd.N, cmd.At)
 		}
-	case OpPortAdmin:
+	case OpPortAdmin, OpRxBurst:
 		if cmd.N < 0 || cmd.N >= len(router.Engine.Ports) {
-			return fmt.Errorf("ctrl: port %d at %v outside 0..%d", cmd.N, cmd.At, len(router.Engine.Ports)-1)
+			return fmt.Errorf("ctrl: %s at %v: port %d outside 0..%d", cmd.Op, cmd.At, cmd.N, len(router.Engine.Ports)-1)
 		}
+		if cmd.Op == OpRxBurst && cmd.Dur <= 0 {
+			return fmt.Errorf("ctrl: rxburst on port %d at %v: duration must be positive", cmd.N, cmd.At)
+		}
+	case OpGPU, OpPCIe:
+		// Checked against the NUMA nodes, not the devices: a CPU-only
+		// router has no GPUs and ignores these commands, so one plan
+		// can drive both modes.
+		if nodes := router.Cfg.IO.Nodes; cmd.N < 0 || cmd.N >= nodes {
+			return fmt.Errorf("ctrl: %s at %v: node %d outside 0..%d", cmd.Op, cmd.At, cmd.N, nodes-1)
+		}
+		if cmd.Op == OpPCIe && !cmd.On && cmd.Div < 1 {
+			return fmt.Errorf("ctrl: pcie %d retrain %d at %v: divisor must be >= 1", cmd.N, cmd.Div, cmd.At)
+		}
+	}
+	if cmd.At < 0 {
+		return fmt.Errorf("ctrl: %s at negative offset %v", cmd.Op, cmd.At)
 	}
 	return nil
 }
@@ -133,10 +149,28 @@ func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 		c.printf("@%v set gathermax %d\n", c.env.Now(), cmd.N)
 	case OpOpportunistic:
 		c.router.SetOpportunistic(cmd.On)
-		c.printf("@%v set opportunistic %s\n", c.env.Now(), onOff(cmd.On))
+		c.printf("@%v set opportunistic %s\n", c.env.Now(), pick(cmd.On, "on", "off"))
 	case OpPortAdmin:
 		c.router.SetCarrier(cmd.N, cmd.On)
-		c.printf("@%v port %d %s\n", c.env.Now(), cmd.N, upDown(cmd.On))
+		c.printf("@%v port %d %s\n", c.env.Now(), cmd.N, pick(cmd.On, "up", "down"))
+	case OpGPU:
+		if cmd.On {
+			c.router.RepairGPU(cmd.N)
+		} else {
+			c.router.FailGPU(cmd.N)
+		}
+		c.printf("@%v gpu %d %s\n", c.env.Now(), cmd.N, pick(cmd.On, "repair", "fail"))
+	case OpPCIe:
+		if cmd.On {
+			c.router.RetrainPCIe(cmd.N, 1)
+			c.printf("@%v pcie %d restore\n", c.env.Now(), cmd.N)
+		} else {
+			c.router.RetrainPCIe(cmd.N, cmd.Div)
+			c.printf("@%v pcie %d retrain %d\n", c.env.Now(), cmd.N, cmd.Div)
+		}
+	case OpRxBurst:
+		c.router.RxDropBurst(cmd.N, cmd.Dur)
+		c.printf("@%v rxburst %d %.3fus\n", c.env.Now(), cmd.N, cmd.Dur.Microseconds())
 	case OpStats:
 		c.stats()
 	case OpMetrics:
@@ -148,6 +182,15 @@ func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 		if c.out != nil {
 			c.router.ObserveStats()
 			c.reg.Dump(c.out) //nolint:errcheck // best-effort, like the end-of-run dumps
+		}
+	}
+	for _, h := range hwKinds {
+		if h.op == cmd.Op && h.on == cmd.On {
+			port, node := cmd.N, 0
+			if cmd.Op.onNode() {
+				port, node = 0, cmd.N
+			}
+			c.router.TraceFault(h.kind.String(), port, node)
 		}
 	}
 	return 0, 0, ""
@@ -169,18 +212,11 @@ func (c *Controller) printf(format string, args ...any) {
 	}
 }
 
-func onOff(b bool) string {
+func pick(b bool, yes, no string) string {
 	if b {
-		return "on"
+		return yes
 	}
-	return "off"
-}
-
-func upDown(b bool) string {
-	if b {
-		return "up"
-	}
-	return "down"
+	return no
 }
 
 // Fired reports how many commands have executed so far.

@@ -1,15 +1,21 @@
 // Package ctrl is the deterministic control plane: a management session
 // for a running router whose commands arrive on the *virtual* clock.
 //
-// A Script is a timestamped list of management commands — route
-// add/del/replace batches, live batch-policy retuning (chunk cap,
-// gather max, opportunistic offload), port admin up/down, and
-// stats/metrics snapshots. Attaching a Script to a router schedules
-// every command as a simulation event at its offset from the attach
-// instant, exactly the way internal/faults arms a fault plan, so a
-// management session is part of a run's deterministic input: replaying
-// the same script against the same seed produces byte-identical output,
-// reconfiguration included.
+// A Script is a timestamped list of commands — route add/del/replace
+// batches, live batch-policy retuning (chunk cap, gather max,
+// opportunistic offload), stats/metrics snapshots, and the hardware
+// commands: port admin up/down, GPU fail/repair, PCIe retrain/restore
+// and RX drop bursts. Attaching a Script to a router schedules every
+// command as a simulation event at its offset from the attach instant,
+// so a management session — faults included — is part of a run's
+// deterministic input: replaying the same script against the same seed
+// produces byte-identical output, reconfiguration and degradation
+// included.
+//
+// The Controller is the only scheduler of timestamped operations
+// against a router. A faults.Plan is not a second mechanism: FromPlan
+// compiles it to a Script, and the facade's WithFaults / WithGPUOutage /
+// WithLinkFlap attach that script at construction.
 //
 // Commands reach the data path through three mediation channels, each
 // chosen so live reconfiguration stays inside the determinism contract:
@@ -18,11 +24,13 @@
 //     context — atomic on the virtual clock because no worker runs
 //     mid-callback, and every intermediate DIR-24-8 state is a
 //     consistent routing function (internal/lookup/ipv4.DynamicTable);
-//   - batch-policy knobs travel through per-worker/per-master tuning
-//     queues (core.Router.SetChunkCap and friends), the same
-//     scheduler-visible hand-off pattern as the master's gpuStatus
-//     queue;
-//   - port admin reuses the faults.Target carrier hooks.
+//   - batch-policy knobs travel through each worker's and master's
+//     control mailbox (core.Router.SetChunkCap and friends), the same
+//     queue the master's GPU hold-out status travels on;
+//   - hardware commands call the router's hardware hooks
+//     (core.Router.SetCarrier, FailGPU, RetrainPCIe, RxDropBurst),
+//     which flip model state that the data path reads at its next
+//     fetch, transmit or launch.
 //
 // The text form of a Script (the .psc command language) is parsed by
 // ParseScript; cmd/pshader's -ctrl flag runs the router as `pshaderd`,
@@ -33,6 +41,7 @@ import (
 	"fmt"
 	"sort"
 
+	"packetshader/internal/faults"
 	"packetshader/internal/route"
 	"packetshader/internal/sim"
 )
@@ -52,6 +61,13 @@ const (
 	OpOpportunistic
 	// OpPortAdmin raises or drops one port's carrier.
 	OpPortAdmin
+	// OpGPU fails or repairs one node's GPU; the master watchdog
+	// degrades to the CPU path while it is failed.
+	OpGPU
+	// OpPCIe retrains one node's GPU link at β/Div, or restores it.
+	OpPCIe
+	// OpRxBurst discards one port's RX arrivals for Dur.
+	OpRxBurst
 	// OpStats streams a one-line framework counter snapshot.
 	OpStats
 	// OpMetrics streams a full metrics-registry snapshot.
@@ -71,6 +87,12 @@ func (o Op) String() string {
 		return "set opportunistic"
 	case OpPortAdmin:
 		return "port"
+	case OpGPU:
+		return "gpu"
+	case OpPCIe:
+		return "pcie"
+	case OpRxBurst:
+		return "rxburst"
 	case OpStats:
 		return "stats"
 	case OpMetrics:
@@ -125,11 +147,18 @@ type Command struct {
 	// rebuild-strategy FIB pays one rebuild per batch.
 	Routes []RouteUpdate
 	// N carries the integer argument: the new cap for OpChunkCap /
-	// OpGatherMax, the port for OpPortAdmin.
+	// OpGatherMax, the port for OpPortAdmin / OpRxBurst, the NUMA node
+	// for OpGPU / OpPCIe.
 	N int
-	// On carries the boolean argument: OpOpportunistic state,
-	// OpPortAdmin carrier up.
+	// On carries the boolean argument: OpOpportunistic state, and for
+	// the hardware commands "healthy" — OpPortAdmin carrier up, OpGPU
+	// repaired, OpPCIe restored to full speed.
 	On bool
+	// Div is the β-divisor of an OpPCIe retrain (2 = half speed);
+	// unused when On.
+	Div int
+	// Dur is the length of an OpRxBurst discard window.
+	Dur sim.Duration
 }
 
 // RouteAdd returns a single-route add command.
@@ -173,6 +202,67 @@ func SetOpportunistic(at sim.Duration, on bool) Command {
 // carrier (RX stops, TX drops), up=true restores it.
 func PortAdmin(at sim.Duration, port int, up bool) Command {
 	return Command{At: at, Op: OpPortAdmin, N: port, On: up}
+}
+
+// GPU returns a GPU fault command: up=false stalls node's device until
+// a later up=true repairs it.
+func GPU(at sim.Duration, node int, up bool) Command {
+	return Command{At: at, Op: OpGPU, N: node, On: up}
+}
+
+// PCIeRetrain returns a command renegotiating node's GPU link at β/div.
+func PCIeRetrain(at sim.Duration, node, div int) Command {
+	return Command{At: at, Op: OpPCIe, N: node, Div: div}
+}
+
+// PCIeRestore returns a command restoring node's GPU link to full speed.
+func PCIeRestore(at sim.Duration, node int) Command {
+	return Command{At: at, Op: OpPCIe, N: node, On: true}
+}
+
+// RxBurst returns a command discarding port's RX arrivals for dur.
+func RxBurst(at sim.Duration, port int, dur sim.Duration) Command {
+	return Command{At: at, Op: OpRxBurst, N: port, Dur: dur}
+}
+
+// hwKinds pairs every hardware command with the fault kind it
+// delivers: FromPlan reads it kind → command, the controller command →
+// kind to name the delivery on the trace.
+var hwKinds = [...]struct {
+	kind faults.Kind
+	op   Op
+	on   bool
+}{
+	{faults.KindLinkDown, OpPortAdmin, false},
+	{faults.KindLinkUp, OpPortAdmin, true},
+	{faults.KindGPUFail, OpGPU, false},
+	{faults.KindGPURepair, OpGPU, true},
+	{faults.KindPCIeRetrain, OpPCIe, false},
+	{faults.KindPCIeRestore, OpPCIe, true},
+	{faults.KindRxDropBurst, OpRxBurst, false},
+}
+
+// onNode reports whether the op's N is a NUMA node rather than a port.
+func (o Op) onNode() bool { return o == OpGPU || o == OpPCIe }
+
+// FromPlan compiles a fault plan to the script that delivers it: one
+// hardware command per event, in Plan.Events order (sorted by offset,
+// same-instant events in insertion order — which Commands preserves).
+// A nil or empty plan compiles to an empty script.
+func FromPlan(pl *faults.Plan) *Script {
+	s := NewScript()
+	for _, e := range pl.Events() {
+		for _, h := range hwKinds {
+			if h.kind == e.Kind {
+				c := Command{At: e.At, Op: h.op, On: h.on, N: e.Port, Div: e.Div, Dur: e.Dur}
+				if h.op.onNode() {
+					c.N = e.Node
+				}
+				s.Add(c)
+			}
+		}
+	}
+	return s
 }
 
 // Stats returns a counter-snapshot command.

@@ -2,12 +2,14 @@ package ctrl_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
 	"packetshader/internal/ctrl"
+	"packetshader/internal/faults"
 	"packetshader/internal/model"
 	"packetshader/internal/pktgen"
 	"packetshader/internal/route"
@@ -30,6 +32,11 @@ const demoScript = `
 @2ms    port 2 down
 @2.5ms  port 2 up
 @3ms    metrics
+@4ms    gpu 1 fail
+@4ms    pcie 0 retrain 2
+@4ms    rxburst 5 250us
+@5ms    gpu 1 repair
+@5ms    pcie 0 restore
 `
 
 func TestParseScript(t *testing.T) {
@@ -38,8 +45,8 @@ func TestParseScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The three same-offset route lines coalesce into one batch.
-	if got := s.Len(); got != 8 {
-		t.Fatalf("Len = %d, want 8", got)
+	if got := s.Len(); got != 13 {
+		t.Fatalf("Len = %d, want 13", got)
 	}
 	if got := s.RouteUpdates(); got != 3 {
 		t.Fatalf("RouteUpdates = %d, want 3", got)
@@ -74,6 +81,17 @@ func TestParseScript(t *testing.T) {
 	if cmds[6].At != 2500*sim.Microsecond {
 		t.Fatalf("port up offset = %v, want 2.5ms", cmds[6].At)
 	}
+	// The hardware verbs parse to exactly what the constructors build.
+	wantHW := []ctrl.Command{
+		ctrl.GPU(4*sim.Millisecond, 1, false),
+		ctrl.PCIeRetrain(4*sim.Millisecond, 0, 2),
+		ctrl.RxBurst(4*sim.Millisecond, 5, 250*sim.Microsecond),
+		ctrl.GPU(5*sim.Millisecond, 1, true),
+		ctrl.PCIeRestore(5*sim.Millisecond, 0),
+	}
+	if !reflect.DeepEqual(cmds[8:], wantHW) {
+		t.Fatalf("hardware commands = %+v\nwant %+v", cmds[8:], wantHW)
+	}
 }
 
 func TestParseScriptSplitRouteBatches(t *testing.T) {
@@ -107,6 +125,25 @@ func TestParseScriptErrors(t *testing.T) {
 		"@1ms set opportunistic maybe",     // bad bool
 		"@1ms port 1 sideways",             // bad direction
 		"@1ms stats now",                   // trailing arg
+		"@NaNms stats",                     // ParseFloat accepts NaN
+		"@Infs stats",                      // ... and Inf
+		"@1e30s stats",                     // overflows the picosecond clock
+		"@1ms port -1 down",                // negative index
+		"@1ms gpu 0",                       // missing action
+		"@1ms gpu x fail",                  // non-numeric node
+		"@1ms gpu -1 fail",                 // negative node
+		"@1ms gpu 0 explode",               // bad action
+		"@1ms gpu 0 fail now",              // trailing arg
+		"@1ms pcie 0",                      // missing action
+		"@1ms pcie 0 retrain",              // missing divisor
+		"@1ms pcie 0 retrain 0",            // divisor below 1
+		"@1ms pcie 0 retrain two",          // non-numeric divisor
+		"@1ms pcie 0 restore 2",            // restore takes no divisor
+		"@1ms pcie 0 sideways",             // bad action
+		"@1ms rxburst 1",                   // missing duration
+		"@1ms rxburst 1 0us",               // empty window
+		"@1ms rxburst 1 5",                 // duration without unit
+		"@1ms rxburst 70000 5us",           // index beyond 16 bits
 	} {
 		if _, err := ctrl.ParseScript(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseScript(%q): want error", bad)
@@ -221,6 +258,12 @@ func TestAttachPrechecks(t *testing.T) {
 		{"gathermax zero", ctrl.NewScript(ctrl.SetGatherMax(0, 0)), ctrl.Config{}},
 		{"port high", ctrl.NewScript(ctrl.PortAdmin(0, model.NumPorts, false)), ctrl.Config{}},
 		{"port negative", ctrl.NewScript(ctrl.PortAdmin(0, -1, false)), ctrl.Config{}},
+		{"gpu node high", ctrl.NewScript(ctrl.GPU(0, model.NumNodes, false)), ctrl.Config{}},
+		{"pcie node negative", ctrl.NewScript(ctrl.PCIeRestore(0, -1)), ctrl.Config{}},
+		{"pcie divisor zero", ctrl.NewScript(ctrl.PCIeRetrain(0, 0, 0)), ctrl.Config{}},
+		{"rxburst port high", ctrl.NewScript(ctrl.RxBurst(0, model.NumPorts, sim.Microsecond)), ctrl.Config{}},
+		{"rxburst empty", ctrl.NewScript(ctrl.RxBurst(0, 0, 0)), ctrl.Config{}},
+		{"negative offset", ctrl.NewScript(ctrl.Stats(-1)), ctrl.Config{}},
 	}
 	for _, c := range cases {
 		if _, err := ctrl.Attach(env, r, c.script, c.cfg); err == nil {
@@ -350,5 +393,103 @@ func TestControllerByteIdentity(t *testing.T) {
 	}
 	if !strings.Contains(a, "stats packets=") {
 		t.Fatalf("unexpected output:\n%s", a)
+	}
+}
+
+// --- fault plans through the controller ---
+
+// TestControllerDeliversPlanAtScheduledTimes pins that a compiled fault
+// plan fires at attach instant + Event.At — here attached after a 10 ms
+// warm-up, from scheduler context — in plan order, and that each
+// command reaches the hardware model it names.
+func TestControllerDeliversPlanAtScheduledTimes(t *testing.T) {
+	env, r, _, _ := testRouter(t)
+	pl := faults.NewPlan().
+		LinkFlap(2, 1*sim.Millisecond, 500*sim.Microsecond).
+		GPUOutage(1, 2*sim.Millisecond, 1*sim.Millisecond)
+	var out bytes.Buffer
+	var ctl *ctrl.Controller
+	env.At(sim.Time(10*sim.Millisecond), func() {
+		var err error
+		if ctl, err = ctrl.Attach(env, r, ctrl.FromPlan(pl), ctrl.Config{Out: &out}); err != nil {
+			t.Error(err)
+		}
+	})
+	// state samples the three pieces of hardware the plan touches.
+	type state struct{ carrier2, gpu0, gpu1 bool }
+	var got []state
+	for _, ms := range []float64{10.5, 11.25, 11.75, 12.5, 13.5} {
+		env.At(sim.Time(ms*float64(sim.Millisecond)), func() {
+			got = append(got, state{r.Engine.Ports[2].Tx.CarrierUp(),
+				r.Devices[0].Healthy(), r.Devices[1].Healthy()})
+		})
+	}
+	env.Run(0)
+
+	wantOut := "@11000.000us port 2 down\n@11500.000us port 2 up\n" +
+		"@12000.000us gpu 1 fail\n@13000.000us gpu 1 repair\n"
+	if out.String() != wantOut {
+		t.Errorf("responses:\n%s\nwant:\n%s", out.String(), wantOut)
+	}
+	want := []state{
+		{true, true, true},  // attached, nothing fired
+		{false, true, true}, // port 2 down
+		{true, true, true},  // port 2 back
+		{true, true, false}, // GPU 1 failed, GPU 0 untouched
+		{true, true, true},  // repaired
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hardware state = %+v\nwant %+v", got, want)
+	}
+	if ctl.Fired() != 4 {
+		t.Errorf("fired %d of 4 commands", ctl.Fired())
+	}
+}
+
+// TestControllerPCIeRetrainRestore pins the retrain pair: β/2 at the
+// attach instant, full speed after the restore.
+func TestControllerPCIeRetrainRestore(t *testing.T) {
+	env, r, _, _ := testRouter(t)
+	var out bytes.Buffer
+	pl := faults.NewPlan().PCIeRetrain(0, 0, sim.Millisecond)
+	if _, err := ctrl.Attach(env, r, ctrl.FromPlan(pl), ctrl.Config{Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	var mid int
+	env.At(sim.Time(500*sim.Microsecond), func() { mid = r.Devices[0].Link.RetrainDivisor() })
+	env.Run(0)
+	if end := r.Devices[0].Link.RetrainDivisor(); mid != 2 || end != 1 {
+		t.Errorf("divisor mid-retrain = %d, after restore = %d; want 2 then 1", mid, end)
+	}
+	if want := "@0.000us pcie 0 retrain 2\n@1000.000us pcie 0 restore\n"; out.String() != want {
+		t.Errorf("responses:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+// TestFromPlanKeepsPlanOrder pins the compile step: one command per
+// event, sorted by offset with same-instant events in insertion order,
+// carrying the event's target and argument.
+func TestFromPlanKeepsPlanOrder(t *testing.T) {
+	pl := faults.NewPlan().
+		GPUOutage(1, 5*sim.Millisecond, 2*sim.Millisecond).
+		LinkFlap(3, 1*sim.Millisecond, 1*sim.Millisecond).
+		RxDropBurst(4, 5*sim.Millisecond, 100*sim.Microsecond).
+		PCIeRetrain(0, 5*sim.Millisecond, 2*sim.Millisecond)
+	got := ctrl.FromPlan(pl).Commands()
+	want := []ctrl.Command{
+		ctrl.PortAdmin(1*sim.Millisecond, 3, false),
+		ctrl.PortAdmin(2*sim.Millisecond, 3, true),
+		ctrl.GPU(5*sim.Millisecond, 1, false),
+		ctrl.RxBurst(5*sim.Millisecond, 4, 100*sim.Microsecond),
+		ctrl.PCIeRetrain(5*sim.Millisecond, 0, 2),
+		ctrl.GPU(7*sim.Millisecond, 1, true),
+		// The plan's restore event carries Div 1; a restore ignores it.
+		{At: 7 * sim.Millisecond, Op: ctrl.OpPCIe, N: 0, On: true, Div: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("compiled script = %+v\nwant %+v", got, want)
+	}
+	if n := ctrl.FromPlan(nil).Len(); n != 0 {
+		t.Errorf("nil plan compiled to %d commands", n)
 	}
 }

@@ -23,15 +23,36 @@ import (
 //	@2ms   set gathermax 4
 //	@2ms   set opportunistic on
 //	@3ms   port 2 down
+//	@3ms   gpu 0 fail
+//	@3ms   pcie 1 retrain 2
+//	@3ms   rxburst 5 250us
+//	@4ms   port 2 up
+//	@4ms   gpu 0 repair
+//	@4ms   pcie 1 restore
 //	@4ms   stats
 //	@5ms   metrics
 //
-// Offsets take ps/ns/us/ms/s units with an integer or decimal value.
-// Blank lines and `#` comments are ignored. Consecutive route lines
-// with the same offset coalesce into one batch command, so a
-// rebuild-strategy FIB pays one rebuild for the group — to force
-// separate batches, separate the lines with a different offset or any
-// non-route command.
+// Grammar, one command per line:
+//
+//	line    = "@" dur command
+//	command = "route" ("add"|"replace") prefix "via" hop | "route" "del" prefix
+//	        | "set" ("chunkcap"|"gathermax") count | "set" "opportunistic" ("on"|"off")
+//	        | "port" index ("up"|"down")
+//	        | "gpu" index ("fail"|"repair")
+//	        | "pcie" index ("retrain" count | "restore")
+//	        | "rxburst" index dur
+//	        | "stats" | "metrics"
+//
+// dur is an integer or decimal value with a ps/ns/us/ms/s unit, between
+// zero and 10⁶ s (rxburst wants it positive); index (a port or NUMA
+// node) is 0..65535; count (a cap or β-divisor) is 1..65535; hop is
+// 0..65535; prefix is a.b.c.d/len with len 0..32 and no host bits set.
+// Whether an index names a port or node the router has is checked when
+// the script is attached. Blank lines and `#` comments are ignored.
+// Consecutive route lines with the same offset coalesce into one batch
+// command, so a rebuild-strategy FIB pays one rebuild for the group —
+// to force separate batches, separate the lines with a different offset
+// or any non-route command.
 func ParseScript(r io.Reader) (*Script, error) {
 	s := NewScript()
 	sc := bufio.NewScanner(r)
@@ -97,18 +118,53 @@ func parseCommand(at sim.Duration, f []string) (Command, error) {
 	case "set":
 		return parseSet(at, f[1:])
 	case "port":
-		if len(f) != 3 {
-			return Command{}, fmt.Errorf("usage: port <n> up|down")
-		}
-		port, err := strconv.Atoi(f[1])
-		if err != nil {
-			return Command{}, fmt.Errorf("port %q: not a number", f[1])
-		}
-		up, err := parseUpDown(f[2])
+		port, up, err := parseTarget(f, "port", "up", "down")
 		if err != nil {
 			return Command{}, err
 		}
 		return PortAdmin(at, port, up), nil
+	case "gpu":
+		node, up, err := parseTarget(f, "node", "repair", "fail")
+		if err != nil {
+			return Command{}, err
+		}
+		return GPU(at, node, up), nil
+	case "pcie":
+		if len(f) < 3 {
+			return Command{}, fmt.Errorf("usage: pcie <node> retrain <div>|restore")
+		}
+		node, err := parseUint16("node", f[1], 0)
+		if err != nil {
+			return Command{}, err
+		}
+		switch {
+		case f[2] == "restore" && len(f) == 3:
+			return PCIeRestore(at, node), nil
+		case f[2] == "retrain" && len(f) == 4:
+			div, err := parseUint16("divisor", f[3], 1)
+			if err != nil {
+				return Command{}, err
+			}
+			return PCIeRetrain(at, node, div), nil
+		default:
+			return Command{}, fmt.Errorf("usage: pcie <node> retrain <div>|restore")
+		}
+	case "rxburst":
+		if len(f) != 3 {
+			return Command{}, fmt.Errorf("usage: rxburst <port> <duration>")
+		}
+		port, err := parseUint16("port", f[1], 0)
+		if err != nil {
+			return Command{}, err
+		}
+		dur, err := parseDuration(f[2])
+		if err != nil {
+			return Command{}, err
+		}
+		if dur <= 0 {
+			return Command{}, fmt.Errorf("rxburst duration %q: must be positive", f[2])
+		}
+		return RxBurst(at, port, dur), nil
 	case "stats":
 		if len(f) != 1 {
 			return Command{}, fmt.Errorf("stats takes no arguments")
@@ -141,9 +197,9 @@ func parseRoute(at sim.Duration, f []string) (Command, error) {
 		if err != nil {
 			return Command{}, err
 		}
-		hop, err := strconv.ParseUint(f[3], 10, 16)
+		hop, err := parseUint16("next hop", f[3], 0)
 		if err != nil {
-			return Command{}, fmt.Errorf("next hop %q: not a 16-bit number", f[3])
+			return Command{}, err
 		}
 		return Command{At: at, Op: OpRoute,
 			Routes: []RouteUpdate{{Act: act, Prefix: p, NextHop: uint16(hop)}}}, nil
@@ -167,37 +223,59 @@ func parseSet(at sim.Duration, f []string) (Command, error) {
 	}
 	switch f[0] {
 	case "chunkcap", "gathermax":
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 1 {
-			return Command{}, fmt.Errorf("set %s %q: want a positive integer", f[0], f[1])
+		n, err := parseUint16(f[0], f[1], 1)
+		if err != nil {
+			return Command{}, err
 		}
 		if f[0] == "chunkcap" {
 			return SetChunkCap(at, n), nil
 		}
 		return SetGatherMax(at, n), nil
 	case "opportunistic":
-		switch f[1] {
-		case "on":
-			return SetOpportunistic(at, true), nil
-		case "off":
-			return SetOpportunistic(at, false), nil
-		default:
-			return Command{}, fmt.Errorf("set opportunistic %q: want on or off", f[1])
+		on, err := parseChoice(f[1], "on", "off")
+		if err != nil {
+			return Command{}, err
 		}
+		return SetOpportunistic(at, on), nil
 	default:
 		return Command{}, fmt.Errorf("unknown knob %q (want chunkcap, gathermax or opportunistic)", f[0])
 	}
 }
 
-func parseUpDown(s string) (bool, error) {
+// parseTarget parses `<verb> <index> <yes|no>`, the shape port and gpu
+// share; what names the index in errors.
+func parseTarget(f []string, what, yes, no string) (int, bool, error) {
+	if len(f) != 3 {
+		return 0, false, fmt.Errorf("usage: %s <%s> %s|%s", f[0], what, yes, no)
+	}
+	n, err := parseUint16(what, f[1], 0)
+	if err != nil {
+		return 0, false, err
+	}
+	on, err := parseChoice(f[2], yes, no)
+	return n, on, err
+}
+
+// parseChoice maps the word yes to true and the word no to false.
+func parseChoice(s, yes, no string) (bool, error) {
 	switch s {
-	case "up":
+	case yes:
 		return true, nil
-	case "down":
+	case no:
 		return false, nil
 	default:
-		return false, fmt.Errorf("%q: want up or down", s)
+		return false, fmt.Errorf("%q: want %s or %s", s, yes, no)
 	}
+}
+
+// parseUint16 parses a decimal in min..65535 (what names the argument
+// in the error).
+func parseUint16(what, s string, min int) (int, error) {
+	n, err := strconv.ParseUint(s, 10, 16)
+	if err != nil || int(n) < min {
+		return 0, fmt.Errorf("%s %q: want an integer in %d..65535", what, s, min)
+	}
+	return int(n), nil
 }
 
 // parsePrefix parses `a.b.c.d/len` and insists the host bits are zero —
@@ -253,6 +331,11 @@ var durUnits = []struct {
 	{"s", sim.Second},
 }
 
+// maxDurSeconds bounds every parsed duration: far beyond any run, and
+// small enough that attach-instant + offset cannot overflow the
+// picosecond clock.
+const maxDurSeconds = 1e6
+
 // parseDuration parses an integer or decimal value with a ps/ns/us/ms/s
 // unit into a virtual duration. (sim durations are picosecond integers;
 // the decimal form is rounded to the nearest picosecond.)
@@ -263,10 +346,12 @@ func parseDuration(s string) (sim.Duration, error) {
 			continue
 		}
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return 0, fmt.Errorf("offset %q: want a non-negative value before %q", s, u.suffix)
+		secs := f * u.d.Seconds()
+		// The negated form also rejects NaN, which ParseFloat accepts.
+		if err != nil || !(secs >= 0 && secs <= maxDurSeconds) {
+			return 0, fmt.Errorf("duration %q: want a value in 0..%gs before %q", s, maxDurSeconds, u.suffix)
 		}
-		return sim.DurationFromSeconds(f * u.d.Seconds()), nil
+		return sim.DurationFromSeconds(secs), nil
 	}
-	return 0, fmt.Errorf("offset %q: want <value><ps|ns|us|ms|s>", s)
+	return 0, fmt.Errorf("duration %q: want <value><ps|ns|us|ms|s>", s)
 }

@@ -125,8 +125,7 @@ func fabricScaling(c *Ctx) *Result {
 		}
 		offered := 0.9 * ev.ThroughputGbps
 		res, err := cluster.RunFabric(cluster.FabricConfig{
-			Cluster:     cfg,
-			Scheme:      s.scheme,
+			Topo:        &cluster.FullMesh{Cluster: cfg, Scheme: s.scheme},
 			Matrix:      cluster.Uniform(s.nodes, offered),
 			LinkLatency: 50 * sim.Microsecond,
 			Horizon:     5 * sim.Millisecond,

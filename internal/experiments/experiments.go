@@ -105,7 +105,6 @@ var Registry = []registryEntry{
 	{ID: "cluster", Run: clusterScaling, Jobs: 12},
 	{ID: "fabric", Run: fabricScaling, Jobs: 6},
 	{ID: "leafspine", Run: leafSpineScaling, Jobs: 4},
-	{ID: "fibupdate", Run: fibUpdate, Jobs: 2, UsesBGP: true},
 	{ID: "faults", Run: faultScenario, Jobs: 2},
 	{ID: "churn", Run: churn, Jobs: 3},
 }

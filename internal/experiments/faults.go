@@ -5,6 +5,7 @@ import (
 
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
+	"packetshader/internal/ctrl"
 	"packetshader/internal/faults"
 	"packetshader/internal/model"
 	"packetshader/internal/pktgen"
@@ -28,8 +29,8 @@ const (
 )
 
 // faultIPv4Router builds the degradation-scenario router: paper-default
-// CPU+GPU IPv4 forwarding at full load with a 20k-prefix table, plus an
-// optional fault plan.
+// CPU+GPU IPv4 forwarding at full load with a 20k-prefix table, with
+// plan (nil for none) attached through the controller.
 func faultIPv4Router(env *sim.Env, mode core.Mode, plan *faults.Plan) *core.Router {
 	entries := route.GenerateBGPTable(faultPrefixes, 64, faultSeed)
 	tbl, err := lookupv4.Build(entries)
@@ -39,9 +40,11 @@ func faultIPv4Router(env *sim.Env, mode core.Mode, plan *faults.Plan) *core.Rout
 	cfg := core.DefaultConfig()
 	cfg.Mode = mode
 	cfg.PacketSize = 64
-	cfg.Faults = plan
 	r := core.New(env, cfg, &apps.IPv4Fwd{Table: tbl, NumPorts: model.NumPorts})
 	r.SetSource(&pktgen.UDP4Source{Size: 64, Seed: faultSeed, Table: entries})
+	if _, err := ctrl.Attach(env, r, ctrl.FromPlan(plan), ctrl.Config{}); err != nil {
+		panic(err)
+	}
 	return r
 }
 

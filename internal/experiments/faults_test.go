@@ -9,7 +9,7 @@ import (
 
 // TestFaultScenarioDeterministicAndShaped runs the degradation-curve
 // scenario twice and checks both halves of its contract: the rendered
-// output is byte-identical across runs (the fault injector lives on the
+// output is byte-identical across runs (fault delivery lives on the
 // virtual clock, so it falls under the same determinism invariant as
 // every other experiment), and the curve has the advertised shape —
 // full throughput, a CPU-only plateau within the envelope during the

@@ -163,23 +163,15 @@ type ofSource struct {
 
 // flowTuple returns the deterministic 5-tuple of flow (port, idx).
 func (s *ofSource) flowTuple(port, idx int) (src, dst packet.IPv4Addr, sp, dp uint16) {
-	h := splitmix64ExpSeed(s.seed, uint64(port)<<32|uint64(idx))
+	h := sim.SplitMix64(s.seed ^ (uint64(port)<<32 | uint64(idx)))
 	return packet.IPv4Addr(0x0A000000 | uint32(h&0xffffff)),
 		packet.IPv4Addr(0x0B000000 | uint32((h>>24)&0xffffff)),
 		uint16(h>>48) | 1024, uint16(idx) | 1024
 }
 
-func splitmix64ExpSeed(seed, x uint64) uint64 {
-	x ^= seed
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Fill implements nic.FrameSource.
 func (s *ofSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
-	h := splitmix64ExpSeed(s.seed^0xabcd, uint64(port)<<56|uint64(queue)<<48|seq)
+	h := sim.SplitMix64(s.seed ^ 0xabcd ^ (uint64(port)<<56 | uint64(queue)<<48 | seq))
 	idx := int(h % uint64(s.flowsPerPort))
 	src, dst, sp, dp := s.flowTuple(port, idx)
 	s.once.Do(func() {

@@ -1,8 +1,11 @@
-// Package faults is the deterministic fault-injection subsystem: a
-// seeded Plan schedules typed hardware fault events on the virtual
-// clock, and an Injector arms them against a Target (the router) when a
-// run starts. Everything is driven by the simulator's event heap, so a
-// fault plan is part of a run's deterministic input — two runs of the
+// Package faults is the data model of deterministic fault injection: a
+// Plan is an ordered schedule of typed hardware fault Events, built by
+// hand or by the seeded Random generator. The package schedules
+// nothing itself. Its two readers do: internal/ctrl compiles a Plan to
+// a control script (ctrl.FromPlan) and delivers it to a router through
+// the one Controller, and internal/cluster arms link and node events on
+// the fabric's per-node partitions (the fabric has no Router). Either
+// way the plan is part of a run's deterministic input — two runs of the
 // same plan at the same seed produce byte-identical output.
 //
 // The fault classes map onto the calibrated hardware models:
@@ -63,8 +66,8 @@ func (k Kind) String() string {
 }
 
 // Event is one scheduled fault. At is an offset from the instant the
-// plan is armed (Injector.Arm), so a plan is position-independent and
-// reusable across warmup phases.
+// plan is armed (ctrl.Attach of the compiled script), so a plan is
+// position-independent and reusable across warmup phases.
 type Event struct {
 	At   sim.Duration
 	Kind Kind
@@ -152,15 +155,6 @@ func (pl *Plan) Events() []Event {
 	return out
 }
 
-// splitmix64 is the plan generator's PRNG — the same deterministic
-// mixer the packet generators use.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Random generates a seeded plan of n fault episodes spread over
 // horizon, drawing kinds and targets pseudo-randomly across ports
 // 0..ports-1 and nodes 0..nodes-1. Episode durations are 1/16 of the
@@ -175,11 +169,11 @@ func Random(seed uint64, horizon sim.Duration, ports, nodes, n int) *Plan {
 		dur = 1
 	}
 	for i := 0; i < n; i++ {
-		r := splitmix64(seed ^ uint64(i)<<32)
+		r := sim.SplitMix64(seed ^ uint64(i)<<32)
 		at := sim.Duration(r % uint64(horizon-dur+1))
-		kind := splitmix64(r) % 4
-		port := int(splitmix64(r^1) % uint64(maxInt(ports, 1)))
-		node := int(splitmix64(r^2) % uint64(maxInt(nodes, 1)))
+		kind := sim.SplitMix64(r) % 4
+		port := int(sim.SplitMix64(r^1) % uint64(max(ports, 1)))
+		node := int(sim.SplitMix64(r^2) % uint64(max(nodes, 1)))
 		switch kind {
 		case 0:
 			pl.LinkFlap(port, at, dur)
@@ -192,11 +186,4 @@ func Random(seed uint64, horizon sim.Duration, ports, nodes, n int) *Plan {
 		}
 	}
 	return pl
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

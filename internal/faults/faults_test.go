@@ -7,34 +7,6 @@ import (
 	"packetshader/internal/sim"
 )
 
-// recordingTarget logs every injection with its virtual timestamp.
-type recordingTarget struct {
-	env *sim.Env
-	log []record
-}
-
-type record struct {
-	at   sim.Time
-	what string
-	arg  int
-}
-
-func (t *recordingTarget) note(what string, arg int) {
-	t.log = append(t.log, record{t.env.Now(), what, arg})
-}
-
-func (t *recordingTarget) SetCarrier(port int, up bool) {
-	if up {
-		t.note("carrier-up", port)
-	} else {
-		t.note("carrier-down", port)
-	}
-}
-func (t *recordingTarget) RxDropBurst(port int, d sim.Duration) { t.note("burst", port) }
-func (t *recordingTarget) FailGPU(node int)                     { t.note("fail", node) }
-func (t *recordingTarget) RepairGPU(node int)                   { t.note("repair", node) }
-func (t *recordingTarget) RetrainPCIe(node, div int)            { t.note("retrain", div) }
-
 func TestPlanEventsSortedStable(t *testing.T) {
 	pl := NewPlan().
 		GPUOutage(0, 5*sim.Millisecond, 2*sim.Millisecond).
@@ -56,47 +28,6 @@ func TestPlanEventsSortedStable(t *testing.T) {
 	// Events must not mutate the plan's own order.
 	if pl.events[0].Kind != KindGPUFail {
 		t.Error("Events() sorted the plan in place")
-	}
-}
-
-func TestInjectorDeliversAtScheduledTimes(t *testing.T) {
-	env := sim.NewEnv()
-	tgt := &recordingTarget{env: env}
-	pl := NewPlan().
-		LinkFlap(2, 1*sim.Millisecond, 500*sim.Microsecond).
-		GPUOutage(1, 2*sim.Millisecond, 1*sim.Millisecond)
-	in := NewInjector(env, pl, tgt)
-	// Arm after a warmup offset: events are relative to Arm time.
-	env.At(sim.Time(10*sim.Millisecond), func() { in.Arm() })
-	env.Run(0)
-
-	want := []record{
-		{sim.Time(11 * sim.Millisecond), "carrier-down", 2},
-		{sim.Time(11*sim.Millisecond + 500*sim.Microsecond), "carrier-up", 2},
-		{sim.Time(12 * sim.Millisecond), "fail", 1},
-		{sim.Time(13 * sim.Millisecond), "repair", 1},
-	}
-	if !reflect.DeepEqual(tgt.log, want) {
-		t.Errorf("log = %+v, want %+v", tgt.log, want)
-	}
-	if in.Injected(KindLinkDown) != 1 || in.Injected(KindGPURepair) != 1 {
-		t.Errorf("injected counts wrong: down=%d repair=%d",
-			in.Injected(KindLinkDown), in.Injected(KindGPURepair))
-	}
-}
-
-func TestInjectorPCIeRetrainRestore(t *testing.T) {
-	env := sim.NewEnv()
-	tgt := &recordingTarget{env: env}
-	in := NewInjector(env, NewPlan().PCIeRetrain(0, 0, sim.Duration(sim.Millisecond)), tgt)
-	in.Arm()
-	env.Run(0)
-	want := []record{
-		{0, "retrain", 2},
-		{sim.Time(sim.Millisecond), "retrain", 1},
-	}
-	if !reflect.DeepEqual(tgt.log, want) {
-		t.Errorf("log = %+v, want %+v", tgt.log, want)
 	}
 }
 

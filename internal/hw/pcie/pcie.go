@@ -143,7 +143,7 @@ type Link struct {
 	// (or 0) means fully trained; 2 models a retrain that renegotiated
 	// half the lanes, doubling the per-byte term of the α+size/β model
 	// while leaving the fixed α untouched. Set via SetRetrain by the
-	// fault injector.
+	// control plane's pcie retrain/restore commands.
 	retrain int
 }
 
@@ -209,12 +209,12 @@ func (l *Link) d2hTime(size int) sim.Duration {
 // ScheduleH2D is the non-blocking variant (for pipelined streams):
 // it reserves both resources and returns the completion time.
 func (l *Link) ScheduleH2D(size int) sim.Time {
-	return maxTime(l.down.Schedule(l.h2dTime(size)), l.ioh.ExpressDown(size))
+	return max(l.down.Schedule(l.h2dTime(size)), l.ioh.ExpressDown(size))
 }
 
 // ScheduleD2H reserves a device→host transfer and returns completion.
 func (l *Link) ScheduleD2H(size int) sim.Time {
-	return maxTime(l.up.Schedule(l.d2hTime(size)), l.ioh.ExpressUp(size))
+	return max(l.up.Schedule(l.d2hTime(size)), l.ioh.ExpressUp(size))
 }
 
 // UpBusy exposes cumulative device→host link work.
@@ -231,12 +231,5 @@ func (l *Link) ScheduleD2HAt(notBefore sim.Time, size int) sim.Time {
 	if express < notBefore {
 		express = notBefore
 	}
-	return maxTime(done, express)
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
+	return max(done, express)
 }

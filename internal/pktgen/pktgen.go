@@ -15,15 +15,6 @@ import (
 	"packetshader/internal/sim"
 )
 
-// splitmix64 is the per-packet deterministic PRNG: frame i of a queue is
-// always the same frame, independent of fetch timing.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 var (
 	genSrcMAC = packet.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
 	genDstMAC = packet.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
@@ -52,8 +43,8 @@ type UDP4Source struct {
 // Fill implements nic.FrameSource.
 func (s *UDP4Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(func() { s.tmpl = packet.NewUDP4Template(s.Size, genSrcMAC, genDstMAC) })
-	r := splitmix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
-	r2 := splitmix64(r)
+	r := sim.SplitMix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
+	r2 := sim.SplitMix64(r)
 	var dst packet.IPv4Addr
 	if len(s.Table) > 0 {
 		e := s.Table[int(r%uint64(len(s.Table)))]
@@ -86,9 +77,9 @@ type UDP6Source struct {
 // Fill implements nic.FrameSource.
 func (s *UDP6Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(func() { s.tmpl = packet.NewUDP6Template(s.Size, genSrcMAC, genDstMAC) })
-	r := splitmix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
-	r2 := splitmix64(r)
-	r3 := splitmix64(r2)
+	r := sim.SplitMix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
+	r2 := sim.SplitMix64(r)
+	r3 := sim.SplitMix64(r2)
 	var dst packet.IPv6Addr
 	if len(s.Table) > 0 {
 		e := s.Table[int(r%uint64(len(s.Table)))]

@@ -149,7 +149,7 @@ func TestLatencySinkIgnoresUnstamped(t *testing.T) {
 func TestSplitmixSpreads(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 10000; i++ {
-		seen[splitmix64(i)] = true
+		seen[sim.SplitMix64(i)] = true
 	}
 	if len(seen) != 10000 {
 		t.Errorf("splitmix64 collisions: %d unique of 10000", len(seen))
@@ -241,8 +241,8 @@ func TestSourcesMatchDirectBuild(t *testing.T) {
 				port, queue, seq := i%4, i%2, uint64(i)
 				b := mkBuf(2048)
 				s4.Fill(b, port, queue, seq)
-				r := splitmix64(s4.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
-				r2 := splitmix64(r)
+				r := sim.SplitMix64(s4.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
+				r2 := sim.SplitMix64(r)
 				var dst packet.IPv4Addr
 				if tbl {
 					e := s4.Table[int(r%uint64(len(s4.Table)))]
@@ -258,7 +258,7 @@ func TestSourcesMatchDirectBuild(t *testing.T) {
 
 				b6 := mkBuf(2048)
 				s6.Fill(b6, port, queue, seq)
-				r3 := splitmix64(r2)
+				r3 := sim.SplitMix64(r2)
 				var dst6 packet.IPv6Addr
 				if tbl {
 					e := s6.Table[int(r%uint64(len(s6.Table)))]

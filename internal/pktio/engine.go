@@ -175,12 +175,12 @@ type Iface struct {
 	// access applies the §4.5 penalties.
 	WorkerNode int
 
-	// rxCycles memoizes perPacketRxCycles by size for ModeHuge: the cost
-	// is a pure function of (size, config, remoteness), all fixed at open
+	// rxCycles memoizes hugeRxCycles by size for ModeHuge: the cost is a
+	// pure function of (size, config, remoteness), all fixed at open
 	// time. Each entry is produced by the original op sequence, so the
 	// charged cycles are bit-identical to computing them per packet.
-	// ModeSkb stays on the slow path (it performs real allocator work and
-	// breakdown accounting per packet).
+	// nil in ModeSkb, which stays on the slow path (skbRxCycles performs
+	// real allocator work and breakdown accounting per packet).
 	rxCycles []float64
 	// batchRxCycles is the hoisted per-batch constant of FetchChunk.
 	batchRxCycles float64
@@ -241,35 +241,26 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 	return c * f.remoteFactor()
 }
 
-// perPacketRxCycles computes the CPU cost of receiving one packet of
-// size bytes on this interface under the engine's configuration.
-func (f *Iface) perPacketRxCycles(size int) float64 {
+// skbRxCycles is the ModeSkb per-packet cost: the full Table 3 stack,
+// really performing the allocations and the breakdown accounting.
+// (ModeHuge never gets here: its cost comes from the rxCycles table.)
+func (f *Iface) skbRxCycles(size int) float64 {
 	e := f.Engine
-	var c float64
-	switch e.Cfg.Mode {
-	case ModeHuge:
-		if !e.Cfg.Prefetch {
-			e.breakdown.CacheMisses += model.CompulsoryMissCycles
-		}
-		return f.hugeRxCycles(size)
-	case ModeSkb:
-		// The full Table 3 stack, really performing the allocations.
-		if e.skb == nil {
-			e.skb = mem.NewSkbAllocator(mem.NewArena(4096))
-		}
-		if skb, err := e.skb.Alloc(size); err == nil {
-			e.skb.Free(skb)
-		}
-		c = model.SkbInitCycles + model.SkbAllocWrapperCycles +
-			4*model.SlabOpCycles + model.SkbDriverCycles +
-			model.SkbOtherCycles + model.CompulsoryMissCycles
-		e.breakdown.SkbInit += model.SkbInitCycles
-		e.breakdown.SkbAlloc += model.SkbAllocWrapperCycles
-		e.breakdown.MemSubsystem += 4 * model.SlabOpCycles
-		e.breakdown.Driver += model.SkbDriverCycles
-		e.breakdown.Others += model.SkbOtherCycles
-		e.breakdown.CacheMisses += model.CompulsoryMissCycles
+	if e.skb == nil {
+		e.skb = mem.NewSkbAllocator(mem.NewArena(4096))
 	}
+	if skb, err := e.skb.Alloc(size); err == nil {
+		e.skb.Free(skb)
+	}
+	c := model.SkbInitCycles + model.SkbAllocWrapperCycles +
+		4*model.SlabOpCycles + model.SkbDriverCycles +
+		model.SkbOtherCycles + model.CompulsoryMissCycles
+	e.breakdown.SkbInit += model.SkbInitCycles
+	e.breakdown.SkbAlloc += model.SkbAllocWrapperCycles
+	e.breakdown.MemSubsystem += 4 * model.SlabOpCycles
+	e.breakdown.Driver += model.SkbDriverCycles
+	e.breakdown.Others += model.SkbOtherCycles
+	e.breakdown.CacheMisses += model.CompulsoryMissCycles
 	if !e.Cfg.AlignQueueData {
 		c += model.FalseSharingPenaltyCycles
 	}
@@ -305,7 +296,7 @@ func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Bu
 		}
 	} else {
 		for _, b := range got[len(out):] {
-			cycles += f.perPacketRxCycles(b.Size())
+			cycles += f.skbRxCycles(b.Size())
 		}
 	}
 	p.Sleep(model.Cycles(cycles))

@@ -10,10 +10,10 @@
 //
 // The engine is built for an allocation-free steady state: events are
 // typed values (a process wakeup carries the *Proc directly; closures
-// exist only for true callbacks) stored in slab-like slices — a binary
-// heap for future events and a FIFO ring for same-instant wakeups — so
-// Sleep and queue hand-offs allocate nothing and same-instant wakeups
-// skip the heap entirely. Control transfers directly from the yielding
+// exist only for true callbacks) stored in slab-like slices — a
+// hierarchical timer wheel (wheel.go) for future events and a FIFO ring
+// for same-instant wakeups — so Sleep and queue hand-offs allocate
+// nothing and same-instant wakeups skip the wheel entirely. Control transfers directly from the yielding
 // process to the next runnable one with a single channel operation; there
 // is no separate scheduler goroutine to bounce through.
 package sim
@@ -69,66 +69,6 @@ type event struct {
 	seq uint64 // tie-breaker: FIFO among simultaneous events
 	p   *Proc
 	fn  func()
-}
-
-// eventHeap is a binary min-heap over (at, seq), implemented directly on
-// the slice so events are moved by value within one reusable backing
-// array. (container/heap would box every event into an interface value,
-// one heap allocation per scheduled event.)
-//
-// The production event store is the hierarchical timer wheel in
-// wheel.go; the heap is retained as the reference implementation the
-// wheel's differential tests execute against (see wheel_test.go), so
-// the exact (at, seq) contract stays pinned by executable code rather
-// than prose.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	*h = s
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // clear the vacated slot: drop fn/Proc references
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }
 
 // Hooks receives simulation-level trace callbacks. Implementations must

@@ -5,6 +5,61 @@ import (
 	"testing"
 )
 
+// eventHeap is a binary min-heap over (at, seq): the reference
+// implementation of the event store's contract. The production store is
+// the hierarchical timer wheel in wheel.go; the differential tests
+// below execute the wheel against this heap, so the exact (at, seq)
+// order stays pinned by executable code rather than prose.
+type eventHeap []event
+
+func (h eventHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	*h = s
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // clear the vacated slot: drop fn/Proc references
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && s.less(l, min) {
+			min = l
+		}
+		if r < n && s.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
+}
+
 // TestWheelMatchesHeapRandomOps is the structural differential test
 // pinning the timer wheel to the reference heap: random interleavings of
 // pushes (quantized offsets to force same-instant ties, plus far-future

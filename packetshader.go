@@ -76,40 +76,47 @@ type Source interface {
 	Fill(b *packet.Buf, port, queue int, seq uint64)
 }
 
+// config is what the options resolve to: the router configuration plus
+// the fault plan the constructor hands to the controller.
+type config struct {
+	core.Config
+	faults *faults.Plan
+}
+
 // Option tweaks a router configuration.
-type Option func(*core.Config)
+type Option func(*config)
 
 // WithMode selects CPU-only or CPU+GPU operation.
-func WithMode(m Mode) Option { return func(c *core.Config) { c.Mode = m } }
+func WithMode(m Mode) Option { return func(c *config) { c.Mode = m } }
 
 // WithPacketSize sets the generated packet size (64-1514 bytes).
 func WithPacketSize(bytes int) Option {
-	return func(c *core.Config) { c.PacketSize = bytes }
+	return func(c *config) { c.PacketSize = bytes }
 }
 
 // WithOfferedGbps sets the offered load per port.
 func WithOfferedGbps(g float64) Option {
-	return func(c *core.Config) { c.OfferedGbpsPerPort = g }
+	return func(c *config) { c.OfferedGbpsPerPort = g }
 }
 
 // WithStreams enables concurrent copy and execution with n CUDA
 // streams (§5.4; the paper uses it for IPsec).
-func WithStreams(n int) Option { return func(c *core.Config) { c.Streams = n } }
+func WithStreams(n int) Option { return func(c *config) { c.Streams = n } }
 
 // WithOpportunisticOffload keeps small chunks on the CPU for low
 // latency under light load (§7).
 func WithOpportunisticOffload() Option {
-	return func(c *core.Config) { c.OpportunisticOffload = true }
+	return func(c *config) { c.OpportunisticOffload = true }
 }
 
 // WithChunkCap caps the number of packets per chunk (§5.3).
-func WithChunkCap(n int) Option { return func(c *core.Config) { c.ChunkCap = n } }
+func WithChunkCap(n int) Option { return func(c *config) { c.ChunkCap = n } }
 
 // WithoutPipelining disables chunk pipelining (§5.4 ablation).
-func WithoutPipelining() Option { return func(c *core.Config) { c.Pipelining = false } }
+func WithoutPipelining() Option { return func(c *config) { c.Pipelining = false } }
 
 // WithGatherMax bounds how many chunks one GPU launch gathers (§5.4).
-func WithGatherMax(n int) Option { return func(c *core.Config) { c.GatherMax = n } }
+func WithGatherMax(n int) Option { return func(c *config) { c.GatherMax = n } }
 
 // FIBUpdateMode selects the live route-update strategy (§7) for
 // IPv4 instances: see WithFIBUpdate.
@@ -132,20 +139,22 @@ const (
 // (IPsec, OpenFlow) or no dynamic lookup structure yet (IPv6), so their
 // instances reject route commands regardless of mode.
 func WithFIBUpdate(m FIBUpdateMode) Option {
-	return func(c *core.Config) { c.FIBUpdate = m }
+	return func(c *config) { c.FIBUpdate = m }
 }
 
 // WithFaults merges a full fault plan (see internal/faults: link flaps,
 // RX drop bursts, GPU outages, PCIe retrains, or a seeded Random mix)
-// into the instance, armed relative to the router's start. Options
-// compose: multiple WithFaults/WithGPUOutage/WithLinkFlap options merge
-// into one plan.
+// into the instance. The constructor compiles the merged plan to a
+// control script (ctrl.FromPlan) and attaches it, so offsets count from
+// the router's start and a fault aimed at a port or node the router
+// does not have fails the constructor. Options compose: multiple
+// WithFaults/WithGPUOutage/WithLinkFlap options merge into one plan.
 func WithFaults(p *faults.Plan) Option {
-	return func(c *core.Config) {
-		if c.Faults == nil {
-			c.Faults = faults.NewPlan()
+	return func(c *config) {
+		if c.faults == nil {
+			c.faults = faults.NewPlan()
 		}
-		c.Faults.Merge(p)
+		c.faults.Merge(p)
 	}
 }
 
@@ -205,24 +214,25 @@ type Report struct {
 // config and validated *first*, then the application and the source are
 // constructed from the resolved config — so the app sees the final FIB
 // update mode, a generator always sees the final packet size, and there
-// is no post-hoc rebinding. mkApp returns the application plus the
+// is no post-hoc rebinding. Fault targets are checked last, by the
+// controller, against the router that was actually built. mkApp returns the application plus the
 // FIBApplier a control script's route commands go through (nil when the
 // table is static).
 func build(mkApp func(cfg *core.Config) (core.App, ctrl.FIBApplier, error),
 	mkSrc func(cfg *core.Config) Source, opts []Option) (*Instance, error) {
 	env := sim.NewEnv()
-	cfg := core.DefaultConfig()
+	cfg := config{Config: core.DefaultConfig()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := validate(&cfg); err != nil {
+	if err := validate(&cfg.Config); err != nil {
 		return nil, err
 	}
-	app, fib, err := mkApp(&cfg)
+	app, fib, err := mkApp(&cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	r := core.New(env, cfg, app)
+	r := core.New(env, cfg.Config, app)
 	sink := pktgen.NewLatencySink()
 	inst := &Instance{Env: env, Router: r, Sink: sink, fib: fib}
 	for _, p := range r.Engine.Ports {
@@ -233,7 +243,12 @@ func build(mkApp func(cfg *core.Config) (core.App, ctrl.FIBApplier, error),
 			}
 		}
 	}
-	r.SetSource(mkSrc(&cfg))
+	r.SetSource(mkSrc(&cfg.Config))
+	// The fault options are sugar over the controller: the merged plan
+	// is one more script, attached at virtual time zero.
+	if _, err := ctrl.Attach(env, r, ctrl.FromPlan(cfg.faults), ctrl.Config{}); err != nil {
+		return nil, err
+	}
 	return inst, nil
 }
 
@@ -252,21 +267,6 @@ func validate(cfg *core.Config) error {
 		return fmt.Errorf("packetshader: gather max %d < 1", cfg.GatherMax)
 	case cfg.FIBUpdate < core.FIBStatic || cfg.FIBUpdate > core.FIBRebuild:
 		return fmt.Errorf("packetshader: unknown FIB update mode %d", cfg.FIBUpdate)
-	}
-	for _, e := range cfg.Faults.Events() {
-		switch e.Kind {
-		case faults.KindLinkDown, faults.KindLinkUp, faults.KindRxDropBurst:
-			if e.Port < 0 || e.Port >= model.NumPorts {
-				return fmt.Errorf("packetshader: fault %v targets port %d outside 0..%d",
-					e.Kind, e.Port, model.NumPorts-1)
-			}
-		case faults.KindGPUFail, faults.KindGPURepair,
-			faults.KindPCIeRetrain, faults.KindPCIeRestore:
-			if e.Node < 0 || e.Node >= model.NumNodes {
-				return fmt.Errorf("packetshader: fault %v targets node %d outside 0..%d",
-					e.Kind, e.Node, model.NumNodes-1)
-			}
-		}
 	}
 	return nil
 }

@@ -2,8 +2,8 @@
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet, the pslint determinism linters, the full test
 # suite (root module and the nested bench/ module), the byte-identity
-# gates, a short FuzzDecap run, and race tests on the concurrency-bearing
-# packages. `make check` runs it, and so does CI — there is no second
+# gates, short FuzzDecap and FuzzParseScript runs, and race tests on the
+# concurrency-bearing packages. `make check` runs it, and so does CI — there is no second
 # copy of these steps in .github/workflows/ci.yml.
 set -eu
 
@@ -34,14 +34,15 @@ go test ./...
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, 5s)"
+echo "== fuzz smoke (FuzzDecap, FuzzParseScript, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
+go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 
 echo "== trace/metrics determinism (byte-identical across runs)"
 go test -count=1 -run 'TestObsOutputByteIdenticalAcrossRuns|TestObsSpansCoverGPUAndPCIeBusyTime' ./internal/experiments
 
-echo "== fault-scenario determinism (byte-identical across runs)"
-go test -count=1 -run 'TestFaultScenarioDeterministicAndShaped|TestFaultRunsDeterministic' ./internal/experiments ./internal/core
+echo "== fault determinism: scenario and hooks run-twice identical, plan delivery exact"
+go test -count=1 -run 'TestFaultScenarioDeterministicAndShaped|TestFaultRunsDeterministic|TestControllerDeliversPlanAtScheduledTimes|TestControllerPCIeRetrainRestore' ./internal/experiments ./internal/core ./internal/ctrl
 
 echo "== parallel harness: -j 8 byte-identical to -j 1"
 go test -count=1 -run 'TestParallelOutputByteIdenticalToSerial|TestRunMultipleIDsMatchesConcatenation' ./internal/experiments
@@ -73,7 +74,7 @@ echo "== churn experiment: run-twice byte-identical"
 cmp /tmp/psbench-churn1.$$ /tmp/psbench-churn2.$$
 rm -f "$PSBENCH_BIN" /tmp/psbench-churn[12].$$
 
-echo "== go test -race (sim, core, ctrl, cluster, pktio, faults)"
+echo "== go test -race (sim, core, ctrl, cluster, pktio, obs, faults)"
 go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 
 echo "== go test -race -short (parallel experiment harness)"

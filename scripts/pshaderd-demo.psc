@@ -26,5 +26,15 @@
 @5ms    port 2 down
 @6ms    port 2 up
 
+# Hardware faults are commands like any other: node 0's GPU stalls (the
+# master watchdog degrades its workers to the CPU path until the
+# repair), node 1's GPU link retrains at half speed, and port 5's RX
+# ring discards arrivals for 200us.
+@5200us gpu 0 fail
+@5200us pcie 1 retrain 2
+@5500us rxburst 5 200us
+@6200us gpu 0 repair
+@6200us pcie 1 restore
+
 @6500us stats                          # post-maintenance snapshot
 @7ms    metrics                        # full registry dump (needs -metrics)
