@@ -31,7 +31,8 @@ func (s *flowSource) tuple(port, idx int) (src, dst packet.IPv4Addr, sp, dp uint
 func (s *flowSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	idx := int((seq*2654435761 + uint64(queue)) % uint64(s.flows))
 	src, dst, sp, dp := s.tuple(port, idx)
-	b.Data = packet.BuildUDP4(b.Data[:cap(b.Data)], s.size,
+	b.Reset(s.size)
+	packet.BuildUDP4(b.Data, s.size,
 		packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2},
 		src, dst, sp, dp)
 }

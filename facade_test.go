@@ -73,3 +73,22 @@ func TestFacadeOpportunisticOffload(t *testing.T) {
 		t.Error("opportunistic offload never used the CPU path at light load")
 	}
 }
+
+// TestFacadeIPv4PoolSteadyState: once the rings and the chunk pipeline
+// have filled, the packet pool is the huge buffer of §4.2 — a further
+// 8 ms of forwarding at full load carves not one new cell.
+func TestFacadeIPv4PoolSteadyState(t *testing.T) {
+	inst := packetshader.Must(packetshader.IPv4(5000, 3,
+		packetshader.WithMode(packetshader.ModeGPU), packetshader.WithPacketSize(64),
+		packetshader.WithOfferedGbps(10)))
+	inst.Run(4 * packetshader.Millisecond)
+	pool := inst.Router.Engine.Pool
+	warm := pool.Allocs
+	if warm == 0 {
+		t.Fatal("warm-up carved no cells")
+	}
+	inst.Run(8 * packetshader.Millisecond)
+	if pool.Allocs != warm {
+		t.Errorf("pool missed %d times after warm-up (%d cells warm)", pool.Allocs-warm, warm)
+	}
+}

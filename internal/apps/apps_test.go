@@ -21,7 +21,10 @@ var (
 )
 
 func mkChunk(frames ...[]byte) *core.Chunk {
-	pool := packet.NewBufPool(2048)
+	return mkChunkIn(packet.NewBufPool(2048), frames...)
+}
+
+func mkChunkIn(pool *packet.BufPool, frames ...[]byte) *core.Chunk {
 	c := &core.Chunk{}
 	for i, f := range frames {
 		b := pool.Get(len(f))
@@ -346,11 +349,19 @@ func TestOFExactProbeCostGrowsWithTableSize(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestIPsecGWEncapsulatesVerifiably(t *testing.T) {
+	// The last case leaves ESP no room: a 250 B frame in a pool of
+	// 256 B cells must move to a larger cell, not fail or truncate.
+	for _, c := range []struct{ cell, size int }{{2048, 100}, {2048, 64}, {256, 250}} {
+		testIPsecGWEncap(t, packet.NewBufPool(c.cell), c.size)
+	}
+}
+
+func testIPsecGWEncap(t *testing.T, pool *packet.BufPool, size int) {
 	app := NewIPsecGW(8)
-	frame := udp4Frame(0x0C000001, 100)
+	frame := udp4Frame(0x0C000001, size)
 	orig := make([]byte, len(frame))
 	copy(orig, frame)
-	c := mkChunk(frame)
+	c := mkChunkIn(pool, frame)
 	pre := app.PreShade(c)
 	if pre.StreamBytes <= 0 || pre.InBytes <= 0 {
 		t.Errorf("pre = %+v", pre)
@@ -363,6 +374,9 @@ func TestIPsecGWEncapsulatesVerifiably(t *testing.T) {
 	out := c.Bufs[0].Data
 	if len(out) <= len(orig) {
 		t.Fatal("ESP did not grow the packet")
+	}
+	if string(out[:packet.EthHdrLen]) != string(orig[:packet.EthHdrLen]) {
+		t.Error("Ethernet header lost in the rebuild")
 	}
 	// Decap with a receiver SA built from the same parameters.
 	saIdx := c.State.(*ipsecState).sa[0]

@@ -107,13 +107,7 @@ func (a *IPsecGW) RunKernel(c *core.Chunk) {
 			continue
 		}
 		// Rebuild the frame in place: Ethernet header + outer packet.
-		need := packet.EthHdrLen + len(outer)
-		b.Reset(need)
-		if len(b.Data) < need {
-			a.Errors++
-			c.OutPorts[i] = -1
-			continue
-		}
+		b.Reset(packet.EthHdrLen + len(outer))
 		copy(b.Data[packet.EthHdrLen:], outer)
 	}
 }

@@ -178,9 +178,17 @@ func (s *ofSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 		s.tmpl = packet.NewUDP4Template(s.size,
 			packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2})
 	})
-	frame := s.tmpl.Render(b.Data[:cap(b.Data)], src, dst, sp, dp)
-	b.Data = frame
+	b.Reset(s.tmpl.Size())
+	s.tmpl.Render(b.Data, src, dst, sp, dp)
 	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(dst), sp, dp)
+}
+
+// FillBatch implements nic.BatchSource. The flow tuple is computed, not
+// looked up, so there are no loads to overlap and one pass suffices.
+func (s *ofSource) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
+	for i, b := range bufs {
+		s.Fill(b, port, queue, seq+uint64(i))
+	}
 }
 
 // buildOFSwitch installs the flow space into a switch: exact entries

@@ -534,3 +534,49 @@ func TestTxPortCarrierDownDropsWithoutBlocking(t *testing.T) {
 		t.Errorf("carrier drops moved to %d after restore", tx.CarrierDrops)
 	}
 }
+
+// batchRecorder is a BatchSource that records how Fetch called it.
+type batchRecorder struct {
+	countingSource
+	calls []int    // len(bufs) per FillBatch call
+	seqs  []uint64 // starting seq per call
+}
+
+func (s *batchRecorder) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
+	s.calls = append(s.calls, len(bufs))
+	s.seqs = append(s.seqs, seq)
+	for i, b := range bufs {
+		s.Fill(b, port, queue, seq+uint64(i))
+	}
+}
+
+// TestFetchCallsFillBatchOncePerFetch: a BatchSource gets one call per
+// fetch, covering exactly the Bufs that fetch appended (not the ones
+// already in out), with the queue's running sequence number.
+func TestFetchCallsFillBatchOncePerFetch(t *testing.T) {
+	env := sim.NewEnv()
+	q, _ := newQueue(env)
+	src := &batchRecorder{}
+	q.SetOffered(1e6, 64, src)
+	var out []*packet.Buf
+	env.Go("reader", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(50 * sim.Microsecond)
+			out = q.Fetch(p, 40, out) // keeps appending to out
+		}
+	})
+	env.Run(0)
+	if len(src.calls) != 3 || len(out) != 120 {
+		t.Fatalf("FillBatch calls %v for %d packets, want 3 calls of 40", src.calls, len(out))
+	}
+	for i, n := range src.calls {
+		if n != 40 || src.seqs[i] != uint64(40*i) {
+			t.Errorf("call %d: %d bufs from seq %d, want 40 from %d", i, n, src.seqs[i], 40*i)
+		}
+	}
+	for i, b := range out {
+		if b.Hash != uint32(i) || b.GenAt == 0 {
+			t.Fatalf("packet %d: seq %d, GenAt %d (stamped before the fill?)", i, b.Hash, b.GenAt)
+		}
+	}
+}

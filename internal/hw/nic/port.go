@@ -15,8 +15,20 @@ import (
 // multi-10G rates do not require one simulator event per packet.
 type FrameSource interface {
 	// Fill writes the frame for the seq-th packet of the given
-	// port/queue into b.Data (already sized) and sets b.Hash.
+	// port/queue into b (Data arrives sized to the offered packet size;
+	// a source whose frame differs sizes it with b.Reset) and sets
+	// b.Hash.
 	Fill(b *packet.Buf, port, queue int, seq uint64)
+}
+
+// BatchSource is an optional extension of FrameSource: a source that
+// can fill a whole fetch in one call, so it may overlap the cache
+// misses of independent packets instead of taking them one at a time
+// (the paper's §4.3 batching, applied to the generator). FillBatch must
+// leave every Buf exactly as Fill(bufs[i], port, queue, seq+i) would.
+type BatchSource interface {
+	FrameSource
+	FillBatch(bufs []*packet.Buf, port, queue int, seq uint64)
 }
 
 // RxQueue is one RSS receive queue of a port, modelled as a fluid
@@ -32,6 +44,10 @@ type RxQueue struct {
 	rate    float64 // offered packets/s for this queue
 	pktSize int
 	src     FrameSource
+	// batch is src's BatchSource side, or nil: detected once in
+	// SetOffered, so a decorator that implements only FrameSource keeps
+	// the per-packet calls it counts.
+	batch BatchSource
 	// spacing memoizes DurationFromSeconds(1/rate): Fetch needs it per
 	// call and the rate only changes in SetOffered.
 	spacing sim.Duration
@@ -103,6 +119,7 @@ func (q *RxQueue) SetOffered(rate float64, pktSize int, src FrameSource) {
 	q.rate = rate
 	q.pktSize = pktSize
 	q.src = src
+	q.batch, _ = src.(BatchSource)
 	q.spacing = 0
 	if rate > 0 {
 		q.spacing = sim.DurationFromSeconds(1 / rate)
@@ -202,6 +219,7 @@ func (q *RxQueue) Fetch(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
 	}
 	now := q.env.Now()
 	spacing := q.spacing
+	first := len(out)
 	for i := 0; i < n; i++ {
 		b := q.pool.Get(q.pktSize)
 		b.Port = q.Port
@@ -213,10 +231,15 @@ func (q *RxQueue) Fetch(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
 			age = 0
 		}
 		b.GenAt = now - sim.Time(age)
-		if q.src != nil {
+		out = append(out, b)
+	}
+	switch {
+	case q.batch != nil:
+		q.batch.FillBatch(out[first:], q.Port, q.ID, q.fetched)
+	case q.src != nil:
+		for i, b := range out[first:] {
 			q.src.Fill(b, q.Port, q.ID, q.fetched+uint64(i))
 		}
-		out = append(out, b)
 	}
 	q.occ -= float64(n)
 	q.fetched += uint64(n)

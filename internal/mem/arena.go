@@ -1,10 +1,9 @@
-// Package mem implements the two packet-buffer allocation schemes the
-// paper compares (§4.1-4.2): the Linux-style path — a Bonwick slab
-// allocator over a page arena, allocating an skb metadata object plus a
-// data buffer for every packet — and PacketShader's huge packet buffer,
-// two big preallocated arrays of fixed cells recycled with the RX ring.
-// Operation counts are exposed so the Table 3 experiment can charge
-// modelled cycles per allocator operation.
+// Package mem implements the Linux-style packet-buffer path the paper
+// measures and then replaces (§4.1-4.2): a Bonwick slab allocator over
+// a page arena, allocating an skb metadata object plus a data buffer
+// for every packet. Operation counts are exposed so the Table 3
+// experiment can charge modelled cycles per allocator operation. The
+// replacement, the huge packet buffer, is packet.BufPool.
 package mem
 
 import "errors"

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"packetshader/internal/model"
+	"packetshader/internal/packet"
 )
 
 func TestArenaAllocFree(t *testing.T) {
@@ -251,44 +252,6 @@ func TestSkbAllocExhaustionRollsBack(t *testing.T) {
 	}
 }
 
-func TestCellMetaIsEightBytes(t *testing.T) {
-	if MetaBytes != model.HugeCellMetadataBytes {
-		t.Errorf("CellMeta = %dB, paper's compact metadata is %dB",
-			MetaBytes, model.HugeCellMetadataBytes)
-	}
-}
-
-func TestHugeBufferCells(t *testing.T) {
-	h := NewHugeBuffer(8)
-	if h.Cells() != 8 {
-		t.Fatalf("cells = %d", h.Cells())
-	}
-	for i := 0; i < 8; i++ {
-		c := h.Cell(i)
-		if len(c) != model.HugeCellDataBytes {
-			t.Fatalf("cell len = %d", len(c))
-		}
-		c[0] = byte(i)
-	}
-	for i := 0; i < 8; i++ {
-		if h.Cell(i)[0] != byte(i) {
-			t.Fatalf("cell %d aliases another", i)
-		}
-	}
-}
-
-func TestHugeBufferWraps(t *testing.T) {
-	h := NewHugeBuffer(4)
-	h.Cell(1)[0] = 0xAB
-	if h.Cell(5)[0] != 0xAB { // 5 % 4 == 1: same cell on wrap
-		t.Error("ring wrap does not reuse cells")
-	}
-	h.Meta(2).Len = 99
-	if h.Meta(6).Len != 99 {
-		t.Error("metadata ring wrap broken")
-	}
-}
-
 func TestHugeBufferVsSkbOpCount(t *testing.T) {
 	// The core §4.2 claim: per-packet allocator operations drop from 4
 	// slab ops + init to zero.
@@ -305,13 +268,16 @@ func TestHugeBufferVsSkbOpCount(t *testing.T) {
 	if slabOps != 200 {
 		t.Fatalf("skb path: %d ops for 50 packets", slabOps)
 	}
-	// Huge buffer: receiving 50 packets is just indexing.
-	h := NewHugeBuffer(16)
+	// Huge buffer (packet.BufPool): once the cell exists, receiving 50
+	// packets takes it off the free list and puts it back.
+	pool := packet.NewBufPool(model.HugeCellDataBytes)
+	pool.Get(64).Release()
 	for i := 0; i < 50; i++ {
-		h.Meta(i).Len = 64
-		h.Cell(i)[0] = 1
+		b := pool.Get(64)
+		b.Data[0] = 1
+		b.Release()
 	}
-	if h.DMAMapOps() != 1 {
-		t.Errorf("huge buffer DMA maps = %d, want 1", h.DMAMapOps())
+	if pool.Allocs != 1 {
+		t.Errorf("huge buffer carved %d cells for 50 packets, want 1", pool.Allocs)
 	}
 }

@@ -423,12 +423,111 @@ func TestBufPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestBufPoolClampsToCell(t *testing.T) {
-	p := NewBufPool(256)
-	b := p.Get(9999)
-	if b.Size() != 256 {
-		t.Errorf("size = %d, want clamped to 256", b.Size())
+// TestBufPoolClassSelection pins the cell a request lands in at every
+// class boundary: the smallest power-of-two cell that holds the frame
+// plus 128 B of headroom, the headroom capped at the pool's cell size.
+func TestBufPoolClassSelection(t *testing.T) {
+	cases := []struct{ pool, n, cell int }{
+		{2048, 0, 256}, {2048, 64, 256}, {2048, 128, 256},
+		{2048, 129, 512}, {2048, 384, 512},
+		{2048, 385, 1024}, {2048, 896, 1024},
+		{2048, 897, 2048}, {2048, 1514, 2048}, {2048, 1920, 2048},
+		// The headroom never takes a cell past the pool's own size...
+		{2048, 1921, 2048}, {2048, 2048, 2048}, {128, 64, 256}, {256, 200, 256},
+		// ...but a frame that does not fit gets the cell it needs.
+		{2048, 2049, 4096}, {256, 9999, 16384},
 	}
+	for _, c := range cases {
+		b := NewBufPool(c.pool).Get(c.n)
+		if b.Size() != c.n || cap(b.Data) != c.cell {
+			t.Errorf("NewBufPool(%d).Get(%d): size %d in a %d B cell, want %d in %d",
+				c.pool, c.n, b.Size(), cap(b.Data), c.n, c.cell)
+		}
+	}
+}
+
+// TestBufPoolCellsDistinct carves more than a slab's worth of Bufs in
+// two classes and checks no two cells (or Buf structs) overlap.
+func TestBufPoolCellsDistinct(t *testing.T) {
+	p := NewBufPool(2048)
+	const n = 2*bufsPerSlab + 3
+	bufs := make([]*Buf, 0, 2*n)
+	for i := 0; i < n; i++ {
+		bufs = append(bufs, p.Get(64), p.Get(1514))
+	}
+	seen := map[*Buf]bool{}
+	for i, b := range bufs {
+		if seen[b] {
+			t.Fatalf("Buf %d handed out twice", i)
+		}
+		seen[b] = true
+		cell := b.Data[:cap(b.Data)]
+		for j := range cell {
+			cell[j] = byte(i)
+		}
+	}
+	for i, b := range bufs {
+		cell := b.Data[:cap(b.Data)]
+		if cell[0] != byte(i) || cell[len(cell)-1] != byte(i) {
+			t.Fatalf("cell %d (%d B) aliases another", i, len(cell))
+		}
+	}
+	if p.Allocs != 2*n || p.FreeCount() != 0 {
+		t.Errorf("allocs %d free %d, want %d misses and nothing free", p.Allocs, p.FreeCount(), 2*n)
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+	if p.FreeCount() != 2*n {
+		t.Errorf("free = %d after releasing all, want %d", p.FreeCount(), 2*n)
+	}
+}
+
+// TestBufResetPromotes: a frame that outgrows its cell moves to a
+// larger one with its bytes intact, and the cell it left is the next
+// one handed out.
+func TestBufResetPromotes(t *testing.T) {
+	p := NewBufPool(2048)
+	b := p.Get(64)
+	for i := range b.Data {
+		b.Data[i] = byte(i + 1)
+	}
+	old := &b.Data[0]
+	b.Reset(200) // fits the 256 B cell: same cell
+	if &b.Data[0] != old || b.Size() != 200 {
+		t.Fatalf("Reset within capacity moved the frame (size %d)", b.Size())
+	}
+	b.Reset(64)
+	b.Reset(300)
+	if b.Size() != 300 || cap(b.Data) != 512 {
+		t.Fatalf("after Reset(300): size %d in a %d B cell, want 300 in 512", b.Size(), cap(b.Data))
+	}
+	for i := 0; i < 64; i++ {
+		if b.Data[i] != byte(i+1) {
+			t.Fatalf("byte %d = %#x after promotion, want %#x", i, b.Data[i], byte(i+1))
+		}
+	}
+	if p.FreeCount() != 1 || p.Allocs != 2 {
+		t.Errorf("free %d allocs %d, want the old cell free and 2 misses", p.FreeCount(), p.Allocs)
+	}
+	if c := p.Get(64); &c.Data[0] != old || p.Allocs != 2 {
+		t.Errorf("old cell not reused (allocs %d)", p.Allocs)
+	}
+	// The promoted Buf goes back to the class of the cell it now owns.
+	b.Release()
+	if c := p.Get(300); c != b || p.Allocs != 2 {
+		t.Errorf("promoted Buf not recycled in its new class (allocs %d)", p.Allocs)
+	}
+}
+
+// TestBufResetWithoutPool: a pool-less Buf grows too.
+func TestBufResetWithoutPool(t *testing.T) {
+	b := &Buf{Data: []byte{1, 2, 3}}
+	b.Reset(10)
+	if b.Size() != 10 || b.Data[0] != 1 || b.Data[2] != 3 {
+		t.Errorf("pool-less Reset(10) = %v", b.Data)
+	}
+	b.Release() // no-op
 }
 
 func TestBufPoolSteadyStateNoAlloc(t *testing.T) {

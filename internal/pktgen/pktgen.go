@@ -40,26 +40,69 @@ type UDP4Source struct {
 	tmpl *packet.UDP4Template
 }
 
-// Fill implements nic.FrameSource.
+// fillBlock bounds the stack scratch FillBatch carries between its two
+// passes; a fetch is at most a chunk, so a handful of blocks at worst.
+const fillBlock = 64
+
+// Fill implements nic.FrameSource: the one-packet case of FillBatch.
 func (s *UDP4Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
-	s.once.Do(func() { s.tmpl = packet.NewUDP4Template(s.Size, genSrcMAC, genDstMAC) })
+	s.once.Do(s.init)
+	s.render(b, s.draw(port, queue, seq))
+}
+
+// FillBatch implements nic.BatchSource in two passes per block. Pass 1
+// draws every packet's random values and reads its table entry: the
+// reads are independent, so their cache misses overlap instead of each
+// stalling the render behind it. Pass 2 renders, hashes and stamps. The
+// scratch lives on the stack: sources are shared by every RX queue's
+// fetch proc and must stay read-only across procs.
+func (s *UDP4Source) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
+	s.once.Do(s.init)
+	var d [fillBlock]draw4
+	for len(bufs) > 0 {
+		n := min(len(bufs), fillBlock)
+		for i := 0; i < n; i++ {
+			d[i] = s.draw(port, queue, seq+uint64(i))
+		}
+		for i, b := range bufs[:n] {
+			s.render(b, d[i])
+		}
+		bufs, seq = bufs[n:], seq+uint64(n)
+	}
+}
+
+func (s *UDP4Source) init() {
+	s.tmpl = packet.NewUDP4Template(s.Size, genSrcMAC, genDstMAC)
+}
+
+// draw4 is what pass 1 hands pass 2 for one packet: the random word
+// the source address and ports come from, and the destination address.
+type draw4 struct {
+	r2  uint64
+	dst packet.IPv4Addr
+}
+
+// draw is pass 1 for one packet.
+func (s *UDP4Source) draw(port, queue int, seq uint64) draw4 {
 	r := sim.SplitMix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
 	r2 := sim.SplitMix64(r)
-	var dst packet.IPv4Addr
-	if len(s.Table) > 0 {
-		e := s.Table[int(r%uint64(len(s.Table)))]
-		host := uint32(r2) &^ e.Prefix.Mask()
-		dst = packet.IPv4Addr(uint32(e.Prefix.Addr) | host)
-	} else {
-		dst = packet.IPv4Addr(uint32(r))
+	if len(s.Table) == 0 {
+		return draw4{r2, packet.IPv4Addr(uint32(r))}
 	}
-	src := packet.IPv4Addr(uint32(r2 >> 32))
-	frame := s.tmpl.Render(b.Data[:cap(b.Data)], src, dst, uint16(r2>>16), uint16(r2))
-	b.Data = frame
-	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(dst),
-		uint16(r2>>16), uint16(r2))
+	e := &s.Table[int(r%uint64(len(s.Table)))]
+	host := uint32(r2) &^ e.Prefix.Mask()
+	return draw4{r2, packet.IPv4Addr(uint32(e.Prefix.Addr) | host)}
+}
+
+// render is pass 2 for one packet.
+func (s *UDP4Source) render(b *packet.Buf, d draw4) {
+	src := packet.IPv4Addr(uint32(d.r2 >> 32))
+	sp, dp := uint16(d.r2>>16), uint16(d.r2)
+	b.Reset(s.tmpl.Size())
+	s.tmpl.Render(b.Data, src, d.dst, sp, dp)
+	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(d.dst), sp, dp)
 	if s.Stamp {
-		packet.SetTimestamp(frame, int64(b.GenAt))
+		packet.SetTimestamp(b.Data, int64(b.GenAt))
 	}
 }
 
@@ -74,23 +117,55 @@ type UDP6Source struct {
 	tmpl *packet.UDP6Template
 }
 
-// Fill implements nic.FrameSource.
+// Fill implements nic.FrameSource: the one-packet case of FillBatch.
 func (s *UDP6Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
-	s.once.Do(func() { s.tmpl = packet.NewUDP6Template(s.Size, genSrcMAC, genDstMAC) })
+	s.once.Do(s.init)
+	s.render(b, s.draw(port, queue, seq))
+}
+
+// FillBatch implements nic.BatchSource, in the two passes of
+// UDP4Source.FillBatch.
+func (s *UDP6Source) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
+	s.once.Do(s.init)
+	var d [fillBlock]draw6
+	for len(bufs) > 0 {
+		n := min(len(bufs), fillBlock)
+		for i := 0; i < n; i++ {
+			d[i] = s.draw(port, queue, seq+uint64(i))
+		}
+		for i, b := range bufs[:n] {
+			s.render(b, d[i])
+		}
+		bufs, seq = bufs[n:], seq+uint64(n)
+	}
+}
+
+func (s *UDP6Source) init() {
+	s.tmpl = packet.NewUDP6Template(s.Size, genSrcMAC, genDstMAC)
+}
+
+// draw6 is what pass 1 hands pass 2 for one IPv6 packet.
+type draw6 struct {
+	r, r3 uint64
+	dst   packet.IPv6Addr
+}
+
+func (s *UDP6Source) draw(port, queue int, seq uint64) draw6 {
 	r := sim.SplitMix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
 	r2 := sim.SplitMix64(r)
 	r3 := sim.SplitMix64(r2)
-	var dst packet.IPv6Addr
-	if len(s.Table) > 0 {
-		e := s.Table[int(r%uint64(len(s.Table)))]
-		mh, ml := route.Mask6(e.Prefix6.Len)
-		dst = packet.IPv6AddrFromParts(e.Prefix6.Hi|(r2&^mh), e.Prefix6.Lo|(r3&^ml))
-	} else {
-		dst = packet.IPv6AddrFromParts(r2, r3)
+	if len(s.Table) == 0 {
+		return draw6{r, r3, packet.IPv6AddrFromParts(r2, r3)}
 	}
-	src := packet.IPv6AddrFromParts(0x2001_0db8_0000_0000|r>>32, r)
-	frame := s.tmpl.Render(b.Data[:cap(b.Data)], src, dst, uint16(r3>>16), uint16(r3))
-	b.Data = frame
+	e := &s.Table[int(r%uint64(len(s.Table)))]
+	mh, ml := route.Mask6(e.Prefix6.Len)
+	return draw6{r, r3, packet.IPv6AddrFromParts(e.Prefix6.Hi|(r2&^mh), e.Prefix6.Lo|(r3&^ml))}
+}
+
+func (s *UDP6Source) render(b *packet.Buf, d draw6) {
+	src := packet.IPv6AddrFromParts(0x2001_0db8_0000_0000|d.r>>32, d.r)
+	b.Reset(s.tmpl.Size())
+	s.tmpl.Render(b.Data, src, d.dst, uint16(d.r3>>16), uint16(d.r3))
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"packetshader/internal/hw/nic"
 	"packetshader/internal/lookup/ipv4"
 	"packetshader/internal/lookup/ipv6"
 	"packetshader/internal/packet"
@@ -274,6 +275,125 @@ func TestSourcesMatchDirectBuild(t *testing.T) {
 					t.Fatalf("UDP6 size %d tbl %v seq %d: templated frame differs from BuildUDP6", size, tbl, seq)
 				}
 			}
+		}
+	}
+}
+
+// TestFillBatchMatchesFill is the batching contract: FillBatch leaves
+// every Buf exactly as n per-packet Fill calls would — frame bytes, RSS
+// hash and embedded timestamp — across block boundaries (fillBlock is
+// 64) and from a starting seq that is not zero.
+func TestFillBatchMatchesFill(t *testing.T) {
+	entries4 := route.GenerateBGPTable(5000, 8, 3)
+	entries6 := route.GenerateIPv6Table(2000, 8, 4)
+	const seq0 = 1<<33 + 12345
+	for _, seed := range []uint64{1, 2, 3} {
+		sources := map[string]nic.BatchSource{
+			"udp4":       &UDP4Source{Size: 64, Seed: seed, Stamp: true},
+			"udp4-table": &UDP4Source{Size: 64, Seed: seed, Stamp: true, Table: entries4},
+			"udp4-1514":  &UDP4Source{Size: 1514, Seed: seed, Table: entries4},
+			"udp6":       &UDP6Source{Size: 78, Seed: seed},
+			"udp6-table": &UDP6Source{Size: 78, Seed: seed, Table: entries6},
+		}
+		for name, src := range sources {
+			for _, n := range []int{1, 63, 64, 65, 256} {
+				pool := packet.NewBufPool(2048)
+				one, batch := make([]*packet.Buf, n), make([]*packet.Buf, n)
+				for i := range one {
+					one[i], batch[i] = pool.Get(64), pool.Get(64)
+					one[i].GenAt = sim.Time(i+1) * sim.Time(sim.Microsecond)
+					batch[i].GenAt = one[i].GenAt
+					src.Fill(one[i], 3, 2, seq0+uint64(i))
+				}
+				src.FillBatch(batch, 3, 2, seq0)
+				for i := range one {
+					ts1, ok1 := packet.Timestamp(one[i].Data)
+					ts2, ok2 := packet.Timestamp(batch[i].Data)
+					if !bytes.Equal(one[i].Data, batch[i].Data) || one[i].Hash != batch[i].Hash ||
+						ts1 != ts2 || ok1 != ok2 {
+						t.Fatalf("%s seed %d n %d: packet %d differs between Fill and FillBatch", name, seed, n, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fillOnly hides a source's FillBatch, the way a decorator written
+// against nic.FrameSource alone (bench's tracedSource) does.
+type fillOnly struct{ inner nic.FrameSource }
+
+func (s fillOnly) Fill(b *packet.Buf, port, queue int, seq uint64) {
+	s.inner.Fill(b, port, queue, seq)
+}
+
+// fetchAll runs one RX queue at 64 B line rate from src for 200 µs and
+// returns every frame it materialized, in order, with its metadata.
+func fetchAll(t *testing.T, pktSize int, src nic.FrameSource) []packet.Buf {
+	t.Helper()
+	env := sim.NewEnv()
+	defer env.Close()
+	q := nic.NewRxQueue(env, 1, 2, 4096, packet.NewBufPool(2048), nil)
+	q.SetOffered(14.88e6, pktSize, src)
+	var got []packet.Buf
+	env.Go("reader", func(p *sim.Proc) {
+		var out []*packet.Buf
+		for i := 0; i < 20; i++ {
+			p.Sleep(10 * sim.Microsecond)
+			out = q.Fetch(p, 100, out[:0])
+			for _, b := range out {
+				cp := *b
+				cp.Data = bytes.Clone(b.Data)
+				got = append(got, cp)
+				b.Release()
+			}
+		}
+	})
+	env.Run(0)
+	if len(got) < 2000 {
+		t.Fatalf("fetched only %d packets", len(got))
+	}
+	return got
+}
+
+// TestFetchPerPacketFallbackMatchesBatch: a decorator that implements
+// only FrameSource goes through the per-packet loop and must yield the
+// frames the batched path yields.
+func TestFetchPerPacketFallbackMatchesBatch(t *testing.T) {
+	entries := route.GenerateBGPTable(5000, 8, 3)
+	mk := func() *UDP4Source { return &UDP4Source{Size: 64, Seed: 1, Table: entries, Stamp: true} }
+	batched := fetchAll(t, 64, mk())
+	perPkt := fetchAll(t, 64, fillOnly{mk()})
+	if len(batched) != len(perPkt) {
+		t.Fatalf("batched %d packets, per-packet %d", len(batched), len(perPkt))
+	}
+	for i := range batched {
+		a, b := &batched[i], &perPkt[i]
+		if !bytes.Equal(a.Data, b.Data) || a.Hash != b.Hash || a.GenAt != b.GenAt ||
+			a.Port != b.Port || a.Queue != b.Queue {
+			t.Fatalf("packet %d differs between the batched and the per-packet path", i)
+		}
+	}
+}
+
+// TestReplayFrameLargerThanOfferedSize: the offered packet size sizes
+// the cell a fetch hands the source; a replayed frame that is larger
+// must still arrive whole.
+func TestReplayFrameLargerThanOfferedSize(t *testing.T) {
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf, 0)
+	want := mkBuf(3000) // larger than any regular cell, too
+	(&UDP4Source{Size: 3000, Seed: 3}).Fill(want, 0, 0, 0)
+	if err := w.WritePacket(0, want.Data); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewReplaySourceFromBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range fetchAll(t, 64, src) {
+		if !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("replayed frame %d is %d bytes, want the trace's %d whole", i, len(got.Data), len(want.Data))
 		}
 	}
 }

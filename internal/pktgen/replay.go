@@ -53,10 +53,6 @@ func (s *ReplaySource) Len() int { return len(s.frames) }
 func (s *ReplaySource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	idx := (seq + uint64(port)*7919 + uint64(queue)*104729) % uint64(len(s.frames))
 	f := s.frames[idx]
-	n := len(f)
-	if n > cap(b.Data) {
-		n = cap(b.Data)
-	}
-	b.Data = b.Data[:n]
-	copy(b.Data, f[:n])
+	b.Reset(len(f))
+	copy(b.Data, f)
 }

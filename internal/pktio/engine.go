@@ -93,7 +93,7 @@ type Engine struct {
 
 	// skb is the legacy allocator (ModeSkb), created lazily on first
 	// use: ModeHuge engines never pay its 16MB arena. In ModeHuge the
-	// Pool plays the huge-buffer role: fixed 2048-byte cells recycled
+	// Pool is the huge buffer: slab-carved, size-classed cells recycled
 	// without per-packet allocation.
 	skb *mem.SkbAllocator
 

@@ -1,9 +1,12 @@
 #!/bin/sh
 # profile.sh is the profiling harness behind `make profile`: it runs the
 # key benchmarks — Fig5Batch (packet-I/O engine hot path),
-# RouterIPv4GPU (full CPU+GPU router framework) and FabricWorkers at
-# p1 and p8 (conservative-parallel cluster fabric, serial and
-# partitioned advance) — with CPU and allocation profiling enabled,
+# RouterIPv4Full64B (the full CPU+GPU router framework in bench/'s
+# ipv4-64B configuration: a 282,797-prefix table that does not fit the
+# cache), RouterIPv4GPU (the same with 20,000 prefixes, kept so old
+# profiles stay comparable) and FabricWorkers at p1 and p8
+# (conservative-parallel cluster fabric, serial and partitioned
+# advance) — with CPU and allocation profiling enabled,
 # and drops pprof files plus a ready-to-read top-25 summary under
 # profiles/.
 #
@@ -38,6 +41,7 @@ profile_one() { # profile_one <label> <bench regex>
 }
 
 profile_one fig5batch 'BenchmarkFig5Batch$'
+profile_one router-ipv4-full64b 'BenchmarkRouterIPv4Full64B$'
 profile_one router-ipv4-gpu 'BenchmarkRouterIPv4GPU$'
 profile_one fabric 'BenchmarkFabricWorkers/p1$'
 profile_one fabric-p8 'BenchmarkFabricWorkers/p8$'
