@@ -142,6 +142,35 @@ func BenchmarkFabricWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricLS64 is bench/'s fabric-ls64 workload as a go test
+// benchmark, so `make profile` can see where its host time goes: a
+// 64-leaf × 8-spine leaf–spine with 2 uplinks per pair, 640 Gbps of
+// uniform load in Zipf 1.1 flows, 50 µs links, 20 ms of virtual time,
+// serial advance (20e6 sim-ns/op). Every wake-up in it is a node's
+// generator or forwarder task, which makes ns/op the price of the
+// engine's process machinery; FabricWorkers/p1 is a 16-node full mesh
+// and not what bench/ runs.
+func BenchmarkFabricLS64(b *testing.B) {
+	cfg := cluster.FabricConfig{
+		Topo: &cluster.LeafSpine{
+			Leaves: 64, Spines: 8, Uplinks: 2,
+			EdgeGbps: 10, LeafGbps: 40, SpineGbps: 160, UplinkGbps: 10,
+		},
+		Matrix:      cluster.Uniform(64, 640),
+		LinkLatency: 50 * sim.Microsecond,
+		Horizon:     20 * sim.Millisecond,
+		Seed:        1,
+		Workers:     1,
+		Flows:       cluster.FlowModel{ZipfS: 1.1},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.RunFabric(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLeafSpineScale measures the leaf–spine fabric's host cost as
 // the node count grows: 16, 64 and 128 leaves with a proportional spine
 // tier, Zipf flows, 5 ms of virtual time, serial partition advance.

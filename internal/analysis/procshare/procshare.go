@@ -11,10 +11,13 @@
 // state must be found statically, before the refactor, the way the
 // sharedfixture analyzer fenced PR 5's replication boundaries.
 //
-// The analyzer treats every Env.Go process body and every Env.At /
-// Env.After scheduler callback as a concurrency root. From each root it
-// collects, via the internal/analysis/callgraph index and per-function
-// summaries, the mutable state the root can reach:
+// The analyzer treats every Env.Go process body, every Env.Task step
+// function and every Env.At / Env.After scheduler callback as a
+// concurrency root (a task is a process without a goroutine: the world
+// scheduler advances it concurrently with other partitions all the
+// same). From each root it collects, via the
+// internal/analysis/callgraph index and per-function summaries, the
+// mutable state the root can reach:
 //
 //   - package-level variables (any package, followed across package
 //     boundaries via analysis facts),
@@ -478,9 +481,9 @@ func within(pos token.Pos, node ast.Node) bool {
 	return node != nil && pos >= node.Pos() && pos <= node.End()
 }
 
-// isSpawn reports whether fn is Env.Go, Env.At or Env.After.
+// isSpawn reports whether fn is Env.Go, Env.Task, Env.At or Env.After.
 func isSpawn(fn *types.Func) bool {
-	return analysis.IsSimFunc(fn, "Go", "At", "After")
+	return analysis.IsSimFunc(fn, "Go", "Task", "At", "After")
 }
 
 // scanQueueElems records the element types of every sim.NewQueue
@@ -594,8 +597,8 @@ func (a *analyzer) propagate() {
 
 // ---- root discovery ----
 
-// scanRoots finds every Env.Go / Env.At / Env.After call site in the
-// package and assembles each root's transitive accesses.
+// scanRoots finds every Env.Go / Env.Task / Env.At / Env.After call
+// site in the package and assembles each root's transitive accesses.
 func (a *analyzer) scanRoots() {
 	for _, f := range a.pass.Files {
 		var stack []ast.Node
@@ -637,9 +640,8 @@ func innermostLoop(stack []ast.Node) ast.Node {
 
 func (a *analyzer) addRoot(call *ast.CallExpr, callee *types.Func, loop ast.Node) {
 	kind, name := "callback", callee.Name()
-	if callee.Name() == "Go" {
-		kind = "proc"
-		name = "?"
+	if k, ok := map[string]string{"Go": "proc", "Task": "task"}[callee.Name()]; ok {
+		kind, name = k, "?"
 		if len(call.Args) >= 2 {
 			if lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if s, err := strconv.Unquote(lit.Value); err == nil {

@@ -1,5 +1,5 @@
 // Fixture for the procshare analyzer: concurrency roots (Env.Go procs,
-// Env.At/After callbacks) sharing package vars, captured variables and
+// Env.Task tasks, Env.At/After callbacks) sharing package vars, captured variables and
 // struct fields, plus the sanctioned exemptions (sim.Queue mediation,
 // sync.Once read-only-after-construction, per-instance loop captures,
 // //pslint:ignore directives).
@@ -194,4 +194,54 @@ func tock(p *sim.Proc) { _ = ticks }
 func startNamed(env *sim.Env) {
 	env.Go("tick", tick) // want `var fixture/procshare\.ticks is written by proc "tick" .* and read by proc "tock"`
 	env.Go("tock", tock)
+}
+
+// ---- tasks are proc roots, named like Go roots ----
+
+var armed int
+
+func startTaskPair(env *sim.Env) {
+	env.Task("arm", func(p *sim.Proc) {
+		armed++ // want `var fixture/procshare\.armed is written by task "arm" .* and read by proc "watch"`
+	})
+	env.Go("watch", func(p *sim.Proc) {
+		_ = armed
+	})
+}
+
+// ---- the fabric shape: per-node method-value tasks spawned in a loop ----
+
+// box is one node with two tasks. emitted and drained each have a single
+// writer task and every access goes through the per-iteration receiver,
+// so they are per-instance and clean; both tasks write seen (method-value
+// roots anchor at the spawn site).
+type box struct {
+	inbox   *sim.Queue[int]
+	emitted int
+	drained int
+	seen    int
+}
+
+func (b *box) emit(p *sim.Proc) {
+	b.emitted++
+	b.seen++
+	b.inbox.TryPut(b.emitted)
+	p.WakeAfter(sim.Nanosecond)
+}
+
+func (b *box) drain(p *sim.Proc) {
+	for {
+		if _, ok := b.inbox.Await(p); !ok {
+			return
+		}
+		b.drained++
+		b.seen++
+	}
+}
+
+func startBoxes(env *sim.Env, boxes []*box) {
+	for _, b := range boxes {
+		env.Task("emit", b.emit) // want `field \(fixture/procshare\.box\)\.seen is written by task "emit" .* and written by task "drain"`
+		env.Task("drain", b.drain)
+	}
 }

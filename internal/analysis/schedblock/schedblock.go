@@ -1,5 +1,5 @@
 // Package schedblock flags blocking simulation calls inside Env.At /
-// Env.After callbacks.
+// Env.After callbacks and Env.Task step functions.
 //
 // The sim package documents that callbacks passed to Env.At and
 // Env.After "run in scheduler context and must not block"
@@ -10,9 +10,17 @@
 // now. Blocking work belongs in a process: have the callback wake a
 // Proc (Signal.Fire, Queue.TryPut, Env.Go) instead.
 //
-// Function literals nested inside the callback are not walked: a
-// literal handed to Env.Go runs as its own process, where blocking is
-// the whole point.
+// A task's step (Env.Task) runs in the same context: the event loop
+// calls it inline at each wakeup. There the blocking calls panic at run
+// time (sim/proc.go), on whichever path reaches them first; this
+// analyzer finds them all before anything runs. A step arms its next
+// wakeup with Proc.WakeAfter or Queue.Await and returns.
+//
+// The callback or step may be a function literal or a function or
+// method of the package under analysis (env.Task("fwd", nd.forward));
+// only its own body is checked, not what it calls. Function literals
+// nested inside it are not walked: a literal handed to Env.Go runs as
+// its own process, where blocking is the whole point.
 package schedblock
 
 import (
@@ -37,11 +45,23 @@ var blocking = map[string]bool{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "schedblock",
-	Doc:  "flag blocking sim operations (Proc.Sleep, Queue.Get/Put, Server.Use, Signal.Wait) inside Env.At/Env.After callbacks",
+	Doc:  "flag blocking sim operations (Proc.Sleep, Queue.Get/Put, Server.Use, Signal.Wait) inside Env.At/Env.After callbacks and Env.Task steps",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
+	// Declarations by function object, to resolve a callback or step
+	// given by name.
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					decls[fn] = fd
+				}
+			}
+		}
+	}
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || pass.IsTestFile(call.Pos()) {
@@ -52,26 +72,44 @@ func run(pass *analysis.Pass) error {
 			return true
 		}
 		obj := pass.TypesInfo.Uses[sel.Sel]
-		if !analysis.IsSimFunc(obj, "At", "After") || len(call.Args) == 0 {
+		if !analysis.IsSimFunc(obj, "At", "After", "Task") || len(call.Args) == 0 {
 			return true
 		}
-		// Env.At(t, fn) / Env.After(d, fn): the callback is the last arg.
-		lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-		if !ok {
-			return true
+		why := "Env." + sel.Sel.Name + " callbacks run in scheduler context and must not block (sim/env.go); wake a process instead (Signal.Fire, Queue.TryPut, Env.Go)"
+		if sel.Sel.Name == "Task" {
+			why = "a task's step runs inline in the event loop and must not block (sim/proc.go); arm the next step instead (Proc.WakeAfter, Queue.Await)"
 		}
-		checkCallback(pass, sel.Sel.Name, lit)
+		// Env.At(t, fn) / Env.After(d, fn) / Env.Task(name, step): the
+		// function is the last arg.
+		switch fn := ast.Unparen(call.Args[len(call.Args)-1]).(type) {
+		case *ast.FuncLit:
+			checkBody(pass, why, fn.Body)
+		case *ast.Ident:
+			checkNamed(pass, why, decls, fn)
+		case *ast.SelectorExpr:
+			checkNamed(pass, why, decls, fn.Sel)
+		}
 		return true
 	})
 	return nil
 }
 
-// checkCallback reports blocking sim calls made directly by the
-// callback body (nested function literals excluded — they run in some
-// other context, typically as Env.Go processes).
-func checkCallback(pass *analysis.Pass, sched string, lit *ast.FuncLit) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
+// checkNamed checks the body of the package-local function or method
+// that id names, if it names one.
+func checkNamed(pass *analysis.Pass, why string, decls map[*types.Func]*ast.FuncDecl, id *ast.Ident) {
+	if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+		if fd := decls[fn]; fd != nil {
+			checkBody(pass, why, fd.Body)
+		}
+	}
+}
+
+// checkBody reports blocking sim calls made directly by a callback or
+// step body (nested function literals excluded — they run in some other
+// context, typically as Env.Go processes).
+func checkBody(pass *analysis.Pass, why string, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
@@ -89,9 +127,7 @@ func checkCallback(pass *analysis.Pass, sched string, lit *ast.FuncLit) {
 		if !hasRecv(pass, sel) {
 			return true
 		}
-		pass.Reportf(call.Pos(),
-			"sim.%s blocks, but Env.%s callbacks run in scheduler context and must not block (sim/env.go); wake a process instead (Signal.Fire, Queue.TryPut, Env.Go)",
-			sel.Sel.Name, sched)
+		pass.Reportf(call.Pos(), "sim.%s blocks, but %s", sel.Sel.Name, why)
 		return true
 	})
 }

@@ -1,16 +1,18 @@
 // fabric.go grows the analytic mesh model into a discrete-event fabric
 // of PacketShader boxes: one sim partition per node, connected by
 // latency-carrying sim.Links, advanced conservatively in parallel by
-// sim.World (ROADMAP items 1 and 2). Where Evaluate answers "what
+// sim.World. Where Evaluate answers "what
 // throughput is admissible", the fabric *runs* the interconnect —
 // batches traverse ingress, per-hop forwarding budgets, per-link
 // serialization and propagation latency — and reports what was actually
 // delivered, with end-to-end latency, under the topology's routing
 // (mesh Direct/VLB, or leaf-spine ECMP). Wire and port serialization
 // are arithmetic recurrences (end = max(now, free) + bits/rate), not
-// dedicated processes: a node is two procs (generator and forwarder)
-// regardless of its degree, which is what lets a 128-leaf fabric run
-// inside the bench budget.
+// dedicated processes, and a node's generator and forwarder are sim
+// tasks (step functions the event loop calls inline, no goroutine): a
+// node is two tasks regardless of its degree, and a wake-up costs a
+// function call, which is what lets a 128-leaf fabric run inside the
+// bench budget.
 package cluster
 
 import (
@@ -100,17 +102,17 @@ type batch struct {
 	flowDst  uint32
 }
 
-// fabricNode is one fabric box: a generator proc emitting external
-// ingress and a forwarder proc draining the inbox. The forwarding
-// budget is the forwarder's Sleep; link and external-port serialization
-// are arithmetic FIFO recurrences (txFree/extFree) proven equivalent to
-// the dedicated server procs they replaced — max(now, free) + bits/rate
-// is exactly a single-server FIFO queue's completion time. Each counter
-// field is written by exactly one of the node's procs; fault events
-// reach the forwarder through the faultq hand-off (the At callback only
-// enqueues, the forwarder drains before consulting liveness), so
-// alive/up stay forwarder-owned. Everything merges in node order after
-// the run.
+// fabricNode is one fabric box: a generator task emitting external
+// ingress and a forwarder task draining the inbox. The forwarding
+// budget is the forwarder's timed wake-up; link and external-port
+// serialization are arithmetic FIFO recurrences (txFree/extFree) proven
+// equivalent to the dedicated server procs they replaced — max(now,
+// free) + bits/rate is exactly a single-server FIFO queue's completion
+// time. Each mutable field is written by exactly one of the node's two
+// tasks; fault events reach the forwarder through the faultq hand-off
+// (the At callback only enqueues, the forwarder drains before
+// consulting liveness), so alive/up stay forwarder-owned. Everything
+// merges in node order after the run.
 type fabricNode struct {
 	id     int
 	part   *sim.Partition
@@ -118,16 +120,35 @@ type fabricNode struct {
 	faultq *sim.Queue[faults.Event] // scheduler→forwarder fault hand-off
 	out    []*sim.Link[batch]
 	gbps   []float64 // per-slot link rate
-	alive  []bool    // per-slot link carrier, fault-toggled
-	up     bool      // node liveness, fault-toggled
 
+	// read-only once the tasks are spawned
+	topo             Topology
+	fwdGbps, extGbps float64
+	horizon          sim.Time
+	bits             uint64 // batch size
+
+	// generator-owned: what its steps keep between wake-ups. genNext[j]
+	// is the emission time of the next batch to j (-1: no traffic to
+	// j), genInterval[j] the batch period at the offered rate, genDst
+	// the destination the armed wake-up emits to (-1 before the first).
+	genNext     []sim.Time
+	genInterval []sim.Duration
+	genDst      int
+	rng         uint64
+	zipf        []float64 // nil: every batch is its own flow
+	flowLeft    []int
+	flowKey     []batch // per-destination persistent key material
+	genBatches  uint64
+	genBits     uint64
+
+	// forwarder-owned
+	alive   []bool     // per-slot link carrier, fault-toggled
+	up      bool       // node liveness, fault-toggled
 	txFree  []sim.Time // per-slot wire-free time (FIFO serialization)
 	extFree sim.Time   // external port free time
+	cur     batch      // the batch in the forwarding budget
+	busy    bool       // cur is valid: the armed wake-up ends its budget
 
-	// generator-owned counters
-	genBatches uint64
-	genBits    uint64
-	// forwarder-owned counters
 	forwards      uint64
 	delivered     uint64
 	deliveredBits uint64
@@ -170,24 +191,55 @@ func zipfDraw(cum []float64, rng *uint64) int {
 	return sort.SearchFloat64s(cum, u*cum[len(cum)-1]) + 1
 }
 
-// RunFabric builds the fabric world and runs it to the horizon.
-func RunFabric(cfg FabricConfig) (FabricResult, error) {
+// fabric is one built fabric world: validated, wired and fault-armed,
+// with no process spawned yet. RunFabric spawns the node tasks on it;
+// the tests spawn the goroutine oracle on the same nodes instead.
+type fabric struct {
+	cfg   FabricConfig // defaults applied
+	world *sim.World
+	nodes []*fabricNode
+	zipf  []float64
+}
+
+// checkMatrix rejects a traffic matrix the generators cannot run: it
+// must be square over the external nodes, and every rate finite,
+// non-negative and — where positive — slow enough that one batch takes
+// at least a picosecond (the generator divides by that interval).
+func checkMatrix(m Matrix, ext int, bits uint64) error {
+	if len(m) != ext {
+		return fmt.Errorf("fabric: matrix size %d != external nodes %d", len(m), ext)
+	}
+	for i, row := range m {
+		if len(row) != ext {
+			return fmt.Errorf("fabric: matrix row %d has %d entries, want %d", i, len(row), ext)
+		}
+		for j, rate := range row {
+			if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+				return fmt.Errorf("fabric: matrix[%d][%d] = %v Gbps is not a finite non-negative rate", i, j, rate)
+			}
+			if rate > 0 && gbpsTime(bits, rate) < 1 {
+				return fmt.Errorf("fabric: matrix[%d][%d] = %v Gbps puts the batch interval outside the clock's range", i, j, rate)
+			}
+		}
+	}
+	return nil
+}
+
+// newFabric validates cfg and builds the world: one partition and node
+// per topology node, the links, and the fault schedule.
+func newFabric(cfg FabricConfig) (*fabric, error) {
 	topo := cfg.Topo
 	if topo == nil {
-		return FabricResult{}, fmt.Errorf("fabric: Topo is required")
+		return nil, fmt.Errorf("fabric: Topo is required")
 	}
 	if err := topo.Validate(); err != nil {
-		return FabricResult{}, err
-	}
-	ext := topo.Externals()
-	if len(cfg.Matrix) != ext {
-		return FabricResult{}, fmt.Errorf("fabric: matrix size %d != external nodes %d", len(cfg.Matrix), ext)
+		return nil, err
 	}
 	if cfg.LinkLatency <= 0 {
-		return FabricResult{}, fmt.Errorf("fabric: LinkLatency must be positive (it is the lookahead)")
+		return nil, fmt.Errorf("fabric: LinkLatency must be positive (it is the lookahead)")
 	}
 	if cfg.Horizon <= 0 {
-		return FabricResult{}, fmt.Errorf("fabric: Horizon must be positive")
+		return nil, fmt.Errorf("fabric: Horizon must be positive")
 	}
 	if cfg.BatchBytes <= 0 {
 		cfg.BatchBytes = 16 << 10
@@ -195,52 +247,57 @@ func RunFabric(cfg FabricConfig) (FabricResult, error) {
 	if cfg.Flows.ZipfS > 0 && cfg.Flows.MaxBatches <= 0 {
 		cfg.Flows.MaxBatches = 256
 	}
+	bits := uint64(cfg.BatchBytes) * 8
+	if err := checkMatrix(cfg.Matrix, topo.Externals(), bits); err != nil {
+		return nil, err
+	}
 	n := topo.Nodes()
 
-	world := sim.NewWorld()
-	defer world.Close()
-	nodes := make([]*fabricNode, n)
+	f := &fabric{cfg: cfg, world: sim.NewWorld(), nodes: make([]*fabricNode, n)}
 	for i := 0; i < n; i++ {
-		part := world.NewPartition(fmt.Sprintf("node%d", i))
-		nodes[i] = &fabricNode{
-			id:     i,
-			part:   part,
-			inbox:  sim.NewQueue[batch](part.Env(), 0),
-			faultq: sim.NewQueue[faults.Event](part.Env(), 0),
-			up:     true,
+		part := f.world.NewPartition(fmt.Sprintf("node%d", i))
+		f.nodes[i] = &fabricNode{
+			id:      i,
+			part:    part,
+			inbox:   sim.NewQueue[batch](part.Env(), 0),
+			faultq:  sim.NewQueue[faults.Event](part.Env(), 0),
+			up:      true,
+			topo:    topo,
+			fwdGbps: topo.ForwardGbps(i),
+			extGbps: topo.ExternalGbps(i),
+			horizon: sim.Time(cfg.Horizon),
+			bits:    bits,
 		}
 	}
 	for _, tl := range topo.Links() {
-		nd := nodes[tl.From]
-		nd.out = append(nd.out, sim.NewLink(nd.part, nodes[tl.To].part,
-			cfg.LinkLatency, nodes[tl.To].inbox))
+		nd := f.nodes[tl.From]
+		nd.out = append(nd.out, sim.NewLink(nd.part, f.nodes[tl.To].part,
+			cfg.LinkLatency, f.nodes[tl.To].inbox))
 		nd.gbps = append(nd.gbps, tl.Gbps)
 		nd.alive = append(nd.alive, true)
 		nd.txFree = append(nd.txFree, 0)
 	}
 	if cfg.Faults != nil {
-		if err := armFaults(cfg.Faults, nodes); err != nil {
-			return FabricResult{}, err
+		if err := armFaults(cfg.Faults, f.nodes); err != nil {
+			f.world.Close()
+			return nil, err
 		}
 	}
-	var zipf []float64
 	if cfg.Flows.ZipfS > 0 {
-		zipf = zipfTable(cfg.Flows.ZipfS, cfg.Flows.MaxBatches)
+		f.zipf = zipfTable(cfg.Flows.ZipfS, cfg.Flows.MaxBatches)
 	}
-	for i := 0; i < n; i++ {
-		nd := nodes[i] // loop-local: each root touches its own node only
-		env := nd.part.Env()
-		if i < ext {
-			env.Go("gen", func(p *sim.Proc) { nd.generate(p, &cfg, zipf) })
-		}
-		env.Go("fwd", func(p *sim.Proc) { nd.forward(p, &cfg, topo) })
-	}
-	world.Run(sim.Time(cfg.Horizon), cfg.Workers)
+	return f, nil
+}
 
-	// Merge per-node counters in node order: the result is independent
-	// of how many workers advanced the partitions.
-	res := FabricResult{OfferedGbps: cfg.Matrix.Total()}
-	for _, nd := range nodes {
+// run advances the world to the horizon, closes it, and merges the
+// per-node counters in node order: the result is independent of how
+// many workers advanced the partitions.
+func (f *fabric) run() FabricResult {
+	defer f.world.Close()
+	f.world.Run(sim.Time(f.cfg.Horizon), f.cfg.Workers)
+
+	res := FabricResult{OfferedGbps: f.cfg.Matrix.Total()}
+	for _, nd := range f.nodes {
 		res.Batches += nd.genBatches
 		res.Forwards += nd.forwards
 		res.Delivered += nd.delivered
@@ -253,12 +310,30 @@ func RunFabric(cfg FabricConfig) (FabricResult, error) {
 			res.MaxLatency = nd.latMax
 		}
 	}
-	res.DeliveredGbps /= cfg.Horizon.Seconds() * 1e9
+	res.DeliveredGbps /= f.cfg.Horizon.Seconds() * 1e9
 	if res.Delivered > 0 {
 		res.MeanHops /= float64(res.Delivered)
 		res.MeanLatency /= sim.Duration(res.Delivered)
 	}
-	return res, nil
+	return res
+}
+
+// RunFabric builds the fabric world and runs it to the horizon.
+func RunFabric(cfg FabricConfig) (FabricResult, error) {
+	f, err := newFabric(cfg)
+	if err != nil {
+		return FabricResult{}, err
+	}
+	ext := f.cfg.Topo.Externals()
+	for i, nd := range f.nodes { // nd is per-iteration: each task touches its own node only
+		env := nd.part.Env()
+		if i < ext {
+			nd.initGenerator(f.cfg.Matrix[i], f.cfg.Seed, f.zipf)
+			env.Task("gen", nd.generate)
+		}
+		env.Task("fwd", nd.forward)
+	}
+	return f.run(), nil
 }
 
 // armFaults schedules the plan's link and node events on each affected
@@ -305,76 +380,75 @@ func (nd *fabricNode) applyFault(ev faults.Event) {
 	}
 }
 
-// generate emits this node's external ingress: per destination, batches
-// at the matrix rate, phase-offset by the seed so nodes do not emit in
-// lockstep. Flow key material feeds the Toeplitz hash that picks VLB
-// intermediates and ECMP paths; with a FlowModel, keys persist for a
-// Zipf-sized run of batches so a flow holds its path. Diagonal
-// (self-destined) traffic is switched locally, as in Evaluate: it
-// spends the forwarding budget and the external port but no link.
-func (nd *fabricNode) generate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
-	ext := len(cfg.Matrix)
-	bits := uint64(cfg.BatchBytes) * 8
-	// next[j] is the emission time of the next batch to j; interval[j]
-	// the batch period at the offered rate.
-	next := make([]sim.Time, ext)
-	interval := make([]sim.Duration, ext)
-	rng := cfg.Seed ^ (uint64(nd.id+1) * 0x9e3779b97f4a7c15)
-	active := 0
-	for j := 0; j < ext; j++ {
-		rate := cfg.Matrix[nd.id][j]
+// initGenerator draws the generator's tables for this node's matrix
+// row: per destination, the batch period at the offered rate and a
+// first emission phase-offset by the seed so nodes do not emit in
+// lockstep.
+func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) {
+	ext := len(row)
+	nd.genNext = make([]sim.Time, ext)
+	nd.genInterval = make([]sim.Duration, ext)
+	nd.genDst = -1
+	nd.rng = seed ^ (uint64(nd.id+1) * 0x9e3779b97f4a7c15)
+	for j, rate := range row {
 		if rate <= 0 {
-			next[j] = -1
+			nd.genNext[j] = -1
 			continue
 		}
-		interval[j] = gbpsTime(bits, rate)
-		next[j] = sim.Time(splitmix64(&rng) % uint64(interval[j]))
-		active++
+		nd.genInterval[j] = gbpsTime(nd.bits, rate)
+		nd.genNext[j] = sim.Time(splitmix64(&nd.rng) % uint64(nd.genInterval[j]))
 	}
-	if active == 0 {
-		return
-	}
-	var flowLeft []int
-	var flowKey []batch // per-destination persistent key material
+	nd.zipf = zipf
 	if zipf != nil {
-		flowLeft = make([]int, ext)
-		flowKey = make([]batch, ext)
+		nd.flowLeft = make([]int, ext)
+		nd.flowKey = make([]batch, ext)
 	}
-	for {
-		// Earliest pending destination; ties go to the lower index.
-		j := -1
-		for k := 0; k < ext; k++ {
-			if next[k] >= 0 && (j < 0 || next[k] < next[j]) {
-				j = k
-			}
-		}
-		if sim.Duration(next[j]) > cfg.Horizon {
-			return
-		}
-		p.SleepUntil(next[j])
-		b := batch{src: nd.id, dst: j, bits: bits, born: p.Now()}
-		if zipf == nil {
-			b.flowSrc = uint32(splitmix64(&rng))
-			b.flowDst = uint32(splitmix64(&rng))
+}
+
+// generate is the generator task's step, a self-re-arming timer: emit
+// the batch the wake-up was armed for, then arm the earliest pending
+// destination (none is armed past the horizon, which ends the task).
+// Batches leave at the matrix rate per destination. Flow key material
+// feeds the Toeplitz hash that picks VLB intermediates and ECMP paths;
+// with a FlowModel, keys persist for a Zipf-sized run of batches so a
+// flow holds its path. Diagonal (self-destined) traffic is switched
+// locally, as in Evaluate: it spends the forwarding budget and the
+// external port but no link.
+func (nd *fabricNode) generate(p *sim.Proc) {
+	if j := nd.genDst; j >= 0 {
+		b := batch{src: nd.id, dst: j, bits: nd.bits, born: p.Now()}
+		if nd.zipf == nil {
+			b.flowSrc = uint32(splitmix64(&nd.rng))
+			b.flowDst = uint32(splitmix64(&nd.rng))
 			b.hash = rssHash(b.flowSrc, b.flowDst)
 		} else {
-			if flowLeft[j] == 0 {
-				flowLeft[j] = zipfDraw(zipf, &rng)
-				fk := &flowKey[j]
-				fk.flowSrc = uint32(splitmix64(&rng))
-				fk.flowDst = uint32(splitmix64(&rng))
+			fk := &nd.flowKey[j]
+			if nd.flowLeft[j] == 0 {
+				nd.flowLeft[j] = zipfDraw(nd.zipf, &nd.rng)
+				fk.flowSrc = uint32(splitmix64(&nd.rng))
+				fk.flowDst = uint32(splitmix64(&nd.rng))
 				fk.hash = rssHash(fk.flowSrc, fk.flowDst)
 			}
-			flowLeft[j]--
-			b.flowSrc = flowKey[j].flowSrc
-			b.flowDst = flowKey[j].flowDst
-			b.hash = flowKey[j].hash
+			nd.flowLeft[j]--
+			b.flowSrc, b.flowDst, b.hash = fk.flowSrc, fk.flowDst, fk.hash
 		}
 		nd.genBatches++
-		nd.genBits += bits
+		nd.genBits += nd.bits
 		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
-		next[j] += sim.Time(interval[j])
+		nd.genNext[j] += sim.Time(nd.genInterval[j])
 	}
+	// Earliest pending destination; ties go to the lower index.
+	j := -1
+	for k, t := range nd.genNext {
+		if t >= 0 && (j < 0 || t < nd.genNext[j]) {
+			j = k
+		}
+	}
+	if j < 0 || nd.genNext[j] > nd.horizon {
+		return
+	}
+	nd.genDst = j
+	p.WakeAfter(sim.Duration(nd.genNext[j] - p.Now()))
 }
 
 // rssHash is the fabric's flow hash: the paper's Toeplitz RSS over the
@@ -384,21 +458,22 @@ func rssHash(flowSrc, flowDst uint32) uint32 {
 		uint16(flowSrc>>16), uint16(flowDst>>16))
 }
 
-// forward is the node's packet path: drain the inbox, spend the
-// forwarding budget, and route each batch onward. Local deliveries pass
-// through the external-port recurrence and count only if the port
-// finishes them by the horizon — exactly when the dedicated egress proc
-// this replaces would have executed its completion event. Transit
-// batches pick an egress slot via the topology, serialize on the
-// per-slot wire recurrence, and depart through SendAt. The forwarding
-// budget is a plain Sleep: this proc is the budget's only user, so a
-// shared Server would add nothing.
-func (nd *fabricNode) forward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
-	fwdGbps := topo.ForwardGbps(nd.id)
-	extGbps := topo.ExternalGbps(nd.id)
-	horizon := sim.Time(cfg.Horizon)
+// forward is the forwarder task's step, the node's packet path as a
+// two-state machine. Idle: take the next batch from the inbox (or
+// register for one and return), fold in queued faults, and arm the
+// forwarding budget — a plain timed wake-up, since this task is the
+// budget's only user. Busy: the budget has elapsed, so route the batch
+// and go idle again within the same step.
+func (nd *fabricNode) forward(p *sim.Proc) {
+	if nd.busy {
+		nd.busy = false
+		nd.route(p, nd.cur)
+	}
 	for {
-		b := nd.inbox.Get(p)
+		b, ok := nd.inbox.Await(p)
+		if !ok {
+			return
+		}
 		for {
 			ev, ok := nd.faultq.TryGet()
 			if !ok {
@@ -410,39 +485,51 @@ func (nd *fabricNode) forward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
 			nd.nodeDrops++
 			continue
 		}
-		p.Sleep(gbpsTime(b.bits, fwdGbps))
-		nd.forwards++
-		b.hops++
-		if b.dst == nd.id {
-			end := p.Now()
-			if nd.extFree > end {
-				end = nd.extFree
-			}
-			end += sim.Time(gbpsTime(b.bits, extGbps))
-			nd.extFree = end
-			if end <= horizon {
-				nd.delivered++
-				nd.deliveredBits += b.bits
-				nd.hopSum += uint64(b.hops)
-				lat := sim.Duration(end - b.born)
-				nd.latSum += lat
-				if lat > nd.latMax {
-					nd.latMax = lat
-				}
-			}
-			continue
-		}
-		slot, ok := topo.NextHop(nd.id, &b, nd.alive)
-		if !ok {
-			nd.routeDrops++
-			continue
-		}
-		dep := p.Now()
-		if nd.txFree[slot] > dep {
-			dep = nd.txFree[slot]
-		}
-		dep += sim.Time(gbpsTime(b.bits, nd.gbps[slot]))
-		nd.txFree[slot] = dep
-		nd.out[slot].SendAt(p, dep, b)
+		nd.cur, nd.busy = b, true
+		p.WakeAfter(gbpsTime(b.bits, nd.fwdGbps))
+		return
 	}
+}
+
+// route sends a batch that has spent its forwarding budget onward.
+// Local deliveries pass through the external-port recurrence and count
+// only if the port finishes them by the horizon — exactly when the
+// dedicated egress proc this replaces would have executed its
+// completion event. Transit batches pick an egress slot via the
+// topology, serialize on the per-slot wire recurrence, and depart
+// through SendAt.
+func (nd *fabricNode) route(p *sim.Proc, b batch) {
+	nd.forwards++
+	b.hops++
+	if b.dst == nd.id {
+		end := p.Now()
+		if nd.extFree > end {
+			end = nd.extFree
+		}
+		end += sim.Time(gbpsTime(b.bits, nd.extGbps))
+		nd.extFree = end
+		if end <= nd.horizon {
+			nd.delivered++
+			nd.deliveredBits += b.bits
+			nd.hopSum += uint64(b.hops)
+			lat := sim.Duration(end - b.born)
+			nd.latSum += lat
+			if lat > nd.latMax {
+				nd.latMax = lat
+			}
+		}
+		return
+	}
+	slot, ok := nd.topo.NextHop(nd.id, b.src, b.dst, b.hash, nd.alive)
+	if !ok {
+		nd.routeDrops++
+		return
+	}
+	dep := p.Now()
+	if nd.txFree[slot] > dep {
+		dep = nd.txFree[slot]
+	}
+	dep += sim.Time(gbpsTime(b.bits, nd.gbps[slot]))
+	nd.txFree[slot] = dep
+	nd.out[slot].SendAt(p, dep, b)
 }

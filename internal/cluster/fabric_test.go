@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"packetshader/internal/faults"
 	"packetshader/internal/sim"
 )
 
@@ -155,6 +157,18 @@ func TestFabricValidation(t *testing.T) {
 		{"matrix size", func(c *FabricConfig) { c.Matrix = Uniform(5, 40) }},
 		{"zero link latency", func(c *FabricConfig) { c.LinkLatency = 0 }},
 		{"zero horizon", func(c *FabricConfig) { c.Horizon = 0 }},
+		// Hostile matrices: each of these used to panic inside a sim
+		// goroutine (index out of range, integer divide by zero), where
+		// no caller can recover.
+		{"ragged short row", func(c *FabricConfig) { c.Matrix[2] = c.Matrix[2][:3] }},
+		{"ragged long row", func(c *FabricConfig) { c.Matrix[0] = append(c.Matrix[0], 1) }},
+		{"nil row", func(c *FabricConfig) { c.Matrix[3] = nil }},
+		{"zero-interval rate", func(c *FabricConfig) { c.Matrix[1][2] = 1e12 }},
+		{"+Inf rate", func(c *FabricConfig) { c.Matrix[1][2] = math.Inf(1) }},
+		{"-Inf rate", func(c *FabricConfig) { c.Matrix[1][2] = math.Inf(-1) }},
+		{"NaN rate", func(c *FabricConfig) { c.Matrix[1][2] = math.NaN() }},
+		{"negative rate", func(c *FabricConfig) { c.Matrix[1][2] = -1 }},
+		{"interval overflows the clock", func(c *FabricConfig) { c.Matrix[1][2] = 1e-300 }},
 	}
 	for _, tc := range cases {
 		cfg := fabCfg(4, Direct, Uniform(4, 40), 1)
@@ -162,6 +176,13 @@ func TestFabricValidation(t *testing.T) {
 		if _, err := RunFabric(cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// The fastest rate whose batch still takes a picosecond is legal.
+	cfg := fabCfg(4, Direct, Uniform(4, 40), 1)
+	cfg.BatchBytes, cfg.Horizon = 1, 100*sim.Picosecond
+	cfg.Matrix[1][2] = 8000 // 8 bits at 8 Tbps = 1 ps
+	if _, err := RunFabric(cfg); err != nil {
+		t.Errorf("1 ps batch interval rejected: %v", err)
 	}
 }
 
@@ -177,5 +198,278 @@ func TestFabricOfferedMatchesMatrix(t *testing.T) {
 	genGbps := float64(res.Batches) * (16 << 10) * 8 / (fabCfg(4, Direct, nil, 1).Horizon.Seconds() * 1e9)
 	if genGbps < 72 || genGbps > 88 {
 		t.Errorf("generated %.1f Gbps for 80 offered", genGbps)
+	}
+}
+
+// runFabricOracle is RunFabric with the goroutine generator and
+// forwarder spawned on the nodes instead of the tasks: same build, same
+// run and merge, so any difference in the result is a difference
+// between the two process forms.
+func runFabricOracle(cfg FabricConfig) (FabricResult, error) {
+	f, err := newFabric(cfg)
+	if err != nil {
+		return FabricResult{}, err
+	}
+	ext := f.cfg.Topo.Externals()
+	for i, nd := range f.nodes {
+		env := nd.part.Env()
+		if i < ext {
+			env.Go("gen", func(p *sim.Proc) { nd.oracleGenerate(p, &f.cfg, f.zipf) })
+		}
+		env.Go("fwd", func(p *sim.Proc) { nd.oracleForward(p, &f.cfg, f.cfg.Topo) })
+	}
+	return f.run(), nil
+}
+
+// oracleGenerate is the generator as the goroutine process it was before
+// the fabric ran on tasks, body verbatim: the differential oracle for
+// fabricNode.generate (whose comment says what both do).
+func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
+	ext := len(cfg.Matrix)
+	bits := uint64(cfg.BatchBytes) * 8
+	// next[j] is the emission time of the next batch to j; interval[j]
+	// the batch period at the offered rate.
+	next := make([]sim.Time, ext)
+	interval := make([]sim.Duration, ext)
+	rng := cfg.Seed ^ (uint64(nd.id+1) * 0x9e3779b97f4a7c15)
+	active := 0
+	for j := 0; j < ext; j++ {
+		rate := cfg.Matrix[nd.id][j]
+		if rate <= 0 {
+			next[j] = -1
+			continue
+		}
+		interval[j] = gbpsTime(bits, rate)
+		next[j] = sim.Time(splitmix64(&rng) % uint64(interval[j]))
+		active++
+	}
+	if active == 0 {
+		return
+	}
+	var flowLeft []int
+	var flowKey []batch // per-destination persistent key material
+	if zipf != nil {
+		flowLeft = make([]int, ext)
+		flowKey = make([]batch, ext)
+	}
+	for {
+		// Earliest pending destination; ties go to the lower index.
+		j := -1
+		for k := 0; k < ext; k++ {
+			if next[k] >= 0 && (j < 0 || next[k] < next[j]) {
+				j = k
+			}
+		}
+		if sim.Duration(next[j]) > cfg.Horizon {
+			return
+		}
+		p.SleepUntil(next[j])
+		b := batch{src: nd.id, dst: j, bits: bits, born: p.Now()}
+		if zipf == nil {
+			b.flowSrc = uint32(splitmix64(&rng))
+			b.flowDst = uint32(splitmix64(&rng))
+			b.hash = rssHash(b.flowSrc, b.flowDst)
+		} else {
+			if flowLeft[j] == 0 {
+				flowLeft[j] = zipfDraw(zipf, &rng)
+				fk := &flowKey[j]
+				fk.flowSrc = uint32(splitmix64(&rng))
+				fk.flowDst = uint32(splitmix64(&rng))
+				fk.hash = rssHash(fk.flowSrc, fk.flowDst)
+			}
+			flowLeft[j]--
+			b.flowSrc = flowKey[j].flowSrc
+			b.flowDst = flowKey[j].flowDst
+			b.hash = flowKey[j].hash
+		}
+		nd.genBatches++
+		nd.genBits += bits
+		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
+		next[j] += sim.Time(interval[j])
+	}
+}
+
+// oracleForward is the forwarder as a goroutine process, body verbatim
+// from before the task rewrite: the oracle for fabricNode.forward and
+// .route.
+func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
+	fwdGbps := topo.ForwardGbps(nd.id)
+	extGbps := topo.ExternalGbps(nd.id)
+	horizon := sim.Time(cfg.Horizon)
+	for {
+		b := nd.inbox.Get(p)
+		for {
+			ev, ok := nd.faultq.TryGet()
+			if !ok {
+				break
+			}
+			nd.applyFault(ev)
+		}
+		if !nd.up {
+			nd.nodeDrops++
+			continue
+		}
+		p.Sleep(gbpsTime(b.bits, fwdGbps))
+		nd.forwards++
+		b.hops++
+		if b.dst == nd.id {
+			end := p.Now()
+			if nd.extFree > end {
+				end = nd.extFree
+			}
+			end += sim.Time(gbpsTime(b.bits, extGbps))
+			nd.extFree = end
+			if end <= horizon {
+				nd.delivered++
+				nd.deliveredBits += b.bits
+				nd.hopSum += uint64(b.hops)
+				lat := sim.Duration(end - b.born)
+				nd.latSum += lat
+				if lat > nd.latMax {
+					nd.latMax = lat
+				}
+			}
+			continue
+		}
+		slot, ok := topo.NextHop(nd.id, b.src, b.dst, b.hash, nd.alive)
+		if !ok {
+			nd.routeDrops++
+			continue
+		}
+		dep := p.Now()
+		if nd.txFree[slot] > dep {
+			dep = nd.txFree[slot]
+		}
+		dep += sim.Time(gbpsTime(b.bits, nd.gbps[slot]))
+		nd.txFree[slot] = dep
+		nd.out[slot].SendAt(p, dep, b)
+	}
+}
+
+// diffTopos are the two fabrics of the differential test, each loaded
+// past a bottleneck so inboxes hold backlog: an 8-node VLB mesh, and a
+// 6×2 leaf–spine (two uplink slots per leaf) whose spines forward less
+// than the leaves offer.
+func diffTopos() []FabricConfig {
+	return []FabricConfig{
+		fabCfg(8, VLB, Uniform(8, 360), 1),
+		{
+			Topo: &LeafSpine{
+				Leaves: 6, Spines: 2, Uplinks: 1,
+				EdgeGbps: 40, LeafGbps: 40, SpineGbps: 30, UplinkGbps: 10,
+			},
+			Matrix:      Uniform(6, 120),
+			LinkLatency: 50 * sim.Microsecond,
+			Horizon:     4 * sim.Millisecond,
+		},
+	}
+}
+
+// diffFaults flaps egress slots 0 and 1 of node 0 with an overlap (in
+// the leaf–spine that is every uplink of leaf 0, so its transit traffic
+// is unroutable meanwhile) and fails node 1 — a mesh transit node, a
+// leaf — and the last node — a spine in the leaf–spine — mid-run,
+// repairing all of them before the horizon.
+func diffFaults(nodes int) *faults.Plan {
+	return faults.NewPlan().
+		LinkFlap(0, 700*sim.Microsecond, 900*sim.Microsecond).
+		LinkFlap(1, 900*sim.Microsecond, 500*sim.Microsecond).
+		GPUOutage(1, 1200*sim.Microsecond, 800*sim.Microsecond).
+		GPUOutage(nodes-1, 1500*sim.Microsecond, 1*sim.Millisecond)
+}
+
+// TestFabricTasksMatchGoroutineOracle is the differential test behind
+// the task rewrite: the production fabric (tasks) and the goroutine
+// oracle must agree on every field of the result, because a task issues
+// the same Env.schedule calls as the goroutine process it replaced.
+func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
+	for ti, base := range diffTopos() {
+		for seed := uint64(1); seed <= 4; seed++ {
+			for _, zipfS := range []float64{0, 1.1} {
+				for _, faulty := range []bool{false, true} {
+					for _, workers := range []int{1, 3} {
+						cfg := base
+						cfg.Seed, cfg.Workers = seed, workers
+						cfg.Flows = FlowModel{ZipfS: zipfS}
+						if faulty {
+							cfg.Faults = diffFaults(cfg.Topo.Nodes())
+						}
+						name := fmt.Sprintf("topo%d/seed%d/zipf%v/faults%v/p%d", ti, seed, zipfS, faulty, workers)
+						got, err := RunFabric(cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						want, err := runFabricOracle(cfg)
+						if err != nil {
+							t.Fatalf("%s: oracle: %v", name, err)
+						}
+						if got != want {
+							t.Errorf("%s: tasks diverged from the goroutine oracle:\n got %+v\nwant %+v", name, got, want)
+						}
+						if got.Delivered == 0 || faulty && (got.NodeDrops == 0 || got.RouteDrops == 0) {
+							t.Errorf("%s: case does not exercise its paths: %+v", name, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFabricNodeFailsMidRunAndRecovers covers what the whole-run
+// outages of topology_test.go skip: the only spine dies at 1 ms with
+// batches queued in its inbox (it forwards half of what is offered),
+// drops them and everything that arrives while it is down, and is
+// repaired at 2 ms — after which it delivers again, so the run ends
+// with more delivered and less dropped than one where it stays dead.
+func TestFabricNodeFailsMidRunAndRecovers(t *testing.T) {
+	build := func(plan *faults.Plan) FabricConfig {
+		return FabricConfig{
+			Topo: &LeafSpine{
+				Leaves: 4, Spines: 1, Uplinks: 2,
+				EdgeGbps: 40, LeafGbps: 40, SpineGbps: 20, UplinkGbps: 10,
+			},
+			Matrix:      Permutation(4, 10),
+			LinkLatency: 50 * sim.Microsecond,
+			Horizon:     5 * sim.Millisecond,
+			Seed:        7,
+			Workers:     2,
+			Faults:      plan,
+		}
+	}
+	const spine = 4
+	run := func(plan *faults.Plan) FabricResult {
+		res, err := RunFabric(build(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	healthy := run(nil)
+	outage := run(faults.NewPlan().GPUOutage(spine, 1*sim.Millisecond, 1*sim.Millisecond))
+	dead := run(faults.NewPlan().Add(faults.Event{At: 1 * sim.Millisecond, Kind: faults.KindGPUFail, Node: spine}))
+
+	if healthy.NodeDrops != 0 {
+		t.Fatalf("healthy run dropped %d batches at a node", healthy.NodeDrops)
+	}
+	// The spine's backlog at 1 ms is dropped in one step, so the outage
+	// loses more than the 1 ms of arrivals alone (≈ 1 ms × 40 Gbps).
+	const perMs = 40e9 * 1e-3 / (16 << 10 * 8) // batches
+	if float64(outage.NodeDrops) <= perMs {
+		t.Errorf("NodeDrops = %d, want more than one millisecond of arrivals (%.0f): the queued backlog must drop too", outage.NodeDrops, perMs)
+	}
+	if !(dead.Delivered < outage.Delivered && outage.Delivered < healthy.Delivered) {
+		t.Errorf("delivered: dead %d, outage %d, healthy %d — want strictly increasing (the repaired spine delivers again)",
+			dead.Delivered, outage.Delivered, healthy.Delivered)
+	}
+	if outage.NodeDrops >= dead.NodeDrops {
+		t.Errorf("NodeDrops: outage %d, dead %d — the repaired spine must stop dropping", outage.NodeDrops, dead.NodeDrops)
+	}
+	want, err := runFabricOracle(build(faults.NewPlan().GPUOutage(spine, 1*sim.Millisecond, 1*sim.Millisecond)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outage != want {
+		t.Errorf("tasks diverged from the goroutine oracle:\n got %+v\nwant %+v", outage, want)
 	}
 }

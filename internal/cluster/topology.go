@@ -40,11 +40,14 @@ type Topology interface {
 	// Links enumerates every directed link once, grouped by From in a
 	// fixed order: the k-th link of node i is its egress slot k.
 	Links() []TopoLink
-	// NextHop picks the egress slot at node i for b (b.dst != i).
-	// alive is node i's per-slot link-up state; implementations must
-	// not pick a dead slot. ok=false means the batch is unroutable
-	// (blackholed) at this node.
-	NextHop(i int, b *batch, alive []bool) (slot int, ok bool)
+	// NextHop picks the egress slot at node i for a batch of the flow
+	// with RSS hash `hash` that entered the fabric at src and leaves it
+	// at dst (dst != i). alive is node i's per-slot link-up state;
+	// implementations must not pick a dead slot. ok=false means the
+	// batch is unroutable (blackholed) at this node. The flow is passed
+	// by value: a pointer through this interface would put every
+	// forwarded batch on the heap.
+	NextHop(i, src, dst int, hash uint32, alive []bool) (slot int, ok bool)
 	Validate() error
 }
 
@@ -90,10 +93,10 @@ func (m *FullMesh) Links() []TopoLink {
 // degenerate intermediates collapsing to the direct link, mirroring
 // Evaluate's addFlow; the Valiant intermediate comes from the batch's
 // RSS flow hash, the way hardware RSS spreads flows over queues.
-func (m *FullMesh) NextHop(i int, b *batch, alive []bool) (int, bool) {
-	hop := b.dst
-	if m.Scheme == VLB && i == b.src {
-		if via := int(b.hash % uint32(m.Cluster.Nodes)); via != b.src && via != b.dst {
+func (m *FullMesh) NextHop(i, src, dst int, hash uint32, alive []bool) (int, bool) {
+	hop := dst
+	if m.Scheme == VLB && i == src {
+		if via := int(hash % uint32(m.Cluster.Nodes)); via != src && via != dst {
 			hop = via
 		}
 	}
@@ -189,10 +192,10 @@ func (t *LeafSpine) Links() []TopoLink {
 // while live-path churn (faults) only remaps hash buckets. At a spine,
 // the same hash picks among the Uplinks parallel links down to the
 // destination leaf.
-func (t *LeafSpine) NextHop(i int, b *batch, alive []bool) (int, bool) {
+func (t *LeafSpine) NextHop(i, _, dst int, hash uint32, alive []bool) (int, bool) {
 	lo, hi := 0, len(alive)
 	if i >= t.Leaves {
-		lo = b.dst * t.Uplinks
+		lo = dst * t.Uplinks
 		hi = lo + t.Uplinks
 	}
 	live := 0
@@ -204,7 +207,7 @@ func (t *LeafSpine) NextHop(i int, b *batch, alive []bool) (int, bool) {
 	if live == 0 {
 		return 0, false
 	}
-	pick := int(b.hash % uint32(live))
+	pick := int(hash % uint32(live))
 	for s := lo; s < hi; s++ {
 		if alive[s] {
 			if pick == 0 {

@@ -1,7 +1,9 @@
 // Package sim is a deterministic, process-oriented discrete-event
 // simulation engine. It provides a virtual clock, cooperatively scheduled
 // processes (one runnable at a time, SimPy-style), blocking FIFO queues,
-// serializing servers for bandwidth links, and broadcast signals.
+// serializing servers for bandwidth links, and broadcast signals. A
+// process that never blocks mid-body can run as a task instead of a
+// goroutine (Env.Task): a step function the event loop calls inline.
 //
 // All PacketShader hardware models (NICs, PCIe links, GPU, CPU cores) run
 // as sim processes, so every throughput and latency number reported by the
@@ -13,9 +15,10 @@
 // exist only for true callbacks) stored in slab-like slices — a
 // hierarchical timer wheel (wheel.go) for future events and a FIFO ring
 // for same-instant wakeups — so Sleep and queue hand-offs allocate
-// nothing and same-instant wakeups skip the wheel entirely. Control transfers directly from the yielding
-// process to the next runnable one with a single channel operation; there
-// is no separate scheduler goroutine to bounce through.
+// nothing and same-instant wakeups skip the wheel entirely. Control
+// transfers directly from the yielding process to the next runnable one
+// with a single channel operation — none at all when that one is a task —
+// and there is no separate scheduler goroutine to bounce through.
 package sim
 
 import (
@@ -61,9 +64,9 @@ func (t Time) String() string {
 }
 
 // event is one scheduled occurrence, stored by value. p != nil is a
-// typed process wakeup (Sleep, queue/signal hand-off): no closure is
-// built and nothing is allocated. fn is reserved for true scheduler
-// callbacks registered through At/After.
+// typed process wakeup (Sleep, queue/signal hand-off, and their task
+// halves): no closure is built and nothing is allocated. fn is reserved
+// for true scheduler callbacks registered through At/After.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
@@ -208,7 +211,8 @@ func (e *Env) Run(until Time) Time {
 // process to the next with exactly one channel operation per context
 // switch — there is no scheduler goroutine to bounce through, and a
 // process whose own wakeup comes next resumes with no channel operation
-// at all.
+// at all. A task's wakeup is no context switch either: whoever drives
+// calls its step and carries on.
 func (e *Env) drive(self *Proc, ending bool) {
 	for {
 		ev, ok := e.next()
@@ -230,6 +234,10 @@ func (e *Env) drive(self *Proc, ending bool) {
 		e.now = ev.at
 		if ev.p == nil {
 			ev.fn() // scheduler-context callback
+			continue
+		}
+		if ev.p.step != nil {
+			ev.p.step(ev.p) // task: one step, inline
 			continue
 		}
 		if ev.p == self && !ending {

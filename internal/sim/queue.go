@@ -46,6 +46,7 @@ func (q *Queue[T]) wakePutter() {
 
 // Put appends v, blocking p while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
+	p.mustBlock("Queue.Put")
 	for q.full() {
 		q.putters.PushBack(p)
 		p.yield()
@@ -68,6 +69,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 // Get removes and returns the head item, blocking p while the queue is
 // empty.
 func (q *Queue[T]) Get(p *Proc) T {
+	p.mustBlock("Queue.Get")
 	for q.items.Len() == 0 {
 		q.getters.PushBack(p)
 		p.yield()
@@ -75,6 +77,17 @@ func (q *Queue[T]) Get(p *Proc) T {
 	v := q.items.PopFront()
 	q.wakePutter()
 	return v
+}
+
+// Await is the task half of Get: it removes and returns the head item
+// if there is one; otherwise it registers task p as a getter, so p's
+// step runs again when an item arrives, and reports false.
+func (q *Queue[T]) Await(p *Proc) (v T, ok bool) {
+	p.mustArm("Queue.Await")
+	if v, ok = q.TryGet(); !ok {
+		q.getters.PushBack(p)
+	}
+	return v, ok
 }
 
 // TryGet removes and returns the head item without blocking. ok is false

@@ -53,6 +53,7 @@ func (s *Server) reserve(notBefore Time, d Duration) Time {
 // then for d of service time. It returns the total time p waited
 // (queueing + service).
 func (s *Server) Use(p *Proc, d Duration) Duration {
+	p.mustBlock("Server.Use")
 	start := s.env.now
 	p.SleepUntil(s.reserve(start, d))
 	return Duration(s.env.now - start)
@@ -110,6 +111,7 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Wait blocks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
+	p.mustBlock("Signal.Wait")
 	s.waiters = append(s.waiters, p)
 	p.yield()
 }

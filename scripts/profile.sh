@@ -4,9 +4,11 @@
 # RouterIPv4Full64B (the full CPU+GPU router framework in bench/'s
 # ipv4-64B configuration: a 282,797-prefix table that does not fit the
 # cache), RouterIPv4GPU (the same with 20,000 prefixes, kept so old
-# profiles stay comparable) and FabricWorkers at p1 and p8
+# profiles stay comparable), FabricWorkers at p1 and p8
 # (conservative-parallel cluster fabric, serial and partitioned
-# advance) — with CPU and allocation profiling enabled,
+# advance, a 16-node full mesh) and FabricLS64 (bench/'s fabric-ls64
+# configuration: the 64×8 leaf–spine whose host time is all engine and
+# forwarder tasks) — with CPU and allocation profiling enabled,
 # and drops pprof files plus a ready-to-read top-25 summary under
 # profiles/.
 #
@@ -45,6 +47,7 @@ profile_one router-ipv4-full64b 'BenchmarkRouterIPv4Full64B$'
 profile_one router-ipv4-gpu 'BenchmarkRouterIPv4GPU$'
 profile_one fabric 'BenchmarkFabricWorkers/p1$'
 profile_one fabric-p8 'BenchmarkFabricWorkers/p8$'
+profile_one fabric-ls64 'BenchmarkFabricLS64$'
 
 echo "== profiles written to $OUTDIR/"
 ls -l "$OUTDIR"
