@@ -174,9 +174,10 @@ func BenchmarkFabricLS64(b *testing.B) {
 // BenchmarkLeafSpineScale measures the leaf–spine fabric's host cost as
 // the node count grows: 16, 64 and 128 leaves with a proportional spine
 // tier, Zipf flows, 5 ms of virtual time, serial partition advance.
-// This is the scale-frontier curve of the timer-wheel scheduler and the
-// dirty-link window barrier — the 128-leaf row is a 144-partition world
-// with 8,192 links.
+// This is the scale-frontier curve of the event heap and the dirty-link
+// window barrier — the 128-leaf row is a 144-partition world with 8,192
+// links, the most Envs and links the repository runs (peak 61 pending
+// events per Env), which is why `make profile` profiles it.
 func BenchmarkLeafSpineScale(b *testing.B) {
 	for _, s := range []struct{ leaves, spines int }{{16, 4}, {64, 8}, {128, 16}} {
 		b.Run(fmt.Sprintf("l%d", s.leaves), func(b *testing.B) {

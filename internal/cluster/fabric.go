@@ -7,12 +7,12 @@
 // serialization and propagation latency — and reports what was actually
 // delivered, with end-to-end latency, under the topology's routing
 // (mesh Direct/VLB, or leaf-spine ECMP). Wire and port serialization
-// are arithmetic recurrences (end = max(now, free) + bits/rate), not
-// dedicated processes, and a node's generator and forwarder are sim
-// tasks (step functions the event loop calls inline, no goroutine): a
-// node is two tasks regardless of its degree, and a wake-up costs a
-// function call, which is what lets a 128-leaf fabric run inside the
-// bench budget.
+// are arithmetic recurrences (end = max(now, free) + batch time, the
+// batch time a per-run constant), not dedicated processes, and a node's
+// generator and forwarder are sim tasks (step functions the event loop
+// calls inline, no goroutine): a node is two tasks regardless of its
+// degree, and a wake-up costs a function call, which is what lets a
+// 128-leaf fabric run inside the bench budget.
 package cluster
 
 import (
@@ -89,14 +89,14 @@ type FabricResult struct {
 	RouteDrops, NodeDrops uint64
 }
 
-// batch is the unit of simulated traffic: a fixed-size burst of packets
-// of one flow. Batches travel between nodes by value through sim.Links
-// and queues, so ownership hands off at scheduler-visible boundaries.
+// batch is the unit of simulated traffic: a burst of packets of one
+// flow, of the run's one batch size (fabricNode.bits). Batches travel
+// between nodes by value through sim.Links and queues, so ownership
+// hands off at scheduler-visible boundaries.
 type batch struct {
 	src, dst int
 	hops     uint32
 	hash     uint32 // RSS flow hash: VLB intermediate / ECMP path choice
-	bits     uint64
 	born     sim.Time
 	flowSrc  uint32 // flow key material behind hash
 	flowDst  uint32
@@ -108,38 +108,40 @@ type batch struct {
 // serialization are arithmetic FIFO recurrences (txFree/extFree) proven
 // equivalent to the dedicated server procs they replaced — max(now,
 // free) + bits/rate is exactly a single-server FIFO queue's completion
-// time. Each mutable field is written by exactly one of the node's two
-// tasks; fault events reach the forwarder through the faultq hand-off
-// (the At callback only enqueues, the forwarder drains before
-// consulting liveness), so alive/up stay forwarder-owned. Everything
-// merges in node order after the run.
+// time. A run has one batch size, so every bits/rate is a constant
+// newFabric computes once (fwdTime, extTime, txTime). Each mutable
+// field is written by exactly one of the node's two tasks; fault events
+// reach the forwarder through the faultq hand-off (the At callback only
+// enqueues, the forwarder drains before consulting liveness), so
+// alive/up stay forwarder-owned. Everything merges in node order after
+// the run.
 type fabricNode struct {
 	id     int
 	part   *sim.Partition
 	inbox  *sim.Queue[batch]
 	faultq *sim.Queue[faults.Event] // scheduler→forwarder fault hand-off
 	out    []*sim.Link[batch]
-	gbps   []float64 // per-slot link rate
 
 	// read-only once the tasks are spawned
-	topo             Topology
-	fwdGbps, extGbps float64
-	horizon          sim.Time
-	bits             uint64 // batch size
+	topo    Topology
+	horizon sim.Time
+	bits    uint64         // batch size
+	fwdTime sim.Duration   // one batch through the forwarding budget
+	extTime sim.Duration   // one batch through the external port (external nodes)
+	txTime  []sim.Duration // one batch on the wire, per slot
 
-	// generator-owned: what its steps keep between wake-ups. genNext[j]
-	// is the emission time of the next batch to j (-1: no traffic to
-	// j), genInterval[j] the batch period at the offered rate, genDst
-	// the destination the armed wake-up emits to (-1 before the first).
-	genNext     []sim.Time
-	genInterval []sim.Duration
-	genDst      int
-	rng         uint64
-	zipf        []float64 // nil: every batch is its own flow
-	flowLeft    []int
-	flowKey     []batch // per-destination persistent key material
-	genBatches  uint64
-	genBits     uint64
+	// generator-owned: what its steps keep between wake-ups. gen holds
+	// the destinations this node offers traffic to, earliest next
+	// emission at the root; genArmed says the armed wake-up emits to
+	// that root (false before the first).
+	gen        genHeap
+	genArmed   bool
+	rng        uint64
+	zipf       []float64 // nil: every batch is its own flow
+	flowLeft   []int
+	flowKey    []batch // per-destination persistent key material
+	genBatches uint64
+	genBits    uint64
 
 	// forwarder-owned
 	alive   []bool     // per-slot link carrier, fault-toggled
@@ -163,6 +165,70 @@ type fabricNode struct {
 // Gbps moves one bit per nanosecond.
 func gbpsTime(bits uint64, gbps float64) sim.Duration {
 	return sim.DurationFromSeconds(float64(bits) / (gbps * 1e9))
+}
+
+// batchTime is gbpsTime for a configured rate. It returns an error
+// unless the rate is finite and positive and one batch takes at least a
+// picosecond and at most max — the part of the clock's range the
+// horizon leaves, so adding a batch time to an instant of the run never
+// wraps. (The float test comes first: converting an out-of-range float
+// to a Duration is not defined, and every comparison with NaN is false.)
+func batchTime(bits uint64, gbps float64, max sim.Duration) (sim.Duration, error) {
+	if ps := float64(bits) / (gbps * 1e9) * float64(sim.Second); ps >= 0.5 && ps < float64(max) {
+		if d := gbpsTime(bits, gbps); d <= max {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("at %v Gbps a batch does not take between 1 ps and %.0f s", gbps, max.Seconds())
+}
+
+// genSlot is one destination of a generator: the emission time of its
+// next batch and the batch period at the offered rate.
+type genSlot struct {
+	next     sim.Time
+	interval sim.Duration
+	dst      int
+}
+
+// before is the generator's emission order: earlier next emission,
+// then lower destination index.
+func (a *genSlot) before(b *genSlot) bool {
+	return a.next < b.next || a.next == b.next && a.dst < b.dst
+}
+
+// genHeap holds a generator's destinations as a binary min-heap over
+// (next, dst): the root is the earliest pending destination, ties to
+// the lower index. Only the root's key ever changes (an emission moves
+// it one interval later), so the heap needs one operation, down.
+type genHeap []genSlot
+
+// down sifts the hole at i down to where g belongs and puts g there.
+// (Slots are replaced whole, never written field by field: a field
+// write is how pslint's procshare sees shared state, and it cannot see
+// that each generator owns its heap.)
+func (h genHeap) down(i int, g genSlot) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&g) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = g
+}
+
+// init orders arbitrary slots into a heap.
+func (h genHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }
 
 // splitmix64 draws the next value of the stateful sim.SplitMix64
@@ -203,9 +269,9 @@ type fabric struct {
 
 // checkMatrix rejects a traffic matrix the generators cannot run: it
 // must be square over the external nodes, and every rate finite,
-// non-negative and — where positive — slow enough that one batch takes
-// at least a picosecond (the generator divides by that interval).
-func checkMatrix(m Matrix, ext int, bits uint64) error {
+// non-negative and — where positive — a batchTime (the generator
+// divides by that interval and adds it to emission times).
+func checkMatrix(m Matrix, ext int, bits uint64, max sim.Duration) error {
 	if len(m) != ext {
 		return fmt.Errorf("fabric: matrix size %d != external nodes %d", len(m), ext)
 	}
@@ -217,8 +283,10 @@ func checkMatrix(m Matrix, ext int, bits uint64) error {
 			if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
 				return fmt.Errorf("fabric: matrix[%d][%d] = %v Gbps is not a finite non-negative rate", i, j, rate)
 			}
-			if rate > 0 && gbpsTime(bits, rate) < 1 {
-				return fmt.Errorf("fabric: matrix[%d][%d] = %v Gbps puts the batch interval outside the clock's range", i, j, rate)
+			if rate > 0 {
+				if _, err := batchTime(bits, rate, max); err != nil {
+					return fmt.Errorf("fabric: matrix[%d][%d] batch interval: %w", i, j, err)
+				}
 			}
 		}
 	}
@@ -226,7 +294,8 @@ func checkMatrix(m Matrix, ext int, bits uint64) error {
 }
 
 // newFabric validates cfg and builds the world: one partition and node
-// per topology node, the links, and the fault schedule.
+// per topology node with its per-run batch times, the links, and the
+// fault schedule.
 func newFabric(cfg FabricConfig) (*fabric, error) {
 	topo := cfg.Topo
 	if topo == nil {
@@ -248,39 +317,55 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 		cfg.Flows.MaxBatches = 256
 	}
 	bits := uint64(cfg.BatchBytes) * 8
-	if err := checkMatrix(cfg.Matrix, topo.Externals(), bits); err != nil {
+	maxTime := math.MaxInt64 - cfg.Horizon
+	n, ext := topo.Nodes(), topo.Externals()
+	if err := checkMatrix(cfg.Matrix, ext, bits, maxTime); err != nil {
 		return nil, err
 	}
-	n := topo.Nodes()
 
 	f := &fabric{cfg: cfg, world: sim.NewWorld(), nodes: make([]*fabricNode, n)}
+	fail := func(err error) (*fabric, error) {
+		f.world.Close()
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		part := f.world.NewPartition(fmt.Sprintf("node%d", i))
-		f.nodes[i] = &fabricNode{
+		nd := &fabricNode{
 			id:      i,
 			part:    part,
 			inbox:   sim.NewQueue[batch](part.Env(), 0),
 			faultq:  sim.NewQueue[faults.Event](part.Env(), 0),
 			up:      true,
 			topo:    topo,
-			fwdGbps: topo.ForwardGbps(i),
-			extGbps: topo.ExternalGbps(i),
 			horizon: sim.Time(cfg.Horizon),
 			bits:    bits,
+		}
+		f.nodes[i] = nd
+		var err error
+		if nd.fwdTime, err = batchTime(bits, topo.ForwardGbps(i), maxTime); err != nil {
+			return fail(fmt.Errorf("fabric: node %d forwarding budget: %w", i, err))
+		}
+		if i < ext {
+			if nd.extTime, err = batchTime(bits, topo.ExternalGbps(i), maxTime); err != nil {
+				return fail(fmt.Errorf("fabric: node %d external port: %w", i, err))
+			}
 		}
 	}
 	for _, tl := range topo.Links() {
 		nd := f.nodes[tl.From]
+		tx, err := batchTime(bits, tl.Gbps, maxTime)
+		if err != nil {
+			return fail(fmt.Errorf("fabric: node %d slot %d link: %w", tl.From, len(nd.out), err))
+		}
 		nd.out = append(nd.out, sim.NewLink(nd.part, f.nodes[tl.To].part,
 			cfg.LinkLatency, f.nodes[tl.To].inbox))
-		nd.gbps = append(nd.gbps, tl.Gbps)
+		nd.txTime = append(nd.txTime, tx)
 		nd.alive = append(nd.alive, true)
 		nd.txFree = append(nd.txFree, 0)
 	}
 	if cfg.Faults != nil {
 		if err := armFaults(cfg.Faults, f.nodes); err != nil {
-			f.world.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	if cfg.Flows.ZipfS > 0 {
@@ -380,28 +465,28 @@ func (nd *fabricNode) applyFault(ev faults.Event) {
 	}
 }
 
-// initGenerator draws the generator's tables for this node's matrix
-// row: per destination, the batch period at the offered rate and a
-// first emission phase-offset by the seed so nodes do not emit in
-// lockstep.
+// initGenerator builds the generator's heap from this node's matrix
+// row: per destination with traffic, the batch period at the offered
+// rate and a first emission phase-offset by the seed so nodes do not
+// emit in lockstep.
 func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) {
-	ext := len(row)
-	nd.genNext = make([]sim.Time, ext)
-	nd.genInterval = make([]sim.Duration, ext)
-	nd.genDst = -1
 	nd.rng = seed ^ (uint64(nd.id+1) * 0x9e3779b97f4a7c15)
 	for j, rate := range row {
 		if rate <= 0 {
-			nd.genNext[j] = -1
 			continue
 		}
-		nd.genInterval[j] = gbpsTime(nd.bits, rate)
-		nd.genNext[j] = sim.Time(splitmix64(&nd.rng) % uint64(nd.genInterval[j]))
+		interval := gbpsTime(nd.bits, rate)
+		nd.gen = append(nd.gen, genSlot{
+			next:     sim.Time(splitmix64(&nd.rng) % uint64(interval)),
+			interval: interval,
+			dst:      j,
+		})
 	}
+	nd.gen.init()
 	nd.zipf = zipf
 	if zipf != nil {
-		nd.flowLeft = make([]int, ext)
-		nd.flowKey = make([]batch, ext)
+		nd.flowLeft = make([]int, len(row))
+		nd.flowKey = make([]batch, len(row))
 	}
 }
 
@@ -415,8 +500,10 @@ func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) 
 // locally, as in Evaluate: it spends the forwarding budget and the
 // external port but no link.
 func (nd *fabricNode) generate(p *sim.Proc) {
-	if j := nd.genDst; j >= 0 {
-		b := batch{src: nd.id, dst: j, bits: nd.bits, born: p.Now()}
+	if nd.genArmed {
+		g := nd.gen[0]
+		j := g.dst
+		b := batch{src: nd.id, dst: j, born: p.Now()}
 		if nd.zipf == nil {
 			b.flowSrc = uint32(splitmix64(&nd.rng))
 			b.flowDst = uint32(splitmix64(&nd.rng))
@@ -435,20 +522,13 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 		nd.genBatches++
 		nd.genBits += nd.bits
 		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
-		nd.genNext[j] += sim.Time(nd.genInterval[j])
+		nd.gen.down(0, genSlot{next: g.next + sim.Time(g.interval), interval: g.interval, dst: j})
 	}
-	// Earliest pending destination; ties go to the lower index.
-	j := -1
-	for k, t := range nd.genNext {
-		if t >= 0 && (j < 0 || t < nd.genNext[j]) {
-			j = k
-		}
-	}
-	if j < 0 || nd.genNext[j] > nd.horizon {
+	if len(nd.gen) == 0 || nd.gen[0].next > nd.horizon {
 		return
 	}
-	nd.genDst = j
-	p.WakeAfter(sim.Duration(nd.genNext[j] - p.Now()))
+	nd.genArmed = true
+	p.WakeAfter(sim.Duration(nd.gen[0].next - p.Now()))
 }
 
 // rssHash is the fabric's flow hash: the paper's Toeplitz RSS over the
@@ -486,7 +566,7 @@ func (nd *fabricNode) forward(p *sim.Proc) {
 			continue
 		}
 		nd.cur, nd.busy = b, true
-		p.WakeAfter(gbpsTime(b.bits, nd.fwdGbps))
+		p.WakeAfter(nd.fwdTime)
 		return
 	}
 }
@@ -506,11 +586,11 @@ func (nd *fabricNode) route(p *sim.Proc, b batch) {
 		if nd.extFree > end {
 			end = nd.extFree
 		}
-		end += sim.Time(gbpsTime(b.bits, nd.extGbps))
+		end += sim.Time(nd.extTime)
 		nd.extFree = end
 		if end <= nd.horizon {
 			nd.delivered++
-			nd.deliveredBits += b.bits
+			nd.deliveredBits += nd.bits
 			nd.hopSum += uint64(b.hops)
 			lat := sim.Duration(end - b.born)
 			nd.latSum += lat
@@ -529,7 +609,7 @@ func (nd *fabricNode) route(p *sim.Proc, b batch) {
 	if nd.txFree[slot] > dep {
 		dep = nd.txFree[slot]
 	}
-	dep += sim.Time(gbpsTime(b.bits, nd.gbps[slot]))
+	dep += sim.Time(nd.txTime[slot])
 	nd.txFree[slot] = dep
 	nd.out[slot].SendAt(p, dep, b)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"packetshader/internal/faults"
@@ -177,6 +178,38 @@ func TestFabricValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	// Hostile topology rates. NaN is not <= 0 and +Inf is positive, so
+	// the topologies' Validate lets them through, and each used to reach
+	// gbpsTime inside a task; newFabric now checks every batch time it
+	// derives from them.
+	mesh := func() FabricConfig { return fabCfg(4, Direct, Uniform(4, 40), 1) }
+	leafSpine := func() FabricConfig { return diffTopos()[1] }
+	if _, err := RunFabric(leafSpine()); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		base func() FabricConfig
+		set  func(*FabricConfig, float64)
+	}{
+		{"ExternalGbps", mesh, func(c *FabricConfig, v float64) { c.Topo.(*FullMesh).Cluster.ExternalGbps = v }},
+		{"NodeForwardingGbps", mesh, func(c *FabricConfig, v float64) { c.Topo.(*FullMesh).Cluster.NodeForwardingGbps = v }},
+		{"InternalLinkGbps", mesh, func(c *FabricConfig, v float64) { c.Topo.(*FullMesh).Cluster.InternalLinkGbps = v }},
+		{"EdgeGbps", leafSpine, func(c *FabricConfig, v float64) { c.Topo.(*LeafSpine).EdgeGbps = v }},
+		{"LeafGbps", leafSpine, func(c *FabricConfig, v float64) { c.Topo.(*LeafSpine).LeafGbps = v }},
+		{"SpineGbps", leafSpine, func(c *FabricConfig, v float64) { c.Topo.(*LeafSpine).SpineGbps = v }},
+		{"UplinkGbps", leafSpine, func(c *FabricConfig, v float64) { c.Topo.(*LeafSpine).UplinkGbps = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), 1e300, 1e-300} {
+			cfg := f.base()
+			f.set(&cfg, v)
+			if _, err := RunFabric(cfg); err == nil {
+				t.Errorf("%s = %v: accepted", f.name, v)
+			} else if !strings.Contains(err.Error(), "node ") {
+				t.Errorf("%s = %v: error %q does not name the node", f.name, v, err)
+			}
+		}
+	}
 	// The fastest rate whose batch still takes a picosecond is legal.
 	cfg := fabCfg(4, Direct, Uniform(4, 40), 1)
 	cfg.BatchBytes, cfg.Horizon = 1, 100*sim.Picosecond
@@ -198,6 +231,62 @@ func TestFabricOfferedMatchesMatrix(t *testing.T) {
 	genGbps := float64(res.Batches) * (16 << 10) * 8 / (fabCfg(4, Direct, nil, 1).Horizon.Seconds() * 1e9)
 	if genGbps < 72 || genGbps > 88 {
 		t.Errorf("generated %.1f Gbps for 80 offered", genGbps)
+	}
+}
+
+// TestGenHeapMatchesLinearScan steps the generator's destination heap
+// against the scan it replaced — earliest next emission, ties to the
+// lower index — for 10^4 emissions per row and requires the same
+// (destination, time) sequence. The rows: mixed intervals with gaps in
+// the destination numbering (zero-rate destinations are never in the
+// heap; the scan skips their -1) and two destinations of equal interval
+// and phase, which tie at every emission; eight destinations that all
+// tie always; one destination alone; and 64 destinations with SplitMix
+// intervals of 1–50 ps, where ties are frequent and irregular.
+func TestGenHeapMatchesLinearScan(t *testing.T) {
+	rows := map[string]genHeap{
+		"mixed": {
+			{next: 0, interval: 7, dst: 0}, {next: 5, interval: 11, dst: 2},
+			{next: 5, interval: 13, dst: 3}, {next: 999, interval: 1000, dst: 5},
+			{next: 2, interval: 3, dst: 9}, {next: 2, interval: 3, dst: 6},
+		},
+		"all-tied": {},
+		"single":   {{next: 4, interval: 9, dst: 3}},
+		"wide":     {},
+	}
+	for j := 7; j >= 0; j-- { // descending: init has to reorder all of it
+		rows["all-tied"] = append(rows["all-tied"], genSlot{next: 1, interval: 5, dst: j})
+	}
+	rng := uint64(16)
+	for j := 0; j < 64; j++ {
+		interval := sim.Duration(1 + splitmix64(&rng)%50)
+		rows["wide"] = append(rows["wide"], genSlot{
+			next: sim.Time(splitmix64(&rng) % uint64(interval)), interval: interval, dst: j})
+	}
+	for name, h := range rows {
+		next := make([]sim.Time, 64)
+		interval := make([]sim.Duration, 64)
+		for j := range next {
+			next[j] = -1
+		}
+		for _, g := range h {
+			next[g.dst], interval[g.dst] = g.next, g.interval
+		}
+		h.init()
+		for n := 0; n < 10_000; n++ {
+			j := -1
+			for k := range next {
+				if next[k] >= 0 && (j < 0 || next[k] < next[j]) {
+					j = k
+				}
+			}
+			if h[0].dst != j || h[0].next != next[j] {
+				t.Fatalf("%s: emission %d: heap emits to %d at %d, scan to %d at %d",
+					name, n, h[0].dst, h[0].next, j, next[j])
+			}
+			next[j] += sim.Time(interval[j])
+			h.down(0, genSlot{next: h[0].next + sim.Time(h[0].interval), interval: h[0].interval, dst: j})
+		}
 	}
 }
 
@@ -223,7 +312,8 @@ func runFabricOracle(cfg FabricConfig) (FabricResult, error) {
 
 // oracleGenerate is the generator as the goroutine process it was before
 // the fabric ran on tasks, body verbatim: the differential oracle for
-// fabricNode.generate (whose comment says what both do).
+// fabricNode.generate (whose comment says what both do), and with its
+// linear scan for the earliest destination, for genHeap.
 func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
 	ext := len(cfg.Matrix)
 	bits := uint64(cfg.BatchBytes) * 8
@@ -264,7 +354,7 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 			return
 		}
 		p.SleepUntil(next[j])
-		b := batch{src: nd.id, dst: j, bits: bits, born: p.Now()}
+		b := batch{src: nd.id, dst: j, born: p.Now()}
 		if zipf == nil {
 			b.flowSrc = uint32(splitmix64(&rng))
 			b.flowDst = uint32(splitmix64(&rng))
@@ -291,11 +381,19 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 
 // oracleForward is the forwarder as a goroutine process, body verbatim
 // from before the task rewrite: the oracle for fabricNode.forward and
-// .route.
+// .route, and — it calls gbpsTime with the topology's rates at every
+// hop — for the per-run fwdTime/extTime/txTime constants.
 func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
 	fwdGbps := topo.ForwardGbps(nd.id)
 	extGbps := topo.ExternalGbps(nd.id)
 	horizon := sim.Time(cfg.Horizon)
+	bits := uint64(cfg.BatchBytes) * 8
+	var gbps []float64 // per-slot link rate
+	for _, tl := range topo.Links() {
+		if tl.From == nd.id {
+			gbps = append(gbps, tl.Gbps)
+		}
+	}
 	for {
 		b := nd.inbox.Get(p)
 		for {
@@ -309,7 +407,7 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 			nd.nodeDrops++
 			continue
 		}
-		p.Sleep(gbpsTime(b.bits, fwdGbps))
+		p.Sleep(gbpsTime(bits, fwdGbps))
 		nd.forwards++
 		b.hops++
 		if b.dst == nd.id {
@@ -317,11 +415,11 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 			if nd.extFree > end {
 				end = nd.extFree
 			}
-			end += sim.Time(gbpsTime(b.bits, extGbps))
+			end += sim.Time(gbpsTime(bits, extGbps))
 			nd.extFree = end
 			if end <= horizon {
 				nd.delivered++
-				nd.deliveredBits += b.bits
+				nd.deliveredBits += bits
 				nd.hopSum += uint64(b.hops)
 				lat := sim.Duration(end - b.born)
 				nd.latSum += lat
@@ -340,7 +438,7 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 		if nd.txFree[slot] > dep {
 			dep = nd.txFree[slot]
 		}
-		dep += sim.Time(gbpsTime(b.bits, nd.gbps[slot]))
+		dep += sim.Time(gbpsTime(bits, gbps[slot]))
 		nd.txFree[slot] = dep
 		nd.out[slot].SendAt(p, dep, b)
 	}

@@ -12,10 +12,10 @@
 //
 // The engine is built for an allocation-free steady state: events are
 // typed values (a process wakeup carries the *Proc directly; closures
-// exist only for true callbacks) stored in slab-like slices — a
-// hierarchical timer wheel (wheel.go) for future events and a FIFO ring
-// for same-instant wakeups — so Sleep and queue hand-offs allocate
-// nothing and same-instant wakeups skip the wheel entirely. Control
+// exist only for true callbacks) stored by value in two reused arrays —
+// a binary min-heap (events.go) for future events and a FIFO ring for
+// same-instant wakeups — so Sleep and queue hand-offs allocate nothing
+// and same-instant wakeups skip the heap entirely. Control
 // transfers directly from the yielding process to the next runnable one
 // with a single channel operation — none at all when that one is a task —
 // and there is no separate scheduler goroutine to bounce through.
@@ -90,14 +90,14 @@ type Hooks interface {
 // The zero value is not usable; create one with NewEnv.
 type Env struct {
 	now Time
-	// events holds future events in a hierarchical timer wheel; imm
+	// events holds future events in a min-heap over (at, seq); imm
 	// holds events scheduled at the current instant, which run in FIFO
-	// order without a wheel round-trip. The split preserves the global
-	// (at, seq) execution order exactly: a wheel event at time T was
+	// order without a heap round-trip. The split preserves the global
+	// (at, seq) execution order exactly: a heap event at time T was
 	// necessarily scheduled before the clock reached T (same-instant
 	// schedules go to imm), so its seq is smaller than that of every
 	// imm event, and next() runs it first.
-	events  timerWheel
+	events  eventHeap
 	imm     Ring[event]
 	seq     uint64
 	until   Time          // run horizon while running (0 = none)
@@ -155,7 +155,7 @@ func (e *Env) After(d Duration, fn func()) { e.schedule(e.now+Time(d), nil, fn) 
 // reports termination (false) when the queue is empty or the next event
 // lies beyond the run horizon. imm events are always at the current
 // instant (time cannot advance past them), so they never exceed the
-// horizon; wheel events at the current instant carry smaller seqs than
+// horizon; heap events at the current instant carry smaller seqs than
 // imm ones and run first.
 func (e *Env) next() (event, bool) {
 	at, ok := e.events.peekAt()
@@ -175,8 +175,8 @@ func (e *Env) next() (event, bool) {
 // NextEventAt returns the absolute time of the earliest pending event,
 // or false if nothing is scheduled. The partition scheduler (World) uses
 // it to size windows and skip idle stretches of virtual time; the peek
-// never restructures the wheel, so it is safe between windows when
-// still-earlier arrivals may yet be scheduled over links.
+// reads the heap's root and changes nothing, so it is safe between
+// windows when still-earlier arrivals may yet be scheduled over links.
 func (e *Env) NextEventAt() (Time, bool) {
 	if e.imm.Len() > 0 {
 		return e.now, true

@@ -276,7 +276,7 @@ func TestTaskWakeupsAllocateNothing(t *testing.T) {
 		ticks++
 		p.WakeAfter(10 * Nanosecond)
 	})
-	env.Run(Time(Microsecond)) // warm the wheel's slabs
+	env.Run(Time(Microsecond)) // grow the event heap's backing array
 	before := ticks
 	if n := testing.AllocsPerRun(200, func() { env.Run(env.Now() + Time(10*Nanosecond)) }); n != 0 {
 		t.Errorf("task timer wakeup: %v allocs per wakeup, want 0", n)

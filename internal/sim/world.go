@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -34,12 +34,12 @@ type World struct {
 	closed    bool
 
 	busy  []*Partition // per-window scratch: partitions with runnable work
-	dirty []int        // per-window scratch: creation indexes of dirty links
+	dirty []uint64     // per-window scratch: one bit per link, by creation index
 
 	// flushAll disables dirty-link tracking so every window barrier
 	// flushes every link, as the pre-tracking implementation did. The
-	// two schedules are byte-for-byte identical (the dirty list is
-	// flushed in link creation order, and a clean link's flush is a
+	// two schedules are byte-for-byte identical (the dirty bitmap is
+	// walked in link creation order, and a clean link's flush is a
 	// no-op); the flag exists so tests can assert exactly that.
 	flushAll bool
 }
@@ -55,18 +55,18 @@ type Partition struct {
 	name  string
 	env   *Env
 
-	// dirty lists this partition's outgoing links that have buffered
-	// sends in the current window, in first-send order. Only processes
-	// of this partition append (Link.Send runs in the source
-	// partition), so the list needs no synchronization; the barrier
-	// collects, sorts, and clears it.
-	dirty []flusher
+	// dirty lists the creation indexes of this partition's outgoing
+	// links that have buffered sends in the current window, in
+	// first-send order. Only processes of this partition append
+	// (Link.Send runs in the source partition), so the list needs no
+	// synchronization; the barrier folds it into the world's bitmap and
+	// clears it.
+	dirty []int
 }
 
 // flusher is the untyped view of Link[T] used by the window barrier.
 type flusher interface {
 	flush()
-	order() int // creation index, the deterministic flush order
 }
 
 // NewWorld returns an empty world.
@@ -163,6 +163,9 @@ func NewLink[T any](from, to *Partition, latency Duration, dst *Queue[T]) *Link[
 	l := &Link[T]{from: from, to: to, latency: latency, dst: dst, idx: len(w.links)}
 	l.deliver = l.deliverDue
 	w.links = append(w.links, l)
+	if len(w.links) > 64*len(w.dirty) {
+		w.dirty = append(w.dirty, 0)
+	}
 	if w.lookahead == 0 || latency < w.lookahead {
 		w.lookahead = latency
 	}
@@ -195,15 +198,10 @@ func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 	l.lastSend = depart
 	l.Sent++
 	if len(l.pending) == 0 {
-		pt := l.from
-		pt.dirty = append(pt.dirty, l)
+		l.from.dirty = append(l.from.dirty, l.idx)
 	}
 	l.pending = append(l.pending, linkItem[T]{at: depart + Time(l.latency), v: v})
 }
-
-// order returns the link's creation index, the order the barrier
-// flushes dirty links in.
-func (l *Link[T]) order() int { return l.idx }
 
 // flush runs at the window barrier, on the World.Run goroutine, after
 // all partitions have joined. Every pending arrival lies strictly
@@ -293,12 +291,14 @@ func (w *World) Run(until Time, workers int) Time {
 }
 
 // barrier flushes the window's sends. Only links that actually buffered
-// messages are visited — O(active links), not O(links) — collected from
-// the per-partition dirty lists and flushed in creation order, the same
-// order a flush-all pass would visit them in (a clean link's flush is a
-// no-op), so dirty tracking is schedule-invisible. The advance barrier
-// (WaitGroup) has already ordered the workers' writes to the dirty
-// lists and pending buffers before this read.
+// messages are flushed: the per-partition dirty lists set one bit per
+// link in a bitmap over the creation indexes — here, serially, so the
+// workers never share a word — and the bitmap is walked lowest bit
+// first. That is creation order, the order a flush-all pass would visit
+// the same links in (a clean link's flush is a no-op), so dirty
+// tracking is schedule-invisible. The advance barrier (WaitGroup) has
+// already ordered the workers' writes to the dirty lists and pending
+// buffers before this read.
 func (w *World) barrier() {
 	if w.flushAll {
 		for _, l := range w.links {
@@ -309,16 +309,17 @@ func (w *World) barrier() {
 		}
 		return
 	}
-	w.dirty = w.dirty[:0]
 	for _, pt := range w.parts {
-		for _, l := range pt.dirty {
-			w.dirty = append(w.dirty, l.order())
+		for _, i := range pt.dirty {
+			w.dirty[i>>6] |= 1 << (uint(i) & 63)
 		}
 		pt.dirty = pt.dirty[:0]
 	}
-	slices.Sort(w.dirty)
-	for _, i := range w.dirty {
-		w.links[i].flush()
+	for wi, word := range w.dirty {
+		for ; word != 0; word &= word - 1 {
+			w.links[wi<<6|bits.TrailingZeros64(word)].flush()
+		}
+		w.dirty[wi] = 0
 	}
 }
 

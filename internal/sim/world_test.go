@@ -384,25 +384,100 @@ func buildSparseWorld(n int) (w *World, render func() string) {
 	return w, render
 }
 
+// buildStarWorld is 130 source partitions with one link each into a
+// hub, all of one latency, so sends made at one instant arrive at one
+// instant and the hub's log order is the barrier's flush order. Link k
+// leaves partition 1+(37k mod 130): the barrier meets the dirty indexes
+// out of order and has to put them back in creation order itself. Two
+// rounds of senders: at 5 ns the first and last bits of the bitmap's
+// first two words, both neighbours of each word boundary, and the lone
+// bits of the third word; at 1 µs a different, smaller set (a bit left
+// set by the first round would flush a clean link — harmless — but a
+// bit lost would drop a message).
+func buildStarWorld() (w *World, render func() string, want string) {
+	const links = 130
+	const lat = 50 * Nanosecond
+	rounds := []struct {
+		at   Time
+		idxs []int
+	}{
+		{Time(5 * Nanosecond), []int{0, 1, 62, 63, 64, 65, 126, 127, 128, 129}},
+		{Time(Microsecond), []int{2, 64, 127}},
+	}
+	w = NewWorld()
+	hub := w.NewPartition("hub")
+	inbox := NewQueue[int](hub.Env(), 0)
+	srcs := make([]*Partition, links)
+	for i := range srcs {
+		srcs[i] = w.NewPartition(fmt.Sprintf("src%d", i))
+	}
+	out := ""
+	hub.Env().Go("log", func(p *Proc) {
+		for {
+			v := inbox.Get(p)
+			out += fmt.Sprintf("t=%d link=%d\n", p.Now(), v)
+		}
+	})
+	for k := 0; k < links; k++ {
+		k := k
+		src := srcs[37*k%links]
+		l := NewLink(src, hub, lat, inbox)
+		src.Env().Go("send", func(p *Proc) {
+			for _, r := range rounds {
+				for _, idx := range r.idxs {
+					if idx == k {
+						p.SleepUntil(r.at)
+						l.Send(p, k)
+					}
+				}
+			}
+		})
+	}
+	for _, r := range rounds {
+		for _, idx := range r.idxs {
+			want += fmt.Sprintf("t=%d link=%d\n", r.at+Time(lat), idx)
+		}
+	}
+	return w, func() string { return out }, want
+}
+
 // TestWorldDirtyFlushMatchesFlushAll: the dirty-link barrier (flush only
-// links that buffered sends this window, in creation order) must produce
-// a schedule byte-for-byte identical to flushing every link every window,
-// on a traffic matrix where most links never carry a message.
+// links that buffered sends this window, by a bitmap walked in creation
+// order) must produce a schedule byte-for-byte identical to flushing
+// every link every window — on a traffic matrix where most links never
+// carry a message, and on a world of more than 64 links whose dirty
+// indexes straddle the bitmap's word boundaries, where the schedule is
+// also known outright: same-instant arrivals in link creation order.
 func TestWorldDirtyFlushMatchesFlushAll(t *testing.T) {
 	const horizon = Time(20 * Microsecond)
-	run := func(flushAll bool) string {
+	sparse := func() (*World, func() string, string) {
 		w, render := buildSparseWorld(8)
-		defer w.Close()
-		w.flushAll = flushAll
-		w.Run(horizon, 2)
-		return render()
+		return w, render, "" // no closed-form schedule: flush-all is the reference
 	}
-	dirty, all := run(false), run(true)
-	if dirty == "" {
-		t.Fatal("empty log — sparse world did not run")
-	}
-	if dirty != all {
-		t.Fatalf("dirty-link schedule differs from flush-all:\n--- dirty ---\n%s--- flush-all ---\n%s", dirty, all)
+	for _, c := range []struct {
+		name  string
+		build func() (*World, func() string, string)
+	}{{"sparse", sparse}, {"star", buildStarWorld}} {
+		for _, workers := range []int{1, 3} {
+			run := func(flushAll bool) (got, want string) {
+				w, render, want := c.build()
+				defer w.Close()
+				w.flushAll = flushAll
+				w.Run(horizon, workers)
+				return render(), want
+			}
+			dirty, want := run(false)
+			all, _ := run(true)
+			if dirty == "" {
+				t.Fatalf("%s/p%d: empty log — the world did not run", c.name, workers)
+			}
+			if dirty != all {
+				t.Fatalf("%s/p%d: dirty-link schedule differs from flush-all:\n--- dirty ---\n%s--- flush-all ---\n%s", c.name, workers, dirty, all)
+			}
+			if want != "" && dirty != want {
+				t.Fatalf("%s/p%d: same-instant arrivals left creation order:\n--- got ---\n%s--- want ---\n%s", c.name, workers, dirty, want)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,10 @@
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet, the pslint determinism linters, the full test
 # suite (root module and the nested bench/ module), the byte-identity
-# gates, short FuzzDecap and FuzzParseScript runs, and race tests on the
-# concurrency-bearing packages. `make check` runs it, and so does CI — there is no second
-# copy of these steps in .github/workflows/ci.yml.
+# gates, short FuzzDecap, FuzzParseScript and FuzzEventStore runs, and
+# race tests on the concurrency-bearing packages. `make check` runs it,
+# and so does CI — there is no second copy of these steps in
+# .github/workflows/ci.yml.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,9 +35,10 @@ go test ./...
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzParseScript, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzParseScript, FuzzEventStore, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
+go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 
 echo "== trace/metrics determinism (byte-identical across runs)"
 go test -count=1 -run 'TestObsOutputByteIdenticalAcrossRuns|TestObsSpansCoverGPUAndPCIeBusyTime' ./internal/experiments
@@ -85,5 +87,8 @@ mkdir -p profiles
 go test -run '^$' -bench 'BenchmarkFig5Batch$|BenchmarkRouterIPv4GPU$|BenchmarkLeafSpineScale/l128$' -benchtime 1x \
 	-cpuprofile profiles/bench-smoke.cpu.pprof \
 	-memprofile profiles/bench-smoke.mem.pprof .
+# BenchmarkEventStore asserts zero allocations per pop+push at every
+# population before it times anything.
+go test -run '^$' -bench 'BenchmarkEventStore' -benchtime 1x ./internal/sim
 
 echo "== all checks passed"

@@ -6,11 +6,13 @@
 # cache), RouterIPv4GPU (the same with 20,000 prefixes, kept so old
 # profiles stay comparable), FabricWorkers at p1 and p8
 # (conservative-parallel cluster fabric, serial and partitioned
-# advance, a 16-node full mesh) and FabricLS64 (bench/'s fabric-ls64
+# advance, a 16-node full mesh), FabricLS64 (bench/'s fabric-ls64
 # configuration: the 64×8 leaf–spine whose host time is all engine and
-# forwarder tasks) — with CPU and allocation profiling enabled,
-# and drops pprof files plus a ready-to-read top-25 summary under
-# profiles/.
+# forwarder tasks) and LeafSpineScale/l128 (144 partitions, 8,192
+# links: the most Envs and links the repository runs, so the first
+# place an event store or a window barrier that stops fitting would
+# show) — with CPU and allocation profiling enabled, and drops
+# pprof files plus a ready-to-read top-25 summary under profiles/.
 #
 # This is how the PR 9 per-packet optimizations were found (frame
 # templates, LUT Toeplitz, fast decode, hoisted cycle accounting): look
@@ -48,6 +50,7 @@ profile_one router-ipv4-gpu 'BenchmarkRouterIPv4GPU$'
 profile_one fabric 'BenchmarkFabricWorkers/p1$'
 profile_one fabric-p8 'BenchmarkFabricWorkers/p8$'
 profile_one fabric-ls64 'BenchmarkFabricLS64$'
+profile_one leafspine-l128 'BenchmarkLeafSpineScale/l128$'
 
 echo "== profiles written to $OUTDIR/"
 ls -l "$OUTDIR"
