@@ -22,10 +22,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -34,8 +36,7 @@ import (
 
 const usage = `usage: psbench [flags] [experiment ...]
 
-  -j N       run up to N simulation jobs in parallel
-             (default: min(GOMAXPROCS, runnable jobs of the selection))
+  -j N       run up to N simulation jobs in parallel (default: GOMAXPROCS)
   -p N       advance partitioned worlds (fabric) on N goroutines (default: 1)
   -list      list available experiments
   -metrics   dump per-run metrics (counters, latency histograms, occupancy)
@@ -43,66 +44,32 @@ const usage = `usage: psbench [flags] [experiment ...]
 With no experiments given, runs all of them. Output is byte-identical
 for any -j and any -p.`
 
-// parseArgs handles flags and positionals in any order ("psbench all
-// -j 8" must work; the stdlib flag package stops at the first
-// positional argument). jobs == 0 means no explicit -j: the caller
-// derives the default from the selection.
+// parseArgs handles flags and experiment ids in any order ("psbench all
+// -j 8" must work). The flag package stops at the first positional
+// argument, so that argument is taken as an id and parsing resumes
+// after it.
 func parseArgs(argv []string) (ids []string, jobs, parts int, list, metrics bool, err error) {
-	parts = 1
-	fail := func(format string, args ...any) ([]string, int, int, bool, bool, error) {
-		return nil, 0, 0, false, false, fmt.Errorf(format, args...)
+	fs := flag.NewFlagSet("psbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main prints the error and the usage text
+	fs.IntVar(&jobs, "j", runtime.GOMAXPROCS(0), "")
+	fs.IntVar(&parts, "p", 1, "")
+	fs.BoolVar(&list, "list", false, "")
+	fs.BoolVar(&metrics, "metrics", false, "")
+	for err = fs.Parse(argv); err == nil && fs.NArg() > 0; err = fs.Parse(fs.Args()[1:]) {
+		ids = append(ids, fs.Arg(0))
 	}
-	for i := 0; i < len(argv); i++ {
-		a := argv[i]
-		switch {
-		case a == "-h" || a == "--help" || a == "-help":
-			fmt.Println(usage)
-			os.Exit(0)
-		case a == "-list" || a == "--list":
-			list = true
-		case a == "-metrics" || a == "--metrics":
-			metrics = true
-		case a == "-j" || a == "--j":
-			i++
-			if i >= len(argv) {
-				return fail("-j requires an argument")
-			}
-			jobs, err = strconv.Atoi(argv[i])
-			if err != nil || jobs < 1 {
-				return fail("-j: invalid worker count %q", argv[i])
-			}
-		case strings.HasPrefix(a, "-j=") || strings.HasPrefix(a, "--j="):
-			v := a[strings.Index(a, "=")+1:]
-			jobs, err = strconv.Atoi(v)
-			if err != nil || jobs < 1 {
-				return fail("-j: invalid worker count %q", v)
-			}
-		case a == "-p" || a == "--p":
-			i++
-			if i >= len(argv) {
-				return fail("-p requires an argument")
-			}
-			parts, err = strconv.Atoi(argv[i])
-			if err != nil || parts < 1 {
-				return fail("-p: invalid partition worker count %q", argv[i])
-			}
-		case strings.HasPrefix(a, "-p=") || strings.HasPrefix(a, "--p="):
-			v := a[strings.Index(a, "=")+1:]
-			parts, err = strconv.Atoi(v)
-			if err != nil || parts < 1 {
-				return fail("-p: invalid partition worker count %q", v)
-			}
-		case strings.HasPrefix(a, "-"):
-			return fail("unknown flag %s", a)
-		default:
-			ids = append(ids, a)
-		}
+	if err == nil && (jobs < 1 || parts < 1) {
+		err = fmt.Errorf("-j %d -p %d: worker counts must be at least 1", jobs, parts)
 	}
-	return ids, jobs, parts, list, metrics, nil
+	return ids, jobs, parts, list, metrics, err
 }
 
 func main() {
 	ids, jobs, parts, list, metrics, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fmt.Println(usage)
+		return
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		fmt.Fprintln(os.Stderr, usage)
@@ -121,29 +88,11 @@ func main() {
 	if len(ids) == 0 {
 		ids = []string{"all"}
 	}
-	// Default -j: a pool wider than the selection's runnable jobs can
-	// never fill, and a pool wider than GOMAXPROCS oversubscribes the
-	// host (measurably slower on small machines), so cap at both. The
-	// run header records the chosen value either way.
-	jdesc := fmt.Sprintf("%d", jobs)
-	if jobs == 0 {
-		runnable, err := experiments.RunnableJobs(ids...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		jobs = runtime.GOMAXPROCS(0)
-		if runnable < jobs {
-			jobs = runnable
-		}
-		jdesc = fmt.Sprintf("%d (auto: min of GOMAXPROCS %d, %d runnable jobs)",
-			jobs, runtime.GOMAXPROCS(0), runnable)
-	}
 	start := time.Now()
 	if err := experiments.NewRunner(jobs).Run(os.Stdout, ids...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "[%s done in %v, -j %s -p %d]\n",
-		strings.Join(ids, " "), time.Since(start).Round(time.Millisecond), jdesc, parts)
+	fmt.Fprintf(os.Stderr, "[%s done in %v, -j %d -p %d]\n",
+		strings.Join(ids, " "), time.Since(start).Round(time.Millisecond), jobs, parts)
 }

@@ -132,6 +132,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	defer inst.Close()
 
 	var (
 		tracer  *obs.Tracer

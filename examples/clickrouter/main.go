@@ -8,12 +8,11 @@ import (
 	"fmt"
 	"log"
 
-	"packetshader/internal/core"
+	"packetshader"
 	lookupv4 "packetshader/internal/lookup/ipv4"
 	"packetshader/internal/modular"
 	"packetshader/internal/pktgen"
 	"packetshader/internal/route"
-	"packetshader/internal/sim"
 )
 
 const config = `
@@ -44,21 +43,18 @@ func main() {
 
 	for _, mode := range []struct {
 		name string
-		m    core.Mode
-	}{{"CPU-only", core.ModeCPUOnly}, {"CPU+GPU ", core.ModeGPU}} {
+		m    packetshader.Mode
+	}{{"CPU-only", packetshader.ModeCPUOnly}, {"CPU+GPU ", packetshader.ModeGPU}} {
 		// Each run gets a fresh pipeline so counters start at zero.
 		p, _ := modular.Parse(config, modular.Bindings{"table": tbl})
-		env := sim.NewEnv()
-		cfg := core.DefaultConfig()
-		cfg.Mode = mode.m
-		r := core.New(env, cfg, p)
-		r.SetSource(&pktgen.UDP4Source{Size: 64, Seed: 17, Table: entries})
-		r.Start()
-		env.After(8*sim.Millisecond, r.ResetMeasurement)
-		env.Run(sim.Time(14 * sim.Millisecond))
+		inst := packetshader.Must(packetshader.New(p,
+			&pktgen.UDP4Source{Size: 64, Seed: 17, Table: entries}, packetshader.WithMode(mode.m)))
+		inst.Run(8 * packetshader.Millisecond) // warmup
+		rep := inst.Run(6 * packetshader.Millisecond)
+		inst.Close()
 		cnt := p.ElementByName("cnt").(*modular.Counter)
 		drop := p.ElementByName("bad").(*modular.Discard)
 		fmt.Printf("%s  %5.1f Gbps   (counter saw %d packets, %d dropped, %d GPU launches)\n",
-			mode.name, r.DeliveredGbps(), cnt.Packets, drop.Count, r.Stats.GPULaunches)
+			mode.name, rep.DeliveredGbps, cnt.Packets, drop.Count, rep.Stats.GPULaunches)
 	}
 }

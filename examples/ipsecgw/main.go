@@ -55,6 +55,7 @@ func main() {
 				packetshader.WithStreams(4))) // §5.4: streams help IPsec
 			inst.Run(20 * packetshader.Millisecond) // warmup (rings fill slowly)
 			rep := inst.Run(8 * packetshader.Millisecond)
+			inst.Close()
 			row += fmt.Sprintf("  %5.1f", rep.InputGbps)
 		}
 		fmt.Println(row)

@@ -9,13 +9,11 @@ import (
 	"fmt"
 	"log"
 
+	"packetshader"
 	"packetshader/internal/apps"
-	"packetshader/internal/core"
 	lookupv4 "packetshader/internal/lookup/ipv4"
-	"packetshader/internal/model"
 	"packetshader/internal/pktgen"
 	"packetshader/internal/route"
-	"packetshader/internal/sim"
 )
 
 func main() {
@@ -52,16 +50,13 @@ func main() {
 	// Data plane: Figure 11(a)'s size sweep on the final table.
 	fmt.Println("IPv4 forwarding, CPU+GPU (Gbps):")
 	for _, size := range []int{64, 256, 1024, 1514} {
-		env := sim.NewEnv()
-		cfg := core.DefaultConfig()
-		cfg.PacketSize = size
-		app := &apps.IPv4Fwd{Table: fib.Active(), NumPorts: model.NumPorts}
-		r := core.New(env, cfg, app)
-		r.SetSource(&pktgen.UDP4Source{Size: size, Seed: 7, Table: rib.Entries()})
-		r.Start()
-		env.After(8*sim.Millisecond, r.ResetMeasurement)
-		env.Run(sim.Time(14 * sim.Millisecond))
+		app := &apps.IPv4Fwd{Table: fib.Active(), NumPorts: packetshader.NumPorts}
+		inst := packetshader.Must(packetshader.New(app,
+			&pktgen.UDP4Source{Size: size, Seed: 7, Table: rib.Entries()}, packetshader.WithPacketSize(size)))
+		inst.Run(8 * packetshader.Millisecond) // warmup
+		rep := inst.Run(6 * packetshader.Millisecond)
+		inst.Close()
 		fmt.Printf("  %4dB: %5.1f  (slow-path punts: %d)\n",
-			size, r.DeliveredGbps(), app.SlowPath)
+			size, rep.DeliveredGbps, app.SlowPath)
 	}
 }

@@ -77,6 +77,7 @@ func main() {
 			packetshader.WithPacketSize(64)))
 		inst.Run(6 * packetshader.Millisecond) // warmup
 		rep := inst.Run(8 * packetshader.Millisecond)
+		inst.Close()
 		fmt.Printf("%s  %5.1f Gbps  (table misses so far: %d)\n",
 			mode.name, rep.DeliveredGbps, sw.Misses)
 	}

@@ -30,6 +30,7 @@ func main() {
 		}
 		inst.Run(5 * packetshader.Millisecond) // warmup
 		report := inst.Run(10 * packetshader.Millisecond)
+		inst.Close()
 		fmt.Printf("%s  %5.1f Gbps   (mean latency %.0f us, %d GPU launches)\n",
 			mode.name, report.DeliveredGbps, report.MeanLatencyUs,
 			report.Stats.GPULaunches)

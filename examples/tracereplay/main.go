@@ -9,15 +9,12 @@ import (
 	"fmt"
 	"log"
 
+	"packetshader"
 	"packetshader/internal/apps"
-	"packetshader/internal/core"
 	lookupv4 "packetshader/internal/lookup/ipv4"
-	"packetshader/internal/model"
-	"packetshader/internal/packet"
 	"packetshader/internal/pcap"
 	"packetshader/internal/pktgen"
 	"packetshader/internal/route"
-	"packetshader/internal/sim"
 )
 
 func main() {
@@ -30,23 +27,15 @@ func main() {
 	// Run 1: synthetic traffic, capturing 50k forwarded packets.
 	var capture bytes.Buffer
 	tap := &pcap.Tap{W: pcap.NewWriter(&capture, 0), Limit: 50000}
-	run := func(src interface {
-		Fill(b *packet.Buf, port, queue int, seq uint64)
-	}, observe bool) float64 {
-		env := sim.NewEnv()
-		cfg := core.DefaultConfig()
-		app := &apps.IPv4Fwd{Table: tbl, NumPorts: model.NumPorts}
-		r := core.New(env, cfg, app)
+	run := func(src packetshader.Source, observe bool) float64 {
+		inst := packetshader.Must(packetshader.New(
+			&apps.IPv4Fwd{Table: tbl, NumPorts: packetshader.NumPorts}, src))
+		defer inst.Close()
 		if observe {
-			for _, p := range r.Engine.Ports {
-				p.Tx.OnComplete = tap.Observe
-			}
+			inst.TapTx(tap.Observe)
 		}
-		r.SetSource(src)
-		r.Start()
-		env.After(6*sim.Millisecond, r.ResetMeasurement)
-		env.Run(sim.Time(10 * sim.Millisecond))
-		return r.DeliveredGbps()
+		inst.Run(6 * packetshader.Millisecond) // warmup
+		return inst.Run(4 * packetshader.Millisecond).DeliveredGbps
 	}
 
 	g1 := run(&pktgen.UDP4Source{Size: 64, Seed: 99, Table: entries}, true)

@@ -30,13 +30,20 @@ import (
 // material per batch).
 type FlowModel struct {
 	// ZipfS > 0 enables heavy-tailed flow sizes: a flow persists for
-	// k batches with probability ∝ k^-ZipfS, k = 1..MaxBatches, and
+	// k batches with probability ∝ k^-ZipfS, k = 1..maxFlowBatches, and
 	// all its batches share RSS key material — so ECMP pins the whole
 	// flow to one path, the way real 5-tuple hashing does.
 	ZipfS float64
-	// MaxBatches bounds the flow-size support (default 256).
-	MaxBatches int
 }
+
+const (
+	// batchBytes is the traffic granularity: one event-level unit of
+	// transfer (a chunk of packets).
+	batchBytes = 16 << 10
+	batchBits  = batchBytes * 8
+	// maxFlowBatches bounds the Zipf flow-size support.
+	maxFlowBatches = 256
+)
 
 // FabricConfig describes one fabric run.
 type FabricConfig struct {
@@ -50,9 +57,6 @@ type FabricConfig struct {
 	// LinkLatency is the propagation delay of every fabric link — the
 	// world's lookahead. Must be positive.
 	LinkLatency sim.Duration
-	// BatchBytes is the traffic granularity: one event-level unit of
-	// transfer (a chunk of packets), default 16 KiB.
-	BatchBytes int
 	// Horizon is the simulated duration.
 	Horizon sim.Duration
 	// Seed drives flow-key generation (and thus VLB intermediates and
@@ -90,16 +94,14 @@ type FabricResult struct {
 }
 
 // batch is the unit of simulated traffic: a burst of packets of one
-// flow, of the run's one batch size (fabricNode.bits). Batches travel
-// between nodes by value through sim.Links and queues, so ownership
-// hands off at scheduler-visible boundaries.
+// flow, batchBytes long. Batches travel between nodes by value through
+// sim.Links and queues, so ownership hands off at scheduler-visible
+// boundaries.
 type batch struct {
 	src, dst int
 	hops     uint32
 	hash     uint32 // RSS flow hash: VLB intermediate / ECMP path choice
 	born     sim.Time
-	flowSrc  uint32 // flow key material behind hash
-	flowDst  uint32
 }
 
 // fabricNode is one fabric box: a generator task emitting external
@@ -108,7 +110,7 @@ type batch struct {
 // serialization are arithmetic FIFO recurrences (txFree/extFree) proven
 // equivalent to the dedicated server procs they replaced — max(now,
 // free) + bits/rate is exactly a single-server FIFO queue's completion
-// time. A run has one batch size, so every bits/rate is a constant
+// time. Batches have one size, so every bits/rate is a constant
 // newFabric computes once (fwdTime, extTime, txTime). Each mutable
 // field is written by exactly one of the node's two tasks; fault events
 // reach the forwarder through the faultq hand-off (the At callback only
@@ -125,7 +127,6 @@ type fabricNode struct {
 	// read-only once the tasks are spawned
 	topo    Topology
 	horizon sim.Time
-	bits    uint64         // batch size
 	fwdTime sim.Duration   // one batch through the forwarding budget
 	extTime sim.Duration   // one batch through the external port (external nodes)
 	txTime  []sim.Duration // one batch on the wire, per slot
@@ -139,9 +140,8 @@ type fabricNode struct {
 	rng        uint64
 	zipf       []float64 // nil: every batch is its own flow
 	flowLeft   []int
-	flowKey    []batch // per-destination persistent key material
+	flowHash   []uint32 // per-destination hash of the persistent key material
 	genBatches uint64
-	genBits    uint64
 
 	// forwarder-owned
 	alive   []bool     // per-slot link carrier, fault-toggled
@@ -161,10 +161,10 @@ type fabricNode struct {
 	nodeDrops     uint64
 }
 
-// gbpsTime returns the serialization time of bits at rate gbps: one
-// Gbps moves one bit per nanosecond.
-func gbpsTime(bits uint64, gbps float64) sim.Duration {
-	return sim.DurationFromSeconds(float64(bits) / (gbps * 1e9))
+// gbpsTime returns the serialization time of one batch at rate gbps:
+// one Gbps moves one bit per nanosecond.
+func gbpsTime(gbps float64) sim.Duration {
+	return sim.DurationFromSeconds(batchBits / (gbps * 1e9))
 }
 
 // batchTime is gbpsTime for a configured rate. It returns an error
@@ -173,9 +173,9 @@ func gbpsTime(bits uint64, gbps float64) sim.Duration {
 // horizon leaves, so adding a batch time to an instant of the run never
 // wraps. (The float test comes first: converting an out-of-range float
 // to a Duration is not defined, and every comparison with NaN is false.)
-func batchTime(bits uint64, gbps float64, max sim.Duration) (sim.Duration, error) {
-	if ps := float64(bits) / (gbps * 1e9) * float64(sim.Second); ps >= 0.5 && ps < float64(max) {
-		if d := gbpsTime(bits, gbps); d <= max {
+func batchTime(gbps float64, max sim.Duration) (sim.Duration, error) {
+	if ps := batchBits / (gbps * 1e9) * float64(sim.Second); ps >= 0.5 && ps < float64(max) {
+		if d := gbpsTime(gbps); d <= max {
 			return d, nil
 		}
 	}
@@ -271,7 +271,7 @@ type fabric struct {
 // must be square over the external nodes, and every rate finite,
 // non-negative and — where positive — a batchTime (the generator
 // divides by that interval and adds it to emission times).
-func checkMatrix(m Matrix, ext int, bits uint64, max sim.Duration) error {
+func checkMatrix(m Matrix, ext int, max sim.Duration) error {
 	if len(m) != ext {
 		return fmt.Errorf("fabric: matrix size %d != external nodes %d", len(m), ext)
 	}
@@ -284,7 +284,7 @@ func checkMatrix(m Matrix, ext int, bits uint64, max sim.Duration) error {
 				return fmt.Errorf("fabric: matrix[%d][%d] = %v Gbps is not a finite non-negative rate", i, j, rate)
 			}
 			if rate > 0 {
-				if _, err := batchTime(bits, rate, max); err != nil {
+				if _, err := batchTime(rate, max); err != nil {
 					return fmt.Errorf("fabric: matrix[%d][%d] batch interval: %w", i, j, err)
 				}
 			}
@@ -310,16 +310,9 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("fabric: Horizon must be positive")
 	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = 16 << 10
-	}
-	if cfg.Flows.ZipfS > 0 && cfg.Flows.MaxBatches <= 0 {
-		cfg.Flows.MaxBatches = 256
-	}
-	bits := uint64(cfg.BatchBytes) * 8
 	maxTime := math.MaxInt64 - cfg.Horizon
 	n, ext := topo.Nodes(), topo.Externals()
-	if err := checkMatrix(cfg.Matrix, ext, bits, maxTime); err != nil {
+	if err := checkMatrix(cfg.Matrix, ext, maxTime); err != nil {
 		return nil, err
 	}
 
@@ -338,22 +331,21 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 			up:      true,
 			topo:    topo,
 			horizon: sim.Time(cfg.Horizon),
-			bits:    bits,
 		}
 		f.nodes[i] = nd
 		var err error
-		if nd.fwdTime, err = batchTime(bits, topo.ForwardGbps(i), maxTime); err != nil {
+		if nd.fwdTime, err = batchTime(topo.ForwardGbps(i), maxTime); err != nil {
 			return fail(fmt.Errorf("fabric: node %d forwarding budget: %w", i, err))
 		}
 		if i < ext {
-			if nd.extTime, err = batchTime(bits, topo.ExternalGbps(i), maxTime); err != nil {
+			if nd.extTime, err = batchTime(topo.ExternalGbps(i), maxTime); err != nil {
 				return fail(fmt.Errorf("fabric: node %d external port: %w", i, err))
 			}
 		}
 	}
 	for _, tl := range topo.Links() {
 		nd := f.nodes[tl.From]
-		tx, err := batchTime(bits, tl.Gbps, maxTime)
+		tx, err := batchTime(tl.Gbps, maxTime)
 		if err != nil {
 			return fail(fmt.Errorf("fabric: node %d slot %d link: %w", tl.From, len(nd.out), err))
 		}
@@ -369,7 +361,7 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 		}
 	}
 	if cfg.Flows.ZipfS > 0 {
-		f.zipf = zipfTable(cfg.Flows.ZipfS, cfg.Flows.MaxBatches)
+		f.zipf = zipfTable(cfg.Flows.ZipfS, maxFlowBatches)
 	}
 	return f, nil
 }
@@ -475,7 +467,7 @@ func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) 
 		if rate <= 0 {
 			continue
 		}
-		interval := gbpsTime(nd.bits, rate)
+		interval := gbpsTime(rate)
 		nd.gen = append(nd.gen, genSlot{
 			next:     sim.Time(splitmix64(&nd.rng) % uint64(interval)),
 			interval: interval,
@@ -486,7 +478,7 @@ func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) 
 	nd.zipf = zipf
 	if zipf != nil {
 		nd.flowLeft = make([]int, len(row))
-		nd.flowKey = make([]batch, len(row))
+		nd.flowHash = make([]uint32, len(row))
 	}
 }
 
@@ -505,22 +497,16 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 		j := g.dst
 		b := batch{src: nd.id, dst: j, born: p.Now()}
 		if nd.zipf == nil {
-			b.flowSrc = uint32(splitmix64(&nd.rng))
-			b.flowDst = uint32(splitmix64(&nd.rng))
-			b.hash = rssHash(b.flowSrc, b.flowDst)
+			b.hash = drawFlowHash(&nd.rng)
 		} else {
-			fk := &nd.flowKey[j]
 			if nd.flowLeft[j] == 0 {
 				nd.flowLeft[j] = zipfDraw(nd.zipf, &nd.rng)
-				fk.flowSrc = uint32(splitmix64(&nd.rng))
-				fk.flowDst = uint32(splitmix64(&nd.rng))
-				fk.hash = rssHash(fk.flowSrc, fk.flowDst)
+				nd.flowHash[j] = drawFlowHash(&nd.rng)
 			}
 			nd.flowLeft[j]--
-			b.flowSrc, b.flowDst, b.hash = fk.flowSrc, fk.flowDst, fk.hash
+			b.hash = nd.flowHash[j]
 		}
 		nd.genBatches++
-		nd.genBits += nd.bits
 		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
 		nd.gen.down(0, genSlot{next: g.next + sim.Time(g.interval), interval: g.interval, dst: j})
 	}
@@ -531,9 +517,12 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 	p.WakeAfter(sim.Duration(nd.gen[0].next - p.Now()))
 }
 
-// rssHash is the fabric's flow hash: the paper's Toeplitz RSS over the
-// batch's key material, LUT-accelerated for the default key.
-func rssHash(flowSrc, flowDst uint32) uint32 {
+// drawFlowHash draws a new flow's key material from the stream at rng
+// and returns the fabric's flow hash of it: the paper's Toeplitz RSS,
+// LUT-accelerated for the default key.
+func drawFlowHash(rng *uint64) uint32 {
+	flowSrc := uint32(splitmix64(rng))
+	flowDst := uint32(splitmix64(rng))
 	return nic.RSSHashIPv4(nic.DefaultRSSKey[:], flowSrc, flowDst,
 		uint16(flowSrc>>16), uint16(flowDst>>16))
 }
@@ -590,7 +579,7 @@ func (nd *fabricNode) route(p *sim.Proc, b batch) {
 		nd.extFree = end
 		if end <= nd.horizon {
 			nd.delivered++
-			nd.deliveredBits += nd.bits
+			nd.deliveredBits += batchBits
 			nd.hopSum += uint64(b.hops)
 			lat := sim.Duration(end - b.born)
 			nd.latSum += lat

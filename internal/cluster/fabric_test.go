@@ -212,8 +212,8 @@ func TestFabricValidation(t *testing.T) {
 	}
 	// The fastest rate whose batch still takes a picosecond is legal.
 	cfg := fabCfg(4, Direct, Uniform(4, 40), 1)
-	cfg.BatchBytes, cfg.Horizon = 1, 100*sim.Picosecond
-	cfg.Matrix[1][2] = 8000 // 8 bits at 8 Tbps = 1 ps
+	cfg.Horizon = 100 * sim.Picosecond
+	cfg.Matrix[1][2] = 131072000 // 16 KiB at 131,072,000 Gbps = 1 ps
 	if _, err := RunFabric(cfg); err != nil {
 		t.Errorf("1 ps batch interval rejected: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestFabricOfferedMatchesMatrix(t *testing.T) {
 		t.Errorf("offered = %v, want 80", res.OfferedGbps)
 	}
 	// Generated bits over the horizon approximate the offered rate.
-	genGbps := float64(res.Batches) * (16 << 10) * 8 / (fabCfg(4, Direct, nil, 1).Horizon.Seconds() * 1e9)
+	genGbps := float64(res.Batches) * batchBits / (fabCfg(4, Direct, nil, 1).Horizon.Seconds() * 1e9)
 	if genGbps < 72 || genGbps > 88 {
 		t.Errorf("generated %.1f Gbps for 80 offered", genGbps)
 	}
@@ -316,7 +316,6 @@ func runFabricOracle(cfg FabricConfig) (FabricResult, error) {
 // linear scan for the earliest destination, for genHeap.
 func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
 	ext := len(cfg.Matrix)
-	bits := uint64(cfg.BatchBytes) * 8
 	// next[j] is the emission time of the next batch to j; interval[j]
 	// the batch period at the offered rate.
 	next := make([]sim.Time, ext)
@@ -329,7 +328,7 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 			next[j] = -1
 			continue
 		}
-		interval[j] = gbpsTime(bits, rate)
+		interval[j] = gbpsTime(rate)
 		next[j] = sim.Time(splitmix64(&rng) % uint64(interval[j]))
 		active++
 	}
@@ -337,10 +336,10 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 		return
 	}
 	var flowLeft []int
-	var flowKey []batch // per-destination persistent key material
+	var flowHash []uint32 // per-destination hash of the persistent key material
 	if zipf != nil {
 		flowLeft = make([]int, ext)
-		flowKey = make([]batch, ext)
+		flowHash = make([]uint32, ext)
 	}
 	for {
 		// Earliest pending destination; ties go to the lower index.
@@ -356,24 +355,16 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 		p.SleepUntil(next[j])
 		b := batch{src: nd.id, dst: j, born: p.Now()}
 		if zipf == nil {
-			b.flowSrc = uint32(splitmix64(&rng))
-			b.flowDst = uint32(splitmix64(&rng))
-			b.hash = rssHash(b.flowSrc, b.flowDst)
+			b.hash = drawFlowHash(&rng)
 		} else {
 			if flowLeft[j] == 0 {
 				flowLeft[j] = zipfDraw(zipf, &rng)
-				fk := &flowKey[j]
-				fk.flowSrc = uint32(splitmix64(&rng))
-				fk.flowDst = uint32(splitmix64(&rng))
-				fk.hash = rssHash(fk.flowSrc, fk.flowDst)
+				flowHash[j] = drawFlowHash(&rng)
 			}
 			flowLeft[j]--
-			b.flowSrc = flowKey[j].flowSrc
-			b.flowDst = flowKey[j].flowDst
-			b.hash = flowKey[j].hash
+			b.hash = flowHash[j]
 		}
 		nd.genBatches++
-		nd.genBits += bits
 		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
 		next[j] += sim.Time(interval[j])
 	}
@@ -387,7 +378,6 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 	fwdGbps := topo.ForwardGbps(nd.id)
 	extGbps := topo.ExternalGbps(nd.id)
 	horizon := sim.Time(cfg.Horizon)
-	bits := uint64(cfg.BatchBytes) * 8
 	var gbps []float64 // per-slot link rate
 	for _, tl := range topo.Links() {
 		if tl.From == nd.id {
@@ -407,7 +397,7 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 			nd.nodeDrops++
 			continue
 		}
-		p.Sleep(gbpsTime(bits, fwdGbps))
+		p.Sleep(gbpsTime(fwdGbps))
 		nd.forwards++
 		b.hops++
 		if b.dst == nd.id {
@@ -415,11 +405,11 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 			if nd.extFree > end {
 				end = nd.extFree
 			}
-			end += sim.Time(gbpsTime(bits, extGbps))
+			end += sim.Time(gbpsTime(extGbps))
 			nd.extFree = end
 			if end <= horizon {
 				nd.delivered++
-				nd.deliveredBits += bits
+				nd.deliveredBits += batchBits
 				nd.hopSum += uint64(b.hops)
 				lat := sim.Duration(end - b.born)
 				nd.latSum += lat
@@ -438,7 +428,7 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 		if nd.txFree[slot] > dep {
 			dep = nd.txFree[slot]
 		}
-		dep += sim.Time(gbpsTime(bits, gbps[slot]))
+		dep += sim.Time(gbpsTime(gbps[slot]))
 		nd.txFree[slot] = dep
 		nd.out[slot].SendAt(p, dep, b)
 	}

@@ -28,7 +28,6 @@ type TopoLink struct {
 // matrix is indexed by external node id, so implementations must
 // number external nodes first).
 type Topology interface {
-	Name() string
 	// Nodes is the total node count, Externals how many of them (the
 	// first Externals ids) have external ports.
 	Nodes() int
@@ -58,9 +57,6 @@ type FullMesh struct {
 	Cluster Config
 	Scheme  Routing
 }
-
-// Name implements Topology.
-func (m *FullMesh) Name() string { return "mesh-" + m.Scheme.String() }
 
 // Nodes implements Topology.
 func (m *FullMesh) Nodes() int { return m.Cluster.Nodes }
@@ -136,11 +132,6 @@ type LeafSpine struct {
 	LeafGbps   float64
 	SpineGbps  float64
 	UplinkGbps float64
-}
-
-// Name implements Topology.
-func (t *LeafSpine) Name() string {
-	return fmt.Sprintf("leafspine-%dx%d", t.Leaves, t.Spines)
 }
 
 // Nodes implements Topology.

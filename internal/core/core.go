@@ -119,15 +119,15 @@ type Config struct {
 	// Pipelining enables chunk pipelining (§5.4); off, a worker waits
 	// for each chunk's results before fetching the next.
 	Pipelining bool
-	// MaxInFlight is the pipelining depth per worker.
-	MaxInFlight int
 	// Streams > 1 enables concurrent copy and execution (§5.4).
 	Streams int
 	// OpportunisticOffload processes small chunks on the CPU for low
 	// latency under light load (§7).
 	OpportunisticOffload bool
 	// OppThreshold is the chunk size at or below which opportunistic
-	// offload keeps work on the CPU.
+	// offload keeps work on the CPU. Production runs all use the default
+	// (32); it stays a field because tests lower and raise it to put a
+	// given load on either side of the threshold.
 	OppThreshold int
 
 	// PacketSize and OfferedGbpsPerPort configure the generator-driven
@@ -147,9 +147,17 @@ type Config struct {
 	// GPUBackoff is the initial hold-out after a detected stall; each
 	// further failed probe doubles it up to GPUBackoffMax. Zero selects
 	// the defaults.
+	//
+	// Production runs all use the three defaults; they stay fields
+	// because tests shorten them to reach the back-off doubling and its
+	// cap inside horizons of a few simulated milliseconds.
 	GPUBackoff    sim.Duration
 	GPUBackoffMax sim.Duration
 }
+
+// maxInFlight is the chunk-pipelining depth per worker (§5.4): how many
+// chunks a worker may have at its master before it waits for results.
+const maxInFlight = 4
 
 // Recovery-policy defaults (used when the Config fields are zero).
 const (
@@ -166,7 +174,6 @@ func DefaultConfig() Config {
 		ChunkCap:             model.MaxChunkSize,
 		GatherMax:            model.MaxGatherChunks,
 		Pipelining:           true,
-		MaxInFlight:          4,
 		Streams:              1,
 		OpportunisticOffload: false,
 		OppThreshold:         32,
@@ -228,7 +235,7 @@ type Router struct {
 // New builds the router topology: per node, CoresPerNode-1 workers and
 // one master in GPU mode, CoresPerNode workers in CPU-only mode. RX
 // queues of each node's ports are spread across that node's workers
-// (NUMA-aware; §4.5) unless the IO config says otherwise.
+// (NUMA-aware; §4.5).
 func New(env *sim.Env, cfg Config, app App) *Router {
 	workersPerNode := model.CoresPerNode
 	if cfg.Mode == ModeGPU {
@@ -249,10 +256,6 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 		}
 	}
 	cfg.IO.QueuesPerPort = workersPerNode
-	if !cfg.IO.NUMAAware {
-		// NUMA-blind: queues are served by workers of both nodes.
-		cfg.IO.QueuesPerPort = workersPerNode * cfg.IO.Nodes
-	}
 	r := &Router{Env: env, Cfg: cfg, App: app, Engine: pktio.New(env, cfg.IO)}
 
 	for n := 0; n < cfg.IO.Nodes; n++ {
@@ -289,28 +292,15 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 }
 
 // bindQueues assigns each (port, queue) pair to exactly one worker
-// (Figure 8b: virtual interfaces are not shared across cores).
+// (Figure 8b: virtual interfaces are not shared across cores): queue qi
+// of a node-N port goes to node-N worker qi.
 func (r *Router) bindQueues(workersPerNode int) {
 	for _, port := range r.Engine.Ports {
 		for qi := range port.Rx {
-			var w *worker
-			if r.Cfg.IO.NUMAAware {
-				// Queue qi of a node-N port goes to node-N worker qi.
-				w = r.workerAt(port.Node, qi%workersPerNode)
-			} else {
-				// Blind: round-robin across all workers regardless of
-				// node.
-				w = r.workers[qi%len(r.workers)]
-			}
-			iface := r.Engine.OpenIface(port.ID, qi, w.node)
-			w.ifaces = append(w.ifaces, iface)
+			w := r.workers[port.Node*workersPerNode+qi]
+			w.ifaces = append(w.ifaces, r.Engine.OpenIface(port.ID, qi, w.node))
 		}
 	}
-}
-
-func (r *Router) workerAt(node, idx int) *worker {
-	perNode := len(r.workers) / r.Cfg.IO.Nodes
-	return r.workers[node*perNode+idx]
 }
 
 // SetSource configures the offered load on every RX queue: each port's

@@ -46,10 +46,7 @@ func (w *worker) maxInflight() int {
 	if !w.router.Cfg.Pipelining {
 		return 1
 	}
-	if w.router.Cfg.MaxInFlight > 0 {
-		return w.router.Cfg.MaxInFlight
-	}
-	return 4
+	return maxInFlight
 }
 
 func (w *worker) run(p *sim.Proc) {

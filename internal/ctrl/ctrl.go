@@ -171,11 +171,6 @@ func RouteDel(at sim.Duration, p route.Prefix) Command {
 	return Command{At: at, Op: OpRoute, Routes: []RouteUpdate{{Act: ActDel, Prefix: p}}}
 }
 
-// RouteReplace returns a single-route replace command.
-func RouteReplace(at sim.Duration, p route.Prefix, nextHop uint16) Command {
-	return Command{At: at, Op: OpRoute, Routes: []RouteUpdate{{Act: ActReplace, Prefix: p, NextHop: nextHop}}}
-}
-
 // RouteBatch returns a batched route command: the whole batch is
 // applied at one instant, and a rebuild-strategy FIB rebuilds once for
 // all of it.

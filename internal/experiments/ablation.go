@@ -3,91 +3,56 @@ package experiments
 import (
 	"fmt"
 
-	"packetshader/internal/apps"
+	"packetshader"
 	"packetshader/internal/core"
-	"packetshader/internal/model"
-	"packetshader/internal/packet"
-	"packetshader/internal/pktgen"
 	"packetshader/internal/pktio"
 	"packetshader/internal/sim"
 )
 
-// Ablation quantifies the §4.3-§5.4 design choices one at a time on the
+// ablation quantifies the §4.3-§5.4 design choices one at a time on the
 // IPv6 forwarding workload (64B, full load): the huge packet buffer vs
 // the skb path, software prefetch, cache-line alignment + per-queue
 // counters, chunk pipelining, gather/scatter, concurrent copy and
 // execution, and opportunistic offloading (latency at light load).
-func Ablation() *Result { return runSolo(ablation) }
-
 func ablation(c *Ctx) *Result {
 	r := &Result{
 		ID:     "ablation",
 		Title:  "Design-choice ablations (IPv6 forwarding, 64B)",
 		Header: []string{"Configuration", "Gbps", "vs full"},
 	}
-	entries, tbl := IPv6Fixture()
-
-	run := func(tweak func(*core.Config)) float64 {
-		env := sim.NewEnv()
-		defer env.Close()
-		cfg := core.DefaultConfig()
-		cfg.PacketSize = 64
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		app := &apps.IPv6Fwd{Table: tbl, NumPorts: model.NumPorts}
-		router := core.New(env, cfg, app)
-		router.SetSource(&pktgen.UDP6Source{Size: 64, Seed: 31, Table: entries})
-		router.Start()
-		env.Run(sim.Time(4 * sim.Millisecond))
-		return router.DeliveredGbps()
-	}
-
-	// Opportunistic offloading is a latency feature: measure mean RTT
-	// at light load with and without it.
-	lat := func(opp bool) float64 {
-		env := sim.NewEnv()
-		defer env.Close()
-		cfg := core.DefaultConfig()
-		cfg.PacketSize = 64
-		cfg.OfferedGbpsPerPort = 0.25
-		cfg.OpportunisticOffload = opp
-		app := &apps.IPv6Fwd{Table: tbl, NumPorts: model.NumPorts}
-		router := core.New(env, cfg, app)
-		sink := pktgen.NewLatencySink()
-		for _, p := range router.Engine.Ports {
-			p.Tx.OnComplete = func(b *packet.Buf, at sim.Time) { sink.Observe(b, at) }
-		}
-		router.SetSource(&pktgen.UDP6Source{Size: 64, Seed: 31, Table: entries})
-		router.Start()
-		env.Run(sim.Time(6 * sim.Millisecond))
-		return sink.MeanMicros()
-	}
-
+	// Every row is the IPv6 forwarder on an instance of its own
+	// (ipv6Run), differing only in its option. The packet-I/O rows reach
+	// below the With* options: an Option literal over the exported
+	// Config sets the pktio field directly.
 	configs := []struct {
-		name  string
-		tweak func(*core.Config)
+		name string
+		opt  packetshader.Option
 	}{
-		{"full PacketShader (CPU+GPU)", nil},
-		{"- gather/scatter (1 chunk/launch)", func(c *core.Config) { c.GatherMax = 1 }},
-		{"- chunk pipelining", func(c *core.Config) { c.Pipelining = false }},
-		{"+ concurrent copy & execution (4 streams)", func(c *core.Config) { c.Streams = 4 }},
-		{"- software prefetch", func(c *core.Config) { c.IO.Prefetch = false }},
-		{"- queue alignment & per-queue counters", func(c *core.Config) {
+		{"full PacketShader (CPU+GPU)", packetshader.WithMode(core.ModeGPU)},
+		{"- gather/scatter (1 chunk/launch)", packetshader.WithGatherMax(1)},
+		{"- chunk pipelining", packetshader.WithoutPipelining()},
+		{"+ concurrent copy & execution (4 streams)", packetshader.WithStreams(4)},
+		{"- software prefetch", func(c *packetshader.Config) { c.IO.Prefetch = false }},
+		{"- queue alignment & per-queue counters", func(c *packetshader.Config) {
 			c.IO.AlignQueueData = false
 			c.IO.PerQueueCounters = false
 		}},
-		{"skb buffers instead of huge buffers", func(c *core.Config) { c.IO.Mode = pktio.ModeSkb }},
-		{"CPU-only", func(c *core.Config) { c.Mode = core.ModeCPUOnly }},
+		{"skb buffers instead of huge buffers", func(c *packetshader.Config) { c.IO.Mode = pktio.ModeSkb }},
+		{"CPU-only", packetshader.WithMode(core.ModeCPUOnly)},
 	}
-	// Jobs 0..len(configs)-1 are the throughput ablations; the final two
-	// are the opportunistic-offload latency runs (always-offload, then
-	// opportunistic).
+	// Jobs 0..len(configs)-1 are the throughput ablations. Opportunistic
+	// offloading is a latency feature: the final two jobs measure mean
+	// RTT at light load without it (always-offload), then with it.
+	light := packetshader.WithOfferedGbps(0.25)
 	vals := MapPoints(c, len(configs)+2, func(i int, _ *Point) float64 {
-		if i < len(configs) {
-			return run(configs[i].tweak)
+		switch {
+		case i < len(configs):
+			return ipv6Run(31, 4*sim.Millisecond, configs[i].opt).DeliveredGbps
+		case i == len(configs):
+			return ipv6Run(31, 6*sim.Millisecond, light).MeanLatencyUs
+		default:
+			return ipv6Run(31, 6*sim.Millisecond, light, packetshader.WithOpportunisticOffload()).MeanLatencyUs
 		}
-		return lat(i == len(configs)+1)
 	})
 	full := vals[0]
 	for i, cfg := range configs {

@@ -3,16 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"packetshader/internal/apps"
+	"packetshader"
 	"packetshader/internal/core"
 	"packetshader/internal/ctrl"
-	"packetshader/internal/model"
-	"packetshader/internal/packet"
-	"packetshader/internal/pktgen"
 	"packetshader/internal/route"
 	"packetshader/internal/sim"
-
-	lookupv4 "packetshader/internal/lookup/ipv4"
 )
 
 // Churn storm shape: after warmup, a control script deletes a batch of
@@ -34,19 +29,11 @@ const (
 // final batch lands inside the run.
 const churnBatches = int(churnMeasure/churnInterval) - 1
 
-// Churn measures the data-path disturbance of a live route-update storm
+// churn measures the data-path disturbance of a live route-update storm
 // driven through the control plane (internal/ctrl): packets dropped and
 // lookup-latency disturbance per million route updates, incremental
 // DIR-24-8 patching versus full rebuild-and-swap, against a quiet
 // baseline.
-func Churn() *Result { return runSolo(churn) }
-
-const (
-	churnQuiet = iota
-	churnDynamic
-	churnRebuild
-)
-
 func churn(c *Ctx) *Result {
 	r := &Result{
 		ID:     "churn",
@@ -54,9 +41,14 @@ func churn(c *Ctx) *Result {
 		Header: []string{"Strategy", "Updates", "Cells/update", "App drops", "Drops/Mupdate", "p99 us", "Gbps"},
 	}
 	// The three scenarios are independent jobs; each generates its own
-	// table (no shared fixture).
-	rows := MapPoints(c, 3, func(i int, _ *Point) []string {
-		return churnRun(i)
+	// table (no shared fixture). The static table takes no storm: it is
+	// the quiet baseline.
+	scenarios := []struct {
+		name string
+		mode core.FIBUpdateMode
+	}{{"quiet baseline", core.FIBStatic}, {"incremental", core.FIBDynamic}, {"rebuild+swap", core.FIBRebuild}}
+	rows := MapPoints(c, len(scenarios), func(i int, _ *Point) []string {
+		return churnRun(scenarios[i].name, scenarios[i].mode)
 	})
 	r.Rows = append(r.Rows, rows...)
 	r.Note("storm: del/re-add batches of %d prefixes every %.0fus for %.0fms, driven as ctrl script events",
@@ -67,82 +59,36 @@ func churn(c *Ctx) *Result {
 	return r
 }
 
-// churnRun runs one scenario and returns its table row.
-func churnRun(strategy int) []string {
-	entries := route.GenerateBGPTable(churnPrefixes, 64, churnSeed)
-	env := sim.NewEnv()
-	defer env.Close()
-	cfg := core.DefaultConfig()
-	cfg.PacketSize = 64
-	app := &apps.IPv4Fwd{NumPorts: model.NumPorts}
+// churnRun runs one scenario and returns its table row. The facade's
+// IPv4 constructor generates the same table from the same seed, so the
+// script's victims are installed prefixes.
+func churnRun(name string, mode core.FIBUpdateMode) []string {
+	inst := packetshader.Must(packetshader.IPv4(churnPrefixes, churnSeed, packetshader.WithFIBUpdate(mode)))
+	defer inst.Close()
+	inst.Run(churnWarmup)
 
-	var applier ctrl.FIBApplier
-	switch strategy {
-	case churnDynamic:
-		dyn, err := lookupv4.NewDynamic(entries)
-		if err != nil {
-			panic(err)
-		}
-		app.Table = &dyn.Table
-		applier = &ctrl.DynamicFIB{T: dyn}
-	case churnRebuild:
-		fib, err := ctrl.NewRebuildFIB(entries, func(t *lookupv4.Table) { app.Table = t })
-		if err != nil {
-			panic(err)
-		}
-		app.Table = fib.FIB.Active()
-		applier = fib
-	default: // churnQuiet: static table, no storm
-		tbl, err := lookupv4.Build(entries)
-		if err != nil {
-			panic(err)
-		}
-		app.Table = tbl
+	script := ctrl.NewScript() // a static table accepts no route command
+	if mode != core.FIBStatic {
+		script = churnScript(route.GenerateBGPTable(churnPrefixes, 64, churnSeed))
 	}
-
-	router := core.New(env, cfg, app)
-	router.SetSource(&pktgen.UDP4Source{Size: 64, Seed: churnSeed, Table: entries})
-	sink := pktgen.NewLatencySink()
-	for _, p := range router.Engine.Ports {
-		p.Tx.OnComplete = func(b *packet.Buf, at sim.Time) { sink.Observe(b, at) }
+	ctl, err := inst.Control(script, nil)
+	if err != nil {
+		panic(err)
 	}
-	router.Start()
-	env.Run(sim.Time(churnWarmup))
-	router.ResetMeasurement()
-
-	var ctl *ctrl.Controller
-	name := "quiet baseline"
-	if applier != nil {
-		var err error
-		ctl, err = ctrl.Attach(env, router, churnScript(entries), ctrl.Config{FIB: applier})
-		if err != nil {
-			panic(err)
-		}
-		if strategy == churnDynamic {
-			name = "incremental"
-		} else {
-			name = "rebuild+swap"
-		}
+	rep := inst.Run(churnMeasure)
+	if errs := ctl.Errors(); len(errs) > 0 {
+		panic(fmt.Sprintf("churn: %d ctrl errors, first: %s", len(errs), errs[0]))
 	}
-	env.Run(sim.Time(churnWarmup + churnMeasure))
-
-	var updates, cells uint64
-	if ctl != nil {
-		if errs := ctl.Errors(); len(errs) > 0 {
-			panic(fmt.Sprintf("churn: %d ctrl errors, first: %s", len(errs), errs[0]))
-		}
-		updates = ctl.RoutesApplied()
-		cells = ctl.CellsTouched()
-	}
+	updates, cells := ctl.RoutesApplied(), ctl.CellsTouched()
 	perUpdate, dropsPerM := "-", "-"
 	if updates > 0 {
 		perUpdate = fmt.Sprintf("%.0f", float64(cells)/float64(updates))
-		dropsPerM = fmt.Sprintf("%.0f", float64(router.Stats.Drops)/float64(updates)*1e6)
+		dropsPerM = fmt.Sprintf("%.0f", float64(rep.Stats.Drops)/float64(updates)*1e6)
 	}
 	return []string{name, fmt.Sprintf("%d", updates), perUpdate,
-		fmt.Sprintf("%d", router.Stats.Drops), dropsPerM,
-		fmt.Sprintf("%.0f", sink.PercentileMicros(0.99)),
-		fmt.Sprintf("%.1f", router.DeliveredGbps())}
+		fmt.Sprintf("%d", rep.Stats.Drops), dropsPerM,
+		fmt.Sprintf("%.0f", rep.P99LatencyUs),
+		fmt.Sprintf("%.1f", rep.DeliveredGbps)}
 }
 
 // churnScript builds the storm: the same victim set (spread across the

@@ -11,8 +11,8 @@ func TestChurnDeterministicAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn runs a multi-second storm; skipped with -short")
 	}
-	first := render(Churn())
-	second := render(Churn())
+	first := render(runSolo(churn))
+	second := render(runSolo(churn))
 	if first != second {
 		t.Fatalf("churn output diverged:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}

@@ -8,15 +8,13 @@ import (
 	"packetshader/internal/sim"
 )
 
-// Cluster evaluates the §7 horizontal-scaling direction: aggregate
+// clusterScaling evaluates the §7 horizontal-scaling direction: aggregate
 // capacity of a full-mesh cluster of PacketShader boxes under direct
 // routing, Valiant Load Balancing, and RouteBricks-style direct VLB,
 // for benign (uniform), hot-pair (permutation), and adversarial
 // (incast) traffic. Each box contributes 40 Gbps of external ports and
 // the single-box ≈40 Gbps forwarding budget measured in Figure 6;
 // internal mesh links are 10GbE.
-func Cluster() *Result { return runSolo(clusterScaling) }
-
 func clusterScaling(c *Ctx) *Result {
 	r := &Result{
 		ID:     "cluster",
@@ -85,13 +83,11 @@ func SetPartitionWorkers(n int) {
 	partitionWorkers = n
 }
 
-// Fabric runs the cluster DES fabric: where the cluster experiment
+// fabricScaling runs the cluster DES fabric: where the cluster experiment
 // asks the analytic model what is admissible, this one builds a world
 // of per-node sim partitions connected by latency-carrying links,
 // advances them conservatively in parallel, and reports what the mesh
 // actually delivered.
-func Fabric() *Result { return runSolo(fabricScaling) }
-
 func fabricScaling(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fabric",
@@ -151,14 +147,12 @@ func fabricScaling(c *Ctx) *Result {
 	return r
 }
 
-// LeafSpine runs the two-tier Clos fabric at datacenter scale: leaf
+// leafSpineScaling runs the two-tier Clos fabric at datacenter scale: leaf
 // counts from 16 to 128 with a proportional spine tier, Zipf-sized
 // flows pinned to one ECMP path each, and a faulted 128-leaf variant
 // (an uplink dark from the start plus a mid-run spine outage). This is
 // the scale frontier of ROADMAP item 2: the 128-leaf row is a 144-
 // partition world with 8,192 links.
-func LeafSpine() *Result { return runSolo(leafSpineScaling) }
-
 func leafSpineScaling(c *Ctx) *Result {
 	r := &Result{
 		ID:     "leafspine",

@@ -34,16 +34,16 @@ func render(r *Result) string {
 func TestExperimentsDeterministicAcrossRuns(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func() *Result
+		run  func(*Ctx) *Result
 	}{
-		{"table1", Table1},
-		{"launch", LaunchLatency},
-		{"fig2", Fig2},
+		{"table1", table1},
+		{"launch", launchLatency},
+		{"fig2", fig2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			first := render(c.run())
-			second := render(c.run())
+			first := render(runSolo(c.run))
+			second := render(runSolo(c.run))
 			if first == second {
 				return
 			}

@@ -76,12 +76,6 @@ type registryEntry struct {
 	ID  string
 	Run func(*Ctx) *Result
 
-	// Jobs is the experiment's widest MapPoints fan-out — how many
-	// simulation jobs it can keep in flight at once. It sizes the
-	// default worker pool (see RunnableJobs); a stale value only makes
-	// the default pool slightly wider or narrower than ideal.
-	Jobs int
-
 	// UsesBGP / UsesV6 mark experiments whose jobs read the shared
 	// BGPFixture / IPv6Fixture.
 	UsesBGP, UsesV6 bool
@@ -89,56 +83,24 @@ type registryEntry struct {
 
 // Registry maps experiment IDs to their drivers, in paper order.
 var Registry = []registryEntry{
-	{ID: "table1", Run: table1, Jobs: 7},
-	{ID: "launch", Run: launchLatency, Jobs: 1},
-	{ID: "fig2", Run: fig2, Jobs: 12, UsesV6: true},
-	{ID: "table3", Run: table3, Jobs: 1},
-	{ID: "fig5", Run: fig5, Jobs: 8},
-	{ID: "fig6", Run: fig6, Jobs: 24},
-	{ID: "numa", Run: numa, Jobs: 2},
-	{ID: "fig11a", Run: fig11a, Jobs: 12, UsesBGP: true},
-	{ID: "fig11b", Run: fig11b, Jobs: 12, UsesV6: true},
-	{ID: "fig11c", Run: fig11c, Jobs: 14},
-	{ID: "fig11d", Run: fig11d, Jobs: 12},
-	{ID: "fig12", Run: fig12, Jobs: 24, UsesV6: true},
-	{ID: "ablation", Run: ablation, Jobs: 10, UsesV6: true},
-	{ID: "cluster", Run: clusterScaling, Jobs: 12},
-	{ID: "fabric", Run: fabricScaling, Jobs: 6},
-	{ID: "leafspine", Run: leafSpineScaling, Jobs: 4},
-	{ID: "faults", Run: faultScenario, Jobs: 2},
-	{ID: "churn", Run: churn, Jobs: 3},
-}
-
-// RunnableJobs reports how many simulation jobs the given selection
-// ("all" expands as in Run) can keep in flight at once — the sum of the
-// selected experiments' fan-outs, since experiments run concurrently.
-// psbench caps its default -j at min(GOMAXPROCS, RunnableJobs): a wider
-// pool cannot be filled, and on small hosts oversubscription is a pure
-// loss (BENCH_PR9.json measured -j nproc slower than -j 1 on one core).
-func RunnableJobs(ids ...string) (int, error) {
-	selected, err := resolve(ids)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, e := range selected {
-		if e.Jobs < 1 {
-			total++
-			continue
-		}
-		total += e.Jobs
-	}
-	if total < 1 {
-		total = 1
-	}
-	return total, nil
-}
-
-// Run executes the experiment with the given ID (or all of them for
-// "all") on a default GOMAXPROCS-wide worker pool, printing to w.
-// Unknown IDs return an error. It is shorthand for NewRunner(0).Run.
-func Run(w io.Writer, id string) error {
-	return NewRunner(0).Run(w, id)
+	{ID: "table1", Run: table1},
+	{ID: "launch", Run: launchLatency},
+	{ID: "fig2", Run: fig2, UsesV6: true},
+	{ID: "table3", Run: table3},
+	{ID: "fig5", Run: fig5},
+	{ID: "fig6", Run: fig6},
+	{ID: "numa", Run: numa},
+	{ID: "fig11a", Run: fig11a, UsesBGP: true},
+	{ID: "fig11b", Run: fig11b, UsesV6: true},
+	{ID: "fig11c", Run: fig11c},
+	{ID: "fig11d", Run: fig11d},
+	{ID: "fig12", Run: fig12, UsesV6: true},
+	{ID: "ablation", Run: ablation, UsesV6: true},
+	{ID: "cluster", Run: clusterScaling},
+	{ID: "fabric", Run: fabricScaling},
+	{ID: "leafspine", Run: leafSpineScaling},
+	{ID: "faults", Run: faultScenario},
+	{ID: "churn", Run: churn},
 }
 
 func allIDs() string {

@@ -20,8 +20,17 @@ func cell(t *testing.T, r *Result, row, col int) float64 {
 	return v
 }
 
+// runSolo runs one experiment driver the way Runner.Run does, on a
+// private GOMAXPROCS-wide pool, flushing its buffered metrics at the end.
+func runSolo(fn func(*Ctx) *Result) *Result {
+	c := &Ctx{r: NewRunner(0)}
+	res := fn(c)
+	flushMetrics(c)
+	return res
+}
+
 func TestRunUnknownID(t *testing.T) {
-	if err := Run(discard{}, "nonsense"); err == nil {
+	if err := NewRunner(0).Run(discard{}, "nonsense"); err == nil {
 		t.Error("unknown experiment id accepted")
 	}
 }
@@ -44,7 +53,7 @@ func TestRegistryIDsUnique(t *testing.T) {
 }
 
 func TestTable1MatchesPaperWithin15Percent(t *testing.T) {
-	r := Table1()
+	r := runSolo(table1)
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -59,7 +68,7 @@ func TestTable1MatchesPaperWithin15Percent(t *testing.T) {
 }
 
 func TestLaunchLatencyAnchors(t *testing.T) {
-	r := LaunchLatency()
+	r := runSolo(launchLatency)
 	if one := cell(t, r, 0, 1); one < 3.7 || one > 3.9 {
 		t.Errorf("launch(1) = %v us, want 3.8", one)
 	}
@@ -70,7 +79,7 @@ func TestLaunchLatencyAnchors(t *testing.T) {
 }
 
 func TestFig2CrossoversInExperiment(t *testing.T) {
-	r := Fig2()
+	r := runSolo(fig2)
 	// Find rows for batches 256, 512, 1024, and the largest.
 	byBatch := map[int][]float64{}
 	for i := range r.Rows {
@@ -96,7 +105,7 @@ func TestFig2CrossoversInExperiment(t *testing.T) {
 }
 
 func TestTable3SharesMatchPaper(t *testing.T) {
-	r := Table3()
+	r := runSolo(table3)
 	want := []float64{4.9, 8.0, 50.2, 13.3, 9.8, 13.8}
 	for i, w := range want {
 		if got := cell(t, r, i, 2); got < w-1.5 || got > w+1.5 {
@@ -106,7 +115,7 @@ func TestTable3SharesMatchPaper(t *testing.T) {
 }
 
 func TestFig5Anchors(t *testing.T) {
-	r := Fig5()
+	r := runSolo(fig5)
 	if one := cell(t, r, 0, 1); one < 0.66 || one > 0.9 {
 		t.Errorf("batch=1 = %v Gbps, paper 0.78", one)
 	}
@@ -125,7 +134,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine I/O sweep")
 	}
-	r := Fig6()
+	r := runSolo(fig6)
 	for i := range r.Rows {
 		rx, tx := cell(t, r, i, 1), cell(t, r, i, 2)
 		fwd, cross := cell(t, r, i, 3), cell(t, r, i, 4)
@@ -152,7 +161,7 @@ func TestNUMAGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine NUMA sweep")
 	}
-	r := NUMA()
+	r := runSolo(numa)
 	aware, blind := cell(t, r, 0, 1), cell(t, r, 1, 1)
 	if aware < blind*1.2 {
 		t.Errorf("aware %v vs blind %v: want ≥20%% gap (paper ≈60%%)", aware, blind)
@@ -166,7 +175,7 @@ func TestFig11aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sweep")
 	}
-	r := Fig11a()
+	r := runSolo(fig11a)
 	cpu64, gpu64 := cell(t, r, 0, 1), cell(t, r, 0, 2)
 	if gpu64 <= cpu64 {
 		t.Errorf("64B: GPU %v ≤ CPU %v (paper: 39 vs 28)", gpu64, cpu64)
@@ -191,7 +200,7 @@ func TestFig11bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sweep")
 	}
-	r := Fig11b()
+	r := runSolo(fig11b)
 	cpu64, gpu64 := cell(t, r, 0, 1), cell(t, r, 0, 2)
 	if cpu64 < 5 || cpu64 > 11 {
 		t.Errorf("64B CPU-only = %v, paper ≈8 (memory-bound)", cpu64)
@@ -208,7 +217,7 @@ func TestFig11cShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sweep")
 	}
-	r := Fig11c()
+	r := runSolo(fig11c)
 	for i := range r.Rows {
 		cpu, gpu := cell(t, r, i, 2), cell(t, r, i, 3)
 		if gpu <= cpu {
@@ -234,7 +243,7 @@ func TestFig11dShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sweep (slow: real crypto)")
 	}
-	r := Fig11d()
+	r := runSolo(fig11d)
 	gpu64 := cell(t, r, 0, 2)
 	if gpu64 < 9 || gpu64 > 12.5 {
 		t.Errorf("64B CPU+GPU = %v, paper 10.2", gpu64)
@@ -256,7 +265,7 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep")
 	}
-	r := Fig12()
+	r := runSolo(fig12)
 	// At a sustainable moderate load (4-8 Gbps), batching must not
 	// increase latency, and the GPU path costs more than CPU batch but
 	// stays bounded.
@@ -281,7 +290,7 @@ func TestAblationDirections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep")
 	}
-	r := Ablation()
+	r := runSolo(ablation)
 	full := cell(t, r, 0, 1)
 	byName := map[string]float64{}
 	for i := range r.Rows {

@@ -18,8 +18,8 @@ func TestFaultScenarioDeterministicAndShaped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run fault scenario in -short mode")
 	}
-	first := FaultScenario()
-	if a, b := render(first), render(FaultScenario()); a != b {
+	first := runSolo(faultScenario)
+	if a, b := render(first), render(runSolo(faultScenario)); a != b {
 		t.Fatalf("fault scenario diverged across runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"packetshader"
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
 	"packetshader/internal/hw/nic"
@@ -23,59 +24,45 @@ const (
 	appWindow = 8 * sim.Millisecond
 )
 
-// runApp drives one router configuration at full offered load and
-// returns the router (after the window) for metric extraction. pt is
-// the enclosing job's output context; metrics dumps (when enabled) go
-// to its private buffer so parallel jobs never interleave.
-func runApp(pt *Point, mode core.Mode, pktSize int, offeredPerPort float64,
-	app core.App, src nic.FrameSource, tweak func(*core.Config)) *core.Router {
-	return runAppW(pt, mode, pktSize, offeredPerPort, app, src, tweak, appWarmup, appWindow)
-}
-
-func runAppW(pt *Point, mode core.Mode, pktSize int, offeredPerPort float64,
-	app core.App, src nic.FrameSource, tweak func(*core.Config),
-	warmup, window sim.Duration) *core.Router {
+// runApp stands one router up through the library facade at full
+// offered load, runs the warm-up and then the window, and returns the
+// window's report. pt is the enclosing job's output context; the
+// metrics dump (when enabled) goes to its private buffer so parallel
+// jobs never interleave.
+func runApp(pt *Point, mode core.Mode, pktSize int, app core.App, src packetshader.Source,
+	warmup, window sim.Duration, opts ...packetshader.Option) packetshader.Report {
+	inst := packetshader.Must(packetshader.New(app, src, append(opts,
+		packetshader.WithMode(mode), packetshader.WithPacketSize(pktSize))...))
+	defer inst.Close()
 	mw := pt.MetricsWriter()
-	env := sim.NewEnv()
-	defer env.Close()
-	cfg := core.DefaultConfig()
-	cfg.Mode = mode
-	cfg.PacketSize = pktSize
-	cfg.OfferedGbpsPerPort = offeredPerPort
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	r := core.New(env, cfg, app)
 	var reg *obs.Registry
 	var sampler *obs.ServerSampler
 	if mw != nil {
 		reg = obs.NewRegistry()
 		sampler = obs.NewServerSampler(nil)
-		env.SetHooks(sampler)
-		r.EnableObs(nil, reg)
+		inst.Env.SetHooks(sampler)
+		inst.EnableObs(nil, reg)
 	}
-	r.SetSource(src)
-	r.Start()
-	env.After(warmup, r.ResetMeasurement)
-	env.Run(sim.Time(warmup + window))
+	inst.Run(warmup)
+	rep := inst.Run(window)
 	if mw != nil {
-		r.ObserveStats()
-		mode := "cpu"
-		if cfg.Mode == core.ModeGPU {
-			mode = "gpu"
+		inst.Router.ObserveStats()
+		name := "cpu"
+		if mode == core.ModeGPU {
+			name = "gpu"
 		}
 		fmt.Fprintf(mw, "--- metrics %s mode=%s size=%d offered=%g ---\n",
-			app.Name(), mode, pktSize, offeredPerPort)
+			app.Name(), name, pktSize, inst.Router.Cfg.OfferedGbpsPerPort)
 		if err := reg.Dump(mw); err == nil {
-			err = sampler.WriteReport(mw, env.Now())
+			err = sampler.WriteReport(mw, inst.Env.Now())
 		}
 	}
-	return r
+	return rep
 }
 
 // metricsW, when set via SetMetricsWriter, receives the per-run metrics
 // dumps (registry + resource occupancy) from every application
-// experiment driven through runAppW, in deterministic job order.
+// experiment driven through runApp, in deterministic job order.
 var metricsW io.Writer
 
 // SetMetricsWriter enables per-experiment metrics dumps to w (nil
@@ -95,10 +82,8 @@ func fig11Mode(k int) core.Mode {
 	return core.ModeCPUOnly
 }
 
-// Fig11a regenerates Figure 11(a): IPv4 forwarding throughput versus
+// fig11a regenerates Figure 11(a): IPv4 forwarding throughput versus
 // packet size, CPU-only versus CPU+GPU, with the full BGP table.
-func Fig11a() *Result { return runSolo(fig11a) }
-
 func fig11a(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig11a",
@@ -110,7 +95,7 @@ func fig11a(c *Ctx) *Result {
 		size := fig11Sizes[k/2]
 		src := &pktgen.UDP4Source{Size: size, Seed: 11, Table: entries}
 		app := &apps.IPv4Fwd{Table: tbl, NumPorts: model.NumPorts}
-		return runApp(pt, fig11Mode(k), size, 10, app, src, nil).DeliveredGbps()
+		return runApp(pt, fig11Mode(k), size, app, src, appWarmup, appWindow).DeliveredGbps
 	})
 	for i, size := range fig11Sizes {
 		r.AddRow(fmt.Sprintf("%d", size),
@@ -121,9 +106,7 @@ func fig11a(c *Ctx) *Result {
 	return r
 }
 
-// Fig11b regenerates Figure 11(b): IPv6 forwarding versus packet size.
-func Fig11b() *Result { return runSolo(fig11b) }
-
+// fig11b regenerates Figure 11(b): IPv6 forwarding versus packet size.
 func fig11b(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig11b",
@@ -135,7 +118,7 @@ func fig11b(c *Ctx) *Result {
 		size := fig11Sizes[k/2]
 		src := &pktgen.UDP6Source{Size: size, Seed: 12, Table: entries}
 		app := &apps.IPv6Fwd{Table: tbl, NumPorts: model.NumPorts}
-		return runApp(pt, fig11Mode(k), size, 10, app, src, nil).DeliveredGbps()
+		return runApp(pt, fig11Mode(k), size, app, src, appWarmup, appWindow).DeliveredGbps
 	})
 	for i, size := range fig11Sizes {
 		r.AddRow(fmt.Sprintf("%d", size),
@@ -232,11 +215,9 @@ func buildOFSwitch(s *ofSource, nPorts, wildcards int) *openflow.Switch {
 	return sw
 }
 
-// Fig11c regenerates Figure 11(c): OpenFlow switch throughput with 64B
+// fig11c regenerates Figure 11(c): OpenFlow switch throughput with 64B
 // packets versus the number of exact-match flow entries (with 32
 // wildcard rules, 10% of traffic exact-missing), CPU-only vs CPU+GPU.
-func Fig11c() *Result { return runSolo(fig11c) }
-
 func fig11c(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig11c",
@@ -262,7 +243,7 @@ func fig11c(c *Ctx) *Result {
 			seed: s.seed, missEvery: s.missEvery}
 		sw := buildOFSwitch(src, model.NumPorts, s.wildcards)
 		app := apps.NewOFSwitch(sw, model.NumPorts)
-		return runApp(pt, fig11Mode(k), 64, 10, app, src, nil).DeliveredGbps()
+		return runApp(pt, fig11Mode(k), 64, app, src, appWarmup, appWindow).DeliveredGbps
 	})
 	for i, s := range specs {
 		r.AddRow(fmt.Sprintf("%d", s.flows), fmt.Sprintf("%d", s.wildcards),
@@ -273,10 +254,8 @@ func fig11c(c *Ctx) *Result {
 	return r
 }
 
-// Fig11d regenerates Figure 11(d): IPsec gateway throughput versus
+// fig11d regenerates Figure 11(d): IPsec gateway throughput versus
 // packet size (input throughput, since ESP grows packets).
-func Fig11d() *Result { return runSolo(fig11d) }
-
 func fig11d(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig11d",
@@ -291,9 +270,8 @@ func fig11d(c *Ctx) *Result {
 		// for IPsec (payload-heavy transfers overlap the kernel).
 		// ESP-grown packets take longer to fill the RX rings, so the
 		// IPsec runs use a longer warmup before measuring.
-		return runAppW(pt, fig11Mode(k), size, 10, app, src, func(c *core.Config) {
-			c.Streams = 4
-		}, 20*sim.Millisecond, 10*sim.Millisecond).InputGbps()
+		return runApp(pt, fig11Mode(k), size, app, src, 20*sim.Millisecond, 10*sim.Millisecond,
+			packetshader.WithStreams(4)).InputGbps
 	})
 	for i, size := range fig11Sizes {
 		r.AddRow(fmt.Sprintf("%d", size),

@@ -9,10 +9,8 @@ import (
 	"packetshader/internal/sim"
 )
 
-// Table1 regenerates the paper's Table 1: PCIe data transfer rate
+// table1 regenerates the paper's Table 1: PCIe data transfer rate
 // between host and device memory over buffer sizes from 256B to 1MB.
-func Table1() *Result { return runSolo(table1) }
-
 func table1(c *Ctx) *Result {
 	r := &Result{
 		ID:     "table1",
@@ -71,12 +69,10 @@ func sizeLabel(size int) string {
 	}
 }
 
-// LaunchLatency regenerates the §2.2 kernel-launch microbenchmark:
-// 3.8 µs for one thread, 4.1 µs for 4096 (only a 10% increase).
-func LaunchLatency() *Result { return runSolo(launchLatency) }
-
-// launchLatency is pure closed-form model evaluation — no simulation —
-// so it runs inline rather than occupying a pool worker.
+// launchLatency regenerates the §2.2 kernel-launch microbenchmark:
+// 3.8 µs for one thread, 4.1 µs for 4096 (only a 10% increase). It is
+// pure closed-form model evaluation — no simulation — so it runs inline
+// rather than occupying a pool worker.
 func launchLatency(*Ctx) *Result {
 	r := &Result{
 		ID:     "launch",
@@ -95,11 +91,9 @@ func launchLatency(*Ctx) *Result {
 	return r
 }
 
-// Fig2 regenerates Figure 2: IPv6 lookup throughput (no packet I/O) of
+// fig2 regenerates Figure 2: IPv6 lookup throughput (no packet I/O) of
 // one X5550, two X5550s, and one GTX480 versus the number of packets
 // processed in a batch.
-func Fig2() *Result { return runSolo(fig2) }
-
 func fig2(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig2",

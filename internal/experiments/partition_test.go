@@ -17,7 +17,7 @@ func TestFabricByteIdenticalAcrossPartitionWorkers(t *testing.T) {
 		SetPartitionWorkers(p)
 		var metrics bytes.Buffer
 		SetMetricsWriter(&metrics)
-		out := render(Fabric())
+		out := render(runSolo(fabricScaling))
 		SetMetricsWriter(nil)
 		outputs[p] = out + metrics.String()
 	}
@@ -39,7 +39,7 @@ func TestLeafSpineByteIdenticalAcrossPartitionWorkers(t *testing.T) {
 		SetPartitionWorkers(p)
 		var metrics bytes.Buffer
 		SetMetricsWriter(&metrics)
-		out := render(LeafSpine())
+		out := render(runSolo(leafSpineScaling))
 		SetMetricsWriter(nil)
 		outputs[p] = out + metrics.String()
 	}

@@ -38,10 +38,8 @@ func ioHarness(cfg pktio.Config, wl ioWorkload, pktSize int, window sim.Duration
 
 	workersPerNode := model.CoresPerNode
 	portsPerNode := cfg.Ports / cfg.Nodes
-	var fetched uint64
 	for n := 0; n < cfg.Nodes; n++ {
 		for w := 0; w < workersPerNode; w++ {
-			n, w := n, w
 			// Each worker serves queue w of every port on its node.
 			var ifaces []*pktio.Iface
 			for pi := 0; pi < portsPerNode; pi++ {
@@ -51,7 +49,7 @@ func ioHarness(cfg pktio.Config, wl ioWorkload, pktSize int, window sim.Duration
 				}
 			}
 			env.Go("worker", func(p *sim.Proc) {
-				ioWorkerLoop(p, e, cfg, wl, n, w, ifaces, pktSize, window, &fetched)
+				ioWorkerLoop(p, e, cfg, wl, n, ifaces, pktSize, window)
 			})
 		}
 	}
@@ -70,7 +68,7 @@ func ioHarness(cfg pktio.Config, wl ioWorkload, pktSize int, window sim.Duration
 }
 
 func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, cfg pktio.Config, wl ioWorkload,
-	node, wi int, ifaces []*pktio.Iface, pktSize int, window sim.Duration, fetched *uint64) {
+	node int, ifaces []*pktio.Iface, pktSize int, window sim.Duration) {
 	portsPerNode := cfg.Ports / cfg.Nodes
 	outBase := node * portsPerNode
 	if wl == wlForwardCrossing {
@@ -106,7 +104,6 @@ func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, cfg pktio.Config, wl ioWorkload,
 					continue
 				}
 				progress = true
-				*fetched += uint64(len(chunk))
 				if wl == wlRxOnly {
 					for _, b := range chunk {
 						b.Release()
@@ -125,11 +122,9 @@ func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, cfg pktio.Config, wl ioWorkload,
 	}
 }
 
-// Table3 regenerates the paper's Table 3: the CPU cycle breakdown of
+// table3 regenerates the paper's Table 3: the CPU cycle breakdown of
 // receiving (and silently dropping) 64B packets through the unmodified
 // skb-based driver path.
-func Table3() *Result { return runSolo(table3) }
-
 func table3(c *Ctx) *Result {
 	r := &Result{
 		ID:     "table3",
@@ -182,10 +177,8 @@ func table3(c *Ctx) *Result {
 	return r
 }
 
-// Fig5 regenerates Figure 5: single-core RX+TX forwarding throughput of
+// fig5 regenerates Figure 5: single-core RX+TX forwarding throughput of
 // 64B packets over two 10GbE ports versus the batch size.
-func Fig5() *Result { return runSolo(fig5) }
-
 func fig5(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig5",
@@ -238,11 +231,9 @@ func fig5OneCore(cfg pktio.Config, window sim.Duration) float64 {
 	return e.DeliveredGbps(0)
 }
 
-// Fig6 regenerates Figure 6: the packet I/O engine's RX-only, TX-only,
+// fig6 regenerates Figure 6: the packet I/O engine's RX-only, TX-only,
 // forwarding, and node-crossing forwarding throughput versus packet
 // size, on the full 8-core, 8-port machine.
-func Fig6() *Result { return runSolo(fig6) }
-
 func fig6(c *Ctx) *Result {
 	r := &Result{
 		ID:     "fig6",
@@ -270,10 +261,8 @@ func fig6(c *Ctx) *Result {
 	return r
 }
 
-// NUMA regenerates the §4.5 comparison: NUMA-aware versus NUMA-blind
+// numa regenerates the §4.5 comparison: NUMA-aware versus NUMA-blind
 // packet I/O for 64B forwarding.
-func NUMA() *Result { return runSolo(numa) }
-
 func numa(c *Ctx) *Result {
 	r := &Result{
 		ID:     "numa",
@@ -286,12 +275,10 @@ func numa(c *Ctx) *Result {
 		if i == 0 {
 			return ioHarness(cfg, wlForward, 64, 10*sim.Millisecond)
 		}
-		blind := cfg
-		blind.NUMAAware = false
 		// Blind placement: every worker serves a queue on every port, so
 		// each port needs one RSS queue per worker machine-wide.
-		blind.QueuesPerPort = model.CoresPerNode * cfg.Nodes
-		return numaBlindForward(blind, 10*sim.Millisecond)
+		cfg.QueuesPerPort = model.CoresPerNode * cfg.Nodes
+		return numaBlindForward(cfg, 10*sim.Millisecond)
 	})
 	r.AddRow("NUMA-aware", fmt.Sprintf("%.1f", vals[0]))
 	r.AddRow("NUMA-blind", fmt.Sprintf("%.1f", vals[1]))

@@ -39,9 +39,6 @@ func NewRunner(workers int) *Runner {
 	return &Runner{sem: make(chan struct{}, workers)}
 }
 
-// Workers returns the pool width.
-func (r *Runner) Workers() int { return cap(r.sem) }
-
 // Ctx is the execution context handed to one experiment invocation: the
 // shared worker pool plus the experiment-scoped metrics buffer. Metrics
 // are buffered per job and flushed in job order, so `-metrics` output is
@@ -208,14 +205,4 @@ func flushMetrics(c *Ctx) {
 	if metricsW != nil && c.metrics.Len() > 0 {
 		metricsW.Write(c.metrics.Bytes()) //nolint:errcheck // best-effort, like the serial dumps were
 	}
-}
-
-// runSolo backs the exported one-shot experiment functions (Table1,
-// Fig5, ...): a private GOMAXPROCS-wide pool, with buffered metrics
-// flushed when the experiment ends.
-func runSolo(fn func(*Ctx) *Result) *Result {
-	c := &Ctx{r: NewRunner(0)}
-	res := fn(c)
-	flushMetrics(c)
-	return res
 }

@@ -167,7 +167,7 @@ func TestRunnerBoundsConcurrency(t *testing.T) {
 	if p := peak.Load(); p > 2 {
 		t.Errorf("pool of width 2 had %d jobs in flight", p)
 	}
-	if NewRunner(0).Workers() < 1 {
+	if cap(NewRunner(0).sem) < 1 {
 		t.Error("NewRunner(0) must select at least one worker")
 	}
 }

@@ -88,7 +88,6 @@ type RxQueue struct {
 	// Stats are the per-queue counters of §4.4.
 	Stats QueueStats
 
-	irq *sim.Signal
 	// Moderation is the NIC interrupt-moderation delay applied when a
 	// blocked reader is woken (§6.4).
 	Moderation sim.Duration
@@ -107,7 +106,6 @@ func NewRxQueue(env *sim.Env, port, id, ringCap int, pool *packet.BufPool, dmaPa
 	return &RxQueue{
 		Port: port, ID: id, env: env, cap: ringCap, pool: pool,
 		dmaPath:    dmaPath,
-		irq:        sim.NewSignal(env),
 		Moderation: sim.Duration(model.InterruptModerationNs * float64(sim.Nanosecond)),
 	}
 }
@@ -137,9 +135,6 @@ func (q *RxQueue) SetCarrier(up bool) {
 	q.update()
 	q.carrierDown = !up
 }
-
-// CarrierUp reports the link state (true before any fault injection).
-func (q *RxQueue) CarrierUp() bool { return !q.carrierDown }
 
 // DropBurst discards everything the queue receives for the next d of
 // virtual time (an injected ring-corruption/driver-pause burst). Counted
@@ -329,7 +324,6 @@ func (q *RxQueue) WaitForPackets(p *sim.Proc) bool {
 // TxPort serializes transmissions of one 10GbE port at line rate; the
 // TX DMA to the NIC crosses the port's IOH first.
 type TxPort struct {
-	ID  int
 	env *sim.Env
 
 	wire    *sim.Server
@@ -367,7 +361,7 @@ type TxPort struct {
 // NewTxPort creates the TX side of a port.
 func NewTxPort(env *sim.Env, id, ringCap int, dmaPath []*pcie.IOH) *TxPort {
 	return &TxPort{
-		ID: id, env: env,
+		env:     env,
 		wire:    sim.NewServer(env, "tx"+strconv.Itoa(id)+"-wire"),
 		dmaPath: dmaPath,
 		ringCap: ringCap,
@@ -380,16 +374,16 @@ type completion struct {
 	pkts int
 }
 
-// Transmit queues bufs for transmission. Packets that do not fit the TX
-// ring (backlog measured in wire time) are dropped, as a real NIC's full
-// descriptor ring forces the driver to do. The caller does not block;
-// DMA and serialization proceed in virtual time.
 // SetCarrier raises or drops the port's TX carrier.
 func (t *TxPort) SetCarrier(up bool) { t.carrierDown = !up }
 
 // CarrierUp reports the TX link state.
 func (t *TxPort) CarrierUp() bool { return !t.carrierDown }
 
+// Transmit queues bufs for transmission. Packets that do not fit the TX
+// ring (backlog measured in wire time) are dropped, as a real NIC's full
+// descriptor ring forces the driver to do. The caller does not block;
+// DMA and serialization proceed in virtual time.
 func (t *TxPort) Transmit(bufs []*packet.Buf) {
 	if len(bufs) == 0 {
 		return
@@ -482,9 +476,6 @@ func (t *TxPort) Pending() int {
 	t.reap()
 	return t.pending
 }
-
-// Backlog returns the current wire-time backlog.
-func (t *TxPort) Backlog() sim.Duration { return t.wire.Backlog() }
 
 // Delivered returns the cumulative wire time of batches fully
 // transmitted by now. Dividing by elapsed time gives the port's

@@ -25,7 +25,6 @@ import (
 
 // IOH is one I/O hub.
 type IOH struct {
-	Node int
 	up   *sim.Server
 	down *sim.Server
 }
@@ -36,7 +35,6 @@ type IOH struct {
 func NewIOH(env *sim.Env, node int) *IOH {
 	n := strconv.Itoa(node)
 	return &IOH{
-		Node: node,
 		up:   sim.NewServer(env, "ioh"+n+"-up"),
 		down: sim.NewServer(env, "ioh"+n+"-down"),
 	}
@@ -120,11 +118,6 @@ func (i *IOH) ExpressDown(bytes int) sim.Time {
 	i.down.Schedule(t)
 	return i.down.Now() + sim.Time(t)
 }
-
-// UpUtilization and DownUtilization report engine utilization since t0
-// (may exceed 1 transiently: reservations count when scheduled).
-func (i *IOH) UpUtilization(t0 sim.Time) float64   { return i.up.Utilization(t0) }
-func (i *IOH) DownUtilization(t0 sim.Time) float64 { return i.down.Utilization(t0) }
 
 // UpBusy exposes cumulative up-engine work (tests).
 func (i *IOH) UpBusy() sim.Duration { return i.up.BusyTime() }

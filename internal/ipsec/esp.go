@@ -51,9 +51,6 @@ func NewSA(spi, nonce uint32, encKey, authKey []byte, local, peer packet.IPv4Add
 	}
 }
 
-// Seq returns the last sequence number issued.
-func (sa *SA) Seq() uint32 { return sa.seq }
-
 // EncapOverhead returns the total bytes Encap adds to an inner packet of
 // the given length (outer IPv4 + ESP header + IV + pad + trailer + ICV).
 func EncapOverhead(innerLen int) int {

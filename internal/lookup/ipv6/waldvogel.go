@@ -182,9 +182,6 @@ func (t *Table) LookupBatch(his, los []uint64, hops []uint16) {
 // MaxDepth returns the search-tree depth (worst-case probes).
 func (t *Table) MaxDepth() int { return t.maxDepth }
 
-// Lengths returns the distinct prefix lengths in the table.
-func (t *Table) Lengths() []uint8 { return t.lengths }
-
 // Entries returns the number of stored slots (prefixes + markers).
 func (t *Table) Entries() int {
 	n := 0

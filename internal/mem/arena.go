@@ -20,9 +20,6 @@ type Arena struct {
 	backing []byte
 	free    []int32 // LIFO freelist of page indexes
 	nPages  int
-
-	// Ops counts page alloc+free operations.
-	Ops uint64
 }
 
 // NewArena creates an arena of n pages.
@@ -46,14 +43,12 @@ func (a *Arena) AllocPage() ([]byte, int32, error) {
 	}
 	idx := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
-	a.Ops++
 	off := int(idx) * PageSize
 	return a.backing[off : off+PageSize : off+PageSize], idx, nil
 }
 
 // FreePage returns page idx to the freelist.
 func (a *Arena) FreePage(idx int32) {
-	a.Ops++
 	a.free = append(a.free, idx)
 }
 

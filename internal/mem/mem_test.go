@@ -192,7 +192,7 @@ func TestSkbAllocatorPerPacketOps(t *testing.T) {
 	const n = 100
 	var skbs []*Skb
 	for i := 0; i < n; i++ {
-		s, err := a.Alloc(64)
+		s, err := a.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,12 +220,12 @@ func TestSkbAllocatorPerPacketOps(t *testing.T) {
 func TestSkbAllocatorMetaZeroed(t *testing.T) {
 	arena := NewArena(16)
 	a := NewSkbAllocator(arena)
-	s, _ := a.Alloc(64)
+	s, _ := a.Alloc()
 	for i := range s.Meta.Data {
 		s.Meta.Data[i] = 0xFF
 	}
 	a.Free(s)
-	s2, _ := a.Alloc(64)
+	s2, _ := a.Alloc()
 	for _, b := range s2.Meta.Data {
 		if b != 0 {
 			t.Fatal("recycled skb metadata not re-initialized")
@@ -240,7 +240,7 @@ func TestSkbAllocExhaustionRollsBack(t *testing.T) {
 	a := NewSkbAllocator(arena)
 	var skbs []*Skb
 	for {
-		s, err := a.Alloc(64)
+		s, err := a.Alloc()
 		if err != nil {
 			break
 		}
@@ -258,7 +258,7 @@ func TestHugeBufferVsSkbOpCount(t *testing.T) {
 	arena := NewArena(64)
 	skb := NewSkbAllocator(arena)
 	for i := 0; i < 50; i++ {
-		s, err := skb.Alloc(64)
+		s, err := skb.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}

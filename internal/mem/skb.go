@@ -8,7 +8,6 @@ import "packetshader/internal/model"
 type Skb struct {
 	Meta Obj
 	Data Obj
-	Len  int
 }
 
 // SkbAllocator is the legacy per-packet allocation path whose costs
@@ -30,8 +29,9 @@ func NewSkbAllocator(arena *Arena) *SkbAllocator {
 	}
 }
 
-// Alloc allocates and initializes an skb for a packet of n bytes.
-func (a *SkbAllocator) Alloc(n int) (*Skb, error) {
+// Alloc allocates and initializes an skb; its data buffer holds a packet
+// of any size.
+func (a *SkbAllocator) Alloc() (*Skb, error) {
 	meta, err := a.metaCache.Alloc()
 	if err != nil {
 		return nil, err
@@ -45,7 +45,7 @@ func (a *SkbAllocator) Alloc(n int) (*Skb, error) {
 	// metadata for every packet (Table 3: 4.9%).
 	clear(meta.Data)
 	a.InitOps++
-	return &Skb{Meta: meta, Data: data, Len: n}, nil
+	return &Skb{Meta: meta, Data: data}, nil
 }
 
 // Free releases both buffers.

@@ -118,8 +118,5 @@ func (c *SlabCache) Free(o Obj) {
 // Live returns the number of outstanding objects.
 func (c *SlabCache) Live() int { return c.live }
 
-// ObjSize returns the object size.
-func (c *SlabCache) ObjSize() int { return c.objSize }
-
 // ObjectsPerSlab returns how many objects fit a page.
 func (c *SlabCache) ObjectsPerSlab() int { return c.perSlab }

@@ -26,8 +26,6 @@ const (
 	// (Figure 3).
 	NumNodes     = 2
 	CoresPerNode = 4
-	// CacheLineBytes is the x86 cache line (§2.4, §4.4).
-	CacheLineBytes = 64
 
 	// LocalMemLatencyNs is DRAM access latency from the local node.
 	// Nehalem + DDR3-1333 measured ~65 ns in contemporary reports.
@@ -35,16 +33,6 @@ const (
 	// RemoteMemFactor: §4.5 reports 40-50% higher latency for
 	// node-crossing access; we use the midpoint.
 	RemoteMemFactor = 1.45
-	// RemoteBWFactor: §4.5 reports 20-30% lower bandwidth remote.
-	RemoteBWFactor = 0.75
-
-	// MLPOptimal and MLPSaturated: §2.4 microbenchmark — one X5550 core
-	// sustains ~6 outstanding misses alone, ~4 when all four cores burst.
-	MLPOptimal   = 6.0
-	MLPSaturated = 4.0
-
-	// HostMemBWBytes is the per-socket memory bandwidth (§2.4: 32 GB/s).
-	HostMemBWBytes = 32e9
 )
 
 // Cycles converts a cycle count to virtual time at the CPU clock.
@@ -66,13 +54,10 @@ func MemAccessCycles() float64 { return LocalMemLatencyNs * 1e-9 * CPUFreqHz } /
 // ---------------------------------------------------------------------------
 
 const (
-	NumPorts     = 8
-	PortRateBps  = 10e9
-	PortsPerIOH  = 4 // two dual-port NICs per IOH (Figure 3)
-	RxRingSize   = 2048
-	TxRingSize   = 2048
-	MaxFrameSize = 1514
-	MinFrameSize = 60
+	NumPorts    = 8
+	PortRateBps = 10e9
+	RxRingSize  = 2048
+	TxRingSize  = 2048
 
 	// EthOverheadBytes: the paper counts 24B of Ethernet overhead
 	// (footnote 1): 8B preamble+SFD, 12B IFG, 4B FCS. A "64B packet"
@@ -209,13 +194,10 @@ func IOHCost(up, down int) sim.Duration {
 // ---------------------------------------------------------------------------
 
 const (
-	NumGPUs          = 2
 	GPUSMs           = 15
 	GPUSPsPerSM      = 32
 	GPUCores         = GPUSMs * GPUSPsPerSM // 480
 	GPUFreqHz        = 1.4e9
-	GPUDevMemBytes   = 1536 * 1024 * 1024
-	GPUDevBWBytes    = 177.4e9 // §2.4
 	GPUWarpSize      = 32
 	GPUMaxWarpsPerSM = 32 // scheduler holds up to 32 warps (§2.1)
 
@@ -322,10 +304,11 @@ const (
 	// these with software prefetch (§4.3).
 	CompulsoryMissCycles = SkbRxTotalCycles * 0.138 // ≈386
 
-	// SkbMetadataBytes and HugeCellMetadataBytes (§4.2).
-	SkbMetadataBytes      = 208
-	HugeCellMetadataBytes = 8
-	HugeCellDataBytes     = 2048
+	// SkbMetadataBytes is the Linux skb metadata the huge packet
+	// buffer's 8-byte cell replaces; HugeCellDataBytes is that buffer's
+	// data cell (§4.2).
+	SkbMetadataBytes  = 208
+	HugeCellDataBytes = 2048
 )
 
 // ---------------------------------------------------------------------------

@@ -179,14 +179,6 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Registry holds named metrics. Metric handles are created up front
 // (Counter/Histogram are cheap lookups but not hot-path free); the dump
 // iterates name-sorted slices so output order is deterministic. A nil

@@ -5,7 +5,6 @@ import "sort"
 // FlowStats counts matched traffic per flow entry.
 type FlowStats struct {
 	Packets uint64
-	Bytes   uint64
 }
 
 // exactEntry is one exact-match flow.
@@ -214,10 +213,6 @@ func (t *WildcardTable) Lookup(k *FlowKey) (action Action, scanned int, ok bool)
 	}
 	return Action{}, scanned, false
 }
-
-// Rules exposes the rule list (read-only use) for the GPU wildcard
-// kernel.
-func (t *WildcardTable) Rules() []Rule { return t.rules }
 
 // ---------------------------------------------------------------------------
 // Switch: exact + wildcard with OpenFlow precedence.

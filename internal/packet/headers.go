@@ -7,10 +7,9 @@ import (
 
 // Decoding errors.
 var (
-	ErrTruncated   = errors.New("packet: truncated")
-	ErrBadVersion  = errors.New("packet: bad IP version")
-	ErrBadHdrLen   = errors.New("packet: bad header length")
-	ErrBadChecksum = errors.New("packet: bad checksum")
+	ErrTruncated  = errors.New("packet: truncated")
+	ErrBadVersion = errors.New("packet: bad IP version")
+	ErrBadHdrLen  = errors.New("packet: bad header length")
 )
 
 // EthernetHdr is a decoded Ethernet header (VLAN tag, if any, is

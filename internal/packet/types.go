@@ -70,10 +70,9 @@ const (
 
 // IP protocol numbers.
 const (
-	ProtoICMP uint8 = 1
-	ProtoTCP  uint8 = 6
-	ProtoUDP  uint8 = 17
-	ProtoESP  uint8 = 50
+	ProtoTCP uint8 = 6
+	ProtoUDP uint8 = 17
+	ProtoESP uint8 = 50
 )
 
 // Header sizes.

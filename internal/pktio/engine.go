@@ -40,14 +40,10 @@ type Config struct {
 	Nodes         int // NUMA nodes (2 in the testbed)
 	Ports         int // 10GbE ports (8)
 	QueuesPerPort int // RSS RX queues per port
-	RingSize      int // descriptors per RX queue
 	BatchCap      int // max packets fetched per batch (Figure 5 sweep)
 
 	Mode BufferMode
 
-	// NUMAAware places DMA and data structures on the packets' node
-	// (§4.5); when false, half the traffic crosses nodes.
-	NUMAAware bool
 	// AlignQueueData pads per-queue state to cache lines; when false the
 	// false-sharing penalty of §4.4 applies.
 	AlignQueueData bool
@@ -65,10 +61,8 @@ func DefaultConfig() Config {
 		Nodes:            model.NumNodes,
 		Ports:            model.NumPorts,
 		QueuesPerPort:    model.CoresPerNode - 1, // workers per node (§5.1)
-		RingSize:         model.RxRingSize,
 		BatchCap:         model.MaxChunkSize,
 		Mode:             ModeHuge,
-		NUMAAware:        true,
 		AlignQueueData:   true,
 		PerQueueCounters: true,
 		Prefetch:         true,
@@ -149,7 +143,7 @@ func New(env *sim.Env, cfg Config) *Engine {
 		p := &Port{ID: i, Node: node}
 		path := []*pcie.IOH{e.IOHs[node]}
 		for q := 0; q < cfg.QueuesPerPort; q++ {
-			rq := nic.NewRxQueue(env, i, q, cfg.RingSize, e.Pool, path)
+			rq := nic.NewRxQueue(env, i, q, model.RxRingSize, e.Pool, path)
 			p.Rx = append(p.Rx, rq)
 		}
 		p.Tx = nic.NewTxPort(env, i, model.TxRingSize, path)
@@ -242,14 +236,15 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 }
 
 // skbRxCycles is the ModeSkb per-packet cost: the full Table 3 stack,
-// really performing the allocations and the breakdown accounting.
-// (ModeHuge never gets here: its cost comes from the rxCycles table.)
-func (f *Iface) skbRxCycles(size int) float64 {
+// really performing the allocations and the breakdown accounting, the
+// same for every packet size. (ModeHuge never gets here: its cost comes
+// from the rxCycles table.)
+func (f *Iface) skbRxCycles() float64 {
 	e := f.Engine
 	if e.skb == nil {
 		e.skb = mem.NewSkbAllocator(mem.NewArena(4096))
 	}
-	if skb, err := e.skb.Alloc(size); err == nil {
+	if skb, err := e.skb.Alloc(); err == nil {
 		e.skb.Free(skb)
 	}
 	c := model.SkbInitCycles + model.SkbAllocWrapperCycles +
@@ -295,8 +290,8 @@ func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Bu
 			}
 		}
 	} else {
-		for _, b := range got[len(out):] {
-			cycles += f.skbRxCycles(b.Size())
+		for range got[len(out):] {
+			cycles += f.skbRxCycles()
 		}
 	}
 	p.Sleep(model.Cycles(cycles))

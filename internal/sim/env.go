@@ -103,7 +103,6 @@ type Env struct {
 	until   Time          // run horizon while running (0 = none)
 	mainCh  chan struct{} // returns control to the Run caller at termination
 	closeCh chan struct{} // terminated processes acknowledge Close here
-	nProcs  int           // live (started, unfinished) processes
 	procs   []*Proc       // every started process, in Go order (for Close)
 	running bool
 	closed  bool
@@ -270,7 +269,6 @@ func (e *Env) checkClosed(p *Proc) {
 	}
 	p.killed = true
 	p.done = true
-	e.nProcs--
 	runtime.Goexit()
 }
 

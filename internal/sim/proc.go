@@ -17,12 +17,6 @@ type Proc struct {
 	killed bool // terminated by Env.Close (written only on p's goroutine)
 }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the name given at Go time (for debugging).
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -33,7 +27,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		panic("sim: Env.Go on closed Env")
 	}
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	e.nProcs++
 	e.procs = append(e.procs, p)
 	go func() {
 		// p.killed is written only on this goroutine (here or in
@@ -49,12 +42,10 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		if e.closed {
 			p.killed = true
 			p.done = true
-			e.nProcs--
 			return
 		}
 		fn(p)
 		p.done = true
-		e.nProcs--
 		// This goroutine still holds the control token: keep driving the
 		// event loop until control is handed to the next runnable process
 		// (or the run terminates), then exit.

@@ -24,9 +24,6 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
 func (q *Queue[T]) full() bool { return q.cap > 0 && q.items.Len() >= q.cap }
 
 // wakeGetter releases the longest-waiting getter, if any, at the current

@@ -68,12 +68,3 @@ func (r *Ring[T]) Front() T {
 	}
 	return r.buf[r.head]
 }
-
-// At returns the i-th element from the head (0 = front) without removing
-// it. It panics when i is out of range.
-func (r *Ring[T]) At(i int) T {
-	if i < 0 || i >= r.n {
-		panic("sim: Ring.At out of range")
-	}
-	return r.buf[(r.head+i)&(len(r.buf)-1)]
-}

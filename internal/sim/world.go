@@ -51,7 +51,6 @@ type World struct {
 // honors this — see DESIGN.md, "Conservative-parallel execution".)
 type Partition struct {
 	world *World
-	index int
 	name  string
 	env   *Env
 
@@ -80,7 +79,7 @@ func (w *World) NewPartition(name string) *Partition {
 	if w.closed {
 		panic("sim: NewPartition on closed World")
 	}
-	pt := &Partition{world: w, index: len(w.parts), name: name, env: NewEnv()}
+	pt := &Partition{world: w, name: name, env: NewEnv()}
 	w.parts = append(w.parts, pt)
 	return pt
 }
@@ -90,9 +89,6 @@ func (pt *Partition) Env() *Env { return pt.env }
 
 // Name returns the name given at NewPartition time.
 func (pt *Partition) Name() string { return pt.name }
-
-// Index returns the partition's position in creation order.
-func (pt *Partition) Index() int { return pt.index }
 
 // Partitions returns the world's partitions in creation order.
 func (w *World) Partitions() []*Partition { return w.parts }

@@ -15,11 +15,17 @@
 // Quick start:
 //
 //	inst, _ := packetshader.IPv4(100000, 42, packetshader.WithMode(packetshader.ModeGPU))
+//	defer inst.Close()
+//	inst.Run(5 * packetshader.Millisecond) // warm-up
 //	report := inst.Run(20 * packetshader.Millisecond)
 //	fmt.Printf("%.1f Gbps\n", report.DeliveredGbps)
+//
+// IPv4, IPv6, IPsec and OpenFlowSwitch assemble the paper's four
+// applications; New takes any core.App and Source.
 package packetshader
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -76,47 +82,51 @@ type Source interface {
 	Fill(b *packet.Buf, port, queue int, seq uint64)
 }
 
-// config is what the options resolve to: the router configuration plus
-// the fault plan the constructor hands to the controller.
-type config struct {
+// Config is what the options resolve to: the router configuration plus
+// the fault plan the constructor hands to the controller. It is exported
+// so that a caller inside the module can write an Option literal for a
+// field no With* option covers (the packet-I/O ablations do).
+type Config struct {
 	core.Config
 	faults *faults.Plan
 }
 
-// Option tweaks a router configuration.
-type Option func(*config)
+// Option tweaks a router configuration. A constructor may apply an
+// option more than once (each time to a fresh Config), so an option
+// only sets fields.
+type Option func(*Config)
 
 // WithMode selects CPU-only or CPU+GPU operation.
-func WithMode(m Mode) Option { return func(c *config) { c.Mode = m } }
+func WithMode(m Mode) Option { return func(c *Config) { c.Mode = m } }
 
 // WithPacketSize sets the generated packet size (64-1514 bytes).
 func WithPacketSize(bytes int) Option {
-	return func(c *config) { c.PacketSize = bytes }
+	return func(c *Config) { c.PacketSize = bytes }
 }
 
 // WithOfferedGbps sets the offered load per port.
 func WithOfferedGbps(g float64) Option {
-	return func(c *config) { c.OfferedGbpsPerPort = g }
+	return func(c *Config) { c.OfferedGbpsPerPort = g }
 }
 
 // WithStreams enables concurrent copy and execution with n CUDA
 // streams (§5.4; the paper uses it for IPsec).
-func WithStreams(n int) Option { return func(c *config) { c.Streams = n } }
+func WithStreams(n int) Option { return func(c *Config) { c.Streams = n } }
 
 // WithOpportunisticOffload keeps small chunks on the CPU for low
 // latency under light load (§7).
 func WithOpportunisticOffload() Option {
-	return func(c *config) { c.OpportunisticOffload = true }
+	return func(c *Config) { c.OpportunisticOffload = true }
 }
 
 // WithChunkCap caps the number of packets per chunk (§5.3).
-func WithChunkCap(n int) Option { return func(c *config) { c.ChunkCap = n } }
+func WithChunkCap(n int) Option { return func(c *Config) { c.ChunkCap = n } }
 
 // WithoutPipelining disables chunk pipelining (§5.4 ablation).
-func WithoutPipelining() Option { return func(c *config) { c.Pipelining = false } }
+func WithoutPipelining() Option { return func(c *Config) { c.Pipelining = false } }
 
 // WithGatherMax bounds how many chunks one GPU launch gathers (§5.4).
-func WithGatherMax(n int) Option { return func(c *config) { c.GatherMax = n } }
+func WithGatherMax(n int) Option { return func(c *Config) { c.GatherMax = n } }
 
 // FIBUpdateMode selects the live route-update strategy (§7) for
 // IPv4 instances: see WithFIBUpdate.
@@ -139,7 +149,7 @@ const (
 // (IPsec, OpenFlow) or no dynamic lookup structure yet (IPv6), so their
 // instances reject route commands regardless of mode.
 func WithFIBUpdate(m FIBUpdateMode) Option {
-	return func(c *config) { c.FIBUpdate = m }
+	return func(c *Config) { c.FIBUpdate = m }
 }
 
 // WithFaults merges a full fault plan (see internal/faults: link flaps,
@@ -150,7 +160,7 @@ func WithFIBUpdate(m FIBUpdateMode) Option {
 // does not have fails the constructor. Options compose: multiple
 // WithFaults/WithGPUOutage/WithLinkFlap options merge into one plan.
 func WithFaults(p *faults.Plan) Option {
-	return func(c *config) {
+	return func(c *Config) {
 		if c.faults == nil {
 			c.faults = faults.NewPlan()
 		}
@@ -177,7 +187,7 @@ func WithLinkFlap(port int, at, dur Duration) Option {
 }
 
 // Instance is an assembled router plus its workload generator and
-// latency sink, ready to Run.
+// latency sink, ready to Run. Close it when done.
 type Instance struct {
 	Env    *sim.Env
 	Router *core.Router
@@ -210,31 +220,34 @@ type Report struct {
 	Stats core.Stats
 }
 
-// build assembles an Instance: options are applied to the default
-// config and validated *first*, then the application and the source are
-// constructed from the resolved config — so the app sees the final FIB
-// update mode, a generator always sees the final packet size, and there
-// is no post-hoc rebinding. Fault targets are checked last, by the
-// controller, against the router that was actually built. mkApp returns the application plus the
-// FIBApplier a control script's route commands go through (nil when the
-// table is static).
-func build(mkApp func(cfg *core.Config) (core.App, ctrl.FIBApplier, error),
-	mkSrc func(cfg *core.Config) Source, opts []Option) (*Instance, error) {
-	env := sim.NewEnv()
-	cfg := config{Config: core.DefaultConfig()}
+// resolve applies opts to the default configuration and validates the
+// result.
+func resolve(opts []Option) (Config, error) {
+	cfg := Config{Config: core.DefaultConfig()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := validate(&cfg.Config); err != nil {
-		return nil, err
+	return cfg, validate(&cfg.Config)
+}
+
+// New assembles a router running app, fed by src: the one place a
+// router is stood up — the typed constructors below, the paper's
+// figures (internal/experiments) and the examples all come through
+// here. A nil src is legal and means blank frames at the offered rate;
+// a nil app is an error. Fault targets are checked last, by the
+// controller, against the router that was actually built.
+func New(app core.App, src Source, opts ...Option) (*Instance, error) {
+	if app == nil {
+		return nil, errors.New("packetshader: nil application")
 	}
-	app, fib, err := mkApp(&cfg.Config)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
+	env := sim.NewEnv()
 	r := core.New(env, cfg.Config, app)
 	sink := pktgen.NewLatencySink()
-	inst := &Instance{Env: env, Router: r, Sink: sink, fib: fib}
+	inst := &Instance{Env: env, Router: r, Sink: sink}
 	for _, p := range r.Engine.Ports {
 		p.Tx.OnComplete = func(b *packet.Buf, at sim.Time) {
 			sink.Observe(b, at)
@@ -243,7 +256,7 @@ func build(mkApp func(cfg *core.Config) (core.App, ctrl.FIBApplier, error),
 			}
 		}
 	}
-	r.SetSource(mkSrc(&cfg.Config))
+	r.SetSource(src)
 	// The fault options are sugar over the controller: the merged plan
 	// is one more script, attached at virtual time zero.
 	if _, err := ctrl.Attach(env, r, ctrl.FromPlan(cfg.faults), ctrl.Config{}); err != nil {
@@ -285,63 +298,63 @@ func Must(inst *Instance, err error) *Instance {
 // table honors WithFIBUpdate: FIBDynamic and FIBRebuild instances
 // accept live route commands through Instance.Control.
 func IPv4(prefixes int, seed int64, opts ...Option) (*Instance, error) {
+	cfg, err := resolve(opts) // before the table build: a bad option costs nothing
+	if err != nil {
+		return nil, err
+	}
 	entries := route.GenerateBGPTable(prefixes, 64, seed)
-	return build(func(cfg *core.Config) (core.App, ctrl.FIBApplier, error) {
-		app := &apps.IPv4Fwd{NumPorts: model.NumPorts}
-		switch cfg.FIBUpdate {
-		case core.FIBDynamic:
-			dyn, err := lookupv4.NewDynamic(entries)
-			if err != nil {
-				return nil, nil, err
-			}
-			app.Table = &dyn.Table
-			return app, &ctrl.DynamicFIB{T: dyn}, nil
-		case core.FIBRebuild:
-			fib, err := ctrl.NewRebuildFIB(entries, func(t *lookupv4.Table) { app.Table = t })
-			if err != nil {
-				return nil, nil, err
-			}
-			app.Table = fib.FIB.Active()
-			return app, fib, nil
-		default: // FIBStatic
-			tbl, err := lookupv4.Build(entries)
-			if err != nil {
-				return nil, nil, err
-			}
-			app.Table = tbl
-			return app, nil, nil
+	app := &apps.IPv4Fwd{NumPorts: model.NumPorts}
+	var fib ctrl.FIBApplier
+	switch cfg.FIBUpdate {
+	case core.FIBDynamic:
+		dyn, err := lookupv4.NewDynamic(entries)
+		if err != nil {
+			return nil, err
 		}
-	}, func(cfg *core.Config) Source {
-		return &pktgen.UDP4Source{Size: cfg.PacketSize, Seed: uint64(seed), Table: entries}
-	}, opts)
+		app.Table = &dyn.Table
+		fib = &ctrl.DynamicFIB{T: dyn}
+	case core.FIBRebuild:
+		rebuild, err := ctrl.NewRebuildFIB(entries, func(t *lookupv4.Table) { app.Table = t })
+		if err != nil {
+			return nil, err
+		}
+		app.Table = rebuild.FIB.Active()
+		fib = rebuild
+	default: // FIBStatic: route commands are rejected at Control
+		if app.Table, err = lookupv4.Build(entries); err != nil {
+			return nil, err
+		}
+	}
+	inst, err := New(app, &pktgen.UDP4Source{Size: cfg.PacketSize, Seed: uint64(seed), Table: entries}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	inst.fib = fib
+	return inst, nil
 }
 
 // IPv6 assembles an IPv6 forwarder with n random prefixes (§6.2.2 uses
 // 200,000).
 func IPv6(prefixes int, seed int64, opts ...Option) (*Instance, error) {
+	cfg, err := resolve(opts) // before the table build, as in IPv4
+	if err != nil {
+		return nil, err
+	}
 	entries := route.GenerateIPv6Table(prefixes, 64, seed)
-	return build(func(*core.Config) (core.App, ctrl.FIBApplier, error) {
-		return &apps.IPv6Fwd{Table: lookupv6.Build(entries), NumPorts: model.NumPorts}, nil, nil
-	}, func(cfg *core.Config) Source {
-		return &pktgen.UDP6Source{Size: cfg.PacketSize, Seed: uint64(seed), Table: entries}
-	}, opts)
+	return New(&apps.IPv6Fwd{Table: lookupv6.Build(entries), NumPorts: model.NumPorts},
+		&pktgen.UDP6Source{Size: cfg.PacketSize, Seed: uint64(seed), Table: entries}, opts...)
 }
 
 // IPsec assembles the ESP tunnel gateway (§6.2.4), one SA per port.
 func IPsec(seed int64, opts ...Option) (*Instance, error) {
-	return build(func(*core.Config) (core.App, ctrl.FIBApplier, error) {
-		return apps.NewIPsecGW(model.NumPorts), nil, nil
-	}, func(cfg *core.Config) Source {
-		return &pktgen.UDP4Source{Size: cfg.PacketSize, Seed: uint64(seed)}
-	}, opts)
+	cfg, _ := resolve(opts) // for the generator's packet size; New reports the error
+	return New(apps.NewIPsecGW(model.NumPorts), &pktgen.UDP4Source{Size: cfg.PacketSize, Seed: uint64(seed)}, opts...)
 }
 
 // OpenFlowSwitch wraps a caller-configured switch data path (§6.2.3)
 // fed by a caller-supplied frame source.
 func OpenFlowSwitch(sw *openflow.Switch, src Source, opts ...Option) (*Instance, error) {
-	return build(func(*core.Config) (core.App, ctrl.FIBApplier, error) {
-		return apps.NewOFSwitch(sw, model.NumPorts), nil, nil
-	}, func(*core.Config) Source { return src }, opts)
+	return New(apps.NewOFSwitch(sw, model.NumPorts), src, opts...)
 }
 
 // EnableObs installs a tracer and/or metrics registry on the router
@@ -367,6 +380,13 @@ func (i *Instance) TapTx(fn func(b *packet.Buf, at Time)) { i.tap = fn }
 func (i *Instance) Control(script *ctrl.Script, out io.Writer) (*ctrl.Controller, error) {
 	return ctrl.Attach(i.Env, i.Router, script, ctrl.Config{Out: out, FIB: i.fib, Reg: i.reg})
 }
+
+// Close releases the goroutines of the router's workers and masters,
+// which otherwise stay parked for the life of the process. Like
+// Env.Close it is idempotent and must not be called during Run; a
+// closed instance cannot Run again, but its reports, counters and sink
+// stay readable.
+func (i *Instance) Close() { i.Env.Close() }
 
 // Run starts the router (first call), advances virtual time by d, and
 // reports. Repeated Run calls continue the same simulation; the

@@ -1,11 +1,11 @@
 #!/bin/sh
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet, the pslint determinism linters, the full test
-# suite (root module and the nested bench/ module), the byte-identity
-# gates, short FuzzDecap, FuzzParseScript and FuzzEventStore runs, and
-# race tests on the concurrency-bearing packages. `make check` runs it,
-# and so does CI — there is no second copy of these steps in
-# .github/workflows/ci.yml.
+# suite (root module and the nested bench/ module), the one-path and
+# byte-identity gates, short FuzzDecap, FuzzParseScript and
+# FuzzEventStore runs, and race tests on the concurrency-bearing
+# packages. `make check` runs it, and so does CI — there is no second
+# copy of these steps in .github/workflows/ci.yml.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,6 +39,22 @@ echo "== fuzz smoke (FuzzDecap, FuzzParseScript, FuzzEventStore, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
+
+# A router is stood up and measured in one place, the facade's New and
+# Run: the paper's figures and the examples may not assemble their own
+# (tests may: hand-built routers are their differential), and bench/ is
+# its own module with its own rules.
+echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments or examples"
+onepath="$(git grep -n 'core\.New(' -- '*.go' ':!*_test.go' ':!bench/' | cut -d: -f1)"
+if [ "$onepath" != packetshader.go ]; then
+	echo "core.New( must have exactly one caller, in packetshader.go; found in:"
+	echo "$onepath"
+	exit 1
+fi
+if git grep -n 'ResetMeasurement\|OnComplete' -- internal/experiments examples ':!*_test.go'; then
+	echo "experiments and examples measure through Instance.Run and tap through Instance.TapTx"
+	exit 1
+fi
 
 echo "== trace/metrics determinism (byte-identical across runs)"
 go test -count=1 -run 'TestObsOutputByteIdenticalAcrossRuns|TestObsSpansCoverGPUAndPCIeBusyTime' ./internal/experiments
