@@ -313,6 +313,52 @@ func TestOFSwitchCPUAndGPUPathsAgree(t *testing.T) {
 	}
 }
 
+// TestOFSwitchRecycledChunk: the core free list hands a chunk back with
+// the State of its previous use. PreShade must reuse that state — no
+// state or slice allocated per chunk — and reset all of it: a chunk
+// resolved on the CPU path (CPUWork sets resolved) that comes back
+// through the GPU path must probe the exact table again, not replay the
+// earlier verdict.
+func TestOFSwitchRecycledChunk(t *testing.T) {
+	sw := openflow.NewSwitch(16)
+	app := NewOFSwitch(sw, 8)
+	first, second := udp4Frame(0x0A0B0C0D, 64), udp4Frame(0x0A0B0C0E, 64)
+	for port, f := range [][]byte{first, second} {
+		tmp := mkChunk(f)
+		app.PreShade(tmp)
+		sw.Exact.Insert(tmp.State.(*ofState).keys[0],
+			openflow.Action{Type: openflow.ActionOutput, Port: uint16(6 - 3*port)})
+	}
+
+	c := mkChunk(first)
+	app.PreShade(c)
+	app.CPUWork(c)
+	app.PostShade(c)
+	if c.OutPorts[0] != 6 {
+		t.Fatalf("CPU path: port = %d, want 6", c.OutPorts[0])
+	}
+
+	st := c.State
+	copy(c.Bufs[0].Data, second)
+	app.PreShade(c)
+	if c.State != st {
+		t.Error("PreShade replaced the recycled chunk's state")
+	}
+	app.RunKernel(c)
+	if cycles := app.PostShade(c); cycles < app.exactProbeCycles() {
+		t.Errorf("GPU path after a CPU pass charged %v cycles: exact probe skipped", cycles)
+	}
+	if c.OutPorts[0] != 3 {
+		t.Errorf("GPU path after a CPU pass: port = %d, want 3 (6 is the stale CPU verdict)", c.OutPorts[0])
+	}
+
+	// The one allocation left is not state: it is PreShade's
+	// packet.Decoder, which DecodeFast leaks to the heap in every app.
+	if n := testing.AllocsPerRun(100, func() { app.PreShade(c) }); n > 1 {
+		t.Errorf("PreShade on a recycled chunk: %v allocs, want the decoder's 1", n)
+	}
+}
+
 func TestOFKernelCostGrowsWithWildcardTable(t *testing.T) {
 	sw := openflow.NewSwitch(16)
 	app := NewOFSwitch(sw, 8)

@@ -57,13 +57,7 @@ func (a *IPsecGW) Kernel() *gpu.KernelSpec { return &gpu.KernelIPsec }
 // from/to GPU, weighing on the burden of IOHs").
 func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 	n := len(c.Bufs)
-	// Recycled chunks keep their State scratch; reinitialize it fully —
-	// stale sa/espLens entries belong to an unrelated earlier chunk.
-	st, ok := c.State.(*ipsecState)
-	if !ok {
-		st = &ipsecState{}
-		c.State = st
-	}
+	st := chunkState[ipsecState](c)
 	st.sa = scratch(st.sa, n)
 	st.espLens = scratch(st.espLens, n)
 	var d packet.Decoder

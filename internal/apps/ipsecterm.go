@@ -49,12 +49,7 @@ func (a *IPsecTerm) Kernel() *gpu.KernelSpec { return &gpu.KernelIPsec }
 // PreShade classifies ESP packets and locates their SA by SPI.
 func (a *IPsecTerm) PreShade(c *core.Chunk) core.PreResult {
 	n := len(c.Bufs)
-	// Recycled chunks keep their State scratch; reinitialize it fully.
-	st, ok := c.State.(*ipsecTermState)
-	if !ok {
-		st = &ipsecTermState{}
-		c.State = st
-	}
+	st := chunkState[ipsecTermState](c)
 	st.sa = scratch(st.sa, n)
 	st.hops = scratch(st.hops, n)
 	var d packet.Decoder

@@ -44,13 +44,7 @@ func (a *IPv4Fwd) Kernel() *gpu.KernelSpec { return &gpu.KernelIPv4 }
 // packets from the fast path, and gathers destination addresses for the
 // GPU (§6.2.1).
 func (a *IPv4Fwd) PreShade(c *core.Chunk) core.PreResult {
-	// Recycled chunks keep their State scratch; reinitialize it fully
-	// rather than allocating fresh slices per chunk.
-	st, ok := c.State.(*ipv4State)
-	if !ok {
-		st = &ipv4State{}
-		c.State = st
-	}
+	st := chunkState[ipv4State](c)
 	st.addrs = st.addrs[:0]
 	st.hops = scratch(st.hops, len(c.Bufs))
 	var d packet.Decoder

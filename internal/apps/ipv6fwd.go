@@ -34,11 +34,7 @@ func (a *IPv6Fwd) Kernel() *gpu.KernelSpec { return &gpu.KernelIPv6 }
 // 128-bit destinations (four times the copy volume of IPv4, §6.2.2).
 func (a *IPv6Fwd) PreShade(c *core.Chunk) core.PreResult {
 	n := len(c.Bufs)
-	st, ok := c.State.(*ipv6State)
-	if !ok {
-		st = &ipv6State{}
-		c.State = st
-	}
+	st := chunkState[ipv6State](c)
 	st.his = scratch(st.his, n)
 	st.los = scratch(st.los, n)
 	st.hops = scratch(st.hops, n)

@@ -64,16 +64,14 @@ func (a *OFSwitch) Kernel() *gpu.KernelSpec {
 // PreShade extracts the 10-field flow key from every packet.
 func (a *OFSwitch) PreShade(c *core.Chunk) core.PreResult {
 	n := len(c.Bufs)
-	st := &ofState{
-		keys:     make([]openflow.FlowKey, n),
-		hashes:   make([]uint32, n),
-		wcAct:    make([]openflow.Action, n),
-		wcOK:     make([]bool, n),
-		act:      make([]openflow.Action, n),
-		actOK:    make([]bool, n),
-		resolved: make([]bool, n),
-	}
-	c.State = st
+	st := chunkState[ofState](c)
+	st.keys = scratch(st.keys, n)
+	st.hashes = scratch(st.hashes, n)
+	st.wcAct = scratch(st.wcAct, n)
+	st.wcOK = scratch(st.wcOK, n)
+	st.act = scratch(st.act, n)
+	st.actOK = scratch(st.actOK, n)
+	st.resolved = scratch(st.resolved, n)
 	var d packet.Decoder
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1

@@ -69,33 +69,27 @@ func (r *Result) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// registryEntry describes one experiment: its driver plus which shared
-// fixtures it reads, so a Runner can build those once up front before
-// fanning jobs out.
+// registryEntry is one experiment: its id and its driver.
 type registryEntry struct {
 	ID  string
 	Run func(*Ctx) *Result
-
-	// UsesBGP / UsesV6 mark experiments whose jobs read the shared
-	// BGPFixture / IPv6Fixture.
-	UsesBGP, UsesV6 bool
 }
 
 // Registry maps experiment IDs to their drivers, in paper order.
 var Registry = []registryEntry{
 	{ID: "table1", Run: table1},
 	{ID: "launch", Run: launchLatency},
-	{ID: "fig2", Run: fig2, UsesV6: true},
+	{ID: "fig2", Run: fig2},
 	{ID: "table3", Run: table3},
 	{ID: "fig5", Run: fig5},
 	{ID: "fig6", Run: fig6},
 	{ID: "numa", Run: numa},
-	{ID: "fig11a", Run: fig11a, UsesBGP: true},
-	{ID: "fig11b", Run: fig11b, UsesV6: true},
+	{ID: "fig11a", Run: fig11a},
+	{ID: "fig11b", Run: fig11b},
 	{ID: "fig11c", Run: fig11c},
 	{ID: "fig11d", Run: fig11d},
-	{ID: "fig12", Run: fig12, UsesV6: true},
-	{ID: "ablation", Run: ablation, UsesV6: true},
+	{ID: "fig12", Run: fig12},
+	{ID: "ablation", Run: ablation},
 	{ID: "cluster", Run: clusterScaling},
 	{ID: "fabric", Run: fabricScaling},
 	{ID: "leafspine", Run: leafSpineScaling},
@@ -116,9 +110,8 @@ func allIDs() string {
 // they are constructed once (sync.Once) and shared across experiments.
 // After the build they are strictly read-only — concurrent jobs on the
 // worker pool look them up freely, and the sharedfixture pslint
-// analyzer flags any job that writes package-level state. A Runner
-// builds the fixtures its selected experiments declare up front, so
-// jobs never queue behind the Once mid-run.
+// analyzer flags any job that writes package-level state. The first job
+// to ask builds a table; jobs asking meanwhile wait on the Once.
 // ---------------------------------------------------------------------------
 
 var (

@@ -19,11 +19,37 @@ const (
 	wlForwardCrossing
 )
 
-// ioHarness runs the §4.6 packet I/O benchmark: per node, CoresPerNode
-// workers move packets with no application processing. It returns the
-// measured throughput in wire Gbps (TX-delivered for TX/forwarding
-// workloads, RX-fetched for RX-only).
-func ioHarness(cfg pktio.Config, wl ioWorkload, pktSize int, window sim.Duration) float64 {
+// ioPlacement says which RX queues worker w of a node polls: queue
+// `queue` of ports lo … hi-1.
+type ioPlacement func(cfg pktio.Config, node, w int) (lo, hi, queue int)
+
+// numaAware is the §4.5 placement: worker w polls queue w of its own
+// node's ports.
+func numaAware(cfg pktio.Config, node, w int) (lo, hi, queue int) {
+	portsPerNode := cfg.Ports / cfg.Nodes
+	return node * portsPerNode, (node + 1) * portsPerNode, w
+}
+
+// numaBlind has every worker poll its own queue — by machine-wide worker
+// index — of every port, local and remote, so cfg needs one RSS queue per
+// worker of the machine. Half the packets then suffer remote-memory
+// costs and their DMA crosses both hubs.
+func numaBlind(cfg pktio.Config, node, w int) (lo, hi, queue int) {
+	return 0, cfg.Ports, node*ioWorkersPerNode(cfg) + w
+}
+
+// ioWorkersPerNode is how many workers the harness runs on each node:
+// one per core, but never one without a queue to poll.
+func ioWorkersPerNode(cfg pktio.Config) int {
+	return min(model.CoresPerNode, cfg.QueuesPerPort)
+}
+
+// ioHarness is the one way a §4 figure drives the packet I/O engine:
+// build it from cfg, offer line rate split over each port's queues, bind
+// the queues to workers through place, run ioWorkerLoop on every worker
+// — packets move with no application processing — for window, and hand
+// back the engine for the caller to read.
+func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, pktSize int, window sim.Duration) *pktio.Engine {
 	env := sim.NewEnv()
 	defer env.Close()
 	e := pktio.New(env, cfg)
@@ -35,40 +61,29 @@ func ioHarness(cfg pktio.Config, wl ioWorkload, pktSize int, window sim.Duration
 			}
 		}
 	}
-
-	workersPerNode := model.CoresPerNode
-	portsPerNode := cfg.Ports / cfg.Nodes
 	for n := 0; n < cfg.Nodes; n++ {
-		for w := 0; w < workersPerNode; w++ {
-			// Each worker serves queue w of every port on its node.
+		for w := 0; w < ioWorkersPerNode(cfg); w++ {
+			lo, hi, queue := place(cfg, n, w)
 			var ifaces []*pktio.Iface
-			for pi := 0; pi < portsPerNode; pi++ {
-				port := n*portsPerNode + pi
-				if w < cfg.QueuesPerPort {
-					ifaces = append(ifaces, e.OpenIface(port, w, n))
-				}
+			for port := lo; port < hi; port++ {
+				ifaces = append(ifaces, e.OpenIface(port, queue, n))
 			}
 			env.Go("worker", func(p *sim.Proc) {
-				ioWorkerLoop(p, e, cfg, wl, n, ifaces, pktSize, window)
+				ioWorkerLoop(p, e, wl, n, ifaces, pktSize, window)
 			})
 		}
 	}
 	env.Run(sim.Time(window))
-	if wl == wlRxOnly {
-		var completed uint64
-		for _, p := range e.Ports {
-			for _, q := range p.Rx {
-				completed += q.CompletedDMA()
-			}
-		}
-		return float64(completed) * float64(model.WireBytes(pktSize)) * 8 /
-			window.Seconds() / 1e9
-	}
-	return e.DeliveredGbps(0)
+	return e
 }
 
-func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, cfg pktio.Config, wl ioWorkload,
+// ioWorkerLoop is the fetch → send loop of one worker: poll its
+// interfaces round-robin, send each chunk out of a port of the output
+// node (drop it when RX-only; synthesize it when TX-only), and sleep on
+// the first interface when all are empty.
+func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, wl ioWorkload,
 	node int, ifaces []*pktio.Iface, pktSize int, window sim.Duration) {
+	cfg := e.Cfg
 	portsPerNode := cfg.Ports / cfg.Nodes
 	outBase := node * portsPerNode
 	if wl == wlForwardCrossing {
@@ -113,10 +128,8 @@ func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, cfg pktio.Config, wl ioWorkload,
 				out := outBase + (rr % portsPerNode)
 				e.Send(p, node, out, chunk)
 			}
-			if !progress {
-				if !ifaces[0].Wait(p) {
-					return
-				}
+			if !progress && !ifaces[0].Wait(p) {
+				return
 			}
 		}
 	}
@@ -136,27 +149,11 @@ func table3(c *Ctx) *Result {
 		rx uint64
 	}
 	pt := MapPoints(c, 1, func(int, *Point) out {
-		env := sim.NewEnv()
-		defer env.Close()
 		cfg := pktio.DefaultConfig()
 		cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 1, 1
 		cfg.Mode = pktio.ModeSkb
-		e := pktio.New(env, cfg)
-		e.Ports[0].Rx[0].SetOffered(model.PortPacketRate(64), 64, nil)
-		iface := e.OpenIface(0, 0, 0)
-		env.Go("rx-drop", func(p *sim.Proc) {
-			var chunk []*packet.Buf
-			for p.Now() < sim.Time(10*sim.Millisecond) {
-				chunk = iface.FetchChunk(p, 64, chunk[:0])
-				for _, b := range chunk {
-					b.Release()
-				}
-				if len(chunk) == 0 && !iface.Wait(p) {
-					return
-				}
-			}
-		})
-		env.Run(sim.Time(10 * sim.Millisecond))
+		cfg.BatchCap = 64
+		e := ioHarness(cfg, numaAware, wlRxOnly, 64, 10*sim.Millisecond)
 		rx, _, _, _ := e.AggregateStats()
 		return out{e.RxBreakdown(), rx}
 	})[0]
@@ -190,7 +187,7 @@ func fig5(c *Ctx) *Result {
 		cfg := pktio.DefaultConfig()
 		cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 2, 1
 		cfg.BatchCap = batches[i]
-		return fig5OneCore(cfg, 20*sim.Millisecond)
+		return ioHarness(cfg, numaAware, wlForward, 64, 20*sim.Millisecond).DeliveredGbps(0)
 	})
 	base := gbps[0] // batch size 1
 	for i, batch := range batches {
@@ -199,36 +196,6 @@ func fig5(c *Ctx) *Result {
 	}
 	r.Note("paper: 0.78 Gbps at batch 1, 10.5 at 64 (13.5x); gains stall past 32")
 	return r
-}
-
-func fig5OneCore(cfg pktio.Config, window sim.Duration) float64 {
-	env := sim.NewEnv()
-	defer env.Close()
-	e := pktio.New(env, cfg)
-	rate := model.PortPacketRate(64)
-	for _, p := range e.Ports {
-		p.Rx[0].SetOffered(rate, 64, nil)
-	}
-	ifaces := []*pktio.Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)}
-	env.Go("worker", func(p *sim.Proc) {
-		var chunk []*packet.Buf // reused: Send consumes it synchronously
-		for p.Now() < sim.Time(window) {
-			progress := false
-			for i, f := range ifaces {
-				chunk = f.FetchChunk(p, cfg.BatchCap, chunk[:0])
-				if len(chunk) == 0 {
-					continue
-				}
-				progress = true
-				e.Send(p, 0, 1-i, chunk)
-			}
-			if !progress && !ifaces[0].Wait(p) {
-				return
-			}
-		}
-	})
-	env.Run(sim.Time(window))
-	return e.DeliveredGbps(0)
 }
 
 // fig6 regenerates Figure 6: the packet I/O engine's RX-only, TX-only,
@@ -248,7 +215,20 @@ func fig6(c *Ctx) *Result {
 	vals := MapPoints(c, len(sizes)*len(workloads), func(k int, _ *Point) float64 {
 		cfg := pktio.DefaultConfig()
 		cfg.QueuesPerPort = model.CoresPerNode // 4 workers per node in §4.6
-		return ioHarness(cfg, workloads[k%len(workloads)], sizes[k/len(workloads)], window)
+		wl, size := workloads[k%len(workloads)], sizes[k/len(workloads)]
+		e := ioHarness(cfg, numaAware, wl, size, window)
+		if wl != wlRxOnly {
+			return e.DeliveredGbps(0)
+		}
+		// Nothing is transmitted: count what the RX DMA completed.
+		var completed uint64
+		for _, p := range e.Ports {
+			for _, q := range p.Rx {
+				completed += q.CompletedDMA()
+			}
+		}
+		return float64(completed) * float64(model.WireBytes(size)) * 8 /
+			window.Seconds() / 1e9
 	})
 	for i, size := range sizes {
 		row := vals[i*len(workloads) : (i+1)*len(workloads)]
@@ -272,68 +252,15 @@ func numa(c *Ctx) *Result {
 	vals := MapPoints(c, 2, func(i int, _ *Point) float64 {
 		cfg := pktio.DefaultConfig()
 		cfg.QueuesPerPort = model.CoresPerNode
-		if i == 0 {
-			return ioHarness(cfg, wlForward, 64, 10*sim.Millisecond)
+		place := numaAware
+		if i == 1 {
+			cfg.QueuesPerPort = model.CoresPerNode * cfg.Nodes
+			place = numaBlind
 		}
-		// Blind placement: every worker serves a queue on every port, so
-		// each port needs one RSS queue per worker machine-wide.
-		cfg.QueuesPerPort = model.CoresPerNode * cfg.Nodes
-		return numaBlindForward(cfg, 10*sim.Millisecond)
+		return ioHarness(cfg, place, wlForward, 64, 10*sim.Millisecond).DeliveredGbps(0)
 	})
 	r.AddRow("NUMA-aware", fmt.Sprintf("%.1f", vals[0]))
 	r.AddRow("NUMA-blind", fmt.Sprintf("%.1f", vals[1]))
 	r.Note("paper: ~40 Gbps aware vs below 25 Gbps blind (≈60%% improvement)")
 	return r
-}
-
-// numaBlindForward runs forwarding with workers serving remote-node
-// queues: half the packets suffer remote-memory costs and their DMA
-// crosses both hubs.
-func numaBlindForward(cfg pktio.Config, window sim.Duration) float64 {
-	env := sim.NewEnv()
-	defer env.Close()
-	e := pktio.New(env, cfg)
-	rate := model.PortPacketRate(64) / float64(cfg.QueuesPerPort)
-	for _, p := range e.Ports {
-		for _, q := range p.Rx {
-			q.SetOffered(rate, 64, nil)
-		}
-	}
-	workersPerNode := model.CoresPerNode
-	portsPerNode := cfg.Ports / cfg.Nodes
-	for n := 0; n < cfg.Nodes; n++ {
-		for w := 0; w < workersPerNode; w++ {
-			n, w := n, w
-			// Blind placement: each worker serves its own queue (by
-			// machine-wide index) of EVERY port, local and remote.
-			g := n*workersPerNode + w
-			var ifaces []*pktio.Iface
-			for port := 0; port < cfg.Ports; port++ {
-				ifaces = append(ifaces, e.OpenIface(port, g, n))
-			}
-			env.Go("worker", func(p *sim.Proc) {
-				rr := 0
-				var chunk []*packet.Buf // reused: Send consumes it synchronously
-				for p.Now() < sim.Time(window) {
-					progress := false
-					for range ifaces {
-						f := ifaces[rr%len(ifaces)]
-						rr++
-						chunk = f.FetchChunk(p, cfg.BatchCap, chunk[:0])
-						if len(chunk) == 0 {
-							continue
-						}
-						progress = true
-						out := n*portsPerNode + rr%portsPerNode
-						e.Send(p, n, out, chunk)
-					}
-					if !progress && !ifaces[0].Wait(p) {
-						return
-					}
-				}
-			})
-		}
-	}
-	env.Run(sim.Time(window))
-	return e.DeliveredGbps(0)
 }

@@ -122,7 +122,6 @@ func (r *Runner) Run(w io.Writer, ids ...string) error {
 	if err != nil {
 		return err
 	}
-	r.prebuildFixtures(selected)
 	type slot struct {
 		ctx  *Ctx
 		res  *Result
@@ -167,36 +166,6 @@ func resolve(ids []string) ([]registryEntry, error) {
 		}
 	}
 	return out, nil
-}
-
-// prebuildFixtures constructs the shared read-only fixtures the
-// selected experiments declare, as pool jobs, before any experiment
-// job starts — so workers never pile up behind a sync.Once build
-// mid-run. Correctness does not depend on this: the Once makes a
-// mid-run build safe, just slower.
-func (r *Runner) prebuildFixtures(selected []registryEntry) {
-	var bgp, v6 bool
-	for _, e := range selected {
-		bgp = bgp || e.UsesBGP
-		v6 = v6 || e.UsesV6
-	}
-	var wg sync.WaitGroup
-	build := func(fn func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.sem <- struct{}{}
-			defer func() { <-r.sem }()
-			fn()
-		}()
-	}
-	if bgp {
-		build(func() { BGPFixture() })
-	}
-	if v6 {
-		build(func() { IPv6Fixture() })
-	}
-	wg.Wait()
 }
 
 // flushMetrics forwards an experiment's buffered metrics dumps to the

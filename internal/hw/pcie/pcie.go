@@ -40,53 +40,18 @@ func NewIOH(env *sim.Env, node int) *IOH {
 	}
 }
 
-// Per-byte-count transfer-time tables: the NIC TX path schedules one
-// down-transfer per packet, so the math.Round inside DurationFromSeconds
-// dominated CPU profiles. The tables cover every per-packet byte count
-// (frame + descriptor); larger (batched) transfers fall through to the
-// reference expressions. Built once at init from those same expressions,
-// so every memoized value is bit-identical; read-only afterwards.
-const timeLUTBytes = 4096
+// upTime and downTime are the hubs' per-byte service times in exact
+// integer arithmetic on the picosecond clock: 30 Gbps moves a byte in
+// 800/3 ps and 60 Gbps in 400/3 ps, and a third never rounds to a half,
+// so n/3 to the nearest is (2n+3)/6 — equal, for every byte count, to
+// sim.DurationFromSeconds(bytes / model.IOH{Up,Down}Bps), which is the
+// reference TestIOHTimesMatchFloatReference keeps.
+func upTime(bytes int) sim.Duration { return (sim.Duration(bytes)*1600 + 3) / 6 }
 
-var upTimeLUT, downTimeLUT, kappaUpTimeLUT = func() (up, down, kup []sim.Duration) {
-	up = make([]sim.Duration, timeLUTBytes)
-	down = make([]sim.Duration, timeLUTBytes)
-	kup = make([]sim.Duration, timeLUTBytes)
-	for b := range up {
-		up[b] = upTimeSlow(b)
-		down[b] = downTimeSlow(b)
-		kup[b] = sim.Duration(model.IOHKappa * float64(up[b]))
-	}
-	return
-}()
-
-func upTimeSlow(bytes int) sim.Duration {
-	return sim.DurationFromSeconds(float64(bytes) / model.IOHUpBps)
-}
-
-func downTimeSlow(bytes int) sim.Duration {
-	return sim.DurationFromSeconds(float64(bytes) / model.IOHDownBps)
-}
-
-func upTime(bytes int) sim.Duration {
-	if bytes >= 0 && bytes < timeLUTBytes {
-		return upTimeLUT[bytes]
-	}
-	return upTimeSlow(bytes)
-}
-
-func downTime(bytes int) sim.Duration {
-	if bytes >= 0 && bytes < timeLUTBytes {
-		return downTimeLUT[bytes]
-	}
-	return downTimeSlow(bytes)
-}
+func downTime(bytes int) sim.Duration { return (sim.Duration(bytes)*800 + 3) / 6 }
 
 // kappaUpTime is the coupled return-path charge of a down transfer.
 func kappaUpTime(bytes int) sim.Duration {
-	if bytes >= 0 && bytes < timeLUTBytes {
-		return kappaUpTimeLUT[bytes]
-	}
 	return sim.Duration(model.IOHKappa * float64(upTime(bytes)))
 }
 

@@ -220,3 +220,28 @@ func TestLinkRetrainHalvesBeta(t *testing.T) {
 		t.Errorf("divisor after SetRetrain(0) = %d, want 1", link.RetrainDivisor())
 	}
 }
+
+// TestIOHTimesMatchFloatReference pins upTime and downTime, which are
+// integer arithmetic, to the float expression they replaced: the
+// transfer's seconds at the hub's byte rate, rounded to the nearest
+// picosecond. Every reservation on an IOH — hence every result byte —
+// rests on the two being equal.
+func TestIOHTimesMatchFloatReference(t *testing.T) {
+	check := func(bytes int) {
+		t.Helper()
+		if got, want := upTime(bytes), sim.DurationFromSeconds(float64(bytes)/model.IOHUpBps); got != want {
+			t.Fatalf("upTime(%d) = %d ps, float reference %d ps", bytes, got, want)
+		}
+		if got, want := downTime(bytes), sim.DurationFromSeconds(float64(bytes)/model.IOHDownBps); got != want {
+			t.Fatalf("downTime(%d) = %d ps, float reference %d ps", bytes, got, want)
+		}
+	}
+	for bytes := 0; bytes <= 1<<20; bytes++ {
+		check(bytes)
+	}
+	// Beyond any transfer the model makes (a 4 GiB copy), sampled.
+	for i := uint64(0); i < 1<<16; i++ {
+		check(int(sim.SplitMix64(i) >> 32))
+	}
+	check(1 << 32)
+}

@@ -68,29 +68,13 @@ const (
 // WireBytes returns bytes of wire time for a packet of the given size.
 func WireBytes(pktSize int) int { return pktSize + EthOverheadBytes }
 
-// wireTimeLUT memoizes WireTime for every buffer-sized packet: the TX
-// path asks per packet, and the float conversion showed up in CPU
-// profiles. Built once at init from the reference expression (so values
-// are bit-identical), read-only afterwards.
-var wireTimeLUT = func() []sim.Duration {
-	t := make([]sim.Duration, HugeCellDataBytes+1)
-	for size := range t {
-		t[size] = wireTimeSlow(size)
-	}
-	return t
-}()
-
-func wireTimeSlow(pktSize int) sim.Duration {
+// WireTime returns the serialization time of one packet on a 10GbE link.
+// The float expression and its truncating conversion are the definition:
+// (pktSize+24)*800 ps would differ at 50 sizes in 64…2048 (51 B gives
+// 59,999 ps, not 60,000), and every result byte rests on these values.
+func WireTime(pktSize int) sim.Duration {
 	bits := float64(WireBytes(pktSize)) * 8
 	return sim.Duration(bits / PortRateBps * float64(sim.Second))
-}
-
-// WireTime returns the serialization time of one packet on a 10GbE link.
-func WireTime(pktSize int) sim.Duration {
-	if pktSize >= 0 && pktSize < len(wireTimeLUT) {
-		return wireTimeLUT[pktSize]
-	}
-	return wireTimeSlow(pktSize)
 }
 
 // PortPacketRate returns the line-rate packet rate of one port (pps).

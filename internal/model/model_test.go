@@ -36,6 +36,28 @@ func TestWireTime64B(t *testing.T) {
 	}
 }
 
+// TestWireTimeExactPicoseconds pins WireTime to the picosecond: TX
+// completion times, and through them every throughput and latency the
+// experiments print, are sums of these values.
+func TestWireTimeExactPicoseconds(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		want sim.Duration
+	}{
+		{64, 70_400},
+		{1514, 1_230_400},
+		// Not 60,000: 75 B × 8 / 10e9 × 1e12 is 59999.99999999999 in
+		// float64 and the conversion truncates. An integer (size+24)×800
+		// would be off by one here and at 50 sizes in 64…2048, which is
+		// why WireTime stays the float expression.
+		{51, 59_999},
+	} {
+		if got := WireTime(c.size); got != c.want {
+			t.Errorf("WireTime(%d) = %d ps, want %d", c.size, got, c.want)
+		}
+	}
+}
+
 func TestPortPacketRate(t *testing.T) {
 	// 10GbE at 64B: 14.2 Mpps with the paper's 24B overhead metric.
 	pps := PortPacketRate(64)

@@ -93,16 +93,6 @@ type Engine struct {
 
 	// breakdown accumulates RX cycles per functional bin (Table 3).
 	breakdown Breakdown
-
-	// statNames holds the per-port counter names, built once at New:
-	// ObserveStats runs on every metrics snapshot and must not rebuild
-	// the same strings each time.
-	statNames []portStatNames
-}
-
-// portStatNames is the precomputed set of per-port counter names.
-type portStatNames struct {
-	rxPackets, rxDropped, txPackets, txDropped string
 }
 
 // Breakdown is the Table 3 cycle accounting.
@@ -148,13 +138,6 @@ func New(env *sim.Env, cfg Config) *Engine {
 		}
 		p.Tx = nic.NewTxPort(env, i, model.TxRingSize, path)
 		e.Ports = append(e.Ports, p)
-		id := strconv.Itoa(i)
-		e.statNames = append(e.statNames, portStatNames{
-			rxPackets: "pktio.port" + id + ".rx_packets",
-			rxDropped: "pktio.port" + id + ".rx_dropped",
-			txPackets: "pktio.port" + id + ".tx_packets",
-			txDropped: "pktio.port" + id + ".tx_dropped",
-		})
 	}
 	return e
 }
@@ -168,19 +151,6 @@ type Iface struct {
 	// WorkerNode is the NUMA node of the owning worker; node-crossing
 	// access applies the §4.5 penalties.
 	WorkerNode int
-
-	// rxCycles memoizes hugeRxCycles by size for ModeHuge: the cost is a
-	// pure function of (size, config, remoteness), all fixed at open
-	// time. Each entry is produced by the original op sequence, so the
-	// charged cycles are bit-identical to computing them per packet.
-	// nil in ModeSkb, which stays on the slow path (skbRxCycles performs
-	// real allocator work and breakdown accounting per packet).
-	rxCycles []float64
-	// batchRxCycles is the hoisted per-batch constant of FetchChunk.
-	batchRxCycles float64
-	// missPerPacket mirrors the !Prefetch breakdown accounting the memo
-	// table can no longer do inline.
-	missPerPacket bool
 }
 
 // OpenIface binds (port, queue) for a worker on workerNode. With
@@ -192,16 +162,7 @@ func (e *Engine) OpenIface(port, queue, workerNode int) *Iface {
 		// Node-crossing DMA traverses both IOHs (§4.5).
 		q.SetDMAPath([]*pcie.IOH{e.IOHs[0], e.IOHs[1]})
 	}
-	f := &Iface{Engine: e, Port: p, Queue: q, WorkerNode: workerNode}
-	f.batchRxCycles = model.IOBatchCycles * model.IORxShare * f.remoteFactor()
-	if e.Cfg.Mode == ModeHuge {
-		f.missPerPacket = !e.Cfg.Prefetch
-		f.rxCycles = make([]float64, model.HugeCellDataBytes+1)
-		for size := range f.rxCycles {
-			f.rxCycles[size] = f.hugeRxCycles(size)
-		}
-	}
-	return f
+	return &Iface{Engine: e, Port: p, Queue: q, WorkerNode: workerNode}
 }
 
 // remoteFactor is the memory-cost multiplier for node-crossing work.
@@ -212,9 +173,8 @@ func (f *Iface) remoteFactor() float64 {
 	return 1
 }
 
-// hugeRxCycles is the ModeHuge per-packet cost as a pure function of
-// size (no breakdown side effects): the reference op sequence the
-// rxCycles memo table is built from.
+// hugeRxCycles is the ModeHuge per-packet cost for a frame of size
+// bytes.
 func (f *Iface) hugeRxCycles(size int) float64 {
 	e := f.Engine
 	c := model.IOPerPacketCycles * model.IORxShare
@@ -225,6 +185,7 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 	}
 	if !e.Cfg.Prefetch {
 		c += model.CompulsoryMissCycles
+		e.breakdown.CacheMisses += model.CompulsoryMissCycles
 	}
 	if !e.Cfg.AlignQueueData {
 		c += model.FalseSharingPenaltyCycles
@@ -237,8 +198,7 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 
 // skbRxCycles is the ModeSkb per-packet cost: the full Table 3 stack,
 // really performing the allocations and the breakdown accounting, the
-// same for every packet size. (ModeHuge never gets here: its cost comes
-// from the rxCycles table.)
+// same for every packet size.
 func (f *Iface) skbRxCycles() float64 {
 	e := f.Engine
 	if e.skb == nil {
@@ -277,20 +237,12 @@ func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Bu
 	if n <= 0 {
 		return nil
 	}
-	cycles := f.batchRxCycles
-	if f.rxCycles != nil {
-		for _, b := range got[len(out):] {
-			size := b.Size()
-			if size >= len(f.rxCycles) {
-				size = len(f.rxCycles) - 1
-			}
-			cycles += f.rxCycles[size]
-			if f.missPerPacket {
-				f.Engine.breakdown.CacheMisses += model.CompulsoryMissCycles
-			}
-		}
-	} else {
-		for range got[len(out):] {
+	cycles := model.IOBatchCycles * model.IORxShare * f.remoteFactor()
+	for _, b := range got[len(out):] {
+		if f.Engine.Cfg.Mode == ModeHuge {
+			// The copy cost stops growing at the cell size.
+			cycles += f.hugeRxCycles(min(b.Size(), model.HugeCellDataBytes))
+		} else {
 			cycles += f.skbRxCycles()
 		}
 	}
@@ -352,11 +304,11 @@ func (e *Engine) ObserveStats(reg *obs.Registry) {
 		txBytes += p.Tx.Stats.Bytes
 		txDropped += p.Tx.Stats.Dropped
 		txCarrier += p.Tx.CarrierDrops
-		names := &e.statNames[p.ID]
-		reg.Counter(names.rxPackets).Set(prx)
-		reg.Counter(names.rxDropped).Set(prxd)
-		reg.Counter(names.txPackets).Set(p.Tx.Stats.Packets)
-		reg.Counter(names.txDropped).Set(p.Tx.Stats.Dropped)
+		name := "pktio.port" + strconv.Itoa(p.ID)
+		reg.Counter(name + ".rx_packets").Set(prx)
+		reg.Counter(name + ".rx_dropped").Set(prxd)
+		reg.Counter(name + ".tx_packets").Set(p.Tx.Stats.Packets)
+		reg.Counter(name + ".tx_dropped").Set(p.Tx.Stats.Dropped)
 	}
 	reg.Counter("pktio.rx_packets").Set(rx)
 	reg.Counter("pktio.rx_bytes").Set(rxBytes)

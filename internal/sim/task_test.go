@@ -265,6 +265,29 @@ func TestWorldOfTasksHoldsNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestWorldSerialWindowsAllocateNothing: with one worker a window is a
+// loop over the partitions and a bitmap walk. A run of many windows over
+// a warmed-up task world must not allocate — in particular nothing that
+// exists only for the fan-out (goroutine captures, the WaitGroup) may
+// reach the heap on the one-worker schedule, where it would be paid
+// once per window.
+func TestWorldSerialWindowsAllocateNothing(t *testing.T) {
+	w, sums := buildTaskRing(4)
+	defer w.Close()
+	until := Time(100 * Microsecond)
+	w.Run(until, 1) // grow the heaps, link buffers and dirty lists
+	before := sums[0]
+	if n := testing.AllocsPerRun(20, func() {
+		until += Time(40 * Microsecond) // 20 windows of the 2 µs lookahead
+		w.Run(until, 1)
+	}); n != 0 {
+		t.Errorf("World.Run, 1 worker: %v allocs per 20 windows, want 0", n)
+	}
+	if sums[0] == before {
+		t.Fatal("task ring delivered nothing during the measured runs")
+	}
+}
+
 // TestTaskWakeupsAllocateNothing: a task's timed wakeup and a queue
 // hand-off to a task are typed events dispatched by a function call —
 // neither allocates in the steady state.

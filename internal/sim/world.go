@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // World couples several independent environments (partitions) into one
@@ -33,8 +32,7 @@ type World struct {
 	running   bool
 	closed    bool
 
-	busy  []*Partition // per-window scratch: partitions with runnable work
-	dirty []uint64     // per-window scratch: one bit per link, by creation index
+	dirty []uint64 // per-window scratch: one bit per link, by creation index
 
 	// flushAll disables dirty-link tracking so every window barrier
 	// flushes every link, as the pre-tracking implementation did. The
@@ -331,47 +329,34 @@ func (w *World) nextEventAt() (Time, bool) {
 	return best, found
 }
 
-// advance runs every partition's event loop up to end. Partitions with
-// no event due in this window only need their clock moved, which happens
-// inline; the rest are fanned out over up to `workers` goroutines. The
-// environments share no state and the barrier (WaitGroup) orders their
-// memory effects before flush reads the links' pending buffers.
+// advance runs every partition's event loop up to end: inline for one
+// worker, otherwise fanned out. The environments share no state, so any
+// assignment of partitions to workers gives the same bytes.
 func (w *World) advance(end Time, workers int) {
-	if workers <= 1 {
-		for _, pt := range w.parts {
-			pt.env.Run(end)
-		}
+	if workers > 1 && len(w.parts) > 1 {
+		w.fanOut(end, min(workers, len(w.parts)))
 		return
 	}
-	w.busy = w.busy[:0]
 	for _, pt := range w.parts {
-		if t, ok := pt.env.NextEventAt(); ok && t <= end {
-			w.busy = append(w.busy, pt)
-		} else {
-			pt.env.Run(end)
-		}
+		pt.env.Run(end)
 	}
-	if len(w.busy) <= 1 {
-		for _, pt := range w.busy {
-			pt.env.Run(end)
-		}
-		return
-	}
-	if workers > len(w.busy) {
-		workers = len(w.busy)
-	}
-	var next int64
+}
+
+// fanOut runs worker k of n over partitions k, k+n, … — stripes, not
+// contiguous blocks, because a leaf–spine fabric numbers its busy
+// spines last. The WaitGroup orders the partitions' memory effects
+// before barrier reads the links' pending buffers. It is its own
+// function so that the goroutines' captures (and the WaitGroup) reach
+// the heap only on this path: inside advance they would cost the
+// one-worker schedule an allocation per window.
+func (w *World) fanOut(end Time, workers int) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for k := 0; k < workers; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := atomic.AddInt64(&next, 1) - 1
-				if i >= int64(len(w.busy)) {
-					return
-				}
-				w.busy[i].env.Run(end)
+			for i := k; i < len(w.parts); i += workers {
+				w.parts[i].env.Run(end)
 			}
 		}()
 	}

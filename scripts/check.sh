@@ -44,7 +44,7 @@ go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 # Run: the paper's figures and the examples may not assemble their own
 # (tests may: hand-built routers are their differential), and bench/ is
 # its own module with its own rules.
-echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments or examples"
+echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments or examples; one §4 worker loop"
 onepath="$(git grep -n 'core\.New(' -- '*.go' ':!*_test.go' ':!bench/' | cut -d: -f1)"
 if [ "$onepath" != packetshader.go ]; then
 	echo "core.New( must have exactly one caller, in packetshader.go; found in:"
@@ -53,6 +53,11 @@ if [ "$onepath" != packetshader.go ]; then
 fi
 if git grep -n 'ResetMeasurement\|OnComplete' -- internal/experiments examples ':!*_test.go'; then
 	echo "experiments and examples measure through Instance.Run and tap through Instance.TapTx"
+	exit 1
+fi
+# The §4 figures likewise share one harness and one worker loop.
+if [ "$(git grep -c 'env\.Go(' -- internal/experiments/pktio.go | cut -d: -f2)" != 1 ]; then
+	echo "internal/experiments/pktio.go spawns workers in one place, ioHarness (one env.Go running ioWorkerLoop)"
 	exit 1
 fi
 

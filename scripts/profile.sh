@@ -15,9 +15,9 @@
 # pprof files plus a ready-to-read top-25 summary under profiles/.
 #
 # This is how the PR 9 per-packet optimizations were found (frame
-# templates, LUT Toeplitz, fast decode, hoisted cycle accounting): look
-# at profiles/*.top.txt, attack the biggest flat contributor that is
-# per-packet work, and re-run.
+# templates, LUT Toeplitz, fast decode): look at profiles/*.top.txt,
+# attack the biggest flat contributor that is per-packet work, and
+# re-run.
 #
 # Usage: scripts/profile.sh [benchtime]   (default 5x)
 set -eu
