@@ -7,9 +7,9 @@ check:
 	./scripts/check.sh
 
 # profile runs the key benchmarks (Fig5Batch, RouterIPv4Full64B,
-# RouterIPv4GPU, FabricWorkers p1/p8, FabricLS64, LeafSpineScale/l128)
-# with CPU+alloc profiling and writes pprof files plus top-25 summaries
-# under profiles/. Pass BENCHTIME for longer runs.
+# RouterIPv4GPU, RouterIPsec1514B, FabricWorkers p1/p8, FabricLS64,
+# LeafSpineScale/l128) with CPU+alloc profiling and writes pprof files
+# plus top-25 summaries under profiles/. Pass BENCHTIME for longer runs.
 profile:
 	./scripts/profile.sh $(BENCHTIME)
 

@@ -92,3 +92,20 @@ func TestFacadeIPv4PoolSteadyState(t *testing.T) {
 		t.Errorf("pool missed %d times after warm-up (%d cells warm)", pool.Allocs-warm, warm)
 	}
 }
+
+// TestFacadeIPv4SteadyStateDoesNotAllocate: with observability off, a
+// warmed router's whole data path — generator, NIC and PCIe models,
+// chunk pipeline, the app's three steps, GPU launches — runs out of
+// recycled state. bench/ gates allocs_per_sim_ms on this configuration
+// at 1 %, and one allocation per chunk or per launch reads there as
+// hundreds per simulated ms.
+func TestFacadeIPv4SteadyStateDoesNotAllocate(t *testing.T) {
+	inst := packetshader.Must(packetshader.IPv4(5000, 3,
+		packetshader.WithMode(packetshader.ModeGPU), packetshader.WithPacketSize(64),
+		packetshader.WithOfferedGbps(10)))
+	defer inst.Close()
+	inst.Run(4 * packetshader.Millisecond)
+	if n := testing.AllocsPerRun(1, func() { inst.Run(1 * packetshader.Millisecond) }); n != 0 {
+		t.Errorf("%v allocations per simulated ms after warm-up, want 0", n)
+	}
+}

@@ -40,9 +40,9 @@ func NewIPsecGW(numPorts int) *IPsecGW {
 }
 
 type ipsecState struct {
+	dec     packet.Decoder
 	sa      []int // SA (and output port) per packet
 	espLens []int
-	esp     [2048]byte // RunKernel's staging buffer for one ESP packet
 }
 
 // Name implements core.App.
@@ -60,7 +60,7 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 	st := chunkState[ipsecState](c)
 	st.sa = scratch(st.sa, n)
 	st.espLens = scratch(st.espLens, n)
-	var d packet.Decoder
+	d := &st.dec
 	inBytes, outBytes := 0, 0
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
@@ -85,24 +85,23 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 
 // RunKernel performs the real encapsulation (AES-CTR + HMAC-SHA1 over
 // every packet) — the functional equivalent of the paper's two-level
-// parallel GPU implementation.
+// parallel GPU implementation. The ESP packet is built in the frame's
+// own cell, behind the Ethernet header it keeps; the cell has headroom
+// for it, and Reset moves the frame to a larger one when it does not.
 func (a *IPsecGW) RunKernel(c *core.Chunk) {
 	st := c.State.(*ipsecState)
 	for i, b := range c.Bufs {
 		if c.OutPorts[i] != -2 {
 			continue
 		}
-		sa := a.SAs[st.sa[i]]
-		inner := b.Data[packet.EthHdrLen:]
-		outer, err := sa.Encap(st.esp[:0], inner)
-		if err != nil {
+		frameLen := len(b.Data)
+		b.Reset(packet.EthHdrLen + st.espLens[i])
+		ip := b.Data[packet.EthHdrLen:]
+		if _, err := a.SAs[st.sa[i]].Encap(ip, ip[:frameLen-packet.EthHdrLen]); err != nil {
+			b.Reset(frameLen) // refused before a byte was written
 			a.Errors++
 			c.OutPorts[i] = -1
-			continue
 		}
-		// Rebuild the frame in place: Ethernet header + outer packet.
-		b.Reset(packet.EthHdrLen + len(outer))
-		copy(b.Data[packet.EthHdrLen:], outer)
 	}
 }
 

@@ -35,6 +35,7 @@ func NewIPsecTerm(sas []*ipsec.SA, tbl *ipv4.Table, numPorts int) *IPsecTerm {
 }
 
 type ipsecTermState struct {
+	dec  packet.Decoder
 	sa   []*ipsec.SA
 	hops []uint16
 }
@@ -52,7 +53,7 @@ func (a *IPsecTerm) PreShade(c *core.Chunk) core.PreResult {
 	st := chunkState[ipsecTermState](c)
 	st.sa = scratch(st.sa, n)
 	st.hops = scratch(st.hops, n)
-	var d packet.Decoder
+	d := &st.dec
 	inBytes := 0
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1

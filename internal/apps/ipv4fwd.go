@@ -30,6 +30,7 @@ type IPv4Fwd struct {
 }
 
 type ipv4State struct {
+	dec   packet.Decoder
 	addrs []packet.IPv4Addr
 	hops  []uint16
 }
@@ -47,7 +48,7 @@ func (a *IPv4Fwd) PreShade(c *core.Chunk) core.PreResult {
 	st := chunkState[ipv4State](c)
 	st.addrs = st.addrs[:0]
 	st.hops = scratch(st.hops, len(c.Bufs))
-	var d packet.Decoder
+	d := &st.dec
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
 		if err := d.DecodeFast(b.Data); err != nil || !d.Has(packet.LayerIPv4) {

@@ -20,6 +20,7 @@ type IPv6Fwd struct {
 }
 
 type ipv6State struct {
+	dec      packet.Decoder
 	his, los []uint64
 	hops     []uint16
 }
@@ -38,7 +39,7 @@ func (a *IPv6Fwd) PreShade(c *core.Chunk) core.PreResult {
 	st.his = scratch(st.his, n)
 	st.los = scratch(st.los, n)
 	st.hops = scratch(st.hops, n)
-	var d packet.Decoder
+	d := &st.dec
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
 		if err := d.DecodeFast(b.Data); err != nil || !d.Has(packet.LayerIPv6) {

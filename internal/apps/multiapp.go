@@ -33,11 +33,14 @@ func NewMultiApp(classify func(d *packet.Decoder, b *packet.Buf) int, classifyCy
 	return m
 }
 
-// multiState carries the per-app sub-chunks.
+// multiState carries the per-app sub-chunks. It is recycled with the
+// chunk, sub-chunks and their own app states included.
 type multiState struct {
+	dec packet.Decoder
 	// assignment[i] is the app index of packet i (-1 dropped).
 	assignment []int
-	// subChunks[a] collects app a's packets (views into the parent).
+	// subChunks[a] collects app a's packets (views into the parent);
+	// it is empty when the chunk holds none for that app.
 	subChunks []*core.Chunk
 	// backRefs[a][j] is the parent index of sub-chunk a's packet j.
 	backRefs [][]int
@@ -53,25 +56,31 @@ func (m *MultiApp) Kernel() *gpu.KernelSpec { return &m.kernel }
 // PreShade classifies packets, builds one sub-chunk per app, and runs
 // each sub-app's pre-shading over its sub-chunk.
 func (m *MultiApp) PreShade(c *core.Chunk) core.PreResult {
-	st := &multiState{
-		assignment: make([]int, len(c.Bufs)),
-		subChunks:  make([]*core.Chunk, len(m.Apps)),
-		backRefs:   make([][]int, len(m.Apps)),
+	st := chunkState[multiState](c)
+	st.assignment = scratch(st.assignment, len(c.Bufs))
+	if st.subChunks == nil {
+		st.subChunks = make([]*core.Chunk, len(m.Apps))
+		for a := range st.subChunks {
+			st.subChunks[a] = new(core.Chunk)
+		}
+		st.backRefs = make([][]int, len(m.Apps))
 	}
-	c.State = st
-	var d packet.Decoder
+	for a, sc := range st.subChunks {
+		sc.Worker = c.Worker
+		sc.Bufs = sc.Bufs[:0]
+		sc.OutPorts = sc.OutPorts[:0]
+		st.backRefs[a] = st.backRefs[a][:0]
+	}
+	d := &st.dec
 	for i, b := range c.Bufs {
 		app := -1
 		if err := d.DecodeFast(b.Data); err == nil {
-			app = m.Classify(&d, b)
+			app = m.Classify(d, b)
 		}
 		st.assignment[i] = app
 		c.OutPorts[i] = -1
 		if app < 0 || app >= len(m.Apps) {
 			continue
-		}
-		if st.subChunks[app] == nil {
-			st.subChunks[app] = &core.Chunk{Worker: c.Worker}
 		}
 		sc := st.subChunks[app]
 		sc.Bufs = append(sc.Bufs, b)
@@ -83,7 +92,7 @@ func (m *MultiApp) PreShade(c *core.Chunk) core.PreResult {
 	var spec gpu.KernelSpec
 	spec.Name = "multi"
 	for a, sc := range st.subChunks {
-		if sc == nil {
+		if len(sc.Bufs) == 0 {
 			continue
 		}
 		pre := m.Apps[a].PreShade(sc)
@@ -114,7 +123,7 @@ func (m *MultiApp) PreShade(c *core.Chunk) core.PreResult {
 func (m *MultiApp) RunKernel(c *core.Chunk) {
 	st := c.State.(*multiState)
 	for a, sc := range st.subChunks {
-		if sc != nil {
+		if len(sc.Bufs) > 0 {
 			m.Apps[a].RunKernel(sc)
 		}
 	}
@@ -126,7 +135,7 @@ func (m *MultiApp) PostShade(c *core.Chunk) float64 {
 	st := c.State.(*multiState)
 	cycles := 0.0
 	for a, sc := range st.subChunks {
-		if sc == nil {
+		if len(sc.Bufs) == 0 {
 			continue
 		}
 		cycles += m.Apps[a].PostShade(sc)
@@ -142,7 +151,7 @@ func (m *MultiApp) CPUWork(c *core.Chunk) float64 {
 	st := c.State.(*multiState)
 	cycles := 0.0
 	for a, sc := range st.subChunks {
-		if sc != nil {
+		if len(sc.Bufs) > 0 {
 			cycles += m.Apps[a].CPUWork(sc)
 		}
 	}

@@ -131,6 +131,54 @@ func TestMultiAppCPUPathAgrees(t *testing.T) {
 	}
 }
 
+// TestMultiAppRecycledChunk: the state a chunk brings back from the
+// free list — sub-chunks, back references, the sub-apps' own states —
+// belongs to an earlier chunk with a different mix. A recycled chunk
+// must come out exactly as a fresh one does: same ports, same bytes.
+// The ESP sequence numbers are in those bytes, so a tunnel app that ran
+// over the stale sub-chunk of a round that gave it nothing shows in the
+// round after.
+func TestMultiAppRecycledChunk(t *testing.T) {
+	rounds := [][][]byte{
+		{udp4Frame(0x0AC80001, 90), udp4Frame(0x0B010101, 64), udp4Frame(0x0AC80002, 64)},                          // tunnel, plain, tunnel
+		{udp4Frame(0x0B020202, 64), udp6Frame(packet.IPv6AddrFromParts(1<<61, 0), 78), udp4Frame(0x0B030303, 200)}, // plain, unclassified, plain
+		{udp4Frame(0x0B040404, 64), udp4Frame(0x0AC80003, 300), udp4Frame(0x0AC80001, 64)},                         // plain, tunnel, tunnel
+	}
+	run := func(m *MultiApp, c *core.Chunk) {
+		m.PreShade(c)
+		m.RunKernel(c)
+		m.PostShade(c)
+	}
+	fresh, _, _ := newMulti(t)
+	recycled, _, gw := newMulti(t)
+	c := mkChunk(rounds[0]...)
+	for r, frames := range rounds {
+		want := mkChunk(frames...)
+		run(fresh, want)
+
+		st := c.State
+		for i, f := range frames {
+			c.Bufs[i].Reset(len(f))
+			copy(c.Bufs[i].Data, f)
+		}
+		run(recycled, c)
+		if r > 0 && c.State != st {
+			t.Errorf("round %d: PreShade replaced the recycled chunk's state", r)
+		}
+		for i := range frames {
+			if c.OutPorts[i] != want.OutPorts[i] {
+				t.Errorf("round %d packet %d: port %d on the recycled chunk, %d on a fresh one", r, i, c.OutPorts[i], want.OutPorts[i])
+			}
+			if string(c.Bufs[i].Data) != string(want.Bufs[i].Data) {
+				t.Errorf("round %d packet %d: bytes differ between the recycled chunk and a fresh one", r, i)
+			}
+		}
+	}
+	if gw.Errors != 0 {
+		t.Errorf("gateway errors = %d", gw.Errors)
+	}
+}
+
 func TestMultiAppKernelComposesProfiles(t *testing.T) {
 	m, _, _ := newMulti(t)
 	// All-IPv4 chunk → lookup-like profile, no stream rate.

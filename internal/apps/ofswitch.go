@@ -39,6 +39,7 @@ func (a *OFSwitch) refreshKernel() {
 }
 
 type ofState struct {
+	dec    packet.Decoder
 	keys   []openflow.FlowKey
 	hashes []uint32
 	// Speculative wildcard verdicts from the GPU kernel.
@@ -72,13 +73,13 @@ func (a *OFSwitch) PreShade(c *core.Chunk) core.PreResult {
 	st.act = scratch(st.act, n)
 	st.actOK = scratch(st.actOK, n)
 	st.resolved = scratch(st.resolved, n)
-	var d packet.Decoder
+	d := &st.dec
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
 		if err := d.DecodeFast(b.Data); err != nil {
 			continue
 		}
-		st.keys[i] = openflow.ExtractKey(&d, uint16(b.Port))
+		st.keys[i] = openflow.ExtractKey(d, uint16(b.Port))
 		c.OutPorts[i] = -2
 	}
 	return core.PreResult{

@@ -193,9 +193,12 @@ func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outByte
 	d.exec.Use(p, spec.ExecTime(threads, streamBytes))
 	// The kernel span includes launch latency and exec-engine queueing:
 	// it is the launch's wall view, while the exec server's own busy
-	// span (via sim hooks) isolates pure execution.
-	d.trace.SpanUntil(d.track, "kernel:"+spec.Name, h2dDone, p.Now(),
-		obs.Arg{Key: "threads", Val: int64(threads)})
+	// span (via sim hooks) isolates pure execution. Its name is built
+	// only for a tracer that will keep it.
+	if d.trace.Enabled() {
+		d.trace.SpanUntil(d.track, "kernel:"+spec.Name, h2dDone, p.Now(),
+			obs.Arg{Key: "threads", Val: int64(threads)})
+	}
 	if fn != nil {
 		fn()
 	}
@@ -245,9 +248,11 @@ func (d *Device) LaunchStreams(p *sim.Proc, spec *KernelSpec, nStreams, threads,
 	p.Sleep(sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond)))
 	// Streamed copies/kernels are interleaved; the per-engine busy spans
 	// (sim hooks) carry the detail, so the launch view is one span.
-	d.trace.SpanUntil(d.track, "launch-streams:"+spec.Name, start, p.Now(),
-		obs.Arg{Key: "threads", Val: int64(threads)},
-		obs.Arg{Key: "streams", Val: int64(nStreams)})
+	if d.trace.Enabled() {
+		d.trace.SpanUntil(d.track, "launch-streams:"+spec.Name, start, p.Now(),
+			obs.Arg{Key: "threads", Val: int64(threads)},
+			obs.Arg{Key: "streams", Val: int64(nStreams)})
+	}
 	return sim.Duration(p.Now() - start)
 }
 

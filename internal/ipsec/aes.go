@@ -23,13 +23,15 @@ const (
 )
 
 // AES is an AES-128 key in the encryption direction, which is all CTR
-// mode needs. The counter and keystream blocks live in the struct
-// because stack arrays passed through the cipher.Block interface escape
-// to the heap on every CTR call; an AES therefore serves one goroutine
-// at a time, like the SA that owns it.
+// mode needs. The counter block, the first keystream block and the
+// AEAD's output buffer live in the struct because arrays passed through
+// the cipher interfaces escape to the heap on every CTR call; an AES
+// therefore serves one goroutine at a time, like the SA that owns it.
 type AES struct {
 	block   cipher.Block
+	gcm     cipher.AEAD // the multi-block keystream engine, see CTR
 	ctr, ks [AESBlockSize]byte
+	sealed  []byte // gcm.Seal output; grows to the largest src seen + tag
 }
 
 // NewAES prepares a 16-byte key (panics on wrong length — keys come from
@@ -42,7 +44,11 @@ func NewAES(key []byte) *AES {
 	if err != nil {
 		panic(err) // only a bad key length, excluded above
 	}
-	return &AES{block: block}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err) // only a block size other than 16
+	}
+	return &AES{block: block, gcm: gcm}
 }
 
 // CTR applies AES-CTR keystream to src into dst (encrypt == decrypt;
@@ -51,14 +57,28 @@ func NewAES(key []byte) *AES {
 // = ceil(len/16); the per-block keystream generation is the unit the GPU
 // kernel parallelizes (§6.2.4: "we chop packets into AES blocks (16B)
 // and map each block to one GPU thread").
+//
+// The host gets its many blocks in flight from the standard library's
+// GCM: under the 96-bit nonce N = nonce | iv, GCM XORs its plaintext
+// with E(N|2), E(N|3), … (inc32 from J0 = N|1), which are RFC 3686's
+// keystream blocks 1, 2, …, and both counters wrap at 32 bits. So block
+// 0 is one Block.Encrypt of N|1, the rest of src goes through one Seal,
+// and the tag Seal appends is dropped. Seal may not write over its
+// input inexactly and always appends 16 bytes, hence the scratch.
 func (a *AES) CTR(dst, src []byte, nonce uint32, iv uint64) {
+	dst = dst[:len(src)] // a short dst panics here, not after block 0
 	binary.BigEndian.PutUint32(a.ctr[0:4], nonce)
 	binary.BigEndian.PutUint64(a.ctr[4:12], iv)
-	ctr := uint32(1)
-	for off := 0; off < len(src); off += AESBlockSize {
-		binary.BigEndian.PutUint32(a.ctr[12:16], ctr)
-		a.block.Encrypt(a.ks[:], a.ctr[:])
-		subtle.XORBytes(dst[off:], src[off:], a.ks[:])
-		ctr++
+	binary.BigEndian.PutUint32(a.ctr[12:16], 1)
+	a.block.Encrypt(a.ks[:], a.ctr[:])
+	subtle.XORBytes(dst, src, a.ks[:])
+	if len(src) <= AESBlockSize {
+		return
 	}
+	rest := src[AESBlockSize:]
+	if need := len(rest) + a.gcm.Overhead(); cap(a.sealed) < need {
+		a.sealed = make([]byte, 0, need)
+	}
+	a.sealed = a.gcm.Seal(a.sealed[:0], a.ctr[:12], rest, nil)
+	copy(dst[AESBlockSize:], a.sealed[:len(rest)])
 }

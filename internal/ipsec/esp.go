@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"packetshader/internal/packet"
 )
@@ -71,19 +72,39 @@ func padLen(innerLen int) int {
 // Encap wraps inner (a complete inner IP packet) in tunnel-mode ESP and
 // returns the outer IPv4 packet written into dst (which must have
 // capacity for len(inner)+EncapOverhead). The sequence number and IV are
-// taken from the SA's outbound counter.
+// taken from the SA's outbound counter. An inner packet whose outer form
+// is longer than an IPv4 total length can say (65,535), or a dst too
+// small, is refused with ErrMalformed before dst or the counter is
+// touched.
+//
+// dst may alias inner — a gateway builds the ESP packet in the cell the
+// inner packet arrived in: the first thing Encap writes is inner, moved
+// to its place behind the headers (copy is overlap-safe), and every
+// other write lands outside that region.
 func (sa *SA) Encap(dst, inner []byte) ([]byte, error) {
-	sa.seq++
-	seq := sa.seq
-	iv := uint64(sa.SPI)<<32 | uint64(seq) // unique per (key, packet)
-
 	padded := padLen(len(inner))
 	pad := padded - len(inner)
 	total := packet.IPv4HdrLen + espHdrLen + espIVLen + padded + 2 + ICVSize
-	if cap(dst) < total {
+	if total > math.MaxUint16 || cap(dst) < total {
 		return nil, ErrMalformed
 	}
 	out := dst[:total]
+	esp := out[packet.IPv4HdrLen:]
+	body := esp[espHdrLen+espIVLen:]
+
+	// Plaintext: inner packet + monotonic pad bytes + padlen + next
+	// header (4 = IPv4-in-IPsec).
+	pt := body[:padded+2]
+	copy(pt, inner)
+	for i := 0; i < pad; i++ {
+		pt[len(inner)+i] = byte(i + 1) // RFC 4303 default pad pattern
+	}
+	pt[padded] = byte(pad)
+	pt[padded+1] = 4
+
+	sa.seq++
+	seq := sa.seq
+	iv := uint64(sa.SPI)<<32 | uint64(seq) // unique per (key, packet)
 
 	// Outer IPv4 header.
 	outer := packet.IPv4Hdr{
@@ -93,21 +114,9 @@ func (sa *SA) Encap(dst, inner []byte) ([]byte, error) {
 	outer.Encode(out)
 
 	// ESP header + IV.
-	esp := out[packet.IPv4HdrLen:]
 	binary.BigEndian.PutUint32(esp[0:4], sa.SPI)
 	binary.BigEndian.PutUint32(esp[4:8], seq)
 	binary.BigEndian.PutUint64(esp[8:16], iv)
-
-	// Plaintext: inner packet + monotonic pad bytes + padlen + next
-	// header (4 = IPv4-in-IPsec).
-	body := esp[espHdrLen+espIVLen:]
-	pt := body[:padded+2]
-	copy(pt, inner)
-	for i := 0; i < pad; i++ {
-		pt[len(inner)+i] = byte(i + 1) // RFC 4303 default pad pattern
-	}
-	pt[padded] = byte(pad)
-	pt[padded+1] = 4
 
 	// Encrypt in place.
 	sa.aes.CTR(pt, pt, sa.nonce, iv)

@@ -41,7 +41,7 @@ func FuzzDecap(f *testing.F) {
 			t.Fatalf("Decap returned an undeclared error: %v", err)
 		}
 
-		dst := make([]byte, 2048) // the gateway's staging size
+		dst := make([]byte, 2048) // one standard packet cell
 		if len(orig)+EncapOverhead(len(orig)) > len(dst) {
 			return
 		}
@@ -54,5 +54,19 @@ func FuzzDecap(f *testing.F) {
 		if err != nil || !bytes.Equal(got, orig) {
 			t.Fatalf("Encap→Decap of %d bytes: err = %v, equal = %v", len(orig), err, bytes.Equal(got, orig))
 		}
+	})
+}
+
+// FuzzCTR holds AES.CTR to the block-at-a-time loop (ctrBlockLoop,
+// aes_test.go) on arbitrary keys, nonces, IVs and data,
+// out of place and in place. The checked-in seeds sit on the edges the
+// AEAD route has: the hand-made first block (15/16/17 bytes) and the
+// engine's eight-block stride behind it (127/128/129 and 143/144/145).
+func FuzzCTR(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), uint32(0x30), uint64(0), []byte("Single block msg"))
+	f.Fuzz(func(t *testing.T, key []byte, nonce uint32, iv uint64, data []byte) {
+		var k [AESKeySize]byte
+		copy(k[:], key) // any bytes make a key: cut or zero-filled to size
+		checkCTR(t, NewAES(k[:]), data, nonce, iv)
 	})
 }

@@ -524,68 +524,159 @@ func TestDecapBitflipSweep(t *testing.T) {
 	}
 }
 
-// TestESPGoldenFrame pins the wire bytes of one ESP frame — fixed keys,
-// SPI, nonce and inner bytes, first sequence number — independently of
-// whichever AES and SHA-1 sit underneath. 45 inner bytes need one pad
-// byte, so the RFC 4303 trailer is part of what is pinned.
-func TestESPGoldenFrame(t *testing.T) {
-	const want = "45000060000000004032666a0a0000010a000002" + // outer IPv4
-		"00001001" + "00000001" + "0000100100000001" + // SPI, seq, IV
-		"360b8335c0f46e6215d81b94c38b050b57c438d1b9338621205fcec4d795b1c6" +
-		"a7f07e12e24976a584ab34584ec9dd03" + // inner + pad + trailer, ciphered
-		"df2dcf2be8f7efae283270a5" // ICV
+// goldenESP is one ESP frame's wire bytes — testSA's keys, SPI and
+// nonce, goldenInner's bytes, first sequence number. 45 inner bytes need
+// one pad byte, so the RFC 4303 trailer is part of what is pinned.
+const goldenESP = "45000060000000004032666a0a0000010a000002" + // outer IPv4
+	"00001001" + "00000001" + "0000100100000001" + // SPI, seq, IV
+	"360b8335c0f46e6215d81b94c38b050b57c438d1b9338621205fcec4d795b1c6" +
+	"a7f07e12e24976a584ab34584ec9dd03" + // inner + pad + trailer, ciphered
+	"df2dcf2be8f7efae283270a5" // ICV
+
+func goldenInner() []byte {
 	inner := make([]byte, 45)
 	for i := range inner {
 		inner[i] = byte(7*i + 3)
 	}
+	return inner
+}
+
+// TestESPGoldenFrame pins the wire bytes of one ESP frame independently
+// of whichever AES and SHA-1 sit underneath.
+func TestESPGoldenFrame(t *testing.T) {
+	inner := goldenInner()
 	sender, receiver := testSA()
 	outer, err := sender.Encap(make([]byte, 2048), inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(outer); got != want {
-		t.Errorf("ESP frame\n got %s\nwant %s", got, want)
+	if got := hex.EncodeToString(outer); got != goldenESP {
+		t.Errorf("ESP frame\n got %s\nwant %s", got, goldenESP)
 	}
-	frame, _ := hex.DecodeString(want)
+	frame, _ := hex.DecodeString(goldenESP)
 	if got, err := receiver.Decap(frame); err != nil || !bytes.Equal(got, inner) {
 		t.Errorf("golden frame decaps to %x, %v", got, err)
 	}
 }
 
+// TestEncapAliasedMatchesDisjoint: Encap promises that dst may alias
+// inner. Built in place — inner at the front of the cell it is
+// encapsulated into, the way IPsecGW.RunKernel calls it, and at every
+// other offset that fits — the frame is the one built into a separate
+// buffer, byte for byte, and both are the golden frame.
+func TestEncapAliasedMatchesDisjoint(t *testing.T) {
+	inner := goldenInner()
+	for off := 0; off+len(inner) <= len(goldenESP)/2; off++ {
+		cell := make([]byte, 256)
+		for i := range cell {
+			cell[i] = 0xEE // stale bytes of an earlier frame
+		}
+		copy(cell[off:], inner)
+		sender, _ := testSA()
+		outer, err := sender.Encap(cell, cell[off:off+len(inner)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(outer); got != goldenESP {
+			t.Fatalf("inner at offset %d of its own dst\n got %s\nwant %s", off, got, goldenESP)
+		}
+		if &outer[0] != &cell[0] {
+			t.Fatal("Encap did not build the frame in dst")
+		}
+	}
+	// Longer than the headers in front of it, so source and destination
+	// of the move overlap; RunKernel's 1514 B case.
+	long := innerPacket(1500)
+	a, b := testSA()
+	disjoint, err := a.Encap(make([]byte, 2048), long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := make([]byte, 2048)
+	copy(cell, long)
+	aliased, err := b.Encap(cell, cell[:len(long)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(aliased, disjoint) {
+		t.Error("1500 B inner: in-place frame differs from the one built into a separate buffer")
+	}
+}
+
+// TestEncapRefusesUnencodableLength: the outer IPv4 header states its
+// total length in 16 bits. The largest inner packet that fits goes
+// through; one byte more is refused before dst or the sequence counter
+// is touched, not sent with the length wrapped.
+func TestEncapRefusesUnencodableLength(t *testing.T) {
+	// ESP packets are 48 bytes plus a multiple of four, so the largest
+	// is 65,532: a 65,482-byte inner packet, which needs no padding.
+	const maxInner, maxOuter = 65482, 65532
+	if maxInner+EncapOverhead(maxInner) != maxOuter || maxInner+1+EncapOverhead(maxInner+1) <= 65535 {
+		t.Fatal("test arithmetic: 65,482 is not the largest inner packet that fits")
+	}
+	sender, receiver := testSA()
+	dst := bytes.Repeat([]byte{0xEE}, 70000)
+	for _, n := range []int{maxInner + 1, maxInner + 2, 69000} {
+		if out, err := sender.Encap(dst, make([]byte, n)); err != ErrMalformed || out != nil {
+			t.Errorf("%d-byte inner: out = %d bytes, err = %v, want ErrMalformed", n, len(out), err)
+		}
+	}
+	if !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, len(dst))) {
+		t.Error("a refused Encap wrote into dst")
+	}
+	inner := make([]byte, maxInner)
+	inner[0], inner[maxInner-1] = 0x45, 0x7F
+	outer, err := sender.Encap(dst, inner)
+	if err != nil || len(outer) != maxOuter {
+		t.Fatalf("%d-byte inner: %d bytes out, err = %v", maxInner, len(outer), err)
+	}
+	if seq := binary.BigEndian.Uint32(outer[24:28]); seq != 1 {
+		t.Errorf("sequence number %d after three refusals, want 1", seq)
+	}
+	if got, err := receiver.Decap(outer); err != nil || !bytes.Equal(got, inner) {
+		t.Errorf("largest frame does not decap: err = %v", err)
+	}
+}
+
 // TestCryptoPathDoesNotAllocate: the per-packet calls run once per
 // packet of every ipsec experiment, so a single allocation in any of
-// them is millions per run.
+// them is millions per run. CTR's AEAD scratch grows to the largest
+// input it has seen — once, in the warm call each case gets — so the
+// claim holds for a 16 KiB jumbo as it does for 1500 B.
 func TestCryptoPathDoesNotAllocate(t *testing.T) {
-	buf := make([]byte, 1500)
-	a := NewAES(make([]byte, 16))
-	h := NewHMACSHA1([]byte("key"))
-	sender, receiver := testSA()
-	inner := innerPacket(1500)
-	dst := make([]byte, 2048)
-	cases := []struct {
-		name string
-		f    func()
-	}{
-		{"AES.CTR", func() { a.CTR(buf, buf, 1, 2) }},
-		{"HMACSHA1.ICV", func() { _ = h.ICV(buf) }},
-		{"SA.Encap", func() {
-			if _, err := sender.Encap(dst, inner); err != nil {
-				t.Fatal(err)
+	for _, size := range []int{1500, 16 << 10} {
+		buf := make([]byte, size)
+		a := NewAES(make([]byte, 16))
+		h := NewHMACSHA1([]byte("key"))
+		sender, receiver := testSA()
+		inner := make([]byte, size)
+		dst := make([]byte, size+EncapOverhead(size))
+		cases := []struct {
+			name string
+			f    func()
+		}{
+			{"AES.CTR", func() { a.CTR(buf, buf, 1, 2) }},
+			{"HMACSHA1.ICV", func() { _ = h.ICV(buf) }},
+			{"SA.Encap", func() {
+				if _, err := sender.Encap(dst, inner); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			// Each Decap consumes the frame the Encap before it produced,
+			// so the replay window keeps advancing; only Decap may not
+			// allocate here, and Encap is already held to zero above.
+			{"SA.Decap", func() {
+				outer, _ := sender.Encap(dst, inner)
+				if _, err := receiver.Decap(outer); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		}
+		for _, c := range cases {
+			c.f() // warm
+			if n := testing.AllocsPerRun(100, c.f); n != 0 {
+				t.Errorf("%s, %d B: %v allocations per call, want 0", c.name, size, n)
 			}
-		}},
-		// Each Decap consumes the frame the Encap before it produced, so
-		// the replay window keeps advancing; only Decap may not allocate
-		// here, and Encap is already held to zero above.
-		{"SA.Decap", func() {
-			outer, _ := sender.Encap(dst, inner)
-			if _, err := receiver.Decap(outer); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	}
-	for _, c := range cases {
-		if n := testing.AllocsPerRun(100, c.f); n != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", c.name, n)
 		}
 	}
 }

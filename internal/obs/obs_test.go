@@ -11,8 +11,16 @@ import (
 	"packetshader/internal/sim"
 )
 
+// disabled is what an instrumented hot path holds when observability is
+// off. A package variable, so the compiler cannot see through the calls
+// below the way it could with a local nil.
+var disabled struct {
+	tr    *Tracer
+	track TrackID
+}
+
 func TestNilTracerIsInert(t *testing.T) {
-	var tr *Tracer
+	tr := disabled.tr
 	if tr.Enabled() {
 		t.Error("nil tracer reports enabled")
 	}
@@ -30,6 +38,64 @@ func TestNilTracerIsInert(t *testing.T) {
 	var doc map[string]any
 	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
 		t.Fatalf("nil-tracer export is not valid JSON: %v", err)
+	}
+
+	// Inert means the call costs its nil check: no call site may
+	// allocate, whatever it passes. (A tracer that kept the variadic
+	// slice made every site with args allocate it, enabled or not.)
+	n := int64(len(b.Bytes()))
+	calls := []struct {
+		name string
+		f    func()
+	}{
+		{"Span, no args", func() { disabled.tr.Span(disabled.track, "x", 0, 5) }},
+		{"Span, one arg", func() { disabled.tr.Span(disabled.track, "x", 0, 5, Arg{"packets", n}) }},
+		{"SpanUntil, two args", func() {
+			disabled.tr.SpanUntil(disabled.track, "x", 0, 5, Arg{"threads", n}, Arg{"streams", n + 1})
+		}},
+		{"Instant, one arg", func() { disabled.tr.Instant(disabled.track, "y", 0, Arg{"port", n}) }},
+		{"Instant, two args", func() { disabled.tr.Instant(disabled.track, "y", 0, Arg{"port", n}, Arg{"node", n}) }},
+		{"Counter", func() { disabled.tr.Counter(disabled.track, "z", 0, n) }},
+	}
+	for _, c := range calls {
+		if got := testing.AllocsPerRun(100, c.f); got != 0 {
+			t.Errorf("%s on a nil tracer: %v allocations per call, want 0", c.name, got)
+		}
+	}
+}
+
+// TestWriteJSONBytes pins the export byte for byte: where the tracer
+// keeps an event's args is its own business, what it writes is not.
+func TestWriteJSONBytes(t *testing.T) {
+	tr := NewTracer()
+	w := tr.Track("workers", "worker0")
+	g := tr.Track("devices", "gpu0")
+	tr.Span(w, "rx-fetch", sim.Time(2*sim.Microsecond), 500*sim.Nanosecond, Arg{"packets", 32})
+	tr.Span(w, "pre-shade", sim.Time(2500*sim.Nanosecond), 0)
+	tr.SpanUntil(g, "launch-streams:ipsec", sim.Time(3*sim.Microsecond), sim.Time(4*sim.Microsecond+1),
+		Arg{"threads", 96}, Arg{"streams", 4})
+	tr.Instant(g, "gpu-stall", sim.Time(5*sim.Microsecond), Arg{"chunks", -1})
+	tr.Counter(w, "inflight", sim.Time(6*sim.Microsecond), 7)
+	tr.Instant(w, "drop", sim.Time(7*sim.Microsecond))
+	const want = `{"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","pid":1,"name":"process_name","args":{"name":"workers"}},
+{"ph":"M","pid":2,"name":"process_name","args":{"name":"devices"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"worker0"}},
+{"ph":"M","pid":2,"tid":1,"name":"thread_name","args":{"name":"gpu0"}},
+{"ph":"X","pid":1,"tid":1,"ts":2.000000,"dur":0.500000,"name":"rx-fetch","cat":"sim","args":{"packets":32}},
+{"ph":"X","pid":1,"tid":1,"ts":2.500000,"dur":0.000000,"name":"pre-shade","cat":"sim"},
+{"ph":"X","pid":2,"tid":1,"ts":3.000000,"dur":1.000001,"name":"launch-streams:ipsec","cat":"sim","args":{"threads":96,"streams":4}},
+{"ph":"i","pid":2,"tid":1,"ts":5.000000,"s":"t","name":"gpu-stall","cat":"sim","args":{"chunks":-1}},
+{"ph":"C","pid":1,"tid":1,"ts":6.000000,"name":"inflight","args":{"value":7}},
+{"ph":"i","pid":1,"tid":1,"ts":7.000000,"s":"t","name":"drop","cat":"sim"}
+]}
+`
+	var b bytes.Buffer
+	if err := tr.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != want {
+		t.Errorf("WriteJSON\n got %s\nwant %s", b.String(), want)
 	}
 }
 

@@ -13,7 +13,11 @@
 //
 // A nil *Tracer (and nil metric handles) is valid and inert: every
 // method nil-checks its receiver, so instrumented hot paths pay one
-// predictable branch when observability is disabled.
+// predictable branch when observability is disabled — and nothing else.
+// In particular no method keeps a slice its caller passed (span args are
+// copied into the tracer's own arena), so a variadic call site builds
+// its args on the stack and a disabled call allocates nothing;
+// TestNilTracerIsInert holds every recording method to zero allocations.
 package obs
 
 import (
@@ -53,7 +57,8 @@ type traceEvent struct {
 	name  string
 	at    sim.Time
 	dur   sim.Duration
-	args  []Arg
+	// The event's args are Tracer.args[argOff : argOff+argN].
+	argOff, argN int
 }
 
 type track struct {
@@ -73,6 +78,7 @@ type Tracer struct {
 	// devices, resources).
 	pids   []string
 	events []traceEvent
+	args   []Arg // every event's args, back to back in record order
 }
 
 // NewTracer returns an empty tracer.
@@ -123,7 +129,15 @@ func (t *Tracer) Span(tr TrackID, name string, start sim.Time, d sim.Duration, a
 	if d < 0 {
 		d = 0
 	}
-	t.events = append(t.events, traceEvent{kind: kindSpan, track: tr, name: name, at: start, dur: d, args: args})
+	t.record(traceEvent{kind: kindSpan, track: tr, name: name, at: start, dur: d}, args)
+}
+
+// record appends ev with a copy of args: keeping the caller's slice
+// would make every call site allocate one, tracer or no tracer.
+func (t *Tracer) record(ev traceEvent, args []Arg) {
+	ev.argOff, ev.argN = len(t.args), len(args)
+	t.args = append(t.args, args...)
+	t.events = append(t.events, ev)
 }
 
 // SpanUntil records a complete event covering [start, end).
@@ -136,7 +150,7 @@ func (t *Tracer) Instant(tr TrackID, name string, at sim.Time, args ...Arg) {
 	if t == nil || tr == 0 {
 		return
 	}
-	t.events = append(t.events, traceEvent{kind: kindInstant, track: tr, name: name, at: at, args: args})
+	t.record(traceEvent{kind: kindInstant, track: tr, name: name, at: at}, args)
 }
 
 // Counter records a counter sample (rendered by Perfetto as a stepped
@@ -145,10 +159,8 @@ func (t *Tracer) Counter(tr TrackID, name string, at sim.Time, val int64) {
 	if t == nil || tr == 0 {
 		return
 	}
-	t.events = append(t.events, traceEvent{
-		kind: kindCounter, track: tr, name: name, at: at,
-		args: []Arg{{Key: "value", Val: val}},
-	})
+	t.record(traceEvent{kind: kindCounter, track: tr, name: name, at: at},
+		[]Arg{{Key: "value", Val: val}})
 }
 
 // Events returns the number of recorded events.
@@ -242,8 +254,8 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 				fmt.Fprintf(bw, `{"ph":"C","pid":%d,"tid":%d,"ts":%s,"name":%s`,
 					tr.pid, tr.tid, micros(int64(ev.at)), quote(ev.name))
 			}
-			if len(ev.args) > 0 {
-				writeArgs(bw, ev.args)
+			if ev.argN > 0 {
+				writeArgs(bw, t.args[ev.argOff:ev.argOff+ev.argN])
 			}
 			io.WriteString(bw, "}")
 		}

@@ -725,22 +725,22 @@ func TestDecodeFastMatchesDecode(t *testing.T) {
 		f(m)
 		corpus = append(corpus, m)
 	}
-	mutate(func(m []byte) { m[14] = 0x46 })                                  // IHL 6: options
-	mutate(func(m []byte) { m[14] = 0x4f })                                  // IHL 15 > frame
-	mutate(func(m []byte) { m[14] = 0x55 })                                  // version 5
-	mutate(func(m []byte) { m[14] = 0x65 })                                  // version 6 in IPv4 ethertype
-	mutate(func(m []byte) { m[23] = ProtoTCP })                              // TCP (stale checksum: fine, not verified)
-	mutate(func(m []byte) { m[23] = ProtoESP })                              // ESP
-	mutate(func(m []byte) { m[23] = 0x2f })                                  // GRE: unknown L4
-	mutate(func(m []byte) { m[12], m[13] = 0x81, 0x00 })                     // VLAN tag where IPv4 was
-	mutate(func(m []byte) { m[12], m[13] = 0x08, 0x06 })                     // ARP ethertype
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 0xffff) })  // IPv4 TotalLen giant
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 10) })      // TotalLen < header
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 21) })      // TotalLen 21: 1-byte L4
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 28) })      // TotalLen == hdrs only
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 0xffff) })  // UDP length giant
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 3) })       // UDP length < 8
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 8) })       // UDP empty payload
+	mutate(func(m []byte) { m[14] = 0x46 })                                 // IHL 6: options
+	mutate(func(m []byte) { m[14] = 0x4f })                                 // IHL 15 > frame
+	mutate(func(m []byte) { m[14] = 0x55 })                                 // version 5
+	mutate(func(m []byte) { m[14] = 0x65 })                                 // version 6 in IPv4 ethertype
+	mutate(func(m []byte) { m[23] = ProtoTCP })                             // TCP (stale checksum: fine, not verified)
+	mutate(func(m []byte) { m[23] = ProtoESP })                             // ESP
+	mutate(func(m []byte) { m[23] = 0x2f })                                 // GRE: unknown L4
+	mutate(func(m []byte) { m[12], m[13] = 0x81, 0x00 })                    // VLAN tag where IPv4 was
+	mutate(func(m []byte) { m[12], m[13] = 0x08, 0x06 })                    // ARP ethertype
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 0xffff) }) // IPv4 TotalLen giant
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 10) })     // TotalLen < header
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 21) })     // TotalLen 21: 1-byte L4
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 28) })     // TotalLen == hdrs only
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 0xffff) }) // UDP length giant
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 3) })      // UDP length < 8
+	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 8) })      // UDP empty payload
 	// IPv6 variants.
 	base6 := BuildUDP6(buf[:], 100, testSrcMAC, testDstMAC,
 		IPv6AddrFromParts(1, 2), IPv6AddrFromParts(3, 4), 5, 6)

@@ -1,9 +1,9 @@
 #!/bin/sh
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet, the pslint determinism linters, the full test
-# suite (root module and the nested bench/ module), the one-path and
-# byte-identity gates, short FuzzDecap, FuzzParseScript and
-# FuzzEventStore runs, and race tests on the concurrency-bearing
+# suite (root module and the nested bench/ module), gofmt, the one-path
+# and byte-identity gates, short FuzzDecap, FuzzCTR, FuzzParseScript
+# and FuzzEventStore runs, and race tests on the concurrency-bearing
 # packages. `make check` runs it, and so does CI — there is no second
 # copy of these steps in .github/workflows/ci.yml.
 set -eu
@@ -15,6 +15,16 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# The repository's own files only: bench/run.sh keeps a Go cache and
+# GOPATH under .bench_build/.
+echo "== gofmt -l (no file listed)"
+unformatted="$(git ls-files --cached --others --exclude-standard '*.go' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt would rewrite:"
+	echo "$unformatted"
+	exit 1
+fi
 
 # One invocation covers every package (./... includes internal/obs and
 # internal/faults); the JSON report then feeds the baseline staleness
@@ -35,8 +45,9 @@ go test ./...
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzParseScript, FuzzEventStore, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
+go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 

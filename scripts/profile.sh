@@ -4,9 +4,10 @@
 # RouterIPv4Full64B (the full CPU+GPU router framework in bench/'s
 # ipv4-64B configuration: a 282,797-prefix table that does not fit the
 # cache), RouterIPv4GPU (the same with 20,000 prefixes, kept so old
-# profiles stay comparable), FabricWorkers at p1 and p8
-# (conservative-parallel cluster fabric, serial and partitioned
-# advance, a 16-node full mesh), FabricLS64 (bench/'s fabric-ls64
+# profiles stay comparable), RouterIPsec1514B (bench/'s ipsec-1514B
+# configuration: the gateway's real AES-CTR and HMAC-SHA1 over 1514 B
+# frames), FabricWorkers at p1 and p8 (conservative-parallel cluster
+# fabric, serial and partitioned advance, a 16-node full mesh), FabricLS64 (bench/'s fabric-ls64
 # configuration: the 64×8 leaf–spine whose host time is all engine and
 # forwarder tasks) and LeafSpineScale/l128 (144 partitions, 8,192
 # links: the most Envs and links the repository runs, so the first
@@ -47,6 +48,7 @@ profile_one() { # profile_one <label> <bench regex>
 profile_one fig5batch 'BenchmarkFig5Batch$'
 profile_one router-ipv4-full64b 'BenchmarkRouterIPv4Full64B$'
 profile_one router-ipv4-gpu 'BenchmarkRouterIPv4GPU$'
+profile_one router-ipsec-1514b 'BenchmarkRouterIPsec1514B$'
 profile_one fabric 'BenchmarkFabricWorkers/p1$'
 profile_one fabric-p8 'BenchmarkFabricWorkers/p8$'
 profile_one fabric-ls64 'BenchmarkFabricLS64$'
