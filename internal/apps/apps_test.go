@@ -42,6 +42,17 @@ func udp4Frame(dst packet.IPv4Addr, size int) []byte {
 	return packet.BuildUDP4(buf, size, srcMAC, dstMAC, 0x0B000001, dst, 1111, 2222)
 }
 
+// vlanTagged pushes an 802.1Q tag onto frame the way an upstream
+// OpenFlow switch would (frame must have four spare bytes of capacity).
+func vlanTagged(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	out, err := openflow.ApplyMods(frame, []openflow.Mod{{Type: openflow.ModSetVLAN, VLAN: 42}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // IPv4 forwarding
 // ---------------------------------------------------------------------------
@@ -77,6 +88,33 @@ func TestIPv4FwdFastPath(t *testing.T) {
 	}
 	if !packet.VerifyIPv4Checksum(hdr) {
 		t.Error("checksum invalid after TTL decrement")
+	}
+}
+
+// TestIPv4FwdTaggedFrame: behind an 802.1Q tag the IPv4 header starts
+// four bytes later, and that is where the TTL and checksum are.
+func TestIPv4FwdTaggedFrame(t *testing.T) {
+	app := buildIPv4App(t, []route.Entry{
+		{Prefix: route.Prefix{Addr: 0x0A000000, Len: 8}, NextHop: 3},
+	})
+	frame := vlanTagged(t, udp4Frame(0x0A010101, 64))
+	want := append([]byte(nil), frame...)
+	c := mkChunk(frame)
+	app.PreShade(c)
+	app.RunKernel(c)
+	app.PostShade(c)
+	if c.OutPorts[0] != 3 || app.SlowPath != 0 {
+		t.Fatalf("out port = %d, slow path = %d, want 3 and 0", c.OutPorts[0], app.SlowPath)
+	}
+	got := c.Bufs[0].Data
+	hdr := got[packet.EthHdrLen+packet.VLANTagLen:]
+	if hdr[8] != 63 || !packet.VerifyIPv4Checksum(hdr) {
+		t.Errorf("TTL = %d, checksum valid = %v; want 63 and true", hdr[8], packet.VerifyIPv4Checksum(hdr))
+	}
+	// Nothing else moved: the tag, the addresses and the payload.
+	copy(want[packet.EthHdrLen+packet.VLANTagLen+8:], hdr[8:12])
+	if string(got) != string(want) {
+		t.Errorf("bytes outside TTL and checksum changed:\n got  %x\n want %x", got, want)
 	}
 }
 
@@ -184,6 +222,28 @@ func TestIPv6FwdForwardAndHopLimit(t *testing.T) {
 	}
 	if hl := c.Bufs[0].Data[packet.EthHdrLen+7]; hl != 63 {
 		t.Errorf("hop limit = %d, want 63", hl)
+	}
+}
+
+// TestIPv6FwdTaggedFrame: the hop limit of a tagged frame is at byte 25,
+// and byte 21 — where an untagged frame has it — is the flow label's.
+func TestIPv6FwdTaggedFrame(t *testing.T) {
+	entries := []route.Entry6{
+		{Prefix6: route.Prefix6{Hi: 0x20010db800000000, Len: 32}, NextHop: 5},
+	}
+	app := &IPv6Fwd{Table: ipv6.Build(entries), NumPorts: 8}
+	frame := vlanTagged(t, udp6Frame(packet.IPv6AddrFromParts(0x20010db8aaaa0000, 99), 78))
+	want := append([]byte(nil), frame...)
+	want[packet.EthHdrLen+packet.VLANTagLen+7] = 63
+	c := mkChunk(frame)
+	app.PreShade(c)
+	app.RunKernel(c)
+	app.PostShade(c)
+	if c.OutPorts[0] != 5 {
+		t.Fatalf("port = %d, want 5", c.OutPorts[0])
+	}
+	if got := c.Bufs[0].Data; string(got) != string(want) {
+		t.Errorf("forwarded frame:\n got  %x\n want %x (hop limit 63, nothing else touched)", got, want)
 	}
 }
 
@@ -457,6 +517,23 @@ func TestIPsecGWNonIPv4Dropped(t *testing.T) {
 	}
 }
 
+// TestIPsecGWRefusesTaggedFrame: a tunnel endpoint takes untagged IP;
+// "tag + packet" must not go into the tunnel as the inner packet.
+func TestIPsecGWRefusesTaggedFrame(t *testing.T) {
+	app := NewIPsecGW(8)
+	frame := vlanTagged(t, udp4Frame(0x0C000001, 64))
+	c := mkChunk(frame)
+	app.PreShade(c)
+	app.RunKernel(c)
+	app.PostShade(c)
+	if c.OutPorts[0] != -1 || app.Errors != 1 {
+		t.Fatalf("tagged frame: port = %d, errors = %d, want -1 and 1", c.OutPorts[0], app.Errors)
+	}
+	if string(c.Bufs[0].Data) != string(frame) {
+		t.Error("the refused frame's bytes changed")
+	}
+}
+
 // TestIPsecGWRefusesUnencodableFrame: a replayed capture can hold a
 // frame whose ESP form no IPv4 total length can state. It is counted and
 // dropped, with its bytes as they arrived, and the SA's next packet
@@ -679,9 +756,8 @@ func TestPreShadeWritesEveryOutPort(t *testing.T) {
 
 // TestPreShadeRecycledChunkDoesNotAllocate: a chunk comes back from the
 // core free list with its State, and everything PreShade needs is in it
-// — the per-packet arrays and the packet.Decoder, which DecodeFast
-// would move to the heap if it were a local. One allocation here is one
-// per chunk, some 190 per simulated millisecond of ipv4-64B.
+// — the per-packet arrays and the packet.Decoder. One allocation here
+// is one per chunk, some 190 per simulated millisecond of ipv4-64B.
 func TestPreShadeRecycledChunkDoesNotAllocate(t *testing.T) {
 	frames := [][]byte{
 		udp4Frame(0x0A010101, 64),

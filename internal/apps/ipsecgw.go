@@ -16,7 +16,8 @@ import (
 type IPsecGW struct {
 	SAs      []*ipsec.SA
 	NumPorts int
-	// Errors counts packets that failed encapsulation (oversized).
+	// Errors counts IPv4 packets the gateway refused: 802.1Q-tagged (a
+	// tunnel endpoint takes untagged IP) or too long for one ESP packet.
 	Errors uint64
 }
 
@@ -64,7 +65,11 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 	inBytes, outBytes := 0, 0
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
-		if err := d.DecodeFast(b.Data); err != nil || !d.Has(packet.LayerIPv4) {
+		if err := d.Decode(b.Data); err != nil || !d.Has(packet.LayerIPv4) {
+			continue
+		}
+		if d.Has(packet.LayerVLAN) {
+			a.Errors++
 			continue
 		}
 		c.OutPorts[i] = -2

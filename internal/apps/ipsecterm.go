@@ -57,7 +57,9 @@ func (a *IPsecTerm) PreShade(c *core.Chunk) core.PreResult {
 	inBytes := 0
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
-		if err := d.DecodeFast(b.Data); err != nil || !d.Has(packet.LayerESP) {
+		// A tunnel endpoint takes untagged IP: Decap reads the outer
+		// header at EthHdrLen.
+		if err := d.Decode(b.Data); err != nil || !d.Has(packet.LayerESP) || d.Has(packet.LayerVLAN) {
 			a.Malformed++
 			continue
 		}

@@ -136,6 +136,24 @@ func TestIPsecTermNonESPMalformed(t *testing.T) {
 	}
 }
 
+// TestIPsecTermRefusesTaggedFrame: Decap reads the outer header at
+// EthHdrLen, so an ESP frame behind an 802.1Q tag is refused in
+// pre-shading, before it can be counted as an authentication failure.
+func TestIPsecTermRefusesTaggedFrame(t *testing.T) {
+	gw, term := termFixture(t)
+	esp := encapFrames(t, gw, udp4Frame(0x0C000001, 80))[0]
+	c := mkChunk(vlanTagged(t, append(make([]byte, 0, len(esp)+packet.VLANTagLen), esp...)))
+	term.PreShade(c)
+	if c.OutPorts[0] != -1 || term.Malformed != 1 {
+		t.Fatalf("tagged ESP after PreShade: port %d, malformed %d, want -1 and 1", c.OutPorts[0], term.Malformed)
+	}
+	term.RunKernel(c)
+	term.PostShade(c)
+	if c.OutPorts[0] != -1 || term.AuthFail+term.BadSPI+term.Replayed != 0 {
+		t.Errorf("tagged ESP: port %d, counters %+v", c.OutPorts[0], term)
+	}
+}
+
 func TestIPsecRoundTripThroughBothApps(t *testing.T) {
 	// Gateway and terminator chained: many packets of many sizes.
 	gw, term := termFixture(t)

@@ -51,12 +51,12 @@ func (a *IPv4Fwd) PreShade(c *core.Chunk) core.PreResult {
 	d := &st.dec
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
-		if err := d.DecodeFast(b.Data); err != nil || !d.Has(packet.LayerIPv4) {
+		if err := d.Decode(b.Data); err != nil || !d.Has(packet.LayerIPv4) {
 			a.SlowPath++
 			st.addrs = append(st.addrs, 0) // keep slot alignment
 			continue
 		}
-		hdr := b.Data[packet.EthHdrLen:]
+		hdr := b.Data[d.L3Off:] // behind the 802.1Q tag, if any
 		if d.IPv4.TTL <= 1 || !packet.VerifyIPv4Checksum(hdr) {
 			a.SlowPath++
 			st.addrs = append(st.addrs, 0)

@@ -42,7 +42,7 @@ func (a *IPv6Fwd) PreShade(c *core.Chunk) core.PreResult {
 	d := &st.dec
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
-		if err := d.DecodeFast(b.Data); err != nil || !d.Has(packet.LayerIPv6) {
+		if err := d.Decode(b.Data); err != nil || !d.Has(packet.LayerIPv6) {
 			a.SlowPath++
 			continue
 		}
@@ -50,7 +50,7 @@ func (a *IPv6Fwd) PreShade(c *core.Chunk) core.PreResult {
 			a.SlowPath++
 			continue
 		}
-		b.Data[packet.EthHdrLen+7]-- // hop limit (no checksum in IPv6)
+		b.Data[d.L3Off+7]-- // hop limit (no checksum in IPv6)
 		c.OutPorts[i] = -2
 		st.his[i] = d.IPv6.Dst.Hi()
 		st.los[i] = d.IPv6.Dst.Lo()

@@ -74,7 +74,7 @@ func (m *MultiApp) PreShade(c *core.Chunk) core.PreResult {
 	d := &st.dec
 	for i, b := range c.Bufs {
 		app := -1
-		if err := d.DecodeFast(b.Data); err == nil {
+		if err := d.Decode(b.Data); err == nil {
 			app = m.Classify(d, b)
 		}
 		st.assignment[i] = app

@@ -76,7 +76,7 @@ func (a *OFSwitch) PreShade(c *core.Chunk) core.PreResult {
 	d := &st.dec
 	for i, b := range c.Bufs {
 		c.OutPorts[i] = -1
-		if err := d.DecodeFast(b.Data); err != nil {
+		if err := d.Decode(b.Data); err != nil {
 			continue
 		}
 		st.keys[i] = openflow.ExtractKey(d, uint16(b.Port))

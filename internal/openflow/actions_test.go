@@ -87,7 +87,7 @@ func TestVLANPushSetStrip(t *testing.T) {
 	}
 	d := decode(t, out)
 	if d.VLANID != 100 || !d.Has(packet.LayerIPv4) || !d.Has(packet.LayerUDP) {
-		t.Fatalf("pushed frame: vlan=%d layers=%v", d.VLANID, d.Decoded)
+		t.Fatalf("pushed frame: vlan=%d ipv4=%v udp=%v", d.VLANID, d.Has(packet.LayerIPv4), d.Has(packet.LayerUDP))
 	}
 	// Set VID on the existing tag: length unchanged.
 	out, err = ApplyMods(out, []Mod{{Type: ModSetVLAN, VLAN: 200}})

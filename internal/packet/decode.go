@@ -19,7 +19,9 @@ const (
 
 // Decoder decodes a frame into preallocated header structs without
 // allocating (the DecodingLayerParser pattern): construct one Decoder per
-// worker thread and reuse it for every packet of a chunk.
+// worker thread and reuse it for every packet of a chunk. A header
+// struct holds the last Decode's values only when Has reports its
+// layer; otherwise it keeps whatever an earlier frame left there.
 type Decoder struct {
 	Eth    EthernetHdr
 	VLANID uint16 // 0xffff if untagged
@@ -28,12 +30,14 @@ type Decoder struct {
 	UDP    UDPHdr
 	TCP    TCPHdr
 
-	// Payload is the innermost undecoded payload.
+	// Payload is the innermost undecoded payload (nil after an error).
 	Payload []byte
-	// Decoded lists the layers found, in order.
-	Decoded []Layer
+	// L3Off is where the network header starts in the frame: EthHdrLen,
+	// or EthHdrLen+VLANTagLen behind an 802.1Q tag. Code that rewrites
+	// the IP header in place indexes with it, not with the constant.
+	L3Off int
 
-	scratch [8]Layer
+	layers uint8 // bit l set: Layer l was decoded
 }
 
 // VLANNone is the VLANID value for untagged frames.
@@ -42,13 +46,15 @@ const VLANNone = 0xffff
 // Decode parses frame starting at Ethernet. It stops (without error) at
 // the first layer it does not understand, leaving it in Payload.
 func (d *Decoder) Decode(frame []byte) error {
-	d.Decoded = d.scratch[:0]
+	d.layers = 0
 	d.VLANID = VLANNone
+	d.L3Off = EthHdrLen
+	d.Payload = nil
 	b, err := d.Eth.Decode(frame)
 	if err != nil {
 		return err
 	}
-	d.Decoded = append(d.Decoded, LayerEthernet)
+	d.layers = 1 << LayerEthernet
 	et := d.Eth.EtherType
 	if et == EtherTypeVLAN {
 		if len(b) < VLANTagLen {
@@ -57,7 +63,8 @@ func (d *Decoder) Decode(frame []byte) error {
 		d.VLANID = binary.BigEndian.Uint16(b[0:2]) & 0x0fff
 		et = binary.BigEndian.Uint16(b[2:4])
 		b = b[VLANTagLen:]
-		d.Decoded = append(d.Decoded, LayerVLAN)
+		d.L3Off = EthHdrLen + VLANTagLen
+		d.layers |= 1 << LayerVLAN
 	}
 	var proto uint8
 	switch et {
@@ -65,17 +72,17 @@ func (d *Decoder) Decode(frame []byte) error {
 		if b, err = d.IPv4.Decode(b); err != nil {
 			return err
 		}
-		d.Decoded = append(d.Decoded, LayerIPv4)
+		d.layers |= 1 << LayerIPv4
 		proto = d.IPv4.Protocol
 	case EtherTypeIPv6:
 		if b, err = d.IPv6.Decode(b); err != nil {
 			return err
 		}
-		d.Decoded = append(d.Decoded, LayerIPv6)
+		d.layers |= 1 << LayerIPv6
 		proto = d.IPv6.NextHeader
 	default:
 		d.Payload = b
-		d.Decoded = append(d.Decoded, LayerPayload)
+		d.layers |= 1 << LayerPayload
 		return nil
 	}
 	switch proto {
@@ -83,25 +90,24 @@ func (d *Decoder) Decode(frame []byte) error {
 		if b, err = d.UDP.Decode(b); err != nil {
 			return err
 		}
-		d.Decoded = append(d.Decoded, LayerUDP)
+		d.layers |= 1 << LayerUDP
 	case ProtoTCP:
 		if b, err = d.TCP.Decode(b); err != nil {
 			return err
 		}
-		d.Decoded = append(d.Decoded, LayerTCP)
+		d.layers |= 1 << LayerTCP
 	case ProtoESP:
-		d.Decoded = append(d.Decoded, LayerESP)
+		d.layers |= 1 << LayerESP
 	}
 	d.Payload = b
 	return nil
 }
 
+// DecodeFast is Decode under the name bench/micro.go calls; bench/ is
+// frozen outside benchmark-type PRs (ROADMAP item 2(f) switches it and
+// deletes this). Nothing else may call it: scripts/check.sh fails if
+// anything outside bench/ does.
+func (d *Decoder) DecodeFast(frame []byte) error { return d.Decode(frame) }
+
 // Has reports whether layer l was decoded by the last Decode.
-func (d *Decoder) Has(l Layer) bool {
-	for _, x := range d.Decoded {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
+func (d *Decoder) Has(l Layer) bool { return d.layers&(1<<l) != 0 }

@@ -2,9 +2,7 @@ package packet
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -260,7 +258,7 @@ func TestDecoderUDP4Frame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !d.Has(LayerEthernet) || !d.Has(LayerIPv4) || !d.Has(LayerUDP) {
-		t.Errorf("layers = %v", d.Decoded)
+		t.Errorf("layers = %08b", d.layers)
 	}
 	if d.IPv4.Dst != IPv4Addr(0xC0A80063) {
 		t.Errorf("dst = %v", d.IPv4.Dst)
@@ -287,7 +285,7 @@ func TestDecoderUDP6Frame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !d.Has(LayerIPv6) || !d.Has(LayerUDP) {
-		t.Errorf("layers = %v", d.Decoded)
+		t.Errorf("layers = %08b", d.layers)
 	}
 	if d.IPv6.Dst != dst {
 		t.Errorf("dst = %v", d.IPv6.Dst)
@@ -297,22 +295,15 @@ func TestDecoderUDP6Frame(t *testing.T) {
 func TestDecoderVLAN(t *testing.T) {
 	var buf [128]byte
 	frame := BuildUDP4(buf[:], 80, testSrcMAC, testDstMAC, 1, 2, 3, 4)
-	// Insert an 802.1Q tag (VLAN 42) after the MACs.
-	tagged := make([]byte, len(frame)+VLANTagLen)
-	copy(tagged, frame[:12])
-	binary.BigEndian.PutUint16(tagged[12:14], EtherTypeVLAN)
-	binary.BigEndian.PutUint16(tagged[14:16], 42)
-	binary.BigEndian.PutUint16(tagged[16:18], EtherTypeIPv4)
-	copy(tagged[18:], frame[14:])
 	var d Decoder
-	if err := d.Decode(tagged); err != nil {
+	if err := d.Decode(tagged(frame, 42)); err != nil {
 		t.Fatal(err)
 	}
 	if d.VLANID != 42 {
 		t.Errorf("VLANID = %d, want 42", d.VLANID)
 	}
 	if !d.Has(LayerVLAN) || !d.Has(LayerIPv4) || !d.Has(LayerUDP) {
-		t.Errorf("layers = %v", d.Decoded)
+		t.Errorf("layers = %08b", d.layers)
 	}
 }
 
@@ -324,7 +315,7 @@ func TestDecoderUnknownEtherType(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !d.Has(LayerPayload) || d.Has(LayerIPv4) {
-		t.Errorf("layers = %v", d.Decoded)
+		t.Errorf("layers = %08b", d.layers)
 	}
 }
 
@@ -344,6 +335,9 @@ func TestDecoderNoAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := d.Decode(frame); err != nil {
 			t.Fatal(err)
+		}
+		if !d.Has(LayerUDP) {
+			t.Fatal("no UDP layer")
 		}
 	})
 	if allocs != 0 {
@@ -671,103 +665,6 @@ func TestUDP6TemplateByteIdentical(t *testing.T) {
 			if len(g) != len(w) || got != want {
 				t.Fatalf("size %d iter %d: frames differ", size, i)
 			}
-		}
-	}
-}
-
-// decodeBoth runs Decode and DecodeFast on fresh Decoders and fails if
-// any resulting state (headers, Decoded, Payload, error) differs.
-func decodeBoth(t *testing.T, frame []byte, label string) {
-	t.Helper()
-	var slow, fast Decoder
-	errS := slow.Decode(frame)
-	errF := fast.DecodeFast(frame)
-	if (errS == nil) != (errF == nil) || (errS != nil && errS.Error() != errF.Error()) {
-		t.Fatalf("%s: error %v != %v", label, errS, errF)
-	}
-	// Zero the scratch arrays: they are backing storage, not state, and
-	// may hold different residue beyond len(Decoded).
-	slow.scratch, fast.scratch = [8]Layer{}, [8]Layer{}
-	if !reflect.DeepEqual(slow, fast) {
-		t.Fatalf("%s: decoder state differs\n slow: %+v\n fast: %+v", label, slow, fast)
-	}
-}
-
-// TestDecodeFastMatchesDecode is the differential contract of the fast
-// path: identical observable state on a corpus of well-formed frames,
-// every truncation of them, and systematically malformed variants.
-func TestDecodeFastMatchesDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	var buf [2048]byte
-	var corpus [][]byte
-	add := func(f []byte) {
-		cp := make([]byte, len(f))
-		copy(cp, f)
-		corpus = append(corpus, cp)
-	}
-	// Well-formed UDP over IPv4 and IPv6 at assorted sizes.
-	for _, size := range []int{42, 60, 64, 65, 128, 1514} {
-		add(BuildUDP4(buf[:], size, testSrcMAC, testDstMAC,
-			IPv4Addr(rng.Uint32()), IPv4Addr(rng.Uint32()),
-			uint16(rng.Uint32()), uint16(rng.Uint32())))
-	}
-	for _, size := range []int{62, 78, 128, 1514} {
-		add(BuildUDP6(buf[:], size, testSrcMAC, testDstMAC,
-			IPv6AddrFromParts(rng.Uint64(), rng.Uint64()),
-			IPv6AddrFromParts(rng.Uint64(), rng.Uint64()),
-			uint16(rng.Uint32()), uint16(rng.Uint32())))
-	}
-	base := BuildUDP4(buf[:], 100, testSrcMAC, testDstMAC, 1, 2, 3, 4)
-	// Malformed / uncommon variants of the base frame.
-	mutate := func(f func(m []byte)) {
-		m := make([]byte, len(base))
-		copy(m, base)
-		f(m)
-		corpus = append(corpus, m)
-	}
-	mutate(func(m []byte) { m[14] = 0x46 })                                 // IHL 6: options
-	mutate(func(m []byte) { m[14] = 0x4f })                                 // IHL 15 > frame
-	mutate(func(m []byte) { m[14] = 0x55 })                                 // version 5
-	mutate(func(m []byte) { m[14] = 0x65 })                                 // version 6 in IPv4 ethertype
-	mutate(func(m []byte) { m[23] = ProtoTCP })                             // TCP (stale checksum: fine, not verified)
-	mutate(func(m []byte) { m[23] = ProtoESP })                             // ESP
-	mutate(func(m []byte) { m[23] = 0x2f })                                 // GRE: unknown L4
-	mutate(func(m []byte) { m[12], m[13] = 0x81, 0x00 })                    // VLAN tag where IPv4 was
-	mutate(func(m []byte) { m[12], m[13] = 0x08, 0x06 })                    // ARP ethertype
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 0xffff) }) // IPv4 TotalLen giant
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 10) })     // TotalLen < header
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 21) })     // TotalLen 21: 1-byte L4
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[16:18], 28) })     // TotalLen == hdrs only
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 0xffff) }) // UDP length giant
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 3) })      // UDP length < 8
-	mutate(func(m []byte) { binary.BigEndian.PutUint16(m[38:40], 8) })      // UDP empty payload
-	// IPv6 variants.
-	base6 := BuildUDP6(buf[:], 100, testSrcMAC, testDstMAC,
-		IPv6AddrFromParts(1, 2), IPv6AddrFromParts(3, 4), 5, 6)
-	mutate6 := func(f func(m []byte)) {
-		m := make([]byte, len(base6))
-		copy(m, base6)
-		f(m)
-		corpus = append(corpus, m)
-	}
-	mutate6(func(m []byte) { m[14] = 0x45 })                                 // version 4 in IPv6 ethertype
-	mutate6(func(m []byte) { m[20] = ProtoTCP })                             // TCP next header
-	mutate6(func(m []byte) { m[20] = 0x3b })                                 // no next header
-	mutate6(func(m []byte) { binary.BigEndian.PutUint16(m[18:20], 0xffff) }) // PayloadLen giant
-	mutate6(func(m []byte) { binary.BigEndian.PutUint16(m[18:20], 0) })      // PayloadLen zero
-	mutate6(func(m []byte) { binary.BigEndian.PutUint16(m[54:56], 0xffff) }) // UDP length giant
-	mutate6(func(m []byte) { binary.BigEndian.PutUint16(m[54:56], 2) })      // UDP length < 8
-	// Random garbage.
-	for i := 0; i < 64; i++ {
-		g := make([]byte, rng.Intn(200))
-		rng.Read(g)
-		corpus = append(corpus, g)
-	}
-	for ci, f := range corpus {
-		decodeBoth(t, f, fmt.Sprintf("corpus[%d]", ci))
-		// Every truncation of every corpus entry.
-		for n := 0; n <= len(f); n++ {
-			decodeBoth(t, f[:n], fmt.Sprintf("corpus[%d][:%d]", ci, n))
 		}
 	}
 }

@@ -2,10 +2,10 @@
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet, the pslint determinism linters, the full test
 # suite (root module and the nested bench/ module), gofmt, the one-path
-# and byte-identity gates, short FuzzDecap, FuzzCTR, FuzzParseScript
-# and FuzzEventStore runs, and race tests on the concurrency-bearing
-# packages. `make check` runs it, and so does CI — there is no second
-# copy of these steps in .github/workflows/ci.yml.
+# and byte-identity gates, short FuzzDecap, FuzzCTR, FuzzParseScript,
+# FuzzEventStore and FuzzDecode runs, and race tests on the
+# concurrency-bearing packages. `make check` runs it, and so does CI —
+# there is no second copy of these steps in .github/workflows/ci.yml.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,17 +45,18 @@ go test ./...
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, FuzzDecode, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
+go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
 
 # A router is stood up and measured in one place, the facade's New and
 # Run: the paper's figures and the examples may not assemble their own
 # (tests may: hand-built routers are their differential), and bench/ is
 # its own module with its own rules.
-echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments or examples; one §4 worker loop"
+echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments or examples; one §4 worker loop; one decoder"
 onepath="$(git grep -n 'core\.New(' -- '*.go' ':!*_test.go' ':!bench/' | cut -d: -f1)"
 if [ "$onepath" != packetshader.go ]; then
 	echo "core.New( must have exactly one caller, in packetshader.go; found in:"
@@ -69,6 +70,14 @@ fi
 # The §4 figures likewise share one harness and one worker loop.
 if [ "$(git grep -c 'env\.Go(' -- internal/experiments/pktio.go | cut -d: -f2)" != 1 ]; then
 	echo "internal/experiments/pktio.go spawns workers in one place, ioHarness (one env.Go running ioWorkerLoop)"
+	exit 1
+fi
+# There is one frame decoder, packet.Decoder.Decode. DecodeFast is its
+# alias for the frozen bench/ module and nothing else may name it.
+decodefast="$(git grep -n 'DecodeFast' -- '*.go' ':!bench/' | grep -v '^internal/packet/decode\.go:' || true)"
+if [ -n "$decodefast" ]; then
+	echo "DecodeFast is bench/'s name for packet.Decoder.Decode; call Decode:"
+	echo "$decodefast"
 	exit 1
 fi
 
