@@ -1,10 +1,17 @@
 # Development entry points. `make check` is the expanded tier-1
 # verification; CI (.github/workflows/ci.yml) runs exactly this target.
 
-.PHONY: check build test lint race bench profile trace-demo
+.PHONY: check build test lint race bench profile trace-demo golden
 
 check:
 	./scripts/check.sh
+
+# golden rewrites internal/experiments/testdata/golden/<id>.txt with
+# `psbench -j 1 <id>` for every file there; TestGoldenOutputs (part of
+# `go test ./...`) compares them byte for byte. Run it only when a change
+# moves results on purpose, and review the diff.
+golden:
+	./scripts/golden.sh
 
 # profile runs the key benchmarks (Fig5Batch, RouterIPv4Full64B,
 # RouterIPv4GPU, RouterIPsec1514B, FabricWorkers p1/p8, FabricLS64,

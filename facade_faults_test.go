@@ -99,3 +99,14 @@ func TestConstructorValidation(t *testing.T) {
 	}()
 	packetshader.Must(packetshader.IPv4(1000, 1, packetshader.WithPacketSize(10)))
 }
+
+// TestNegativePrefixCount: a negative table size is an error from the
+// constructor (and so from pshader -prefixes), not a makeslice panic.
+func TestNegativePrefixCount(t *testing.T) {
+	if _, err := packetshader.IPv4(-1, 1); err == nil || !strings.Contains(err.Error(), "prefix count") {
+		t.Errorf("IPv4(-1): err = %v, want a prefix-count error", err)
+	}
+	if _, err := packetshader.IPv6(-1, 1); err == nil || !strings.Contains(err.Error(), "prefix count") {
+		t.Errorf("IPv6(-1): err = %v, want a prefix-count error", err)
+	}
+}

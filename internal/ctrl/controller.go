@@ -100,6 +100,11 @@ func precheck(cmd Command, router *core.Router, cfg Config) error {
 		if len(cmd.Routes) == 0 {
 			return fmt.Errorf("ctrl: empty route batch at %v", cmd.At)
 		}
+		for _, u := range cmd.Routes {
+			if !u.Prefix.Valid() {
+				return fmt.Errorf("ctrl: route %s %v at %v: length over 32 or host bits set", u.Act, u.Prefix, cmd.At)
+			}
+		}
 	case OpChunkCap, OpGatherMax:
 		if cmd.N < 1 {
 			return fmt.Errorf("ctrl: %s %d at %v: value must be >= 1", cmd.Op, cmd.N, cmd.At)

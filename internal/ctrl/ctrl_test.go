@@ -272,6 +272,25 @@ func TestAttachPrechecks(t *testing.T) {
 	}
 }
 
+// TestAttachRejectsBadPrefix: a batch built in code skips the parser's
+// host-bit check, so Attach applies the same rule and names the prefix;
+// otherwise the table write would panic inside a scheduler callback.
+func TestAttachRejectsBadPrefix(t *testing.T) {
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	for _, p := range []route.Prefix{{Addr: 0xfffffe00, Len: 8}, {Addr: 0x0a000000, Len: 40}} {
+		script := ctrl.NewScript(ctrl.RouteBatch(sim.Millisecond, []ctrl.RouteUpdate{
+			{Act: ctrl.ActAdd, Prefix: route.Prefix{Addr: 0x0a000000, Len: 8}, NextHop: 1},
+			{Act: ctrl.ActAdd, Prefix: p, NextHop: 1},
+		}))
+		// Route commands need no router to be checked.
+		_, err := ctrl.Attach(env, nil, script, ctrl.Config{FIB: &ctrl.DynamicFIB{}})
+		if err == nil || !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("Attach with %v: err = %v, want an error naming the prefix", p, err)
+		}
+	}
+}
+
 // TestRouteCommandsChangeForwarding pins that a scripted route delete
 // has a real data-path effect (app drops) and that restoring the route
 // stops the bleeding — and that the controller accounts both batches.

@@ -295,7 +295,7 @@ func parsePrefix(s string) (route.Prefix, error) {
 		return route.Prefix{}, fmt.Errorf("prefix %q: %v", s, err)
 	}
 	p := route.Prefix{Addr: addr, Len: uint8(plen)}
-	if uint32(addr)&^p.Mask() != 0 {
+	if !p.Valid() {
 		return route.Prefix{}, fmt.Errorf("prefix %q: host bits set (want %v/%d)",
 			s, packet.IPv4Addr(uint32(addr)&p.Mask()), plen)
 	}

@@ -1,7 +1,9 @@
 package ipv4
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +232,158 @@ func TestFullBGPScaleBuild(t *testing.T) {
 		addr := packet.IPv4Addr(rng.Uint32())
 		if got, want := sub.Lookup(addr), oracle.Lookup(addr); got != want {
 			t.Fatalf("subset table disagrees at %v: %d vs %d", addr, got, want)
+		}
+	}
+}
+
+// buildReference is Build as it was before slice fills: the same
+// counting sort, then one checked write per cell, with the arm for a
+// short prefix meeting an already expanded block, and a new segment
+// seeded by 256 appends. It is the oracle for Build.
+func buildReference(entries []route.Entry) (*Table, error) {
+	var byLen [33]int
+	for _, e := range entries {
+		byLen[e.Prefix.Len]++
+	}
+	offs := 0
+	for l := range byLen {
+		offs, byLen[l] = offs+byLen[l], offs
+	}
+	sorted := make([]route.Entry, len(entries))
+	for _, e := range entries {
+		sorted[byLen[e.Prefix.Len]] = e
+		byLen[e.Prefix.Len]++
+	}
+	t := &Table{tbl24: make([]uint16, tbl24Size)}
+	nLong := 0
+	for _, e := range sorted {
+		if e.NextHop > MaxNextHop {
+			return nil, ErrNextHopRange
+		}
+		if e.Prefix.Len <= 24 {
+			base := uint32(e.Prefix.Addr) >> 8
+			for i := uint32(0); i < 1<<(24-e.Prefix.Len); i++ {
+				cur := t.tbl24[base+i]
+				if cur&longFlag != 0 {
+					seg := int(cur&^uint16(longFlag)) << 8
+					for j := 0; j < 256; j++ {
+						if t.tblLong[seg+j] == missEntry {
+							t.tblLong[seg+j] = e.NextHop + 1
+						}
+					}
+					continue
+				}
+				t.tbl24[base+i] = e.NextHop + 1
+			}
+			continue
+		}
+		block := uint32(e.Prefix.Addr) >> 8
+		cur := t.tbl24[block]
+		var seg int
+		if cur&longFlag != 0 {
+			seg = int(cur&^uint16(longFlag)) << 8
+		} else {
+			if nLong >= 1<<15 {
+				return nil, ErrTooManySegments
+			}
+			seg = nLong << 8
+			nLong++
+			for j := 0; j < 256; j++ {
+				t.tblLong = append(t.tblLong, cur)
+			}
+			t.tbl24[block] = uint16(seg>>8) | longFlag
+		}
+		low := uint32(e.Prefix.Addr) & 0xff
+		for j := uint32(0); j < 1<<(32-e.Prefix.Len); j++ {
+			t.tblLong[seg+int(low+j)] = e.NextHop + 1
+		}
+	}
+	return t, nil
+}
+
+// randomRouteSet draws n valid routes whose prefixes cluster in a few
+// /16s so they nest, with /0, /8, /24, /25 and /32 always present, some
+// prefixes repeated with another hop, and every long prefix listed
+// before every short one.
+func randomRouteSet(rng *rand.Rand, n int) []route.Entry {
+	lens := []uint8{0, 8, 12, 16, 20, 23, 24, 24, 24, 25, 26, 28, 30, 31, 32}
+	var long, short []route.Entry
+	for i := 0; i < n; i++ {
+		l := lens[i%len(lens)]
+		if i >= len(lens) {
+			l = lens[rng.Intn(len(lens))]
+		}
+		p := route.Prefix{Len: l}
+		p.Addr = packet.IPv4Addr((0x0a000000 | uint32(rng.Intn(4))<<16 | rng.Uint32()&0xffff) & p.Mask())
+		e := route.Entry{Prefix: p, NextHop: uint16(rng.Intn(64))}
+		if l > 24 {
+			long = append(long, e)
+		} else {
+			short = append(short, e)
+		}
+		if rng.Intn(8) == 0 { // the same prefix again, another hop
+			e.NextHop = uint16(rng.Intn(64))
+			if l > 24 {
+				long = append(long, e)
+			} else {
+				short = append(short, e)
+			}
+		}
+	}
+	return append(long, short...)
+}
+
+// TestBuildMatchesReference pins Build to the per-cell oracle cell for
+// cell: TBL24, TBLlong and the segment count.
+func TestBuildMatchesReference(t *testing.T) {
+	same := func(name string, entries []route.Entry) {
+		t.Helper()
+		got, err := Build(entries)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := buildReference(entries)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !slices.Equal(got.tbl24, want.tbl24) || !slices.Equal(got.tblLong, want.tblLong) ||
+			got.Segments() != want.Segments() {
+			t.Fatalf("%s: Build differs from the per-cell reference (segments %d vs %d)",
+				name, got.Segments(), want.Segments())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i, n := range []int{1, 15, 40, 200, 1000} {
+		same(fmt.Sprintf("random set %d (n=%d)", i, n), randomRouteSet(rng, n))
+	}
+	for _, seed := range []int64{1, 2, 2009} {
+		same(fmt.Sprintf("full table, seed %d", seed), route.GenerateBGPTable(route.BGPTableSize, 64, seed))
+	}
+}
+
+// TestBuildRejectsBadPrefix: a prefix with host bits set or longer than
+// /32 is an error, not an index out of range.
+func TestBuildRejectsBadPrefix(t *testing.T) {
+	for _, p := range []route.Prefix{
+		{Addr: 0xfffffe00, Len: 8}, // 255.255.254.0/8
+		{Addr: 0x0a000000, Len: 40},
+		{Addr: 0x0a000001, Len: 24},
+	} {
+		if _, err := Build([]route.Entry{{Prefix: route.Prefix{Addr: 0x0a000000, Len: 8}}, {Prefix: p}}); err != ErrBadPrefix {
+			t.Errorf("Build with %v: err = %v, want ErrBadPrefix", p, err)
+		}
+		if _, err := NewDynamic([]route.Entry{{Prefix: p}}); err != ErrBadPrefix {
+			t.Errorf("NewDynamic with %v: err = %v, want ErrBadPrefix", p, err)
+		}
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	entries := route.GenerateBGPTable(route.BGPTableSize, 64, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(entries); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -34,8 +34,8 @@ func NewDynamic(entries []route.Entry) (*DynamicTable, error) {
 
 // Insert adds or replaces a route and patches the affected cells.
 func (d *DynamicTable) Insert(e route.Entry) error {
-	if e.NextHop > MaxNextHop {
-		return ErrNextHopRange
+	if err := check(e); err != nil {
+		return err
 	}
 	d.trie.insert(e.Prefix, e.NextHop)
 	return d.refresh(e.Prefix)
@@ -43,6 +43,9 @@ func (d *DynamicTable) Insert(e route.Entry) error {
 
 // Remove deletes a route (if present) and patches the affected cells.
 func (d *DynamicTable) Remove(p route.Prefix) (bool, error) {
+	if !p.Valid() {
+		return false, ErrBadPrefix
+	}
 	if !d.trie.remove(p) {
 		return false, nil
 	}
@@ -74,17 +77,8 @@ func (d *DynamicTable) refresh(p route.Prefix) error {
 	// Long prefix: ensure the block is expanded, then recompute the
 	// covered host cells.
 	block := uint32(p.Addr) >> 8
-	cur := d.tbl24[block]
-	if cur&longFlag == 0 {
-		if d.nLong >= 1<<15 {
-			return ErrTooManySegments
-		}
-		seg := d.nLong << 8
-		d.nLong++
-		for j := 0; j < 256; j++ {
-			d.tblLong = append(d.tblLong, cur)
-		}
-		d.tbl24[block] = uint16(seg>>8) | longFlag
+	if _, err := d.segment(block); err != nil {
+		return err
 	}
 	d.refreshRange(block, uint32(p.Addr)&0xff, uint32(1)<<(32-p.Len))
 	return nil

@@ -110,6 +110,31 @@ func TestDynamicNextHopRange(t *testing.T) {
 	}
 }
 
+// TestDynamicRejectsBadPrefix: Insert and Remove refuse a prefix with
+// host bits set or longer than /32 with ErrBadPrefix and leave the table
+// and its routes as they were.
+func TestDynamicRejectsBadPrefix(t *testing.T) {
+	d, err := NewDynamic([]route.Entry{{Prefix: route.Prefix{Addr: 0xff000000, Len: 8}, NextHop: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []route.Prefix{
+		{Addr: 0xfffffe00, Len: 8},
+		{Addr: 0xff000000, Len: 40},
+		{Addr: 0xff000001, Len: 31},
+	} {
+		if err := d.Insert(route.Entry{Prefix: p, NextHop: 1}); err != ErrBadPrefix {
+			t.Errorf("Insert(%v) = %v, want ErrBadPrefix", p, err)
+		}
+		if ok, err := d.Remove(p); ok || err != ErrBadPrefix {
+			t.Errorf("Remove(%v) = %v, %v; want false, ErrBadPrefix", p, ok, err)
+		}
+	}
+	if got := d.Lookup(0xfffffe01); got != 4 || d.Segments() != 0 {
+		t.Errorf("after refused updates: Lookup = %d, segments = %d; want 4, 0", got, d.Segments())
+	}
+}
+
 // TestDynamicAgainstRebuildProperty is the central correctness check: a
 // random churn of inserts and removes must leave the incrementally
 // updated table identical (as a lookup function) to a from-scratch

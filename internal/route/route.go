@@ -33,6 +33,11 @@ func (p Prefix) Contains(addr packet.IPv4Addr) bool {
 	return uint32(addr)&p.Mask() == uint32(p.Addr)
 }
 
+// Valid reports whether p is a well-formed prefix: length at most 32 and
+// no address bit set below the length. Every table builder and parser
+// refuses a prefix that is not.
+func (p Prefix) Valid() bool { return p.Len <= 32 && uint32(p.Addr)&^p.Mask() == 0 }
+
 func (p Prefix) String() string { return fmt.Sprintf("%v/%d", p.Addr, p.Len) }
 
 // Entry is a FIB entry: a prefix and its next hop (an output-port /
@@ -111,7 +116,7 @@ func GenerateBGPTable(n, numNextHops int, seed int64) []Entry {
 		total += d.weight
 		cum = append(cum, total)
 	}
-	seen := make(map[Prefix]bool, n)
+	var seen prefixSet
 	entries := make([]Entry, 0, n)
 	for len(entries) < n {
 		r := rng.Float64() * total
@@ -126,13 +131,50 @@ func GenerateBGPTable(n, numNextHops int, seed int64) []Entry {
 			continue
 		}
 		p := Prefix{Addr: addr, Len: l}
-		if seen[p] {
+		if !seen.add(p) {
 			continue
 		}
-		seen[p] = true
 		entries = append(entries, Entry{Prefix: p, NextHop: uint16(rng.Intn(numNextHops))})
 	}
 	return entries
+}
+
+// prefixSet is the set GenerateBGPTable deduplicates through. A prefix
+// of length ≤ /24 is bit 1<<Len | Addr>>(32-Len), a binary trie's heap
+// numbering and so below 2^25; the bits live in 4 KiB pages allocated on
+// first touch, so a small table stays small while a full one keeps its
+// hot /24 region at 2 MiB. The ≈ 3 % of longer prefixes go in a map.
+type prefixSet struct {
+	pages [1 << (25 - setPageBits)]*[1 << setPageBits / 64]uint64
+	long  map[Prefix]struct{}
+}
+
+const setPageBits = 15 // 4 KiB of bits per page
+
+// add inserts a valid prefix p and reports whether it was absent.
+func (s *prefixSet) add(p Prefix) bool {
+	if p.Len > 24 {
+		if _, ok := s.long[p]; ok {
+			return false
+		}
+		if s.long == nil {
+			s.long = make(map[Prefix]struct{})
+		}
+		s.long[p] = struct{}{}
+		return true
+	}
+	bit := uint32(1)<<p.Len | uint32(p.Addr)>>(32-p.Len)
+	page := s.pages[bit>>setPageBits]
+	if page == nil {
+		page = new([1 << setPageBits / 64]uint64)
+		s.pages[bit>>setPageBits] = page
+	}
+	w, m := &page[bit>>6&(1<<(setPageBits-6)-1)], uint64(1)<<(bit&63)
+	if *w&m != 0 {
+		return false
+	}
+	*w |= m
+	return true
 }
 
 // FractionLongerThan returns the fraction of entries with Len > l.

@@ -1,6 +1,9 @@
 package route
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +39,27 @@ func TestPrefixContains(t *testing.T) {
 	all := Prefix{Len: 0}
 	if !all.Contains(packet.IPv4Addr(0x12345678)) {
 		t.Error("default route does not contain arbitrary address")
+	}
+}
+
+func TestPrefixValid(t *testing.T) {
+	cases := []struct {
+		p    Prefix
+		want bool
+	}{
+		{Prefix{Addr: 0, Len: 0}, true},
+		{Prefix{Addr: 0x0a000000, Len: 8}, true},
+		{Prefix{Addr: 0xffffffff, Len: 32}, true},
+		{Prefix{Addr: 0xfffffe00, Len: 8}, false},  // host bits
+		{Prefix{Addr: 0x00000001, Len: 0}, false},  // host bits under /0
+		{Prefix{Addr: 0x0a000080, Len: 24}, false}, // host bits
+		{Prefix{Addr: 0x0a000000, Len: 33}, false},
+		{Prefix{Addr: 0, Len: 40}, false},
+	}
+	for _, c := range cases {
+		if got := c.p.Valid(); got != c.want {
+			t.Errorf("%v.Valid() = %v, want %v", c.p, got, c.want)
+		}
 	}
 }
 
@@ -124,6 +148,89 @@ func TestGenerateBGPTableDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical tables")
+	}
+}
+
+// generateBGPTableMap is GenerateBGPTable as it was before prefixSet:
+// the same draws, deduplicated through a map. It is the oracle for the
+// set.
+func generateBGPTableMap(n, numNextHops int, seed int64) []Entry {
+	rng := rand.New(rand.NewSource(seed))
+	var cum []float64
+	total := 0.0
+	for _, d := range lengthDistribution {
+		total += d.weight
+		cum = append(cum, total)
+	}
+	seen := make(map[Prefix]bool, n)
+	entries := make([]Entry, 0, n)
+	for len(entries) < n {
+		r := rng.Float64() * total
+		idx := sort.SearchFloat64s(cum, r)
+		if idx >= len(lengthDistribution) {
+			idx = len(lengthDistribution) - 1
+		}
+		l := lengthDistribution[idx].len
+		addr := packet.IPv4Addr(rng.Uint32() & (Prefix{Len: l}).Mask())
+		if b := uint32(addr) >> 24; b == 0 || b == 10 || b == 127 || b >= 224 {
+			continue
+		}
+		p := Prefix{Addr: addr, Len: l}
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		entries = append(entries, Entry{Prefix: p, NextHop: uint16(rng.Intn(numNextHops))})
+	}
+	return entries
+}
+
+func TestGenerateBGPTableMatchesMapDedupe(t *testing.T) {
+	for _, seed := range []int64{1, 2, 77, 2009} {
+		for _, n := range []int{0, 1, 1000, 10000, BGPTableSize} {
+			if !slices.Equal(GenerateBGPTable(n, 64, seed), generateBGPTableMap(n, 64, seed)) {
+				t.Errorf("seed %d, n %d: set-deduplicated table differs from the map oracle", seed, n)
+			}
+		}
+	}
+}
+
+// TestPrefixSetBitsDistinct adds every prefix of /0–/16 and, for /17–/24,
+// the prefixes whose bits sit next to a page edge, to one set: each must
+// be new once and a duplicate afterwards, so no two share a bit.
+func TestPrefixSetBitsDistinct(t *testing.T) {
+	var ps []Prefix
+	for l := uint8(0); l <= 16; l++ {
+		for a := uint32(0); a < 1<<l; a++ {
+			ps = append(ps, Prefix{Addr: packet.IPv4Addr(uint64(a) << (32 - l)), Len: l})
+		}
+	}
+	for l := uint8(17); l <= 24; l++ {
+		for edge := uint32(1) << l; edge <= 2<<l; edge += 1 << setPageBits {
+			for _, bit := range []uint32{edge - 2, edge - 1, edge, edge + 1} {
+				if a := bit - 1<<l; bit >= 1<<l && a < 1<<l {
+					ps = append(ps, Prefix{Addr: packet.IPv4Addr(a << (32 - l)), Len: l})
+				}
+			}
+		}
+	}
+	ps = append(ps, Prefix{Addr: 0x0a000080, Len: 25}, Prefix{Addr: 0x0a000080, Len: 32})
+	var s prefixSet
+	for _, p := range ps {
+		if !s.add(p) {
+			t.Fatalf("%v reported as a duplicate on first add", p)
+		}
+	}
+	for _, p := range ps {
+		if s.add(p) {
+			t.Fatalf("%v reported as new on second add", p)
+		}
+	}
+}
+
+func BenchmarkGenerateBGPTable(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		GenerateBGPTable(BGPTableSize, 64, 1)
 	}
 }
 

@@ -302,6 +302,9 @@ func IPv4(prefixes int, seed int64, opts ...Option) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	if prefixes < 0 {
+		return nil, fmt.Errorf("packetshader: prefix count %d < 0", prefixes)
+	}
 	entries := route.GenerateBGPTable(prefixes, 64, seed)
 	app := &apps.IPv4Fwd{NumPorts: model.NumPorts}
 	var fib ctrl.FIBApplier
@@ -339,6 +342,9 @@ func IPv6(prefixes int, seed int64, opts ...Option) (*Instance, error) {
 	cfg, err := resolve(opts) // before the table build, as in IPv4
 	if err != nil {
 		return nil, err
+	}
+	if prefixes < 0 {
+		return nil, fmt.Errorf("packetshader: prefix count %d < 0", prefixes)
 	}
 	entries := route.GenerateIPv6Table(prefixes, 64, seed)
 	return New(&apps.IPv6Fwd{Table: lookupv6.Build(entries), NumPorts: model.NumPorts},

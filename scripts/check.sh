@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet, the pslint determinism linters, the full test
-# suite (root module and the nested bench/ module), gofmt, the one-path
-# and byte-identity gates, short FuzzDecap, FuzzCTR, FuzzParseScript,
-# FuzzEventStore and FuzzDecode runs, and race tests on the
+# suite (root module and the nested bench/ module, TestGoldenOutputs
+# included), gofmt, the one-path and byte-identity gates, short
+# FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, FuzzDecode and
+# FuzzDynamicTable runs, and race tests on the
 # concurrency-bearing packages. `make check` runs it, and so does CI —
 # there is no second copy of these steps in .github/workflows/ci.yml.
 set -eu
@@ -45,12 +46,13 @@ go test ./...
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, FuzzDecode, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzDynamicTable, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
+go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
 
 # A router is stood up and measured in one place, the facade's New and
 # Run: the paper's figures and the examples may not assemble their own
