@@ -57,6 +57,27 @@ func FuzzDecap(f *testing.F) {
 	})
 }
 
+// FuzzHMACSHA1 holds both HMACSHA1 paths to crypto/hmac on arbitrary
+// keys and messages; on a CPU without the SHA extensions only the
+// standard library's runs. The checked-in seeds sit on the padding
+// edges (messages of 0, 55, 56, 63, 64, 119, 120 and 1,500 bytes) under
+// keys of 0, 64, 65 and 200 bytes: empty, one block, one over (hashed
+// first) and several blocks.
+func FuzzHMACSHA1(f *testing.F) {
+	f.Add([]byte("key"), []byte("message"))
+	f.Fuzz(func(t *testing.T, key, msg []byte) {
+		want := stdHMAC(key, msg)
+		for _, p := range hmacPaths {
+			if p.shani && !useSHANI {
+				continue
+			}
+			if got := newHMACSHA1(key, p.shani).Sum(msg); !bytes.Equal(got[:], want) {
+				t.Fatalf("%s path, %d-byte key, %d-byte message: %x, want %x", p.name, len(key), len(msg), got, want)
+			}
+		}
+	})
+}
+
 // FuzzCTR holds AES.CTR to the block-at-a-time loop (ctrBlockLoop,
 // aes_test.go) on arbitrary keys, nonces, IVs and data,
 // out of place and in place. The checked-in seeds sit on the edges the

@@ -8,6 +8,7 @@ import (
 	stdsha1 "crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +152,51 @@ func TestHMACSHA1RFC2202Vectors(t *testing.T) {
 		if hex.EncodeToString(got[:]) != c.want {
 			t.Errorf("vector %d: %x, want %s", i, got, c.want)
 		}
+	}
+}
+
+// hmacPaths are HMACSHA1's two paths, for newHMACSHA1's shani argument.
+var hmacPaths = []struct {
+	name  string
+	shani bool
+}{{"stdlib", false}, {"shani", true}}
+
+// skipUnlessRunnable skips the SHA-NI arm of a test on a CPU without the
+// extensions, naming the missing feature; the stdlib arm always runs.
+func skipUnlessRunnable(t testing.TB, shani bool) {
+	if shani && !useSHANI {
+		t.Skipf("no SHA-NI path: it needs %s", shaniMissing)
+	}
+}
+
+func stdHMAC(key, msg []byte) []byte {
+	std := stdhmac.New(stdsha1.New, key)
+	std.Write(msg)
+	return std.Sum(nil)
+}
+
+// TestHMACSHA1Paths holds both paths to crypto/hmac across every padding
+// shape: each message length to 2,100 (the tail on each side of the
+// 56-byte length boundary, whole blocks, 1500-byte packets) under keys
+// shorter than, equal to and longer than the 64-byte block.
+func TestHMACSHA1Paths(t *testing.T) {
+	msg := make([]byte, 2100)
+	for i := range msg {
+		msg[i] = byte(i*31 + 7)
+	}
+	for _, p := range hmacPaths {
+		t.Run(p.name, func(t *testing.T) {
+			skipUnlessRunnable(t, p.shani)
+			for _, kl := range []int{0, 20, 64, 65, 131} {
+				key := msg[len(msg)-kl:]
+				h := newHMACSHA1(key, p.shani)
+				for n := 0; n <= len(msg); n++ {
+					if got := h.Sum(msg[:n]); !bytes.Equal(got[:], stdHMAC(key, msg[:n])) {
+						t.Fatalf("%d-byte key, %d-byte message: %x, want %x", kl, n, got, stdHMAC(key, msg[:n]))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -642,12 +688,12 @@ func TestEncapRefusesUnencodableLength(t *testing.T) {
 // packet of every ipsec experiment, so a single allocation in any of
 // them is millions per run. CTR's AEAD scratch grows to the largest
 // input it has seen — once, in the warm call each case gets — so the
-// claim holds for a 16 KiB jumbo as it does for 1500 B.
+// claim holds for a 16 KiB jumbo as it does for 1500 B. Both HMAC paths
+// are held to it.
 func TestCryptoPathDoesNotAllocate(t *testing.T) {
 	for _, size := range []int{1500, 16 << 10} {
 		buf := make([]byte, size)
 		a := NewAES(make([]byte, 16))
-		h := NewHMACSHA1([]byte("key"))
 		sender, receiver := testSA()
 		inner := make([]byte, size)
 		dst := make([]byte, size+EncapOverhead(size))
@@ -656,7 +702,6 @@ func TestCryptoPathDoesNotAllocate(t *testing.T) {
 			f    func()
 		}{
 			{"AES.CTR", func() { a.CTR(buf, buf, 1, 2) }},
-			{"HMACSHA1.ICV", func() { _ = h.ICV(buf) }},
 			{"SA.Encap", func() {
 				if _, err := sender.Encap(dst, inner); err != nil {
 					t.Fatal(err)
@@ -677,6 +722,15 @@ func TestCryptoPathDoesNotAllocate(t *testing.T) {
 			if n := testing.AllocsPerRun(100, c.f); n != 0 {
 				t.Errorf("%s, %d B: %v allocations per call, want 0", c.name, size, n)
 			}
+		}
+		for _, p := range hmacPaths {
+			t.Run(fmt.Sprintf("HMACSHA1.ICV/%s/%dB", p.name, size), func(t *testing.T) {
+				skipUnlessRunnable(t, p.shani)
+				h := newHMACSHA1([]byte("key"), p.shani)
+				if n := testing.AllocsPerRun(100, func() { _ = h.ICV(buf) }); n != 0 {
+					t.Errorf("%v allocations per call, want 0", n)
+				}
+			})
 		}
 	}
 }

@@ -102,6 +102,7 @@ type Record struct {
 type Reader struct {
 	r       io.Reader
 	snaplen int
+	records int // records returned so far: the next one's index
 }
 
 // NewReader validates the global header and returns a reader.
@@ -119,26 +120,42 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: r, snaplen: int(binary.LittleEndian.Uint32(hdr[16:20]))}, nil
 }
 
-// Next returns the next record, or io.EOF.
+// Next returns the next record, or io.EOF where the stream ends between
+// records. A record cut short, in its header or its body, is
+// io.ErrUnexpectedEOF wrapped with the record's index.
 func (r *Reader) Next() (Record, error) {
 	var rec [recordHeaderLen]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+	if n, err := io.ReadFull(r.r, rec[:]); err != nil {
+		if err == io.EOF {
 			return Record{}, io.EOF
 		}
-		return Record{}, err
+		return Record{}, fmt.Errorf("pcap: record %d: header cut at %d of %d bytes: %w", r.records, n, recordHeaderLen, err)
 	}
 	sec := binary.LittleEndian.Uint32(rec[0:4])
 	nsec := binary.LittleEndian.Uint32(rec[4:8])
-	incl := binary.LittleEndian.Uint32(rec[8:12])
+	incl := int(binary.LittleEndian.Uint32(rec[8:12]))
 	orig := binary.LittleEndian.Uint32(rec[12:16])
-	if int(incl) > r.snaplen {
-		return Record{}, fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, r.snaplen)
+	if incl > r.snaplen {
+		return Record{}, fmt.Errorf("pcap: record %d: length %d exceeds snaplen %d", r.records, incl, r.snaplen)
 	}
-	data := make([]byte, incl)
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return Record{}, err
+	// incl is the file's word, not the bytes present: the buffer starts
+	// at one page at most and doubles only as bytes arrive, so a header
+	// that overstates its body costs about what the file holds.
+	data := make([]byte, min(incl, 4096))
+	n, err := io.ReadFull(r.r, data)
+	for err == nil && n < incl {
+		data = append(data, make([]byte, min(incl-n, n))...)
+		var m int
+		m, err = io.ReadFull(r.r, data[n:])
+		n += m
 	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Record{}, fmt.Errorf("pcap: record %d: body cut at %d of %d bytes: %w", r.records, n, incl, err)
+	}
+	r.records++
 	at := sim.Time(int64(sec)*1e9+int64(nsec)) * sim.Time(sim.Nanosecond)
 	return Record{At: at, Data: data, OrigLen: int(orig)}, nil
 }

@@ -3,7 +3,10 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,15 +105,65 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestReaderEOFMidRecord: a stream cut inside a record, in its header or
+// its body, is a damaged capture, not a shorter clean one. ReadAll
+// returns the whole records before the cut and io.ErrUnexpectedEOF
+// naming the record; only a cut between records is io.EOF.
 func TestReaderEOFMidRecord(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 0)
 	w.WritePacket(0, frame(64, 1))
-	// Chop the stream inside the record header.
-	trunc := buf.Bytes()[:globalHeaderLen+8]
-	r, _ := NewReader(bytes.NewReader(trunc))
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("err = %v, want EOF", err)
+	w.WritePacket(0, frame(64, 2))
+	second := globalHeaderLen + recordHeaderLen + 64
+	for _, cut := range []int{second + 8, second + recordHeaderLen + 10} {
+		r, _ := NewReader(bytes.NewReader(buf.Bytes()[:cut]))
+		recs, err := r.ReadAll()
+		if len(recs) != 1 || !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("cut at byte %d: %d records, err = %v; want 1 and record 1's io.ErrUnexpectedEOF", cut, len(recs), err)
+		}
+	}
+	r, _ := NewReader(bytes.NewReader(buf.Bytes()[:second]))
+	if recs, err := r.ReadAll(); len(recs) != 1 || err != nil {
+		t.Errorf("cut between records: %d records, err = %v; want 1 and nil", len(recs), err)
+	}
+}
+
+// overstatedCapture is 40 bytes: a global header with snaplen
+// 0xffffffff and one record header claiming 0xfffffff0 bytes, no body.
+func overstatedCapture() []byte {
+	b := make([]byte, globalHeaderLen+recordHeaderLen)
+	binary.LittleEndian.PutUint32(b[0:4], MagicNanos)
+	binary.LittleEndian.PutUint32(b[16:20], 0xffffffff)
+	binary.LittleEndian.PutUint32(b[20:24], LinkTypeEthernet)
+	binary.LittleEndian.PutUint32(b[globalHeaderLen+8:], 0xfffffff0)
+	return b
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReaderAllocatesWhatTheFileHolds: a record's length field is the
+// file's claim. The reader's buffer grows with the bytes that arrive,
+// and an overstated length is a truncated record, not the end of a
+// clean capture.
+func TestReaderAllocatesWhatTheFileHolds(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(overstatedCapture()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	n := allocatedBy(func() { recs, err = r.ReadAll() })
+	if n > 64<<10 {
+		t.Errorf("reading a 40-byte capture allocated %d bytes", n)
+	}
+	if len(recs) != 0 || !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "record 0") {
+		t.Errorf("%d records, err = %v; want none and record 0's io.ErrUnexpectedEOF", len(recs), err)
 	}
 }
 

@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh is the repository's expanded tier-1 verification (see
-# ROADMAP.md): build, vet, the pslint determinism linters, the full test
-# suite (root module and the nested bench/ module, TestGoldenOutputs
+# ROADMAP.md): build, vet (also for arm64, the build without assembly),
+# the pslint determinism linters, the full test suite (root module and
+# the nested bench/ module, TestGoldenOutputs and ExampleIPsec
 # included), gofmt, the one-path and byte-identity gates, short
-# FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, FuzzDecode and
-# FuzzDynamicTable runs, and race tests on the
-# concurrency-bearing packages. `make check` runs it, and so does CI —
+# FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
+# FuzzEventStore, FuzzDecode and FuzzDynamicTable runs, and race tests on
+# the concurrency-bearing packages. `make check` runs it, and so does CI —
 # there is no second copy of these steps in .github/workflows/ci.yml.
 set -eu
 
@@ -16,6 +17,11 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# internal/ipsec's SHA-1 block is amd64 assembly; an arm64 vet compiles
+# and checks the build that has only the standard library's path.
+echo "== GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
 
 # The repository's own files only: bench/run.sh keeps a Go cache and
 # GOPATH under .bench_build/.
@@ -46,9 +52,11 @@ go test ./...
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzDynamicTable, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzDynamicTable, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
+go test -run '^$' -fuzz FuzzHMACSHA1 -fuzztime 5s ./internal/ipsec
+go test -run '^$' -fuzz FuzzPcapReader -fuzztime 5s ./internal/pcap
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
