@@ -6,10 +6,13 @@
 check:
 	./scripts/check.sh
 
-# golden rewrites internal/experiments/testdata/golden/<id>.txt with
-# `psbench -j 1 <id>` for every file there; TestGoldenOutputs (part of
-# `go test ./...`) compares them byte for byte. Run it only when a change
-# moves results on purpose, and review the diff.
+# golden rewrites the byte-identity gate's checked-in outputs:
+# internal/experiments/testdata/golden/<id>.txt with
+# `psbench -j 1 -metrics <id>` for every Registry id (TestGoldenOutputs,
+# part of `go test ./...`, compares them) and the pshaderd replay's
+# stdout and trace digest under cmd/pshader/testdata (`make check`
+# compares them). Run it only when a change moves results on purpose,
+# and review the diff.
 golden:
 	./scripts/golden.sh
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -14,51 +13,6 @@ import (
 
 	lookupv4 "packetshader/internal/lookup/ipv4"
 )
-
-// render prints a result to a buffer, exactly as `pshader experiments`
-// would emit it.
-func render(r *Result) string {
-	var b bytes.Buffer
-	r.Print(&b)
-	return b.String()
-}
-
-// TestExperimentsDeterministicAcrossRuns is the end-to-end counterpart
-// of the pslint determinism linters (cmd/pslint): the static analyzers
-// forbid wall-clock time, unseeded randomness and order-sensitive map
-// iteration, and this test checks the invariant they guard — running
-// the same experiment twice in one process yields byte-identical
-// output. It covers the §2 microbenchmarks including the Fig 2
-// latency-hiding sweep, which exercises the full sim stack (virtual
-// clock, GPU model, PCIe IOH, batched IPv6 lookups).
-func TestExperimentsDeterministicAcrossRuns(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(*Ctx) *Result
-	}{
-		{"table1", table1},
-		{"launch", launchLatency},
-		{"fig2", fig2},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			first := render(runSolo(c.run))
-			second := render(runSolo(c.run))
-			if first == second {
-				return
-			}
-			// Pinpoint the first differing line for a usable failure.
-			fl, sl := bytes.Split([]byte(first), []byte("\n")), bytes.Split([]byte(second), []byte("\n"))
-			for i := 0; i < len(fl) && i < len(sl); i++ {
-				if !bytes.Equal(fl[i], sl[i]) {
-					t.Fatalf("run-to-run output diverged at line %d:\n  first:  %s\n  second: %s",
-						i+1, fl[i], sl[i])
-				}
-			}
-			t.Fatalf("run-to-run output diverged in length: %d vs %d bytes", len(first), len(second))
-		})
-	}
-}
 
 // TestPooledHotPathDeterminism covers the allocation-pooled fast path:
 // a GPU-mode IPv4 run long enough that chunks, app scratch state, and

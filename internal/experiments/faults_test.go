@@ -7,27 +7,21 @@ import (
 	"packetshader/internal/sim"
 )
 
-// TestFaultScenarioDeterministicAndShaped runs the degradation-curve
-// scenario twice and checks both halves of its contract: the rendered
-// output is byte-identical across runs (fault delivery lives on the
-// virtual clock, so it falls under the same determinism invariant as
-// every other experiment), and the curve has the advertised shape —
-// full throughput, a CPU-only plateau within the envelope during the
-// outage, and recovery back to baseline after the repair.
+// TestFaultScenarioDeterministicAndShaped checks that the degradation
+// curve has the advertised shape: full throughput, a CPU-only plateau
+// within the envelope during the outage, and recovery back to baseline
+// after the repair. The determinism half of its name is
+// TestGoldenOutputs' faults.txt, which pins the scenario's bytes.
 func TestFaultScenarioDeterministicAndShaped(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-run fault scenario in -short mode")
+		t.Skip("full fault scenario in -short mode")
 	}
-	first := runSolo(faultScenario)
-	if a, b := render(first), render(runSolo(faultScenario)); a != b {
-		t.Fatalf("fault scenario diverged across runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
-	}
-
+	res := runSolo(faultScenario)
 	envelope := cpuOnlyEnvelope()
 	repairMs := int((faultAt + faultOutageLen) / sim.Millisecond)
 	var baselineSum float64
 	var baselineN int
-	for _, row := range first.Rows {
+	for _, row := range res.Rows {
 		tMs, err := strconv.Atoi(row[0])
 		if err != nil {
 			t.Fatalf("bad t_ms cell %q: %v", row[0], err)
@@ -56,7 +50,7 @@ func TestFaultScenarioDeterministicAndShaped(t *testing.T) {
 	}
 	// Recovery: the first full window after the repair must be back near
 	// baseline (the probe fires within one backoff of the repair).
-	for _, row := range first.Rows {
+	for _, row := range res.Rows {
 		if tMs, _ := strconv.Atoi(row[0]); tMs == repairMs+1 {
 			gbps, _ := strconv.ParseFloat(row[1], 64)
 			if gbps < 0.8*baseline {

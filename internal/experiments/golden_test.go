@@ -4,38 +4,110 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestGoldenOutputs runs every experiment that has a file under
-// testdata/golden (named <id>.txt) and requires its output to equal the
-// file byte for byte — `psbench -j 1 <id>`'s stdout. A change that moves
-// a number on purpose regenerates the files with `make golden`, and the
-// diff of the files is the list of numbers it moved.
+// goldenShortIDs is the -short subset of TestGoldenOutputs: cheap enough
+// for `go test -race -short`, and still racing real jobs on an 8-wide
+// pool (fig2 and fig5 are multi-point sweeps, fig2 reads the shared
+// IPv6 fixture) and partitioned worlds at -p 8 (fabric, leafspine).
+var goldenShortIDs = []string{"table1", "launch", "fig2", "fig5", "cluster", "fabric", "leafspine"}
+
+// TestGoldenOutputs is the repository's byte-identity gate. Each
+// testdata/golden/<id>.txt is `psbench -j 1 -metrics <id>`'s stdout; the
+// test runs every id in one Runner at -j 8 with partitioned worlds at
+// -p 8 and requires the output to equal the files concatenated in the
+// same order. One run therefore checks -j 8 = -j 1, -p 8 = -p 1,
+// multi-id = concatenation, run-to-run identity, identity to the commit
+// that wrote the files, and that no experiment changes a shared fixture
+// another one reads. A change that moves a number on purpose rewrites
+// the files with `make golden`, and their diff is the list of numbers it
+// moved.
 func TestGoldenOutputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full experiments")
+	ids := goldenShortIDs
+	if !testing.Short() {
+		ids = goldenRegistryIDs(t)
 	}
-	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.txt"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no golden files under testdata/golden (%v)", err)
+	want := make([][]byte, len(ids))
+	for i, id := range ids {
+		b, err := os.ReadFile(goldenFile(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = b
 	}
-	for _, file := range files {
-		id := strings.TrimSuffix(filepath.Base(file), ".txt")
-		t.Run(id, func(t *testing.T) {
-			want, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			if err := NewRunner(0).Run(&got, id); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s output differs from %s (regenerate with make golden if intended):\n-- got --\n%s-- want --\n%s",
-					id, file, got.String(), want)
-			}
-		})
+
+	defer SetPartitionWorkers(partitionWorkers)
+	defer SetMetricsWriter(metricsW)
+	var got bytes.Buffer
+	SetPartitionWorkers(8)
+	SetMetricsWriter(&got)
+	if err := NewRunner(8).Run(&got, ids...); err != nil {
+		t.Fatal(err)
 	}
+
+	rest := got.Bytes()
+	for i, id := range ids {
+		seg := rest[:min(len(want[i]), len(rest))]
+		rest = rest[len(seg):]
+		if !t.Run(id, func(t *testing.T) { compareGolden(t, id, seg, want[i]) }) {
+			t.Fatalf("ids after %s not compared: their output is no longer aligned with the files", id)
+		}
+	}
+	if len(rest) > 0 {
+		t.Fatalf("%d bytes of output beyond the golden files", len(rest))
+	}
+}
+
+func goldenFile(id string) string { return filepath.Join("testdata", "golden", id+".txt") }
+
+// goldenRegistryIDs returns every Registry id, failing the test when one
+// has no golden file or a golden file names no id, so that no experiment
+// can stay outside the gate.
+func goldenRegistryIDs(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(goldenFile("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range Registry {
+		ids = append(ids, e.ID)
+		if !slices.Contains(files, goldenFile(e.ID)) {
+			t.Errorf("experiment %s has no %s; run make golden", e.ID, goldenFile(e.ID))
+		}
+	}
+	for _, f := range files {
+		if !slices.Contains(ids, strings.TrimSuffix(filepath.Base(f), ".txt")) {
+			t.Errorf("%s names no Registry id; run make golden", f)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return ids
+}
+
+// compareGolden fails with the first line where id's output differs
+// from its golden file.
+func compareGolden(t *testing.T, id string, got, want []byte) {
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.SplitAfter(string(got), "\n"), strings.SplitAfter(string(want), "\n")
+	for n := 0; ; n++ {
+		if n == len(gl) || n == len(wl) || gl[n] != wl[n] {
+			t.Fatalf("%s differs from %s at line %d (regenerate with make golden if intended):\n  got:  %q\n  want: %q",
+				id, goldenFile(id), n+1, lineAt(gl, n), lineAt(wl, n))
+		}
+	}
+}
+
+func lineAt(lines []string, n int) string {
+	if n < len(lines) {
+		return lines[n]
+	}
+	return "(end of output)"
 }

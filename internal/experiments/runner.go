@@ -98,9 +98,9 @@ func MapPoints[T any](c *Ctx, n int, fn func(i int, pt *Point) T) []T {
 	wg.Wait()
 	for i, v := range panics {
 		if v != nil {
-			// Re-panic on the caller's goroutine so a failing job surfaces
-			// like a failing serial run (lowest job index wins, for a
-			// deterministic failure).
+			// Re-panic on the experiment's goroutine, where Run recovers
+			// it, so a failing job surfaces like a failing serial run
+			// (lowest job index wins, for a deterministic failure).
 			panic(fmt.Sprintf("experiments: job %d/%d panicked: %v\n%s", i, n, v, stacks[i]))
 		}
 	}
@@ -116,7 +116,9 @@ func MapPoints[T any](c *Ctx, n int, fn func(i int, pt *Point) T) []T {
 // validated before anything runs. Experiments execute concurrently,
 // their jobs sharing the pool, but results (and buffered metrics) are
 // emitted strictly in id order, so the bytes written to w are identical
-// for every pool width.
+// for every pool width. A panicking experiment fails the run: the
+// results before it are printed, every experiment is waited for, and
+// the error names the first failing id in that order.
 func (r *Runner) Run(w io.Writer, ids ...string) error {
 	selected, err := resolve(ids)
 	if err != nil {
@@ -125,6 +127,7 @@ func (r *Runner) Run(w io.Writer, ids ...string) error {
 	type slot struct {
 		ctx  *Ctx
 		res  *Result
+		err  error
 		done chan struct{}
 	}
 	slots := make([]*slot, len(selected))
@@ -133,11 +136,22 @@ func (r *Runner) Run(w io.Writer, ids ...string) error {
 		slots[i] = s
 		go func(e registryEntry) {
 			defer close(s.done)
+			defer func() {
+				if v := recover(); v != nil {
+					s.err = fmt.Errorf("experiment %s panicked: %v\n%s", e.ID, v, debug.Stack())
+				}
+			}()
 			s.res = e.Run(s.ctx)
 		}(e)
 	}
-	for _, s := range slots {
+	for i, s := range slots {
 		<-s.done
+		if s.err != nil {
+			for _, rest := range slots[i+1:] {
+				<-rest.done
+			}
+			return s.err
+		}
 		flushMetrics(s.ctx)
 		s.res.Print(w)
 	}

@@ -8,63 +8,6 @@ import (
 	"testing"
 )
 
-// fastIDs is a subset of the Registry cheap enough to run twice in a
-// regression test yet wide enough to exercise multi-point sweeps,
-// shared fixtures (fig2 reads IPv6Fixture), and pure-model experiments.
-var fastIDs = []string{"table1", "launch", "fig2", "fig5", "cluster"}
-
-// TestParallelOutputByteIdenticalToSerial is the tentpole's contract:
-// a wide pool must emit exactly the bytes a serial run emits, metrics
-// dumps included.
-func TestParallelOutputByteIdenticalToSerial(t *testing.T) {
-	var serial, parallel bytes.Buffer
-	var serialMetrics, parallelMetrics bytes.Buffer
-
-	SetMetricsWriter(&serialMetrics)
-	if err := NewRunner(1).Run(&serial, fastIDs...); err != nil {
-		t.Fatal(err)
-	}
-	SetMetricsWriter(&parallelMetrics)
-	err := NewRunner(8).Run(&parallel, fastIDs...)
-	SetMetricsWriter(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if serial.Len() == 0 {
-		t.Fatal("serial run produced no output")
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-j 8 output differs from -j 1:\n-- serial --\n%s\n-- parallel --\n%s",
-			serial.String(), parallel.String())
-	}
-	if !bytes.Equal(serialMetrics.Bytes(), parallelMetrics.Bytes()) {
-		t.Errorf("-j 8 metrics differ from -j 1 (%d vs %d bytes)",
-			serialMetrics.Len(), parallelMetrics.Len())
-	}
-}
-
-// TestRunMultipleIDsMatchesConcatenation checks that one Run over many
-// ids prints each result exactly as a standalone run would, in the
-// order given.
-func TestRunMultipleIDsMatchesConcatenation(t *testing.T) {
-	ids := []string{"launch", "table1", "cluster"}
-	var combined bytes.Buffer
-	if err := NewRunner(4).Run(&combined, ids...); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	for _, id := range ids {
-		if err := NewRunner(1).Run(&want, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if combined.String() != want.String() {
-		t.Errorf("multi-id run differs from per-id concatenation:\n-- got --\n%s\n-- want --\n%s",
-			combined.String(), want.String())
-	}
-}
-
 // TestRunValidatesBeforeRunning: an unknown id anywhere in the list
 // must fail the whole invocation before any experiment prints.
 func TestRunValidatesBeforeRunning(t *testing.T) {
@@ -78,6 +21,37 @@ func TestRunValidatesBeforeRunning(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("output written despite invalid id list:\n%s", out.String())
+	}
+}
+
+// TestRunReturnsExperimentPanic: a panicking experiment fails Run with
+// an error naming it — whether it panics in its own body or in one of
+// its MapPoints jobs — after the results before it are printed; nothing
+// after it is printed and the process survives.
+func TestRunReturnsExperimentPanic(t *testing.T) {
+	defer func(saved []registryEntry) { Registry = saved }(Registry)
+	Registry = append(Registry[:len(Registry):len(Registry)],
+		registryEntry{ID: "panics", Run: func(*Ctx) *Result { panic("boom") }},
+		registryEntry{ID: "jobpanics", Run: func(c *Ctx) *Result {
+			MapPoints(c, 4, func(i int, _ *Point) int { panic("job boom") })
+			return nil
+		}})
+	var want bytes.Buffer
+	if err := NewRunner(1).Run(&want, "table1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"panics", "jobpanics"} {
+		var out bytes.Buffer
+		err := NewRunner(4).Run(&out, "table1", id, "launch", "panics")
+		if err == nil {
+			t.Fatalf("%s: Run returned no error", id)
+		}
+		if !strings.HasPrefix(err.Error(), "experiment "+id+" panicked: ") {
+			t.Errorf("%s: error does not name the first failing id: %.80s", id, err)
+		}
+		if out.String() != want.String() {
+			t.Errorf("%s: printed\n%s\nwant only table1's output\n%s", id, out.String(), want.String())
+		}
 	}
 }
 

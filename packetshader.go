@@ -77,7 +77,7 @@ const NumPorts = model.NumPorts
 // frame of (port, queue) into b.Data (already sized to the configured
 // packet size) and sets b.Hash. The built-in generators in
 // internal/pktgen implement it; custom workloads implement it directly
-// (see examples/openflowswitch).
+// (see ExampleOpenFlowSwitch).
 type Source interface {
 	Fill(b *packet.Buf, port, queue int, seq uint64)
 }
