@@ -30,7 +30,7 @@ func mkChunkIn(pool *packet.BufPool, frames ...[]byte) *core.Chunk {
 		b := pool.Get(len(f))
 		copy(b.Data, f)
 		b.Port = i % 8
-		b.Hash = uint32(i * 2654435761)
+		b.Hash = uint32(i) * 2654435761
 		c.Bufs = append(c.Bufs, b)
 		c.OutPorts = append(c.OutPorts, 0)
 	}
@@ -495,7 +495,7 @@ func testIPsecGWEncap(t *testing.T, pool *packet.BufPool, size int) {
 	for j := range auth {
 		auth[j] = byte(saIdx*20 + j + 1)
 	}
-	rx := ipsec.NewSA(tx.SPI, uint32(0xabcd0000+saIdx), enc, auth, tx.LocalIP, tx.PeerIP)
+	rx := ipsec.NewSA(tx.SPI, 0xabcd0000+uint32(saIdx), enc, auth, tx.LocalIP, tx.PeerIP)
 	inner, err := rx.Decap(out[packet.EthHdrLen:])
 	if err != nil {
 		t.Fatalf("decap: %v", err)

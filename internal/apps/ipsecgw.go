@@ -33,7 +33,7 @@ func NewIPsecGW(numPorts int) *IPsecGW {
 		for j := range auth {
 			auth[j] = byte(i*20 + j + 1)
 		}
-		g.SAs = append(g.SAs, ipsec.NewSA(uint32(0x1000+i), uint32(0xabcd0000+i),
+		g.SAs = append(g.SAs, ipsec.NewSA(uint32(0x1000+i), 0xabcd0000+uint32(i),
 			enc, auth,
 			packet.IPv4Addr(0x0A000001+uint32(i)), packet.IPv4Addr(0x0AFF0001+uint32(i))))
 	}
@@ -129,7 +129,7 @@ func (a *IPsecGW) CPUWork(c *core.Chunk) float64 {
 	for i := range c.Bufs {
 		if c.OutPorts[i] == -2 {
 			cycles += model.IPsecCPUPerPacketCycles +
-				model.IPsecCPUPerByteCycles*float64(st.espLens[i])
+				float64(model.IPsecCPUPerByteCycles*float64(st.espLens[i]))
 		}
 	}
 	a.RunKernel(c) // same functional work, performed by the worker

@@ -147,7 +147,7 @@ func (a *IPsecTerm) CPUWork(c *core.Chunk) float64 {
 	for i := range c.Bufs {
 		if c.OutPorts[i] == -2 {
 			cycles += model.IPsecCPUPerPacketCycles +
-				model.IPsecCPUPerByteCycles*float64(len(c.Bufs[i].Data))
+				float64(model.IPsecCPUPerByteCycles*float64(len(c.Bufs[i].Data)))
 		}
 	}
 	a.RunKernel(c)

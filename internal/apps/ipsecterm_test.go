@@ -24,7 +24,7 @@ func termFixture(t *testing.T) (*IPsecGW, *IPsecTerm) {
 		for j := range auth {
 			auth[j] = byte(i*20 + j + 1)
 		}
-		inbound = append(inbound, ipsec.NewSA(tx.SPI, uint32(0xabcd0000+i),
+		inbound = append(inbound, ipsec.NewSA(tx.SPI, 0xabcd0000+uint32(i),
 			enc, auth, tx.LocalIP, tx.PeerIP))
 	}
 	tbl, err := ipv4.Build([]route.Entry{

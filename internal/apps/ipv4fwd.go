@@ -115,7 +115,7 @@ func (a *IPv4Fwd) CPUWork(c *core.Chunk) float64 {
 		}
 		hop, accesses := a.Table.LookupCounted(addr)
 		st.hops[i] = hop
-		cycles += float64(accesses)*model.MemAccessCycles()*model.MemContentionFactor +
+		cycles += float64(float64(accesses)*model.MemAccessCycles()*model.MemContentionFactor) +
 			model.IPv4LookupComputeCycles
 	}
 	return cycles

@@ -102,8 +102,8 @@ func (a *IPv6Fwd) CPUWork(c *core.Chunk) float64 {
 		if probes < model.IPv6LookupProbes {
 			probes = model.IPv6LookupProbes
 		}
-		cycles += float64(probes) * (model.MemAccessCycles()*model.MemContentionFactor +
-			model.IPv6LookupComputeCycles)
+		cycles += float64(float64(probes) * (float64(model.MemAccessCycles()*model.MemContentionFactor) +
+			model.IPv6LookupComputeCycles))
 	}
 	return cycles
 }

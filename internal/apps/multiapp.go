@@ -108,12 +108,12 @@ func (m *MultiApp) PreShade(c *core.Chunk) core.PreResult {
 		if total.Threads > 0 {
 			w = float64(pre.Threads) / float64(total.Threads)
 		}
-		spec.RandomAccesses += k.RandomAccesses * w
-		spec.ComputeCycles += k.ComputeCycles * w
+		spec.RandomAccesses += float64(k.RandomAccesses * w)
+		spec.ComputeCycles += float64(k.ComputeCycles * w)
 		if k.StreamBytesPerSec > 0 {
 			spec.StreamBytesPerSec = k.StreamBytesPerSec
 		}
-		spec.PerThreadNs += k.PerThreadNs * w
+		spec.PerThreadNs += float64(k.PerThreadNs * w)
 	}
 	m.kernel = spec
 	return total

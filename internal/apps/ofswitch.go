@@ -114,7 +114,7 @@ func (a *OFSwitch) exactProbeCycles() float64 {
 	if tableBytes > cacheBytes {
 		missFrac = 1 - cacheBytes/tableBytes
 	}
-	return 30 + missFrac*model.MemAccessCycles()
+	return 30 + float64(missFrac*model.MemAccessCycles())
 }
 
 // PostShade finishes classification: exact-match probe with the
@@ -149,7 +149,7 @@ func (a *OFSwitch) PostShade(c *core.Chunk) float64 {
 			if err == nil {
 				c.Bufs[i].Data = out
 			}
-			cycles += float64(len(act.Mods)) * model.AppOFActionCycles
+			cycles += float64(float64(len(act.Mods)) * model.AppOFActionCycles)
 		}
 		c.OutPorts[i] = a.apply(act, int(st.keys[i].InPort))
 	}
@@ -185,7 +185,7 @@ func (a *OFSwitch) CPUWork(c *core.Chunk) float64 {
 		if !ok {
 			var scanned int
 			act, scanned, ok = a.SW.Wildcard.Lookup(&st.keys[i])
-			cycles += float64(scanned) * model.OFWildcardEntryCycles
+			cycles += float64(float64(scanned) * model.OFWildcardEntryCycles)
 		}
 		st.act[i], st.actOK[i], st.resolved[i] = act, ok, true
 	}

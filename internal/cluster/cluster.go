@@ -181,7 +181,7 @@ func Evaluate(cfg Config, scheme Routing, m Matrix) (Result, error) {
 		node[dst] += gbps
 		link[src][via] += gbps
 		link[via][dst] += gbps
-		hopWeighted += 3 * gbps
+		hopWeighted += float64(3 * gbps)
 	}
 
 	for src := range m {

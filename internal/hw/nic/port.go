@@ -166,7 +166,7 @@ func (q *RxQueue) update() {
 			end = q.burstUntil
 		}
 		burstDt := sim.Duration(end - q.lastUpd).Seconds()
-		q.dropAcc += q.rate * burstDt
+		q.dropAcc += float64(q.rate * burstDt)
 		if whole := math.Floor(q.dropAcc); whole > 0 {
 			q.Stats.Dropped += uint64(whole)
 			q.dropAcc -= whole
@@ -174,7 +174,7 @@ func (q *RxQueue) update() {
 		dt -= burstDt
 	}
 	q.lastUpd = now
-	arrived := q.rate * dt
+	arrived := float64(q.rate * dt)
 	q.occ += arrived
 	if q.occ > float64(q.cap) {
 		q.dropAcc += q.occ - float64(q.cap)

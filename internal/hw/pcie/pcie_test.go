@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"packetshader/internal/model"
@@ -239,9 +240,11 @@ func TestIOHTimesMatchFloatReference(t *testing.T) {
 	for bytes := 0; bytes <= 1<<20; bytes++ {
 		check(bytes)
 	}
-	// Beyond any transfer the model makes (a 4 GiB copy), sampled.
+	// Beyond any transfer the model makes (a 4 GiB copy, or the largest
+	// int where int has 32 bits), sampled.
+	const shift = 64 - min(32, bits.UintSize-1)
 	for i := uint64(0); i < 1<<16; i++ {
-		check(int(sim.SplitMix64(i) >> 32))
+		check(int(sim.SplitMix64(i) >> shift))
 	}
-	check(1 << 32)
+	check(min(1<<32, math.MaxInt))
 }

@@ -37,7 +37,7 @@ const (
 
 // Cycles converts a cycle count to virtual time at the CPU clock.
 func Cycles(c float64) sim.Duration {
-	return sim.Duration(c/CPUFreqHz*float64(sim.Second) + 0.5)
+	return sim.Duration(float64(c/CPUFreqHz*float64(sim.Second)) + 0.5)
 }
 
 // CyclesOf converts a duration back to CPU cycles.
@@ -109,13 +109,13 @@ const (
 
 // H2DTime returns the host→device transfer time for size bytes.
 func H2DTime(size int) sim.Duration {
-	ns := PCIeH2DAlphaNs + float64(size)/PCIeH2DBetaBps*1e9
+	ns := PCIeH2DAlphaNs + float64(float64(size)/PCIeH2DBetaBps*1e9)
 	return sim.Duration(ns * float64(sim.Nanosecond))
 }
 
 // D2HTime returns the device→host transfer time for size bytes.
 func D2HTime(size int) sim.Duration {
-	ns := PCIeD2HAlphaNs + float64(size)/PCIeD2HBetaBps*1e9
+	ns := PCIeD2HAlphaNs + float64(float64(size)/PCIeD2HBetaBps*1e9)
 	return sim.Duration(ns * float64(sim.Nanosecond))
 }
 
@@ -169,7 +169,7 @@ const (
 // up-engine + down-engine occupancy (used by tests and back-of-envelope
 // checks; the pcie package charges the two engines separately).
 func IOHCost(up, down int) sim.Duration {
-	s := (float64(up)+IOHKappa*float64(down))/IOHUpBps + float64(down)/IOHDownBps
+	s := (float64(up)+float64(IOHKappa*float64(down)))/IOHUpBps + float64(down)/IOHDownBps
 	return sim.DurationFromSeconds(s)
 }
 
@@ -214,7 +214,7 @@ const (
 
 // GPULaunchTime returns the kernel launch latency for n threads.
 func GPULaunchTime(threads int) sim.Duration {
-	ns := GPULaunchBaseNs + GPULaunchPerThreadNs*float64(threads)
+	ns := GPULaunchBaseNs + float64(GPULaunchPerThreadNs*float64(threads))
 	return sim.Duration(ns * float64(sim.Nanosecond))
 }
 

@@ -10,9 +10,13 @@ import (
 // Buf is the unit of packet exchange inside the simulation: frame bytes
 // plus receive metadata. It plays the role of the huge-packet-buffer cell
 // plus its 8-byte compact metadata (§4.2); the simulation-only fields
-// (timestamps) exist for measurement.
+// (timestamps) exist for measurement. A Buf is 64 bytes on 64-bit
+// hosts, one cache line in its slab.
 type Buf struct {
 	// Data is the frame (FCS excluded, as in the paper's size metric).
+	// It is always a prefix of the Buf's data cell, so the cell is
+	// Data[:cap(Data)]: whoever re-slices Data keeps its start and its
+	// capacity.
 	Data []byte
 	// Port and Queue identify where the packet was received.
 	Port  int
@@ -21,9 +25,7 @@ type Buf struct {
 	Hash uint32
 	// GenAt is the generator's send timestamp (for round-trip latency).
 	GenAt sim.Time
-	// backing is the whole data cell the Buf currently owns.
-	backing []byte
-	pool    *BufPool
+	pool  *BufPool
 }
 
 // Size returns the frame length in bytes.
@@ -33,10 +35,10 @@ func (b *Buf) Size() int { return len(b.Data) }
 // that outgrows its cell moves to a larger one, bytes preserved: cell
 // capacity is a performance hint, never a truncation.
 func (b *Buf) Reset(n int) {
-	if n > cap(b.backing) {
+	if n > cap(b.Data) {
 		b.promote(n)
 	}
-	b.Data = b.backing[:n]
+	b.Data = b.Data[:n]
 }
 
 // promote swaps b's cell for one of at least n bytes, carrying the
@@ -44,13 +46,13 @@ func (b *Buf) Reset(n int) {
 func (b *Buf) promote(n int) {
 	if b.pool == nil {
 		cell := make([]byte, n)
-		copy(cell, b.Data)
-		b.backing = cell
+		b.Data = cell[:copy(cell, b.Data)]
 		return
 	}
 	donor := b.pool.get(classOf(n))
-	copy(donor.backing, b.Data)
-	b.backing, donor.backing = donor.backing, b.backing
+	cell := donor.Data[:len(b.Data)]
+	copy(cell, b.Data)
+	b.Data, donor.Data = cell, b.Data
 	b.pool.put(donor)
 }
 
@@ -67,7 +69,8 @@ func (b *Buf) Release() {
 // set of small frames is dense in the host's caches instead of strided
 // over 2 KiB-aligned, separately allocated cells. A slab is at most
 // slabBytes (one cell when the cell is larger), which bounds what a
-// part-used slab can add to a run's allocation volume.
+// part-used slab can add to a run's allocation volume. A slab of that
+// size is page-aligned, so every 64-byte Buf sits on one cache line.
 const (
 	minCellShift = 8
 	minCell      = 1 << minCellShift
@@ -124,7 +127,7 @@ func (p *BufPool) Get(n int) *Buf {
 	}
 	b := p.get(c)
 	b.Port, b.Queue, b.Hash, b.GenAt = 0, 0, 0, 0
-	b.Data = b.backing[:n]
+	b.Data = b.Data[:n]
 	return b
 }
 
@@ -146,13 +149,13 @@ func (p *BufPool) get(c int) *Buf {
 	if len(cl.cells) < cell {
 		cl.cells = make([]byte, max(cell, slabBytes))
 	}
-	b.backing, cl.cells = cl.cells[:cell:cell], cl.cells[cell:]
+	b.Data, cl.cells = cl.cells[:0:cell], cl.cells[cell:]
 	b.pool = p
 	return b
 }
 
 func (p *BufPool) put(b *Buf) {
-	cl := &p.classes[classOf(cap(b.backing))]
+	cl := &p.classes[classOf(cap(b.Data))]
 	cl.free = append(cl.free, b)
 }
 

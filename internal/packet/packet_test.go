@@ -2,9 +2,11 @@ package packet
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var (
@@ -522,6 +524,25 @@ func TestBufResetWithoutPool(t *testing.T) {
 		t.Errorf("pool-less Reset(10) = %v", b.Data)
 	}
 	b.Release() // no-op
+}
+
+// TestBufIsOneCacheLine: a Buf fits one 64-byte cache line, exactly on
+// 64-bit hosts, and slab Bufs sit on line boundaries, so reading or
+// writing one Buf's metadata touches one line.
+func TestBufIsOneCacheLine(t *testing.T) {
+	size := unsafe.Sizeof(Buf{})
+	if size > 64 || bits.UintSize == 64 && size != 64 {
+		t.Fatalf("Buf is %d bytes, want 64 (at most 64 where int has 32 bits)", size)
+	}
+	if size != 64 {
+		return
+	}
+	p := NewBufPool(2048)
+	for i := 0; i < 2*bufsPerSlab+1; i++ {
+		if a := uintptr(unsafe.Pointer(p.Get(64))); a%64 != 0 {
+			t.Fatalf("Buf %d at %#x is not on a cache-line boundary", i, a)
+		}
+	}
 }
 
 func TestBufPoolSteadyStateNoAlloc(t *testing.T) {

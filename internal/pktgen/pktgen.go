@@ -40,32 +40,54 @@ type UDP4Source struct {
 	tmpl *packet.UDP4Template
 }
 
-// fillBlock bounds the stack scratch FillBatch carries between its two
-// passes; a fetch is at most a chunk, so a handful of blocks at worst.
+// fillBlock bounds the stack scratch FillBatch carries between its
+// steps; a fetch is at most a chunk, so a handful of blocks at worst.
 const fillBlock = 64
 
-// Fill implements nic.FrameSource: the one-packet case of FillBatch.
+// Fill implements nic.FrameSource: FillBatch's four steps for one
+// packet.
 func (s *UDP4Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(s.init)
-	s.render(b, s.draw(port, queue, seq))
+	p := s.pick(port, queue, seq)
+	var e route.Prefix
+	if len(s.Table) > 0 {
+		e = s.Table[p.i].Prefix
+	}
+	s.render(b, p.r2, s.compose(p, e))
 }
 
-// FillBatch implements nic.BatchSource in two passes per block. Pass 1
-// draws every packet's random values and reads its table entry: the
-// reads are independent, so their cache misses overlap instead of each
-// stalling the render behind it. Pass 2 renders, hashes and stamps. The
-// scratch lives on the stack: sources are shared by every RX queue's
-// fetch proc and must stay read-only across procs.
+// FillBatch implements nic.BatchSource in four steps per block of
+// fillBlock packets. Pick draws every packet's random values and table
+// index, reading no memory. Gather then loads every picked prefix in a
+// loop that does nothing else: the table is larger than the host's L2
+// and the loads are independent, so their cache misses overlap instead
+// of each waiting behind the divide and the render of the packet
+// before. Compose makes the destinations, and render writes, hashes and
+// stamps the frames. The scratch lives on the stack: sources are shared
+// by every RX queue's fetch proc and must stay read-only across procs.
 func (s *UDP4Source) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(s.init)
-	var d [fillBlock]draw4
+	var (
+		p   [fillBlock]pick4
+		e   [fillBlock]route.Prefix
+		dst [fillBlock]packet.IPv4Addr
+	)
+	tbl := s.Table
 	for len(bufs) > 0 {
 		n := min(len(bufs), fillBlock)
-		for i := 0; i < n; i++ {
-			d[i] = s.draw(port, queue, seq+uint64(i))
+		for i := range n {
+			p[i] = s.pick(port, queue, seq+uint64(i))
+		}
+		if len(tbl) > 0 {
+			for i := range n {
+				e[i] = tbl[p[i].i].Prefix
+			}
+		}
+		for i := range n {
+			dst[i] = s.compose(p[i], e[i])
 		}
 		for i, b := range bufs[:n] {
-			s.render(b, d[i])
+			s.render(b, p[i].r2, dst[i])
 		}
 		bufs, seq = bufs[n:], seq+uint64(n)
 	}
@@ -75,32 +97,39 @@ func (s *UDP4Source) init() {
 	s.tmpl = packet.NewUDP4Template(s.Size, genSrcMAC, genDstMAC)
 }
 
-// draw4 is what pass 1 hands pass 2 for one packet: the random word
-// the source address and ports come from, and the destination address.
-type draw4 struct {
-	r2  uint64
-	dst packet.IPv4Addr
+// pick4 is one packet's random words and, with a table, the index of
+// the prefix its destination is drawn from.
+type pick4 struct {
+	r, r2 uint64
+	i     int
 }
 
-// draw is pass 1 for one packet.
-func (s *UDP4Source) draw(port, queue int, seq uint64) draw4 {
+// pick draws one packet's random values; it reads no memory but s.
+func (s *UDP4Source) pick(port, queue int, seq uint64) pick4 {
 	r := sim.SplitMix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
-	r2 := sim.SplitMix64(r)
-	if len(s.Table) == 0 {
-		return draw4{r2, packet.IPv4Addr(uint32(r))}
+	p := pick4{r: r, r2: sim.SplitMix64(r)}
+	if len(s.Table) > 0 {
+		p.i = int(r % uint64(len(s.Table)))
 	}
-	e := &s.Table[int(r%uint64(len(s.Table)))]
-	host := uint32(r2) &^ e.Prefix.Mask()
-	return draw4{r2, packet.IPv4Addr(uint32(e.Prefix.Addr) | host)}
+	return p
 }
 
-// render is pass 2 for one packet.
-func (s *UDP4Source) render(b *packet.Buf, d draw4) {
-	src := packet.IPv4Addr(uint32(d.r2 >> 32))
-	sp, dp := uint16(d.r2>>16), uint16(d.r2)
+// compose returns the destination: the gathered prefix with random host
+// bits, or a uniformly random address without a table.
+func (s *UDP4Source) compose(p pick4, e route.Prefix) packet.IPv4Addr {
+	if len(s.Table) == 0 {
+		return packet.IPv4Addr(uint32(p.r))
+	}
+	return packet.IPv4Addr(uint32(e.Addr) | uint32(p.r2)&^e.Mask())
+}
+
+// render writes one frame; r2 gives its source address and ports.
+func (s *UDP4Source) render(b *packet.Buf, r2 uint64, dst packet.IPv4Addr) {
+	src := packet.IPv4Addr(uint32(r2 >> 32))
+	sp, dp := uint16(r2>>16), uint16(r2)
 	b.Reset(s.tmpl.Size())
-	s.tmpl.Render(b.Data, src, d.dst, sp, dp)
-	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(d.dst), sp, dp)
+	s.tmpl.Render(b.Data, src, dst, sp, dp)
+	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(dst), sp, dp)
 	if s.Stamp {
 		packet.SetTimestamp(b.Data, int64(b.GenAt))
 	}
@@ -117,24 +146,43 @@ type UDP6Source struct {
 	tmpl *packet.UDP6Template
 }
 
-// Fill implements nic.FrameSource: the one-packet case of FillBatch.
+// Fill implements nic.FrameSource: FillBatch's four steps for one
+// packet.
 func (s *UDP6Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(s.init)
-	s.render(b, s.draw(port, queue, seq))
+	p := s.pick(port, queue, seq)
+	var e route.Prefix6
+	if len(s.Table) > 0 {
+		e = s.Table[p.i].Prefix6
+	}
+	s.render(b, p, s.compose(p, e))
 }
 
-// FillBatch implements nic.BatchSource, in the two passes of
+// FillBatch implements nic.BatchSource, in the four steps of
 // UDP4Source.FillBatch.
 func (s *UDP6Source) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(s.init)
-	var d [fillBlock]draw6
+	var (
+		p   [fillBlock]pick6
+		e   [fillBlock]route.Prefix6
+		dst [fillBlock]packet.IPv6Addr
+	)
+	tbl := s.Table
 	for len(bufs) > 0 {
 		n := min(len(bufs), fillBlock)
-		for i := 0; i < n; i++ {
-			d[i] = s.draw(port, queue, seq+uint64(i))
+		for i := range n {
+			p[i] = s.pick(port, queue, seq+uint64(i))
+		}
+		if len(tbl) > 0 {
+			for i := range n {
+				e[i] = tbl[p[i].i].Prefix6
+			}
+		}
+		for i := range n {
+			dst[i] = s.compose(p[i], e[i])
 		}
 		for i, b := range bufs[:n] {
-			s.render(b, d[i])
+			s.render(b, p[i], dst[i])
 		}
 		bufs, seq = bufs[n:], seq+uint64(n)
 	}
@@ -144,28 +192,34 @@ func (s *UDP6Source) init() {
 	s.tmpl = packet.NewUDP6Template(s.Size, genSrcMAC, genDstMAC)
 }
 
-// draw6 is what pass 1 hands pass 2 for one IPv6 packet.
-type draw6 struct {
-	r, r3 uint64
-	dst   packet.IPv6Addr
+// pick6 is UDP6Source's pick4: three random words and a table index.
+type pick6 struct {
+	r, r2, r3 uint64
+	i         int
 }
 
-func (s *UDP6Source) draw(port, queue int, seq uint64) draw6 {
+func (s *UDP6Source) pick(port, queue int, seq uint64) pick6 {
 	r := sim.SplitMix64(s.Seed ^ uint64(port)<<48 ^ uint64(queue)<<40 ^ seq)
 	r2 := sim.SplitMix64(r)
-	r3 := sim.SplitMix64(r2)
-	if len(s.Table) == 0 {
-		return draw6{r, r3, packet.IPv6AddrFromParts(r2, r3)}
+	p := pick6{r: r, r2: r2, r3: sim.SplitMix64(r2)}
+	if len(s.Table) > 0 {
+		p.i = int(r % uint64(len(s.Table)))
 	}
-	e := &s.Table[int(r%uint64(len(s.Table)))]
-	mh, ml := route.Mask6(e.Prefix6.Len)
-	return draw6{r, r3, packet.IPv6AddrFromParts(e.Prefix6.Hi|(r2&^mh), e.Prefix6.Lo|(r3&^ml))}
+	return p
 }
 
-func (s *UDP6Source) render(b *packet.Buf, d draw6) {
-	src := packet.IPv6AddrFromParts(0x2001_0db8_0000_0000|d.r>>32, d.r)
+func (s *UDP6Source) compose(p pick6, e route.Prefix6) packet.IPv6Addr {
+	if len(s.Table) == 0 {
+		return packet.IPv6AddrFromParts(p.r2, p.r3)
+	}
+	mh, ml := route.Mask6(e.Len)
+	return packet.IPv6AddrFromParts(e.Hi|(p.r2&^mh), e.Lo|(p.r3&^ml))
+}
+
+func (s *UDP6Source) render(b *packet.Buf, p pick6, dst packet.IPv6Addr) {
+	src := packet.IPv6AddrFromParts(0x2001_0db8_0000_0000|p.r>>32, p.r)
 	b.Reset(s.tmpl.Size())
-	s.tmpl.Render(b.Data, src, d.dst, uint16(d.r3>>16), uint16(d.r3))
+	s.tmpl.Render(b.Data, src, dst, uint16(p.r3>>16), uint16(p.r3))
 }
 
 // ---------------------------------------------------------------------------
@@ -233,12 +287,13 @@ func (l *LatencySink) MinMicros() float64 {
 func (l *LatencySink) MaxMicros() float64 { return l.max.Microseconds() }
 
 // PercentileMicros returns an upper bound of the q-quantile (0<q<1)
-// from the 10µs histogram.
+// from the 10µs histogram: the bucket holding the ceil(q·Count)-th
+// smallest sample (at least the first).
 func (l *LatencySink) PercentileMicros(q float64) float64 {
 	if l.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(l.Count))
+	target := max(1, uint64(math.Ceil(q*float64(l.Count))))
 	var cum uint64
 	for i, c := range l.hist {
 		cum += c

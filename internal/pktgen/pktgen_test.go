@@ -137,6 +137,27 @@ func TestLatencySinkStats(t *testing.T) {
 	}
 }
 
+// TestLatencySinkPercentileRank: a quantile is the bucket of the
+// ceil(q·Count)-th sample, never an empty bucket below the first one.
+func TestLatencySinkPercentileRank(t *testing.T) {
+	l := NewLatencySink()
+	b := packet.NewBufPool(128).Get(64)
+	b.GenAt = 1
+	l.Observe(b, 1+sim.Time(300*sim.Microsecond))
+	for _, q := range []float64{0.01, 0.5, 0.99} {
+		if p := l.PercentileMicros(q); p != 310 {
+			t.Errorf("one 300 µs sample: p%g = %v µs, want 310 (the bucket holding it)", q*100, p)
+		}
+	}
+	l.Observe(b, 1+sim.Time(20*sim.Microsecond))
+	if p := l.PercentileMicros(0.5); p != 30 {
+		t.Errorf("samples 20 and 300 µs: p50 = %v µs, want 30 (the first sample's bucket)", p)
+	}
+	if p := l.PercentileMicros(0.51); p != 310 {
+		t.Errorf("samples 20 and 300 µs: p51 = %v µs, want 310 (the second sample's bucket)", p)
+	}
+}
+
 func TestLatencySinkIgnoresUnstamped(t *testing.T) {
 	l := NewLatencySink()
 	pool := packet.NewBufPool(128)
@@ -282,18 +303,34 @@ func TestSourcesMatchDirectBuild(t *testing.T) {
 // TestFillBatchMatchesFill is the batching contract: FillBatch leaves
 // every Buf exactly as n per-packet Fill calls would — frame bytes, RSS
 // hash and embedded timestamp — across block boundaries (fillBlock is
-// 64) and from a starting seq that is not zero.
+// 64) and from a starting seq that is not zero. The edge tables hold a
+// /0 (every bit random) and a host route (none), and a one-entry table
+// picks index 0 for every packet.
 func TestFillBatchMatchesFill(t *testing.T) {
 	entries4 := route.GenerateBGPTable(5000, 8, 3)
 	entries6 := route.GenerateIPv6Table(2000, 8, 4)
+	edges4 := []route.Entry{
+		{Prefix: route.Prefix{Len: 0}, NextHop: 1},
+		{Prefix: route.Prefix{Addr: 0x0a000001, Len: 32}, NextHop: 2},
+	}
+	edges6 := []route.Entry6{
+		{Prefix6: route.Prefix6{Len: 0}, NextHop: 1},
+		{Prefix6: route.Prefix6{Hi: 0x2001_0db8_0000_0001, Lo: 1, Len: 128}, NextHop: 2},
+	}
+	one4 := []route.Entry{{Prefix: route.Prefix{Addr: 0xc0a80100, Len: 24}}}
+	one6 := []route.Entry6{{Prefix6: route.Prefix6{Hi: 0x2001_0db8_0000_0002, Len: 64}}}
 	const seq0 = 1<<33 + 12345
 	for _, seed := range []uint64{1, 2, 3} {
 		sources := map[string]nic.BatchSource{
 			"udp4":       &UDP4Source{Size: 64, Seed: seed, Stamp: true},
 			"udp4-table": &UDP4Source{Size: 64, Seed: seed, Stamp: true, Table: entries4},
 			"udp4-1514":  &UDP4Source{Size: 1514, Seed: seed, Table: entries4},
+			"udp4-edges": &UDP4Source{Size: 64, Seed: seed, Table: edges4},
+			"udp4-one":   &UDP4Source{Size: 64, Seed: seed, Table: one4},
 			"udp6":       &UDP6Source{Size: 78, Seed: seed},
 			"udp6-table": &UDP6Source{Size: 78, Seed: seed, Table: entries6},
+			"udp6-edges": &UDP6Source{Size: 78, Seed: seed, Table: edges6},
+			"udp6-one":   &UDP6Source{Size: 78, Seed: seed, Table: one6},
 		}
 		for name, src := range sources {
 			for _, n := range []int{1, 63, 64, 65, 256} {

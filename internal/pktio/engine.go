@@ -181,7 +181,7 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 	if size > 64 {
 		// The copy into the user chunk grows with packet size; the
 		// 64B copy is inside the calibrated base.
-		c += float64(size-64) * model.CopyCyclesPerByte
+		c += float64(float64(size-64) * model.CopyCyclesPerByte)
 	}
 	if !e.Cfg.Prefetch {
 		c += model.CompulsoryMissCycles
@@ -193,7 +193,7 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 	if !e.Cfg.PerQueueCounters {
 		c += model.SharedCounterPenaltyCycles
 	}
-	return c * f.remoteFactor()
+	return float64(c * f.remoteFactor())
 }
 
 // skbRxCycles is the ModeSkb per-packet cost: the full Table 3 stack,
@@ -222,7 +222,7 @@ func (f *Iface) skbRxCycles() float64 {
 	if !e.Cfg.PerQueueCounters {
 		c += model.SharedCounterPenaltyCycles
 	}
-	return c * f.remoteFactor()
+	return float64(c * f.remoteFactor())
 }
 
 // FetchChunk fetches up to max packets from the interface, charging the
@@ -270,10 +270,10 @@ func (e *Engine) Send(p *sim.Proc, workerNode, port int, bufs []*packet.Buf) {
 		// not CPU — but descriptor writes still touch remote memory.
 		factor = model.RemoteMemFactor
 	}
-	cycles := model.IOBatchCycles * model.IOTxShare * factor
-	cycles += float64(len(bufs)) * model.IOPerPacketCycles * model.IOTxShare * factor
+	cycles := float64(model.IOBatchCycles * model.IOTxShare * factor)
+	cycles += float64(float64(len(bufs)) * model.IOPerPacketCycles * model.IOTxShare * factor)
 	if !e.Cfg.PerQueueCounters {
-		cycles += float64(len(bufs)) * model.SharedCounterPenaltyCycles
+		cycles += float64(float64(len(bufs)) * model.SharedCounterPenaltyCycles)
 	}
 	p.Sleep(model.Cycles(cycles))
 	tgt.Tx.TransmitBlocking(p, bufs)

@@ -1,14 +1,16 @@
 #!/bin/sh
 # check.sh is the repository's expanded tier-1 verification (see
-# ROADMAP.md): build, vet (also for arm64, the build without assembly),
-# the pslint determinism linters, the full test suite (root module and
-# the nested bench/ module; TestGoldenOutputs and the Example functions
-# included), gofmt, the one-path gates, the byte-identity gate's second
-# half (the pshaderd replay against its checked-in stdout and trace
-# digest), short FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader,
-# FuzzParseScript, FuzzEventStore, FuzzDecode and FuzzDynamicTable runs,
-# and race tests on the concurrency-bearing packages. `make check` runs
-# it, and so does CI — there is no second copy of these steps in
+# ROADMAP.md): build, vet (also for arm64, the build without assembly,
+# and for 386, the 32-bit build), gofmt, the fused multiply-add gate on
+# the arm64 and ppc64le compile output, the pslint determinism linters,
+# the full test suite (root module and the nested bench/ module;
+# TestGoldenOutputs and the Example functions included), the one-path
+# gates, the byte-identity gate's second half (the pshaderd replay
+# against its checked-in stdout and trace digest), short FuzzDecap,
+# FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
+# FuzzEventStore, FuzzDecode and FuzzDynamicTable runs, and race tests
+# on the concurrency-bearing packages. `make check` runs it, and so does
+# CI — there is no second copy of these steps in
 # .github/workflows/ci.yml.
 set -eu
 
@@ -25,6 +27,10 @@ go vet ./...
 echo "== GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
+# A constant or conversion that overflows a 32-bit int fails here.
+echo "== GOARCH=386 go vet ./..."
+GOARCH=386 go vet ./...
+
 # The repository's own files only: bench/run.sh keeps a Go cache and
 # GOPATH under .bench_build/.
 echo "== gofmt -l (no file listed)"
@@ -35,13 +41,31 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+# The Go spec lets a compiler fuse x*y + z into one rounding. amd64
+# never does; arm64 and ppc64le do, and one ulp of virtual time can move
+# an event. Virtual-time code therefore rounds each product that feeds
+# an add with an explicit float64(…) conversion, and this gate fails on
+# any fused multiply-add the compiler still emits for a non-test package
+# under internal/.
+echo "== no fused multiply-add in internal/ (arm64, ppc64le)"
+for arch in arm64 ppc64le; do
+	GOARCH=$arch go build -trimpath -gcflags=-S ./internal/... 2>"$TMP/asm-$arch.txt"
+	fused="$(awk '$4 ~ /^FN?M(ADD|SUB)[DS]?$/ && $3 ~ /^\(packetshader\/internal\// { print $3 }' "$TMP/asm-$arch.txt" | sort -u)"
+	if [ -n "$fused" ]; then
+		echo "$arch fuses a multiply-add at (wrap the product in float64(…)):"
+		echo "$fused"
+		exit 1
+	fi
+done
+
 # One invocation covers every package (./... includes internal/obs and
 # internal/faults); the JSON report then feeds the baseline staleness
 # check, which fails if pslint-baseline.json carries waivers that no
 # longer match anything.
 echo "== pslint (determinism contract, all packages)"
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
 go run ./cmd/pslint -json-out "$TMP/pslint.json" ./...
 
 echo "== pslint baseline staleness"
