@@ -600,6 +600,53 @@ func TestIPsecGWThroughputMetricBytes(t *testing.T) {
 	}
 }
 
+// TestIPsecGWHashTopBitSet: the SA is the flow hash modulo the SA
+// count, taken in uint32. As int(hash) a hash with its top bit set is
+// negative on a 32-bit host, and so was the index.
+func TestIPsecGWHashTopBitSet(t *testing.T) {
+	app := NewIPsecGW(8)
+	c := mkChunk(udp4Frame(0x0C000001, 100))
+	c.Bufs[0].Hash = 0x80000003
+	app.PreShade(c)
+	app.RunKernel(c)
+	app.PostShade(c)
+	if sa := c.State.(*ipsecState).sa[0]; sa != 3 || c.OutPorts[0] != 3 || app.Errors != 0 {
+		t.Errorf("hash 0x80000003 of 8 SAs: SA %d, port %d, errors %d; want 3, 3, 0", sa, c.OutPorts[0], app.Errors)
+	}
+}
+
+// TestIPsecGWRecycledChunkRunKernelDoesNotAllocate: RunKernel's batch
+// of ICVs lives in the chunk's state, so a recycled chunk encapsulates
+// without allocating — here a full batch of 1514 B frames, then
+// smaller ones that flush it by shape, across 8 SAs.
+func TestIPsecGWRecycledChunkRunKernelDoesNotAllocate(t *testing.T) {
+	app := NewIPsecGW(8)
+	var frames [][]byte
+	for i := range 20 {
+		size := 1514
+		if i >= 16 {
+			size = 64 + 100*i
+		}
+		frames = append(frames, udp4Frame(packet.IPv4Addr(0x0C000000+uint32(i)), size))
+	}
+	c := mkChunk(frames...)
+	run := func() {
+		for i, f := range frames {
+			c.Bufs[i].Reset(len(f))
+			copy(c.Bufs[i].Data, f)
+		}
+		app.PreShade(c)
+		app.RunKernel(c)
+	}
+	run() // the chunk's first use builds its state
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("PreShade + RunKernel on a recycled chunk allocate %v times, want 0", n)
+	}
+	if app.Errors != 0 {
+		t.Errorf("%d encap errors", app.Errors)
+	}
+}
+
 // simEnv and simTime are tiny helpers for router-level app tests.
 func simEnv() *sim.Env { return sim.NewEnv() }
 

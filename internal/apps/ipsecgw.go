@@ -44,6 +44,9 @@ type ipsecState struct {
 	dec     packet.Decoder
 	sa      []int // SA (and output port) per packet
 	espLens []int
+	// batch is here, not on RunKernel's stack, because its lane pointers
+	// point into its own pad buffers: on the stack it would escape.
+	batch ipsec.Batch
 }
 
 // Name implements core.App.
@@ -73,7 +76,7 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 			continue
 		}
 		c.OutPorts[i] = -2
-		st.sa[i] = int(b.Hash) % len(a.SAs)
+		st.sa[i] = int(b.Hash % uint32(len(a.SAs))) // int(b.Hash) is negative on 32-bit hosts
 		innerLen := len(b.Data) - packet.EthHdrLen
 		st.espLens[i] = innerLen + ipsec.EncapOverhead(innerLen)
 		inBytes += innerLen + 32 // payload + key/IV metadata
@@ -90,9 +93,11 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 
 // RunKernel performs the real encapsulation (AES-CTR + HMAC-SHA1 over
 // every packet) — the functional equivalent of the paper's two-level
-// parallel GPU implementation. The ESP packet is built in the frame's
-// own cell, behind the Ethernet header it keeps; the cell has headroom
-// for it, and Reset moves the frame to a larger one when it does not.
+// parallel GPU implementation, its one-thread-per-packet SHA-1 done
+// sixteen packets per pass by ipsec.Batch. The ESP packet is built in
+// the frame's own cell, behind the Ethernet header it keeps; the cell
+// has headroom for it, and Reset moves the frame to a larger one when
+// it does not.
 func (a *IPsecGW) RunKernel(c *core.Chunk) {
 	st := c.State.(*ipsecState)
 	for i, b := range c.Bufs {
@@ -102,12 +107,13 @@ func (a *IPsecGW) RunKernel(c *core.Chunk) {
 		frameLen := len(b.Data)
 		b.Reset(packet.EthHdrLen + st.espLens[i])
 		ip := b.Data[packet.EthHdrLen:]
-		if _, err := a.SAs[st.sa[i]].Encap(ip, ip[:frameLen-packet.EthHdrLen]); err != nil {
+		if _, err := st.batch.Encap(a.SAs[st.sa[i]], ip, ip[:frameLen-packet.EthHdrLen]); err != nil {
 			b.Reset(frameLen) // refused before a byte was written
 			a.Errors++
 			c.OutPorts[i] = -1
 		}
 	}
+	st.batch.Flush()
 }
 
 // PostShade routes each tunnel to its port.

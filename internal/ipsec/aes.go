@@ -1,8 +1,8 @@
 // Package ipsec implements the data path of PacketShader's IPsec
 // gateway (§6.2.4): AES-128 in CTR mode and HMAC-SHA1-96, wrapped in ESP
 // tunnel-mode encapsulation. The cipher is the Go standard library's; so
-// is the hash, or SHA-1's compression in this package's assembly where
-// the CPU has the x86 SHA extensions. This package owns the framing —
+// is the hash, except Batch's SHA-1, sixteen packets per pass in this
+// package's assembly where the CPU has AVX-512. This package owns the framing —
 // the RFC 3686 counter block, the RFC 2404 truncation, and the RFC 4303
 // ESP layout, padding and anti-replay window. Host crypto speed never
 // reaches the results: what the paper offloads to the GPU (AES per

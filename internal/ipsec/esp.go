@@ -82,13 +82,26 @@ func padLen(innerLen int) int {
 // to its place behind the headers (copy is overlap-safe), and every
 // other write lands outside that region.
 func (sa *SA) Encap(dst, inner []byte) ([]byte, error) {
+	out, authed, err := sa.frame(dst, inner)
+	if err != nil {
+		return nil, err
+	}
+	icv := sa.hmac.ICV(authed)
+	copy(authed[len(authed):len(authed)+ICVSize], icv[:])
+	return out, nil
+}
+
+// frame is Encap but for the ICV: it returns the outer packet and its
+// authenticated region, the ESP header through the trailer, behind which
+// the packet's last ICVSize bytes are left for the ICV.
+func (sa *SA) frame(dst, inner []byte) (out, authed []byte, err error) {
 	padded := padLen(len(inner))
 	pad := padded - len(inner)
 	total := packet.IPv4HdrLen + espHdrLen + espIVLen + padded + 2 + ICVSize
 	if total > math.MaxUint16 || cap(dst) < total {
-		return nil, ErrMalformed
+		return nil, nil, ErrMalformed
 	}
-	out := dst[:total]
+	out = dst[:total]
 	esp := out[packet.IPv4HdrLen:]
 	body := esp[espHdrLen+espIVLen:]
 
@@ -120,11 +133,7 @@ func (sa *SA) Encap(dst, inner []byte) ([]byte, error) {
 
 	// Encrypt in place.
 	sa.aes.CTR(pt, pt, sa.nonce, iv)
-
-	// ICV over ESP header through trailer.
-	icv := sa.hmac.ICV(esp[:espHdrLen+espIVLen+padded+2])
-	copy(body[padded+2:], icv[:])
-	return out, nil
+	return out, esp[:espHdrLen+espIVLen+padded+2], nil
 }
 
 // Decap validates and unwraps an outer IPv4+ESP packet, returning the

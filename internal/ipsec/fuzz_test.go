@@ -2,6 +2,7 @@ package ipsec
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"testing"
 )
 
@@ -57,25 +58,59 @@ func FuzzDecap(f *testing.F) {
 	})
 }
 
-// FuzzHMACSHA1 holds both HMACSHA1 paths to crypto/hmac on arbitrary
-// keys and messages; on a CPU without the SHA extensions only the
-// standard library's runs. The checked-in seeds sit on the padding
-// edges (messages of 0, 55, 56, 63, 64, 119, 120 and 1,500 bytes) under
-// keys of 0, 64, 65 and 200 bytes: empty, one block, one over (hashed
-// first) and several blocks.
+// FuzzHMACSHA1 holds HMACSHA1.Sum and both Batch paths to crypto/hmac
+// on arbitrary keys and messages; on a host without AVX-512 the x16 path
+// is left out. In a batch the fuzzed (key, message) takes one lane of a
+// full sixteen, beside fifteen other lengths of its block shape under
+// three other keys, and every lane is checked. The checked-in seeds sit
+// on the padding edges (messages of 0, 55, 56, 63, 64, 119, 120 and
+// 1,500 bytes) under keys of 0, 64, 65 and 200 bytes: empty, one block,
+// one over (hashed first) and several blocks.
 func FuzzHMACSHA1(f *testing.F) {
 	f.Add([]byte("key"), []byte("message"))
 	f.Fuzz(func(t *testing.T, key, msg []byte) {
 		want := stdHMAC(key, msg)
+		if got := NewHMACSHA1(key).Sum(msg); !bytes.Equal(got[:], want) {
+			t.Fatalf("Sum, %d-byte key, %d-byte message: %x, want %x", len(key), len(msg), got, want)
+		}
+		others := [][]byte{nil, []byte("authauthauthauthauth"), bytes.Repeat([]byte{0x5c}, 100)}
+		filler := make([]byte, len(msg)+sha1.BlockSize)
+		for i := range filler {
+			filler[i] = byte(i*13 + 1)
+		}
+		lane := (len(key) + len(msg)) % lanes
 		for _, p := range hmacPaths {
-			if p.shani && !useSHANI {
+			if p.x16 && !useX16 {
 				continue
 			}
-			if got := newHMACSHA1(key, p.shani).Sum(msg); !bytes.Equal(got[:], want) {
-				t.Fatalf("%s path, %d-byte key, %d-byte message: %x, want %x", p.name, len(key), len(msg), got, want)
+			keys := make([][]byte, lanes)
+			macs := make([]*HMACSHA1, lanes)
+			msgs := make([][]byte, lanes)
+			for l := range lanes {
+				keys[l], msgs[l] = others[l%len(others)], filler[:sameShape(len(msg), l)]
+				if l == lane {
+					keys[l], msgs[l] = key, msg
+				}
+				macs[l] = newHMACSHA1(keys[l], p.x16)
+			}
+			for l, icv := range batchICVs(macs, msgs, p.x16) {
+				if w := stdHMAC(keys[l], msgs[l]); !bytes.Equal(icv[:], w[:ICVSize]) {
+					t.Fatalf("%s path, lane %d of 16 (fuzzed lane %d), %d-byte key, %d-byte message: %x, want %x",
+						p.name, l, lane, len(keys[l]), len(msgs[l]), icv, w[:ICVSize])
+				}
 			}
 		}
 	})
+}
+
+// sameShape returns the l-th of the other message lengths with n's block
+// shape: n's whole blocks, and a tail on n's side of the 56-byte edge.
+func sameShape(n, l int) int {
+	whole, tail := n-n%sha1.BlockSize, n%sha1.BlockSize
+	if tail < sha1.BlockSize-8 {
+		return whole + (tail+7*(l+1))%(sha1.BlockSize-8)
+	}
+	return whole + sha1.BlockSize - 8 + (tail+l+1)%8
 }
 
 // FuzzCTR holds AES.CTR to the block-at-a-time loop (ctrBlockLoop,

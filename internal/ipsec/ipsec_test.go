@@ -155,17 +155,19 @@ func TestHMACSHA1RFC2202Vectors(t *testing.T) {
 	}
 }
 
-// hmacPaths are HMACSHA1's two paths, for newHMACSHA1's shani argument.
+// hmacPaths are Batch's two paths, for the x16 argument of its encap,
+// add and flush and of newHMACSHA1.
 var hmacPaths = []struct {
-	name  string
-	shani bool
-}{{"stdlib", false}, {"shani", true}}
+	name string
+	x16  bool
+}{{"stdlib", false}, {"x16", true}}
 
-// skipUnlessRunnable skips the SHA-NI arm of a test on a CPU without the
-// extensions, naming the missing feature; the stdlib arm always runs.
-func skipUnlessRunnable(t testing.TB, shani bool) {
-	if shani && !useSHANI {
-		t.Skipf("no SHA-NI path: it needs %s", shaniMissing)
+// skipUnlessRunnable skips the x16 arm of a test on a host without
+// AVX-512, naming the missing CPUID or XCR0 bit; the stdlib arm always
+// runs.
+func skipUnlessRunnable(t testing.TB, x16 bool) {
+	if x16 && !useX16 {
+		t.Skipf("no x16 path: it needs %s", x16Missing)
 	}
 }
 
@@ -175,24 +177,57 @@ func stdHMAC(key, msg []byte) []byte {
 	return std.Sum(nil)
 }
 
-// TestHMACSHA1Paths holds both paths to crypto/hmac across every padding
-// shape: each message length to 2,100 (the tail on each side of the
-// 56-byte length boundary, whole blocks, 1500-byte packets) under keys
-// shorter than, equal to and longer than the 64-byte block.
+// batchICVs queues msgs[i] under macs[i] in order on one Batch, flushes
+// it, and returns their ICVs; the batch flushes by itself on every
+// change of block shape and every sixteenth job.
+func batchICVs(macs []*HMACSHA1, msgs [][]byte, x16 bool) [][ICVSize]byte {
+	var b Batch
+	bufs := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		bufs[i] = append(make([]byte, 0, len(m)+ICVSize), m...)
+		b.add(macs[i], bufs[i], x16)
+	}
+	b.flush(x16)
+	icvs := make([][ICVSize]byte, len(msgs))
+	for i, buf := range bufs {
+		icvs[i] = [ICVSize]byte(buf[len(buf) : len(buf)+ICVSize])
+	}
+	return icvs
+}
+
+// TestHMACSHA1Paths holds both Batch paths to crypto/hmac across every
+// padding shape: each message length to 2,100 (the tail on each side of
+// the 56-byte length boundary, whole blocks, 1500-byte packets) under
+// keys shorter than, equal to and longer than the 64-byte block. The
+// lengths go through in order, five keys each, so a flush holds one
+// shape's neighbouring lengths under mixed keys.
 func TestHMACSHA1Paths(t *testing.T) {
 	msg := make([]byte, 2100)
 	for i := range msg {
 		msg[i] = byte(i*31 + 7)
 	}
+	keyLens := []int{0, 20, 64, 65, 131}
 	for _, p := range hmacPaths {
 		t.Run(p.name, func(t *testing.T) {
-			skipUnlessRunnable(t, p.shani)
-			for _, kl := range []int{0, 20, 64, 65, 131} {
-				key := msg[len(msg)-kl:]
-				h := newHMACSHA1(key, p.shani)
-				for n := 0; n <= len(msg); n++ {
-					if got := h.Sum(msg[:n]); !bytes.Equal(got[:], stdHMAC(key, msg[:n])) {
-						t.Fatalf("%d-byte key, %d-byte message: %x, want %x", kl, n, got, stdHMAC(key, msg[:n]))
+			skipUnlessRunnable(t, p.x16)
+			var macs []*HMACSHA1
+			for _, kl := range keyLens {
+				macs = append(macs, newHMACSHA1(msg[len(msg)-kl:], p.x16))
+			}
+			const window = 64 // lengths per batchICVs call
+			for n0 := 0; n0 <= len(msg); n0 += window {
+				var jobMACs []*HMACSHA1
+				var msgs [][]byte
+				for n := n0; n < n0+window && n <= len(msg); n++ {
+					for k := range keyLens {
+						jobMACs = append(jobMACs, macs[k])
+						msgs = append(msgs, msg[:n])
+					}
+				}
+				for i, icv := range batchICVs(jobMACs, msgs, p.x16) {
+					kl := keyLens[i%len(keyLens)]
+					if want := stdHMAC(msg[len(msg)-kl:], msgs[i]); !bytes.Equal(icv[:], want[:ICVSize]) {
+						t.Fatalf("%d-byte key, %d-byte message: %x, want %x", kl, len(msgs[i]), icv, want[:ICVSize])
 					}
 				}
 			}
@@ -503,6 +538,26 @@ func BenchmarkHMACSHA1_1500B(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchICV16x1536B prices one full batch: sixteen 1,536-byte
+// messages (the authenticated region of a 1,514 B frame's ESP packet)
+// under one key, on each path.
+func BenchmarkBatchICV16x1536B(b *testing.B) {
+	for _, p := range hmacPaths {
+		b.Run(p.name, func(b *testing.B) {
+			skipUnlessRunnable(b, p.x16)
+			mac := newHMACSHA1([]byte("key"), p.x16)
+			buf := make([]byte, lanes*(1536+ICVSize))
+			b.SetBytes(lanes * 1536)
+			var batch Batch
+			for range b.N {
+				for l := range lanes {
+					batch.add(mac, buf[l*(1536+ICVSize):][:1536], p.x16)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkESPEncap64B(b *testing.B) {
 	sender, _ := testSA()
 	inner := innerPacket(64)
@@ -684,11 +739,86 @@ func TestEncapRefusesUnencodableLength(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesEncap: Batch.Encap then Flush builds, packet for
+// packet, the frames SA.Encap builds on a twin SA — bytes, sequence
+// numbers and refusals — on both paths. Five SAs with different keys
+// (one longer than the 64-byte block) take turns. ESP's authenticated
+// region is a multiple of four bytes, so its tails here are 0, 52, 56
+// and 60 (each side of the 56-byte length edge and the block edge);
+// TestHMACSHA1Paths and FuzzHMACSHA1 hold the other tails. Three
+// orders: every neighbour a different length, one shape in fourteen
+// lengths (full batches of mixed lengths: every tail below 56), and
+// runs of sixteen equal lengths; each in batches of 1, 15, 16, 17 and 240 packets, with an
+// unencodable packet in the longest.
+func TestBatchMatchesEncap(t *testing.T) {
+	authKeys := [][]byte{
+		[]byte("authauthauthauthauth"), nil, []byte("k"),
+		bytes.Repeat([]byte{0x36}, 64), bytes.Repeat([]byte{0xa7}, 100),
+	}
+	twins := func(x16 bool) []*SA {
+		sas := make([]*SA, len(authKeys))
+		for i, k := range authKeys {
+			sas[i] = NewSA(0x2000+uint32(i), 0xc0de0000+uint32(i), []byte("0123456789abcdef"), k, 0x0A000001, 0x0A000002)
+			sas[i].hmac = newHMACSHA1(k, x16)
+		}
+		return sas
+	}
+	// Inner lengths whose authenticated regions (inner + 18 bytes, for
+	// these lengths) end 0, 52, 56 and 60 bytes into a block.
+	var mixed []int
+	for _, blocks := range []int{0, 1, 2, 23} {
+		for _, tail := range []int{0, 52, 56, 60} {
+			if a := 64*blocks + tail; a > 20 {
+				mixed = append(mixed, a-18)
+			}
+		}
+	}
+	orders := map[string]func(i int) int{
+		"neighbours differ": func(i int) int { return mixed[i%len(mixed)] },
+		"one shape":         func(i int) int { return 64*23 + 4*(i%14) - 18 },
+		"runs of sixteen":   func(i int) int { return mixed[(i/lanes)%len(mixed)] },
+	}
+	const unencodable = 65483
+	for _, p := range hmacPaths {
+		t.Run(p.name, func(t *testing.T) {
+			skipUnlessRunnable(t, p.x16)
+			for name, length := range orders {
+				for _, n := range []int{1, 15, 16, 17, 240} {
+					batched, direct := twins(p.x16), twins(false)
+					var b Batch
+					var got, want [][]byte
+					for i := range n {
+						size := length(i)
+						if i == 100 {
+							size = unencodable
+						}
+						inner := bytes.Repeat([]byte{byte(i)}, size)
+						room := min(size+EncapOverhead(size), 2048)
+						out, err := b.encap(batched[i%len(authKeys)], make([]byte, room), inner, p.x16)
+						ref, refErr := direct[i%len(authKeys)].Encap(make([]byte, room), inner)
+						if err != refErr {
+							t.Fatalf("%s, %d packets, packet %d: err %v, SA.Encap's %v", name, n, i, err, refErr)
+						}
+						got, want = append(got, out), append(want, ref)
+					}
+					b.flush(p.x16)
+					for i := range got {
+						if !bytes.Equal(got[i], want[i]) {
+							t.Fatalf("%s, %d packets, packet %d (%d B inner): frame differs from SA.Encap's\n got %x\nwant %x",
+								name, n, i, length(i), got[i], want[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCryptoPathDoesNotAllocate: the per-packet calls run once per
 // packet of every ipsec experiment, so a single allocation in any of
 // them is millions per run. CTR's AEAD scratch grows to the largest
 // input it has seen — once, in the warm call each case gets — so the
-// claim holds for a 16 KiB jumbo as it does for 1500 B. Both HMAC paths
+// claim holds for a 16 KiB jumbo as it does for 1500 B. Both Batch paths
 // are held to it.
 func TestCryptoPathDoesNotAllocate(t *testing.T) {
 	for _, size := range []int{1500, 16 << 10} {
@@ -723,12 +853,31 @@ func TestCryptoPathDoesNotAllocate(t *testing.T) {
 				t.Errorf("%s, %d B: %v allocations per call, want 0", c.name, size, n)
 			}
 		}
+		t.Run(fmt.Sprintf("HMACSHA1.ICV/stdlib/%dB", size), func(t *testing.T) {
+			h := NewHMACSHA1([]byte("key"))
+			if n := testing.AllocsPerRun(100, func() { _ = h.ICV(buf) }); n != 0 {
+				t.Errorf("%v allocations per call, want 0", n)
+			}
+		})
+		// Seventeen packets: a full batch, which flushes by itself, and
+		// one more for Flush.
 		for _, p := range hmacPaths {
-			t.Run(fmt.Sprintf("HMACSHA1.ICV/%s/%dB", p.name, size), func(t *testing.T) {
-				skipUnlessRunnable(t, p.shani)
-				h := newHMACSHA1([]byte("key"), p.shani)
-				if n := testing.AllocsPerRun(100, func() { _ = h.ICV(buf) }); n != 0 {
-					t.Errorf("%v allocations per call, want 0", n)
+			t.Run(fmt.Sprintf("Batch/%s/%dB", p.name, size), func(t *testing.T) {
+				skipUnlessRunnable(t, p.x16)
+				sender, _ := testSA()
+				sender.hmac = newHMACSHA1([]byte("authauthauthauthauth"), p.x16)
+				var b Batch
+				f := func() {
+					for range lanes + 1 {
+						if _, err := b.encap(sender, dst, inner, p.x16); err != nil {
+							t.Fatal(err)
+						}
+					}
+					b.flush(p.x16)
+				}
+				f()
+				if n := testing.AllocsPerRun(100, f); n != 0 {
+					t.Errorf("%v allocations per %d packets, want 0", n, lanes+1)
 				}
 			})
 		}

@@ -101,8 +101,8 @@ type Record struct {
 // Reader parses a pcap stream written by Writer.
 type Reader struct {
 	r       io.Reader
-	snaplen int
-	records int // records returned so far: the next one's index
+	snaplen uint32 // the file's word: on a 32-bit host it may not fit an int
+	records int    // records returned so far: the next one's index
 }
 
 // NewReader validates the global header and returns a reader.
@@ -117,7 +117,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if lt := binary.LittleEndian.Uint32(hdr[20:24]); lt != LinkTypeEthernet {
 		return nil, fmt.Errorf("pcap: unsupported link type %d", lt)
 	}
-	return &Reader{r: r, snaplen: int(binary.LittleEndian.Uint32(hdr[16:20]))}, nil
+	return &Reader{r: r, snaplen: binary.LittleEndian.Uint32(hdr[16:20])}, nil
 }
 
 // Next returns the next record, or io.EOF where the stream ends between
@@ -133,18 +133,19 @@ func (r *Reader) Next() (Record, error) {
 	}
 	sec := binary.LittleEndian.Uint32(rec[0:4])
 	nsec := binary.LittleEndian.Uint32(rec[4:8])
-	incl := int(binary.LittleEndian.Uint32(rec[8:12]))
+	incl := binary.LittleEndian.Uint32(rec[8:12])
 	orig := binary.LittleEndian.Uint32(rec[12:16])
 	if incl > r.snaplen {
 		return Record{}, fmt.Errorf("pcap: record %d: length %d exceeds snaplen %d", r.records, incl, r.snaplen)
 	}
 	// incl is the file's word, not the bytes present: the buffer starts
 	// at one page at most and doubles only as bytes arrive, so a header
-	// that overstates its body costs about what the file holds.
+	// that overstates its body costs about what the file holds. The
+	// arithmetic stays in uint32, where the word fits on every host.
 	data := make([]byte, min(incl, 4096))
 	n, err := io.ReadFull(r.r, data)
-	for err == nil && n < incl {
-		data = append(data, make([]byte, min(incl-n, n))...)
+	for err == nil && uint32(n) < incl {
+		data = append(data, make([]byte, min(incl-uint32(n), uint32(n)))...)
 		var m int
 		m, err = io.ReadFull(r.r, data[n:])
 		n += m

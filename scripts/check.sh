@@ -4,7 +4,8 @@
 # and for 386, the 32-bit build), gofmt, the fused multiply-add gate on
 # the arm64 and ppc64le compile output, the pslint determinism linters,
 # the full test suite (root module and the nested bench/ module;
-# TestGoldenOutputs and the Example functions included), the one-path
+# TestGoldenOutputs and the Example functions included), the 32-bit
+# tests of pcap, apps and ipsec and the 32-bit golden outputs, the one-path
 # gates, the byte-identity gate's second half (the pshaderd replay
 # against its checked-in stdout and trace digest), short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
@@ -22,8 +23,9 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# internal/ipsec's SHA-1 block is amd64 assembly; an arm64 vet compiles
-# and checks the build that has only the standard library's path.
+# internal/ipsec's batched SHA-1 is amd64 assembly; an arm64 vet
+# compiles and checks the build that has only the standard library's
+# path.
 echo "== GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
@@ -73,6 +75,13 @@ go run ./cmd/pslint -report-stale "$TMP/pslint.json"
 
 echo "== go test ./..."
 go test ./...
+
+# The 32-bit build, run natively: the packages that read hostile lengths
+# or index by hash, and every golden file, byte for byte. It also runs
+# ipsec.Batch's crypto/hmac path, the one a host without AVX-512 takes.
+echo "== GOARCH=386 go test (pcap, apps, ipsec; TestGoldenOutputs in full)"
+GOARCH=386 go test ./internal/pcap ./internal/apps ./internal/ipsec
+GOARCH=386 go test -run TestGoldenOutputs ./internal/experiments
 
 # bench/ is a nested module, invisible to the root ./... patterns.
 echo "== bench module: go vet + go test"
