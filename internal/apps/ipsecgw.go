@@ -17,7 +17,8 @@ type IPsecGW struct {
 	SAs      []*ipsec.SA
 	NumPorts int
 	// Errors counts IPv4 packets the gateway refused: 802.1Q-tagged (a
-	// tunnel endpoint takes untagged IP) or too long for one ESP packet.
+	// tunnel endpoint takes untagged IP), too long for one ESP packet, or
+	// behind their SA's last sequence number.
 	Errors uint64
 }
 

@@ -17,12 +17,16 @@ const (
 	espAlign = 4
 )
 
-// Decap errors.
+// Decap errors, and Encap's (ErrMalformed, ErrSeqExhausted).
 var (
 	ErrAuth      = errors.New("ipsec: ICV verification failed")
 	ErrReplay    = errors.New("ipsec: replayed or stale sequence number")
 	ErrMalformed = errors.New("ipsec: malformed ESP packet")
 	ErrBadSPI    = errors.New("ipsec: unknown SPI")
+	// ErrSeqExhausted: the SA has sent sequence number 2^32 - 1. The
+	// counter must not cycle (RFC 4303 §3.3.3): the IV is SPI | seq, so a
+	// wrapped counter would reuse a CTR keystream under the same key.
+	ErrSeqExhausted = errors.New("ipsec: outbound sequence numbers exhausted")
 )
 
 // SA is a security association: one direction of an ESP tunnel.
@@ -74,7 +78,8 @@ func padLen(innerLen int) int {
 // capacity for len(inner)+EncapOverhead). The sequence number and IV are
 // taken from the SA's outbound counter. An inner packet whose outer form
 // is longer than an IPv4 total length can say (65,535), or a dst too
-// small, is refused with ErrMalformed before dst or the counter is
+// small, is refused with ErrMalformed, and any packet after sequence
+// number 2^32 - 1 with ErrSeqExhausted, before dst or the counter is
 // touched.
 //
 // dst may alias inner — a gateway builds the ESP packet in the cell the
@@ -100,6 +105,9 @@ func (sa *SA) frame(dst, inner []byte) (out, authed []byte, err error) {
 	total := packet.IPv4HdrLen + espHdrLen + espIVLen + padded + 2 + ICVSize
 	if total > math.MaxUint16 || cap(dst) < total {
 		return nil, nil, ErrMalformed
+	}
+	if sa.seq == math.MaxUint32 {
+		return nil, nil, ErrSeqExhausted
 	}
 	out = dst[:total]
 	esp := out[packet.IPv4HdrLen:]

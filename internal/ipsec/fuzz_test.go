@@ -113,16 +113,23 @@ func sameShape(n, l int) int {
 	return whole + sha1.BlockSize - 8 + (tail+l+1)%8
 }
 
-// FuzzCTR holds AES.CTR to the block-at-a-time loop (ctrBlockLoop,
-// aes_test.go) on arbitrary keys, nonces, IVs and data,
-// out of place and in place. The checked-in seeds sit on the edges the
-// AEAD route has: the hand-made first block (15/16/17 bytes) and the
-// engine's eight-block stride behind it (127/128/129 and 143/144/145).
+// FuzzCTR holds both AES.CTR paths to the block-at-a-time loop
+// (ctrBlockLoop, aes_test.go) on arbitrary keys, nonces, IVs and data,
+// out of place and in place; on a host without VAES that path is left
+// out. The checked-in seeds sit on the edges the GCM route has: the
+// hand-made first block (15/16/17 bytes) and the engine's eight-block
+// stride behind it (127/128/129 and 143/144/145); and on ctrVAES's: a
+// 64-byte register (63/64/65) and a 256-byte pass (255/256/257).
 func FuzzCTR(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint32(0x30), uint64(0), []byte("Single block msg"))
 	f.Fuzz(func(t *testing.T, key []byte, nonce uint32, iv uint64, data []byte) {
 		var k [AESKeySize]byte
 		copy(k[:], key) // any bytes make a key: cut or zero-filled to size
-		checkCTR(t, NewAES(k[:]), data, nonce, iv)
+		a := NewAES(k[:])
+		for _, p := range ctrPaths {
+			if !p.vaes || useVAES {
+				checkCTR(t, a, data, nonce, iv, p.vaes)
+			}
+		}
 	})
 }

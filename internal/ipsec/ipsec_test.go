@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -62,14 +63,19 @@ func TestCTRRFC3686Vectors(t *testing.T) {
 			"c1cf48a89f2ffdd9cf4652e9efdb72d74540a42bde6d7836d59a5ceaaef31053" +
 				"25b2072f"},
 	}
-	for i, c := range cases {
-		key, _ := hex.DecodeString(c.key)
-		pt, _ := hex.DecodeString(c.pt)
-		got := make([]byte, len(pt))
-		NewAES(key).CTR(got, pt, c.nonce, c.iv)
-		if hex.EncodeToString(got) != c.ct {
-			t.Errorf("vector %d: %x, want %s", i+1, got, c.ct)
-		}
+	for _, p := range ctrPaths {
+		t.Run(p.name, func(t *testing.T) {
+			skipUnlessVAES(t, p.vaes)
+			for i, c := range cases {
+				key, _ := hex.DecodeString(c.key)
+				pt, _ := hex.DecodeString(c.pt)
+				got := make([]byte, len(pt))
+				NewAES(key).xorKeyStream(got, pt, c.nonce, c.iv, p.vaes)
+				if hex.EncodeToString(got) != c.ct {
+					t.Errorf("vector %d: %x, want %s", i+1, got, c.ct)
+				}
+			}
+		})
 	}
 }
 
@@ -97,25 +103,27 @@ func TestAESKeyLengthPanics(t *testing.T) {
 }
 
 func TestCTRMatchesStdlib(t *testing.T) {
-	f := func(key [16]byte, nonce uint32, iv uint64, data []byte) bool {
-		if len(data) == 0 {
-			return true
-		}
-		ours := NewAES(key[:])
-		got := make([]byte, len(data))
-		ours.CTR(got, data, nonce, iv)
+	for _, p := range ctrPaths {
+		t.Run(p.name, func(t *testing.T) {
+			skipUnlessVAES(t, p.vaes)
+			f := func(key [16]byte, nonce uint32, iv uint64, data []byte) bool {
+				if len(data) == 0 {
+					return true
+				}
+				ours := NewAES(key[:])
+				got := make([]byte, len(data))
+				ours.xorKeyStream(got, data, nonce, iv, p.vaes)
 
-		std, _ := stdaes.NewCipher(key[:])
-		var ctrBlock [16]byte
-		binary.BigEndian.PutUint32(ctrBlock[0:4], nonce)
-		binary.BigEndian.PutUint64(ctrBlock[4:12], iv)
-		binary.BigEndian.PutUint32(ctrBlock[12:16], 1)
-		want := make([]byte, len(data))
-		cipher.NewCTR(std, ctrBlock[:]).XORKeyStream(want, data)
-		return bytes.Equal(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+				std, _ := stdaes.NewCipher(key[:])
+				ctrBlock := counterBlock(nonce, iv, 1)
+				want := make([]byte, len(data))
+				cipher.NewCTR(std, ctrBlock[:]).XORKeyStream(want, data)
+				return bytes.Equal(got, want)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -521,11 +529,16 @@ func TestReplayWindowUnit(t *testing.T) {
 }
 
 func BenchmarkAESCTR1500B(b *testing.B) {
-	a := NewAES(make([]byte, 16))
-	buf := make([]byte, 1500)
-	b.SetBytes(1500)
-	for i := 0; i < b.N; i++ {
-		a.CTR(buf, buf, 1, uint64(i))
+	for _, p := range ctrPaths {
+		b.Run(p.name, func(b *testing.B) {
+			skipUnlessVAES(b, p.vaes)
+			a := NewAES(make([]byte, 16))
+			buf := make([]byte, 1500)
+			b.SetBytes(1500)
+			for i := 0; i < b.N; i++ {
+				a.xorKeyStream(buf, buf, 1, uint64(i), p.vaes)
+			}
+		})
 	}
 }
 
@@ -739,6 +752,58 @@ func TestEncapRefusesUnencodableLength(t *testing.T) {
 	}
 }
 
+// TestEncapRefusesSpentSequenceNumbers: an SA sends sequence number
+// 2^32 - 1 once; every packet after it is refused with ErrSeqExhausted
+// before dst or the counter is touched, through SA.Encap and through
+// Batch.Encap alike, instead of wrapping to 0 and 1 and reusing packet
+// 1's IV and so its keystream.
+func TestEncapRefusesSpentSequenceNumbers(t *testing.T) {
+	encaps := map[string]func(sa *SA, dst, inner []byte) ([]byte, error){
+		"SA.Encap": (*SA).Encap,
+		"Batch.Encap": func(sa *SA, dst, inner []byte) ([]byte, error) {
+			var b Batch
+			defer b.Flush()
+			return b.Encap(sa, dst, inner)
+		},
+	}
+	inner := innerPacket(64)
+	for name, encap := range encaps {
+		t.Run(name, func(t *testing.T) {
+			sender, receiver := testSA()
+			sender.seq = math.MaxUint32 - 1
+			dst := make([]byte, 2048)
+			last, err := encap(sender, dst, inner)
+			if err != nil {
+				t.Fatalf("sequence number 2^32 - 1: %v", err)
+			}
+			if seq := binary.BigEndian.Uint32(last[24:28]); seq != math.MaxUint32 {
+				t.Fatalf("sequence number %#x, want 0xffffffff", seq)
+			}
+			if got, err := receiver.Decap(bytes.Clone(last)); err != nil || !bytes.Equal(got, inner) {
+				t.Fatalf("last frame does not decap: err = %v", err)
+			}
+			dst = bytes.Repeat([]byte{0xEE}, len(dst))
+			for range 2 {
+				if out, err := encap(sender, dst, inner); err != ErrSeqExhausted || out != nil {
+					t.Errorf("after 2^32 - 1: out = %d bytes, err = %v, want ErrSeqExhausted", len(out), err)
+				}
+			}
+			if !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, len(dst))) {
+				t.Error("a refused Encap wrote into dst")
+			}
+			if sender.seq != math.MaxUint32 {
+				t.Errorf("counter %#x after the refusals, want 0xffffffff", sender.seq)
+			}
+		})
+	}
+}
+
+// TestCryptoPaths logs which crypto paths this host runs, so a run on a
+// host without AVX-512 or VAES says which arms it skipped.
+func TestCryptoPaths(t *testing.T) {
+	t.Logf("useX16 = %v (missing: %q), useVAES = %v (missing: %q)", useX16, x16Missing, useVAES, vaesMissing)
+}
+
 // TestBatchMatchesEncap: Batch.Encap then Flush builds, packet for
 // packet, the frames SA.Encap builds on a twin SA — bytes, sequence
 // numbers and refusals — on both paths. Five SAs with different keys
@@ -816,10 +881,10 @@ func TestBatchMatchesEncap(t *testing.T) {
 
 // TestCryptoPathDoesNotAllocate: the per-packet calls run once per
 // packet of every ipsec experiment, so a single allocation in any of
-// them is millions per run. CTR's AEAD scratch grows to the largest
-// input it has seen — once, in the warm call each case gets — so the
-// claim holds for a 16 KiB jumbo as it does for 1500 B. Both Batch paths
-// are held to it.
+// them is millions per run. The GCM path's AEAD scratch grows to the
+// largest input it has seen — once, in the warm call each case gets — so
+// the claim holds for a 16 KiB jumbo as it does for 1500 B. Both
+// keystream paths and both Batch paths are held to it.
 func TestCryptoPathDoesNotAllocate(t *testing.T) {
 	for _, size := range []int{1500, 16 << 10} {
 		buf := make([]byte, size)
@@ -832,6 +897,7 @@ func TestCryptoPathDoesNotAllocate(t *testing.T) {
 			f    func()
 		}{
 			{"AES.CTR", func() { a.CTR(buf, buf, 1, 2) }},
+			{"AES.CTR/gcm", func() { a.xorKeyStream(buf, buf, 1, 2, false) }},
 			{"SA.Encap", func() {
 				if _, err := sender.Encap(dst, inner); err != nil {
 					t.Fatal(err)

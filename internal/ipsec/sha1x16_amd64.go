@@ -7,6 +7,16 @@ package ipsec
 //go:noescape
 func blockSHA1x16(h *[5][lanes]uint32, p *[lanes]*byte, blocks int)
 
+// ctrVAES XORs n bytes of AES-128 CTR keystream into dst from src
+// (ctr_amd64.s), sixteen blocks per pass, one per 128-bit lane of four
+// ZMM registers. rk is the key schedule, ctr the first counter block
+// (nonce | iv | big-endian counter); the counter wraps at 32 bits. dst
+// may equal src; nothing past n is read or written. It needs what
+// blockSHA1x16 needs and VAES.
+//
+//go:noescape
+func ctrVAES(rk *[11][AESBlockSize]byte, dst, src *byte, n int, ctr *[AESBlockSize]byte)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv returns XCR0, the register state the OS saves on a context
@@ -17,6 +27,11 @@ func xgetbv() (eax, edx uint32)
 // lacks, or is empty.
 var x16Missing = missingX16()
 var useX16 = x16Missing == ""
+
+// vaesMissing names the first feature ctrVAES needs that this host
+// lacks, or is empty.
+var vaesMissing = missingVAES()
+var useVAES = vaesMissing == ""
 
 func missingX16() string {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -38,6 +53,16 @@ func missingX16() string {
 		return "AVX512F (CPUID.(7,0):EBX[16])"
 	case ebx7&(1<<30) == 0:
 		return "AVX512BW (CPUID.(7,0):EBX[30])"
+	}
+	return ""
+}
+
+func missingVAES() string {
+	if x16Missing != "" {
+		return x16Missing
+	}
+	if _, _, ecx7, _ := cpuid(7, 0); ecx7&(1<<9) == 0 {
+		return "VAES (CPUID.(7,0):ECX[9])"
 	}
 	return ""
 }

@@ -121,8 +121,12 @@ func applyMod(frame []byte, m Mod) ([]byte, error) {
 }
 
 // setVLAN sets the VID of an existing tag or pushes a new 802.1Q tag.
+// A tagged frame too short to hold its tag is not rewritten.
 func setVLAN(frame []byte, vid uint16) ([]byte, error) {
 	if binary.BigEndian.Uint16(frame[12:14]) == packet.EtherTypeVLAN {
+		if len(frame) < packet.EthHdrLen+packet.VLANTagLen {
+			return frame, ErrNotApplicable
+		}
 		old := binary.BigEndian.Uint16(frame[14:16])
 		binary.BigEndian.PutUint16(frame[14:16], old&0xf000|vid)
 		return frame, nil

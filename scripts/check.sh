@@ -9,7 +9,8 @@
 # gates, the byte-identity gate's second half (the pshaderd replay
 # against its checked-in stdout and trace digest), short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
-# FuzzEventStore, FuzzDecode and FuzzDynamicTable runs, and race tests
+# FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
+# and race tests
 # on the concurrency-bearing packages. `make check` runs it, and so does
 # CI — there is no second copy of these steps in
 # .github/workflows/ci.yml.
@@ -23,9 +24,9 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# internal/ipsec's batched SHA-1 is amd64 assembly; an arm64 vet
-# compiles and checks the build that has only the standard library's
-# path.
+# internal/ipsec's batched SHA-1 and VAES keystream are amd64
+# assembly; an arm64 vet compiles and checks the build that has only the
+# standard library's paths.
 echo "== GOARCH=arm64 go vet ./..."
 GOARCH=arm64 go vet ./...
 
@@ -76,9 +77,15 @@ go run ./cmd/pslint -report-stale "$TMP/pslint.json"
 echo "== go test ./..."
 go test ./...
 
+# Which crypto paths this host runs: an arm whose CPUID or XCR0 bit is
+# missing skips, and this line names the bit.
+echo "== ipsec crypto paths on this host"
+go test -count=1 -v -run 'TestCryptoPaths$' ./internal/ipsec | grep 'useX16'
+
 # The 32-bit build, run natively: the packages that read hostile lengths
 # or index by hash, and every golden file, byte for byte. It also runs
-# ipsec.Batch's crypto/hmac path, the one a host without AVX-512 takes.
+# ipsec.Batch's crypto/hmac path and AES.CTR's GCM path, the ones a host
+# without AVX-512 or VAES takes.
 echo "== GOARCH=386 go test (pcap, apps, ipsec; TestGoldenOutputs in full)"
 GOARCH=386 go test ./internal/pcap ./internal/apps ./internal/ipsec
 GOARCH=386 go test -run TestGoldenOutputs ./internal/experiments
@@ -87,7 +94,7 @@ GOARCH=386 go test -run TestGoldenOutputs ./internal/experiments
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzDynamicTable, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzDynamicTable, FuzzApplyMods, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzHMACSHA1 -fuzztime 5s ./internal/ipsec
@@ -96,6 +103,7 @@ go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
+go test -run '^$' -fuzz FuzzApplyMods -fuzztime 5s ./internal/openflow
 
 # A router is stood up and measured in one place, the facade's New and
 # Run: the paper's figures may not assemble their own (tests may:
