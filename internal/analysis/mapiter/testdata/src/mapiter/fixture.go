@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"packetshader/internal/experiments"
 	"packetshader/internal/sim"
 )
 
@@ -24,6 +25,13 @@ func emits(m map[string]int) string {
 		sb.WriteString(k)
 	}
 	return sb.String()
+}
+
+// A result row appended per map entry lands in a random row order.
+func rows(r *experiments.Result, m map[string]float64) {
+	for k, v := range m { // want `emits output \(\*packetshader/internal/experiments\.Result\.AddRow\)`
+		r.AddRow(experiments.Label(k), experiments.Num("%.1f", v))
+	}
 }
 
 func schedules(env *sim.Env, m map[string]sim.Duration) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"packetshader"
 	"packetshader/internal/core"
 	"packetshader/internal/pktio"
@@ -56,8 +54,7 @@ func ablation(c *Ctx) *Result {
 	})
 	full := vals[0]
 	for i, cfg := range configs {
-		r.AddRow(cfg.name, fmt.Sprintf("%.1f", vals[i]),
-			fmt.Sprintf("%+.0f%%", (vals[i]/full-1)*100))
+		r.AddRow(Label(cfg.name), Num("%.1f", vals[i]), Num("%+.0f%%", (vals[i]/full-1)*100))
 	}
 	r.Note("latency at 2 Gbps offered: GPU always-offload %.0f us vs opportunistic %.0f us (§7)",
 		vals[len(configs)], vals[len(configs)+1])

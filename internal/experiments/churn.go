@@ -47,7 +47,7 @@ func churn(c *Ctx) *Result {
 		name string
 		mode core.FIBUpdateMode
 	}{{"quiet baseline", core.FIBStatic}, {"incremental", core.FIBDynamic}, {"rebuild+swap", core.FIBRebuild}}
-	rows := MapPoints(c, len(scenarios), func(i int, _ *Point) []string {
+	rows := MapPoints(c, len(scenarios), func(i int, _ *Point) []Cell {
 		return churnRun(scenarios[i].name, scenarios[i].mode)
 	})
 	r.Rows = append(r.Rows, rows...)
@@ -62,7 +62,7 @@ func churn(c *Ctx) *Result {
 // churnRun runs one scenario and returns its table row. The facade's
 // IPv4 constructor generates the same table from the same seed, so the
 // script's victims are installed prefixes.
-func churnRun(name string, mode core.FIBUpdateMode) []string {
+func churnRun(name string, mode core.FIBUpdateMode) []Cell {
 	inst := packetshader.Must(packetshader.IPv4(churnPrefixes, churnSeed, packetshader.WithFIBUpdate(mode)))
 	defer inst.Close()
 	inst.Run(churnWarmup)
@@ -80,15 +80,14 @@ func churnRun(name string, mode core.FIBUpdateMode) []string {
 		panic(fmt.Sprintf("churn: %d ctrl errors, first: %s", len(errs), errs[0]))
 	}
 	updates, cells := ctl.RoutesApplied(), ctl.CellsTouched()
-	perUpdate, dropsPerM := "-", "-"
+	perUpdate, dropsPerM := Label("-"), Label("-")
 	if updates > 0 {
-		perUpdate = fmt.Sprintf("%.0f", float64(cells)/float64(updates))
-		dropsPerM = fmt.Sprintf("%.0f", float64(rep.Stats.Drops)/float64(updates)*1e6)
+		perUpdate = Num("%.0f", float64(cells)/float64(updates))
+		dropsPerM = Num("%.0f", float64(rep.Stats.Drops)/float64(updates)*1e6)
 	}
-	return []string{name, fmt.Sprintf("%d", updates), perUpdate,
-		fmt.Sprintf("%d", rep.Stats.Drops), dropsPerM,
-		fmt.Sprintf("%.0f", rep.P99LatencyUs),
-		fmt.Sprintf("%.1f", rep.DeliveredGbps)}
+	return []Cell{Label(name), Int(int(updates)), perUpdate,
+		Int(int(rep.Stats.Drops)), dropsPerM,
+		Num("%.0f", rep.P99LatencyUs), Num("%.1f", rep.DeliveredGbps)}
 }
 
 // churnScript builds the storm: the same victim set (spread across the

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"packetshader/internal/cluster"
 	"packetshader/internal/faults"
 	"packetshader/internal/sim"
@@ -31,7 +29,7 @@ func clusterScaling(c *Ctx) *Result {
 			specs = append(specs, spec{n, m})
 		}
 	}
-	rows := MapPoints(c, len(specs), func(i int, _ *Point) []string {
+	rows := MapPoints(c, len(specs), func(i int, _ *Point) []Cell {
 		s := specs[i]
 		cfg := cluster.Config{
 			Nodes:              s.nodes,
@@ -48,19 +46,19 @@ func clusterScaling(c *Ctx) *Result {
 		default:
 			m = cluster.Incast(s.nodes, 40)
 		}
-		row := []string{fmt.Sprintf("%d", s.nodes), s.matrix}
+		row := []Cell{Int(s.nodes), Label(s.matrix)}
 		var hops float64
 		for _, scheme := range []cluster.Routing{cluster.Direct, cluster.VLB, cluster.DirectVLB} {
 			res, err := cluster.Evaluate(cfg, scheme, m)
 			if err != nil {
 				panic(err)
 			}
-			row = append(row, fmt.Sprintf("%.0f", res.ThroughputGbps))
+			row = append(row, Num("%.0f", res.ThroughputGbps))
 			if scheme == cluster.DirectVLB {
 				hops = res.MeanHops
 			}
 		}
-		return append(row, fmt.Sprintf("%.2f", hops))
+		return append(row, Num("%.2f", hops))
 	})
 	r.Rows = append(r.Rows, rows...)
 	r.Note("one PacketShader box replaces RB4, RouteBricks' 4-machine cluster (§8)")
@@ -103,7 +101,7 @@ func fabricScaling(c *Ctx) *Result {
 	for _, n := range []int{4, 8, 16} {
 		specs = append(specs, spec{n, cluster.Direct, "direct"}, spec{n, cluster.VLB, "vlb"})
 	}
-	rows := MapPoints(c, len(specs), func(i int, _ *Point) []string {
+	rows := MapPoints(c, len(specs), func(i int, _ *Point) []Cell {
 		s := specs[i]
 		cfg := cluster.Config{
 			Nodes:              s.nodes,
@@ -131,14 +129,14 @@ func fabricScaling(c *Ctx) *Result {
 		if err != nil {
 			panic(err)
 		}
-		return []string{
-			fmt.Sprintf("%d", s.nodes), s.name,
-			fmt.Sprintf("%.0f", res.OfferedGbps),
-			fmt.Sprintf("%.0f", ev.ThroughputGbps),
-			fmt.Sprintf("%.1f", res.DeliveredGbps),
-			fmt.Sprintf("%.2f", res.MeanHops),
-			fmt.Sprintf("%.1f", res.MeanLatency.Seconds()*1e6),
-			fmt.Sprintf("%.1f", res.MaxLatency.Seconds()*1e6),
+		return []Cell{
+			Int(s.nodes), Label(s.name),
+			Num("%.0f", res.OfferedGbps),
+			Num("%.0f", ev.ThroughputGbps),
+			Num("%.1f", res.DeliveredGbps),
+			Num("%.2f", res.MeanHops),
+			Num("%.1f", res.MeanLatency.Seconds()*1e6),
+			Num("%.1f", res.MaxLatency.Seconds()*1e6),
 		}
 	})
 	r.Rows = append(r.Rows, rows...)
@@ -164,7 +162,7 @@ func leafSpineScaling(c *Ctx) *Result {
 		faulted        bool
 	}
 	specs := []spec{{16, 4, false}, {64, 8, false}, {128, 16, false}, {128, 16, true}}
-	rows := MapPoints(c, len(specs), func(i int, _ *Point) []string {
+	rows := MapPoints(c, len(specs), func(i int, _ *Point) []Cell {
 		s := specs[i]
 		topo := &cluster.LeafSpine{
 			Leaves: s.leaves, Spines: s.spines, Uplinks: 2,
@@ -194,17 +192,14 @@ func leafSpineScaling(c *Ctx) *Result {
 		if err != nil {
 			panic(err)
 		}
-		return []string{
-			fmt.Sprintf("%d", s.leaves),
-			fmt.Sprintf("%d", s.spines),
-			fmt.Sprintf("%d", len(topo.Links())),
-			variant,
-			fmt.Sprintf("%.0f", res.OfferedGbps),
-			fmt.Sprintf("%.1f", res.DeliveredGbps),
-			fmt.Sprintf("%.2f", res.MeanHops),
-			fmt.Sprintf("%.1f", res.MeanLatency.Seconds()*1e6),
-			fmt.Sprintf("%d", res.RouteDrops),
-			fmt.Sprintf("%d", res.NodeDrops),
+		return []Cell{
+			Int(s.leaves), Int(s.spines), Int(len(topo.Links())), Label(variant),
+			Num("%.0f", res.OfferedGbps),
+			Num("%.1f", res.DeliveredGbps),
+			Num("%.2f", res.MeanHops),
+			Num("%.1f", res.MeanLatency.Seconds()*1e6),
+			Int(int(res.RouteDrops)),
+			Int(int(res.NodeDrops)),
 		}
 	})
 	r.Rows = append(r.Rows, rows...)

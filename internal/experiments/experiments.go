@@ -22,51 +22,88 @@ type Result struct {
 	ID     string
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
 	Notes  []string
+	noted  []Cell // the Cell arguments of Note, in call order
 }
 
-// AddRow appends a formatted row.
-func (r *Result) AddRow(cells ...string) { r.Rows = append(r.Rows, cells) }
+// A Cell is one entry of a result table: a label, or a number V with
+// the fmt verb that prints it. Experiments build cells and checks read
+// V; only Print turns a number into text.
+type Cell struct {
+	V     float64
+	verb  string // empty for a label
+	label string
+}
 
-// Note appends a footnote (typically the paper's reference numbers).
+// Label returns a text cell.
+func Label(s string) Cell { return Cell{label: s} }
+
+// Num returns a number cell printed with verb (a float verb such as
+// "%.1f", optionally with literal text around it: "%.1fx", "%.1f%%").
+func Num(verb string, v float64) Cell { return Cell{V: v, verb: verb} }
+
+// Int returns a number cell holding a count.
+func Int(v int) Cell { return Num("%.0f", float64(v)) }
+
+// text is the cell as Print writes it.
+func (c Cell) text() string {
+	if c.verb == "" {
+		return c.label
+	}
+	return fmt.Sprintf(c.verb, c.V)
+}
+
+// AddRow appends a row.
+func (r *Result) AddRow(cells ...Cell) { r.Rows = append(r.Rows, cells) }
+
+// Note appends a footnote (typically the paper's reference numbers). A
+// Cell argument prints as it would in a row, under %v, and its V stays
+// readable in r.noted.
 func (r *Result) Note(format string, args ...any) {
+	for i, a := range args {
+		if c, ok := a.(Cell); ok {
+			args[i] = c.text()
+			r.noted = append(r.noted, c)
+		}
+	}
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// Print renders the result as an aligned text table.
-func (r *Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title)
-	widths := make([]int, len(r.Header))
-	for i, h := range r.Header {
-		widths[i] = len(h)
-	}
+// Print renders the result as an aligned text table and returns the
+// writer's error.
+func (r *Result) Print(w io.Writer) error {
+	table := [][]string{r.Header}
 	for _, row := range r.Rows {
+		cells := make([]string, len(row))
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			cells[i] = c.text()
+		}
+		table = append(table, cells)
+	}
+	var widths []int
+	for _, row := range table {
+		for i, c := range row {
+			if i == len(widths) {
+				widths = append(widths, 0)
 			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	line := func(cells []string) {
-		var sb strings.Builder
-		for i, c := range cells {
-			if i < len(widths) {
-				sb.WriteString(fmt.Sprintf("%-*s  ", widths[i], c))
-			} else {
-				sb.WriteString(c)
-			}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
+	for _, row := range table {
+		var line strings.Builder
+		for i, c := range row {
+			fmt.Fprintf(&line, "%-*s  ", widths[i], c)
 		}
-		fmt.Fprintln(w, strings.TrimRight(sb.String(), " "))
-	}
-	line(r.Header)
-	for _, row := range r.Rows {
-		line(row)
+		b.WriteString(strings.TrimRight(line.String(), " ") + "\n")
 	}
 	for _, n := range r.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
+		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
-	fmt.Fprintln(w)
+	_, err := io.WriteString(w, b.String()+"\n")
+	return err
 }
 
 // registryEntry is one experiment: its id and its driver.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"packetshader"
 	"packetshader/internal/core"
 	"packetshader/internal/faults"
@@ -59,8 +57,8 @@ func faultCurve(res *Result) {
 		case t+faultWindow > faultAt:
 			phase = "outage"
 		}
-		res.AddRow(fmt.Sprintf("%d", int(sim.Duration(t)/sim.Millisecond)),
-			fmt.Sprintf("%.2f", rep.DeliveredGbps), phase)
+		res.AddRow(Int(int(sim.Duration(t)/sim.Millisecond)),
+			Num("%.2f", rep.DeliveredGbps), Label(phase))
 	}
 
 	cfg := inst.Router.Cfg
@@ -92,6 +90,6 @@ func faultScenario(c *Ctx) *Result {
 		}
 		return cpuOnlyEnvelope()
 	})[1]
-	res.Note("CPU-only envelope (fault-free, same workload): %.2f Gbps", envelope)
+	res.Note("CPU-only envelope (fault-free, same workload): %v Gbps", Num("%.2f", envelope))
 	return res
 }

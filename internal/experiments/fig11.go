@@ -98,9 +98,7 @@ func fig11a(c *Ctx) *Result {
 		return runApp(pt, fig11Mode(k), size, app, src, appWarmup, appWindow).DeliveredGbps
 	})
 	for i, size := range fig11Sizes {
-		r.AddRow(fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.1f", vals[2*i]),
-			fmt.Sprintf("%.1f", vals[2*i+1]))
+		r.AddRow(Int(size), Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
 	r.Note("paper: CPU+GPU ≈ 39 Gbps at 64B, ≈ 40 at larger sizes (I/O bound); CPU-only ≈ 28 at 64B")
 	return r
@@ -121,9 +119,7 @@ func fig11b(c *Ctx) *Result {
 		return runApp(pt, fig11Mode(k), size, app, src, appWarmup, appWindow).DeliveredGbps
 	})
 	for i, size := range fig11Sizes {
-		r.AddRow(fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.1f", vals[2*i]),
-			fmt.Sprintf("%.1f", vals[2*i+1]))
+		r.AddRow(Int(size), Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
 	r.Note("paper: CPU+GPU 38.2 Gbps at 64B; CPU-only far lower at small sizes (7 memory accesses per lookup)")
 	return r
@@ -246,9 +242,8 @@ func fig11c(c *Ctx) *Result {
 		return runApp(pt, fig11Mode(k), 64, app, src, appWarmup, appWindow).DeliveredGbps
 	})
 	for i, s := range specs {
-		r.AddRow(fmt.Sprintf("%d", s.flows), fmt.Sprintf("%d", s.wildcards),
-			fmt.Sprintf("%.1f", vals[2*i]),
-			fmt.Sprintf("%.1f", vals[2*i+1]))
+		r.AddRow(Int(s.flows), Int(s.wildcards),
+			Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
 	r.Note("paper: CPU+GPU wins for all configurations; 32 Gbps at the NetFPGA-comparable 32K+32 setup (8 NetFPGAs' worth)")
 	return r
@@ -274,9 +269,7 @@ func fig11d(c *Ctx) *Result {
 			packetshader.WithStreams(4)).InputGbps
 	})
 	for i, size := range fig11Sizes {
-		r.AddRow(fmt.Sprintf("%d", size),
-			fmt.Sprintf("%.1f", vals[2*i]),
-			fmt.Sprintf("%.1f", vals[2*i+1]))
+		r.AddRow(Int(size), Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
 	r.Note("paper: CPU+GPU ≈ 3.5x CPU-only for all sizes; 10.2 Gbps at 64B, 20.0 at 1514B")
 	r.Note("concurrent copy & execution enabled (4 streams), as §5.4 prescribes for IPsec")

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"packetshader"
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
@@ -43,9 +41,8 @@ func fig12(c *Ctx) *Result {
 		}
 	})
 	for i, offered := range offeredLevels {
-		r.AddRow(fmt.Sprintf("%.0f", offered),
-			fmt.Sprintf("%.0f", vals[3*i]), fmt.Sprintf("%.0f", vals[3*i+1]),
-			fmt.Sprintf("%.0f", vals[3*i+2]))
+		r.AddRow(Num("%.0f", offered),
+			Num("%.0f", vals[3*i]), Num("%.0f", vals[3*i+1]), Num("%.0f", vals[3*i+2]))
 	}
 	r.Note("paper: batching LOWERS latency (less queueing); GPU adds overhead but stays 200-400 us")
 	r.Note("elevated latency at the lightest load comes from NIC interrupt moderation (§6.4)")

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -13,47 +14,78 @@ import (
 // for `go test -race -short`, and still racing real jobs on an 8-wide
 // pool (fig2 and fig5 are multi-point sweeps, fig2 reads the shared
 // IPv6 fixture) and partitioned worlds at -p 8 (fabric, leafspine).
-var goldenShortIDs = []string{"table1", "launch", "fig2", "fig5", "cluster", "fabric", "leafspine"}
+var goldenShortIDs = []string{"table1", "launch", "fig2", "table3", "fig5", "cluster", "fabric", "leafspine"}
+
+// golden is the package's one run of the experiments: every Registry id
+// (goldenShortIDs under -short) in one Runner at -j 8, with partitioned
+// worlds at -p 8 and metrics on. TestGoldenOutputs compares its bytes
+// with the files; the paper-shape checks read its Results.
+var golden struct {
+	once sync.Once
+	out  []byte
+	res  []*Result // in run order, up to the first failing id
+	err  error
+}
+
+func goldenRun() {
+	golden.once.Do(func() {
+		ids := []string{"all"}
+		if testing.Short() {
+			ids = goldenShortIDs
+		}
+		defer SetPartitionWorkers(partitionWorkers)
+		defer SetMetricsWriter(metricsW)
+		var out bytes.Buffer
+		SetPartitionWorkers(8)
+		SetMetricsWriter(&out)
+		golden.res, golden.err = NewRunner(8).run(&out, ids...)
+		golden.out = out.Bytes()
+	})
+}
+
+// goldenResult returns id's Result from the golden run, skipping the
+// calling check when -short leaves id out of the run.
+func goldenResult(t *testing.T, id string) *Result {
+	t.Helper()
+	goldenRun()
+	for _, r := range golden.res {
+		if r.ID == id {
+			return r
+		}
+	}
+	if golden.err != nil {
+		t.Fatalf("the golden run failed before %s: %v", id, golden.err)
+	}
+	t.Skipf("%s is outside the -short golden subset", id)
+	return nil
+}
 
 // TestGoldenOutputs is the repository's byte-identity gate. Each
 // testdata/golden/<id>.txt is `psbench -j 1 -metrics <id>`'s stdout; the
-// test runs every id in one Runner at -j 8 with partitioned worlds at
-// -p 8 and requires the output to equal the files concatenated in the
-// same order. One run therefore checks -j 8 = -j 1, -p 8 = -p 1,
-// multi-id = concatenation, run-to-run identity, identity to the commit
-// that wrote the files, and that no experiment changes a shared fixture
-// another one reads. A change that moves a number on purpose rewrites
-// the files with `make golden`, and their diff is the list of numbers it
-// moved.
+// golden run's output must equal the files concatenated in id order.
+// One run therefore checks -j 8 = -j 1, -p 8 = -p 1, multi-id =
+// concatenation, run-to-run identity, identity to the commit that wrote
+// the files, and that no experiment changes a shared fixture another
+// one reads. A change that moves a number on purpose rewrites the files
+// with `make golden`, and their diff is the list of numbers it moved.
 func TestGoldenOutputs(t *testing.T) {
-	ids := goldenShortIDs
 	if !testing.Short() {
-		ids = goldenRegistryIDs(t)
+		checkGoldenFiles(t)
 	}
-	want := make([][]byte, len(ids))
-	for i, id := range ids {
-		b, err := os.ReadFile(goldenFile(id))
+	goldenRun()
+	if golden.err != nil {
+		t.Fatal(golden.err)
+	}
+	rest := golden.out
+	for _, r := range golden.res {
+		want, err := os.ReadFile(goldenFile(r.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = b
-	}
-
-	defer SetPartitionWorkers(partitionWorkers)
-	defer SetMetricsWriter(metricsW)
-	var got bytes.Buffer
-	SetPartitionWorkers(8)
-	SetMetricsWriter(&got)
-	if err := NewRunner(8).Run(&got, ids...); err != nil {
-		t.Fatal(err)
-	}
-
-	rest := got.Bytes()
-	for i, id := range ids {
-		seg := rest[:min(len(want[i]), len(rest))]
+		seg := rest[:min(len(want), len(rest))]
 		rest = rest[len(seg):]
-		if !t.Run(id, func(t *testing.T) { compareGolden(t, id, seg, want[i]) }) {
-			t.Fatalf("ids after %s not compared: their output is no longer aligned with the files", id)
+		if !t.Run(r.ID, func(t *testing.T) { compareGolden(t, r.ID, seg, want) }) {
+			t.Fatalf("ids after %s not compared: their output is no longer aligned with the files", r.ID)
 		}
 	}
 	if len(rest) > 0 {
@@ -63,10 +95,10 @@ func TestGoldenOutputs(t *testing.T) {
 
 func goldenFile(id string) string { return filepath.Join("testdata", "golden", id+".txt") }
 
-// goldenRegistryIDs returns every Registry id, failing the test when one
-// has no golden file or a golden file names no id, so that no experiment
-// can stay outside the gate.
-func goldenRegistryIDs(t *testing.T) []string {
+// checkGoldenFiles fails the test when a Registry id has no golden file
+// or a golden file names no id, so that no experiment can stay outside
+// the gate.
+func checkGoldenFiles(t *testing.T) {
 	t.Helper()
 	files, err := filepath.Glob(goldenFile("*"))
 	if err != nil {
@@ -87,7 +119,6 @@ func goldenRegistryIDs(t *testing.T) []string {
 	if t.Failed() {
 		t.FailNow()
 	}
-	return ids
 }
 
 // compareGolden fails with the first line where id's output differs

@@ -50,9 +50,9 @@ func table1(c *Ctx) *Result {
 		return rates{rate(h2d), rate(d2h)}
 	})
 	for i, size := range sizes {
-		r.AddRow(sizeLabel(size),
-			fmt.Sprintf("%.0f", pts[i].h2d), fmt.Sprintf("%.0f", pts[i].d2h),
-			fmt.Sprintf("%.0f", paper[size][0]), fmt.Sprintf("%.0f", paper[size][1]))
+		r.AddRow(Label(sizeLabel(size)),
+			Num("%.0f", pts[i].h2d), Num("%.0f", pts[i].d2h),
+			Num("%.0f", paper[size][0]), Num("%.0f", paper[size][1]))
 	}
 	r.Note("paper peaks: 5.6 GB/s h2d, 3.4 GB/s d2h; d2h is slower (dual-IOH, §3.2)")
 	return r
@@ -83,9 +83,8 @@ func launchLatency(*Ctx) *Result {
 		// Launch-only: no copies, no sync accounting beyond the launch
 		// itself (the paper measures the bare launch).
 		dur := model.GPULaunchTime(threads)
-		r.AddRow(fmt.Sprintf("%d", threads),
-			fmt.Sprintf("%.2f", dur.Microseconds()),
-			fmt.Sprintf("%.1f", dur.Microseconds()*1000/float64(threads)))
+		r.AddRow(Int(threads), Num("%.2f", dur.Microseconds()),
+			Num("%.1f", dur.Microseconds()*1000/float64(threads)))
 	}
 	r.Note("paper: 3.8 us for 1 thread, 4.1 us for 4096 — amortized cost becomes negligible")
 	return r
@@ -132,9 +131,8 @@ func fig2(c *Ctx) *Result {
 		return float64(batch*reps) / total.Seconds()
 	})
 	for i, batch := range batches {
-		r.AddRow(fmt.Sprintf("%d", batch),
-			fmt.Sprintf("%.1f", cpu1/1e6), fmt.Sprintf("%.1f", cpu2/1e6),
-			fmt.Sprintf("%.1f", gpuRates[i]/1e6))
+		r.AddRow(Int(batch), Num("%.1f", cpu1/1e6), Num("%.1f", cpu2/1e6),
+			Num("%.1f", gpuRates[i]/1e6))
 	}
 	r.Note("paper: GPU passes one X5550 beyond ~320 packets, two beyond ~640; peak ≈ ten X5550s")
 	return r

@@ -118,11 +118,18 @@ func MapPoints[T any](c *Ctx, n int, fn func(i int, pt *Point) T) []T {
 // emitted strictly in id order, so the bytes written to w are identical
 // for every pool width. A panicking experiment fails the run: the
 // results before it are printed, every experiment is waited for, and
-// the error names the first failing id in that order.
+// the error names the first failing id in that order. So does a failed
+// write of an experiment's metrics or table, with the writer's error.
 func (r *Runner) Run(w io.Writer, ids ...string) error {
+	_, err := r.run(w, ids...)
+	return err
+}
+
+// run is Run returning the printed Results, in the order printed.
+func (r *Runner) run(w io.Writer, ids ...string) ([]*Result, error) {
 	selected, err := resolve(ids)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	type slot struct {
 		ctx  *Ctx
@@ -144,18 +151,25 @@ func (r *Runner) Run(w io.Writer, ids ...string) error {
 			s.res = e.Run(s.ctx)
 		}(e)
 	}
+	var printed []*Result
 	for i, s := range slots {
 		<-s.done
-		if s.err != nil {
+		err := s.err
+		if err == nil {
+			err = flushMetrics(s.ctx)
+		}
+		if err == nil {
+			err = s.res.Print(w)
+		}
+		if err != nil {
 			for _, rest := range slots[i+1:] {
 				<-rest.done
 			}
-			return s.err
+			return printed, err
 		}
-		flushMetrics(s.ctx)
-		s.res.Print(w)
+		printed = append(printed, s.res)
 	}
-	return nil
+	return printed, nil
 }
 
 // resolve expands "all" and validates every id against the Registry,
@@ -183,9 +197,12 @@ func resolve(ids []string) ([]registryEntry, error) {
 }
 
 // flushMetrics forwards an experiment's buffered metrics dumps to the
-// process-wide metrics writer, in the job order they were merged.
-func flushMetrics(c *Ctx) {
-	if metricsW != nil && c.metrics.Len() > 0 {
-		metricsW.Write(c.metrics.Bytes()) //nolint:errcheck // best-effort, like the serial dumps were
+// process-wide metrics writer, in the job order they were merged, and
+// returns the writer's error.
+func flushMetrics(c *Ctx) error {
+	if metricsW == nil || c.metrics.Len() == 0 {
+		return nil
 	}
+	_, err := metricsW.Write(c.metrics.Bytes())
+	return err
 }

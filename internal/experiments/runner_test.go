@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -52,6 +54,45 @@ func TestRunReturnsExperimentPanic(t *testing.T) {
 		if out.String() != want.String() {
 			t.Errorf("%s: printed\n%s\nwant only table1's output\n%s", id, out.String(), want.String())
 		}
+	}
+}
+
+// cutWriter accepts n bytes, then fails every write.
+type cutWriter struct{ n int }
+
+var errCut = errors.New("writer cut")
+
+func (c *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > c.n {
+		n := c.n
+		c.n = 0
+		return n, errCut
+	}
+	c.n -= len(p)
+	return len(p), nil
+}
+
+// TestRunReturnsWriteError: a failed write of a table or of an
+// experiment's metrics fails Run with the writer's error.
+func TestRunReturnsWriteError(t *testing.T) {
+	var whole bytes.Buffer
+	if err := NewRunner(2).Run(&whole, "launch", "table1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 10, whole.Len() - 1} {
+		if err := NewRunner(2).Run(&cutWriter{n}, "launch", "table1"); !errors.Is(err, errCut) {
+			t.Errorf("output cut after %d of %d bytes: Run returned %v", n, whole.Len(), err)
+		}
+	}
+	defer func(saved []registryEntry) { Registry = saved }(Registry)
+	Registry = append(Registry[:len(Registry):len(Registry)], registryEntry{ID: "dumps", Run: func(c *Ctx) *Result {
+		c.metrics.WriteString("--- metrics ---\n")
+		return &Result{ID: "dumps"}
+	}})
+	defer SetMetricsWriter(metricsW)
+	SetMetricsWriter(&cutWriter{3})
+	if err := NewRunner(2).Run(io.Discard, "dumps"); !errors.Is(err, errCut) {
+		t.Errorf("metrics cut after 3 bytes: Run returned %v", err)
 	}
 }
 

@@ -4,14 +4,16 @@
 # and for 386, the 32-bit build), gofmt, the fused multiply-add gate on
 # the arm64 and ppc64le compile output, the pslint determinism linters,
 # the full test suite (root module and the nested bench/ module;
-# TestGoldenOutputs and the Example functions included), the 32-bit
-# tests of pcap, apps and ipsec and the 32-bit golden outputs, the one-path
+# TestGoldenOutputs, the paper-shape checks over its run and the Example
+# functions included), the 32-bit tests of pcap, apps and ipsec and the
+# 32-bit golden outputs and paper-shape checks, the one-path
 # gates, the byte-identity gate's second half (the pshaderd replay
 # against its checked-in stdout and trace digest), short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
 # and race tests
-# on the concurrency-bearing packages. `make check` runs it, and so does
+# on the concurrency-bearing packages and on the golden subset (table1
+# launch fig2 table3 fig5 cluster fabric leafspine). `make check` runs it, and so does
 # CI — there is no second copy of these steps in
 # .github/workflows/ci.yml.
 set -eu
@@ -83,12 +85,13 @@ echo "== ipsec crypto paths on this host"
 go test -count=1 -v -run 'TestCryptoPaths$' ./internal/ipsec | grep 'useX16'
 
 # The 32-bit build, run natively: the packages that read hostile lengths
-# or index by hash, and every golden file, byte for byte. It also runs
-# ipsec.Batch's crypto/hmac path and AES.CTR's GCM path, the ones a host
-# without AVX-512 or VAES takes.
-echo "== GOARCH=386 go test (pcap, apps, ipsec; TestGoldenOutputs in full)"
+# or index by hash, every golden file byte for byte, and the paper-shape
+# checks, which read the same run's cells. It also runs ipsec.Batch's
+# crypto/hmac path and AES.CTR's GCM path, the ones a host without
+# AVX-512 or VAES takes.
+echo "== GOARCH=386 go test (pcap, apps, ipsec; experiments: golden outputs and paper shapes in full)"
 GOARCH=386 go test ./internal/pcap ./internal/apps ./internal/ipsec
-GOARCH=386 go test -run TestGoldenOutputs ./internal/experiments
+GOARCH=386 go test ./internal/experiments
 
 # bench/ is a nested module, invisible to the root ./... patterns.
 echo "== bench module: go vet + go test"
@@ -151,7 +154,7 @@ rm -f "$TMP/pshaderd-demo.trace"
 echo "== go test -race (sim, core, ctrl, cluster, pktio, obs, faults)"
 go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 
-echo "== go test -race -short (golden subset: table1 launch fig2 fig5 cluster fabric leafspine in one run, jobs at -j 8, worlds at -p 8)"
+echo "== go test -race -short (golden subset: table1 launch fig2 table3 fig5 cluster fabric leafspine in one run, jobs at -j 8, worlds at -p 8, and their paper-shape checks)"
 go test -race -short ./internal/experiments
 
 echo "== bench smoke (one iteration of the key benchmarks, pprof to profiles/)"
