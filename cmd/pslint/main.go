@@ -7,8 +7,6 @@
 //	go run ./cmd/pslint ./...
 //	go run ./cmd/pslint -list
 //	go run ./cmd/pslint -only walltime,mapiter ./internal/experiments
-//	go run ./cmd/pslint -json -json-out pslint-report.json ./...
-//	go run ./cmd/pslint -report-stale pslint-report.json
 //
 // The suite enforces the contract that makes every reproduced paper
 // number trustworthy: virtual time only (walltime), seeded RNG only
@@ -29,13 +27,12 @@
 // analyzing internal/core; diagnostics are only reported for the
 // packages the patterns matched.
 //
-// Output modes: plain file:line:col lines by default; -json emits a
-// machine-readable report on stdout; -json-out FILE writes the same
-// report to FILE alongside the plain lines; -github prints GitHub
-// Actions ::error annotations instead of plain lines. -report-stale
-// FILE is a separate mode that reads a previously written report and
-// fails if any baseline waiver matched nothing — CI runs it as its own
-// step so stale waivers surface distinctly from real findings.
+// Unwaived findings print as file:line:col lines and fail the run (exit
+// 1). When the whole suite runs over ./... from the module root, a
+// waiver that matched nothing fails it too: the debt it documented is
+// gone and the entry must be deleted. A run over fewer packages or
+// analyzers cannot tell a stale waiver from one whose findings lie
+// elsewhere, so it does not check. Usage and load errors exit 2.
 //
 // Only non-test sources are analyzed: _test.go files may use wall-clock
 // deadlines and ad-hoc randomness for test orchestration.
@@ -71,49 +68,31 @@ var suite = []*analysis.Analyzer{
 	procshare.Analyzer,
 }
 
-// baselineName is the waiver file auto-loaded from the module root.
+// baselineName is the waiver file loaded from the module root.
 const baselineName = "pslint-baseline.json"
 
-// A Finding is one diagnostic in the JSON report. File is relative to
-// the module root so reports are stable across checkouts.
-type Finding struct {
-	Analyzer     string `json:"analyzer"`
-	File         string `json:"file"`
-	Line         int    `json:"line"`
-	Col          int    `json:"col"`
-	Message      string `json:"message"`
-	Waived       bool   `json:"waived,omitempty"`
-	WaiverReason string `json:"waiver_reason,omitempty"`
+// A finding is one diagnostic. file is relative to the module root so
+// output and waivers are stable across checkouts.
+type finding struct {
+	analyzer, file, message string
+	line, col               int
 }
 
-// A Waiver is one baseline entry: findings from Analyzer whose
+// A waiver is one baseline entry: findings from Analyzer whose
 // module-relative file equals File (empty matches any file) and whose
 // message contains Match are accepted, with Reason recording why that
-// is sound. Hits counts the findings it absorbed in this run; a waiver
-// with zero hits is stale and -report-stale fails on it.
-type Waiver struct {
+// is sound. hits counts the findings it absorbed in this run.
+type waiver struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file,omitempty"`
 	Match    string `json:"match"`
 	Reason   string `json:"reason"`
-	Hits     int    `json:"hits"`
-}
-
-// A Report is the -json / -json-out output.
-type Report struct {
-	Patterns []string  `json:"patterns"`
-	Findings []Finding `json:"findings"`
-	Waivers  []Waiver  `json:"waivers,omitempty"`
+	hits     int
 }
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	jsonFlag := flag.Bool("json", false, "emit the report as JSON on stdout instead of plain lines")
-	jsonOut := flag.String("json-out", "", "also write the JSON report to `file`")
-	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations instead of plain lines")
-	baseline := flag.String("baseline", "auto", "waiver `file` (auto = "+baselineName+" at the module root if present; none = disabled)")
-	reportStale := flag.String("report-stale", "", "read a previously written JSON `report` and fail on waivers with zero hits (no linting)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pslint [flags] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the packetshader determinism linters over the given package\npatterns (default ./...).\n\nFlags:\n")
@@ -130,9 +109,6 @@ func main() {
 			fmt.Printf("%-14s %-16s %s\n", a.Name, "("+scope+")", a.Doc)
 		}
 		return
-	}
-	if *reportStale != "" {
-		os.Exit(runReportStale(*reportStale))
 	}
 
 	analyzers := suite
@@ -169,7 +145,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pslint: %v\n", err)
 		os.Exit(2)
 	}
-	waivers, err := loadBaseline(*baseline, moduleRoot)
+	waivers, err := loadBaseline(filepath.Join(moduleRoot, baselineName))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pslint: %v\n", err)
 		os.Exit(2)
@@ -182,7 +158,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var findings []Finding
+	var findings []finding
 	for _, a := range analyzers {
 		pkgs := module
 		if !a.UsesFacts {
@@ -216,12 +192,12 @@ func main() {
 				if rel, err := filepath.Rel(moduleRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
 					file = filepath.ToSlash(rel)
 				}
-				findings = append(findings, Finding{
-					Analyzer: d.Analyzer,
-					File:     file,
-					Line:     pos.Line,
-					Col:      pos.Column,
-					Message:  d.Message,
+				findings = append(findings, finding{
+					analyzer: d.Analyzer,
+					file:     file,
+					line:     pos.Line,
+					col:      pos.Column,
+					message:  d.Message,
 				})
 			}
 		}
@@ -229,94 +205,56 @@ func main() {
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
+		if a.file != b.file {
+			return a.file < b.file
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if a.line != b.line {
+			return a.line < b.line
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
+		if a.col != b.col {
+			return a.col < b.col
 		}
-		return a.Analyzer < b.Analyzer
+		return a.analyzer < b.analyzer
 	})
 
 	unwaived := 0
-	for i := range findings {
-		f := &findings[i]
-		for w := range waivers {
-			if waivers[w].matches(f) {
-				waivers[w].Hits++
-				f.Waived = true
-				f.WaiverReason = waivers[w].Reason
-				break
-			}
+	for _, f := range findings {
+		if w := matchWaiver(waivers, &f); w != nil {
+			w.hits++
+			continue
 		}
-		if !f.Waived {
-			unwaived++
-		}
+		unwaived++
+		fmt.Printf("%s:%d:%d: %s [%s]\n", f.file, f.line, f.col, f.message, f.analyzer)
 	}
 
-	report := Report{Patterns: patterns, Findings: findings, Waivers: waivers}
-	if report.Findings == nil {
-		report.Findings = []Finding{}
-	}
-	if *jsonOut != "" {
-		if err := writeReport(*jsonOut, &report); err != nil {
-			fmt.Fprintf(os.Stderr, "pslint: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	switch {
-	case *jsonFlag:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(&report)
-	case *github:
-		for _, f := range findings {
-			if f.Waived {
-				continue
+	stale := 0
+	if cwd, _ := filepath.Abs("."); *only == "" && len(patterns) == 1 && patterns[0] == "./..." && cwd == moduleRoot {
+		for _, w := range waivers {
+			if w.hits == 0 {
+				stale++
+				fmt.Printf("%s: stale waiver (no findings matched; delete it): %s\n", baselineName, w.describe())
 			}
-			// The annotation message must be single-line; findings are.
-			fmt.Printf("::error file=%s,line=%d,col=%d::%s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	default:
-		for _, f := range findings {
-			if f.Waived {
-				continue
-			}
-			fmt.Printf("%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 		}
 	}
-
-	waived := len(findings) - unwaived
-	for _, w := range waivers {
-		if w.Hits == 0 {
-			fmt.Fprintf(os.Stderr, "pslint: warning: stale waiver (no findings matched): %s\n", w.describe())
-		}
-	}
-	if unwaived > 0 {
-		fmt.Fprintf(os.Stderr, "pslint: %d finding(s)", unwaived)
-		if waived > 0 {
-			fmt.Fprintf(os.Stderr, ", %d waived by baseline", waived)
-		}
-		fmt.Fprintln(os.Stderr)
+	if unwaived > 0 || stale > 0 {
+		fmt.Fprintf(os.Stderr, "pslint: %d finding(s), %d waived by baseline, %d stale waiver(s)\n",
+			unwaived, len(findings)-unwaived, stale)
 		os.Exit(1)
 	}
 }
 
-// matches reports whether finding f is absorbed by waiver w.
-func (w *Waiver) matches(f *Finding) bool {
-	if w.Analyzer != f.Analyzer {
-		return false
+// matchWaiver returns the first waiver that absorbs f, or nil.
+func matchWaiver(waivers []waiver, f *finding) *waiver {
+	for i := range waivers {
+		w := &waivers[i]
+		if w.Analyzer == f.analyzer && (w.File == "" || w.File == f.file) && strings.Contains(f.message, w.Match) {
+			return w
+		}
 	}
-	if w.File != "" && w.File != f.File {
-		return false
-	}
-	return strings.Contains(f.Message, w.Match)
+	return nil
 }
 
-func (w *Waiver) describe() string {
+func (w *waiver) describe() string {
 	file := w.File
 	if file == "" {
 		file = "*"
@@ -324,27 +262,18 @@ func (w *Waiver) describe() string {
 	return fmt.Sprintf("{analyzer: %s, file: %s, match: %q}", w.Analyzer, file, w.Match)
 }
 
-// loadBaseline reads the waiver file per the -baseline flag: "none"
-// disables waivers, "auto" loads the module-root baseline when present,
-// anything else is an explicit path that must exist. Every waiver must
-// carry a non-empty reason.
-func loadBaseline(flagVal, moduleRoot string) ([]Waiver, error) {
-	path := flagVal
-	switch flagVal {
-	case "none":
-		return nil, nil
-	case "auto":
-		path = filepath.Join(moduleRoot, baselineName)
-		if _, err := os.Stat(path); err != nil {
-			return nil, nil
-		}
-	}
+// loadBaseline reads the waiver file at path; a missing file waives
+// nothing. Every waiver must carry a non-empty reason.
+func loadBaseline(path string) ([]waiver, error) {
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %v", err)
 	}
 	var b struct {
-		Waivers []Waiver `json:"waivers"`
+		Waivers []waiver `json:"waivers"`
 	}
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("baseline %s: %v", path, err)
@@ -356,45 +285,6 @@ func loadBaseline(flagVal, moduleRoot string) ([]Waiver, error) {
 		if strings.TrimSpace(w.Reason) == "" {
 			return nil, fmt.Errorf("baseline %s: waiver %d (%s) has no reason; every waiver must say why it is sound", path, i, w.Match)
 		}
-		b.Waivers[i].Hits = 0
 	}
 	return b.Waivers, nil
-}
-
-func writeReport(path string, r *Report) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runReportStale reads a report written with -json-out and fails if any
-// waiver matched nothing: a stale baseline entry means the debt it
-// documented is gone and the entry must be deleted, keeping the waiver
-// inventory honest. Runs as its own CI step so staleness is reported
-// distinctly from findings.
-func runReportStale(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pslint: -report-stale: %v\n", err)
-		return 2
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		fmt.Fprintf(os.Stderr, "pslint: -report-stale %s: %v\n", path, err)
-		return 2
-	}
-	stale := 0
-	for _, w := range r.Waivers {
-		if w.Hits == 0 {
-			stale++
-			fmt.Printf("stale waiver (no findings matched; delete it from %s): %s\n", baselineName, w.describe())
-		}
-	}
-	if stale > 0 {
-		fmt.Fprintf(os.Stderr, "pslint: %d stale waiver(s)\n", stale)
-		return 1
-	}
-	return 0
 }

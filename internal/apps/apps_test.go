@@ -486,22 +486,65 @@ func testIPsecGWEncap(t *testing.T, pool *packet.BufPool, size int) {
 	if c.OutPorts[0] != saIdx%8 {
 		t.Errorf("routed to %d, want SA port %d", c.OutPorts[0], saIdx)
 	}
-	tx := app.SAs[saIdx]
-	enc := make([]byte, 16)
-	auth := make([]byte, 20)
-	for j := range enc {
-		enc[j] = byte(saIdx*16 + j)
-	}
-	for j := range auth {
-		auth[j] = byte(saIdx*20 + j + 1)
-	}
-	rx := ipsec.NewSA(tx.SPI, 0xabcd0000+uint32(saIdx), enc, auth, tx.LocalIP, tx.PeerIP)
-	inner, err := rx.Decap(out[packet.EthHdrLen:])
+	inner, err := peerSA(app, saIdx).Decap(out[packet.EthHdrLen:])
 	if err != nil {
 		t.Fatalf("decap: %v", err)
 	}
 	if string(inner) != string(orig[packet.EthHdrLen:]) {
 		t.Error("decapped inner differs from original")
+	}
+}
+
+// peerSA builds the receiving end of the gateway's SA i from the same
+// key material NewIPsecGW derives.
+func peerSA(gw *IPsecGW, i int) *ipsec.SA {
+	tx := gw.SAs[i]
+	enc := make([]byte, 16)
+	auth := make([]byte, 20)
+	for j := range enc {
+		enc[j] = byte(i*16 + j)
+	}
+	for j := range auth {
+		auth[j] = byte(i*20 + j + 1)
+	}
+	return ipsec.NewSA(tx.SPI, 0xabcd0000+uint32(i), enc, auth, tx.LocalIP, tx.PeerIP)
+}
+
+// TestIPsecGWRoundTripsThroughPeerSAs: a chunk of many sizes spread
+// over the gateway's SAs goes through one batched kernel, and each
+// peer SA decapsulates its frames back to the originals.
+func TestIPsecGWRoundTripsThroughPeerSAs(t *testing.T) {
+	gw := NewIPsecGW(8)
+	var frames, originals [][]byte
+	for i := 0; i < 32; i++ {
+		f := udp4Frame(packet.IPv4Addr(0x0C000000+uint32(i)), 64+i*40)
+		originals = append(originals, append([]byte(nil), f...))
+		frames = append(frames, f)
+	}
+	c := mkChunk(frames...)
+	gw.PreShade(c)
+	gw.RunKernel(c)
+	gw.PostShade(c)
+	if gw.Errors != 0 {
+		t.Fatalf("encap errors: %d", gw.Errors)
+	}
+	peers := map[int]*ipsec.SA{}
+	for i, saIdx := range c.State.(*ipsecState).sa[:len(frames)] {
+		rx := peers[saIdx]
+		if rx == nil {
+			rx = peerSA(gw, saIdx)
+			peers[saIdx] = rx
+		}
+		inner, err := rx.Decap(c.Bufs[i].Data[packet.EthHdrLen:])
+		if err != nil {
+			t.Fatalf("packet %d: decap: %v", i, err)
+		}
+		if string(inner) != string(originals[i][packet.EthHdrLen:]) {
+			t.Fatalf("packet %d corrupted", i)
+		}
+	}
+	if len(peers) < 2 {
+		t.Errorf("%d SAs used, want the chunk spread over several", len(peers))
 	}
 }
 
@@ -753,15 +796,11 @@ func allApps(t *testing.T) map[string]core.App {
 	entries6 := []route.Entry6{
 		{Prefix6: route.Prefix6{Hi: 0x20010db800000000, Len: 32}, NextHop: 5},
 	}
-	multi, _, _ := newMulti(t)
-	_, term := termFixture(t)
 	return map[string]core.App{
-		"ipv4fwd":   buildIPv4App(t, entries),
-		"ipv6fwd":   &IPv6Fwd{Table: ipv6.Build(entries6), NumPorts: 8},
-		"ofswitch":  NewOFSwitch(openflow.NewSwitch(16), 8),
-		"ipsecgw":   NewIPsecGW(8),
-		"ipsecterm": term,
-		"multiapp":  multi,
+		"ipv4fwd":  buildIPv4App(t, entries),
+		"ipv6fwd":  &IPv6Fwd{Table: ipv6.Build(entries6), NumPorts: 8},
+		"ofswitch": NewOFSwitch(openflow.NewSwitch(16), 8),
+		"ipsecgw":  NewIPsecGW(8),
 	}
 }
 
@@ -808,7 +847,6 @@ func TestPreShadeWritesEveryOutPort(t *testing.T) {
 func TestPreShadeRecycledChunkDoesNotAllocate(t *testing.T) {
 	frames := [][]byte{
 		udp4Frame(0x0A010101, 64),
-		udp4Frame(0x0AC80001, 64), // MultiApp's tunnel subnet: both sub-apps get one
 		udp6Frame(packet.IPv6AddrFromParts(0x20010db8aaaa0000, 9), 78),
 	}
 	for name, app := range allApps(t) {

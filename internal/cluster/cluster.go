@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Routing selects the packet-routing scheme across the mesh.
@@ -65,8 +66,9 @@ func (c *Config) Validate() error {
 	if c.Nodes < 2 {
 		return errors.New("cluster: need at least 2 nodes")
 	}
-	if c.ExternalGbps <= 0 || c.NodeForwardingGbps <= 0 || c.InternalLinkGbps <= 0 {
-		return errors.New("cluster: capacities must be positive")
+	if !(c.ExternalGbps > 0 && c.NodeForwardingGbps > 0 && c.InternalLinkGbps > 0) { // NaN fails too
+		return fmt.Errorf("cluster: every node needs positive capacities, got external %v, forwarding %v, link %v Gbps",
+			c.ExternalGbps, c.NodeForwardingGbps, c.InternalLinkGbps)
 	}
 	return nil
 }
@@ -75,6 +77,25 @@ func (c *Config) Validate() error {
 // external ports destined to node j's external ports. Diagonal entries
 // (local switching) are allowed.
 type Matrix [][]float64
+
+// check rejects a matrix neither model can route: it must be square
+// over n nodes and every rate finite and non-negative.
+func (m Matrix) check(n int) error {
+	if len(m) != n {
+		return fmt.Errorf("matrix has %d rows, want %d", len(m), n)
+	}
+	for i, row := range m {
+		if len(row) != n {
+			return fmt.Errorf("matrix row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, rate := range row {
+			if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+				return fmt.Errorf("matrix[%d][%d] = %v Gbps is not a finite non-negative rate", i, j, rate)
+			}
+		}
+	}
+	return nil
+}
 
 // Uniform returns the all-to-all matrix with total aggregate offered
 // load spread evenly (including local traffic).
@@ -147,8 +168,8 @@ func Evaluate(cfg Config, scheme Routing, m Matrix) (Result, error) {
 		return Result{}, err
 	}
 	n := cfg.Nodes
-	if len(m) != n {
-		return Result{}, errors.New("cluster: matrix size mismatch")
+	if err := m.check(n); err != nil {
+		return Result{}, fmt.Errorf("cluster: %w", err)
 	}
 	link := make([][]float64, n) // directed link loads
 	for i := range link {
@@ -186,7 +207,7 @@ func Evaluate(cfg Config, scheme Routing, m Matrix) (Result, error) {
 
 	for src := range m {
 		for dst, gbps := range m[src] {
-			if gbps <= 0 {
+			if gbps == 0 {
 				continue
 			}
 			total += gbps

@@ -187,6 +187,42 @@ func TestMatrixSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsHostileInput: a matrix or capacity the model
+// cannot route is an error under every scheme, never a panic (a ragged
+// row indexed past its end) or a NaN throughput with a nil error.
+func TestEvaluateRejectsHostileInput(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func(*Config)
+		m    func(Matrix) Matrix
+	}{
+		{"ragged long row", nil, func(m Matrix) Matrix { m[0] = append(m[0], 1); return m }},
+		{"ragged short row", nil, func(m Matrix) Matrix { m[2] = m[2][:1]; return m }},
+		{"nil row", nil, func(m Matrix) Matrix { m[3] = nil; return m }},
+		{"NaN rate", nil, func(m Matrix) Matrix { m[1][2] = math.NaN(); return m }},
+		{"+Inf rate", nil, func(m Matrix) Matrix { m[1][2] = math.Inf(1); return m }},
+		{"-Inf rate", nil, func(m Matrix) Matrix { m[1][2] = math.Inf(-1); return m }},
+		{"negative rate", nil, func(m Matrix) Matrix { m[1][2] = -1; return m }},
+		{"NaN external", func(c *Config) { c.ExternalGbps = math.NaN() }, nil},
+		{"NaN forwarding", func(c *Config) { c.NodeForwardingGbps = math.NaN() }, nil},
+		{"NaN link", func(c *Config) { c.InternalLinkGbps = math.NaN() }, nil},
+	}
+	for _, tc := range cases {
+		for _, scheme := range []Routing{Direct, VLB, DirectVLB} {
+			cfg, m := ps(4), Uniform(4, 40)
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			if tc.m != nil {
+				m = tc.m(m)
+			}
+			if res, err := Evaluate(cfg, scheme, m); err == nil {
+				t.Errorf("%s under %v: accepted, %+v", tc.name, scheme, res)
+			}
+		}
+	}
+}
+
 // Property: VLB throughput is invariant under source permutations of
 // the matrix (load balancing erases who-sends-to-whom structure in the
 // link layer, up to the external port constraints).

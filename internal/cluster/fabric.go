@@ -267,22 +267,16 @@ type fabric struct {
 	zipf  []float64
 }
 
-// checkMatrix rejects a traffic matrix the generators cannot run: it
-// must be square over the external nodes, and every rate finite,
-// non-negative and — where positive — a batchTime (the generator
-// divides by that interval and adds it to emission times).
+// checkMatrix rejects a traffic matrix the generators cannot run: on
+// top of Matrix.check over the external nodes, every positive rate must
+// be a batchTime (the generator divides by that interval and adds it to
+// emission times).
 func checkMatrix(m Matrix, ext int, max sim.Duration) error {
-	if len(m) != ext {
-		return fmt.Errorf("fabric: matrix size %d != external nodes %d", len(m), ext)
+	if err := m.check(ext); err != nil {
+		return fmt.Errorf("fabric: %w", err)
 	}
 	for i, row := range m {
-		if len(row) != ext {
-			return fmt.Errorf("fabric: matrix row %d has %d entries, want %d", i, len(row), ext)
-		}
 		for j, rate := range row {
-			if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
-				return fmt.Errorf("fabric: matrix[%d][%d] = %v Gbps is not a finite non-negative rate", i, j, rate)
-			}
 			if rate > 0 {
 				if _, err := batchTime(rate, max); err != nil {
 					return fmt.Errorf("fabric: matrix[%d][%d] batch interval: %w", i, j, err)

@@ -164,15 +164,6 @@ const (
 	RxDMAPipelineNs = 10000.0
 )
 
-// IOHCost returns the total IOH capacity consumed by a transfer moving
-// up bytes device→host and down bytes host→device, expressed as
-// up-engine + down-engine occupancy (used by tests and back-of-envelope
-// checks; the pcie package charges the two engines separately).
-func IOHCost(up, down int) sim.Duration {
-	s := (float64(up)+float64(IOHKappa*float64(down)))/IOHUpBps + float64(down)/IOHDownBps
-	return sim.DurationFromSeconds(s)
-}
-
 // ---------------------------------------------------------------------------
 // GPU: NVIDIA GTX480 (Fermi), §2.1-§2.2.
 // ---------------------------------------------------------------------------

@@ -139,18 +139,6 @@ func TestIOHRxTxCaps(t *testing.T) {
 	}
 }
 
-func TestIOHCostAdditive(t *testing.T) {
-	up := IOHCost(1500, 0)
-	down := IOHCost(0, 1500)
-	both := IOHCost(1500, 1500)
-	if both != up+down {
-		t.Errorf("IOHCost not additive: %v + %v != %v", up, down, both)
-	}
-	if up <= down {
-		t.Error("device→host must be the scarcer direction (dual-IOH asymmetry)")
-	}
-}
-
 func TestFig5CycleAnchors(t *testing.T) {
 	// Batch size 1: ~0.78 Gbps on one core at 64B → 1.108 Mpps →
 	// ≈2400 cycles per packet.

@@ -153,20 +153,6 @@ func TestExactTableManyFlows(t *testing.T) {
 	}
 }
 
-func TestExactTableStats(t *testing.T) {
-	tbl := NewExactTable(4)
-	rng := rand.New(rand.NewSource(5))
-	k := randKey(rng)
-	tbl.Insert(k, Action{Type: ActionOutput, Port: 1})
-	for i := 0; i < 7; i++ {
-		tbl.Lookup(k)
-	}
-	st, ok := tbl.Stats(k)
-	if !ok || st.Packets != 7 {
-		t.Errorf("stats = %+v, %v", st, ok)
-	}
-}
-
 func TestWildcardPriorityOrder(t *testing.T) {
 	tbl := NewWildcardTable()
 	low := Rule{Wild: WAll, Priority: 1, Action: Action{Type: ActionDrop}}

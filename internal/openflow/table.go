@@ -2,16 +2,10 @@ package openflow
 
 import "sort"
 
-// FlowStats counts matched traffic per flow entry.
-type FlowStats struct {
-	Packets uint64
-}
-
 // exactEntry is one exact-match flow.
 type exactEntry struct {
 	key    FlowKey
 	action Action
-	stats  FlowStats
 }
 
 // ExactTable is an open-addressed (bucketed) hash table over full
@@ -82,22 +76,10 @@ func (t *ExactTable) LookupHashed(key FlowKey, hash uint32) (action Action, prob
 	for i := range b {
 		probes++
 		if b[i].key == key {
-			b[i].stats.Packets++
 			return b[i].action, probes, true
 		}
 	}
 	return Action{}, probes, false
-}
-
-// Stats returns a copy of the stats for key.
-func (t *ExactTable) Stats(key FlowKey) (FlowStats, bool) {
-	idx := key.Hash() & t.mask
-	for i := range t.buckets[idx] {
-		if t.buckets[idx][i].key == key {
-			return t.buckets[idx][i].stats, true
-		}
-	}
-	return FlowStats{}, false
 }
 
 // ---------------------------------------------------------------------------

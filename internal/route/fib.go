@@ -3,8 +3,6 @@ package route
 import (
 	"sort"
 	"sync/atomic"
-
-	"packetshader/internal/packet"
 )
 
 // FIB is a forwarding information base with the double-buffered update
@@ -79,17 +77,4 @@ func (r *RIB) Entries() []Entry {
 		return out[i].Prefix.Len < out[j].Prefix.Len
 	})
 	return out
-}
-
-// Lookup is a control-plane (slow, exact) LPM over the RIB.
-func (r *RIB) Lookup(addr packet.IPv4Addr) uint16 {
-	best := -1
-	hop := NoRoute
-	for p, h := range r.routes {
-		if int(p.Len) > best && p.Contains(addr) {
-			best = int(p.Len)
-			hop = h
-		}
-	}
-	return hop
 }

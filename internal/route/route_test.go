@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"packetshader/internal/packet"
 )
@@ -296,18 +295,21 @@ func TestLinearLPM6LongestWins(t *testing.T) {
 	}
 }
 
+// TestRIBAddRemoveLookup: adds, replacements and removals show in the
+// route set Entries hands to the table builders.
 func TestRIBAddRemoveLookup(t *testing.T) {
 	r := NewRIB()
+	lookup := func() uint16 { return NewLinearLPM(r.Entries()).Lookup(packet.IPv4Addr(0xC0000201)) }
 	p := Prefix{packet.IPv4Addr(0xC0000200), 24}
 	r.Add(p, 5)
 	if r.Len() != 1 {
 		t.Errorf("len = %d", r.Len())
 	}
-	if got := r.Lookup(packet.IPv4Addr(0xC0000201)); got != 5 {
+	if got := lookup(); got != 5 {
 		t.Errorf("lookup = %d, want 5", got)
 	}
 	r.Add(p, 6) // replace
-	if r.Len() != 1 || r.Lookup(packet.IPv4Addr(0xC0000201)) != 6 {
+	if r.Len() != 1 || lookup() != 6 {
 		t.Error("replace failed")
 	}
 	if !r.Remove(p) {
@@ -316,7 +318,7 @@ func TestRIBAddRemoveLookup(t *testing.T) {
 	if r.Remove(p) {
 		t.Error("Remove returned true for absent prefix")
 	}
-	if got := r.Lookup(packet.IPv4Addr(0xC0000201)); got != NoRoute {
+	if got := lookup(); got != NoRoute {
 		t.Errorf("lookup after remove = %d", got)
 	}
 }
@@ -360,21 +362,5 @@ func TestFIBDoubleBuffer(t *testing.T) {
 	}
 	if f.Active().gen != 10 {
 		t.Errorf("final gen = %d", f.Active().gen)
-	}
-}
-
-// Property: RIB.Lookup agrees with LinearLPM over its own entries.
-func TestRIBAgreesWithLinearLPM(t *testing.T) {
-	entries := GenerateBGPTable(500, 8, 3)
-	r := NewRIB()
-	for _, e := range entries {
-		r.Add(e.Prefix, e.NextHop)
-	}
-	l := NewLinearLPM(entries)
-	f := func(addr uint32) bool {
-		return r.Lookup(packet.IPv4Addr(addr)) == l.Lookup(packet.IPv4Addr(addr))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

@@ -56,9 +56,9 @@ func TestSameInstantImmediateFIFO(t *testing.T) {
 	}
 }
 
-// TestDrainUpToWakesAtMostN: draining n items must release at most n
+// TestDrainAppendWakesAtMostN: draining n items must release at most n
 // blocked putters; the rest stay parked.
-func TestDrainUpToWakesAtMostN(t *testing.T) {
+func TestDrainAppendWakesAtMostN(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue[int](env, 2)
 	var completed []int
@@ -71,7 +71,7 @@ func TestDrainUpToWakesAtMostN(t *testing.T) {
 	}
 	var drained []int
 	env.At(Time(10*Nanosecond), func() {
-		drained = q.DrainUpTo(2)
+		drained = q.DrainAppend(nil, 2)
 	})
 	env.Run(0)
 	// Putters 0 and 1 fill the queue without blocking; the drain of two

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -248,25 +249,26 @@ func TestQueueTryGetTryPut(t *testing.T) {
 	}
 }
 
-func TestQueueDrainUpTo(t *testing.T) {
+// TestQueueDrainAppend: DrainAppend takes at most n items in FIFO order
+// and appends them after what dst already holds; on an empty queue it
+// returns dst unchanged.
+func TestQueueDrainAppend(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue[int](env, 0)
 	for i := 0; i < 5; i++ {
 		q.TryPut(i)
 	}
-	out := q.DrainUpTo(3)
-	if len(out) != 3 || out[0] != 0 || out[2] != 2 {
-		t.Errorf("DrainUpTo(3) = %v", out)
+	if out := q.DrainAppend([]int{-1}, 3); !slices.Equal(out, []int{-1, 0, 1, 2}) {
+		t.Errorf("DrainAppend([-1], 3) = %v, want [-1 0 1 2]", out)
 	}
 	if q.Len() != 2 {
 		t.Errorf("len after drain = %d, want 2", q.Len())
 	}
-	out = q.DrainUpTo(10)
-	if len(out) != 2 {
-		t.Errorf("DrainUpTo(10) = %v, want remaining 2", out)
+	if out := q.DrainAppend(nil, 10); !slices.Equal(out, []int{3, 4}) {
+		t.Errorf("DrainAppend(nil, 10) = %v, want the remaining [3 4]", out)
 	}
-	if out2 := q.DrainUpTo(4); out2 != nil {
-		t.Errorf("DrainUpTo on empty = %v, want nil", out2)
+	if out := q.DrainAppend([]int{-1}, 4); !slices.Equal(out, []int{-1}) {
+		t.Errorf("DrainAppend on empty = %v, want dst unchanged", out)
 	}
 }
 
@@ -281,7 +283,7 @@ func TestQueueDrainWakesPutters(t *testing.T) {
 	})
 	env.Go("drainer", func(p *Proc) {
 		p.Sleep(3 * Microsecond)
-		q.DrainUpTo(1)
+		q.DrainAppend(nil, 1)
 	})
 	env.Run(0)
 	if done != Time(3*Microsecond) {

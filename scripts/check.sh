@@ -2,20 +2,20 @@
 # check.sh is the repository's expanded tier-1 verification (see
 # ROADMAP.md): build, vet (also for arm64, the build without assembly,
 # and for 386, the 32-bit build), gofmt, the fused multiply-add gate on
-# the arm64 and ppc64le compile output, the pslint determinism linters,
-# the full test suite (root module and the nested bench/ module;
-# TestGoldenOutputs, the paper-shape checks over its run and the Example
-# functions included), the 32-bit tests of pcap, apps and ipsec and the
-# 32-bit golden outputs and paper-shape checks, the one-path
+# the arm64 and ppc64le compile output, one pslint run (the determinism
+# linters over every package, failing on an unwaived finding or a stale
+# waiver), the full test suite (root module and the nested bench/
+# module; TestGoldenOutputs, the paper-shape checks over its run and the
+# Example functions included), the 32-bit tests of pcap, apps and ipsec
+# and the 32-bit golden outputs and paper-shape checks, the one-path
 # gates, the byte-identity gate's second half (the pshaderd replay
 # against its checked-in stdout and trace digest), short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
-# and race tests
-# on the concurrency-bearing packages and on the golden subset (table1
-# launch fig2 table3 fig5 cluster fabric leafspine). `make check` runs it, and so does
-# CI — there is no second copy of these steps in
-# .github/workflows/ci.yml.
+# and race tests on the concurrency-bearing packages and on the golden
+# subset (table1 launch fig2 table3 fig5 cluster fabric leafspine).
+# `make check` runs it, and so does CI — there is no second copy of
+# these steps in .github/workflows/ci.yml.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,15 +66,11 @@ for arch in arm64 ppc64le; do
 	fi
 done
 
-# One invocation covers every package (./... includes internal/obs and
-# internal/faults); the JSON report then feeds the baseline staleness
-# check, which fails if pslint-baseline.json carries waivers that no
-# longer match anything.
-echo "== pslint (determinism contract, all packages)"
-go run ./cmd/pslint -json-out "$TMP/pslint.json" ./...
-
-echo "== pslint baseline staleness"
-go run ./cmd/pslint -report-stale "$TMP/pslint.json"
+# One run of the whole suite over every package: it fails on an
+# unwaived finding and on a pslint-baseline.json waiver that no longer
+# matches anything.
+echo "== pslint (determinism contract, all packages, stale waivers)"
+go run ./cmd/pslint ./...
 
 echo "== go test ./..."
 go test ./...
