@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the expanded tier-1
 # verification; CI (.github/workflows/ci.yml) runs exactly this target.
 
-.PHONY: check build test lint race bench profile trace-demo golden
+.PHONY: check build test lint race gates bench profile trace-demo golden
 
 check:
 	./scripts/check.sh
@@ -38,6 +38,13 @@ test:
 lint:
 	go vet ./...
 	go run ./cmd/pslint ./...
+
+# gates applies named mutations to a copy of the tree (a counter shared
+# by every fabric node, time.Now() in internal/sim) and fails unless the
+# gate meant for each (the cluster race test, pslint) fails on it.
+# `make check` runs it too.
+gates:
+	./scripts/gates.sh
 
 race:
 	go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults

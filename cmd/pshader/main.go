@@ -55,6 +55,10 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "dump counters, latency histograms, and resource occupancy")
 	)
 	flag.Parse()
+	if *warmup < 0 || *duration < 0 {
+		fmt.Fprintln(os.Stderr, "-warmup and -duration must not be negative")
+		os.Exit(2)
+	}
 
 	opts := []packetshader.Option{
 		packetshader.WithPacketSize(*size),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"packetshader"
+	"packetshader/internal/faults"
 	"packetshader/internal/pktgen"
 )
 
@@ -78,6 +79,27 @@ func TestFacadeLinkFlap(t *testing.T) {
 	}
 	if rep.DroppedPackets < inst.Router.CarrierDrops() {
 		t.Error("Report.DroppedPackets does not include carrier drops")
+	}
+}
+
+// TestLedgerCountsEveryCause: under a link flap and an RX drop burst
+// every drop cause the faults reach shows up in the ledger, the ledger
+// balances (Run checks it), and its drops are the report's.
+func TestLedgerCountsEveryCause(t *testing.T) {
+	ms := packetshader.Millisecond
+	inst := packetshader.Must(packetshader.IPv4(2000, 5,
+		packetshader.WithFaults(faults.NewPlan().LinkFlap(0, 1*ms, 1*ms).RxDropBurst(1, 1*ms, 1*ms))))
+	defer inst.Close()
+	rep := inst.Run(4 * ms)
+	l := rep.Ledger
+	if l.Fetched == 0 || l.Transmitted == 0 || l.InFlight == 0 || l.CarrierDrops == 0 || l.RxBurstDrops == 0 {
+		t.Errorf("a count the run must move stayed zero: %+v", l)
+	}
+	if sum := l.RxRingDrops + l.RxBurstDrops + l.TxRingDrops + l.CarrierDrops + l.AppDrops; sum != rep.DroppedPackets {
+		t.Errorf("ledger drops sum to %d, report says %d", sum, rep.DroppedPackets)
+	}
+	if l.CarrierDrops != inst.Router.CarrierDrops() {
+		t.Errorf("ledger carrier drops %d, router %d", l.CarrierDrops, inst.Router.CarrierDrops())
 	}
 }
 

@@ -114,3 +114,43 @@ func TestOptionLiteralOverConfig(t *testing.T) {
 			skb.DeliveredGbps, huge.DeliveredGbps)
 	}
 }
+
+// TestRunNonPositiveAdvancesNoTime: Run(d) with d <= 0 returns at once
+// and leaves the clock where it was, on a fresh instance as on a
+// running one. The engine reads Env.Run(0) as "run to completion", and
+// a router's generator never completes, so the call must not reach it.
+// The wall-clock deadline turns a hang into a failure.
+func TestRunNonPositiveAdvancesNoTime(t *testing.T) {
+	inst := packetshader.Must(packetshader.IPv4(1000, 1))
+	run := func(d packetshader.Duration) packetshader.Report {
+		t.Helper()
+		done := make(chan packetshader.Report, 1)
+		go func() { done <- inst.Run(d) }()
+		select {
+		case rep := <-done:
+			return rep
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Run(%v) did not return within 5 s", d)
+		}
+		panic("unreachable")
+	}
+	for _, step := range []struct {
+		d    packetshader.Duration
+		want packetshader.Time
+	}{
+		{0, 0},
+		{-packetshader.Millisecond, 0},
+		{packetshader.Millisecond, packetshader.Time(packetshader.Millisecond)},
+		{0, packetshader.Time(packetshader.Millisecond)},
+		{-packetshader.Millisecond, packetshader.Time(packetshader.Millisecond)},
+	} {
+		rep := run(step.d)
+		if now := inst.Env.Now(); now != step.want {
+			t.Fatalf("after Run(%v) the clock reads %v, want %v", step.d, now, step.want)
+		}
+		if step.d <= 0 && (rep.DeliveredGbps != 0 || rep.InputGbps != 0) {
+			t.Errorf("Run(%v) measured an empty window as %+v", step.d, rep)
+		}
+	}
+	inst.Close() // not deferred: after a hang, Close would panic mid-Run
+}

@@ -15,8 +15,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -36,15 +34,6 @@ type Analyzer struct {
 	// never in the simulated stack.
 	InternalOnly bool
 
-	// UsesFacts marks a cross-package analyzer: the driver must run it
-	// over every module-local package in dependency order — including
-	// packages that are only dependencies of the requested patterns —
-	// sharing one FactStore across all of its passes, so facts exported
-	// while analyzing internal/sim or internal/hw are importable while
-	// analyzing internal/core. Diagnostics from dependency-only passes
-	// are discarded; only the requested packages report.
-	UsesFacts bool
-
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -57,12 +46,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Facts is the cross-package fact store shared by every pass of one
-	// analyzer over one load (see Analyzer.UsesFacts). Drivers install
-	// it after NewPass; when left nil a store is created lazily on first
-	// export, so single-package analyzers and tests work unchanged.
-	Facts *FactStore
 
 	// Report is called for each diagnostic. The default (set by
 	// NewPass) appends to Diagnostics after applying //pslint:ignore
@@ -193,117 +176,4 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, fn)
 	}
-}
-
-// A Fact is a datum one analyzer attaches to a types.Object or a
-// package while analyzing the package that declares it, for import by
-// later passes of the same analyzer over dependent packages. This is
-// the in-process miniature of x/tools analysis facts: because every
-// pslint pass runs in one process over one shared type-checker
-// universe, facts are plain pointers keyed by object identity — no
-// serialization is needed, and drivers guarantee dependency order by
-// loading packages with `go list -deps`.
-//
-// A Fact must be a pointer type. Imported facts are shallow-copied into
-// the caller's value, so mutating an imported fact never corrupts the
-// store.
-type Fact interface{ AFact() }
-
-// A FactStore holds the facts exported by the passes of one analyzer
-// over one load. It is keyed by object/package identity, which is
-// stable because all passes share a single Loader universe.
-type FactStore struct {
-	obj map[types.Object]Fact
-	pkg map[*types.Package]Fact
-}
-
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{obj: make(map[types.Object]Fact), pkg: make(map[*types.Package]Fact)}
-}
-
-// A PackageFact pairs a package with the fact exported for it, for
-// enumeration by AllPackageFacts.
-type PackageFact struct {
-	Pkg  *types.Package
-	Fact Fact
-}
-
-func (p *Pass) facts() *FactStore {
-	if p.Facts == nil {
-		p.Facts = NewFactStore()
-	}
-	return p.Facts
-}
-
-// ExportObjectFact associates f with obj. One fact per object per
-// analyzer: a second export overwrites the first.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if obj == nil || f == nil {
-		panic("analysis: ExportObjectFact with nil object or fact")
-	}
-	p.facts().obj[obj] = f
-}
-
-// ImportObjectFact copies the fact previously exported for obj into f
-// (which must be a pointer of the exported fact's type) and reports
-// whether one existed.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
-	got, ok := p.Facts.obj[obj]
-	if !ok {
-		return false
-	}
-	copyFact(f, got)
-	return true
-}
-
-// ExportPackageFact associates f with the pass's own package.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if f == nil {
-		panic("analysis: ExportPackageFact with nil fact")
-	}
-	p.facts().pkg[p.Pkg] = f
-}
-
-// ImportPackageFact copies the fact previously exported for pkg into f
-// and reports whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
-	got, ok := p.Facts.pkg[pkg]
-	if !ok {
-		return false
-	}
-	copyFact(f, got)
-	return true
-}
-
-// AllPackageFacts returns every package fact exported so far, sorted by
-// package path for deterministic iteration. The returned facts are the
-// stored values; callers must not mutate them.
-func (p *Pass) AllPackageFacts() []PackageFact {
-	if p.Facts == nil {
-		return nil
-	}
-	out := make([]PackageFact, 0, len(p.Facts.pkg))
-	for pkg, f := range p.Facts.pkg {
-		out = append(out, PackageFact{Pkg: pkg, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pkg.Path() < out[j].Pkg.Path() })
-	return out
-}
-
-// copyFact shallow-copies src into dst; both must be pointers to the
-// same concrete fact type.
-func copyFact(dst, src Fact) {
-	dv := reflect.ValueOf(dst)
-	sv := reflect.ValueOf(src)
-	if dv.Kind() != reflect.Pointer || sv.Kind() != reflect.Pointer || dv.Type() != sv.Type() {
-		panic(fmt.Sprintf("analysis: fact type mismatch: have %T, want %T", src, dst))
-	}
-	dv.Elem().Set(sv.Elem())
 }

@@ -5,14 +5,6 @@
 // yet they are parsed and fully type-checked here — including imports of
 // the real packetshader/internal/sim package, which the shared Loader
 // resolves from the enclosing module.
-//
-// A fixture may import a sibling fixture directory as "fixture/<dir>";
-// the dependency is type-checked and analyzed first, sharing one
-// analysis.FactStore per Run call, so cross-package analyzers
-// (Analyzer.UsesFacts) can be exercised end to end: facts exported
-// while analyzing the dependency fixture are importable while analyzing
-// the fixture under test. Dependency fixtures get their own `// want`
-// comments checked too.
 package analysistest
 
 import (
@@ -34,11 +26,6 @@ import (
 	"packetshader/internal/analysis"
 	"packetshader/internal/analysis/load"
 )
-
-// fixturePrefix is the import-path namespace fixture packages live in;
-// an import of "fixture/<dir>" resolves to the sibling directory <dir>
-// under the same testdata/src root.
-const fixturePrefix = "fixture/"
 
 // TestData returns the absolute path of the calling test's testdata
 // directory.
@@ -73,9 +60,7 @@ func sharedLoader() (*load.Loader, error) {
 
 // Run applies analyzer a to each fixture package (a directory name under
 // testdata/src) and reports mismatches between the diagnostics produced
-// and the `// want` expectations in the fixture sources. All fixture
-// packages of one Run — including "fixture/..." dependencies pulled in
-// by imports — share a single FactStore.
+// and the `// want` expectations in the fixture sources.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	l, err := sharedLoader()
@@ -84,77 +69,36 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	}
 	loaderMu.Lock()
 	defer loaderMu.Unlock()
-	s := &session{
-		t:        t,
-		l:        l,
-		testdata: testdata,
-		a:        a,
-		facts:    analysis.NewFactStore(),
-		pkgs:     map[string]*fixturePkg{},
-	}
 	for _, pkg := range pkgs {
-		s.ensure(pkg)
+		runFixture(t, l, filepath.Join(testdata, "src", pkg), a)
 	}
 }
 
-// A session is the state of one Run call: the fixture packages checked
-// so far and the fact store they share.
-type session struct {
-	t        *testing.T
-	l        *load.Loader
-	testdata string
-	a        *analysis.Analyzer
-	facts    *analysis.FactStore
-	pkgs     map[string]*fixturePkg // keyed by "fixture/<dir>"
-}
-
-type fixturePkg struct {
-	types *types.Package
-	// checking marks an in-progress ensure, to fail fast on fixture
-	// import cycles instead of recursing forever.
-	checking bool
-}
-
-// ensure type-checks and analyzes the fixture package in
-// testdata/src/<name>, after its "fixture/..." dependencies, and checks
-// its // want expectations. Repeated calls are no-ops.
-func (s *session) ensure(name string) *fixturePkg {
-	s.t.Helper()
-	pkgPath := fixturePrefix + name
-	if fp := s.pkgs[pkgPath]; fp != nil {
-		if fp.checking {
-			s.t.Fatalf("analysistest: fixture import cycle through %q", pkgPath)
-		}
-		return fp
-	}
-	fp := &fixturePkg{checking: true}
-	s.pkgs[pkgPath] = fp
-
-	dir := filepath.Join(s.testdata, "src", name)
+// runFixture type-checks the fixture package in dir, runs a over it and
+// checks its // want expectations.
+func runFixture(t *testing.T, l *load.Loader, dir string, a *analysis.Analyzer) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		s.t.Fatalf("analysistest: %v", err)
+		t.Fatalf("analysistest: %v", err)
 	}
 	var files []*ast.File
-	var filenames []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(s.l.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			s.t.Fatalf("analysistest: parse %s: %v", path, err)
+			t.Fatalf("analysistest: parse %s: %v", path, err)
 		}
 		files = append(files, f)
-		filenames = append(filenames, path)
 	}
 	if len(files) == 0 {
-		s.t.Fatalf("analysistest: no Go files in %s", dir)
+		t.Fatalf("analysistest: no Go files in %s", dir)
 	}
 
-	// Load (or recursively ensure) every import the fixture mentions
-	// before type-checking it.
+	// Load every import the fixture mentions before type-checking it.
 	imports := map[string]bool{}
 	for _, f := range files {
 		for _, imp := range f.Imports {
@@ -166,16 +110,12 @@ func (s *session) ensure(name string) *fixturePkg {
 	}
 	var paths []string
 	for p := range imports {
-		if strings.HasPrefix(p, fixturePrefix) {
-			s.ensure(strings.TrimPrefix(p, fixturePrefix))
-			continue
-		}
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
 	if len(paths) > 0 {
-		if _, err := s.l.Load(paths...); err != nil {
-			s.t.Fatalf("analysistest: loading fixture imports: %v", err)
+		if _, err := l.Load(paths...); err != nil {
+			t.Fatalf("analysistest: loading fixture imports: %v", err)
 		}
 	}
 
@@ -187,35 +127,23 @@ func (s *session) ensure(name string) *fixturePkg {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: fixtureImporter{s}}
-	tpkg, err := conf.Check(pkgPath, s.l.Fset, files, info)
+	conf := types.Config{Importer: loaderImporter{l}}
+	tpkg, err := conf.Check("fixture/"+filepath.Base(dir), l.Fset, files, info)
 	if err != nil {
-		s.t.Fatalf("analysistest: typecheck %s: %v", dir, err)
+		t.Fatalf("analysistest: typecheck %s: %v", dir, err)
 	}
-	fp.types = tpkg
-
-	pass := analysis.NewPass(s.a, s.l.Fset, files, tpkg, info)
-	pass.Facts = s.facts
-	if err := s.a.Run(pass); err != nil {
-		s.t.Fatalf("analysistest: %s: %v", s.a.Name, err)
+	pass := analysis.NewPass(a, l.Fset, files, tpkg, info)
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("analysistest: %s: %v", a.Name, err)
 	}
-	check(s.t, s.l.Fset, files, filenames, pass.Diagnostics)
-	fp.checking = false
-	return fp
+	check(t, l.Fset, files, pass.Diagnostics)
 }
 
-// fixtureImporter resolves fixture-sibling imports from the session and
-// everything else from the shared module loader.
-type fixtureImporter struct{ s *session }
+// loaderImporter resolves a fixture's imports from the shared loader.
+type loaderImporter struct{ l *load.Loader }
 
-func (fi fixtureImporter) Import(path string) (*types.Package, error) {
-	if strings.HasPrefix(path, fixturePrefix) {
-		if fp := fi.s.pkgs[path]; fp != nil && fp.types != nil {
-			return fp.types, nil
-		}
-		return nil, fmt.Errorf("fixture import %q not checked (import cycle?)", path)
-	}
-	if p := fi.s.l.Lookup(path); p != nil && p.Types != nil {
+func (li loaderImporter) Import(path string) (*types.Package, error) {
+	if p := li.l.Lookup(path); p != nil && p.Types != nil {
 		return p.Types, nil
 	}
 	return nil, fmt.Errorf("fixture import %q not loaded", path)
@@ -236,7 +164,7 @@ var wantRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 
 // check compares diagnostics against // want comments. A want comment
 // applies to the line it appears on.
-func check(t *testing.T, fset *token.FileSet, files []*ast.File, filenames []string, diags []analysis.Diagnostic) {
+func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
 	t.Helper()
 	var wants []*expectation
 	for _, f := range files {

@@ -2,12 +2,10 @@
 // only the standard library: `go list -deps -json` supplies the file
 // sets in dependency-first order, and go/types checks each package with
 // an importer backed by the packages already checked. Standard-library
-// dependencies are checked signatures-only (IgnoreFuncBodies) so
-// loading the full closure stays fast; target packages — and every
-// module-local dependency — keep full bodies and a complete types.Info,
-// so cross-package analyzers (Analyzer.UsesFacts) can compute facts
-// over internal/sim and internal/hw even when only internal/core was
-// requested.
+// packages are checked signatures-only (IgnoreFuncBodies), so loading
+// the full closure stays fast; module packages keep full bodies and a
+// complete types.Info, so a package met first as a dependency needs no
+// second check when a later Load names it.
 package load
 
 import (
@@ -32,17 +30,11 @@ type Package struct {
 	Name     string
 	Dir      string
 	GoFiles  []string
-	DepOnly  bool // true if only ever reachable as a dependency of the patterns
-	Standard bool // true for standard-library packages
+	Standard bool // true for standard-library packages, checked signatures-only
 
 	Syntax []*ast.File
 	Types  *types.Package
 	Info   *types.Info
-
-	// full records whether bodies were type-checked (targets and
-	// module-local dependencies; stdlib dependencies are checked
-	// signatures-only).
-	full bool
 }
 
 // A Loader incrementally loads packages into a shared file set and
@@ -71,52 +63,29 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	Standard   bool
-	DepOnly    bool
-	Incomplete bool
+	Match      []string // the patterns that named the package; empty for a dependency
 	Error      *struct{ Err string }
 }
 
 // Load resolves patterns with `go list -deps`, type-checks every newly
 // listed package in dependency order, and returns the packages that
-// matched the patterns themselves (DepOnly == false), sorted as go list
-// emits them. Packages matched directly get full bodies and types.Info;
-// standard-library dependencies are checked signatures-only, while
-// module-local dependencies keep full bodies too.
+// matched the patterns themselves, in the order go list emits them.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	targets, _, err := l.load(patterns)
-	return targets, err
-}
-
-// LoadModule is Load plus the dependency closure inside the module: it
-// returns every module-local (non-standard-library) package reached by
-// the patterns, in `go list -deps` dependency-first order, all with
-// full bodies and types.Info. Packages that matched the patterns
-// directly have DepOnly == false; cross-package analyzers run their
-// fact passes over the DepOnly packages and report diagnostics only for
-// the rest.
-func (l *Loader) LoadModule(patterns ...string) ([]*Package, error) {
-	_, module, err := l.load(patterns)
-	return module, err
-}
-
-func (l *Loader) load(patterns []string) (targets, module []*Package, err error) {
 	listed, err := l.goList(patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var targets []*Package
 	for _, lp := range listed {
 		pkg, err := l.check(lp)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if !lp.Standard && lp.ImportPath != "unsafe" {
-			module = append(module, pkg)
-		}
-		if !lp.DepOnly {
+		if len(lp.Match) > 0 {
 			targets = append(targets, pkg)
 		}
 	}
-	return targets, module, nil
+	return targets, nil
 }
 
 // goList shells out to `go list -deps -json`. Cgo is disabled so every
@@ -158,26 +127,14 @@ func (l *Loader) goList(patterns []string) ([]*listedPackage, error) {
 	return listed, nil
 }
 
-// check parses and type-checks one listed package, reusing the cached
-// result when present. A stdlib package first loaded signatures-only as
-// a dependency is re-checked with full bodies if it later shows up as a
-// target; module-local packages always carry full bodies, so a cache
-// hit only needs its DepOnly flag refreshed.
+// check parses and type-checks one listed package, or returns the
+// cached result of an earlier Load.
 func (l *Loader) check(lp *listedPackage) (*Package, error) {
 	if cached, ok := l.pkgs[lp.ImportPath]; ok {
-		if cached.full {
-			if !lp.DepOnly {
-				cached.DepOnly = false
-			}
-			return cached, nil
-		}
-		if lp.DepOnly {
-			return cached, nil
-		}
-		// Cached signatures-only but now needed as a target: recheck.
+		return cached, nil
 	}
 	if lp.ImportPath == "unsafe" {
-		pkg := &Package{PkgPath: "unsafe", Name: "unsafe", DepOnly: true, Types: types.Unsafe}
+		pkg := &Package{PkgPath: "unsafe", Name: "unsafe", Standard: true, Types: types.Unsafe}
 		l.pkgs["unsafe"] = pkg
 		return pkg, nil
 	}
@@ -202,11 +159,10 @@ func (l *Loader) check(lp *listedPackage) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	full := !lp.DepOnly || !lp.Standard
 	conf := types.Config{
 		Importer:         importerFunc(l.importPkg),
 		Sizes:            types.SizesFor("gc", runtime.GOARCH),
-		IgnoreFuncBodies: !full,
+		IgnoreFuncBodies: lp.Standard,
 	}
 	tpkg, err := conf.Check(lp.ImportPath, l.Fset, files, info)
 	if err != nil {
@@ -217,12 +173,10 @@ func (l *Loader) check(lp *listedPackage) (*Package, error) {
 		Name:     lp.Name,
 		Dir:      lp.Dir,
 		GoFiles:  names,
-		DepOnly:  lp.DepOnly,
 		Standard: lp.Standard,
 		Syntax:   files,
 		Types:    tpkg,
 		Info:     info,
-		full:     full,
 	}
 	l.pkgs[lp.ImportPath] = pkg
 	return pkg, nil

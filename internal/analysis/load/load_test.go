@@ -40,11 +40,8 @@ func TestLoadMultiplePatterns(t *testing.T) {
 	got := map[string]*Package{}
 	for _, p := range targets {
 		got[p.PkgPath] = p
-		if p.DepOnly {
-			t.Errorf("%s: target marked DepOnly", p.PkgPath)
-		}
-		if !p.full {
-			t.Errorf("%s: target loaded without bodies", p.PkgPath)
+		if p.Standard {
+			t.Errorf("%s: module package marked Standard", p.PkgPath)
 		}
 		if len(p.Syntax) == 0 || p.Info == nil {
 			t.Errorf("%s: missing syntax or type info", p.PkgPath)
@@ -57,73 +54,10 @@ func TestLoadMultiplePatterns(t *testing.T) {
 	}
 }
 
-// TestLoadModuleClosure checks the LoadModule contract cross-package
-// analyzers depend on: every module-local dependency is present with
-// full bodies, the listing is dependency-first (a package's module
-// imports always precede it), and only pattern matches are non-DepOnly.
-func TestLoadModuleClosure(t *testing.T) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader(root)
-	module, err := l.LoadModule("./internal/core")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	index := map[string]int{}
-	for i, p := range module {
-		index[p.PkgPath] = i
-	}
-	// core imports sim (the scheduler) and hw/nic at least; the module
-	// closure must carry both even though only core was requested.
-	for _, dep := range []string{"packetshader/internal/sim", "packetshader/internal/hw/nic"} {
-		i, ok := index[dep]
-		if !ok {
-			t.Fatalf("module closure of ./internal/core missing %s", dep)
-		}
-		p := module[i]
-		if !p.DepOnly {
-			t.Errorf("%s: dependency not marked DepOnly", dep)
-		}
-		if !p.full || len(p.Syntax) == 0 {
-			t.Errorf("%s: module-local dependency loaded without full bodies", dep)
-		}
-	}
-	if i, ok := index["packetshader/internal/core"]; !ok {
-		t.Fatal("module closure missing the target itself")
-	} else if module[i].DepOnly {
-		t.Error("packetshader/internal/core: target marked DepOnly")
-	}
-
-	// Dependency-first order: each package's module-local imports must
-	// appear earlier in the slice than the package itself.
-	for i, p := range module {
-		for _, imp := range p.Types.Imports() {
-			if j, ok := index[imp.Path()]; ok && j >= i {
-				t.Errorf("order violation: %s (index %d) imports %s (index %d)",
-					p.PkgPath, i, imp.Path(), j)
-			}
-		}
-	}
-
-	// Standard-library dependencies stay signatures-only and out of the
-	// module slice.
-	if fmtPkg := l.Lookup("fmt"); fmtPkg == nil {
-		t.Error("fmt not loaded as a dependency")
-	} else {
-		if fmtPkg.full {
-			t.Error("fmt: stdlib dependency loaded with full bodies")
-		}
-		if idx, ok := index["fmt"]; ok {
-			t.Errorf("fmt appears in module closure at index %d", idx)
-		}
-	}
-}
-
 // TestLoadCacheAndTargetPromotion loads a package first as a dependency,
-// then directly, and checks the cache is reused with DepOnly refreshed.
+// then directly, and checks the second Load returns the cached package:
+// importers checked against it and the new target share one
+// *types.Package.
 func TestLoadCacheAndTargetPromotion(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {
@@ -137,9 +71,6 @@ func TestLoadCacheAndTargetPromotion(t *testing.T) {
 	if dep == nil {
 		t.Fatal("sim not loaded as a dependency of core")
 	}
-	if !dep.DepOnly {
-		t.Fatal("sim should be DepOnly after loading only core")
-	}
 	targets, err := l.Load("./internal/sim")
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +81,8 @@ func TestLoadCacheAndTargetPromotion(t *testing.T) {
 	if targets[0] != dep {
 		t.Error("second Load did not reuse the cached package")
 	}
-	if dep.DepOnly {
-		t.Error("DepOnly not cleared when the package became a target")
+	if len(dep.Syntax) == 0 || dep.Info == nil {
+		t.Error("module dependency loaded without syntax or type info")
 	}
 }
 

@@ -203,9 +203,6 @@ func (a *genSlot) before(b *genSlot) bool {
 type genHeap []genSlot
 
 // down sifts the hole at i down to where g belongs and puts g there.
-// (Slots are replaced whole, never written field by field: a field
-// write is how pslint's procshare sees shared state, and it cannot see
-// that each generator owns its heap.)
 func (h genHeap) down(i int, g genSlot) {
 	for {
 		c := 2*i + 1

@@ -562,3 +562,22 @@ func TestMailboxAppliesInPostOrder(t *testing.T) {
 		t.Errorf("master mailbox holds %d messages, want 3", m.mail.Len())
 	}
 }
+
+// TestLedgerCheckNamesCounts: an unbalanced ledger is an error that
+// names every count, and a balanced one is not.
+func TestLedgerCheckNamesCounts(t *testing.T) {
+	ok := Ledger{Fetched: 10, Transmitted: 4, TxRingDrops: 1, CarrierDrops: 2, AppDrops: 1, InFlight: 2, RxRingDrops: 7}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("balanced ledger: %v", err)
+	}
+	bad := ok
+	bad.AppDrops++ // a drop counted whose Buf never went back to the pool
+	err := bad.Check()
+	if err == nil {
+		t.Fatal("unbalanced ledger passed")
+	}
+	const want = "core: packet ledger does not balance: fetched 10, but transmitted 4 + tx-ring drops 1 + carrier drops 2 + app drops 2 + in flight 2 = 11"
+	if got := err.Error(); got != want {
+		t.Errorf("error %q, want %q", got, want)
+	}
+}

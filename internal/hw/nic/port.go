@@ -87,6 +87,9 @@ type RxQueue struct {
 
 	// Stats are the per-queue counters of §4.4.
 	Stats QueueStats
+	// BurstDrops counts the Stats.Dropped subset discarded inside a drop
+	// burst; the rest overflowed the ring.
+	BurstDrops uint64
 
 	// Moderation is the NIC interrupt-moderation delay applied when a
 	// blocked reader is woken (§6.4).
@@ -169,6 +172,7 @@ func (q *RxQueue) update() {
 		q.dropAcc += float64(q.rate * burstDt)
 		if whole := math.Floor(q.dropAcc); whole > 0 {
 			q.Stats.Dropped += uint64(whole)
+			q.BurstDrops += uint64(whole)
 			q.dropAcc -= whole
 		}
 		dt -= burstDt

@@ -44,9 +44,9 @@ type World struct {
 
 // Partition is one member environment of a World. Its processes must
 // touch only state owned by the partition; the only way to affect another
-// partition is Link.Send. (The procshare analyzer plus the shrinking
-// pslint baseline are the repository's static evidence that model code
-// honors this — see DESIGN.md, "Conservative-parallel execution".)
+// partition is Link.Send. Partitions run on separate goroutines within
+// a window, so state shared any other way is a data race, and the race
+// detector reports it (DESIGN.md, determinism contract rule 7).
 type Partition struct {
 	world *World
 	name  string

@@ -218,6 +218,10 @@ type Report struct {
 	DegradedTime Duration
 	// Stats are the framework counters.
 	Stats core.Stats
+	// Ledger accounts for every packet fetched since the router started:
+	// transmitted, dropped by cause, or still in flight. Run checks that
+	// it balances.
+	Ledger core.Ledger
 }
 
 // resolve applies opts to the default configuration and validates the
@@ -397,14 +401,22 @@ func (i *Instance) Close() { i.Env.Close() }
 // Run starts the router (first call), advances virtual time by d, and
 // reports. Repeated Run calls continue the same simulation; the
 // measurement window restarts each call, so a warmup Run followed by a
-// measurement Run excludes transients.
+// measurement Run excludes transients. A d <= 0 advances no time. Run
+// panics if the packet ledger does not balance: a packet was lost or
+// counted twice.
 func (i *Instance) Run(d Duration) Report {
 	if !i.started {
 		i.Router.Start()
 		i.started = true
 	}
 	i.Router.ResetMeasurement()
-	i.Env.Run(i.Env.Now() + sim.Time(d))
+	if d > 0 {
+		i.Env.Run(i.Env.Now() + sim.Time(d))
+	}
+	ledger := i.Router.Ledger()
+	if err := ledger.Check(); err != nil {
+		panic(err)
+	}
 	_, rxDropped, _, txDropped := i.Router.Engine.AggregateStats()
 	return Report{
 		DeliveredGbps:  i.Router.DeliveredGbps(),
@@ -414,5 +426,6 @@ func (i *Instance) Run(d Duration) Report {
 		DroppedPackets: rxDropped + txDropped + i.Router.Stats.Drops,
 		DegradedTime:   i.Router.DegradedTime(),
 		Stats:          i.Router.Stats,
+		Ledger:         ledger,
 	}
 }

@@ -3,8 +3,7 @@
 # ROADMAP.md): build, vet (also for arm64, the build without assembly,
 # and for 386, the 32-bit build), gofmt, the fused multiply-add gate on
 # the arm64 and ppc64le compile output, one pslint run (the determinism
-# linters over every package, failing on an unwaived finding or a stale
-# waiver), the full test suite (root module and the nested bench/
+# linters over every package, failing on any finding), the full test suite (root module and the nested bench/
 # module; TestGoldenOutputs, the paper-shape checks over its run and the
 # Example functions included), the 32-bit tests of pcap, apps and ipsec
 # and the 32-bit golden outputs and paper-shape checks, the one-path
@@ -12,8 +11,10 @@
 # against its checked-in stdout and trace digest), short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
-# and race tests on the concurrency-bearing packages and on the golden
-# subset (table1 launch fig2 table3 fig5 cluster fabric leafspine).
+# race tests on the concurrency-bearing packages and on the golden
+# subset (table1 launch fig2 table3 fig5 cluster fabric leafspine), and
+# scripts/gates.sh, which shows the race and pslint steps failing on
+# mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -66,10 +67,8 @@ for arch in arm64 ppc64le; do
 	fi
 done
 
-# One run of the whole suite over every package: it fails on an
-# unwaived finding and on a pslint-baseline.json waiver that no longer
-# matches anything.
-echo "== pslint (determinism contract, all packages, stale waivers)"
+# One run of the whole suite over every package: any finding fails it.
+echo "== pslint (determinism contract, all packages)"
 go run ./cmd/pslint ./...
 
 echo "== go test ./..."
@@ -152,6 +151,13 @@ go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster 
 
 echo "== go test -race -short (golden subset: table1 launch fig2 table3 fig5 cluster fabric leafspine in one run, jobs at -j 8, worlds at -p 8, and their paper-shape checks)"
 go test -race -short ./internal/experiments
+
+# Each gate mutation must fail its gate: a forwarding counter shared by
+# every fabric node (through a pointer, then as a package variable)
+# fails the cluster race test, and time.Now() in internal/sim fails
+# pslint.
+echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
+./scripts/gates.sh
 
 echo "== bench smoke (one iteration of the key benchmarks, pprof to profiles/)"
 mkdir -p profiles
