@@ -10,7 +10,7 @@
 //
 //	pshader -app ipv4 -mode gpu -size 64 -duration 20ms
 //	pshader -app ipsec -mode cpu -size 1514 -offered 5
-//	pshader -app openflow -flows 32768 -wildcards 32
+//	pshader -app openflow -wildcards 32
 //	pshader -app ipv6 -mode gpu -opportunistic -offered 1
 //	pshader -app ipv4 -mode gpu -trace trace.json -metrics
 //	pshader -app ipv4 -fib dynamic -ctrl scripts/pshaderd-demo.psc
@@ -42,7 +42,6 @@ func main() {
 		duration = flag.Duration("duration", 20*time.Millisecond, "simulated duration")
 		warmup   = flag.Duration("warmup", 10*time.Millisecond, "warmup excluded from measurement")
 		prefixes = flag.Int("prefixes", 100000, "routing-table prefixes (ipv4/ipv6)")
-		flows    = flag.Int("flows", 32768, "exact-match flows (openflow)")
 		wild     = flag.Int("wildcards", 32, "wildcard rules (openflow)")
 		streams  = flag.Int("streams", 1, "CUDA streams (concurrent copy & execution)")
 		opp      = flag.Bool("opportunistic", false, "opportunistic offloading (§7)")
@@ -50,13 +49,13 @@ func main() {
 		fibMode  = flag.String("fib", "static", "IPv4 route-update strategy: static, dynamic, rebuild")
 		ctrlPath = flag.String("ctrl", "", "run as pshaderd: execute this .psc control script on the virtual clock")
 		pcapOut  = flag.String("pcap", "", "capture transmitted packets to this pcap file")
-		pcapN    = flag.Uint64("pcap-limit", 1000, "max packets to capture")
+		pcapN    = flag.Uint64("pcap-limit", 1000, "max packets to capture (0: no limit)")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 		metrics  = flag.Bool("metrics", false, "dump counters, latency histograms, and resource occupancy")
 	)
 	flag.Parse()
-	if *warmup < 0 || *duration < 0 {
-		fmt.Fprintln(os.Stderr, "-warmup and -duration must not be negative")
+	if *warmup < 0 || *duration < 0 || *wild < 0 {
+		fmt.Fprintln(os.Stderr, "-warmup, -duration and -wildcards must not be negative")
 		os.Exit(2)
 	}
 
@@ -114,9 +113,9 @@ func main() {
 	case "ipv6":
 		inst, err = packetshader.IPv6(*prefixes, *seed, opts...)
 	case "openflow":
-		sw := openflow.NewSwitch(*flows)
-		// A default-forward rule set catches everything; exact entries
-		// would be installed by a controller.
+		// An empty exact-match table and a default-forward rule set that
+		// catches everything.
+		sw := openflow.NewSwitch(0)
 		for i := 0; i < *wild; i++ {
 			sw.Wildcard.Insert(openflow.Rule{
 				Wild:     openflow.WAll,

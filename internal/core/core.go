@@ -68,8 +68,52 @@ type Chunk struct {
 	OutBytes    int
 	StreamBytes int
 
-	enqueued  sim.Time // when the chunk entered the master input queue
-	fetchedAt sim.Time // when the chunk was assembled from the RX rings
+	// stamps are the virtual times at which the chunk crossed each
+	// stage boundary on its current trip (stampFetch … stampTx).
+	stamps [numStamps]sim.Time
+}
+
+// The boundaries a chunk crosses, in order, from the moment its worker
+// starts polling the RX queues to TX hand-off. The spans the tracer
+// records start and end at the same instants.
+const (
+	stampFetch      = iota // the worker starts polling its RX queues
+	stampFetched           // the chunk is assembled (rx-fetch ends)
+	stampPreShaded         // pre-shading ends; an offloaded chunk enters the master's input queue
+	stampGathered          // the master takes it into a launch; on the CPU path, = stampPreShaded
+	stampWorked            // the launch (or fallback) or the CPU work ends
+	stampReturned          // the worker takes it back; on the CPU path, = stampWorked
+	stampPostShaded        // post-shading ends
+	stampTx                // the TX hand-off ends
+	numStamps
+)
+
+// The stages of a chunk's trip, each between two consecutive stamps.
+const (
+	StageRxFetch   = iota // rx-fetch
+	StagePreShade         // pre-shade
+	StageQueue            // the master's input queue; zero on the CPU path
+	StageWork             // gpu-launch (or cpu-fallback), or cpu-work
+	StageOutput           // the worker's output queue; zero on the CPU path
+	StagePostShade        // post-shade
+	StageTx               // tx
+	NumStages
+)
+
+// Stages sums the virtual time completed chunks spent in each stage;
+// the stages of a chunk add up to its residence, TX hand-off end minus
+// fetch start. The router writes it once per chunk, never per packet.
+type Stages struct {
+	Chunks uint64
+	Time   [NumStages]sim.Duration
+}
+
+// add accounts for c, whose trip has just ended.
+func (s *Stages) add(c *Chunk) {
+	s.Chunks++
+	for i := range s.Time {
+		s.Time[i] += sim.Duration(c.stamps[i+1] - c.stamps[i])
+	}
 }
 
 // PreResult is what an application's pre-shading step reports.
@@ -214,7 +258,11 @@ type Router struct {
 	workers []*worker
 	masters []*master
 	Stats   Stats
-	obs     *routerObs
+	// Stages sums the stage times of every chunk completed so far.
+	Stages Stages
+	obs    *routerObs
+	// chunkDone, when set (by tests), sees every chunk as its trip ends.
+	chunkDone func(*Chunk)
 
 	// chunkFree is the router's Chunk free list (deterministic LIFO —
 	// sync.Pool would introduce scheduling-dependent reuse): the hot
@@ -376,7 +424,7 @@ func (r *Router) putChunk(c *Chunk) {
 	c.OutPorts = c.OutPorts[:0]
 	c.Worker = 0
 	c.Threads, c.InBytes, c.OutBytes, c.StreamBytes = 0, 0, 0, 0
-	c.enqueued, c.fetchedAt = 0, 0
+	c.stamps = [numStamps]sim.Time{}
 	r.chunkFree = append(r.chunkFree, c)
 }
 

@@ -218,6 +218,9 @@ func TestDropsCounted(t *testing.T) {
 	if tx != 0 {
 		t.Errorf("dropping app transmitted %d packets", tx)
 	}
+	if err := r.Ledger().Check(); err != nil {
+		t.Error(err)
+	}
 }
 
 type droppingApp struct{ *echoApp }

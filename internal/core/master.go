@@ -92,7 +92,8 @@ func (m *master) run(p *sim.Proc) {
 		gathered := p.Now()
 		var threads, inB, outB, strB int
 		for _, c := range chunks {
-			o.gpuWait.ObserveDuration(sim.Duration(gathered - c.enqueued))
+			c.stamps[stampGathered] = gathered
+			o.gpuWait.ObserveDuration(sim.Duration(gathered - c.stamps[stampPreShaded]))
 			threads += c.Threads
 			inB += c.InBytes
 			outB += c.OutBytes
@@ -122,7 +123,9 @@ func (m *master) run(p *sim.Proc) {
 		}
 		// Scatter (§5.4): results go to each chunk's own worker output
 		// queue, avoiding 1-to-N sharing.
+		worked := p.Now()
 		for _, c := range chunks {
+			c.stamps[stampWorked] = worked
 			m.router.workers[c.Worker].outQ.Put(p, c)
 		}
 	}

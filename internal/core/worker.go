@@ -64,11 +64,10 @@ func (w *worker) run(p *sim.Proc) {
 		}
 		// 2. Fetch and process a new chunk if the pipeline has room.
 		if !gpuMode || w.inflight < w.maxInflight() {
-			fetchStart := p.Now()
 			if c := w.fetchChunk(p); c != nil {
 				o := w.router.obs
 				track := o.workerTracks[w.id]
-				o.tr.SpanUntil(track, "rx-fetch", fetchStart, c.fetchedAt,
+				o.tr.SpanUntil(track, "rx-fetch", c.stamps[stampFetch], c.stamps[stampFetched],
 					obs.Arg{Key: "packets", Val: int64(len(c.Bufs))})
 				o.chunkSize.Observe(int64(len(c.Bufs)))
 				pre := w.router.App.PreShade(c)
@@ -77,7 +76,8 @@ func (w *worker) run(p *sim.Proc) {
 				c.OutBytes = pre.OutBytes
 				c.StreamBytes = pre.StreamBytes
 				p.Sleep(cycles(pre.CPUCycles))
-				o.tr.SpanUntil(track, "pre-shade", c.fetchedAt, p.Now())
+				c.stamps[stampPreShaded] = p.Now()
+				o.tr.SpanUntil(track, "pre-shade", c.stamps[stampFetched], p.Now())
 				offload := gpuMode && pre.Threads > 0
 				if offload && w.opp &&
 					len(c.Bufs) <= w.router.Cfg.OppThreshold {
@@ -92,13 +92,13 @@ func (w *worker) run(p *sim.Proc) {
 					offload = false
 				}
 				if offload {
-					c.enqueued = p.Now()
 					w.inflight++
 					w.master.inQ.Put(p, c) // blocks when full: backpressure
 				} else {
-					cpuStart := p.Now()
+					c.stamps[stampGathered] = p.Now()
 					p.Sleep(cycles(w.router.App.CPUWork(c)))
-					o.tr.SpanUntil(track, "cpu-work", cpuStart, p.Now())
+					c.stamps[stampWorked] = p.Now()
+					o.tr.SpanUntil(track, "cpu-work", c.stamps[stampGathered], p.Now())
 					w.router.Stats.ChunksCPU++
 					w.finish(p, c)
 				}
@@ -132,6 +132,7 @@ func (w *worker) gpuHeldOut(now sim.Time) bool {
 // "we do not intentionally wait for the fixed number of packets" (§5.3).
 func (w *worker) fetchChunk(p *sim.Proc) *Chunk {
 	max := w.chunkCap
+	start := p.Now()
 	c := w.router.getChunk()
 	for i := 0; i < len(w.ifaces); i++ {
 		f := w.ifaces[w.rr]
@@ -150,7 +151,7 @@ func (w *worker) fetchChunk(p *sim.Proc) *Chunk {
 			c.OutPorts = make([]int, n)
 		}
 		c.Worker = w.id
-		c.fetchedAt = p.Now()
+		c.stamps[stampFetch], c.stamps[stampFetched] = start, p.Now()
 		w.router.Stats.Packets += uint64(len(bufs))
 		return c
 	}
@@ -163,9 +164,10 @@ func (w *worker) fetchChunk(p *sim.Proc) *Chunk {
 func (w *worker) finish(p *sim.Proc, c *Chunk) {
 	o := w.router.obs
 	track := o.workerTracks[w.id]
-	postStart := p.Now()
+	c.stamps[stampReturned] = p.Now()
 	p.Sleep(cycles(w.router.App.PostShade(c)))
-	o.tr.SpanUntil(track, "post-shade", postStart, p.Now(),
+	c.stamps[stampPostShaded] = p.Now()
+	o.tr.SpanUntil(track, "post-shade", c.stamps[stampReturned], p.Now(),
 		obs.Arg{Key: "packets", Val: int64(len(c.Bufs))})
 	// Group by output port, preserving FIFO order within the chunk. The
 	// grouping scratch (txBufs indexed by port, txOrder listing touched
@@ -183,7 +185,6 @@ func (w *worker) finish(p *sim.Proc, c *Chunk) {
 		}
 		w.txBufs[port] = append(w.txBufs[port], b)
 	}
-	txStart := p.Now()
 	for _, port := range order {
 		bufs := w.txBufs[port]
 		if tx := w.router.Engine.Ports[port].Tx; !tx.CarrierUp() {
@@ -201,11 +202,16 @@ func (w *worker) finish(p *sim.Proc, c *Chunk) {
 		}
 		w.txBufs[port] = bufs[:0]
 	}
+	c.stamps[stampTx] = p.Now()
 	if len(order) > 0 {
-		o.tr.SpanUntil(track, "tx", txStart, p.Now())
+		o.tr.SpanUntil(track, "tx", c.stamps[stampPostShaded], p.Now())
 	}
 	w.txOrder = order
-	o.chunkLatency.ObserveDuration(sim.Duration(p.Now() - c.fetchedAt))
+	o.chunkLatency.ObserveDuration(sim.Duration(p.Now() - c.stamps[stampFetched]))
+	w.router.Stages.add(c)
+	if w.router.chunkDone != nil {
+		w.router.chunkDone(c)
+	}
 	w.router.putChunk(c)
 }
 

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (plus the §2 microbenchmarks and the §4/§5 ablations) on
 // the simulated testbed. Each experiment returns a Result whose rows
-// mirror the series the paper reports, annotated with the paper's
-// numbers where it states them, so EXPERIMENTS.md can record
-// paper-vs-measured side by side.
+// mirror the series the paper reports. Each number the paper states is
+// one point of paperTable (paper.go), printed as a note under the
+// result it describes and held to its band by TestPaperPoints.
 package experiments
 
 import (
@@ -57,9 +57,8 @@ func (c Cell) text() string {
 // AddRow appends a row.
 func (r *Result) AddRow(cells ...Cell) { r.Rows = append(r.Rows, cells) }
 
-// Note appends a footnote (typically the paper's reference numbers). A
-// Cell argument prints as it would in a row, under %v, and its V stays
-// readable in r.noted.
+// Note appends a footnote. A Cell argument prints as it would in a
+// row, under %v, and its V stays readable in r.noted.
 func (r *Result) Note(format string, args ...any) {
 	for i, a := range args {
 		if c, ok := a.(Cell); ok {
@@ -70,7 +69,8 @@ func (r *Result) Note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// Print renders the result as an aligned text table and returns the
+// Print renders the result as an aligned text table, then a note per
+// paper point (PaperPoint.note) and the footnotes, and returns the
 // writer's error.
 func (r *Result) Print(w io.Writer) error {
 	table := [][]string{r.Header}
@@ -98,6 +98,9 @@ func (r *Result) Print(w io.Writer) error {
 			fmt.Fprintf(&line, "%-*s  ", widths[i], c)
 		}
 		b.WriteString(strings.TrimRight(line.String(), " ") + "\n")
+	}
+	for _, p := range r.Points() {
+		fmt.Fprintf(&b, "  note: %s\n", p.note(r.Header[0], len(r.Rows)))
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)

@@ -100,7 +100,6 @@ func fig11a(c *Ctx) *Result {
 	for i, size := range fig11Sizes {
 		r.AddRow(Int(size), Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
-	r.Note("paper: CPU+GPU ≈ 39 Gbps at 64B, ≈ 40 at larger sizes (I/O bound); CPU-only ≈ 28 at 64B")
 	return r
 }
 
@@ -121,7 +120,6 @@ func fig11b(c *Ctx) *Result {
 	for i, size := range fig11Sizes {
 		r.AddRow(Int(size), Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
-	r.Note("paper: CPU+GPU 38.2 Gbps at 64B; CPU-only far lower at small sizes (7 memory accesses per lookup)")
 	return r
 }
 
@@ -245,7 +243,6 @@ func fig11c(c *Ctx) *Result {
 		r.AddRow(Int(s.flows), Int(s.wildcards),
 			Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
-	r.Note("paper: CPU+GPU wins for all configurations; 32 Gbps at the NetFPGA-comparable 32K+32 setup (8 NetFPGAs' worth)")
 	return r
 }
 
@@ -271,7 +268,6 @@ func fig11d(c *Ctx) *Result {
 	for i, size := range fig11Sizes {
 		r.AddRow(Int(size), Num("%.1f", vals[2*i]), Num("%.1f", vals[2*i+1]))
 	}
-	r.Note("paper: CPU+GPU ≈ 3.5x CPU-only for all sizes; 10.2 Gbps at 64B, 20.0 at 1514B")
 	r.Note("concurrent copy & execution enabled (4 streams), as §5.4 prescribes for IPsec")
 	return r
 }

@@ -44,7 +44,7 @@ func fig12(c *Ctx) *Result {
 		r.AddRow(Num("%.0f", offered),
 			Num("%.0f", vals[3*i]), Num("%.0f", vals[3*i+1]), Num("%.0f", vals[3*i+2]))
 	}
-	r.Note("paper: batching LOWERS latency (less queueing); GPU adds overhead but stays 200-400 us")
+	r.Note("batching lowers latency (less queueing); the GPU path adds a bounded overhead")
 	r.Note("elevated latency at the lightest load comes from NIC interrupt moderation (§6.4)")
 	return r
 }

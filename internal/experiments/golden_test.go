@@ -19,7 +19,7 @@ var goldenShortIDs = []string{"table1", "launch", "fig2", "table3", "fig5", "clu
 // golden is the package's one run of the experiments: every Registry id
 // (goldenShortIDs under -short) in one Runner at -j 8, with partitioned
 // worlds at -p 8 and metrics on. TestGoldenOutputs compares its bytes
-// with the files; the paper-shape checks read its Results.
+// with the files; the paper checks (paper_test.go) read its Results.
 var golden struct {
 	once sync.Once
 	out  []byte

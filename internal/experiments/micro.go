@@ -17,11 +17,6 @@ func table1(c *Ctx) *Result {
 		Title:  "Data transfer rate between host and device (MB/s)",
 		Header: []string{"Buffer size", "Host-to-device", "Device-to-host", "paper h2d", "paper d2h"},
 	}
-	paper := map[int][2]float64{
-		256: {55, 63}, 1024: {185, 211}, 4096: {759, 786},
-		16384: {2069, 1743}, 65536: {4046, 2848},
-		262144: {5142, 3242}, 1048576: {5577, 3394},
-	}
 	sizes := []int{256, 1024, 4096, 16384, 65536, 262144, 1048576}
 	type rates struct{ h2d, d2h float64 }
 	pts := MapPoints(c, len(sizes), func(i int, _ *Point) rates {
@@ -50,11 +45,12 @@ func table1(c *Ctx) *Result {
 		return rates{rate(h2d), rate(d2h)}
 	})
 	for i, size := range sizes {
-		r.AddRow(Label(sizeLabel(size)),
-			Num("%.0f", pts[i].h2d), Num("%.0f", pts[i].d2h),
-			Num("%.0f", paper[size][0]), Num("%.0f", paper[size][1]))
+		row := sizeLabel(size)
+		r.AddRow(Label(row), Num("%.0f", pts[i].h2d), Num("%.0f", pts[i].d2h),
+			Num("%.0f", paperValue("table1", row, "Host-to-device")),
+			Num("%.0f", paperValue("table1", row, "Device-to-host")))
 	}
-	r.Note("paper peaks: 5.6 GB/s h2d, 3.4 GB/s d2h; d2h is slower (dual-IOH, §3.2)")
+	r.Note("d2h is the slower direction at large buffers (dual-IOH, §3.2)")
 	return r
 }
 
@@ -70,7 +66,7 @@ func sizeLabel(size int) string {
 }
 
 // launchLatency regenerates the §2.2 kernel-launch microbenchmark:
-// 3.8 µs for one thread, 4.1 µs for 4096 (only a 10% increase). It is
+// the launch cost barely grows with the thread count. It is
 // pure closed-form model evaluation — no simulation — so it runs inline
 // rather than occupying a pool worker.
 func launchLatency(*Ctx) *Result {
@@ -86,7 +82,6 @@ func launchLatency(*Ctx) *Result {
 		r.AddRow(Int(threads), Num("%.2f", dur.Microseconds()),
 			Num("%.1f", dur.Microseconds()*1000/float64(threads)))
 	}
-	r.Note("paper: 3.8 us for 1 thread, 4.1 us for 4096 — amortized cost becomes negligible")
 	return r
 }
 
@@ -134,6 +129,5 @@ func fig2(c *Ctx) *Result {
 		r.AddRow(Int(batch), Num("%.1f", cpu1/1e6), Num("%.1f", cpu2/1e6),
 			Num("%.1f", gpuRates[i]/1e6))
 	}
-	r.Note("paper: GPU passes one X5550 beyond ~320 packets, two beyond ~640; peak ≈ ten X5550s")
 	return r
 }

@@ -157,17 +157,17 @@ func table3(c *Ctx) *Result {
 	})[0]
 	bd, rx := pt.bd, pt.rx
 	total := bd.Total()
-	row := func(name string, cycles, paper float64) {
+	row := func(name string, cycles float64) {
 		r.AddRow(Label(name), Num("%.0f", cycles/float64(rx)),
-			Num("%.1f%%", cycles/total*100), Num("%.1f%%", paper))
+			Num("%.1f%%", cycles/total*100), Num("%.1f%%", paperValue("table3", name, "Share")))
 	}
-	row("skb initialization", bd.SkbInit, 4.9)
-	row("skb (de)allocation", bd.SkbAlloc, 8.0)
-	row("memory subsystem", bd.MemSubsystem, 50.2)
-	row("NIC device driver", bd.Driver, 13.3)
-	row("others", bd.Others, 9.8)
-	row("compulsory cache misses", bd.CacheMisses, 13.8)
-	row("total", total, 100)
+	row("skb initialization", bd.SkbInit)
+	row("skb (de)allocation", bd.SkbAlloc)
+	row("memory subsystem", bd.MemSubsystem)
+	row("NIC device driver", bd.Driver)
+	row("others", bd.Others)
+	row("compulsory cache misses", bd.CacheMisses)
+	row("total", total)
 	r.Note("huge packet buffer + batching + prefetch eliminate the first five bins (§4.2-4.3)")
 	return r
 }
@@ -191,7 +191,6 @@ func fig5(c *Ctx) *Result {
 	for i, batch := range batches {
 		r.AddRow(Int(batch), Num("%.2f", gbps[i]), Num("%.1fx", gbps[i]/base))
 	}
-	r.Note("paper: 0.78 Gbps at batch 1, 10.5 at 64 (13.5x); gains stall past 32")
 	return r
 }
 
@@ -232,8 +231,6 @@ func fig6(c *Ctx) *Result {
 		r.AddRow(Int(size), Num("%.1f", row[0]), Num("%.1f", row[1]),
 			Num("%.1f", row[2]), Num("%.1f", row[3]))
 	}
-	r.Note("paper: TX 79.3-80.0, RX 53.1-59.9, forwarding > 40 for all sizes (41.1 at 64B)")
-	r.Note("node-crossing forwarding also stays above 40 Gbps")
 	return r
 }
 
@@ -257,6 +254,5 @@ func numa(c *Ctx) *Result {
 	})
 	r.AddRow(Label("NUMA-aware"), Num("%.1f", vals[0]))
 	r.AddRow(Label("NUMA-blind"), Num("%.1f", vals[1]))
-	r.Note("paper: ~40 Gbps aware vs below 25 Gbps blind (≈60%% improvement)")
 	return r
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -262,14 +263,30 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
+// goroutinesIn counts, over the stacks of all goroutines, the frames of
+// functions whose name contains name.
+func goroutinesIn(name string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), name)
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestEnvCloseReleasesBlockedProcs is the goroutine-leak regression test
 // for the Env.Run abandonment bug: processes still blocked on queues
 // when the event heap drains used to park forever, leaking one goroutine
 // each per Env. Close must unwind them (running their defers) and return
-// the process count to the baseline.
+// the process count to the baseline. The getters are counted by their
+// own frames, not against the process-wide count, which goroutines of
+// other tests that are still exiting would lower.
 func TestEnvCloseReleasesBlockedProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const blocked = 50
+	const getter = "sim.TestEnvCloseReleasesBlockedProcs.func1("
 	env := NewEnv()
 	q := NewQueue[int](env, 0)
 	unwound := 0
@@ -282,8 +299,8 @@ func TestEnvCloseReleasesBlockedProcs(t *testing.T) {
 	env.Go("done", func(p *Proc) { p.Sleep(Microsecond) })
 	env.Run(0)
 	// The getters are abandoned: their goroutines are still parked.
-	if n := runtime.NumGoroutine(); n < base+blocked {
-		t.Fatalf("expected >= %d parked goroutines before Close, have %d (base %d)", blocked, n-base, n)
+	if n := goroutinesIn(getter); n != blocked {
+		t.Fatalf("%d getters parked before Close, want %d", n, blocked)
 	}
 	env.Close()
 	env.Close() // idempotent
@@ -291,6 +308,11 @@ func TestEnvCloseReleasesBlockedProcs(t *testing.T) {
 		t.Fatalf("Close unwound %d blocked procs (ran defers), want %d", unwound, blocked)
 	}
 	waitGoroutines(t, base)
+	for deadline := time.Now().Add(5 * time.Second); goroutinesIn(getter) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d getters still parked after Close", goroutinesIn(getter))
+		}
+	}
 	mustPanic(t, "Run after Close", func() { env.Run(0) })
 	mustPanic(t, "Go after Close", func() { env.Go("late", func(p *Proc) {}) })
 }

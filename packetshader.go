@@ -222,6 +222,9 @@ type Report struct {
 	// transmitted, dropped by cause, or still in flight. Run checks that
 	// it balances.
 	Ledger core.Ledger
+	// Stages sums, per pipeline stage, the virtual time of every chunk
+	// completed since the router started.
+	Stages core.Stages
 }
 
 // resolve applies opts to the default configuration and validates the
@@ -427,5 +430,6 @@ func (i *Instance) Run(d Duration) Report {
 		DegradedTime:   i.Router.DegradedTime(),
 		Stats:          i.Router.Stats,
 		Ledger:         ledger,
+		Stages:         i.Router.Stages,
 	}
 }

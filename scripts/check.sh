@@ -4,17 +4,17 @@
 # and for 386, the 32-bit build), gofmt, the fused multiply-add gate on
 # the arm64 and ppc64le compile output, one pslint run (the determinism
 # linters over every package, failing on any finding), the full test suite (root module and the nested bench/
-# module; TestGoldenOutputs, the paper-shape checks over its run and the
+# module; TestGoldenOutputs, the paper checks over its run and the
 # Example functions included), the 32-bit tests of pcap, apps and ipsec
-# and the 32-bit golden outputs and paper-shape checks, the one-path
+# and the 32-bit golden outputs and paper checks, the one-path
 # gates, the byte-identity gate's second half (the pshaderd replay
 # against its checked-in stdout and trace digest), short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
 # race tests on the concurrency-bearing packages and on the golden
 # subset (table1 launch fig2 table3 fig5 cluster fabric leafspine), and
-# scripts/gates.sh, which shows the race and pslint steps failing on
-# mutations of their own kind.
+# scripts/gates.sh, which shows the race, pslint, paper-point and ledger
+# checks failing on mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -80,11 +80,11 @@ echo "== ipsec crypto paths on this host"
 go test -count=1 -v -run 'TestCryptoPaths$' ./internal/ipsec | grep 'useX16'
 
 # The 32-bit build, run natively: the packages that read hostile lengths
-# or index by hash, every golden file byte for byte, and the paper-shape
+# or index by hash, every golden file byte for byte, and the paper
 # checks, which read the same run's cells. It also runs ipsec.Batch's
 # crypto/hmac path and AES.CTR's GCM path, the ones a host without
 # AVX-512 or VAES takes.
-echo "== GOARCH=386 go test (pcap, apps, ipsec; experiments: golden outputs and paper shapes in full)"
+echo "== GOARCH=386 go test (pcap, apps, ipsec; experiments: golden outputs and paper checks in full)"
 GOARCH=386 go test ./internal/pcap ./internal/apps ./internal/ipsec
 GOARCH=386 go test ./internal/experiments
 
@@ -149,13 +149,14 @@ rm -f "$TMP/pshaderd-demo.trace"
 echo "== go test -race (sim, core, ctrl, cluster, pktio, obs, faults)"
 go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 
-echo "== go test -race -short (golden subset: table1 launch fig2 table3 fig5 cluster fabric leafspine in one run, jobs at -j 8, worlds at -p 8, and their paper-shape checks)"
+echo "== go test -race -short (golden subset: table1 launch fig2 table3 fig5 cluster fabric leafspine in one run, jobs at -j 8, worlds at -p 8, and their paper checks)"
 go test -race -short ./internal/experiments
 
 # Each gate mutation must fail its gate: a forwarding counter shared by
 # every fabric node (through a pointer, then as a package variable)
-# fails the cluster race test, and time.Now() in internal/sim fails
-# pslint.
+# fails the cluster race test, time.Now() in internal/sim fails pslint,
+# a host-to-device copy 1.3 times too slow fails table1's paper points,
+# and a Buf kept after an app drop fails the packet ledger.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

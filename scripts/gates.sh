@@ -16,11 +16,17 @@
 #	shared-global   the same counter as a package variable that
 #	                fabric.run resets                     -race
 #	walltime        time.Now() in internal/sim           pslint
+#	h2d-slow        model.H2DTime 1.3 times too slow      the paper points
+#	leak-app-drop   worker.finish keeps the Buf of a
+#	                packet the app dropped                the packet ledger
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
 # 8 workers: the check that a sim.World partition shares no unmediated
-# state with another. `make check` runs this script after its own gates.
+# state with another. The paper points are TestPaperPoints on the -short
+# golden run, which holds table1's cells to the paper's Table 1; the
+# ledger gate is TestDropsCounted, a run whose app drops every packet.
+# `make check` runs this script after its own gates.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,18 +44,32 @@ done | tar -cf - -T - | tar -xf - -C "$TREE"
 # The gates, and what each prints when it catches its mutation.
 race="go test -race -count=1 -run ByteIdenticalAcrossWorkers ./internal/cluster"
 pslint="go run ./cmd/pslint ./..."
+points="go test -short -count=1 -run TestPaperPoints ./internal/experiments"
+ledger="go test -count=1 -run TestDropsCounted ./internal/core"
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
 # FILE (relative to the tree) that contains ANCHOR.
 insert() {
+	anchored "$1" "$2" || return 0
+	awk -v anchor="$2" -v text="$3" '{ print } index($0, anchor) { print text }' \
+		"$TREE/$1" >"$TMP/insert" && cp "$TMP/insert" "$TREE/$1"
+}
+
+# delete FILE ANCHOR removes the one line of FILE that contains ANCHOR.
+delete() {
+	anchored "$1" "$2" || return 0
+	awk -v anchor="$2" '!index($0, anchor)' "$TREE/$1" >"$TMP/delete" && cp "$TMP/delete" "$TREE/$1"
+}
+
+# anchored FILE ANCHOR fails, and marks the mutation broken, unless
+# exactly one line of FILE contains ANCHOR; it records FILE as touched.
+anchored() {
 	n="$(grep -cF -- "$2" "$TREE/$1" || true)"
 	if [ "$n" != 1 ]; then
 		echo "mutation does not apply: $n lines of $1 contain: $2"
 		broken=1
-		return 0
+		return 1
 	fi
-	awk -v anchor="$2" -v text="$3" '{ print } index($0, anchor) { print text }' \
-		"$TREE/$1" >"$TMP/insert" && cp "$TMP/insert" "$TREE/$1"
 	touched="$touched $1"
 }
 
@@ -77,8 +97,18 @@ mutate_walltime() {
 	gate=$pslint want="[walltime]"
 }
 
+mutate_h2d_slow() {
+	insert internal/model/model.go 'ns := PCIeH2DAlphaNs' '	ns *= 1.3'
+	gate=$points want="point (table1, 256, Host-to-device)"
+}
+
+mutate_leak_app_drop() {
+	delete internal/core/worker.go 'b.Release()'
+	gate=$ledger want="packet ledger does not balance"
+}
+
 if [ $# -eq 0 ]; then
-	set -- shared-pointer shared-global walltime
+	set -- shared-pointer shared-global walltime h2d-slow leak-app-drop
 fi
 
 status=0
@@ -90,6 +120,8 @@ for m in "$@"; do
 	shared-pointer) mutate_shared_pointer ;;
 	shared-global) mutate_shared_global ;;
 	walltime) mutate_walltime ;;
+	h2d-slow) mutate_h2d_slow ;;
+	leak-app-drop) mutate_leak_app_drop ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
