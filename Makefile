@@ -40,10 +40,12 @@ lint:
 	go run ./cmd/pslint ./...
 
 # gates applies named mutations to a copy of the tree (a counter shared
-# by every fabric node, time.Now() in internal/sim, a slow host-to-device
-# copy, a Buf kept after an app drop) and fails unless the gate meant for
-# each (the cluster race test, pslint, the paper points, the packet
-# ledger) fails on it. `make check` runs it too.
+# by every fabric node, one violation per pslint analyzer, a slow
+# host-to-device copy, a Buf kept after an app drop, a blocking call in
+# a ctrl callback, a global math/rand draw) and fails unless the gate
+# meant for each (the cluster race test, pslint, the paper points, the
+# packet ledger, the engine's own panic, the route tests) fails on it.
+# `make check` runs it too.
 gates:
 	./scripts/gates.sh
 

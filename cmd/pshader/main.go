@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -155,15 +156,17 @@ func main() {
 		inst.Env.SetHooks(sampler)
 		inst.EnableObs(tracer, reg)
 	}
-	var tap *pcap.Tap
+	var (
+		tap      *pcap.Tap
+		pcapFile *os.File
+	)
 	if *pcapOut != "" {
-		f, err := os.Create(*pcapOut)
+		pcapFile, err = os.Create(*pcapOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		tap = &pcap.Tap{W: pcap.NewWriter(f, 0), Limit: *pcapN}
+		tap = &pcap.Tap{W: pcap.NewWriter(pcapFile, 0), Limit: *pcapN}
 		inst.TapTx(func(b *packet.Buf, at sim.Time) { tap.Observe(b, at) })
 	}
 	var ctl *ctrl.Controller
@@ -214,11 +217,12 @@ func main() {
 		}
 	}
 	if tap != nil {
+		if err := errors.Join(tap.Err, pcapFile.Close()); err != nil {
+			fmt.Fprintf(os.Stderr, "pcap error: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Printf("  pcap            %d packets\n", tap.W.Packets)
 		fmt.Fprintf(os.Stderr, "pcap written to %s\n", *pcapOut)
-		if tap.Err != nil {
-			fmt.Fprintf(os.Stderr, "pcap error: %v\n", tap.Err)
-		}
 	}
 	if tracer != nil {
 		f, err := os.Create(*traceOut)

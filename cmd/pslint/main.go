@@ -8,14 +8,15 @@
 //	go run ./cmd/pslint -list
 //	go run ./cmd/pslint -only walltime,mapiter ./internal/experiments
 //
-// The suite enforces the contract that makes every reproduced paper
-// number trustworthy: virtual time only (walltime), seeded RNG only
-// (seededrand), order-stable iteration in scheduling/output paths
-// (mapiter), non-blocking scheduler callbacks (schedblock), explicit
+// The suite's four analyzers enforce the contract that makes every
+// reproduced paper number trustworthy: virtual time only (walltime),
+// order-stable iteration in scheduling/output paths (mapiter), explicit
 // time units (picounits), and no package-state writes from parallel
-// experiment jobs (sharedfixture). A finding can be suppressed only
-// where it is, by `//pslint:ignore <analyzer> <reason>` on its line or
-// the line above, so the reason sits next to the code it excuses.
+// experiment jobs (sharedfixture). The engine itself panics on a
+// blocking call from scheduler context, and the golden outputs catch a
+// draw from the global math/rand source. A finding can be suppressed
+// only where it is, by `//pslint:ignore <analyzer> <reason>` on its line
+// or the line above, so the reason sits next to the code it excuses.
 //
 // Findings print as file:line:col lines and fail the run (exit 1).
 // Usage and load errors exit 2.
@@ -36,17 +37,13 @@ import (
 	"packetshader/internal/analysis/load"
 	"packetshader/internal/analysis/mapiter"
 	"packetshader/internal/analysis/picounits"
-	"packetshader/internal/analysis/schedblock"
-	"packetshader/internal/analysis/seededrand"
 	"packetshader/internal/analysis/sharedfixture"
 	"packetshader/internal/analysis/walltime"
 )
 
 var suite = []*analysis.Analyzer{
 	walltime.Analyzer,
-	seededrand.Analyzer,
 	mapiter.Analyzer,
-	schedblock.Analyzer,
 	picounits.Analyzer,
 	sharedfixture.Analyzer,
 }

@@ -3,8 +3,9 @@
 // library so the repository carries no external dependencies. It defines
 // the Analyzer/Pass/Diagnostic vocabulary used by the pslint suite
 // (cmd/pslint), which enforces the simulator's determinism contract:
-// virtual time only, seeded RNG only, and order-stable iteration in any
-// path that schedules simulation events or emits experiment output.
+// virtual time only, order-stable iteration in any path that schedules
+// simulation events or emits experiment output, explicit time units, and
+// no package-state writes from parallel experiment jobs.
 //
 // The API deliberately mirrors x/tools so analyzers can be ported to the
 // upstream framework verbatim if the dependency ever becomes available.
@@ -29,9 +30,8 @@ type Analyzer struct {
 	Doc string
 
 	// InternalOnly restricts the analyzer to packages under internal/.
-	// Wall-clock time and the global math/rand source are legitimate in
-	// cmd/ front-ends (e.g. psbench prints host-time progress), but
-	// never in the simulated stack.
+	// Wall-clock time is legitimate in cmd/ front-ends (e.g. psbench
+	// prints host-time progress), but never in the simulated stack.
 	InternalOnly bool
 
 	// Run applies the analyzer to one package.
@@ -138,22 +138,10 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 const SimPkgPath = "packetshader/internal/sim"
 
 // IsSimFunc reports whether obj is a function or method declared in the
-// sim package with one of the given names. An empty names list matches
-// any sim function.
-func IsSimFunc(obj types.Object, names ...string) bool {
+// sim package.
+func IsSimFunc(obj types.Object) bool {
 	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != SimPkgPath {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == SimPkgPath
 }
 
 // IsSimNamed reports whether t (after unwrapping pointers and generic

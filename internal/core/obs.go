@@ -35,7 +35,13 @@ type routerObs struct {
 	chunkSize     *obs.Histogram
 	launchThreads *obs.Histogram
 	fallbackChunk *obs.Histogram
+	// stages[i] is the residence of each completed chunk in stage i,
+	// core.stage.<stageNames[i]>; their sums are Router.Stages.Time.
+	stages [NumStages]*obs.Histogram
 }
+
+// stageNames name the per-stage histograms, in stage order.
+var stageNames = [NumStages]string{"rx_fetch", "pre_shade", "queue", "work", "output", "post_shade", "tx"}
 
 func newRouterObs(workers, nodes int) *routerObs {
 	return &routerObs{
@@ -75,6 +81,9 @@ func (r *Router) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 	o.chunkSize = reg.Histogram("core.chunk_packets", obs.UnitCount)
 	o.launchThreads = reg.Histogram("core.launch_threads", obs.UnitCount)
 	o.fallbackChunk = reg.Histogram("core.fallback_chunk_packets", obs.UnitCount)
+	for i, name := range stageNames {
+		o.stages[i] = reg.Histogram("core.stage."+name, obs.UnitDuration)
+	}
 }
 
 // ObserveStats snapshots the router's cumulative counters (framework,

@@ -209,6 +209,9 @@ func (w *worker) finish(p *sim.Proc, c *Chunk) {
 	w.txOrder = order
 	o.chunkLatency.ObserveDuration(sim.Duration(p.Now() - c.stamps[stampFetched]))
 	w.router.Stages.add(c)
+	for i, h := range o.stages {
+		h.ObserveDuration(sim.Duration(c.stamps[i+1] - c.stamps[i]))
+	}
 	if w.router.chunkDone != nil {
 		w.router.chunkDone(c)
 	}

@@ -134,6 +134,14 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
+// Sum returns the total of the recorded samples.
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
+
 // Quantile returns an upper bound for the q-permille quantile (q in
 // [0, 1000]): the upper edge of the bucket containing the sample of
 // rank ceil(q/1000 * count). Returns 0 on an empty histogram.

@@ -106,6 +106,7 @@ type Env struct {
 	procs   []*Proc       // every started process, in Go order (for Close)
 	running bool
 	closed  bool
+	inSched bool // an At/After callback or a task step is running
 
 	hooks     Hooks
 	serverSeq int // server IDs in creation order (deterministic)
@@ -143,8 +144,8 @@ func (e *Env) schedule(at Time, p *Proc, fn func()) {
 func (e *Env) wake(p *Proc, at Time) { e.schedule(at, p, nil) }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
-// fn runs in scheduler context and must not block; to perform blocking
-// work, have it wake a process instead.
+// fn runs in scheduler context and must not block (a blocking call
+// panics); to perform blocking work, have it wake a process instead.
 func (e *Env) At(t Time, fn func()) { e.schedule(t, nil, fn) }
 
 // After schedules fn to run d from now.
@@ -232,11 +233,15 @@ func (e *Env) drive(self *Proc, ending bool) {
 		}
 		e.now = ev.at
 		if ev.p == nil {
+			e.inSched = true
 			ev.fn() // scheduler-context callback
+			e.inSched = false
 			continue
 		}
 		if ev.p.step != nil {
+			e.inSched = true
 			ev.p.step(ev.p) // task: one step, inline
+			e.inSched = false
 			continue
 		}
 		if ev.p == self && !ending {

@@ -78,11 +78,16 @@ func (e *Env) Task(name string, step func(p *Proc)) *Proc {
 	return p
 }
 
-// mustBlock panics if p is a task: call would park a goroutine the task
-// does not have (its step runs inside the event loop itself).
+// mustBlock panics if p is a task, whose step runs inside the event
+// loop and has no goroutine to park, or if an At/After callback or a
+// task step is running: a blocking call there, at any depth, would
+// drive the event loop nested inside it.
 func (p *Proc) mustBlock(call string) {
 	if p.step != nil {
 		panic("sim: " + call + " on task " + p.name + ": a task's step must not block (arm the next step with WakeAfter or Queue.Await)")
+	}
+	if p.env.inSched {
+		panic("sim: " + call + " on " + p.name + " from scheduler context: an At/After callback or a task step must not block (wake a process instead)")
 	}
 }
 

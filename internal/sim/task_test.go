@@ -93,6 +93,113 @@ func TestTaskMisusePanics(t *testing.T) {
 	mustPanic(t, "Task after Close", func() { env.Task("late", func(*Proc) {}) })
 }
 
+// schedFixture is an Env whose one goroutine process, a, is parked on
+// an empty queue, so whatever runs next — a callback or a task step —
+// runs on the goroutine of Run's caller, where a test can recover its
+// panic.
+type schedFixture struct {
+	env  *Env
+	a    *Proc
+	full *Queue[int] // holds one item: Get would not wait
+	room *Queue[int] // unbounded: Put would not wait
+	srv  *Server
+	sig  *Signal // fired at 2us, so Wait would not wait forever
+	op   func(f *schedFixture)
+}
+
+func newSchedFixture() *schedFixture {
+	env := NewEnv()
+	park := NewQueue[int](env, 0)
+	f := &schedFixture{
+		env:  env,
+		a:    env.Go("a", func(p *Proc) { park.Get(p) }),
+		full: NewQueue[int](env, 0),
+		room: NewQueue[int](env, 0),
+		srv:  NewServer(env, "srv"),
+		sig:  NewSignal(env),
+	}
+	env.Run(0)
+	f.full.TryPut(1)
+	env.After(2*Microsecond, f.sig.Fire)
+	return f
+}
+
+// callback is a named callback; helper and deeper put the blocking call
+// two calls below one.
+func (f *schedFixture) callback() { f.op(f) }
+func (f *schedFixture) helper()   { f.deeper() }
+func (f *schedFixture) deeper()   { f.op(f) }
+
+// TestSchedulerContextMustNotBlock: a blocking call made while an
+// At/After callback or a task step runs panics, naming the call and the
+// process, whichever process it names and however deep below the
+// callback it is made; the non-blocking calls stay legal there.
+func TestSchedulerContextMustNotBlock(t *testing.T) {
+	ops := []struct {
+		want string
+		fn   func(f *schedFixture)
+	}{
+		{"Proc.Sleep on a from scheduler context", func(f *schedFixture) { f.a.Sleep(Nanosecond) }},
+		{"Proc.SleepUntil on a from scheduler context", func(f *schedFixture) { f.a.SleepUntil(f.env.Now() + 5) }},
+		{"Queue.Get on a from scheduler context", func(f *schedFixture) { f.full.Get(f.a) }},
+		{"Queue.Put on a from scheduler context", func(f *schedFixture) { f.room.Put(f.a, 2) }},
+		{"Server.Use on a from scheduler context", func(f *schedFixture) { f.srv.Use(f.a, Nanosecond) }},
+		{"Signal.Wait on a from scheduler context", func(f *schedFixture) { f.sig.Wait(f.a) }},
+		{"Env.Run re-entered", func(f *schedFixture) { f.env.Run(0) }},
+	}
+	contexts := []struct {
+		name string
+		arm  func(f *schedFixture)
+	}{
+		{"At", func(f *schedFixture) { f.env.At(Time(Microsecond), func() { f.op(f) }) }},
+		{"After", func(f *schedFixture) { f.env.After(Microsecond, func() { f.op(f) }) }},
+		{"named", func(f *schedFixture) { f.env.After(Microsecond, f.callback) }},
+		{"helper", func(f *schedFixture) { f.env.After(Microsecond, func() { f.helper() }) }},
+		{"step", func(f *schedFixture) { f.env.Task("t", func(*Proc) { f.op(f) }) }},
+	}
+	for _, c := range contexts {
+		for _, op := range ops {
+			t.Run(c.name+"/"+strings.Fields(op.want)[0], func(t *testing.T) {
+				f := newSchedFixture()
+				defer f.env.Close()
+				f.op = op.fn
+				c.arm(f)
+				if msg := panicMessage(func() { f.env.Run(0) }); !strings.Contains(msg, op.want) {
+					t.Errorf("panic %q, want one containing %q", msg, op.want)
+				}
+			})
+		}
+	}
+
+	// TryPut, TryGet, Fire, At and Go from a callback; Await and
+	// WakeAfter from a step.
+	f := newSchedFixture()
+	defer f.env.Close()
+	var log []string
+	f.env.Task("t", func(p *Proc) {
+		if _, ok := f.room.Await(p); ok {
+			log = append(log, "step")
+			p.WakeAfter(Nanosecond)
+		}
+	})
+	f.env.After(Microsecond, func() {
+		f.room.TryPut(2)
+		f.full.TryGet()
+		f.sig.Fire()
+		f.env.At(f.env.Now(), func() { log = append(log, "at") })
+		f.env.Go("b", func(p *Proc) {
+			p.Sleep(Nanosecond)
+			log = append(log, "b")
+		})
+	})
+	if msg := panicMessage(func() { f.env.Run(0) }); msg != "" {
+		t.Fatalf("non-blocking calls in scheduler context panicked: %s", msg)
+	}
+	if got := strings.Join(log, " "); got != "step at b" || f.full.Len() != 0 || f.room.Len() != 0 {
+		t.Errorf("ran %q with queues at %d and %d, want \"step at b\" with both empty", got, f.full.Len(), f.room.Len())
+	}
+}
+
 // runMixed runs one scenario in which goroutine processes, At callbacks
 // and two more processes — a periodic timer and a queue consumer, spawned
 // as tasks or as goroutines — share an Env, and returns the order in

@@ -8,13 +8,15 @@
 # Example functions included), the 32-bit tests of pcap, apps and ipsec
 # and the 32-bit golden outputs and paper checks, the one-path
 # gates, the byte-identity gate's second half (the pshaderd replay
-# against its checked-in stdout and trace digest), short FuzzDecap,
+# against its checked-in stdout and trace digest), pshader's exit
+# status on a capture it cannot write, short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
 # race tests on the concurrency-bearing packages and on the golden
 # subset (table1 launch fig2 table3 fig5 cluster fabric leafspine), and
-# scripts/gates.sh, which shows the race, pslint, paper-point and ledger
-# checks failing on mutations of their own kind.
+# scripts/gates.sh, which shows the race, pslint, paper-point, ledger,
+# engine and route-determinism checks failing on mutations of their own
+# kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -146,6 +148,17 @@ digest="$(pwd)/cmd/pshader/testdata/pshaderd-demo.trace.sha256"
 (cd "$TMP" && sha256sum -c --quiet "$digest")
 rm -f "$TMP/pshaderd-demo.trace"
 
+# A capture that cannot be written fails the run, as a trace does.
+echo "== pshader -pcap /dev/full exits 1 and does not say written"
+status=0
+"$TMP/pshader" -app ipv4 -prefixes 2000 -warmup 0 -duration 1ms \
+	-pcap /dev/full >/dev/null 2>"$TMP/pcap-full.txt" || status=$?
+if [ "$status" != 1 ] || grep -q 'pcap written' "$TMP/pcap-full.txt"; then
+	echo "pshader -pcap /dev/full exited $status:"
+	cat "$TMP/pcap-full.txt"
+	exit 1
+fi
+
 echo "== go test -race (sim, core, ctrl, cluster, pktio, obs, faults)"
 go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 
@@ -154,9 +167,13 @@ go test -race -short ./internal/experiments
 
 # Each gate mutation must fail its gate: a forwarding counter shared by
 # every fabric node (through a pointer, then as a package variable)
-# fails the cluster race test, time.Now() in internal/sim fails pslint,
-# a host-to-device copy 1.3 times too slow fails table1's paper points,
-# and a Buf kept after an app drop fails the packet ledger.
+# fails the cluster race test, time.Now() in internal/sim, a map range
+# feeding Result.Print, a bare sim.Duration(500) and a MapPoints job
+# writing a package variable each fail their pslint analyzer, a
+# host-to-device copy 1.3 times too slow fails table1's paper points, a
+# Buf kept after an app drop fails the packet ledger, a ctrl command
+# callback blocking on a worker fails the engine's scheduler-context
+# check, and a global math/rand draw fails the route tests.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

@@ -16,9 +16,18 @@
 #	shared-global   the same counter as a package variable that
 #	                fabric.run resets                     -race
 #	walltime        time.Now() in internal/sim           pslint
+#	map-order       a map range writing Result.Print's
+#	                output                                pslint -only mapiter
+#	bare-ps         a bare sim.Duration(500)              pslint -only picounits
+#	shared-fixture  a MapPoints job writing a package
+#	                variable                              pslint -only sharedfixture
 #	h2d-slow        model.H2DTime 1.3 times too slow      the paper points
 #	leak-app-drop   worker.finish keeps the Buf of a
 #	                packet the app dropped                the packet ledger
+#	sched-callback  a ctrl command callback's knob hook
+#	                blocks on a worker's Proc             the engine (ctrl tests)
+#	global-rand     rand.Uint32() for rng.Uint32() in
+#	                GenerateBGPTable                      the route tests
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -26,6 +35,9 @@
 # state with another. The paper points are TestPaperPoints on the -short
 # golden run, which holds table1's cells to the paper's Table 1; the
 # ledger gate is TestDropsCounted, a run whose app drops every packet.
+# The engine gate is sim's own panic on a blocking call from an At/After
+# callback or a task step; any test that reaches the call shows it. The
+# route tests compare GenerateBGPTable against a seeded reference.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -44,8 +56,11 @@ done | tar -cf - -T - | tar -xf - -C "$TREE"
 # The gates, and what each prints when it catches its mutation.
 race="go test -race -count=1 -run ByteIdenticalAcrossWorkers ./internal/cluster"
 pslint="go run ./cmd/pslint ./..."
+only="go run ./cmd/pslint -only"
 points="go test -short -count=1 -run TestPaperPoints ./internal/experiments"
 ledger="go test -count=1 -run TestDropsCounted ./internal/core"
+ctrltests="go test -count=1 ./internal/ctrl"
+routetests="go test -count=1 ./internal/route"
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
 # FILE (relative to the tree) that contains ANCHOR.
@@ -97,6 +112,22 @@ mutate_walltime() {
 	gate=$pslint want="[walltime]"
 }
 
+mutate_map_order() {
+	insert internal/experiments/experiments.go 'var b strings.Builder' \
+		'	for k := range map[string]bool{r.ID: true} { b.WriteString(k) }'
+	gate="$only mapiter ./..." want="[mapiter]"
+}
+
+mutate_bare_ps() {
+	insert internal/core/faults.go 'func (r *Router) RxDropBurst(' '	d += sim.Duration(500)'
+	gate="$only picounits ./..." want="[picounits]"
+}
+
+mutate_shared_fixture() {
+	insert internal/experiments/fig12.go 'offered := offeredLevels[k/3]' '		partitionWorkers = k'
+	gate="$only sharedfixture ./..." want="[sharedfixture]"
+}
+
 mutate_h2d_slow() {
 	insert internal/model/model.go 'ns := PCIeH2DAlphaNs' '	ns *= 1.3'
 	gate=$points want="point (table1, 256, Host-to-device)"
@@ -107,8 +138,24 @@ mutate_leak_app_drop() {
 	gate=$ledger want="packet ledger does not balance"
 }
 
+mutate_sched_callback() {
+	insert internal/core/worker.go 'type worker struct {' '	proc *sim.Proc'
+	insert internal/core/worker.go 'func (w *worker) run(p *sim.Proc) {' '	w.proc = p'
+	insert internal/core/mailbox.go 'w.mail.TryPut(m)' '		w.mail.Put(w.proc, m)'
+	gate=$ctrltests want="Queue.Put on worker from scheduler context"
+}
+
+mutate_global_rand() {
+	f=internal/route/route.go
+	insert $f 'addr := packet.IPv4Addr(rng.Uint32()' \
+		'		addr := packet.IPv4Addr(rand.Uint32() & (Prefix{Len: l}).Mask())'
+	delete $f 'addr := packet.IPv4Addr(rng.Uint32()'
+	gate=$routetests want="differs between runs with same seed"
+}
+
 if [ $# -eq 0 ]; then
-	set -- shared-pointer shared-global walltime h2d-slow leak-app-drop
+	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
+		h2d-slow leak-app-drop sched-callback global-rand
 fi
 
 status=0
@@ -120,8 +167,13 @@ for m in "$@"; do
 	shared-pointer) mutate_shared_pointer ;;
 	shared-global) mutate_shared_global ;;
 	walltime) mutate_walltime ;;
+	map-order) mutate_map_order ;;
+	bare-ps) mutate_bare_ps ;;
+	shared-fixture) mutate_shared_fixture ;;
 	h2d-slow) mutate_h2d_slow ;;
 	leak-app-drop) mutate_leak_app_drop ;;
+	sched-callback) mutate_sched_callback ;;
+	global-rand) mutate_global_rand ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
