@@ -93,6 +93,20 @@ type FabricResult struct {
 	RouteDrops, NodeDrops uint64
 }
 
+// FabricMetrics are what a fabric run reports beside its FabricResult
+// for a -metrics dump. Like the result they are independent of Workers.
+type FabricMetrics struct {
+	// World is the world's self-metrics: events, windows, barriers and
+	// the schedule digest.
+	World sim.WorldStats
+	// InboxPeak is the deepest any forwarder's inbox got.
+	InboxPeak int
+	// SlotUtil is each egress slot's serializer utilisation in permille
+	// (batches × txTime / horizon), node by node and slot by slot. A
+	// slot whose backlog runs past the horizon can exceed 1000.
+	SlotUtil []int64
+}
+
 // batch is the unit of simulated traffic: a burst of packets of one
 // flow, batchBytes long. Batches travel between nodes by value through
 // sim.Links and queues, so ownership hands off at scheduler-visible
@@ -150,6 +164,8 @@ type fabricNode struct {
 	extFree sim.Time   // external port free time
 	cur     batch      // the batch in the forwarding budget
 	busy    bool       // cur is valid: the armed wake-up ends its budget
+
+	inboxPeak int // deepest inbox seen before a take
 
 	forwards      uint64
 	delivered     uint64
@@ -386,11 +402,47 @@ func (f *fabric) run() FabricResult {
 	return res
 }
 
+// metrics merges a finished run's metrics in node order. It allocates,
+// so RunFabric, the timed path, does not call it.
+func (f *fabric) metrics() FabricMetrics {
+	m := FabricMetrics{World: f.world.Stats()}
+	for _, nd := range f.nodes {
+		// Only the forwarder takes from the inbox, so between takes the
+		// depth only grows: its peak is the depth before some take or
+		// the depth left at the horizon.
+		m.InboxPeak = max(m.InboxPeak, nd.inboxPeak, nd.inbox.Len())
+		for slot, l := range nd.out {
+			busy := sim.Duration(l.Sent) * nd.txTime[slot]
+			m.SlotUtil = append(m.SlotUtil, int64(busy*1000/f.cfg.Horizon))
+		}
+	}
+	return m
+}
+
 // RunFabric builds the fabric world and runs it to the horizon.
 func RunFabric(cfg FabricConfig) (FabricResult, error) {
-	f, err := newFabric(cfg)
+	f, err := startFabric(cfg)
 	if err != nil {
 		return FabricResult{}, err
+	}
+	return f.run(), nil
+}
+
+// RunFabricMetrics is RunFabric that also returns the run's metrics.
+func RunFabricMetrics(cfg FabricConfig) (FabricResult, FabricMetrics, error) {
+	f, err := startFabric(cfg)
+	if err != nil {
+		return FabricResult{}, FabricMetrics{}, err
+	}
+	res := f.run()
+	return res, f.metrics(), nil
+}
+
+// startFabric builds the fabric world and spawns every node's tasks.
+func startFabric(cfg FabricConfig) (*fabric, error) {
+	f, err := newFabric(cfg)
+	if err != nil {
+		return nil, err
 	}
 	ext := f.cfg.Topo.Externals()
 	for i, nd := range f.nodes { // nd is per-iteration: each task touches its own node only
@@ -401,7 +453,7 @@ func RunFabric(cfg FabricConfig) (FabricResult, error) {
 		}
 		env.Task("fwd", nd.forward)
 	}
-	return f.run(), nil
+	return f, nil
 }
 
 // armFaults schedules the plan's link and node events on each affected
@@ -530,6 +582,9 @@ func (nd *fabricNode) forward(p *sim.Proc) {
 		nd.route(p, nd.cur)
 	}
 	for {
+		if n := nd.inbox.Len(); n > nd.inboxPeak {
+			nd.inboxPeak = n
+		}
 		b, ok := nd.inbox.Await(p)
 		if !ok {
 			return

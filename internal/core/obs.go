@@ -87,9 +87,9 @@ func (r *Router) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 }
 
 // ObserveStats snapshots the router's cumulative counters (framework,
-// GPU devices, packet I/O engine, and the application's own, if it
-// reports any) into the registry installed by EnableObs. Call at the
-// end of a run, before dumping the registry.
+// GPU devices, packet I/O engine, the sim engine's self-metrics, and
+// the application's own, if it reports any) into the registry installed
+// by EnableObs. Call at the end of a run, before dumping the registry.
 func (r *Router) ObserveStats() {
 	reg := r.obs.reg
 	if reg == nil {
@@ -110,6 +110,7 @@ func (r *Router) ObserveStats() {
 		reg.Counter("gpu" + n + ".stalls").Set(d.Stalls)
 	}
 	r.Engine.ObserveStats(reg)
+	reg.ObserveEngine(r.Env.Stats())
 	if mr, ok := r.App.(MetricsReporter); ok {
 		mr.ReportMetrics(reg)
 	}

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
+
 	"packetshader/internal/cluster"
 	"packetshader/internal/faults"
+	"packetshader/internal/obs"
 	"packetshader/internal/sim"
 )
 
@@ -101,7 +105,7 @@ func fabricScaling(c *Ctx) *Result {
 	for _, n := range []int{4, 8, 16} {
 		specs = append(specs, spec{n, cluster.Direct, "direct"}, spec{n, cluster.VLB, "vlb"})
 	}
-	rows := MapPoints(c, len(specs), func(i int, _ *Point) []Cell {
+	rows := MapPoints(c, len(specs), func(i int, pt *Point) []Cell {
 		s := specs[i]
 		cfg := cluster.Config{
 			Nodes:              s.nodes,
@@ -118,7 +122,7 @@ func fabricScaling(c *Ctx) *Result {
 			panic(err)
 		}
 		offered := 0.9 * ev.ThroughputGbps
-		res, err := cluster.RunFabric(cluster.FabricConfig{
+		res, m, err := cluster.RunFabricMetrics(cluster.FabricConfig{
 			Topo:        &cluster.FullMesh{Cluster: cfg, Scheme: s.scheme},
 			Matrix:      cluster.Uniform(s.nodes, offered),
 			LinkLatency: 50 * sim.Microsecond,
@@ -128,6 +132,9 @@ func fabricScaling(c *Ctx) *Result {
 		})
 		if err != nil {
 			panic(err)
+		}
+		if mw := pt.MetricsWriter(); mw != nil {
+			writeFabricMetrics(mw, fmt.Sprintf("fabric nodes=%d scheme=%s", s.nodes, s.name), res, m)
 		}
 		return []Cell{
 			Int(s.nodes), Label(s.name),
@@ -162,7 +169,7 @@ func leafSpineScaling(c *Ctx) *Result {
 		faulted        bool
 	}
 	specs := []spec{{16, 4, false}, {64, 8, false}, {128, 16, false}, {128, 16, true}}
-	rows := MapPoints(c, len(specs), func(i int, _ *Point) []Cell {
+	rows := MapPoints(c, len(specs), func(i int, pt *Point) []Cell {
 		s := specs[i]
 		topo := &cluster.LeafSpine{
 			Leaves: s.leaves, Spines: s.spines, Uplinks: 2,
@@ -188,9 +195,12 @@ func leafSpineScaling(c *Ctx) *Result {
 				Add(faults.Event{At: 0, Kind: faults.KindLinkDown, Node: 0, Port: 0}).
 				GPUOutage(s.leaves+1, 2*sim.Millisecond, 1*sim.Millisecond)
 		}
-		res, err := cluster.RunFabric(cfg)
+		res, m, err := cluster.RunFabricMetrics(cfg)
 		if err != nil {
 			panic(err)
+		}
+		if mw := pt.MetricsWriter(); mw != nil {
+			writeFabricMetrics(mw, fmt.Sprintf("leafspine leaves=%d spines=%d variant=%s", s.leaves, s.spines, variant), res, m)
 		}
 		return []Cell{
 			Int(s.leaves), Int(s.spines), Int(len(topo.Links())), Label(variant),
@@ -207,4 +217,25 @@ func leafSpineScaling(c *Ctx) *Result {
 	r.Note("flows are Zipf(1.1)-sized and keep their RSS hash, so ECMP pins each flow to one spine path")
 	r.Note("a dead spine blackholes its hash share (leaves cannot see spine state across partitions)")
 	return r
+}
+
+// writeFabricMetrics writes one fabric run's metrics block to mw: the
+// nodes' counters summed in node order, the deepest forwarder inbox,
+// the egress slots' serializer utilisation, and the world's
+// self-metrics (sim.*).
+func writeFabricMetrics(mw io.Writer, head string, res cluster.FabricResult, m cluster.FabricMetrics) {
+	reg := obs.NewRegistry()
+	reg.Counter("fabric.batches").Set(res.Batches)
+	reg.Counter("fabric.forwards").Set(res.Forwards)
+	reg.Counter("fabric.deliveries").Set(res.Delivered)
+	reg.Counter("fabric.route_drops").Set(res.RouteDrops)
+	reg.Counter("fabric.node_drops").Set(res.NodeDrops)
+	reg.Counter("fabric.inbox_peak").Set(uint64(m.InboxPeak))
+	util := reg.Histogram("fabric.slot_util_permille", obs.UnitCount)
+	for _, u := range m.SlotUtil {
+		util.Observe(u)
+	}
+	reg.ObserveWorld(m.World)
+	fmt.Fprintf(mw, "--- metrics %s ---\n", head)
+	reg.Dump(mw) //nolint:errcheck // a Point's buffer does not fail
 }

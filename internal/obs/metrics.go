@@ -275,3 +275,33 @@ func (r *Registry) Dump(w io.Writer) error {
 	}
 	return ew.err
 }
+
+// ObserveEngine snapshots an environment's engine self-metrics
+// (sim.Stats) into r as sim.* counters.
+func (r *Registry) ObserveEngine(s sim.Stats) {
+	r.Counter("sim.events.callback").Set(s.Callbacks)
+	r.Counter("sim.events.task_step").Set(s.TaskSteps)
+	r.Counter("sim.events.self_resume").Set(s.SelfResumes)
+	r.Counter("sim.events.hand_off").Set(s.HandOffs)
+	r.Counter("sim.heap.pushes").Set(s.Pushes)
+	r.Counter("sim.heap.pops").Set(s.Pops)
+	r.Counter("sim.pending_peak").Set(uint64(s.PeakPending))
+	r.Counter("sim.digest").Set(s.Digest)
+}
+
+// ObserveWorld snapshots a world's self-metrics (sim.WorldStats): its
+// partitions' engine counters as ObserveEngine does, and the world's
+// own as sim.world.* counters. The mean imbalance rounds down.
+func (r *Registry) ObserveWorld(s sim.WorldStats) {
+	r.ObserveEngine(s.Engine)
+	r.Counter("sim.world.windows").Set(s.Windows)
+	r.Counter("sim.world.skip_aheads").Set(s.SkipAheads)
+	r.Counter("sim.world.dirty_links").Set(s.DirtyLinks)
+	r.Counter("sim.world.idle_partition_windows").Set(s.IdleWindows)
+	r.Counter("sim.world.imbalance_max").Set(s.ImbalanceMax)
+	var mean uint64
+	if s.Windows > 0 {
+		mean = s.ImbalanceSum / s.Windows
+	}
+	r.Counter("sim.world.imbalance_mean").Set(mean)
+}

@@ -109,7 +109,9 @@ type Env struct {
 	inSched bool // an At/After callback or a task step is running
 
 	hooks     Hooks
-	serverSeq int // server IDs in creation order (deterministic)
+	serverSeq int    // server IDs in creation order (deterministic)
+	spawns    uint64 // processes started, Go and Task alike (Proc.spawn)
+	stats     Stats
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -134,9 +136,13 @@ func (e *Env) schedule(at Time, p *Proc, fn func()) {
 	ev := event{at: at, seq: e.seq, p: p, fn: fn}
 	if at == e.now {
 		e.imm.PushBack(ev)
-		return
+	} else {
+		e.events.push(ev)
+		e.stats.Pushes++
 	}
-	e.events.push(ev)
+	if n := len(e.events) + e.imm.Len(); n > e.stats.PeakPending {
+		e.stats.PeakPending = n
+	}
 }
 
 // wake schedules a typed wakeup for p at absolute time at. This is the
@@ -169,6 +175,7 @@ func (e *Env) next() (event, bool) {
 		e.now = e.until
 		return event{}, false
 	}
+	e.stats.Pops++
 	return e.events.popMin(), true
 }
 
@@ -233,22 +240,30 @@ func (e *Env) drive(self *Proc, ending bool) {
 		}
 		e.now = ev.at
 		if ev.p == nil {
+			e.stats.Callbacks++
+			e.fold(&ev, kindCallback)
 			e.inSched = true
 			ev.fn() // scheduler-context callback
 			e.inSched = false
 			continue
 		}
 		if ev.p.step != nil {
+			e.stats.TaskSteps++
+			e.fold(&ev, kindTaskStep)
 			e.inSched = true
 			ev.p.step(ev.p) // task: one step, inline
 			e.inSched = false
 			continue
 		}
 		if ev.p == self && !ending {
+			e.stats.SelfResumes++
+			e.fold(&ev, kindSelfResume)
 			return // our own wakeup: resume user code directly
 		}
 		// Hand control to the woken process; then this goroutine parks
 		// (yield), exits (ending), or awaits termination (Run caller).
+		e.stats.HandOffs++
+		e.fold(&ev, kindHandOff)
 		ev.p.resume <- struct{}{}
 		if ending {
 			return

@@ -13,6 +13,7 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	step   func(p *Proc) // non-nil marks a task
+	spawn  uint64        // 1-based start order within env, Go and Task alike
 	done   bool
 	killed bool // terminated by Env.Close (written only on p's goroutine)
 }
@@ -26,7 +27,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Env.Go on closed Env")
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	e.spawns++
+	p := &Proc{env: e, name: name, resume: make(chan struct{}), spawn: e.spawns}
 	e.procs = append(e.procs, p)
 	go func() {
 		// p.killed is written only on this goroutine (here or in
@@ -73,7 +75,8 @@ func (e *Env) Task(name string, step func(p *Proc)) *Proc {
 	if step == nil {
 		panic("sim: Env.Task with a nil step")
 	}
-	p := &Proc{env: e, name: name, step: step}
+	e.spawns++
+	p := &Proc{env: e, name: name, step: step, spawn: e.spawns}
 	e.wake(p, e.now)
 	return p
 }

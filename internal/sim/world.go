@@ -34,6 +34,9 @@ type World struct {
 
 	dirty []uint64 // per-window scratch: one bit per link, by creation index
 
+	stats   WorldStats // windows and barriers (Stats adds the partitions')
+	lastEnd Time       // the latest window's end (-1 before the first)
+
 	// flushAll disables dirty-link tracking so every window barrier
 	// flushes every link, as the pre-tracking implementation did. The
 	// two schedules are byte-for-byte identical (the dirty bitmap is
@@ -59,6 +62,8 @@ type Partition struct {
 	// synchronization; the barrier folds it into the world's bitmap and
 	// clears it.
 	dirty []int
+
+	events uint64 // the env's dispatched events at the latest barrier
 }
 
 // flusher is the untyped view of Link[T] used by the window barrier.
@@ -67,7 +72,7 @@ type flusher interface {
 }
 
 // NewWorld returns an empty world.
-func NewWorld() *World { return &World{} }
+func NewWorld() *World { return &World{lastEnd: -1} }
 
 // NewPartition adds a partition with a fresh environment (clock at zero).
 func (w *World) NewPartition(name string) *Partition {
@@ -275,12 +280,15 @@ func (w *World) Run(until Time, workers int) Time {
 			}
 		}
 		w.advance(end, workers)
+		w.countWindow(start)
+		w.lastEnd = end
 		w.barrier()
 	}
 	// Settle every clock at the horizon so Now() is uniform afterwards.
 	for _, pt := range w.parts {
 		pt.env.Run(until)
 	}
+	w.lastEnd = until
 	return until
 }
 
