@@ -196,6 +196,7 @@ type Instance struct {
 	started bool
 	fib     ctrl.FIBApplier // nil unless built with an updatable FIB
 	reg     *obs.Registry   // set by EnableObs, snapshotted by metrics commands
+	latency *obs.Histogram  // set by EnableObs: each frame's GenAt to wire completion
 	tap     func(b *packet.Buf, at sim.Time)
 }
 
@@ -258,6 +259,9 @@ func New(app core.App, src Source, opts ...Option) (*Instance, error) {
 	for _, p := range r.Engine.Ports {
 		p.Tx.OnComplete = func(b *packet.Buf, at sim.Time) {
 			sink.Observe(b, at)
+			if inst.latency != nil && b.GenAt != 0 {
+				inst.latency.ObserveDuration(sim.Duration(at - b.GenAt))
+			}
 			if inst.tap != nil {
 				inst.tap(b, at)
 			}
@@ -373,10 +377,13 @@ func OpenFlowSwitch(sw *openflow.Switch, src Source, opts ...Option) (*Instance,
 // EnableObs installs a tracer and/or metrics registry on the router
 // (either may be nil). It must be called before the first Run; the
 // registry also becomes the source for a control script's `metrics`
-// command.
+// command. The registry's tx.latency histogram is what the latency
+// sink measures, at picosecond resolution: every frame's generation to
+// its wire completion.
 func (i *Instance) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 	i.Router.EnableObs(tr, reg)
 	i.reg = reg
+	i.latency = reg.Histogram("tx.latency", obs.UnitDuration)
 }
 
 // TapTx registers an extra observer called for every transmitted frame
