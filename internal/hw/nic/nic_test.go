@@ -2,6 +2,7 @@ package nic
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -579,4 +580,219 @@ func TestFetchCallsFillBatchOncePerFetch(t *testing.T) {
 			t.Fatalf("packet %d: seq %d, GenAt %d (stamped before the fill?)", i, b.Hash, b.GenAt)
 		}
 	}
+}
+
+// transmitPerPacket is Transmit as it was before it reserved per run:
+// every admitted packet reserves its DMA on each hub of the path and
+// then the wire, one packet at a time. It is the oracle that
+// TestTransmitMatchesPerPacketOracle holds Transmit to.
+func transmitPerPacket(t *TxPort, bufs []*packet.Buf) {
+	if len(bufs) == 0 {
+		return
+	}
+	if t.carrierDown {
+		t.Stats.Dropped += uint64(len(bufs))
+		t.CarrierDrops += uint64(len(bufs))
+		for _, b := range bufs {
+			b.Release()
+		}
+		return
+	}
+	t.reap()
+	var batchWire sim.Duration
+	var batchDone sim.Time
+	var batchPkts int
+	for _, b := range bufs {
+		if t.pending >= t.ringCap {
+			t.Stats.Dropped++
+			b.Release()
+			continue
+		}
+		wt := model.WireTime(b.Size())
+		var dmaDone sim.Time
+		for _, ioh := range t.dmaPath {
+			if d := ioh.ScheduleDown(b.Size() + model.DMADescBytes); d > dmaDone {
+				dmaDone = d
+			}
+		}
+		done := t.wire.ScheduleAt(dmaDone, wt)
+		t.Stats.Packets++
+		t.Stats.Bytes += uint64(b.Size())
+		t.pending++
+		batchWire += wt
+		batchDone = done
+		batchPkts++
+		if t.OnComplete != nil {
+			t.OnComplete(b, done)
+		}
+		b.Release()
+	}
+	if batchPkts > 0 {
+		t.completions.PushBack(completion{batchDone, batchWire, batchPkts})
+	}
+}
+
+// spanLog records every span the hooks receive, in order.
+type spanLog []string
+
+func (l *spanLog) ServerBusy(s *sim.Server, start, end sim.Time) {
+	*l = append(*l, fmt.Sprintf("%s#%d [%d, %d)", s.Name(), s.ID(), start, end))
+}
+
+// txCase is one shape of TX traffic for the oracle test.
+type txCase struct {
+	name     string
+	hubs     int   // IOHs on the DMA path: 2 is NUMA-blind placement
+	ringCap  int   // TX ring size
+	sizes    []int // frame sizes the runs draw from
+	maxRun   int   // longest run of one size
+	maxBatch int   // largest Transmit
+	maxGap   sim.Duration
+	backlog  bool // every server starts behind, and RX DMA shares the hubs
+	flaps    bool // the carrier goes down and up
+}
+
+// runTxCase drives one TX port with seeded batches through transmit and
+// returns what can be observed of it: every completion (packet, time),
+// after each batch the counters, ring occupancy, delivered wire time
+// and every server's busy time and backlog, and, when hooked, the span
+// sequence. It also returns the port, for what the case exercised.
+func runTxCase(c txCase, seed uint64, hooked bool, transmit func(*TxPort, []*packet.Buf)) (obs []string, spans spanLog, tx *TxPort) {
+	env := sim.NewEnv()
+	defer env.Close()
+	if hooked {
+		env.SetHooks(&spans)
+	}
+	iohs := make([]*pcie.IOH, c.hubs)
+	for i := range iohs {
+		iohs[i] = pcie.NewIOH(env, i)
+	}
+	tx = NewTxPort(env, 0, c.ringCap, iohs)
+	pool := packet.NewBufPool(2048)
+	logf := func(format string, args ...any) { obs = append(obs, fmt.Sprintf(format, args...)) }
+	tx.OnComplete = func(b *packet.Buf, at sim.Time) { logf("packet %d done at %d", b.Hash, at) }
+	draw := func(n int) int {
+		r := sim.SplitMix64(seed)
+		seed += sim.SplitMixGamma
+		return int(r % uint64(n))
+	}
+	servers := func() {
+		logf("wire busy %d backlog %d", tx.wire.BusyTime(), tx.wire.Backlog())
+		for i, ioh := range iohs {
+			// A zero-byte reservation charges nothing and returns when
+			// the engine frees up.
+			now := env.Now()
+			logf("ioh%d up busy %d backlog %d down busy %d backlog %d", i,
+				ioh.UpBusy(), ioh.ScheduleUp(0)-now, ioh.DownBusy(), ioh.ScheduleDown(0)-now)
+		}
+	}
+	if c.backlog {
+		for _, ioh := range iohs {
+			ioh.ScheduleUp(1 + draw(1<<16))
+			ioh.ScheduleDown(1 + draw(1<<16))
+		}
+		tx.wire.Schedule(sim.Duration(1 + draw(int(100*sim.Microsecond))))
+	}
+	env.Go("driver", func(p *sim.Proc) {
+		var id uint32
+		size, left := 0, 0
+		for step := 0; step < 40; step++ {
+			p.Sleep(sim.Duration(draw(int(c.maxGap))))
+			if c.flaps && draw(6) == 0 {
+				tx.SetCarrier(!tx.CarrierUp())
+			}
+			if c.backlog && c.hubs > 0 && draw(3) == 0 {
+				iohs[draw(c.hubs)].ScheduleUp(64 + draw(8192))
+			}
+			bufs := make([]*packet.Buf, 1+draw(c.maxBatch))
+			for i := range bufs {
+				if left == 0 {
+					size, left = c.sizes[draw(len(c.sizes))], 1+draw(c.maxRun)
+				}
+				left--
+				bufs[i] = pool.Get(size)
+				bufs[i].Hash = id
+				id++
+			}
+			transmit(tx, bufs)
+			logf("step %d stats %+v carrier drops %d pending %d delivered %d",
+				step, tx.Stats, tx.CarrierDrops, tx.Pending(), tx.Delivered())
+			servers()
+		}
+		p.Sleep(sim.Millisecond)
+		logf("drained: pending %d delivered %d free bufs %d", tx.Pending(), tx.Delivered(), pool.FreeCount())
+		servers()
+	})
+	env.Run(0)
+	return obs, spans, tx
+}
+
+// firstDiff returns the index of the first line where got and want
+// differ, or -1 if they are equal.
+func firstDiff(got, want []string) int {
+	for i := range max(len(got), len(want)) {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestTransmitMatchesPerPacketOracle is the contract of run-based
+// Transmit: on seeded random batches of every shape — mixed sizes and
+// long runs, a ring near full, no hub, one and both hubs on the DMA
+// path, every server already behind, a carrier going down — it
+// completes the same packets at the same times, leaves the same
+// counters, ring occupancy, delivered wire time and server busy times
+// and backlogs as reserving packet by packet, and with hooks installed
+// reports the same spans in the same order.
+func TestTransmitMatchesPerPacketOracle(t *testing.T) {
+	mixed := []int{60, 64, 65, 128, 577, 1000, 1514}
+	cases := []txCase{
+		{name: "mixed", hubs: 1, ringCap: model.TxRingSize, sizes: mixed, maxRun: 3, maxBatch: 300, maxGap: 40 * sim.Microsecond},
+		{name: "long-runs", hubs: 1, ringCap: model.TxRingSize, sizes: []int{64, 1514}, maxRun: 200, maxBatch: 300, maxGap: 60 * sim.Microsecond},
+		{name: "ring-near-full", hubs: 1, ringCap: 48, sizes: []int{64, 1514}, maxRun: 20, maxBatch: 100, maxGap: 3 * sim.Microsecond},
+		{name: "no-hub", hubs: 0, ringCap: 256, sizes: mixed, maxRun: 40, maxBatch: 200, maxGap: 20 * sim.Microsecond},
+		{name: "numa-blind", hubs: 2, ringCap: 256, sizes: mixed, maxRun: 40, maxBatch: 200, maxGap: 20 * sim.Microsecond, backlog: true},
+		{name: "backlog", hubs: 1, ringCap: model.TxRingSize, sizes: mixed, maxRun: 60, maxBatch: 200, maxGap: 30 * sim.Microsecond, backlog: true},
+		{name: "carrier", hubs: 1, ringCap: 128, sizes: mixed, maxRun: 30, maxBatch: 150, maxGap: 10 * sim.Microsecond, flaps: true},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			var untraced []string
+			for _, hooked := range []bool{false, true} {
+				name := fmt.Sprintf("%s/seed%d/hooks=%v", c.name, seed, hooked)
+				got, gotSpans, tx := runTxCase(c, seed, hooked, (*TxPort).Transmit)
+				want, wantSpans, _ := runTxCase(c, seed, hooked, transmitPerPacket)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("%s: observation %d differs from the per-packet oracle:\n got:  %q\n want: %q",
+						name, i, at(got, i), at(want, i))
+				}
+				if i := firstDiff(gotSpans, wantSpans); i >= 0 {
+					t.Fatalf("%s: span %d differs from the per-packet oracle:\n got:  %q\n want: %q",
+						name, i, at(gotSpans, i), at(wantSpans, i))
+				}
+				if hooked && len(gotSpans) == 0 {
+					t.Fatalf("%s: hooks installed but no span reported", name)
+				}
+				ringDrops := tx.Stats.Dropped - tx.CarrierDrops
+				if tx.Stats.Packets == 0 || c.ringCap < 100 && ringDrops == 0 || c.flaps && tx.CarrierDrops == 0 {
+					t.Fatalf("%s: case does not exercise its paths: %+v, carrier drops %d", name, tx.Stats, tx.CarrierDrops)
+				}
+				if !hooked {
+					untraced = got
+				} else if i := firstDiff(got, untraced); i >= 0 {
+					t.Fatalf("%s: installing hooks changed observation %d", name, i)
+				}
+			}
+		}
+	}
+}
+
+// at returns lines[i], or a marker past the end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(end)"
 }

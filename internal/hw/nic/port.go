@@ -356,19 +356,33 @@ type TxPort struct {
 	// pending counts descriptors posted and not yet wire-completed.
 	pending int
 
+	// runs, sizes and done are Transmit's scratch for one block of
+	// packets: one DMA run per hub of the path, and each packet's size
+	// and wire completion. Sized here, so Transmit never allocates.
+	runs  []pcie.DownRun
+	sizes [txBlock]int
+	done  [txBlock]sim.Time
+
 	// OnComplete, if set, observes each packet at wire-transmission
 	// completion (the generator's sink uses it for RTT measurement).
 	// The callback must not block; the Buf is released afterwards.
 	OnComplete func(b *packet.Buf, at sim.Time)
 }
 
-// NewTxPort creates the TX side of a port.
+// txBlock is how many packets Transmit reserves per block: a generator
+// block's worth (pktgen fills 64 at a time), so one block's sizes and
+// completions stay in a few cache lines.
+const txBlock = 64
+
+// NewTxPort creates the TX side of a port. dmaPath lists the hubs the
+// TX DMA crosses, each once.
 func NewTxPort(env *sim.Env, id, ringCap int, dmaPath []*pcie.IOH) *TxPort {
 	return &TxPort{
 		env:     env,
 		wire:    sim.NewServer(env, "tx"+strconv.Itoa(id)+"-wire"),
 		dmaPath: dmaPath,
 		ringCap: ringCap,
+		runs:    make([]pcie.DownRun, len(dmaPath)),
 	}
 }
 
@@ -388,6 +402,14 @@ func (t *TxPort) CarrierUp() bool { return !t.carrierDown }
 // ring (backlog measured in wire time) are dropped, as a real NIC's full
 // descriptor ring forces the driver to do. The caller does not block;
 // DMA and serialization proceed in virtual time.
+//
+// Like a fetch on RX, a Transmit pays its reservations per run, not per
+// packet: the ring admits a prefix of bufs (occupancy only grows here,
+// so every drop falls in the tail), and each run of equal-size packets
+// in it costs one reservation per IOH engine and one wire recurrence.
+// The completions, busy totals and queue ends are exactly those of
+// reserving packet by packet, and with hooks installed each packet still
+// reports its own spans, in that order.
 func (t *TxPort) Transmit(bufs []*packet.Buf) {
 	if len(bufs) == 0 {
 		return
@@ -401,39 +423,84 @@ func (t *TxPort) Transmit(bufs []*packet.Buf) {
 		return
 	}
 	t.reap()
-	var batchWire sim.Duration
-	var batchDone sim.Time
-	var batchPkts int
-	for _, b := range bufs {
-		// Ring occupancy check: descriptors posted but not yet
-		// transmitted.
-		if t.pending >= t.ringCap {
-			t.Stats.Dropped++
-			b.Release()
-			continue
+	n := min(len(bufs), max(t.ringCap-t.pending, 0))
+	var c completion
+	for i := 0; i < n; i += txBlock {
+		wire, done := t.transmitBlock(bufs[i:min(i+txBlock, n)])
+		c.wire += wire
+		c.done = done
+	}
+	if n > 0 {
+		c.pkts = n
+		t.pending += n
+		t.completions.PushBack(c)
+	}
+	for _, b := range bufs[n:] {
+		t.Stats.Dropped++
+		b.Release()
+	}
+}
+
+// transmitBlock reserves DMA and wire time for admitted packets, at most
+// txBlock of them, completes them, and returns their wire time and the
+// last one's completion.
+func (t *TxPort) transmitBlock(bufs []*packet.Buf) (wire sim.Duration, last sim.Time) {
+	sizes, done := t.sizes[:len(bufs)], t.done[:len(bufs)]
+	// One tight pass over the Bufs, so their cache misses overlap
+	// instead of being taken one packet at a time.
+	var bytes int
+	for k, b := range bufs {
+		sizes[k] = b.Size()
+		bytes += sizes[k]
+	}
+	t.Stats.Packets += uint64(len(bufs))
+	t.Stats.Bytes += uint64(bytes)
+	traced := t.env.Hooks() != nil
+	for i := 0; i < len(bufs); {
+		j := i + 1
+		for j < len(bufs) && sizes[j] == sizes[i] {
+			j++
 		}
-		wt := model.WireTime(b.Size())
-		var dmaDone sim.Time
-		for _, ioh := range t.dmaPath {
-			if d := ioh.ScheduleDown(b.Size() + model.DMADescBytes); d > dmaDone {
-				dmaDone = d
-			}
-		}
-		done := t.wire.ScheduleAt(dmaDone, wt)
-		t.Stats.Packets++
-		t.Stats.Bytes += uint64(b.Size())
-		t.pending++
-		batchWire += wt
-		batchDone = done
-		batchPkts++
+		wire += sim.Duration(j-i) * t.reserveRun(done[i:j], sizes[i], traced)
+		i = j
+	}
+	for k, b := range bufs {
 		if t.OnComplete != nil {
-			t.OnComplete(b, done)
+			t.OnComplete(b, done[k])
 		}
 		b.Release()
 	}
-	if batchPkts > 0 {
-		t.completions.PushBack(completion{batchDone, batchWire, batchPkts})
+	return wire, done[len(done)-1]
+}
+
+// reserveRun reserves len(done) packets of one size: a run on every hub
+// of the DMA path, then the wire, each packet starting once its DMA
+// completes on every hub. It fills done with the wire completions and
+// returns one packet's wire time. traced reports every packet's spans,
+// hub by hub and then the wire.
+func (t *TxPort) reserveRun(done []sim.Time, size int, traced bool) sim.Duration {
+	bytes := size + model.DMADescBytes
+	for i, ioh := range t.dmaPath {
+		t.runs[i] = ioh.ScheduleDownRun(len(done), bytes)
 	}
+	for k := range done {
+		var dma sim.Time
+		for i := range t.runs {
+			dma = max(dma, t.runs[i].Done(k))
+		}
+		done[k] = dma
+	}
+	wt := model.WireTime(size)
+	t.wire.ScheduleChain(done, wt)
+	if traced {
+		for k, end := range done {
+			for i := range t.runs {
+				t.runs[i].Report(k)
+			}
+			t.wire.Report(end-sim.Time(wt), end)
+		}
+	}
+	return wt
 }
 
 // TransmitBlocking is Transmit with driver backpressure: when the TX

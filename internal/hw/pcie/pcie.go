@@ -68,6 +68,39 @@ func (i *IOH) ScheduleDown(bytes int) sim.Time {
 	return i.down.Schedule(downTime(bytes))
 }
 
+// DownRun is n host→device transfers of one size that ScheduleDownRun
+// reserved back to back on a hub.
+type DownRun struct {
+	ioh                *IOH
+	upStart, downStart sim.Time
+	up, down           sim.Duration // one transfer's charge on each engine
+}
+
+// ScheduleDownRun reserves n host→device transfers of bytes each, exactly
+// as n calls of ScheduleDown(bytes) would, in one reservation per
+// engine. Transfer k completes at Done(k). It reports no span; Report
+// does, per transfer.
+func (i *IOH) ScheduleDownRun(n, bytes int) DownRun {
+	r := DownRun{ioh: i, up: kappaUpTime(bytes), down: downTime(bytes)}
+	r.upStart = i.up.ScheduleRun(n, r.up)
+	r.downStart = i.down.ScheduleRun(n, r.down)
+	return r
+}
+
+// Done returns when transfer k of the run completes.
+func (r *DownRun) Done(k int) sim.Time {
+	return r.downStart + sim.Time(k+1)*sim.Time(r.down)
+}
+
+// Report reports transfer k's spans to the hooks, up engine then down,
+// as its ScheduleDown call would have.
+func (r *DownRun) Report(k int) {
+	up := r.upStart + sim.Time(k)*sim.Time(r.up)
+	r.ioh.up.Report(up, up+sim.Time(r.up))
+	down := r.downStart + sim.Time(k)*sim.Time(r.down)
+	r.ioh.down.Report(down, down+sim.Time(r.down))
+}
+
 // ExpressUp reserves up capacity but completes after just the service
 // time (interleaved arbitration: no waiting behind bulk NIC DMA).
 func (i *IOH) ExpressUp(bytes int) sim.Time {

@@ -127,6 +127,9 @@ func (e *Env) Now() Time { return e.now }
 // single nil check.
 func (e *Env) SetHooks(h Hooks) { e.hooks = h }
 
+// Hooks returns the installed trace hooks, or nil.
+func (e *Env) Hooks() Hooks { return e.hooks }
+
 // schedule enqueues a typed event at absolute time at (clamped to now).
 func (e *Env) schedule(at Time, p *Proc, fn func()) {
 	if at < e.now {

@@ -77,6 +77,43 @@ func (s *Server) ScheduleAt(notBefore Time, d Duration) Time {
 	return s.reserve(notBefore, d)
 }
 
+// ScheduleRun reserves n back-to-back services of d each, exactly as n
+// calls of Schedule(d) would, in one step, and returns when the first
+// begins: service k occupies [start+k·d, start+(k+1)·d). It reports no
+// span to the hooks; a caller that needs them (Env.Hooks) reports each
+// service with Report, in the order its own calls would have.
+func (s *Server) ScheduleRun(n int, d Duration) (start Time) {
+	start = max(s.freeAt, s.env.now)
+	s.freeAt = start + Time(n)*Time(d)
+	s.busy += Duration(n) * d
+	return start
+}
+
+// ScheduleChain reserves one service of d per element of at, the k-th
+// beginning no earlier than at[k], exactly as len(at) calls of
+// ScheduleAt(at[k], d) would, and overwrites at[k] with that service's
+// completion. The queue is the max-plus recurrence
+// free = max(free, at[k]) + d, run on a local and committed once. Like
+// ScheduleRun it reports no span.
+func (s *Server) ScheduleChain(at []Time, d Duration) {
+	free := max(s.freeAt, s.env.now)
+	for k, t := range at {
+		free = max(free, t) + Time(d)
+		at[k] = free
+	}
+	s.freeAt = free
+	s.busy += Duration(len(at)) * d
+}
+
+// Report tells the environment's hooks, if any, that s was busy over
+// [start, end): the span a Schedule call reports itself, for services
+// reserved by ScheduleRun or ScheduleChain.
+func (s *Server) Report(start, end Time) {
+	if s.env.hooks != nil && end > start {
+		s.env.hooks.ServerBusy(s, start, end)
+	}
+}
+
 // Backlog returns how far in the future the server's queue currently
 // extends.
 func (s *Server) Backlog() Duration {

@@ -704,3 +704,66 @@ func TestServerIDsUniquePerEnv(t *testing.T) {
 		t.Errorf("fresh env first server ID = %d, want 1", c.ID())
 	}
 }
+
+// TestServerRunsMatchSingleReservations: ScheduleRun and ScheduleChain,
+// with their spans reported through Report, leave a server exactly as
+// the same services reserved one Schedule or ScheduleAt call at a time
+// do — completions, busy time, backlog and span sequence — from an idle
+// server, behind a backlog, and across gaps the chain must wait out.
+func TestServerRunsMatchSingleReservations(t *testing.T) {
+	env := NewEnv()
+	runs, singles := &recordingHooks{}, &recordingHooks{}
+	a, b := NewServer(env, "runs"), NewServer(env, "singles")
+	rng := uint64(7)
+	env.Go("driver", func(p *Proc) {
+		for step := 0; step < 200; step++ {
+			p.Sleep(Duration(splitmix64(&rng) % 3000))
+			n := 1 + int(splitmix64(&rng)%20)
+			d := Duration(splitmix64(&rng) % 500)
+			if splitmix64(&rng)%2 == 0 {
+				env.SetHooks(runs)
+				start := a.ScheduleRun(n, d)
+				for k := 0; k < n; k++ {
+					a.Report(start+Time(k)*Time(d), start+Time(k+1)*Time(d))
+				}
+				env.SetHooks(singles)
+				for k := 0; k < n; k++ {
+					if got, want := start+Time(k+1)*Time(d), b.Schedule(d); got != want {
+						t.Fatalf("step %d: run service %d completes at %v, single at %v", step, k, got, want)
+					}
+				}
+			} else {
+				at := make([]Time, n)
+				for k := range at {
+					at[k] = env.Now() + Time(splitmix64(&rng)%4000)
+				}
+				want := make([]Time, n)
+				env.SetHooks(singles)
+				for k, nb := range at {
+					want[k] = b.ScheduleAt(nb, d)
+				}
+				env.SetHooks(runs)
+				a.ScheduleChain(at, d)
+				for k, end := range at {
+					a.Report(end-Time(d), end)
+					if end != want[k] {
+						t.Fatalf("step %d: chain service %d completes at %v, single at %v", step, k, end, want[k])
+					}
+				}
+			}
+			if a.BusyTime() != b.BusyTime() || a.Backlog() != b.Backlog() {
+				t.Fatalf("step %d: busy %v / %v, backlog %v / %v", step, a.BusyTime(), b.BusyTime(), a.Backlog(), b.Backlog())
+			}
+		}
+	})
+	env.Run(0)
+	if len(runs.spans) == 0 || len(runs.spans) != len(singles.spans) {
+		t.Fatalf("%d run spans, %d single spans", len(runs.spans), len(singles.spans))
+	}
+	for i := range runs.spans {
+		r, s := runs.spans[i], singles.spans[i]
+		if r.start != s.start || r.end != s.end {
+			t.Fatalf("span %d: run [%v, %v), single [%v, %v)", i, r.start, r.end, s.start, s.end)
+		}
+	}
+}
