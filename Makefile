@@ -42,9 +42,12 @@ lint:
 # gates applies named mutations to a copy of the tree (a counter shared
 # by every fabric node, one violation per pslint analyzer, a slow
 # host-to-device copy, a Buf kept after an app drop, a blocking call in
-# a ctrl callback, a global math/rand draw) and fails unless the gate
-# meant for each (the cluster race test, pslint, the paper points, the
-# packet ledger, the engine's own panic, the route tests) fails on it.
+# a ctrl callback, a global math/rand draw, a TX DMA completion off by
+# one step, an event heap without its seq tie-break) and fails unless
+# the gate meant for each (the cluster race test, pslint, the paper
+# points, the packet ledger, the engine's own panic, the route tests,
+# the TX oracle and the golden files, FuzzEventStore and the golden
+# schedule digests) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

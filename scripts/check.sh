@@ -15,8 +15,8 @@
 # race tests on the concurrency-bearing packages and on the golden
 # subset (table1 launch fig2 table3 fig5 cluster fabric leafspine), and
 # scripts/gates.sh, which shows the race, pslint, paper-point, ledger,
-# engine and route-determinism checks failing on mutations of their own
-# kind.
+# engine, route-determinism, TX-oracle, event-store and golden checks
+# failing on mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu

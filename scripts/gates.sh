@@ -28,6 +28,12 @@
 #	                blocks on a worker's Proc             the engine (ctrl tests)
 #	global-rand     rand.Uint32() for rng.Uint32() in
 #	                GenerateBGPTable                      the route tests
+#	tx-run-offset   a TX run's k-th DMA completion one
+#	                step early                            the TX oracle and
+#	                                                      the golden files
+#	tie-break       the event heap orders by time alone,
+#	                without (at, seq)'s seq               FuzzEventStore and
+#	                                                      the golden digests
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -38,6 +44,11 @@
 # The engine gate is sim's own panic on a blocking call from an At/After
 # callback or a task step; any test that reaches the call shows it. The
 # route tests compare GenerateBGPTable against a seeded reference.
+# The last two rows name two gates each, and both must print their
+# finding: TestTransmitMatchesPerPacketOracle against the per-packet
+# reservations, and TestGoldenOutputs (the full run for a TX timing,
+# whose tx.latency lines hold every completion; the -short run for the
+# schedule, whose fabric blocks carry sim.digest lines).
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -61,6 +72,8 @@ points="go test -short -count=1 -run TestPaperPoints ./internal/experiments"
 ledger="go test -count=1 -run TestDropsCounted ./internal/core"
 ctrltests="go test -count=1 ./internal/ctrl"
 routetests="go test -count=1 ./internal/route"
+txgates="go test -count=1 -run TestTransmitMatchesPerPacketOracle|TestGoldenOutputs ./internal/hw/nic ./internal/experiments"
+heapgates="go test -count=1 -short -run TestGoldenOutputs|FuzzEventStore ./internal/experiments ./internal/sim"
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
 # FILE (relative to the tree) that contains ANCHOR.
@@ -153,15 +166,31 @@ mutate_global_rand() {
 	gate=$routetests want="differs between runs with same seed"
 }
 
+mutate_tx_run_offset() {
+	f=internal/hw/pcie/pcie.go
+	insert $f 'return r.downStart + sim.Time(k+1)*sim.Time(r.down)' \
+		'	return r.downStart + sim.Time(k)*sim.Time(r.down)'
+	delete $f 'return r.downStart + sim.Time(k+1)*sim.Time(r.down)'
+	gate=$txgates want="differs from the per-packet oracle" want2="hist tx.latency"
+}
+
+mutate_tie_break() {
+	f=internal/sim/events.go
+	insert $f 'func (a *event) before(b *event) bool {' '	return a.at < b.at'
+	delete $f 'a.at == b.at && a.seq < b.seq'
+	gate=$heapgates want="heap popped" want2="counter sim.digest"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
-		h2d-slow leak-app-drop sched-callback global-rand
+		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break
 fi
 
 status=0
 for m in "$@"; do
 	touched=""
 	broken=0
+	want2=""
 	echo "== gate mutation $m"
 	case "$m" in
 	shared-pointer) mutate_shared_pointer ;;
@@ -174,6 +203,8 @@ for m in "$@"; do
 	leak-app-drop) mutate_leak_app_drop ;;
 	sched-callback) mutate_sched_callback ;;
 	global-rand) mutate_global_rand ;;
+	tx-run-offset) mutate_tx_run_offset ;;
+	tie-break) mutate_tie_break ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
@@ -191,12 +222,12 @@ for m in "$@"; do
 			cat "$TMP/out"
 			echo "NOT CAUGHT: $m passes its gate"
 			status=1
-		elif grep -qF -- "$want" "$TMP/out"; then
-			grep -F -- "$want" "$TMP/out" | head -n 3
+		elif grep -qF -- "$want" "$TMP/out" && grep -qF -- "${want2:-$want}" "$TMP/out"; then
+			grep -F -e "$want" -e "${want2:-$want}" "$TMP/out" | head -n 4
 			echo "caught: $m"
 		else
 			cat "$TMP/out"
-			echo "the gate failed on $m without printing \"$want\""
+			echo "the gate failed on $m without printing \"$want\"${want2:+ and \"$want2\"}"
 			status=1
 		fi
 	fi
