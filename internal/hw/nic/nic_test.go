@@ -766,11 +766,11 @@ func TestTransmitMatchesPerPacketOracle(t *testing.T) {
 				want, wantSpans, _ := runTxCase(c, seed, hooked, transmitPerPacket)
 				if i := firstDiff(got, want); i >= 0 {
 					t.Fatalf("%s: observation %d differs from the per-packet oracle:\n got:  %q\n want: %q",
-						name, i, at(got, i), at(want, i))
+						name, i, lineAt(got, i), lineAt(want, i))
 				}
 				if i := firstDiff(gotSpans, wantSpans); i >= 0 {
 					t.Fatalf("%s: span %d differs from the per-packet oracle:\n got:  %q\n want: %q",
-						name, i, at(gotSpans, i), at(wantSpans, i))
+						name, i, lineAt(gotSpans, i), lineAt(wantSpans, i))
 				}
 				if hooked && len(gotSpans) == 0 {
 					t.Fatalf("%s: hooks installed but no span reported", name)
@@ -789,8 +789,8 @@ func TestTransmitMatchesPerPacketOracle(t *testing.T) {
 	}
 }
 
-// at returns lines[i], or a marker past the end.
-func at(lines []string, i int) string {
+// lineAt returns lines[i], or a marker past the end.
+func lineAt(lines []string, i int) string {
 	if i < len(lines) {
 		return lines[i]
 	}
