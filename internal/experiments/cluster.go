@@ -2,73 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"packetshader/internal/cluster"
 	"packetshader/internal/faults"
 	"packetshader/internal/obs"
 	"packetshader/internal/sim"
 )
-
-// clusterScaling evaluates the §7 horizontal-scaling direction: aggregate
-// capacity of a full-mesh cluster of PacketShader boxes under direct
-// routing, Valiant Load Balancing, and RouteBricks-style direct VLB,
-// for benign (uniform), hot-pair (permutation), and adversarial
-// (incast) traffic. Each box contributes 40 Gbps of external ports and
-// the single-box ≈40 Gbps forwarding budget measured in Figure 6;
-// internal mesh links are 10GbE.
-func clusterScaling(c *Ctx) *Result {
-	r := &Result{
-		ID:     "cluster",
-		Title:  "Horizontal scaling with VLB (§7): admissible aggregate Gbps",
-		Header: []string{"Nodes", "Matrix", "direct", "vlb", "direct-vlb", "hops(direct-vlb)"},
-	}
-	type spec struct {
-		nodes  int
-		matrix string
-	}
-	var specs []spec
-	for _, n := range []int{2, 4, 8, 16} {
-		for _, m := range []string{"uniform", "permutation", "incast"} {
-			specs = append(specs, spec{n, m})
-		}
-	}
-	rows := MapPoints(c, len(specs), func(i int, _ *Point) []Cell {
-		s := specs[i]
-		cfg := cluster.Config{
-			Nodes:              s.nodes,
-			ExternalGbps:       40,
-			NodeForwardingGbps: 40,
-			InternalLinkGbps:   10,
-		}
-		var m cluster.Matrix
-		switch s.matrix {
-		case "uniform":
-			m = cluster.Uniform(s.nodes, float64(s.nodes)*40)
-		case "permutation":
-			m = cluster.Permutation(s.nodes, 40)
-		default:
-			m = cluster.Incast(s.nodes, 40)
-		}
-		row := []Cell{Int(s.nodes), Label(s.matrix)}
-		var hops float64
-		for _, scheme := range []cluster.Routing{cluster.Direct, cluster.VLB, cluster.DirectVLB} {
-			res, err := cluster.Evaluate(cfg, scheme, m)
-			if err != nil {
-				panic(err)
-			}
-			row = append(row, Num("%.0f", res.ThroughputGbps))
-			if scheme == cluster.DirectVLB {
-				hops = res.MeanHops
-			}
-		}
-		return append(row, Num("%.2f", hops))
-	})
-	r.Rows = append(r.Rows, rows...)
-	r.Note("one PacketShader box replaces RB4, RouteBricks' 4-machine cluster (§8)")
-	r.Note("VLB trades forwarding budget (≈3 hops) for guaranteed worst-case throughput")
-	return r
-}
 
 // partitionWorkers is the number of host goroutines the DES fabric uses
 // to advance its per-node partitions (the psbench -p value). Results
@@ -85,157 +24,153 @@ func SetPartitionWorkers(n int) {
 	partitionWorkers = n
 }
 
-// fabricScaling runs the cluster DES fabric: where the cluster experiment
-// asks the analytic model what is admissible, this one builds a world
-// of per-node sim partitions connected by latency-carrying links,
-// advances them conservatively in parallel, and reports what the mesh
-// actually delivered.
-func fabricScaling(c *Ctx) *Result {
-	r := &Result{
-		ID:     "fabric",
-		Title:  "Cluster DES fabric (§7): delivered Gbps on per-node partitions",
-		Header: []string{"Nodes", "Scheme", "offered", "admissible", "delivered", "hops", "mean-lat(us)", "max-lat(us)"},
-	}
-	type spec struct {
-		nodes  int
-		scheme cluster.Routing
-		name   string
-	}
-	var specs []spec
-	for _, n := range []int{4, 8, 16} {
-		specs = append(specs, spec{n, cluster.Direct, "direct"}, spec{n, cluster.VLB, "vlb"})
-	}
-	rows := MapPoints(c, len(specs), func(i int, pt *Point) []Cell {
-		s := specs[i]
-		cfg := cluster.Config{
-			Nodes:              s.nodes,
-			ExternalGbps:       40,
-			NodeForwardingGbps: 40,
-			InternalLinkGbps:   10,
-		}
-		// Probe the analytic model at full external load, then offer 90%
-		// of what it admits: the fabric should deliver essentially all of
-		// it, tying the DES run to the analytic table row above.
-		full := cluster.Uniform(s.nodes, float64(s.nodes)*40)
-		ev, err := cluster.Evaluate(cfg, s.scheme, full)
-		if err != nil {
-			panic(err)
-		}
-		offered := 0.9 * ev.ThroughputGbps
-		res, m, err := cluster.RunFabricMetrics(cluster.FabricConfig{
-			Topo:        &cluster.FullMesh{Cluster: cfg, Scheme: s.scheme},
-			Matrix:      cluster.Uniform(s.nodes, offered),
-			LinkLatency: 50 * sim.Microsecond,
-			Horizon:     5 * sim.Millisecond,
-			Seed:        2026,
-			Workers:     partitionWorkers,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if mw := pt.MetricsWriter(); mw != nil {
-			writeFabricMetrics(mw, fmt.Sprintf("fabric nodes=%d scheme=%s", s.nodes, s.name), res, m)
-		}
-		return []Cell{
-			Int(s.nodes), Label(s.name),
-			Num("%.0f", res.OfferedGbps),
-			Num("%.0f", ev.ThroughputGbps),
-			Num("%.1f", res.DeliveredGbps),
-			Num("%.2f", res.MeanHops),
-			Num("%.1f", res.MeanLatency.Seconds()*1e6),
-			Num("%.1f", res.MaxLatency.Seconds()*1e6),
-		}
-	})
-	r.Rows = append(r.Rows, rows...)
-	r.Note("one sim partition per node; links carry 50us lookahead; batches are 16 KiB")
-	r.Note("identical output for any -p: conservative windows + ordered merge are provably serial-equivalent")
-	return r
+// fabricSpec is one row of the fabric experiment: a full mesh of n
+// PacketShader boxes under one traffic matrix and routing scheme, or
+// (leafSpine set) a leaf–spine fabric.
+type fabricSpec struct {
+	n         int
+	matrix    string
+	scheme    cluster.Routing
+	leafSpine *cluster.LeafSpine
+	faulted   bool
 }
 
-// leafSpineScaling runs the two-tier Clos fabric at datacenter scale: leaf
-// counts from 16 to 128 with a proportional spine tier, Zipf-sized
-// flows pinned to one ECMP path each, and a faulted 128-leaf variant
-// (an uplink dark from the start plus a mid-run spine outage). This is
-// the scale frontier of ROADMAP item 2: the 128-leaf row is a 144-
-// partition world with 8,192 links.
-func leafSpineScaling(c *Ctx) *Result {
+// fabricScaling is the §7 horizontal-scaling experiment. Each mesh row
+// asks the analytic model (cluster.Evaluate) what a cluster of 2–16
+// boxes admits under direct routing, Valiant Load Balancing and
+// RouteBricks-style direct VLB, for benign (uniform), hot-pair
+// (permutation) and adversarial (incast) traffic, then offers 90 % of
+// that to the discrete-event fabric — per-node sim partitions joined by
+// latency-carrying links — and reports what it delivered: the model is
+// the simulation's oracle column. Each box has 40 Gbps of external
+// ports and Figure 6's ≈40 Gbps forwarding budget; mesh links are
+// 10GbE. The leaf–spine rows take the fabric to 128 leaves with ECMP,
+// one of them faulted; the model does not cover them.
+func fabricScaling(c *Ctx) *Result {
 	r := &Result{
-		ID:     "leafspine",
-		Title:  "Leaf–spine DES fabric (§7 at scale): ECMP delivery up to 128 leaves",
-		Header: []string{"Leaves", "Spines", "Links", "Variant", "offered", "delivered", "hops", "mean-lat(us)", "route-drop", "node-drop"},
+		ID:    "fabric",
+		Title: "Scale-out fabric (§7): analytic admissible Gbps beside simulated delivery",
+		Header: []string{"Topology", "Links", "Matrix", "Scheme", "admissible", "model-hops",
+			"offered", "delivered", "hops", "mean-lat(us)", "max-lat(us)", "route-drop", "node-drop"},
 	}
-	type spec struct {
+	var specs []fabricSpec
+	for _, n := range []int{2, 4, 8, 16} {
+		for _, m := range []string{"uniform", "permutation", "incast"} {
+			for _, s := range []cluster.Routing{cluster.Direct, cluster.VLB, cluster.DirectVLB} {
+				specs = append(specs, fabricSpec{n: n, matrix: m, scheme: s})
+			}
+		}
+	}
+	for _, ls := range []struct {
 		leaves, spines int
 		faulted        bool
+	}{{16, 4, false}, {64, 8, false}, {128, 16, false}, {128, 16, true}} {
+		specs = append(specs, fabricSpec{n: ls.leaves, matrix: "uniform", faulted: ls.faulted,
+			leafSpine: &cluster.LeafSpine{
+				Leaves: ls.leaves, Spines: ls.spines, Uplinks: 2,
+				EdgeGbps: 40, LeafGbps: 40, SpineGbps: 160, UplinkGbps: 10,
+			}})
 	}
-	specs := []spec{{16, 4, false}, {64, 8, false}, {128, 16, false}, {128, 16, true}}
-	rows := MapPoints(c, len(specs), func(i int, pt *Point) []Cell {
-		s := specs[i]
-		topo := &cluster.LeafSpine{
-			Leaves: s.leaves, Spines: s.spines, Uplinks: 2,
-			EdgeGbps: 40, LeafGbps: 40, SpineGbps: 160, UplinkGbps: 10,
-		}
-		cfg := cluster.FabricConfig{
-			Topo: topo,
-			// 10 Gbps of uniform ingress per leaf: inside every budget,
-			// so healthy rows should deliver essentially all of it.
-			Matrix:      cluster.Uniform(s.leaves, float64(s.leaves)*10),
-			LinkLatency: 50 * sim.Microsecond,
-			Horizon:     5 * sim.Millisecond,
-			Seed:        2026,
-			Workers:     partitionWorkers,
-			Flows:       cluster.FlowModel{ZipfS: 1.1},
-		}
-		variant := "healthy"
-		if s.faulted {
-			variant = "faulted"
-			cfg.Faults = faults.NewPlan().
-				// Leaf 0's uplink slot 0 never comes up; spine 1 dies for
-				// the middle fifth of the run.
-				Add(faults.Event{At: 0, Kind: faults.KindLinkDown, Node: 0, Port: 0}).
-				GPUOutage(s.leaves+1, 2*sim.Millisecond, 1*sim.Millisecond)
-		}
-		res, m, err := cluster.RunFabricMetrics(cfg)
-		if err != nil {
-			panic(err)
-		}
-		if mw := pt.MetricsWriter(); mw != nil {
-			writeFabricMetrics(mw, fmt.Sprintf("leafspine leaves=%d spines=%d variant=%s", s.leaves, s.spines, variant), res, m)
-		}
-		return []Cell{
-			Int(s.leaves), Int(s.spines), Int(len(topo.Links())), Label(variant),
-			Num("%.0f", res.OfferedGbps),
-			Num("%.1f", res.DeliveredGbps),
-			Num("%.2f", res.MeanHops),
-			Num("%.1f", res.MeanLatency.Seconds()*1e6),
-			Int(int(res.RouteDrops)),
-			Int(int(res.NodeDrops)),
-		}
-	})
-	r.Rows = append(r.Rows, rows...)
+	r.Rows = MapPoints(c, len(specs), func(i int, pt *Point) []Cell { return fabricRow(specs[i], pt) })
+	r.Note("mesh rows offer 0.9 x admissible; the fabric does not model direct-vlb's spill, so those rows are the model's alone")
+	r.Note("one PacketShader box replaces RB4, RouteBricks' 4-machine cluster (§8)")
+	r.Note("VLB trades forwarding budget (≈3 hops) for guaranteed worst-case throughput")
+	r.Note("one sim partition per node; links carry 50us lookahead; batches are 16 KiB")
+	r.Note("identical output for any -p: conservative windows + ordered merge are provably serial-equivalent")
 	r.Note("two procs per node regardless of degree: wire serialization is an arithmetic FIFO recurrence")
-	r.Note("flows are Zipf(1.1)-sized and keep their RSS hash, so ECMP pins each flow to one spine path")
+	r.Note("leaf-spine flows are Zipf(1.1)-sized and keep their RSS hash, so ECMP pins each flow to one spine path")
 	r.Note("a dead spine blackholes its hash share (leaves cannot see spine state across partitions)")
 	return r
 }
 
-// writeFabricMetrics writes one fabric run's metrics block to mw: the
-// nodes' counters summed in node order, the deepest forwarder inbox,
-// the egress slots' serializer utilisation, and the world's
-// self-metrics (sim.*).
-func writeFabricMetrics(mw io.Writer, head string, res cluster.FabricResult, m cluster.FabricMetrics) {
-	reg := obs.NewRegistry()
-	reg.Counter("fabric.batches").Set(res.Batches)
-	reg.Counter("fabric.forwards").Set(res.Forwards)
-	reg.Counter("fabric.deliveries").Set(res.Delivered)
-	reg.Counter("fabric.route_drops").Set(res.RouteDrops)
-	reg.Counter("fabric.node_drops").Set(res.NodeDrops)
-	reg.Counter("fabric.inbox_peak").Set(uint64(m.InboxPeak))
-	util := reg.Histogram("fabric.slot_util_permille", obs.UnitCount)
-	for _, u := range m.SlotUtil {
-		util.Observe(u)
+// meshMatrix returns the named traffic matrix over n nodes at total
+// offered Gbps.
+func meshMatrix(kind string, n int, total float64) cluster.Matrix {
+	switch kind {
+	case "uniform":
+		return cluster.Uniform(n, total)
+	case "permutation":
+		return cluster.Permutation(n, total/float64(n))
 	}
-	reg.ObserveWorld(m.World)
-	fmt.Fprintf(mw, "--- metrics %s ---\n", head)
-	reg.Dump(mw) //nolint:errcheck // a Point's buffer does not fail
+	return cluster.Incast(n, total/float64(n-1))
+}
+
+// fabricRow evaluates and runs one spec. A mesh row's model columns
+// come from Evaluate at full external load (40 Gbps per sending box),
+// and its simulation offers 0.9 of what that admits; cells the row has
+// no run for print as "-".
+func fabricRow(s fabricSpec, pt *Point) []Cell {
+	cfg := cluster.FabricConfig{
+		LinkLatency: 50 * sim.Microsecond,
+		Horizon:     5 * sim.Millisecond,
+		Seed:        2026,
+		Workers:     partitionWorkers,
+	}
+	dash := Label("-")
+	var topo, scheme string
+	var model []Cell
+	if ls := s.leafSpine; ls != nil {
+		topo, scheme = fmt.Sprintf("leafspine-%dx%d", ls.Leaves, ls.Spines), "ecmp"
+		model = []Cell{dash, dash}
+		cfg.Topo = ls
+		// 10 Gbps of uniform ingress per leaf: inside every budget, so
+		// healthy rows should deliver essentially all of it.
+		cfg.Matrix = cluster.Uniform(ls.Leaves, float64(ls.Leaves)*10)
+		cfg.Flows = cluster.FlowModel{ZipfS: 1.1}
+		if s.faulted {
+			topo += "-faulted"
+			cfg.Faults = faults.NewPlan().
+				// Leaf 0's uplink slot 0 never comes up; spine 1 dies for
+				// the middle fifth of the run.
+				Add(faults.Event{At: 0, Kind: faults.KindLinkDown, Node: 0, Port: 0}).
+				GPUOutage(ls.Leaves+1, 2*sim.Millisecond, 1*sim.Millisecond)
+		}
+	} else {
+		topo, scheme = fmt.Sprintf("mesh-%d", s.n), s.scheme.String()
+		mesh := cluster.Config{Nodes: s.n, ExternalGbps: 40, NodeForwardingGbps: 40, InternalLinkGbps: 10}
+		senders := s.n
+		if s.matrix == "incast" {
+			senders--
+		}
+		ev, err := cluster.Evaluate(mesh, s.scheme, meshMatrix(s.matrix, s.n, float64(senders)*40))
+		if err != nil {
+			panic(err)
+		}
+		model = []Cell{Num("%.0f", ev.ThroughputGbps), Num("%.2f", ev.MeanHops)}
+		cfg.Topo = &cluster.FullMesh{Cluster: mesh, Scheme: s.scheme}
+		cfg.Matrix = meshMatrix(s.matrix, s.n, 0.9*ev.ThroughputGbps)
+	}
+	row := append([]Cell{Label(topo), Int(len(cfg.Topo.Links())), Label(s.matrix), Label(scheme)}, model...)
+	if s.scheme == cluster.DirectVLB {
+		return append(row, dash, dash, dash, dash, dash, dash, dash)
+	}
+	res, m, err := cluster.RunFabricMetrics(cfg)
+	if err != nil {
+		panic(err)
+	}
+	if mw := pt.MetricsWriter(); mw != nil {
+		reg := obs.NewRegistry()
+		reg.Counter("fabric.batches").Set(res.Batches)
+		reg.Counter("fabric.forwards").Set(res.Forwards)
+		reg.Counter("fabric.deliveries").Set(res.Delivered)
+		reg.Counter("fabric.route_drops").Set(res.RouteDrops)
+		reg.Counter("fabric.node_drops").Set(res.NodeDrops)
+		reg.Counter("fabric.inbox_peak").Set(uint64(m.InboxPeak))
+		util := reg.Histogram("fabric.slot_util_permille", obs.UnitCount)
+		for _, u := range m.SlotUtil {
+			util.Observe(u)
+		}
+		reg.ObserveWorld(m.World)
+		fmt.Fprintf(mw, "--- metrics fabric %s %s %s ---\n", topo, s.matrix, scheme)
+		reg.Dump(mw) //nolint:errcheck // a Point's buffer does not fail
+	}
+	return append(row,
+		Num("%.0f", res.OfferedGbps),
+		Num("%.1f", res.DeliveredGbps),
+		Num("%.2f", res.MeanHops),
+		Num("%.1f", res.MeanLatency.Seconds()*1e6),
+		Num("%.1f", res.MaxLatency.Seconds()*1e6),
+		Int(int(res.RouteDrops)),
+		Int(int(res.NodeDrops)),
+	)
 }

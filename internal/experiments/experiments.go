@@ -130,9 +130,7 @@ var Registry = []registryEntry{
 	{ID: "fig11d", Run: fig11d},
 	{ID: "fig12", Run: fig12},
 	{ID: "ablation", Run: ablation},
-	{ID: "cluster", Run: clusterScaling},
 	{ID: "fabric", Run: fabricScaling},
-	{ID: "leafspine", Run: leafSpineScaling},
 	{ID: "faults", Run: faultScenario},
 	{ID: "churn", Run: churn},
 }

@@ -13,8 +13,8 @@ import (
 // goldenShortIDs is the -short subset of TestGoldenOutputs: cheap enough
 // for `go test -race -short`, and still racing real jobs on an 8-wide
 // pool (fig2 and fig5 are multi-point sweeps, fig2 reads the shared
-// IPv6 fixture) and partitioned worlds at -p 8 (fabric, leafspine).
-var goldenShortIDs = []string{"table1", "launch", "fig2", "table3", "fig5", "cluster", "fabric", "leafspine"}
+// IPv6 fixture) and partitioned worlds at -p 8 (fabric).
+var goldenShortIDs = []string{"table1", "launch", "fig2", "table3", "fig5", "fabric"}
 
 // golden is the package's one run of the experiments: every Registry id
 // (goldenShortIDs under -short) in one Runner at -j 8, with partitioned
