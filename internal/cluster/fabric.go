@@ -91,6 +91,12 @@ type FabricResult struct {
 	// egress link was down; NodeDrops, batches consumed by a dead
 	// node.
 	RouteDrops, NodeDrops uint64
+	// Late counts batches whose external port finishes them past the
+	// horizon; InFlight, batches the horizon leaves in an inbox, in a
+	// forwarding budget or on a link. Every generated batch is in
+	// exactly one of Delivered, Late, RouteDrops, NodeDrops and
+	// InFlight: the fabric's ledger, which every run checks.
+	Late, InFlight uint64
 }
 
 // FabricMetrics are what a fabric run reports beside its FabricResult
@@ -173,6 +179,7 @@ type fabricNode struct {
 	hopSum        uint64
 	latSum        sim.Duration
 	latMax        sim.Duration
+	late          uint64
 	routeDrops    uint64
 	nodeDrops     uint64
 }
@@ -375,7 +382,8 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 
 // run advances the world to the horizon, closes it, and merges the
 // per-node counters in node order: the result is independent of how
-// many workers advanced the partitions.
+// many workers advanced the partitions. It panics if the ledger does
+// not balance: a batch that ends in no terminal state is a lost count.
 func (f *fabric) run() FabricResult {
 	defer f.world.Close()
 	f.world.Run(sim.Time(f.cfg.Horizon), f.cfg.Workers)
@@ -390,9 +398,21 @@ func (f *fabric) run() FabricResult {
 		res.MeanLatency += nd.latSum
 		res.RouteDrops += nd.routeDrops
 		res.NodeDrops += nd.nodeDrops
+		res.Late += nd.late
+		res.InFlight += uint64(nd.inbox.Len())
+		if nd.busy {
+			res.InFlight++
+		}
+		for _, l := range nd.out {
+			res.InFlight += uint64(l.InFlight())
+		}
 		if nd.latMax > res.MaxLatency {
 			res.MaxLatency = nd.latMax
 		}
+	}
+	if res.Batches != res.Delivered+res.Late+res.RouteDrops+res.NodeDrops+res.InFlight {
+		panic(fmt.Sprintf("cluster: fabric ledger does not balance: %d batches, %d delivered + %d late + %d route drops + %d node drops + %d in flight",
+			res.Batches, res.Delivered, res.Late, res.RouteDrops, res.NodeDrops, res.InFlight))
 	}
 	res.DeliveredGbps /= f.cfg.Horizon.Seconds() * 1e9
 	if res.Delivered > 0 {
@@ -608,9 +628,9 @@ func (nd *fabricNode) forward(p *sim.Proc) {
 
 // route sends a batch that has spent its forwarding budget onward.
 // Local deliveries pass through the external-port recurrence and count
-// only if the port finishes them by the horizon — exactly when the
-// dedicated egress proc this replaces would have executed its
-// completion event. Transit batches pick an egress slot via the
+// as delivered only if the port finishes them by the horizon — exactly
+// when the dedicated egress proc this replaces would have executed its
+// completion event — and as late otherwise. Transit batches pick an egress slot via the
 // topology, serialize on the per-slot wire recurrence, and depart
 // through SendAt.
 func (nd *fabricNode) route(p *sim.Proc, b batch) {
@@ -632,6 +652,8 @@ func (nd *fabricNode) route(p *sim.Proc, b batch) {
 			if lat > nd.latMax {
 				nd.latMax = lat
 			}
+		} else {
+			nd.late++
 		}
 		return
 	}

@@ -371,9 +371,11 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 }
 
 // oracleForward is the forwarder as a goroutine process, body verbatim
-// from before the task rewrite: the oracle for fabricNode.forward and
-// .route, and — it calls gbpsTime with the topology's rates at every
-// hop — for the per-run fwdTime/extTime/txTime constants.
+// from before the task rewrite but for the ledger's state (cur and busy
+// around the budget, late past the horizon), which it keeps as the task
+// does: the oracle for fabricNode.forward and .route, and — it calls
+// gbpsTime with the topology's rates at every hop — for the per-run
+// fwdTime/extTime/txTime constants.
 func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
 	fwdGbps := topo.ForwardGbps(nd.id)
 	extGbps := topo.ExternalGbps(nd.id)
@@ -397,7 +399,9 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 			nd.nodeDrops++
 			continue
 		}
+		nd.cur, nd.busy = b, true
 		p.Sleep(gbpsTime(fwdGbps))
+		nd.busy = false
 		nd.forwards++
 		b.hops++
 		if b.dst == nd.id {
@@ -416,6 +420,8 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 				if lat > nd.latMax {
 					nd.latMax = lat
 				}
+			} else {
+				nd.late++
 			}
 			continue
 		}
@@ -471,6 +477,7 @@ func diffFaults(nodes int) *faults.Plan {
 // oracle must agree on every field of the result, because a task issues
 // the same Env.schedule calls as the goroutine process it replaced.
 func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
+	var late uint64
 	for ti, base := range diffTopos() {
 		for seed := uint64(1); seed <= 4; seed++ {
 			for _, zipfS := range []float64{0, 1.1} {
@@ -494,13 +501,17 @@ func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
 						if got != want {
 							t.Errorf("%s: tasks diverged from the goroutine oracle:\n got %+v\nwant %+v", name, got, want)
 						}
-						if got.Delivered == 0 || faulty && (got.NodeDrops == 0 || got.RouteDrops == 0) {
+						if got.Delivered == 0 || got.InFlight == 0 || faulty && (got.NodeDrops == 0 || got.RouteDrops == 0) {
 							t.Errorf("%s: case does not exercise its paths: %+v", name, got)
 						}
+						late += got.Late
 					}
 				}
 			}
 		}
+	}
+	if late == 0 {
+		t.Error("no case finishes a delivery past the horizon: the late path is untested")
 	}
 }
 

@@ -155,6 +155,8 @@ func fabricRow(s fabricSpec, pt *Point) []Cell {
 		reg.Counter("fabric.deliveries").Set(res.Delivered)
 		reg.Counter("fabric.route_drops").Set(res.RouteDrops)
 		reg.Counter("fabric.node_drops").Set(res.NodeDrops)
+		reg.Counter("fabric.late").Set(res.Late)
+		reg.Counter("fabric.in_flight").Set(res.InFlight)
 		reg.Counter("fabric.inbox_peak").Set(uint64(m.InboxPeak))
 		util := reg.Histogram("fabric.slot_util_permille", obs.UnitCount)
 		for _, u := range m.SlotUtil {

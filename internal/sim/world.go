@@ -202,6 +202,11 @@ func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 	l.pending = append(l.pending, linkItem[T]{at: depart + Time(l.latency), v: v})
 }
 
+// InFlight returns the number of messages sent and not yet delivered:
+// those still pending at the sender and those flushed toward the
+// destination.
+func (l *Link[T]) InFlight() int { return len(l.pending) + l.inflight.Len() }
+
 // flush runs at the window barrier, on the World.Run goroutine, after
 // all partitions have joined. Every pending arrival lies strictly
 // beyond the window that produced it (send at t ≥ window start, arrival

@@ -549,7 +549,15 @@ func TestLinkSendAt(t *testing.T) {
 	b.Env().Go("foreign", func(p *Proc) {
 		expectPanic("send from outside the source partition", func() { l.SendAt(p, p.Now(), 9) })
 	})
+	// At 650ns message 1 has arrived and 2 and 3 are on the wire.
+	w.Run(Time(650*Nanosecond), 2)
+	if n := l.InFlight(); n != 2 {
+		t.Fatalf("InFlight at 650ns = %d, want 2", n)
+	}
 	w.Run(Time(2*Microsecond), 2)
+	if n := l.InFlight(); n != 0 {
+		t.Fatalf("InFlight after the last arrival = %d, want 0", n)
+	}
 	want := []arrival{
 		{Time(500*Nanosecond + lat), 1},
 		{Time(700*Nanosecond + lat), 2},
