@@ -178,10 +178,10 @@ func TestFabricValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// Hostile topology rates. NaN is not <= 0 and +Inf is positive, so
-	// the topologies' Validate lets them through, and each used to reach
-	// gbpsTime inside a task; newFabric now checks every batch time it
-	// derives from them.
+	// Hostile topology rates. The topologies' Validate rejects NaN; +Inf
+	// and the extremes are positive, so they pass it, and each used to
+	// reach gbpsTime inside a task; newFabric now checks every batch
+	// time it derives from them.
 	mesh := func() FabricConfig { return fabCfg(4, Direct, Uniform(4, 40), 1) }
 	leafSpine := func() FabricConfig { return diffTopos()[1] }
 	if _, err := RunFabric(leafSpine()); err != nil {

@@ -215,8 +215,9 @@ func (t *LeafSpine) Validate() error {
 	if t.Leaves < 2 || t.Spines < 1 || t.Uplinks < 1 {
 		return errors.New("cluster: leaf-spine needs ≥2 leaves, ≥1 spine, ≥1 uplink")
 	}
-	if t.EdgeGbps <= 0 || t.LeafGbps <= 0 || t.SpineGbps <= 0 || t.UplinkGbps <= 0 {
-		return errors.New("cluster: leaf-spine rates must be positive")
+	if !(t.EdgeGbps > 0 && t.LeafGbps > 0 && t.SpineGbps > 0 && t.UplinkGbps > 0) { // NaN fails too
+		return fmt.Errorf("cluster: every leaf-spine node and link needs positive rates, got edge %v, leaf %v, spine %v, uplink %v Gbps",
+			t.EdgeGbps, t.LeafGbps, t.SpineGbps, t.UplinkGbps)
 	}
 	return nil
 }

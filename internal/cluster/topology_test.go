@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -235,6 +236,20 @@ func TestLeafSpineValidation(t *testing.T) {
 		tc.mut(&cfg)
 		if _, err := RunFabric(cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The fabric's batch-time checks would stop a NaN rate too; the
+	// topology must reject it on its own, as Config.Validate does.
+	for _, set := range []func(*LeafSpine){
+		func(ls *LeafSpine) { ls.EdgeGbps = math.NaN() },
+		func(ls *LeafSpine) { ls.LeafGbps = math.NaN() },
+		func(ls *LeafSpine) { ls.SpineGbps = math.NaN() },
+		func(ls *LeafSpine) { ls.UplinkGbps = math.NaN() },
+	} {
+		ls := *lsCfg(4, 2, 1, nil, 1).Topo.(*LeafSpine)
+		set(&ls)
+		if err := ls.Validate(); err == nil {
+			t.Errorf("Validate accepted a NaN rate: %+v", ls)
 		}
 	}
 }
