@@ -43,11 +43,13 @@ lint:
 # by every fabric node, one violation per pslint analyzer, a slow
 # host-to-device copy, a Buf kept after an app drop, a blocking call in
 # a ctrl callback, a global math/rand draw, a TX DMA completion off by
-# one step, an event heap without its seq tie-break) and fails unless
-# the gate meant for each (the cluster race test, pslint, the paper
-# points, the packet ledger, the engine's own panic, the route tests,
-# the TX oracle and the golden files, FuzzEventStore and the golden
-# schedule digests) fails on it.
+# one step, an event heap without its seq tie-break, VLB spread over
+# n-1 intermediates in the analytic model, an uncounted fabric node
+# drop) and fails unless the gate meant for each (the cluster race
+# test, pslint, the paper points, the packet ledger, the engine's own
+# panic, the route tests, the TX oracle and the golden files,
+# FuzzEventStore and the golden schedule digests, the fabric's model
+# check and the golden files, the fabric ledger) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

@@ -21,10 +21,10 @@ func TestFabricMatchesModel(t *testing.T) {
 		}
 		return c
 	}
-	delivered := map[string]float64{} // "mesh-8 direct" → Gbps, permutation rows
+	delivered := map[string]float64{} // "mesh-8 permutation vlb" → Gbps
 	ran := 0
 	for _, row := range r.Rows {
-		key := rowText(row[:4])
+		key := rowText([]Cell{col(row, "Topology"), col(row, "Matrix"), col(row, "Scheme")})
 		if col(row, "model-hops").verb == "" || col(row, "offered").verb == "" {
 			continue // a leaf-spine row (no model) or direct-vlb (no run)
 		}
@@ -37,15 +37,13 @@ func TestFabricMatchesModel(t *testing.T) {
 		if math.Abs(hops-model) > 0.03 {
 			t.Errorf("%s: %.2f hops, off the model's %.2f by more than 0.03", key, hops, model)
 		}
-		if col(row, "Matrix").label == "permutation" {
-			delivered[col(row, "Topology").label+" "+col(row, "Scheme").label] = got
-		}
+		delivered[key] = got
 	}
 	if ran != 24 {
 		t.Errorf("%d mesh rows ran the fabric, want 24 (4 sizes x 3 matrices x direct, vlb)", ran)
 	}
 	for _, mesh := range []string{"mesh-4", "mesh-8", "mesh-16"} {
-		if vlb, direct := delivered[mesh+" vlb"], delivered[mesh+" direct"]; !(vlb > direct) {
+		if vlb, direct := delivered[mesh+" permutation vlb"], delivered[mesh+" permutation direct"]; !(vlb > direct) {
 			t.Errorf("%s permutation: vlb delivered %.1f Gbps, not above direct's %.1f", mesh, vlb, direct)
 		}
 	}

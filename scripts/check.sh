@@ -13,10 +13,10 @@
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
 # race tests on the concurrency-bearing packages and on the golden
-# subset (table1 launch fig2 table3 fig5 cluster fabric leafspine), and
-# scripts/gates.sh, which shows the race, pslint, paper-point, ledger,
-# engine, route-determinism, TX-oracle, event-store and golden checks
-# failing on mutations of their own kind.
+# subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
+# which shows the race, pslint, paper-point, packet-ledger, engine,
+# route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger
+# and golden checks failing on mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -162,7 +162,7 @@ fi
 echo "== go test -race (sim, core, ctrl, cluster, pktio, obs, faults)"
 go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 
-echo "== go test -race -short (golden subset: table1 launch fig2 table3 fig5 cluster fabric leafspine in one run, jobs at -j 8, worlds at -p 8, and their paper checks)"
+echo "== go test -race -short (golden subset: table1 launch fig2 table3 fig5 fabric in one run, jobs at -j 8, worlds at -p 8, and their paper and model checks)"
 go test -race -short ./internal/experiments
 
 # Each gate mutation must fail its gate: a forwarding counter shared by
@@ -173,7 +173,9 @@ go test -race -short ./internal/experiments
 # host-to-device copy 1.3 times too slow fails table1's paper points, a
 # Buf kept after an app drop fails the packet ledger, a ctrl command
 # callback blocking on a worker fails the engine's scheduler-context
-# check, and a global math/rand draw fails the route tests.
+# check, a global math/rand draw fails the route tests, VLB spread over
+# n-1 intermediates fails the fabric's model check and golden file, and
+# an uncounted node drop fails the fabric ledger.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

@@ -34,6 +34,11 @@
 #	tie-break       the event heap orders by time alone,
 #	                without (at, seq)'s seq               FuzzEventStore and
 #	                                                      the golden digests
+#	model-vlb-share Evaluate spreads VLB over n-1
+#	                intermediates instead of n           the fabric's model
+#	                                                      check and the
+#	                                                      golden files
+#	fabric-lost-batch  a dead node's drop goes uncounted  the fabric ledger
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -44,11 +49,16 @@
 # The engine gate is sim's own panic on a blocking call from an At/After
 # callback or a task step; any test that reaches the call shows it. The
 # route tests compare GenerateBGPTable against a seeded reference.
-# The last two rows name two gates each, and both must print their
-# finding: TestTransmitMatchesPerPacketOracle against the per-packet
-# reservations, and TestGoldenOutputs (the full run for a TX timing,
-# whose tx.latency lines hold every completion; the -short run for the
-# schedule, whose fabric blocks carry sim.digest lines).
+# tx-run-offset, tie-break and model-vlb-share name two gates each, and
+# both must print their finding: TestTransmitMatchesPerPacketOracle
+# against the per-packet reservations, and TestGoldenOutputs (the full
+# run for a TX timing, whose tx.latency lines hold every completion; the
+# -short run for the schedule, whose fabric blocks carry sim.digest
+# lines); TestFabricMatchesModel, which holds the simulated fabric's
+# hops to the analytic model's, and the -short TestGoldenOutputs on the
+# fabric table. The fabric ledger is the panic in every fabric run when
+# its batches do not add up; any test in go test ./internal/cluster
+# that runs a faulted fabric shows it.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -74,6 +84,8 @@ ctrltests="go test -count=1 ./internal/ctrl"
 routetests="go test -count=1 ./internal/route"
 txgates="go test -count=1 -run TestTransmitMatchesPerPacketOracle|TestGoldenOutputs ./internal/hw/nic ./internal/experiments"
 heapgates="go test -count=1 -short -run TestGoldenOutputs|FuzzEventStore ./internal/experiments ./internal/sim"
+modelgates="go test -count=1 -short -run TestFabricMatchesModel|TestGoldenOutputs ./internal/experiments"
+clustertests="go test -count=1 ./internal/cluster"
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
 # FILE (relative to the tree) that contains ANCHOR.
@@ -181,9 +193,22 @@ mutate_tie_break() {
 	gate=$heapgates want="heap popped" want2="counter sim.digest"
 }
 
+mutate_model_vlb_share() {
+	f=internal/cluster/cluster.go
+	insert $f 'share := gbps / float64(n)' '				share := gbps / float64(n-1)'
+	delete $f 'share := gbps / float64(n)'
+	gate=$modelgates want="off the model" want2="fabric differs from"
+}
+
+mutate_fabric_lost_batch() {
+	delete internal/cluster/fabric.go 'nd.nodeDrops++'
+	gate=$clustertests want="fabric ledger does not balance"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
-		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break
+		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
+		model-vlb-share fabric-lost-batch
 fi
 
 status=0
@@ -205,6 +230,8 @@ for m in "$@"; do
 	global-rand) mutate_global_rand ;;
 	tx-run-offset) mutate_tx_run_offset ;;
 	tie-break) mutate_tie_break ;;
+	model-vlb-share) mutate_model_vlb_share ;;
+	fabric-lost-batch) mutate_fabric_lost_batch ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
