@@ -163,13 +163,14 @@ type fabricNode struct {
 	flowHash   []uint32 // per-destination hash of the persistent key material
 	genBatches uint64
 
-	// forwarder-owned
+	// forwarder-owned (up and busy side by side: a padded bool each
+	// would take the node to a larger allocation size class)
 	alive   []bool     // per-slot link carrier, fault-toggled
 	up      bool       // node liveness, fault-toggled
+	busy    bool       // cur is valid: the armed wake-up ends its budget
 	txFree  []sim.Time // per-slot wire-free time (FIFO serialization)
 	extFree sim.Time   // external port free time
 	cur     batch      // the batch in the forwarding budget
-	busy    bool       // cur is valid: the armed wake-up ends its budget
 
 	inboxPeak int // deepest inbox seen before a take
 
