@@ -10,8 +10,7 @@
 //	psbench -list
 //
 // Experiments: table1, launch, fig2, table3, fig5, fig6, numa,
-// fig11a-fig11d, fig12, ablation, cluster, fabric, leafspine, faults,
-// churn.
+// fig11a-fig11d, fig12, ablation, fabric, faults, churn.
 //
 // Each experiment point is an independent deterministic simulation, so
 // points run in parallel across -j workers; results are merged in job

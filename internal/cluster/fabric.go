@@ -631,9 +631,9 @@ func (nd *fabricNode) forward(p *sim.Proc) {
 // Local deliveries pass through the external-port recurrence and count
 // as delivered only if the port finishes them by the horizon — exactly
 // when the dedicated egress proc this replaces would have executed its
-// completion event — and as late otherwise. Transit batches pick an egress slot via the
-// topology, serialize on the per-slot wire recurrence, and depart
-// through SendAt.
+// completion event — and as late otherwise. Transit batches pick an
+// egress slot via the topology, serialize on the per-slot wire
+// recurrence, and depart through SendAt.
 func (nd *fabricNode) route(p *sim.Proc, b batch) {
 	nd.forwards++
 	b.hops++

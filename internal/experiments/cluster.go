@@ -26,7 +26,7 @@ func SetPartitionWorkers(n int) {
 
 // fabricSpec is one row of the fabric experiment: a full mesh of n
 // PacketShader boxes under one traffic matrix and routing scheme, or
-// (leafSpine set) a leaf–spine fabric.
+// (leafSpine set) a leaf–spine fabric under ECMP.
 type fabricSpec struct {
 	n         int
 	matrix    string
@@ -65,7 +65,7 @@ func fabricScaling(c *Ctx) *Result {
 		leaves, spines int
 		faulted        bool
 	}{{16, 4, false}, {64, 8, false}, {128, 16, false}, {128, 16, true}} {
-		specs = append(specs, fabricSpec{n: ls.leaves, matrix: "uniform", faulted: ls.faulted,
+		specs = append(specs, fabricSpec{matrix: "uniform", faulted: ls.faulted,
 			leafSpine: &cluster.LeafSpine{
 				Leaves: ls.leaves, Spines: ls.spines, Uplinks: 2,
 				EdgeGbps: 40, LeafGbps: 40, SpineGbps: 160, UplinkGbps: 10,
