@@ -10,7 +10,7 @@
 //	psbench -list
 //
 // Experiments: table1, launch, fig2, table3, fig5, fig6, numa,
-// fig11a-fig11d, fig12, ablation, fabric, faults, churn.
+// fig11a-fig11d, fig12, pipeline, ablation, fabric, faults, churn.
 //
 // Each experiment point is an independent deterministic simulation, so
 // points run in parallel across -j workers; results are merged in job
@@ -80,15 +80,16 @@ func main() {
 		}
 		return
 	}
+	r := experiments.NewRunner(jobs)
+	r.PartitionWorkers = parts
 	if metrics {
-		experiments.SetMetricsWriter(os.Stdout)
+		r.Metrics = os.Stdout
 	}
-	experiments.SetPartitionWorkers(parts)
 	if len(ids) == 0 {
 		ids = []string{"all"}
 	}
 	start := time.Now()
-	if err := experiments.NewRunner(jobs).Run(os.Stdout, ids...); err != nil {
+	if err := r.Run(os.Stdout, ids...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

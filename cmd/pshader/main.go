@@ -139,21 +139,19 @@ func main() {
 	defer inst.Close()
 
 	var (
-		tracer  *obs.Tracer
-		sampler *obs.ServerSampler
-		reg     *obs.Registry
+		tracer *obs.Tracer
+		reg    *obs.Registry
 	)
 	if *traceOut != "" {
 		tracer = obs.NewTracer()
+		// The sampler turns every sim.Server reservation (PCIe engines,
+		// GPU copy/exec, NIC serializers) into a span on its own track.
+		inst.Env.SetHooks(obs.NewServerSampler(tracer))
 	}
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
 	if tracer != nil || reg != nil {
-		// The sampler turns every sim.Server reservation (PCIe engines,
-		// GPU copy/exec, NIC serializers) into occupancy spans/totals.
-		sampler = obs.NewServerSampler(tracer)
-		inst.Env.SetHooks(sampler)
 		inst.EnableObs(tracer, reg)
 	}
 	var (
@@ -251,7 +249,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := sampler.WriteReport(os.Stdout, inst.Env.Now()); err != nil {
+		if err := obs.WriteUtil(os.Stdout, inst.Env); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

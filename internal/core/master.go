@@ -45,6 +45,20 @@ type master struct {
 	// gather is the reusable §5.4 gather buffer: the set of chunks in
 	// the current launch. Reset (not reallocated) every round.
 	gather []*Chunk
+
+	// busy sums the virtual time the master spent in launches
+	// (watchdog stalls included) and CPU fallbacks.
+	busy sim.Duration
+}
+
+// MasterBusy sums, over every master, the virtual time spent so far in
+// GPU launches and CPU fallbacks: the masters' busy time.
+func (r *Router) MasterBusy() sim.Duration {
+	var d sim.Duration
+	for _, m := range r.masters {
+		d += m.busy
+	}
+	return d
 }
 
 // heldOut reports whether the master itself should bypass the GPU right
@@ -124,6 +138,7 @@ func (m *master) run(p *sim.Proc) {
 		// Scatter (§5.4): results go to each chunk's own worker output
 		// queue, avoiding 1-to-N sharing.
 		worked := p.Now()
+		m.busy += sim.Duration(worked - gathered)
 		for _, c := range chunks {
 			c.stamps[stampWorked] = worked
 			m.router.workers[c.Worker].outQ.Put(p, c)

@@ -36,12 +36,13 @@ type routerObs struct {
 	launchThreads *obs.Histogram
 	fallbackChunk *obs.Histogram
 	// stages[i] is the residence of each completed chunk in stage i,
-	// core.stage.<stageNames[i]>; their sums are Router.Stages.Time.
+	// core.stage.<StageNames[i]>; their sums are Router.Stages.Time.
 	stages [NumStages]*obs.Histogram
 }
 
-// stageNames name the per-stage histograms, in stage order.
-var stageNames = [NumStages]string{"rx_fetch", "pre_shade", "queue", "work", "output", "post_shade", "tx"}
+// StageNames name the stages, in stage order, as the per-stage
+// histograms do.
+var StageNames = [NumStages]string{"rx_fetch", "pre_shade", "queue", "work", "output", "post_shade", "tx"}
 
 func newRouterObs(workers, nodes int) *routerObs {
 	return &routerObs{
@@ -81,7 +82,7 @@ func (r *Router) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 	o.chunkSize = reg.Histogram("core.chunk_packets", obs.UnitCount)
 	o.launchThreads = reg.Histogram("core.launch_threads", obs.UnitCount)
 	o.fallbackChunk = reg.Histogram("core.fallback_chunk_packets", obs.UnitCount)
-	for i, name := range stageNames {
+	for i, name := range StageNames {
 		o.stages[i] = reg.Histogram("core.stage."+name, obs.UnitDuration)
 	}
 }

@@ -9,21 +9,6 @@ import (
 	"packetshader/internal/sim"
 )
 
-// partitionWorkers is the number of host goroutines the DES fabric uses
-// to advance its per-node partitions (the psbench -p value). Results
-// are byte-identical for any value; only wall-clock time changes. Set
-// before running experiments, from one goroutine — jobs only read it.
-var partitionWorkers = 1
-
-// SetPartitionWorkers sets the conservative-parallel worker count for
-// fabric runs (values below 1 mean 1).
-func SetPartitionWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	partitionWorkers = n
-}
-
 // fabricSpec is one row of the fabric experiment: a full mesh of n
 // PacketShader boxes under one traffic matrix and routing scheme, or
 // (leafSpine set) a leaf–spine fabric under ECMP.
@@ -71,7 +56,9 @@ func fabricScaling(c *Ctx) *Result {
 				EdgeGbps: 40, LeafGbps: 40, SpineGbps: 160, UplinkGbps: 10,
 			}})
 	}
-	r.Rows = MapPoints(c, len(specs), func(i int, pt *Point) []Cell { return fabricRow(specs[i], pt) })
+	r.Rows = MapPoints(c, len(specs), func(i int, pt *Point) []Cell {
+		return fabricRow(specs[i], c.r.PartitionWorkers, pt)
+	})
 	r.Note("mesh rows offer 0.9 x admissible; the fabric does not model direct-vlb's spill, so those rows are the model's alone")
 	r.Note("one PacketShader box replaces RB4, RouteBricks' 4-machine cluster (§8)")
 	r.Note("VLB trades forwarding budget (≈3 hops) for guaranteed worst-case throughput")
@@ -99,12 +86,12 @@ func meshMatrix(kind string, n int, total float64) cluster.Matrix {
 // come from Evaluate at full external load (40 Gbps per sending box),
 // and its simulation offers 0.9 of what that admits; cells the row has
 // no run for print as "-".
-func fabricRow(s fabricSpec, pt *Point) []Cell {
+func fabricRow(s fabricSpec, workers int, pt *Point) []Cell {
 	cfg := cluster.FabricConfig{
 		LinkLatency: 50 * sim.Microsecond,
 		Horizon:     5 * sim.Millisecond,
 		Seed:        2026,
-		Workers:     partitionWorkers,
+		Workers:     workers,
 	}
 	dash := Label("-")
 	var topo, scheme string

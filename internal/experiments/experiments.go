@@ -129,6 +129,7 @@ var Registry = []registryEntry{
 	{ID: "fig11c", Run: fig11c},
 	{ID: "fig11d", Run: fig11d},
 	{ID: "fig12", Run: fig12},
+	{ID: "pipeline", Run: pipeline},
 	{ID: "ablation", Run: ablation},
 	{ID: "fabric", Run: fabricScaling},
 	{ID: "faults", Run: faultScenario},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"packetshader"
@@ -36,11 +35,8 @@ func runApp(pt *Point, mode core.Mode, pktSize int, app core.App, src packetshad
 	defer inst.Close()
 	mw := pt.MetricsWriter()
 	var reg *obs.Registry
-	var sampler *obs.ServerSampler
 	if mw != nil {
 		reg = obs.NewRegistry()
-		sampler = obs.NewServerSampler(nil)
-		inst.Env.SetHooks(sampler)
 		inst.EnableObs(nil, reg)
 	}
 	inst.Run(warmup)
@@ -54,22 +50,11 @@ func runApp(pt *Point, mode core.Mode, pktSize int, app core.App, src packetshad
 		fmt.Fprintf(mw, "--- metrics %s mode=%s size=%d offered=%g ---\n",
 			app.Name(), name, pktSize, inst.Router.Cfg.OfferedGbpsPerPort)
 		if err := reg.Dump(mw); err == nil {
-			err = sampler.WriteReport(mw, inst.Env.Now())
+			err = obs.WriteUtil(mw, inst.Env)
 		}
 	}
 	return rep
 }
-
-// metricsW, when set via SetMetricsWriter, receives the per-run metrics
-// dumps (registry + resource occupancy) from every application
-// experiment driven through runApp, in deterministic job order.
-var metricsW io.Writer
-
-// SetMetricsWriter enables per-experiment metrics dumps to w (nil
-// disables them, the default). Call it before running experiments, from
-// one goroutine: the jobs buffer their dumps privately and the runner
-// flushes them here in job order.
-func SetMetricsWriter(w io.Writer) { metricsW = w }
 
 var fig11Sizes = []int{64, 128, 256, 512, 1024, 1514}
 

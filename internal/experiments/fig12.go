@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"packetshader"
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
@@ -60,4 +62,91 @@ func ipv6Run(seed uint64, d sim.Duration, opts ...packetshader.Option) packetsha
 		&pktgen.UDP6Source{Size: 64, Seed: seed, Table: entries}, opts...))
 	defer inst.Close()
 	return inst.Run(d)
+}
+
+// pipeline is the CPU+GPU path's accounting table, the counterpart of
+// Table 3's for the skb path: for IPv4 and IPv6 forwarding at 64 B and
+// 1514 B, over Figure 11's measured window only, where a chunk spends
+// its time (the mean per stage, between the stamps of core.Stages) and
+// how busy every core and server is. The chunk residence runs from the
+// worker's poll to the end of its TX hand-off; the frame latency mean
+// beside it adds the frame's wait in the RX ring and its TX DMA, queue
+// and wire time.
+func pipeline(c *Ctx) *Result {
+	r := &Result{
+		ID:     "pipeline",
+		Title:  "CPU+GPU pipeline over the measured window: mean per chunk (us) and busy share (%)",
+		Header: []string{"Quantity", "IPv4 64B", "IPv4 1514B", "IPv6 64B", "IPv6 1514B"},
+	}
+	cols := MapPoints(c, 4, func(k int, _ *Point) [][2]Cell {
+		size := []int{64, 1514}[k%2]
+		if k < 2 {
+			entries, tbl := BGPFixture()
+			return pipelineColumn(size, &apps.IPv4Fwd{Table: tbl, NumPorts: model.NumPorts},
+				&pktgen.UDP4Source{Size: size, Seed: 11, Table: entries})
+		}
+		entries, tbl := IPv6Fixture()
+		return pipelineColumn(size, &apps.IPv6Fwd{Table: tbl, NumPorts: model.NumPorts},
+			&pktgen.UDP6Source{Size: size, Seed: 12, Table: entries})
+	})
+	// Every column builds the same topology, so its rows, servers
+	// included, come in one order under one set of labels.
+	for i, first := range cols[0] {
+		row := []Cell{first[0]}
+		for _, col := range cols {
+			row = append(row, col[i][1])
+		}
+		r.AddRow(row...)
+	}
+	r.Note("workers: stages rx_fetch + pre_shade + post_shade + tx over %d worker cores; masters: launches and fallbacks over %d",
+		model.NumNodes*(model.CoresPerNode-1), model.NumNodes)
+	r.Note("rx_fetch includes the wait for the previous fetch's RX DMA; stage sums are of the chunks completed in the window, boundary chunks whole")
+	return r
+}
+
+// pipelineColumn runs one CPU+GPU router through Figure 11's warm-up and
+// window and returns its column of the pipeline table as (label, value)
+// rows: the mean of each stage and of the residence per chunk completed
+// in the window, the mean latency of the frames delivered in it, and
+// the busy share of the worker cores, the master cores and every
+// server.
+func pipelineColumn(size int, app core.App, src packetshader.Source) [][2]Cell {
+	inst := packetshader.Must(packetshader.New(app, src,
+		packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)))
+	defer inst.Close()
+	warm := inst.Run(appWarmup)
+	servers := inst.Env.Servers()
+	busy := make([]sim.Duration, len(servers))
+	for i, s := range servers {
+		busy[i] = s.BusyTime()
+	}
+	masterBusy := inst.Router.MasterBusy()
+	// The sink's latency sum, in us; the conversion keeps the product
+	// from fusing into the difference below.
+	latencySum := func() float64 { return float64(inst.Sink.MeanMicros() * float64(inst.Sink.Count)) }
+	frames, latency := inst.Sink.Count, latencySum()
+	rep := inst.Run(appWindow)
+
+	var rows [][2]Cell
+	add := func(label string, v Cell) { rows = append(rows, [2]Cell{Label(label), v}) }
+	chunks := float64(rep.Stages.Chunks - warm.Stages.Chunks)
+	var stage [core.NumStages]sim.Duration
+	var residence sim.Duration
+	for i, name := range core.StageNames {
+		stage[i] = rep.Stages.Time[i] - warm.Stages.Time[i]
+		residence += stage[i]
+		add("stage "+name, Num("%.2f", stage[i].Microseconds()/chunks))
+	}
+	add("chunk residence", Num("%.2f", residence.Microseconds()/chunks))
+	add("frame latency", Num("%.2f", (latencySum()-latency)/float64(inst.Sink.Count-frames)))
+	share := func(d sim.Duration, cores int) Cell {
+		return Num("%.1f", 100*float64(d)/float64(cores)/float64(appWindow))
+	}
+	worker := stage[core.StageRxFetch] + stage[core.StagePreShade] + stage[core.StagePostShade] + stage[core.StageTx]
+	add("workers", share(worker, model.NumNodes*(model.CoresPerNode-1)))
+	add("masters", share(inst.Router.MasterBusy()-masterBusy, model.NumNodes))
+	for i, s := range servers {
+		add(fmt.Sprintf("%s#%d", s.Name(), s.ID()), share(s.BusyTime()-busy[i], 1))
+	}
+	return rows
 }

@@ -33,12 +33,10 @@ func goldenRun() {
 		if testing.Short() {
 			ids = goldenShortIDs
 		}
-		defer SetPartitionWorkers(partitionWorkers)
-		defer SetMetricsWriter(metricsW)
 		var out bytes.Buffer
-		SetPartitionWorkers(8)
-		SetMetricsWriter(&out)
-		golden.res, golden.err = NewRunner(8).run(&out, ids...)
+		r := NewRunner(8)
+		r.Metrics, r.PartitionWorkers = &out, 8
+		golden.res, golden.err = r.run(&out, ids...)
 		golden.out = out.Bytes()
 	})
 }

@@ -27,6 +27,15 @@ import (
 // keeps exactly N simulation jobs in flight regardless of how uneven
 // the per-experiment job counts are.
 type Runner struct {
+	// Metrics, when set, receives the per-run metrics dumps (registry
+	// and resource occupancy) of every application experiment, in job
+	// order (psbench -metrics).
+	Metrics io.Writer
+	// PartitionWorkers is the number of host goroutines the fabric
+	// experiment advances its per-node partitions on (psbench -p);
+	// values below 1 mean 1. Results are byte-identical for any value.
+	PartitionWorkers int
+
 	sem chan struct{}
 }
 
@@ -57,7 +66,7 @@ type Point struct {
 }
 
 // MetricsWriter returns the job's metrics sink, or nil when metrics
-// dumps are disabled (the default; see SetMetricsWriter).
+// dumps are disabled (the default; see Runner.Metrics).
 func (p *Point) MetricsWriter() io.Writer {
 	if p == nil || !p.on {
 		return nil
@@ -80,7 +89,7 @@ func MapPoints[T any](c *Ctx, n int, fn func(i int, pt *Point) T) []T {
 	stacks := make([][]byte, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		pts[i] = &Point{on: metricsW != nil}
+		pts[i] = &Point{on: c.r.Metrics != nil}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -197,12 +206,12 @@ func resolve(ids []string) ([]registryEntry, error) {
 }
 
 // flushMetrics forwards an experiment's buffered metrics dumps to the
-// process-wide metrics writer, in the job order they were merged, and
+// runner's metrics writer, in the job order they were merged, and
 // returns the writer's error.
 func flushMetrics(c *Ctx) error {
-	if metricsW == nil || c.metrics.Len() == 0 {
+	if c.r.Metrics == nil || c.metrics.Len() == 0 {
 		return nil
 	}
-	_, err := metricsW.Write(c.metrics.Bytes())
+	_, err := c.r.Metrics.Write(c.metrics.Bytes())
 	return err
 }

@@ -89,9 +89,9 @@ func TestRunReturnsWriteError(t *testing.T) {
 		c.metrics.WriteString("--- metrics ---\n")
 		return &Result{ID: "dumps"}
 	}})
-	defer SetMetricsWriter(metricsW)
-	SetMetricsWriter(&cutWriter{3})
-	if err := NewRunner(2).Run(io.Discard, "dumps"); !errors.Is(err, errCut) {
+	r := NewRunner(2)
+	r.Metrics = &cutWriter{3}
+	if err := r.Run(io.Discard, "dumps"); !errors.Is(err, errCut) {
 		t.Errorf("metrics cut after 3 bytes: Run returned %v", err)
 	}
 }
@@ -100,10 +100,8 @@ func TestRunReturnsWriteError(t *testing.T) {
 // metrics are merged in index order, regardless of completion order.
 func TestMapPointsOrderAndMetrics(t *testing.T) {
 	var sink bytes.Buffer
-	SetMetricsWriter(&sink)
-	defer SetMetricsWriter(nil)
-
 	c := &Ctx{r: NewRunner(4)}
+	c.r.Metrics = &sink
 	var running atomic.Int32
 	vals := MapPoints(c, 16, func(i int, pt *Point) int {
 		running.Add(1)

@@ -292,7 +292,10 @@ func (q *RxQueue) TimeToPacket() (d sim.Duration, ok bool) {
 	if q.carrierDown {
 		// Link down but load is configured: the carrier may come back
 		// (fault injection), so the reader must keep polling rather
-		// than retire. One moderation interval is the poll cadence.
+		// than retire. This returns one moderation interval;
+		// worker.waitAny adds the interrupt moderation on top, so a
+		// worker re-polls a dead link every two intervals, while
+		// WaitForPackets re-polls it every one.
 		return q.Moderation, true
 	}
 	return sim.DurationFromSeconds((1 - q.occ) / q.rate), true
@@ -301,26 +304,17 @@ func (q *RxQueue) TimeToPacket() (d sim.Duration, ok bool) {
 // WaitForPackets blocks p until the queue has at least one packet,
 // modelling the interrupt-enabled idle state of §5.2 (plus interrupt
 // moderation latency). Returns false if the queue has no offered load
-// (would block forever).
+// (would block forever). While the carrier is down it sleeps one
+// moderation interval and reports alive so the caller re-polls.
 func (q *RxQueue) WaitForPackets(p *sim.Proc) bool {
-	q.update()
-	if q.occ >= 1 {
-		return true
+	d, ok := q.TimeToPacket()
+	if !ok || q.occ >= 1 {
+		return ok
 	}
-	if q.rate <= 0 {
-		return false
+	if !q.carrierDown {
+		d += q.Moderation
 	}
-	if q.carrierDown {
-		// No arrivals while the link is down; sleep one moderation
-		// interval and report alive so the caller re-polls.
-		p.Sleep(q.Moderation)
-		q.update()
-		return true
-	}
-	// Time until the next whole packet accumulates, plus moderation.
-	need := 1 - q.occ
-	wait := sim.DurationFromSeconds(need/q.rate) + q.Moderation
-	p.Sleep(wait)
+	p.Sleep(d)
 	q.update()
 	return true
 }

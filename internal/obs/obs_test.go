@@ -307,16 +307,17 @@ func TestRegistryNilAndDedup(t *testing.T) {
 	}
 }
 
-// TestServerSamplerTilesBusyTime checks the acceptance-criterion
-// invariant at unit level: spans recorded by the sampler cover the
-// server's busy time exactly (100% ≥ the required 95%).
+// TestServerSamplerTilesBusyTime: the sampler records one span per
+// reservation on a per-resource track, and WriteUtil reports the
+// servers' own occupancy, name-sorted, omitting a server that never
+// served.
 func TestServerSamplerTilesBusyTime(t *testing.T) {
 	env := sim.NewEnv()
 	tr := NewTracer()
-	sampler := NewServerSampler(tr)
-	env.SetHooks(sampler)
+	env.SetHooks(NewServerSampler(tr))
 	a := sim.NewServer(env, "pcie-up")
 	b := sim.NewServer(env, "gpu-exec")
+	sim.NewServer(env, "idle")
 	env.Go("driver", func(p *sim.Proc) {
 		a.Use(p, 3*sim.Microsecond)
 		b.Schedule(5 * sim.Microsecond)
@@ -324,46 +325,38 @@ func TestServerSamplerTilesBusyTime(t *testing.T) {
 		a.Use(p, 2*sim.Microsecond)
 	})
 	env.Run(0)
-	if sampler.Resources() != 2 {
-		t.Fatalf("observed %d resources, want 2", sampler.Resources())
-	}
-	if got := sampler.BusyTime(a.ID()); got != a.BusyTime() || got != 5*sim.Microsecond {
-		t.Errorf("sampler busy %v, server busy %v, want 5us", got, a.BusyTime())
-	}
-	if got := sampler.BusyTime(b.ID()); got != b.BusyTime() {
-		t.Errorf("sampler busy %v != server busy %v", got, b.BusyTime())
-	}
 	// One span per reservation, on per-resource tracks.
 	if tr.Events() != 3 {
 		t.Errorf("recorded %d spans, want 3", tr.Events())
 	}
 	var rep bytes.Buffer
-	if err := sampler.WriteReport(&rep, env.Now()); err != nil {
+	if err := WriteUtil(&rep, env); err != nil {
 		t.Fatal(err)
 	}
-	out := rep.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("report lines = %d, want 2:\n%s", len(lines), out)
-	}
-	// Sorted by name: gpu-exec before pcie-up.
-	if !strings.HasPrefix(lines[0], "util gpu-exec#") || !strings.HasPrefix(lines[1], "util pcie-up#") {
-		t.Errorf("report not name-sorted:\n%s", out)
-	}
-	if !strings.Contains(lines[1], "busy=5.000000us") || !strings.Contains(lines[1], "spans=2") {
-		t.Errorf("pcie-up line wrong: %s", lines[1])
+	want := "util gpu-exec#2 busy=5.000000us spans=1 occ=333\n" +
+		"util pcie-up#1 busy=5.000000us spans=2 occ=333\n"
+	if rep.String() != want {
+		t.Errorf("util report:\n%s\nwant:\n%s", rep.String(), want)
 	}
 }
 
-// TestSamplerWithNilTracer: occupancy accounting must work without a
-// tracer attached.
+// TestSamplerWithNilTracer: a sampler without a tracer records nothing,
+// and the occupancy report reads the same with it installed as with no
+// hooks at all.
 func TestSamplerWithNilTracer(t *testing.T) {
-	env := sim.NewEnv()
-	sampler := NewServerSampler(nil)
-	env.SetHooks(sampler)
-	s := sim.NewServer(env, "ioh-up")
-	s.Schedule(7 * sim.Microsecond)
-	if sampler.BusyTime(s.ID()) != 7*sim.Microsecond {
-		t.Errorf("busy = %v, want 7us", sampler.BusyTime(s.ID()))
+	var reps [2]bytes.Buffer
+	for i := range reps {
+		env := sim.NewEnv()
+		if i == 1 {
+			env.SetHooks(NewServerSampler(nil))
+		}
+		s := sim.NewServer(env, "ioh-up")
+		s.Schedule(7 * sim.Microsecond)
+		if err := WriteUtil(&reps[i], env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := "util ioh-up#1 busy=7.000000us spans=1 occ=0\n"; reps[0].String() != want || reps[1].String() != want {
+		t.Errorf("without hooks %q, with a nil-tracer sampler %q; want %q", reps[0].String(), reps[1].String(), want)
 	}
 }

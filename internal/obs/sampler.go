@@ -3,115 +3,66 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"packetshader/internal/sim"
 )
 
-// serverStat accumulates one sim.Server's occupancy.
-type serverStat struct {
-	name  string
-	id    int
-	track TrackID
-	busy  sim.Duration
-	spans uint64
-	last  sim.Time // end of the latest reservation
-}
-
 // ServerSampler implements sim.Hooks: every reservation on every
 // sim.Server (PCIe links, IOH engines, GPU copy/exec engines, NIC wire
-// serializers) becomes a span on a per-resource trace track plus busy
-// accounting for the occupancy report. Because FIFO servers are never
-// idle mid-queue, the emitted spans tile each server's busy time
-// exactly — coverage of simulated busy time is 100% by construction.
+// serializers) becomes a span on a per-resource trace track, created on
+// the server's first span. Because FIFO servers are never idle
+// mid-queue, the spans tile each server's busy time exactly. Occupancy
+// totals are the servers' own (sim.Server.BusyTime and Spans, written by
+// WriteUtil); the sampler exists for the trace.
 //
-// Install with env.SetHooks(obs.NewServerSampler(tracer)). The tracer
-// may be nil: the sampler then only keeps the occupancy totals.
+// Install with env.SetHooks(obs.NewServerSampler(tracer)); a nil tracer
+// records nothing, like every Tracer method on nil.
 type ServerSampler struct {
-	tr    *Tracer
-	byID  map[int]*serverStat
-	order []*serverStat // first-use order (deterministic)
+	tr     *Tracer
+	tracks []TrackID // by server ID - 1; 0 until the server's first span
 }
 
-// NewServerSampler creates a sampler recording spans into tr (nil for
-// occupancy accounting only).
-func NewServerSampler(tr *Tracer) *ServerSampler {
-	return &ServerSampler{tr: tr, byID: map[int]*serverStat{}}
-}
+// NewServerSampler creates a sampler recording spans into tr.
+func NewServerSampler(tr *Tracer) *ServerSampler { return &ServerSampler{tr: tr} }
 
 // ServerBusy implements sim.Hooks.
 func (h *ServerSampler) ServerBusy(s *sim.Server, start, end sim.Time) {
-	st := h.byID[s.ID()]
-	if st == nil {
-		st = &serverStat{
-			name:  s.Name(),
-			id:    s.ID(),
-			track: h.tr.Track("resources", fmt.Sprintf("%s#%d", s.Name(), s.ID())),
-		}
-		h.byID[s.ID()] = st
-		h.order = append(h.order, st)
+	i := s.ID() - 1
+	if i >= len(h.tracks) {
+		h.tracks = append(h.tracks, make([]TrackID, i+1-len(h.tracks))...)
 	}
-	st.busy += sim.Duration(end - start)
-	st.spans++
-	if end > st.last {
-		st.last = end
+	if h.tracks[i] == 0 {
+		h.tracks[i] = h.tr.Track("resources", fmt.Sprintf("%s#%d", s.Name(), s.ID()))
 	}
-	h.tr.SpanUntil(st.track, s.Name(), start, end)
+	h.tr.SpanUntil(h.tracks[i], s.Name(), start, end)
 }
 
-// BusyTime returns the accumulated busy time of the server with the
-// given ID (0 if it never ran).
-func (h *ServerSampler) BusyTime(id int) sim.Duration {
-	if st := h.byID[id]; st != nil {
-		return st.busy
-	}
-	return 0
-}
-
-// Resources returns how many distinct servers have been observed.
-func (h *ServerSampler) Resources() int { return len(h.order) }
-
-// BusyByName sums the busy time of every observed server whose name
-// starts with prefix — e.g. "ioh" for both IOH engines, "gpu" for GPU
-// links plus exec engines.
-func (h *ServerSampler) BusyByName(prefix string) sim.Duration {
-	var total sim.Duration
-	for _, st := range h.order {
-		if strings.HasPrefix(st.name, prefix) {
-			total += st.busy
-		}
-	}
-	return total
-}
-
-// WriteReport dumps per-resource occupancy accumulated since the
-// sampler was installed, sorted by (name, id), one line per resource:
+// WriteUtil writes the occupancy of every server of env that has served
+// at least one span, sorted by (name, id), one line per server:
 //
 //	util <name>#<id> busy=<us> spans=<n> occ=<permille>
 //
-// Occupancy is busy/now in permille, integer arithmetic only (install
-// the sampler at virtual time zero for meaningful fractions).
-// Reservations extend into the future (Schedule), so occupancy can
-// transiently exceed 1000.
-func (h *ServerSampler) WriteReport(w io.Writer, now sim.Time) error {
+// Occupancy is busy/now in permille, integer arithmetic only, so it
+// covers the whole run from virtual time zero. Reservations extend into
+// the future (Schedule), so occupancy can transiently exceed 1000.
+func WriteUtil(w io.Writer, env *sim.Env) error {
 	ew := &errWriter{w: w}
-	stats := make([]*serverStat, len(h.order))
-	copy(stats, h.order)
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].name != stats[j].name {
-			return stats[i].name < stats[j].name
+	// Servers come in ID order, so a stable sort by name sorts by (name, id).
+	servers := slices.Clone(env.Servers())
+	slices.SortStableFunc(servers, func(a, b *sim.Server) int { return strings.Compare(a.Name(), b.Name()) })
+	elapsed := int64(env.Now())
+	for _, s := range servers {
+		if s.Spans() == 0 {
+			continue
 		}
-		return stats[i].id < stats[j].id
-	})
-	elapsed := int64(now)
-	for _, st := range stats {
 		occ := int64(0)
 		if elapsed > 0 {
-			occ = int64(st.busy) * 1000 / elapsed
+			occ = int64(s.BusyTime()) * 1000 / elapsed
 		}
 		fmt.Fprintf(ew, "util %s#%d busy=%sus spans=%d occ=%d\n",
-			st.name, st.id, micros(int64(st.busy)), st.spans, occ)
+			s.Name(), s.ID(), micros(int64(s.BusyTime())), s.Spans(), occ)
 	}
 	return ew.err
 }

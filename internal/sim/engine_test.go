@@ -27,25 +27,31 @@ func TestSameInstantWakeupFIFO(t *testing.T) {
 }
 
 // TestSameInstantImmediateFIFO covers the immediate-ring path: wakeups
-// scheduled *at* the current instant (signal fire) run in FIFO order
+// scheduled *at* the current instant (queue hand-offs) run in FIFO order
 // after all events that were already in the heap for that instant.
 func TestSameInstantImmediateFIFO(t *testing.T) {
 	env := NewEnv()
-	sig := NewSignal(env)
+	q := NewQueue[int](env, 0)
 	var order []string
 	for i := 0; i < 4; i++ {
 		name := string(rune('a' + i))
 		env.Go(name, func(p *Proc) {
-			sig.Wait(p)
+			q.Get(p)
 			order = append(order, name)
 		})
 	}
 	env.Go("firer", func(p *Proc) {
 		p.Sleep(5 * Nanosecond)
-		sig.Fire() // schedules 4 immediate wakeups at t=5ns
+		for i := 0; i < 4; i++ {
+			q.TryPut(i) // hands off to a parked getter: an immediate wakeup at t=5ns
+		}
+	})
+	env.Go("late", func(p *Proc) {
+		p.Sleep(5 * Nanosecond) // a heap event at t=5ns, scheduled after firer's
+		order = append(order, "late")
 	})
 	env.Run(0)
-	want := []string{"a", "b", "c", "d"}
+	want := []string{"late", "a", "b", "c", "d"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

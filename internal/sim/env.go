@@ -1,7 +1,7 @@
 // Package sim is a deterministic, process-oriented discrete-event
 // simulation engine. It provides a virtual clock, cooperatively scheduled
-// processes (one runnable at a time, SimPy-style), blocking FIFO queues,
-// serializing servers for bandwidth links, and broadcast signals. A
+// processes (one runnable at a time, SimPy-style), blocking FIFO queues
+// and serializing servers for bandwidth links. A
 // process that never blocks mid-body can run as a task instead of a
 // goroutine (Env.Task): a step function the event loop calls inline.
 //
@@ -64,7 +64,7 @@ func (t Time) String() string {
 }
 
 // event is one scheduled occurrence, stored by value. p != nil is a
-// typed process wakeup (Sleep, queue/signal hand-off, and their task
+// typed process wakeup (Sleep, queue hand-off, and their task
 // halves): no closure is built and nothing is allocated. fn is reserved
 // for true scheduler callbacks registered through At/After.
 type event struct {
@@ -82,7 +82,8 @@ type Hooks interface {
 	// ServerBusy reports one reservation occupying server s over the
 	// half-open virtual-time interval [start, end). FIFO servers never
 	// idle mid-queue, so these intervals tile the server's busy time
-	// exactly: their total duration equals Server.BusyTime.
+	// exactly: their number equals Server.Spans and their total
+	// duration Server.BusyTime.
 	ServerBusy(s *Server, start, end Time)
 }
 
@@ -108,10 +109,10 @@ type Env struct {
 	closed  bool
 	inSched bool // an At/After callback or a task step is running
 
-	hooks     Hooks
-	serverSeq int    // server IDs in creation order (deterministic)
-	spawns    uint64 // processes started, Go and Task alike (Proc.spawn)
-	stats     Stats
+	hooks   Hooks
+	servers []*Server // in creation order; a server's ID is its index + 1
+	spawns  uint64    // processes started, Go and Task alike (Proc.spawn)
+	stats   Stats
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -129,6 +130,10 @@ func (e *Env) SetHooks(h Hooks) { e.hooks = h }
 
 // Hooks returns the installed trace hooks, or nil.
 func (e *Env) Hooks() Hooks { return e.hooks }
+
+// Servers returns every server created in e, in creation order. The
+// slice is e's own: callers must not modify it.
+func (e *Env) Servers() []*Server { return e.servers }
 
 // schedule enqueues a typed event at absolute time at (clamped to now).
 func (e *Env) schedule(at Time, p *Proc, fn func()) {
@@ -149,7 +154,7 @@ func (e *Env) schedule(at Time, p *Proc, fn func()) {
 }
 
 // wake schedules a typed wakeup for p at absolute time at. This is the
-// allocation-free path used by Sleep, queues and signals.
+// allocation-free path used by Sleep and queues.
 func (e *Env) wake(p *Proc, at Time) { e.schedule(at, p, nil) }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).

@@ -2,7 +2,7 @@ package sim
 
 // Proc is a simulated process. It comes in two forms. A goroutine
 // process (Env.Go) advances virtual time by sleeping and by blocking on
-// queues, servers, and signals, anywhere in its body. A task (Env.Task)
+// queues and servers, anywhere in its body. A task (Env.Task)
 // has no goroutine: the event loop calls its step function inline at
 // each wakeup, and the step arms the next wakeup (WakeAfter,
 // Queue.Await) and returns. Exactly one process (or the scheduler loop

@@ -12,14 +12,18 @@ type Server struct {
 	// freeAt is the virtual time at which the server finishes its
 	// currently queued work.
 	freeAt Time
-	// busy accumulates total service time, for utilization accounting.
-	busy Duration
+	// busy and spans accumulate the service time and the services of
+	// positive length charged so far: what the hooks see, counted
+	// whether or not hooks are installed.
+	busy  Duration
+	spans uint64
 }
 
 // NewServer creates a named FIFO server.
 func NewServer(env *Env, name string) *Server {
-	env.serverSeq++
-	return &Server{env: env, name: name, id: env.serverSeq}
+	s := &Server{env: env, name: name, id: len(env.servers) + 1}
+	env.servers = append(env.servers, s)
+	return s
 }
 
 // Name returns the name given at creation.
@@ -43,8 +47,11 @@ func (s *Server) reserve(notBefore Time, d Duration) Time {
 	start := s.freeAt
 	s.freeAt += Time(d)
 	s.busy += d
-	if s.env.hooks != nil && d > 0 {
-		s.env.hooks.ServerBusy(s, start, s.freeAt)
+	if d > 0 {
+		s.spans++
+		if s.env.hooks != nil {
+			s.env.hooks.ServerBusy(s, start, s.freeAt)
+		}
 	}
 	return s.freeAt
 }
@@ -86,6 +93,9 @@ func (s *Server) ScheduleRun(n int, d Duration) (start Time) {
 	start = max(s.freeAt, s.env.now)
 	s.freeAt = start + Time(n)*Time(d)
 	s.busy += Duration(n) * d
+	if d > 0 {
+		s.spans += uint64(n)
+	}
 	return start
 }
 
@@ -103,6 +113,9 @@ func (s *Server) ScheduleChain(at []Time, d Duration) {
 	}
 	s.freeAt = free
 	s.busy += Duration(len(at)) * d
+	if d > 0 {
+		s.spans += uint64(len(at))
+	}
 }
 
 // Report tells the environment's hooks, if any, that s was busy over
@@ -126,42 +139,8 @@ func (s *Server) Backlog() Duration {
 // BusyTime returns the cumulative service time charged so far.
 func (s *Server) BusyTime() Duration { return s.busy }
 
-// Utilization returns busy time divided by elapsed time since t0.
-func (s *Server) Utilization(t0 Time) float64 {
-	elapsed := s.env.now - t0
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.busy) / float64(elapsed)
-}
-
-// Signal is a broadcast condition: processes Wait on it and a later Fire
-// releases all current waiters at the same instant. Fires with no waiters
-// are not remembered (it is a condition variable, not a latch).
-type Signal struct {
-	env     *Env
-	waiters []*Proc
-}
-
-// NewSignal creates a signal in env.
-func NewSignal(env *Env) *Signal { return &Signal{env: env} }
-
-// Wait blocks p until the next Fire.
-func (s *Signal) Wait(p *Proc) {
-	p.mustBlock("Signal.Wait")
-	s.waiters = append(s.waiters, p)
-	p.yield()
-}
-
-// Fire wakes every process currently waiting, in FIFO order (typed
-// wakeups: no closure per waiter).
-func (s *Signal) Fire() {
-	ws := s.waiters
-	s.waiters = s.waiters[:0]
-	for _, w := range ws {
-		s.env.wake(w, s.env.now)
-	}
-}
-
-// Waiters returns the number of processes currently blocked on the signal.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+// Spans returns how many services of positive length the server has
+// been charged: one per Use, Schedule or ScheduleAt, n per ScheduleRun
+// and one per ScheduleChain element, exactly the spans the hooks see
+// when installed.
+func (s *Server) Spans() uint64 { return s.spans }

@@ -345,68 +345,6 @@ func TestServerSchedule(t *testing.T) {
 	}
 }
 
-func TestServerUtilization(t *testing.T) {
-	env := NewEnv()
-	srv := NewServer(env, "link")
-	env.Go("a", func(p *Proc) {
-		srv.Use(p, 25*Microsecond)
-		p.Sleep(75 * Microsecond)
-	})
-	env.Run(0)
-	if u := srv.Utilization(0); u < 0.24 || u > 0.26 {
-		t.Errorf("utilization = %v, want 0.25", u)
-	}
-	if u := srv.Utilization(env.Now()); u != 0 {
-		t.Errorf("utilization over zero window = %v, want 0", u)
-	}
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	woke := 0
-	for i := 0; i < 3; i++ {
-		env.Go("w", func(p *Proc) {
-			sig.Wait(p)
-			woke++
-		})
-	}
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(2 * Microsecond)
-		if sig.Waiters() != 3 {
-			t.Errorf("waiters = %d, want 3", sig.Waiters())
-		}
-		sig.Fire()
-	})
-	env.Run(0)
-	if woke != 3 {
-		t.Errorf("woke = %d, want 3", woke)
-	}
-	if sig.Waiters() != 0 {
-		t.Errorf("waiters after fire = %d", sig.Waiters())
-	}
-}
-
-func TestSignalFireWithNoWaitersIsNotLatched(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	sig.Fire() // nobody waiting; must not latch
-	woke := false
-	env.Go("w", func(p *Proc) {
-		// Use a separate timeout proc to release the waiter so Run ends.
-		sig.Wait(p)
-		woke = true
-	})
-	env.Go("t", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
-		sig.Fire()
-	})
-	env.Run(0)
-	if !woke {
-		t.Error("waiter never woke from second fire")
-	}
-}
-
 // Property: for any set of event delays, events execute in nondecreasing
 // time order and the clock never goes backwards.
 func TestEventClockMonotonicProperty(t *testing.T) {
@@ -691,6 +629,78 @@ func TestServerBusyHooksTileBusyTime(t *testing.T) {
 	}
 }
 
+// countingHooks totals, per server, the spans the hooks see.
+type countingHooks map[*Server]struct {
+	spans uint64
+	busy  Duration
+}
+
+func (h countingHooks) ServerBusy(s *Server, start, end Time) {
+	c := h[s]
+	c.spans++
+	c.busy += Duration(end - start)
+	h[s] = c
+}
+
+// TestServerCountsTheSpansHooksSee: whichever way a service is charged —
+// Use, Schedule, ScheduleAt, ScheduleRun or ScheduleChain with their
+// spans reported through Report — the server's own Spans and BusyTime
+// equal what hooks installed from the start see, zero-length services
+// included (they count in neither), and Env.Servers lists the servers
+// in creation order.
+func TestServerCountsTheSpansHooksSee(t *testing.T) {
+	charges := []struct {
+		name   string
+		charge func(p *Proc, s *Server, d Duration)
+	}{
+		{"Use", func(p *Proc, s *Server, d Duration) { s.Use(p, d) }},
+		{"Schedule", func(_ *Proc, s *Server, d Duration) { s.Schedule(d) }},
+		{"ScheduleAt", func(p *Proc, s *Server, d Duration) { s.ScheduleAt(p.Now()+Time(3*d), d) }},
+		{"ScheduleRun", func(_ *Proc, s *Server, d Duration) {
+			start := s.ScheduleRun(4, d)
+			for k := 0; k < 4; k++ {
+				s.Report(start+Time(k)*Time(d), start+Time(k+1)*Time(d))
+			}
+		}},
+		{"ScheduleChain", func(p *Proc, s *Server, d Duration) {
+			at := []Time{p.Now(), p.Now() + Time(10*d), p.Now() + Time(10*d)}
+			s.ScheduleChain(at, d)
+			for _, end := range at {
+				s.Report(end-Time(d), end)
+			}
+		}},
+	}
+	env := NewEnv()
+	h := countingHooks{}
+	env.SetHooks(h)
+	servers := make([]*Server, len(charges))
+	for i, c := range charges {
+		servers[i] = NewServer(env, c.name)
+	}
+	env.Go("driver", func(p *Proc) {
+		for _, d := range []Duration{3 * Nanosecond, 0, 7 * Nanosecond} {
+			for i, c := range charges {
+				c.charge(p, servers[i], d)
+			}
+			p.Sleep(Microsecond)
+		}
+	})
+	env.Run(0)
+	if got := env.Servers(); len(got) != len(servers) {
+		t.Fatalf("Env.Servers lists %d servers, want %d", len(got), len(servers))
+	}
+	for i, s := range servers {
+		if env.Servers()[i] != s || s.ID() != i+1 {
+			t.Errorf("Env.Servers()[%d] is not the server created %d-th", i, i+1)
+		}
+		c := h[s]
+		if s.Spans() != c.spans || s.BusyTime() != c.busy || c.spans == 0 {
+			t.Errorf("%s: server counts %d spans, %v busy; the hooks saw %d spans, %v busy",
+				s.Name(), s.Spans(), s.BusyTime(), c.spans, c.busy)
+		}
+	}
+}
+
 func TestServerIDsUniquePerEnv(t *testing.T) {
 	env := NewEnv()
 	a := NewServer(env, "x")
@@ -708,7 +718,7 @@ func TestServerIDsUniquePerEnv(t *testing.T) {
 // TestServerRunsMatchSingleReservations: ScheduleRun and ScheduleChain,
 // with their spans reported through Report, leave a server exactly as
 // the same services reserved one Schedule or ScheduleAt call at a time
-// do — completions, busy time, backlog and span sequence — from an idle
+// do — completions, busy time, span count, backlog and span sequence — from an idle
 // server, behind a backlog, and across gaps the chain must wait out.
 func TestServerRunsMatchSingleReservations(t *testing.T) {
 	env := NewEnv()
@@ -751,8 +761,9 @@ func TestServerRunsMatchSingleReservations(t *testing.T) {
 					}
 				}
 			}
-			if a.BusyTime() != b.BusyTime() || a.Backlog() != b.Backlog() {
-				t.Fatalf("step %d: busy %v / %v, backlog %v / %v", step, a.BusyTime(), b.BusyTime(), a.Backlog(), b.Backlog())
+			if a.BusyTime() != b.BusyTime() || a.Spans() != b.Spans() || a.Backlog() != b.Backlog() {
+				t.Fatalf("step %d: busy %v / %v, spans %d / %d, backlog %v / %v", step,
+					a.BusyTime(), b.BusyTime(), a.Spans(), b.Spans(), a.Backlog(), b.Backlog())
 			}
 		}
 	})

@@ -29,7 +29,6 @@ func TestTaskMisusePanics(t *testing.T) {
 	q := NewQueue[int](env, 1)
 	q.TryPut(1) // full: Put would block, Get would not — both must panic
 	srv := NewServer(env, "srv")
-	sig := NewSignal(env)
 
 	blocking := []struct {
 		call string
@@ -40,7 +39,6 @@ func TestTaskMisusePanics(t *testing.T) {
 		{"Queue.Get", func(p *Proc) { q.Get(p) }},
 		{"Queue.Put", func(p *Proc) { q.Put(p, 2) }},
 		{"Server.Use", func(p *Proc) { srv.Use(p, Nanosecond) }},
-		{"Signal.Wait", func(p *Proc) { sig.Wait(p) }},
 	}
 	var got []string
 	env.Task("misuser", func(p *Proc) {
@@ -58,7 +56,7 @@ func TestTaskMisusePanics(t *testing.T) {
 		}
 	}
 	if q.Len() != 1 || q.getters.Len() != 0 || q.putters.Len() != 0 ||
-		srv.BusyTime() != 0 || sig.Waiters() != 0 {
+		srv.BusyTime() != 0 {
 		t.Error("a refused blocking call left a side effect behind")
 	}
 
@@ -103,7 +101,6 @@ type schedFixture struct {
 	full *Queue[int] // holds one item: Get would not wait
 	room *Queue[int] // unbounded: Put would not wait
 	srv  *Server
-	sig  *Signal // fired at 2us, so Wait would not wait forever
 	op   func(f *schedFixture)
 }
 
@@ -116,11 +113,9 @@ func newSchedFixture() *schedFixture {
 		full: NewQueue[int](env, 0),
 		room: NewQueue[int](env, 0),
 		srv:  NewServer(env, "srv"),
-		sig:  NewSignal(env),
 	}
 	env.Run(0)
 	f.full.TryPut(1)
-	env.After(2*Microsecond, f.sig.Fire)
 	return f
 }
 
@@ -144,7 +139,6 @@ func TestSchedulerContextMustNotBlock(t *testing.T) {
 		{"Queue.Get on a from scheduler context", func(f *schedFixture) { f.full.Get(f.a) }},
 		{"Queue.Put on a from scheduler context", func(f *schedFixture) { f.room.Put(f.a, 2) }},
 		{"Server.Use on a from scheduler context", func(f *schedFixture) { f.srv.Use(f.a, Nanosecond) }},
-		{"Signal.Wait on a from scheduler context", func(f *schedFixture) { f.sig.Wait(f.a) }},
 		{"Env.Run re-entered", func(f *schedFixture) { f.env.Run(0) }},
 	}
 	contexts := []struct {
@@ -171,7 +165,7 @@ func TestSchedulerContextMustNotBlock(t *testing.T) {
 		}
 	}
 
-	// TryPut, TryGet, Fire, At and Go from a callback; Await and
+	// TryPut, TryGet, At and Go from a callback; Await and
 	// WakeAfter from a step.
 	f := newSchedFixture()
 	defer f.env.Close()
@@ -185,7 +179,6 @@ func TestSchedulerContextMustNotBlock(t *testing.T) {
 	f.env.After(Microsecond, func() {
 		f.room.TryPut(2)
 		f.full.TryGet()
-		f.sig.Fire()
 		f.env.At(f.env.Now(), func() { log = append(log, "at") })
 		f.env.Go("b", func(p *Proc) {
 			p.Sleep(Nanosecond)

@@ -39,6 +39,10 @@
 #	                                                      check and the
 #	                                                      golden files
 #	fabric-lost-batch  a dead node's drop goes uncounted  the fabric ledger
+#	chain-spans     ScheduleChain stops counting its
+#	                services                              the server span
+#	                                                      test and the
+#	                                                      golden files
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -58,7 +62,11 @@
 # hops to the analytic model's, and the -short TestGoldenOutputs on the
 # fabric table. The fabric ledger is the panic in every fabric run when
 # its batches do not add up; any test in go test ./internal/cluster
-# that runs a faulted fabric shows it.
+# that runs a faulted fabric shows it. chain-spans names two gates too:
+# TestServerCountsTheSpansHooksSee, which holds every server's own span
+# count to the spans its hooks see, and the full TestGoldenOutputs,
+# whose fig11 metrics dumps print each server's span count on a util
+# line (a TX wire server that counts none drops out of them).
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -86,6 +94,7 @@ txgates="go test -count=1 -run TestTransmitMatchesPerPacketOracle|TestGoldenOutp
 heapgates="go test -count=1 -short -run TestGoldenOutputs|FuzzEventStore ./internal/experiments ./internal/sim"
 modelgates="go test -count=1 -short -run TestFabricMatchesModel|TestGoldenOutputs ./internal/experiments"
 clustertests="go test -count=1 ./internal/cluster"
+spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
 # FILE (relative to the tree) that contains ANCHOR.
@@ -149,7 +158,7 @@ mutate_bare_ps() {
 }
 
 mutate_shared_fixture() {
-	insert internal/experiments/fig12.go 'offered := offeredLevels[k/3]' '		partitionWorkers = k'
+	insert internal/experiments/fig12.go 'offered := offeredLevels[k/3]' '		bgpEntries = nil'
 	gate="$only sharedfixture ./..." want="[sharedfixture]"
 }
 
@@ -205,10 +214,15 @@ mutate_fabric_lost_batch() {
 	gate=$clustertests want="fabric ledger does not balance"
 }
 
+mutate_chain_spans() {
+	delete internal/sim/resource.go 's.spans += uint64(len(at))'
+	gate=$spangates want="ScheduleChain: server counts" want2="util tx0-wire"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
-		model-vlb-share fabric-lost-batch
+		model-vlb-share fabric-lost-batch chain-spans
 fi
 
 status=0
@@ -232,6 +246,7 @@ for m in "$@"; do
 	tie-break) mutate_tie_break ;;
 	model-vlb-share) mutate_model_vlb_share ;;
 	fabric-lost-batch) mutate_fabric_lost_batch ;;
+	chain-spans) mutate_chain_spans ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
