@@ -45,13 +45,14 @@ lint:
 # a ctrl callback, a global math/rand draw, a TX DMA completion off by
 # one step, an event heap without its seq tie-break, VLB spread over
 # n-1 intermediates in the analytic model, an uncounted fabric node
-# drop, a server chain that stops counting its services) and fails
-# unless the gate meant for each (the cluster race test, pslint, the
-# paper points, the packet ledger, the engine's own panic, the route
-# tests, the TX oracle and the golden files, FuzzEventStore and the
-# golden schedule digests, the fabric's model check and the golden
+# drop, a server chain that stops counting its services, a worker that
+# reads the chunk cap at each fetch instead of once per round) and
+# fails unless the gate meant for each (the cluster race test, pslint,
+# the paper points, the packet ledger, the engine's own panic, the
+# route tests, the TX oracle and the golden files, FuzzEventStore and
+# the golden schedule digests, the fabric's model check and the golden
 # files, the fabric ledger, the server span test and the golden util
-# lines) fails on it.
+# lines, the pshaderd replay) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

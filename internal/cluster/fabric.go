@@ -131,18 +131,16 @@ type batch struct {
 // equivalent to the dedicated server procs they replaced — max(now,
 // free) + bits/rate is exactly a single-server FIFO queue's completion
 // time. Batches have one size, so every bits/rate is a constant
-// newFabric computes once (fwdTime, extTime, txTime). Each mutable
-// field is written by exactly one of the node's two tasks; fault events
-// reach the forwarder through the faultq hand-off (the At callback only
-// enqueues, the forwarder drains before consulting liveness), so
-// alive/up stay forwarder-owned. Everything merges in node order after
+// newFabric computes once (fwdTime, extTime, txTime). Every field
+// belongs to the node's own partition: its two tasks and its fault
+// callbacks write it, ordered by the partition's (at, seq), and only
+// batches on its links leave it. Everything merges in node order after
 // the run.
 type fabricNode struct {
-	id     int
-	part   *sim.Partition
-	inbox  *sim.Queue[batch]
-	faultq *sim.Queue[faults.Event] // scheduler→forwarder fault hand-off
-	out    []*sim.Link[batch]
+	id    int
+	part  *sim.Partition
+	inbox *sim.Queue[batch]
+	out   []*sim.Link[batch]
 
 	// read-only once the tasks are spawned
 	topo    Topology
@@ -163,10 +161,11 @@ type fabricNode struct {
 	flowHash   []uint32 // per-destination hash of the persistent key material
 	genBatches uint64
 
-	// forwarder-owned (up and busy side by side: a padded bool each
-	// would take the node to a larger allocation size class)
-	alive   []bool     // per-slot link carrier, fault-toggled
-	up      bool       // node liveness, fault-toggled
+	// forwarder state, and the fault-toggled liveness it reads (up and
+	// busy side by side: a padded bool each would take the node to a
+	// larger allocation size class)
+	alive   []bool     // per-slot link carrier, read at routing
+	up      bool       // node liveness, read at each take
 	busy    bool       // cur is valid: the armed wake-up ends its budget
 	txFree  []sim.Time // per-slot wire-free time (FIFO serialization)
 	extFree sim.Time   // external port free time
@@ -342,7 +341,6 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 			id:      i,
 			part:    part,
 			inbox:   sim.NewQueue[batch](part.Env(), 0),
-			faultq:  sim.NewQueue[faults.Event](part.Env(), 0),
 			up:      true,
 			topo:    topo,
 			horizon: sim.Time(cfg.Horizon),
@@ -478,16 +476,12 @@ func startFabric(cfg FabricConfig) (*fabric, error) {
 }
 
 // armFaults schedules the plan's link and node events on each affected
-// node's own environment, so a fault only ever touches partition-local
-// state (a leaf never reads a spine's liveness — a dead node simply
-// consumes and drops what reaches it). The callback only enqueues the
-// event on the node's faultq; the forwarder drains the queue before
-// consulting alive/up, so the toggles themselves stay forwarder-owned
-// (the same scheduler→proc hand-off as the core control mailbox).
-// Liveness is only ever *read* when a batch is processed, and at any
-// instant the callback's setup-time seq sorts before a batch wakeup,
-// so drain-before-use observes exactly the state the direct write
-// would have.
+// node's own environment, whose callback writes that node's alive or up
+// directly, so a fault only ever touches partition-local state (a leaf
+// never reads a spine's liveness — a dead node simply consumes and
+// drops what reaches it). The forwarder reads up when it takes a batch
+// and alive when the batch's budget ends, so a link that dies during a
+// budget already fails that batch's routing.
 func armFaults(plan *faults.Plan, nodes []*fabricNode) error {
 	for _, ev := range plan.Events() {
 		if ev.Node < 0 || ev.Node >= len(nodes) {
@@ -505,13 +499,12 @@ func armFaults(plan *faults.Plan, nodes []*fabricNode) error {
 			// have no fabric-level meaning.
 			continue
 		}
-		ev := ev
-		nd.part.Env().At(sim.Time(ev.At), func() { nd.faultq.TryPut(ev) })
+		nd.part.Env().At(sim.Time(ev.At), func() { nd.applyFault(ev) })
 	}
 	return nil
 }
 
-// applyFault folds one queued fault event into the forwarder's view.
+// applyFault applies one fault event to the node's liveness.
 func (nd *fabricNode) applyFault(ev faults.Event) {
 	switch ev.Kind {
 	case faults.KindLinkDown, faults.KindLinkUp:
@@ -593,8 +586,8 @@ func drawFlowHash(rng *uint64) uint32 {
 
 // forward is the forwarder task's step, the node's packet path as a
 // two-state machine. Idle: take the next batch from the inbox (or
-// register for one and return), fold in queued faults, and arm the
-// forwarding budget — a plain timed wake-up, since this task is the
+// register for one and return), drop it if the node is down, or arm
+// the forwarding budget — a plain timed wake-up, since this task is the
 // budget's only user. Busy: the budget has elapsed, so route the batch
 // and go idle again within the same step.
 func (nd *fabricNode) forward(p *sim.Proc) {
@@ -609,13 +602,6 @@ func (nd *fabricNode) forward(p *sim.Proc) {
 		b, ok := nd.inbox.Await(p)
 		if !ok {
 			return
-		}
-		for {
-			ev, ok := nd.faultq.TryGet()
-			if !ok {
-				break
-			}
-			nd.applyFault(ev)
 		}
 		if !nd.up {
 			nd.nodeDrops++

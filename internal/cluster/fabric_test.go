@@ -388,13 +388,6 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 	}
 	for {
 		b := nd.inbox.Get(p)
-		for {
-			ev, ok := nd.faultq.TryGet()
-			if !ok {
-				break
-			}
-			nd.applyFault(ev)
-		}
 		if !nd.up {
 			nd.nodeDrops++
 			continue
@@ -570,5 +563,37 @@ func TestFabricNodeFailsMidRunAndRecovers(t *testing.T) {
 	}
 	if outage != want {
 		t.Errorf("tasks diverged from the goroutine oracle:\n got %+v\nwant %+v", outage, want)
+	}
+}
+
+// TestFabricLinkDiesMidBudget: node 0 of a 2-node Direct mesh has one
+// link, and it goes down for good half a forwarding budget after node 0
+// takes its first batch. The forwarder reads the link's carrier when
+// the budget ends, so that first batch is already unroutable, and so is
+// every later one: nothing is delivered, late or left in flight.
+func TestFabricLinkDiesMidBudget(t *testing.T) {
+	cfg := fabCfg(2, Direct, Matrix{{0, 0.4}, {0, 0}}, 1)
+	probe, err := newFabric(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := probe.nodes[0]
+	nd.initGenerator(cfg.Matrix[0], cfg.Seed, nil)
+	// An idle forwarder takes a batch the instant the generator emits it.
+	taken, fwd := nd.gen[0].next, nd.fwdTime
+	probe.world.Close()
+
+	cfg.Faults = faults.NewPlan().Add(faults.Event{
+		At: sim.Duration(taken) + fwd/2, Kind: faults.KindLinkDown, Port: 0, Node: 0})
+	res, err := RunFabric(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batches == 0 {
+		t.Fatal("no batch offered")
+	}
+	if n := res.Delivered + res.Late + res.InFlight; n != 0 {
+		t.Errorf("%d of %d batches delivered, late or in flight over a link that died mid-budget (%d route drops); want every one dropped at routing",
+			n, res.Batches, res.RouteDrops)
 	}
 }

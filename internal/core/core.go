@@ -156,7 +156,9 @@ type Config struct {
 	Mode Mode
 
 	// ChunkCap caps packets per chunk (§5.3: "the chunk size is not
-	// fixed but only capped").
+	// fixed but only capped"). It, GatherMax and OpportunisticOffload
+	// are the router's live knobs: Router.SetChunkCap and its siblings
+	// rewrite them mid-run, and the workers and masters read them here.
 	ChunkCap int
 	// GatherMax bounds chunks gathered into one GPU launch (§5.4).
 	GatherMax int
@@ -313,23 +315,18 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 			r.Devices = append(r.Devices, dev)
 			m = &master{
 				router: r, node: n, dev: dev,
-				inQ:       sim.NewQueue[*Chunk](env, model.InputQueueDepth),
-				mail:      newMailbox(env),
-				gatherMax: cfg.GatherMax,
+				inQ: sim.NewQueue[*Chunk](env, model.InputQueueDepth),
 			}
 			r.masters = append(r.masters, m)
 		}
 		for wi := 0; wi < workersPerNode; wi++ {
 			w := &worker{
-				router:   r,
-				id:       n*workersPerNode + wi,
-				node:     n,
-				master:   m,
-				outQ:     sim.NewQueue[*Chunk](env, model.OutputQueueDepth),
-				mail:     newMailbox(env),
-				txBufs:   make([][]*packet.Buf, len(r.Engine.Ports)),
-				chunkCap: cfg.ChunkCap,
-				opp:      cfg.OpportunisticOffload,
+				router: r,
+				id:     n*workersPerNode + wi,
+				node:   n,
+				master: m,
+				outQ:   sim.NewQueue[*Chunk](env, model.OutputQueueDepth),
+				txBufs: make([][]*packet.Buf, len(r.Engine.Ports)),
 			}
 			r.workers = append(r.workers, w)
 		}
@@ -380,6 +377,27 @@ func (r *Router) Start() {
 		r.Env.Go("worker", func(p *sim.Proc) { w.run(p) })
 	}
 }
+
+// SetChunkCap changes the per-chunk packet cap (§5.3), effective from
+// each worker's next round. n < 1 is ignored.
+func (r *Router) SetChunkCap(n int) {
+	if n >= 1 {
+		r.Cfg.ChunkCap = n
+	}
+}
+
+// SetGatherMax changes how many chunks a master gathers into one GPU
+// launch (§5.4), effective from each master's next launch. n < 1 is
+// ignored.
+func (r *Router) SetGatherMax(n int) {
+	if n >= 1 {
+		r.Cfg.GatherMax = n
+	}
+}
+
+// SetOpportunistic enables or disables opportunistic offloading (§7),
+// effective from each worker's next round.
+func (r *Router) SetOpportunistic(on bool) { r.Cfg.OpportunisticOffload = on }
 
 // ResetMeasurement restarts the measurement window at the current
 // virtual time, discarding warmup transients (ring fill, pipeline

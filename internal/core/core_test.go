@@ -527,45 +527,6 @@ func TestRecycledChunksDontLeakStalePorts(t *testing.T) {
 	}
 }
 
-// TestMailboxAppliesInPostOrder pins the one-queue contract: a retune
-// from the control plane and a hold-out from the master posted at the
-// same instant reach a worker through the same mailbox and are folded
-// in post order by a single drain — whichever of the two drain points
-// runs first.
-func TestMailboxAppliesInPostOrder(t *testing.T) {
-	env, r := newRouter(smallConfig(ModeGPU), newEchoApp(2))
-	m, w := r.masters[0], r.workers[0]
-	at := sim.Time(1 * sim.Millisecond)
-	retry := at + sim.Time(5*sim.Millisecond)
-	// Same instant, scheduling order = post order: cap 7, hold-out on,
-	// cap 9, hold-out off with a later retry, opportunistic on.
-	env.At(at, func() { r.SetChunkCap(7) })
-	env.At(at, func() { m.gpuOut, m.retryAt = true, retry; m.publishStatus() })
-	env.At(at, func() { r.SetChunkCap(9) })
-	env.At(at, func() { m.gpuOut, m.retryAt = false, retry+1; m.publishStatus() })
-	env.At(at, func() { r.SetOpportunistic(true) })
-	env.Run(at)
-
-	if got := w.mail.Len(); got != 5 {
-		t.Fatalf("worker mailbox holds %d messages, want all 5 on the one queue", got)
-	}
-	// The offload-decision drain point folds the knob messages too.
-	if w.gpuHeldOut(env.Now()) {
-		t.Error("worker holds the GPU out: hold-out messages applied out of post order")
-	}
-	if w.chunkCap != 9 || !w.opp || w.gpuOut || w.gpuRetryAt != retry+1 {
-		t.Errorf("after drain: chunkCap=%d opp=%v gpuOut=%v retryAt=%v; want 9 true false %v",
-			w.chunkCap, w.opp, w.gpuOut, w.gpuRetryAt, retry+1)
-	}
-	if w.mail.Len() != 0 {
-		t.Errorf("%d messages left after one drain", w.mail.Len())
-	}
-	// The master's own mailbox got the three retunes, not its hold-outs.
-	if m.mail.Len() != 3 {
-		t.Errorf("master mailbox holds %d messages, want 3", m.mail.Len())
-	}
-}
-
 // TestLedgerCheckNamesCounts: an unbalanced ledger is an error that
 // names every count, and a balanced one is not.
 func TestLedgerCheckNamesCounts(t *testing.T) {

@@ -24,12 +24,6 @@ type master struct {
 	node   int
 	dev    *gpu.Device
 	inQ    *sim.Queue[*Chunk]
-	mail   *sim.Queue[ctlMsg] // control mailbox: knob changes
-
-	// gatherMax is the master's private copy of the one runtime-tunable
-	// knob it consults per launch, written solely by drainMail
-	// (mailbox.go).
-	gatherMax int
 
 	// gpuOut marks the device held out after a watchdog stall; retryAt
 	// is when the next probe may be offloaded; backoff is the current
@@ -61,26 +55,10 @@ func (r *Router) MasterBusy() sim.Duration {
 	return d
 }
 
-// heldOut reports whether the master itself should bypass the GPU right
-// now (the workers decide from their queue-fed copy; see
-// worker.gpuHeldOut).
+// heldOut reports whether the GPU should be bypassed right now: the
+// master reads it per launch, and its node's workers per offload
+// decision.
 func (m *master) heldOut(now sim.Time) bool { return m.gpuOut && now < m.retryAt }
-
-// publishStatus posts the current hold-out state to the mailbox of
-// every worker on this master's node, in worker-index order, on every
-// transition (stall and recovery). Workers keep their own copy, so the
-// master↔worker hand-off flows through an explicit sim.Queue — a
-// scheduler-visible lookahead boundary — instead of workers reading the
-// master's fields directly. The mailboxes are unbounded so TryPut
-// cannot fail.
-func (m *master) publishStatus() {
-	st := ctlMsg{kind: ctlHoldOut, on: m.gpuOut, retryAt: m.retryAt}
-	for _, w := range m.router.workers {
-		if w.node == m.node {
-			w.mail.TryPut(st)
-		}
-	}
-}
 
 func (m *master) run(p *sim.Proc) {
 	r := m.router
@@ -96,11 +74,10 @@ func (m *master) run(p *sim.Proc) {
 	}
 	for {
 		first := m.inQ.Get(p)
-		m.drainMail()
 		m.gather = append(m.gather[:0], first)
-		if m.gatherMax > 1 {
+		if gatherMax := r.Cfg.GatherMax; gatherMax > 1 {
 			// Gather (§5.4): take whatever else is already queued.
-			m.gather = m.inQ.DrainAppend(m.gather, m.gatherMax-1)
+			m.gather = m.inQ.DrainAppend(m.gather, gatherMax-1)
 		}
 		chunks := m.gather
 		gathered := p.Now()
@@ -116,9 +93,8 @@ func (m *master) run(p *sim.Proc) {
 		o.launchThreads.Observe(int64(threads))
 		spec := r.App.Kernel()
 		if m.heldOut(p.Now()) {
-			// Chunks offloaded just before the stall was detected (or
-			// raced past the workers' held-out check): re-dispatch them
-			// on the CPU directly — burning a watchdog per backlog
+			// Chunks offloaded before the stall was detected: re-dispatch
+			// them on the CPU directly — burning a watchdog per backlog
 			// batch would double the backoff without probing anything.
 			m.fallback(p, track, chunks)
 		} else if m.dev.LaunchChecked(p, spec, r.Cfg.GPUWatchdog, r.Cfg.Streams,
@@ -164,7 +140,6 @@ func (m *master) stall(p *sim.Proc, track obs.TrackID) {
 		}
 	}
 	m.retryAt = p.Now() + sim.Time(m.backoff)
-	m.publishStatus()
 }
 
 // recoverGPU closes the outage after a successful probe launch.
@@ -176,7 +151,6 @@ func (m *master) recoverGPU(p *sim.Proc, track obs.TrackID) {
 	m.gpuOut = false
 	m.retryAt = 0
 	m.backoff = 0
-	m.publishStatus()
 }
 
 // fallback re-dispatches stalled chunks through the application's CPU

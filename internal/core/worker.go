@@ -19,18 +19,6 @@ type worker struct {
 
 	master *master
 	outQ   *sim.Queue[*Chunk] // results returned by the master
-	mail   *sim.Queue[ctlMsg] // control mailbox: knob changes and hold-out updates
-
-	// chunkCap and opp are the worker's private copies of the two
-	// runtime-tunable knobs it consults per chunk; gpuOut/gpuRetryAt
-	// mirror the master's hold-out state. Under the cooperative
-	// scheduler every transition ordered before a drain has already been
-	// posted, so the mirror equals the master's state at each offload
-	// decision. All four are written solely by drainMail (mailbox.go).
-	chunkCap   int
-	opp        bool
-	gpuOut     bool
-	gpuRetryAt sim.Time
 
 	inflight int
 
@@ -50,9 +38,12 @@ func (w *worker) maxInflight() int {
 }
 
 func (w *worker) run(p *sim.Proc) {
-	gpuMode := w.router.Cfg.Mode == ModeGPU && w.master != nil
+	cfg := &w.router.Cfg
+	gpuMode := cfg.Mode == ModeGPU && w.master != nil
 	for {
-		w.drainMail()
+		// The knobs a control command may retune, read once per round:
+		// a retune governs every chunk fetched from the next round on.
+		chunkCap, opp := cfg.ChunkCap, cfg.OpportunisticOffload
 		// 1. Finish any chunks the master has returned.
 		for {
 			c, ok := w.outQ.TryGet()
@@ -64,7 +55,7 @@ func (w *worker) run(p *sim.Proc) {
 		}
 		// 2. Fetch and process a new chunk if the pipeline has room.
 		if !gpuMode || w.inflight < w.maxInflight() {
-			if c := w.fetchChunk(p); c != nil {
+			if c := w.fetchChunk(p, chunkCap); c != nil {
 				o := w.router.obs
 				track := o.workerTracks[w.id]
 				o.tr.SpanUntil(track, "rx-fetch", c.stamps[stampFetch], c.stamps[stampFetched],
@@ -79,13 +70,12 @@ func (w *worker) run(p *sim.Proc) {
 				c.stamps[stampPreShaded] = p.Now()
 				o.tr.SpanUntil(track, "pre-shade", c.stamps[stampFetched], p.Now())
 				offload := gpuMode && pre.Threads > 0
-				if offload && w.opp &&
-					len(c.Bufs) <= w.router.Cfg.OppThreshold {
+				if offload && opp && len(c.Bufs) <= cfg.OppThreshold {
 					// §7: light load — keep the work on the CPU for
 					// latency.
 					offload = false
 				}
-				if offload && w.gpuHeldOut(p.Now()) {
+				if offload && w.master.heldOut(p.Now()) {
 					// The watchdog has the GPU held out: degrade to the
 					// CPU path. The first offload after the backoff
 					// expires is the recovery probe.
@@ -118,20 +108,11 @@ func (w *worker) run(p *sim.Proc) {
 	}
 }
 
-// gpuHeldOut drains the mailbox (the master may have posted a hold-out
-// update since the loop top), then reports whether the GPU should be
-// bypassed right now.
-func (w *worker) gpuHeldOut(now sim.Time) bool {
-	w.drainMail()
-	return w.gpuOut && now < w.gpuRetryAt
-}
-
 // fetchChunk builds one chunk by polling the worker's interfaces
 // round-robin, starting after the last one served (§5.2 fairness). The
-// chunk takes whatever the first non-empty queue has, up to the cap —
+// chunk takes whatever the first non-empty queue has, up to max packets —
 // "we do not intentionally wait for the fixed number of packets" (§5.3).
-func (w *worker) fetchChunk(p *sim.Proc) *Chunk {
-	max := w.chunkCap
+func (w *worker) fetchChunk(p *sim.Proc, max int) *Chunk {
 	start := p.Now()
 	c := w.router.getChunk()
 	for i := 0; i < len(w.ifaces); i++ {

@@ -3,6 +3,7 @@ package ctrl
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"packetshader/internal/core"
 	"packetshader/internal/obs"
@@ -22,21 +23,9 @@ type Config struct {
 	Reg *obs.Registry
 }
 
-// exec is the per-command delivery record. Each scheduled callback owns
-// exactly its own record (captured loop-locally in Attach), so
-// deliveries share no mutable state; the Controller's accessors merge
-// the records at read time.
-type exec struct {
-	cmd     Command
-	fired   bool
-	applied uint64 // route updates applied (OpRoute)
-	cells   uint64 // DIR-24-8 cells touched (OpRoute)
-	err     string // non-empty when the command failed
-}
-
 // Controller is an attached management session: every script command is
-// scheduled on the virtual clock, and the record of what each one did
-// is queryable once the run has advanced past it.
+// scheduled on the virtual clock, and the tally of what the fired ones
+// did is queryable once the run has advanced past them.
 type Controller struct {
 	env    *sim.Env
 	router *core.Router
@@ -44,7 +33,10 @@ type Controller struct {
 	fib    FIBApplier
 	reg    *obs.Registry
 
-	recs []exec
+	fired   int      // commands executed
+	applied uint64   // route updates applied
+	cells   uint64   // DIR-24-8 cells touched by route commands
+	errs    []string // failed commands' errors, in firing order
 }
 
 // Attach schedules every command of script at now+Command.At on env's
@@ -67,23 +59,17 @@ func Attach(env *sim.Env, router *core.Router, script *Script, cfg Config) (*Con
 		out:    cfg.Out,
 		fib:    cfg.FIB,
 		reg:    cfg.Reg,
-		recs:   make([]exec, len(cmds)),
 	}
 	now := env.Now()
-	for i, cmd := range cmds {
-		c.recs[i].cmd = cmd
-	}
-	for i := range c.recs {
-		rec := &c.recs[i]
-		// The record writes happen here, through the loop-local
-		// capture: run() never sees rec, so no two callbacks share
-		// mutable state.
-		env.At(now+sim.Time(rec.cmd.At), func() {
-			applied, cells, errs := c.run(rec.cmd)
-			rec.fired = true
-			rec.applied = applied
-			rec.cells = cells
-			rec.err = errs
+	for _, cmd := range cmds {
+		env.At(now+sim.Time(cmd.At), func() {
+			applied, cells, errs := c.run(cmd)
+			c.fired++
+			c.applied += applied
+			c.cells += cells
+			if errs != "" {
+				c.errs = append(c.errs, errs)
+			}
 		})
 	}
 	return c, nil
@@ -134,8 +120,8 @@ func precheck(cmd Command, router *core.Router, cfg Config) error {
 }
 
 // run executes one command in scheduler context and returns what it did
-// (route updates applied, cells touched, error text); the caller owns
-// the delivery record.
+// (route updates applied, cells touched, error text) for the caller to
+// tally.
 func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 	switch cmd.Op {
 	case OpRoute:
@@ -225,44 +211,16 @@ func pick(b bool, yes, no string) string {
 }
 
 // Fired reports how many commands have executed so far.
-func (c *Controller) Fired() int {
-	n := 0
-	for i := range c.recs {
-		if c.recs[i].fired {
-			n++
-		}
-	}
-	return n
-}
+func (c *Controller) Fired() int { return c.fired }
 
-// RoutesApplied reports the route updates applied so far, merged from
-// the per-command records at read time.
-func (c *Controller) RoutesApplied() uint64 {
-	var n uint64
-	for i := range c.recs {
-		n += c.recs[i].applied
-	}
-	return n
-}
+// RoutesApplied reports the route updates applied so far.
+func (c *Controller) RoutesApplied() uint64 { return c.applied }
 
 // CellsTouched reports the cumulative DIR-24-8 cells touched by route
 // commands so far.
-func (c *Controller) CellsTouched() uint64 {
-	var n uint64
-	for i := range c.recs {
-		n += c.recs[i].cells
-	}
-	return n
-}
+func (c *Controller) CellsTouched() uint64 { return c.cells }
 
 // Errors returns the error strings of failed commands, in command
-// order (empty slice when everything succeeded).
-func (c *Controller) Errors() []string {
-	var out []string
-	for i := range c.recs {
-		if c.recs[i].err != "" {
-			out = append(out, c.recs[i].err)
-		}
-	}
-	return out
-}
+// order (nil when everything succeeded). Commands fire in command
+// order, so firing order is command order.
+func (c *Controller) Errors() []string { return slices.Clone(c.errs) }

@@ -17,20 +17,16 @@
 // compiles it to a Script, and the facade's WithFaults / WithGPUOutage /
 // WithLinkFlap attach that script at construction.
 //
-// Commands reach the data path through three mediation channels, each
-// chosen so live reconfiguration stays inside the determinism contract:
-//
-//   - route updates mutate the FIB through a FIBApplier in scheduler
-//     context — atomic on the virtual clock because no worker runs
-//     mid-callback, and every intermediate DIR-24-8 state is a
-//     consistent routing function (internal/lookup/ipv4.DynamicTable);
-//   - batch-policy knobs travel through each worker's and master's
-//     control mailbox (core.Router.SetChunkCap and friends), the same
-//     queue the master's GPU hold-out status travels on;
-//   - hardware commands call the router's hardware hooks
-//     (core.Router.SetCarrier, FailGPU, RetrainPCIe, RxDropBurst),
-//     which flip model state that the data path reads at its next
-//     fetch, transmit or launch.
+// A command runs in scheduler context, between worker steps and never
+// mid-chunk, and writes the router's state directly: a route batch
+// patches the FIB through a FIBApplier (every intermediate DIR-24-8
+// state is a consistent routing function,
+// internal/lookup/ipv4.DynamicTable), a retune rewrites a live knob
+// (core.Router.SetChunkCap and friends), and a hardware command flips
+// NIC, GPU or PCIe model state (core.Router.SetCarrier, FailGPU,
+// RetrainPCIe, RxDropBurst). Commands and the data path share one
+// sim.Env, so those writes are ordered by the event order (at, seq) like
+// every other, and the data path sees each one at its next read.
 //
 // The text form of a Script (the .psc command language) is parsed by
 // ParseScript; cmd/pshader's -ctrl flag runs the router as `pshaderd`,

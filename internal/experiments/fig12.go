@@ -98,18 +98,18 @@ func pipeline(c *Ctx) *Result {
 		}
 		r.AddRow(row...)
 	}
-	r.Note("workers: stages rx_fetch + pre_shade + post_shade + tx over %d worker cores; masters: launches and fallbacks over %d",
+	r.Note("workers work: stages rx_fetch + pre_shade + post_shade + tx over %d worker cores, less their waits for RX DMA and TX ring room (workers wait); masters: launches and fallbacks over %d",
 		model.NumNodes*(model.CoresPerNode-1), model.NumNodes)
-	r.Note("rx_fetch includes the wait for the previous fetch's RX DMA; stage sums are of the chunks completed in the window, boundary chunks whole")
+	r.Note("stage sums are of the chunks completed in the window, boundary chunks whole; waits are of the window")
 	return r
 }
 
 // pipelineColumn runs one CPU+GPU router through Figure 11's warm-up and
 // window and returns its column of the pipeline table as (label, value)
 // rows: the mean of each stage and of the residence per chunk completed
-// in the window, the mean latency of the frames delivered in it, and
-// the busy share of the worker cores, the master cores and every
-// server.
+// in the window, the mean latency of the frames delivered in it, the
+// worker cores' share of work and of waits in the packet I/O engine,
+// and the busy share of the master cores and every server.
 func pipelineColumn(size int, app core.App, src packetshader.Source) [][2]Cell {
 	inst := packetshader.Must(packetshader.New(app, src,
 		packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)))
@@ -121,6 +121,7 @@ func pipelineColumn(size int, app core.App, src packetshader.Source) [][2]Cell {
 		busy[i] = s.BusyTime()
 	}
 	masterBusy := inst.Router.MasterBusy()
+	blocked := inst.Router.Engine.Blocked
 	// The sink's latency sum, in us; the conversion keeps the product
 	// from fusing into the difference below.
 	latencySum := func() float64 { return float64(inst.Sink.MeanMicros() * float64(inst.Sink.Count)) }
@@ -142,8 +143,11 @@ func pipelineColumn(size int, app core.App, src packetshader.Source) [][2]Cell {
 	share := func(d sim.Duration, cores int) Cell {
 		return Num("%.1f", 100*float64(d)/float64(cores)/float64(appWindow))
 	}
+	workers := model.NumNodes * (model.CoresPerNode - 1)
 	worker := stage[core.StageRxFetch] + stage[core.StagePreShade] + stage[core.StagePostShade] + stage[core.StageTx]
-	add("workers", share(worker, model.NumNodes*(model.CoresPerNode-1)))
+	wait := inst.Router.Engine.Blocked - blocked
+	add("workers work", share(worker-wait, workers))
+	add("workers wait", share(wait, workers))
 	add("masters", share(inst.Router.MasterBusy()-masterBusy, model.NumNodes))
 	for i, s := range servers {
 		add(fmt.Sprintf("%s#%d", s.Name(), s.ID()), share(s.BusyTime()-busy[i], 1))

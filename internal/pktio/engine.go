@@ -93,6 +93,12 @@ type Engine struct {
 
 	// breakdown accumulates RX cycles per functional bin (Table 3).
 	breakdown Breakdown
+
+	// Blocked sums the virtual time callers spent waiting in the engine
+	// rather than working: in FetchChunk until the previous fetch's RX
+	// DMA is far enough along, and in Send on a full TX ring. (Waiting
+	// for packets in Iface.Wait is idling, not counted here.)
+	Blocked sim.Duration
 }
 
 // Breakdown is the Table 3 cycle accounting.
@@ -226,13 +232,16 @@ func (f *Iface) skbRxCycles() float64 {
 }
 
 // FetchChunk fetches up to max packets from the interface, charging the
-// worker's CPU time for the batch and per-packet RX costs. Returns nil
-// when the queue is empty.
+// worker's CPU time for the batch and per-packet RX costs; the wait for
+// the RX DMA before it counts in Blocked. Returns nil when the queue is
+// empty.
 func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
 	if max > f.Engine.Cfg.BatchCap {
 		max = f.Engine.Cfg.BatchCap
 	}
+	start := p.Now()
 	got := f.Queue.Fetch(p, max, out)
+	f.Engine.Blocked += sim.Duration(p.Now() - start)
 	n := len(got) - len(out)
 	if n <= 0 {
 		return nil
@@ -258,7 +267,8 @@ func (f *Iface) Wait(p *sim.Proc) bool {
 }
 
 // Send transmits bufs on the engine's port tx, charging the worker the
-// TX half of the batch and per-packet costs.
+// TX half of the batch and per-packet costs; the wait for room in a full
+// TX ring after them counts in Blocked.
 func (e *Engine) Send(p *sim.Proc, workerNode, port int, bufs []*packet.Buf) {
 	if len(bufs) == 0 {
 		return
@@ -276,7 +286,9 @@ func (e *Engine) Send(p *sim.Proc, workerNode, port int, bufs []*packet.Buf) {
 		cycles += float64(float64(len(bufs)) * model.SharedCounterPenaltyCycles)
 	}
 	p.Sleep(model.Cycles(cycles))
+	start := p.Now()
 	tgt.Tx.TransmitBlocking(p, bufs)
+	e.Blocked += sim.Duration(p.Now() - start)
 }
 
 // RxBreakdown returns the accumulated Table 3 accounting.

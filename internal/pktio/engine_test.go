@@ -290,3 +290,56 @@ func TestBufReuseThroughForwarding(t *testing.T) {
 }
 
 var _ = packet.Buf{} // keep the import if helpers change
+
+// TestBlockedIsElapsedLessCharged: Blocked is exactly the time
+// FetchChunk and Send take beyond the cycles they charge. One core
+// forwards two ports of 1514 B line rate into one TX port, so the TX
+// ring fills and Send waits, and each fetch of a large batch waits for
+// the previous one's RX DMA.
+func TestBlockedIsElapsedLessCharged(t *testing.T) {
+	env := sim.NewEnv()
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 2, 1
+	e := New(env, cfg)
+	for _, p := range e.Ports {
+		p.Rx[0].SetOffered(model.PortPacketRate(1514), 1514, nil)
+	}
+	ifaces := []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)}
+	var rxWait, txWait sim.Duration
+	env.Go("worker", func(p *sim.Proc) {
+		for p.Now() < sim.Time(5*sim.Millisecond) {
+			progress := false
+			for _, f := range ifaces {
+				start := p.Now()
+				chunk := f.FetchChunk(p, cfg.BatchCap, nil)
+				cycles := model.IOBatchCycles * model.IORxShare
+				for _, b := range chunk {
+					cycles += f.hugeRxCycles(min(b.Size(), model.HugeCellDataBytes))
+				}
+				if len(chunk) == 0 {
+					cycles = 0
+				}
+				rxWait += sim.Duration(p.Now()-start) - model.Cycles(cycles)
+				if len(chunk) == 0 {
+					continue
+				}
+				progress = true
+				start = p.Now()
+				e.Send(p, 0, 0, chunk)
+				tx := float64(model.IOBatchCycles * model.IOTxShare)
+				tx += float64(float64(len(chunk)) * model.IOPerPacketCycles * model.IOTxShare)
+				txWait += sim.Duration(p.Now()-start) - model.Cycles(tx)
+			}
+			if !progress && !ifaces[0].Wait(p) {
+				return
+			}
+		}
+	})
+	env.Run(sim.Time(5 * sim.Millisecond))
+	if rxWait <= 0 || txWait <= 0 {
+		t.Fatalf("RX wait %v, TX wait %v: want both waits exercised", rxWait, txWait)
+	}
+	if e.Blocked != rxWait+txWait {
+		t.Errorf("Blocked = %v; elapsed less charged: RX %v + TX %v", e.Blocked, rxWait, txWait)
+	}
+}

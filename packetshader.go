@@ -200,14 +200,20 @@ type Instance struct {
 	tap     func(b *packet.Buf, at sim.Time)
 }
 
-// Report summarizes one run.
+// Report is what one Run call returns.
+//
+// The two throughputs cover the Run call that returned the report; every
+// other field is cumulative since the router started, warm-up Runs
+// included.
 type Report struct {
 	// DeliveredGbps is forwarded throughput in the paper's wire metric
-	// (24B Ethernet overhead included).
+	// (24B Ethernet overhead included), over this Run's window.
 	DeliveredGbps float64
-	// InputGbps is accepted input throughput (the IPsec metric, §6.2.4).
+	// InputGbps is accepted input throughput (the IPsec metric, §6.2.4),
+	// over this Run's window.
 	InputGbps float64
-	// Latency statistics in microseconds (zero if nothing completed).
+	// Latency statistics in microseconds over every frame delivered
+	// since the start (zero if nothing completed).
 	MeanLatencyUs float64
 	P99LatencyUs  float64
 	// DroppedPackets is the cumulative drop count from every cause: RX
@@ -409,11 +415,13 @@ func (i *Instance) Control(script *ctrl.Script, out io.Writer) (*ctrl.Controller
 func (i *Instance) Close() { i.Env.Close() }
 
 // Run starts the router (first call), advances virtual time by d, and
-// reports. Repeated Run calls continue the same simulation; the
-// measurement window restarts each call, so a warmup Run followed by a
-// measurement Run excludes transients. A d <= 0 advances no time. Run
-// panics if the packet ledger does not balance: a packet was lost or
-// counted twice.
+// reports. Repeated Run calls continue the same simulation. Only the
+// throughput window restarts each call, so a warm-up Run followed by a
+// measurement Run excludes transients from DeliveredGbps and InputGbps;
+// latency, drops, Stats, Ledger, Stages and DegradedTime keep counting
+// from the start (see Report). A d <= 0 advances no time. Run panics if
+// the packet ledger does not balance: a packet was lost or counted
+// twice.
 func (i *Instance) Run(d Duration) Report {
 	if !i.started {
 		i.Router.Start()

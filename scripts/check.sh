@@ -16,7 +16,8 @@
 # subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
-# server-span and golden checks failing on mutations of their own kind.
+# server-span, golden and replay checks failing on mutations of their
+# own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -175,9 +176,10 @@ go test -race -short ./internal/experiments
 # callback blocking on a worker fails the engine's scheduler-context
 # check, a global math/rand draw fails the route tests, VLB spread over
 # n-1 intermediates fails the fabric's model check and golden file, an
-# uncounted node drop fails the fabric ledger, and a ScheduleChain that
+# uncounted node drop fails the fabric ledger, a ScheduleChain that
 # stops counting its services fails the server span test and a golden
-# util line.
+# util line, and a worker reading the chunk cap at each fetch rather
+# than once per round fails the pshaderd replay.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

@@ -26,6 +26,8 @@
 #	                packet the app dropped                the packet ledger
 #	sched-callback  a ctrl command callback's knob hook
 #	                blocks on a worker's Proc             the engine (ctrl tests)
+#	fetch-cap       a worker reads the chunk cap when it
+#	                fetches, not once per round           the pshaderd replay
 #	global-rand     rand.Uint32() for rng.Uint32() in
 #	                GenerateBGPTable                      the route tests
 #	tx-run-offset   a TX run's k-th DMA completion one
@@ -66,7 +68,11 @@
 # TestServerCountsTheSpansHooksSee, which holds every server's own span
 # count to the spans its hooks see, and the full TestGoldenOutputs,
 # whose fig11 metrics dumps print each server's span count on a util
-# line (a TX wire server that counts none drops out of them).
+# line (a TX wire server that counts none drops out of them). The
+# pshaderd replay is check.sh's: the demo script's stdout against
+# cmd/pshader/testdata (the trace goes to /dev/null, since its event
+# count is part of the stdout); the demo retunes the chunk cap while
+# workers are mid-round, so a cap read at the wrong point moves it.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -95,6 +101,13 @@ heapgates="go test -count=1 -short -run TestGoldenOutputs|FuzzEventStore ./inter
 modelgates="go test -count=1 -short -run TestFabricMatchesModel|TestGoldenOutputs ./internal/experiments"
 clustertests="go test -count=1 ./internal/cluster"
 spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
+
+# replay is the pshaderd replay's stdout gate, run in the tree.
+replay() {
+	go run ./cmd/pshader -app ipv4 -prefixes 5000 -fib dynamic \
+		-ctrl scripts/pshaderd-demo.psc -warmup 2ms -duration 6ms \
+		-metrics -trace /dev/null 2>/dev/null | cmp cmd/pshader/testdata/pshaderd-demo.txt -
+}
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
 # FILE (relative to the tree) that contains ANCHOR.
@@ -175,8 +188,14 @@ mutate_leak_app_drop() {
 mutate_sched_callback() {
 	insert internal/core/worker.go 'type worker struct {' '	proc *sim.Proc'
 	insert internal/core/worker.go 'func (w *worker) run(p *sim.Proc) {' '	w.proc = p'
-	insert internal/core/mailbox.go 'w.mail.TryPut(m)' '		w.mail.Put(w.proc, m)'
+	insert internal/core/core.go 'func (r *Router) SetChunkCap(n int) {' '	r.workers[0].outQ.Put(r.workers[0].proc, nil)'
 	gate=$ctrltests want="Queue.Put on worker from scheduler context"
+}
+
+mutate_fetch_cap() {
+	insert internal/core/worker.go 'func (w *worker) fetchChunk(p *sim.Proc, max int) *Chunk {' \
+		'	max = w.router.Cfg.ChunkCap'
+	gate=replay want="pshaderd-demo.txt - differ"
 }
 
 mutate_global_rand() {
@@ -222,7 +241,7 @@ mutate_chain_spans() {
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
-		model-vlb-share fabric-lost-batch chain-spans
+		model-vlb-share fabric-lost-batch chain-spans fetch-cap
 fi
 
 status=0
@@ -247,6 +266,7 @@ for m in "$@"; do
 	model-vlb-share) mutate_model_vlb_share ;;
 	fabric-lost-batch) mutate_fabric_lost_batch ;;
 	chain-spans) mutate_chain_spans ;;
+	fetch-cap) mutate_fetch_cap ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
