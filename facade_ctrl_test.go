@@ -47,13 +47,14 @@ func TestValidateBoundaries(t *testing.T) {
 // TestValidateFaultTargets pins that fault options are range-checked at
 // construction, not discovered as silent no-ops (or panics) mid-run.
 func TestValidateFaultTargets(t *testing.T) {
-	if _, err := packetshader.IPv4(500, 1,
-		packetshader.WithLinkFlap(model.NumPorts, packetshader.Millisecond, packetshader.Millisecond)); err == nil ||
+	ms := packetshader.Millisecond
+	if _, err := packetshader.IPv4(500, 1, packetshader.WithFaults(
+		faults.NewPlan().LinkFlap(model.NumPorts, ms, ms))); err == nil ||
 		!strings.Contains(err.Error(), "port") {
 		t.Errorf("out-of-range flap port accepted: %v", err)
 	}
-	if _, err := packetshader.IPv4(500, 1,
-		packetshader.WithLinkFlap(-1, packetshader.Millisecond, packetshader.Millisecond)); err == nil {
+	if _, err := packetshader.IPv4(500, 1, packetshader.WithFaults(
+		faults.NewPlan().LinkFlap(-1, ms, ms))); err == nil {
 		t.Error("negative flap port accepted")
 	}
 	if _, err := packetshader.IPv4(500, 1, packetshader.WithFaults(
@@ -63,13 +64,23 @@ func TestValidateFaultTargets(t *testing.T) {
 	}
 }
 
+// TestUnknownFaultKindRejected: an event of a kind outside the seven
+// fails the constructor and names the kind, rather than building an
+// instance that never faults.
+func TestUnknownFaultKindRejected(t *testing.T) {
+	_, err := packetshader.IPv4(500, 1, packetshader.WithFaults(faults.NewPlan().Add(faults.Event{Kind: 99})))
+	if err == nil || !strings.Contains(err.Error(), "fault-99") {
+		t.Errorf("unknown fault kind: err = %v, want an error naming fault-99", err)
+	}
+}
+
 // TestWithFaultsMerges pins the option-composition contract: multiple
 // fault options merge into one armed plan.
 func TestWithFaultsMerges(t *testing.T) {
 	pl := faults.NewPlan().LinkFlap(1, packetshader.Millisecond, packetshader.Millisecond)
 	inst := packetshader.Must(packetshader.IPv4(2000, 5,
 		packetshader.WithFaults(pl),
-		packetshader.WithGPUOutage(packetshader.Millisecond, 2*packetshader.Millisecond)))
+		packetshader.WithFaults(gpuOutage(packetshader.Millisecond, 2*packetshader.Millisecond))))
 	rep := inst.Run(5 * packetshader.Millisecond)
 	if inst.Router.CarrierDrops() == 0 {
 		t.Error("merged plan produced no carrier drops")

@@ -6,6 +6,7 @@ import (
 
 	"packetshader"
 	"packetshader/internal/faults"
+	"packetshader/internal/model"
 	"packetshader/internal/pktgen"
 )
 
@@ -55,9 +56,19 @@ func TestReportRoundTripUnchanged(t *testing.T) {
 	}
 }
 
+// gpuOutage is the plan failing every node's GPU at at, repaired after
+// dur.
+func gpuOutage(at, dur packetshader.Duration) *faults.Plan {
+	pl := faults.NewPlan()
+	for n := 0; n < model.NumNodes; n++ {
+		pl.GPUOutage(n, at, dur)
+	}
+	return pl
+}
+
 func TestFacadeGPUOutage(t *testing.T) {
 	inst := packetshader.Must(packetshader.IPv4(2000, 5,
-		packetshader.WithGPUOutage(1*packetshader.Millisecond, 2*packetshader.Millisecond)))
+		packetshader.WithFaults(gpuOutage(1*packetshader.Millisecond, 2*packetshader.Millisecond))))
 	rep := inst.Run(6 * packetshader.Millisecond)
 	if rep.Stats.GPUStalls == 0 {
 		t.Error("outage produced no watchdog stalls")
@@ -72,7 +83,7 @@ func TestFacadeGPUOutage(t *testing.T) {
 
 func TestFacadeLinkFlap(t *testing.T) {
 	inst := packetshader.Must(packetshader.IPv4(2000, 5,
-		packetshader.WithLinkFlap(0, 1*packetshader.Millisecond, 1*packetshader.Millisecond)))
+		packetshader.WithFaults(faults.NewPlan().LinkFlap(0, 1*packetshader.Millisecond, 1*packetshader.Millisecond))))
 	rep := inst.Run(4 * packetshader.Millisecond)
 	if inst.Router.CarrierDrops() == 0 {
 		t.Error("flap produced no carrier drops")

@@ -494,10 +494,11 @@ func armFaults(plan *faults.Plan, nodes []*fabricNode) error {
 				return fmt.Errorf("fabric: fault event targets slot %d of node %d (degree %d)", ev.Port, ev.Node, len(nd.alive))
 			}
 		case faults.KindGPUFail, faults.KindGPURepair:
-		default:
-			// Single-box hardware kinds (PCIe retrain, RX drop bursts)
-			// have no fabric-level meaning.
+		case faults.KindPCIeRetrain, faults.KindPCIeRestore, faults.KindRxDropBurst:
+			// Single-box hardware kinds have no fabric-level meaning.
 			continue
+		default:
+			return fmt.Errorf("fabric: unknown fault kind %s", ev.Kind)
 		}
 		nd.part.Env().At(sim.Time(ev.At), func() { nd.applyFault(ev) })
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"packetshader/internal/faults"
@@ -177,6 +178,21 @@ func TestFullMeshLinkFaultDrops(t *testing.T) {
 	}
 	if res.RouteDrops == 0 {
 		t.Error("RouteDrops = 0 with the 0→1 mesh link down")
+	}
+}
+
+// TestFabricRejectsUnknownFaultKind: a fault kind outside the seven
+// fails RunFabric and is named, while the single-box kinds (PCIe retrain,
+// RX drop burst) are still ignored on purpose.
+func TestFabricRejectsUnknownFaultKind(t *testing.T) {
+	cfg := fabCfg(4, Direct, Uniform(4, 40), 2)
+	cfg.Faults = faults.NewPlan().Add(faults.Event{Kind: 99})
+	if _, err := RunFabric(cfg); err == nil || !strings.Contains(err.Error(), "fault-99") {
+		t.Errorf("unknown fault kind: err = %v, want an error naming fault-99", err)
+	}
+	cfg.Faults = faults.NewPlan().PCIeRetrain(0, 0, sim.Millisecond).RxDropBurst(0, 0, sim.Millisecond)
+	if _, err := RunFabric(cfg); err != nil {
+		t.Errorf("single-box kinds: %v, want them ignored", err)
 	}
 }
 

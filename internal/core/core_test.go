@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"packetshader/internal/faults"
 	"packetshader/internal/hw/gpu"
 	"packetshader/internal/model"
 	"packetshader/internal/packet"
@@ -82,19 +83,15 @@ func newRouter(cfg Config, app App) (*sim.Env, *Router) {
 	return env, r
 }
 
-// The fault tests drive the Router's hardware hooks straight from
-// env.At: the control plane that normally schedules them
-// (internal/ctrl) imports core, so core's tests cannot use it. Call
-// these before Start, as the controller is attached before Start.
-
-func gpuOutage(env *sim.Env, r *Router, node int, at, dur sim.Duration) {
-	env.At(sim.Time(at), func() { r.FailGPU(node) })
-	env.At(sim.Time(at+dur), func() { r.RepairGPU(node) })
-}
-
-func linkFlap(env *sim.Env, r *Router, port int, at, dur sim.Duration) {
-	env.At(sim.Time(at), func() { r.SetCarrier(port, false) })
-	env.At(sim.Time(at+dur), func() { r.SetCarrier(port, true) })
+// arm schedules each event of pl at its offset from time zero through
+// ApplyFault, straight from env.At: the control plane that normally
+// delivers plans (internal/ctrl) imports core, so core's tests cannot
+// use it. Call it before Start, as the controller is attached before
+// Start.
+func arm(env *sim.Env, r *Router, pl *faults.Plan) {
+	for _, e := range pl.Events() {
+		env.At(sim.Time(e.At), func() { r.ApplyFault(e) })
+	}
 }
 
 func TestCPUOnlyModeForwards(t *testing.T) {
@@ -351,7 +348,7 @@ func TestGPUOutageFallsBackAndRecovers(t *testing.T) {
 	cfg.GPUBackoff = 500 * sim.Microsecond
 	cfg.GPUBackoffMax = 2 * sim.Millisecond
 	env, r := newRouter(cfg, app)
-	gpuOutage(env, r, 0, 2*sim.Millisecond, 3*sim.Millisecond)
+	arm(env, r, faults.NewPlan().GPUOutage(0, 2*sim.Millisecond, 3*sim.Millisecond))
 	r.Start()
 	env.Run(sim.Time(10 * sim.Millisecond))
 
@@ -397,7 +394,7 @@ func TestGPUOutageThroughputStaysUp(t *testing.T) {
 
 	cfg := base
 	env, r := newRouter(cfg, newEchoApp(2))
-	gpuOutage(env, r, 0, 1*sim.Millisecond, 20*sim.Millisecond)
+	arm(env, r, faults.NewPlan().GPUOutage(0, 1*sim.Millisecond, 20*sim.Millisecond))
 	r.Start()
 	env.Run(sim.Time(3 * sim.Millisecond)) // fail at 1ms, detect, degrade
 	r.ResetMeasurement()
@@ -415,7 +412,7 @@ func TestLinkFlapDropsThenResumes(t *testing.T) {
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
 	env, r := newRouter(cfg, app)
-	linkFlap(env, r, 1, 1*sim.Millisecond, 1*sim.Millisecond)
+	arm(env, r, faults.NewPlan().LinkFlap(1, 1*sim.Millisecond, 1*sim.Millisecond))
 	r.Start()
 	env.Run(sim.Time(2 * sim.Millisecond)) // carrier down 1ms..2ms
 	drops := r.CarrierDrops()
@@ -438,8 +435,9 @@ func TestWorkersSurviveFullCarrierOutage(t *testing.T) {
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
 	env, r := newRouter(cfg, app)
-	linkFlap(env, r, 0, 1*sim.Millisecond, 1*sim.Millisecond)
-	linkFlap(env, r, 1, 1*sim.Millisecond, 1*sim.Millisecond)
+	arm(env, r, faults.NewPlan().
+		LinkFlap(0, 1*sim.Millisecond, 1*sim.Millisecond).
+		LinkFlap(1, 1*sim.Millisecond, 1*sim.Millisecond))
 	r.Start()
 	env.Run(sim.Time(2 * sim.Millisecond))
 	fetched := r.Stats.Packets
@@ -453,7 +451,7 @@ func TestRxDropBurstAccounted(t *testing.T) {
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
 	env, r := newRouter(cfg, app)
-	env.At(sim.Time(1*sim.Millisecond), func() { r.RxDropBurst(0, 500*sim.Microsecond) })
+	arm(env, r, faults.NewPlan().RxDropBurst(0, 1*sim.Millisecond, 500*sim.Microsecond))
 	r.Start()
 	env.Run(sim.Time(3 * sim.Millisecond))
 	_, rxDropped, _, _ := r.Engine.AggregateStats()
@@ -464,13 +462,13 @@ func TestRxDropBurstAccounted(t *testing.T) {
 
 func TestFaultPlanIgnoredGracefullyInCPUMode(t *testing.T) {
 	// GPU faults target devices that do not exist in CPU-only mode; the
-	// hooks must be no-ops, not crashes.
+	// events must change nothing, not crash.
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeCPUOnly)
 	env, r := newRouter(cfg, app)
-	gpuOutage(env, r, 0, 1*sim.Millisecond, 1*sim.Millisecond)
-	env.At(sim.Time(1*sim.Millisecond), func() { r.RetrainPCIe(1, 2) })
-	env.At(sim.Time(2*sim.Millisecond), func() { r.RetrainPCIe(1, 1) })
+	arm(env, r, faults.NewPlan().
+		GPUOutage(0, 1*sim.Millisecond, 1*sim.Millisecond).
+		PCIeRetrain(1, 1*sim.Millisecond, 1*sim.Millisecond))
 	r.Start()
 	env.Run(sim.Time(3 * sim.Millisecond))
 	if r.Stats.GPUStalls != 0 || r.DegradedTime() != 0 {
@@ -486,8 +484,9 @@ func TestFaultRunsDeterministic(t *testing.T) {
 		cfg := smallConfig(ModeGPU)
 		cfg.GPUWatchdog = 100 * sim.Microsecond
 		env, r := newRouter(cfg, newEchoApp(2))
-		gpuOutage(env, r, 0, 1*sim.Millisecond, 2*sim.Millisecond)
-		linkFlap(env, r, 1, 2*sim.Millisecond, 500*sim.Microsecond)
+		arm(env, r, faults.NewPlan().
+			GPUOutage(0, 1*sim.Millisecond, 2*sim.Millisecond).
+			LinkFlap(1, 2*sim.Millisecond, 500*sim.Microsecond))
 		r.Start()
 		env.Run(sim.Time(6 * sim.Millisecond))
 		return r.Stats, r.CarrierDrops(), r.DegradedTime()

@@ -1,60 +1,71 @@
 package core
 
 import (
+	"packetshader/internal/faults"
+	"packetshader/internal/hw/gpu"
 	"packetshader/internal/obs"
+	"packetshader/internal/pktio"
 	"packetshader/internal/sim"
 )
 
-// Hardware hooks: the control plane (internal/ctrl) degrades and
-// repairs the hardware models through these methods. All of them are
-// non-blocking (they run in scheduler context, Env.At callbacks).
-// Out-of-range nodes and nodes without a device (CPU-only mode) are
-// ignored, so one fault plan can drive both modes.
-
-// SetCarrier raises or drops the carrier on both sides of a port: RX
-// queues stop receiving and the TX side drops instead of blocking.
-func (r *Router) SetCarrier(port int, up bool) {
-	if port < 0 || port >= len(r.Engine.Ports) {
-		return
+// ApplyFault delivers one hardware fault event to the model it names
+// and records it as an instant, named after its kind, on the
+// faults/injector trace track (inert until EnableObs). The control
+// plane (internal/ctrl) calls it from scheduler context, an Env.At
+// callback, so it never blocks. A port the router lacks, a node
+// without a device (CPU-only mode) and a kind outside the seven change
+// nothing, so one fault plan can drive both modes.
+//
+// A link event raises or drops the carrier on both sides of the port:
+// its RX queues stop receiving and its TX side drops instead of
+// blocking. A GPU failure stalls the node's device until the repair
+// (the master watchdog detects it at the next launch); a PCIe retrain
+// divides the node's GPU link β by Div until the restore; an RX drop
+// burst discards the port's arrivals for Dur.
+func (r *Router) ApplyFault(e faults.Event) {
+	var port *pktio.Port
+	if e.Port >= 0 && e.Port < len(r.Engine.Ports) {
+		port = r.Engine.Ports[e.Port]
 	}
-	p := r.Engine.Ports[port]
-	p.Tx.SetCarrier(up)
-	for _, q := range p.Rx {
-		q.SetCarrier(up)
+	var dev *gpu.Device
+	if e.Node >= 0 && e.Node < len(r.Devices) {
+		dev = r.Devices[e.Node]
 	}
-}
-
-// RxDropBurst discards a port's RX arrivals for d of virtual time.
-func (r *Router) RxDropBurst(port int, d sim.Duration) {
-	if port < 0 || port >= len(r.Engine.Ports) {
-		return
+	switch e.Kind {
+	case faults.KindLinkDown, faults.KindLinkUp:
+		if port != nil {
+			up := e.Kind == faults.KindLinkUp
+			port.Tx.SetCarrier(up)
+			for _, q := range port.Rx {
+				q.SetCarrier(up)
+			}
+		}
+	case faults.KindRxDropBurst:
+		if port != nil {
+			for _, q := range port.Rx {
+				q.DropBurst(e.Dur)
+			}
+		}
+	case faults.KindGPUFail:
+		if dev != nil {
+			dev.Fail()
+		}
+	case faults.KindGPURepair:
+		if dev != nil {
+			dev.Repair()
+		}
+	case faults.KindPCIeRetrain:
+		if dev != nil {
+			dev.Link.SetRetrain(e.Div)
+		}
+	case faults.KindPCIeRestore:
+		if dev != nil {
+			dev.Link.SetRetrain(1)
+		}
 	}
-	for _, q := range r.Engine.Ports[port].Rx {
-		q.DropBurst(d)
-	}
-}
-
-// FailGPU stalls the node's device; the master watchdog will detect it
-// on the next launch.
-func (r *Router) FailGPU(node int) {
-	if node >= 0 && node < len(r.Devices) {
-		r.Devices[node].Fail()
-	}
-}
-
-// RepairGPU restores the node's device; the next backoff probe
-// succeeds and ends the degraded interval.
-func (r *Router) RepairGPU(node int) {
-	if node >= 0 && node < len(r.Devices) {
-		r.Devices[node].Repair()
-	}
-}
-
-// RetrainPCIe sets the β-divisor of the node's GPU link.
-func (r *Router) RetrainPCIe(node, divisor int) {
-	if node >= 0 && node < len(r.Devices) {
-		r.Devices[node].Link.SetRetrain(divisor)
-	}
+	r.obs.tr.Instant(r.obs.faultTrack, e.Kind.String(), r.Env.Now(),
+		obs.Arg{Key: "port", Val: int64(e.Port)},
+		obs.Arg{Key: "node", Val: int64(e.Node)})
 }
 
 // DegradedTime reports the cumulative virtual time any master has spent
@@ -80,12 +91,4 @@ func (r *Router) CarrierDrops() uint64 {
 		n += p.Tx.CarrierDrops
 	}
 	return n
-}
-
-// TraceFault records one delivered hardware command as an instant on
-// the faults/injector trace track (inert until EnableObs).
-func (r *Router) TraceFault(name string, port, node int) {
-	r.obs.tr.Instant(r.obs.faultTrack, name, r.Env.Now(),
-		obs.Arg{Key: "port", Val: int64(port)},
-		obs.Arg{Key: "node", Val: int64(node)})
 }

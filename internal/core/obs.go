@@ -19,7 +19,7 @@ type routerObs struct {
 	workerTracks []obs.TrackID
 	masterTracks []obs.TrackID
 
-	// faultTrack carries the hardware-command instants (TraceFault)
+	// faultTrack carries the hardware-command instants (ApplyFault)
 	// plus nothing else, so fault timelines read separately from the
 	// pipeline.
 	faultTrack obs.TrackID

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"packetshader/internal/core"
+	"packetshader/internal/faults"
 	"packetshader/internal/obs"
 	"packetshader/internal/sim"
 )
@@ -95,26 +96,38 @@ func precheck(cmd Command, router *core.Router, cfg Config) error {
 		if cmd.N < 1 {
 			return fmt.Errorf("ctrl: %s %d at %v: value must be >= 1", cmd.Op, cmd.N, cmd.At)
 		}
-	case OpPortAdmin, OpRxBurst:
-		if cmd.N < 0 || cmd.N >= len(router.Engine.Ports) {
-			return fmt.Errorf("ctrl: %s at %v: port %d outside 0..%d", cmd.Op, cmd.At, cmd.N, len(router.Engine.Ports)-1)
-		}
-		if cmd.Op == OpRxBurst && cmd.Dur <= 0 {
-			return fmt.Errorf("ctrl: rxburst on port %d at %v: duration must be positive", cmd.N, cmd.At)
-		}
-	case OpGPU, OpPCIe:
-		// Checked against the NUMA nodes, not the devices: a CPU-only
-		// router has no GPUs and ignores these commands, so one plan
-		// can drive both modes.
-		if nodes := router.Cfg.IO.Nodes; cmd.N < 0 || cmd.N >= nodes {
-			return fmt.Errorf("ctrl: %s at %v: node %d outside 0..%d", cmd.Op, cmd.At, cmd.N, nodes-1)
-		}
-		if cmd.Op == OpPCIe && !cmd.On && cmd.Div < 1 {
-			return fmt.Errorf("ctrl: pcie %d retrain %d at %v: divisor must be >= 1", cmd.N, cmd.Div, cmd.At)
+	case OpFault:
+		if err := checkFault(cmd.Fault, router); err != nil {
+			return fmt.Errorf("ctrl: %s at %v: %v", cmd.Fault.Kind, cmd.At, err)
 		}
 	}
 	if cmd.At < 0 {
 		return fmt.Errorf("ctrl: %s at negative offset %v", cmd.Op, cmd.At)
+	}
+	return nil
+}
+
+// checkFault rejects an event ApplyFault could not deliver: an unknown
+// kind, a port or node the router lacks, a retrain divisor below 1 or an
+// empty drop burst. Nodes are checked against the NUMA nodes, not the
+// devices: a CPU-only router has no GPUs and ignores their events, so
+// one plan can drive both modes.
+func checkFault(e faults.Event, router *core.Router) error {
+	if int(e.Kind) >= len(faultWords) {
+		return fmt.Errorf("unknown fault kind")
+	}
+	what, n := faultIndex(e)
+	limit := len(router.Engine.Ports)
+	if what == "node" {
+		limit = router.Cfg.IO.Nodes
+	}
+	switch {
+	case n < 0 || n >= limit:
+		return fmt.Errorf("%s %d outside 0..%d", what, n, limit-1)
+	case e.Kind == faults.KindPCIeRetrain && e.Div < 1:
+		return fmt.Errorf("divisor %d must be >= 1", e.Div)
+	case e.Kind == faults.KindRxDropBurst && e.Dur <= 0:
+		return fmt.Errorf("duration must be positive")
 	}
 	return nil
 }
@@ -141,27 +154,9 @@ func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 	case OpOpportunistic:
 		c.router.SetOpportunistic(cmd.On)
 		c.printf("@%v set opportunistic %s\n", c.env.Now(), pick(cmd.On, "on", "off"))
-	case OpPortAdmin:
-		c.router.SetCarrier(cmd.N, cmd.On)
-		c.printf("@%v port %d %s\n", c.env.Now(), cmd.N, pick(cmd.On, "up", "down"))
-	case OpGPU:
-		if cmd.On {
-			c.router.RepairGPU(cmd.N)
-		} else {
-			c.router.FailGPU(cmd.N)
-		}
-		c.printf("@%v gpu %d %s\n", c.env.Now(), cmd.N, pick(cmd.On, "repair", "fail"))
-	case OpPCIe:
-		if cmd.On {
-			c.router.RetrainPCIe(cmd.N, 1)
-			c.printf("@%v pcie %d restore\n", c.env.Now(), cmd.N)
-		} else {
-			c.router.RetrainPCIe(cmd.N, cmd.Div)
-			c.printf("@%v pcie %d retrain %d\n", c.env.Now(), cmd.N, cmd.Div)
-		}
-	case OpRxBurst:
-		c.router.RxDropBurst(cmd.N, cmd.Dur)
-		c.printf("@%v rxburst %d %.3fus\n", c.env.Now(), cmd.N, cmd.Dur.Microseconds())
+	case OpFault:
+		c.router.ApplyFault(cmd.Fault)
+		c.printf("@%v %s\n", c.env.Now(), faultLine(cmd.Fault))
 	case OpStats:
 		c.stats()
 	case OpMetrics:
@@ -173,15 +168,6 @@ func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 		if c.out != nil {
 			c.router.ObserveStats()
 			c.reg.Dump(c.out) //nolint:errcheck // best-effort, like the end-of-run dumps
-		}
-	}
-	for _, h := range hwKinds {
-		if h.op == cmd.Op && h.on == cmd.On {
-			port, node := cmd.N, 0
-			if cmd.Op.onNode() {
-				port, node = 0, cmd.N
-			}
-			c.router.TraceFault(h.kind.String(), port, node)
 		}
 	}
 	return 0, 0, ""

@@ -3,30 +3,30 @@
 //
 // A Script is a timestamped list of commands — route add/del/replace
 // batches, live batch-policy retuning (chunk cap, gather max,
-// opportunistic offload), stats/metrics snapshots, and the hardware
-// commands: port admin up/down, GPU fail/repair, PCIe retrain/restore
-// and RX drop bursts. Attaching a Script to a router schedules every
-// command as a simulation event at its offset from the attach instant,
-// so a management session — faults included — is part of a run's
-// deterministic input: replaying the same script against the same seed
-// produces byte-identical output, reconfiguration and degradation
-// included.
+// opportunistic offload), stats/metrics snapshots, and hardware faults:
+// an OpFault command carries one faults.Event (port down/up, GPU
+// fail/repair, PCIe retrain/restore, RX drop burst). Attaching a Script
+// to a router schedules every command as a simulation event at its
+// offset from the attach instant, so a management session — faults
+// included — is part of a run's deterministic input: replaying the same
+// script against the same seed produces byte-identical output,
+// reconfiguration and degradation included.
 //
 // The Controller is the only scheduler of timestamped operations
 // against a router. A faults.Plan is not a second mechanism: FromPlan
-// compiles it to a Script, and the facade's WithFaults / WithGPUOutage /
-// WithLinkFlap attach that script at construction.
+// compiles it to a Script of one OpFault per event, and the facade's
+// WithFaults attaches that script at construction.
 //
 // A command runs in scheduler context, between worker steps and never
 // mid-chunk, and writes the router's state directly: a route batch
 // patches the FIB through a FIBApplier (every intermediate DIR-24-8
 // state is a consistent routing function,
 // internal/lookup/ipv4.DynamicTable), a retune rewrites a live knob
-// (core.Router.SetChunkCap and friends), and a hardware command flips
-// NIC, GPU or PCIe model state (core.Router.SetCarrier, FailGPU,
-// RetrainPCIe, RxDropBurst). Commands and the data path share one
-// sim.Env, so those writes are ordered by the event order (at, seq) like
-// every other, and the data path sees each one at its next read.
+// (core.Router.SetChunkCap and friends), and a fault hands its event to
+// core.Router.ApplyFault, which flips NIC, GPU or PCIe model state.
+// Commands and the data path share one sim.Env, so those writes are
+// ordered by the event order (at, seq) like every other, and the data
+// path sees each one at its next read.
 //
 // The text form of a Script (the .psc command language) is parsed by
 // ParseScript; cmd/pshader's -ctrl flag runs the router as `pshaderd`,
@@ -55,15 +55,9 @@ const (
 	OpGatherMax
 	// OpOpportunistic toggles opportunistic offload (§7).
 	OpOpportunistic
-	// OpPortAdmin raises or drops one port's carrier.
-	OpPortAdmin
-	// OpGPU fails or repairs one node's GPU; the master watchdog
-	// degrades to the CPU path while it is failed.
-	OpGPU
-	// OpPCIe retrains one node's GPU link at β/Div, or restores it.
-	OpPCIe
-	// OpRxBurst discards one port's RX arrivals for Dur.
-	OpRxBurst
+	// OpFault delivers the command's Fault event to the router's
+	// hardware models (core.Router.ApplyFault).
+	OpFault
 	// OpStats streams a one-line framework counter snapshot.
 	OpStats
 	// OpMetrics streams a full metrics-registry snapshot.
@@ -81,14 +75,8 @@ func (o Op) String() string {
 		return "set gathermax"
 	case OpOpportunistic:
 		return "set opportunistic"
-	case OpPortAdmin:
-		return "port"
-	case OpGPU:
-		return "gpu"
-	case OpPCIe:
-		return "pcie"
-	case OpRxBurst:
-		return "rxburst"
+	case OpFault:
+		return "fault"
 	case OpStats:
 		return "stats"
 	case OpMetrics:
@@ -142,19 +130,13 @@ type Command struct {
 	// Routes is the OpRoute batch: applied as one unit, so a
 	// rebuild-strategy FIB pays one rebuild per batch.
 	Routes []RouteUpdate
-	// N carries the integer argument: the new cap for OpChunkCap /
-	// OpGatherMax, the port for OpPortAdmin / OpRxBurst, the NUMA node
-	// for OpGPU / OpPCIe.
+	// N is the new cap of OpChunkCap / OpGatherMax.
 	N int
-	// On carries the boolean argument: OpOpportunistic state, and for
-	// the hardware commands "healthy" — OpPortAdmin carrier up, OpGPU
-	// repaired, OpPCIe restored to full speed.
+	// On is the OpOpportunistic state.
 	On bool
-	// Div is the β-divisor of an OpPCIe retrain (2 = half speed);
-	// unused when On.
-	Div int
-	// Dur is the length of an OpRxBurst discard window.
-	Dur sim.Duration
+	// Fault is the OpFault event. The command's At schedules it;
+	// FromPlan and ParseScript give both the same offset.
+	Fault faults.Event
 }
 
 // RouteAdd returns a single-route add command.
@@ -189,69 +171,14 @@ func SetOpportunistic(at sim.Duration, on bool) Command {
 	return Command{At: at, Op: OpOpportunistic, On: on}
 }
 
-// PortAdmin returns a port admin command: up=false drops the port's
-// carrier (RX stops, TX drops), up=true restores it.
-func PortAdmin(at sim.Duration, port int, up bool) Command {
-	return Command{At: at, Op: OpPortAdmin, N: port, On: up}
-}
-
-// GPU returns a GPU fault command: up=false stalls node's device until
-// a later up=true repairs it.
-func GPU(at sim.Duration, node int, up bool) Command {
-	return Command{At: at, Op: OpGPU, N: node, On: up}
-}
-
-// PCIeRetrain returns a command renegotiating node's GPU link at β/div.
-func PCIeRetrain(at sim.Duration, node, div int) Command {
-	return Command{At: at, Op: OpPCIe, N: node, Div: div}
-}
-
-// PCIeRestore returns a command restoring node's GPU link to full speed.
-func PCIeRestore(at sim.Duration, node int) Command {
-	return Command{At: at, Op: OpPCIe, N: node, On: true}
-}
-
-// RxBurst returns a command discarding port's RX arrivals for dur.
-func RxBurst(at sim.Duration, port int, dur sim.Duration) Command {
-	return Command{At: at, Op: OpRxBurst, N: port, Dur: dur}
-}
-
-// hwKinds pairs every hardware command with the fault kind it
-// delivers: FromPlan reads it kind → command, the controller command →
-// kind to name the delivery on the trace.
-var hwKinds = [...]struct {
-	kind faults.Kind
-	op   Op
-	on   bool
-}{
-	{faults.KindLinkDown, OpPortAdmin, false},
-	{faults.KindLinkUp, OpPortAdmin, true},
-	{faults.KindGPUFail, OpGPU, false},
-	{faults.KindGPURepair, OpGPU, true},
-	{faults.KindPCIeRetrain, OpPCIe, false},
-	{faults.KindPCIeRestore, OpPCIe, true},
-	{faults.KindRxDropBurst, OpRxBurst, false},
-}
-
-// onNode reports whether the op's N is a NUMA node rather than a port.
-func (o Op) onNode() bool { return o == OpGPU || o == OpPCIe }
-
 // FromPlan compiles a fault plan to the script that delivers it: one
-// hardware command per event, in Plan.Events order (sorted by offset,
+// OpFault command per event, in Plan.Events order (sorted by offset,
 // same-instant events in insertion order — which Commands preserves).
 // A nil or empty plan compiles to an empty script.
 func FromPlan(pl *faults.Plan) *Script {
 	s := NewScript()
 	for _, e := range pl.Events() {
-		for _, h := range hwKinds {
-			if h.kind == e.Kind {
-				c := Command{At: e.At, Op: h.op, On: h.on, N: e.Port, Div: e.Div, Dur: e.Dur}
-				if h.op.onNode() {
-					c.N = e.Node
-				}
-				s.Add(c)
-			}
-		}
+		s.Add(Command{At: e.At, Op: OpFault, Fault: e})
 	}
 	return s
 }

@@ -81,17 +81,27 @@ func TestParseScript(t *testing.T) {
 	if cmds[6].At != 2500*sim.Microsecond {
 		t.Fatalf("port up offset = %v, want 2.5ms", cmds[6].At)
 	}
-	// The hardware verbs parse to exactly what the constructors build.
+	// The hardware verbs parse to one fault event each, its target in
+	// Port or Node by kind and its argument in Div or Dur.
+	ms := sim.Millisecond
 	wantHW := []ctrl.Command{
-		ctrl.GPU(4*sim.Millisecond, 1, false),
-		ctrl.PCIeRetrain(4*sim.Millisecond, 0, 2),
-		ctrl.RxBurst(4*sim.Millisecond, 5, 250*sim.Microsecond),
-		ctrl.GPU(5*sim.Millisecond, 1, true),
-		ctrl.PCIeRestore(5*sim.Millisecond, 0),
+		fault(faults.Event{At: 2 * ms, Kind: faults.KindLinkDown, Port: 2}),
+		fault(faults.Event{At: 2500 * sim.Microsecond, Kind: faults.KindLinkUp, Port: 2}),
+		ctrl.Metrics(3 * ms),
+		fault(faults.Event{At: 4 * ms, Kind: faults.KindGPUFail, Node: 1}),
+		fault(faults.Event{At: 4 * ms, Kind: faults.KindPCIeRetrain, Node: 0, Div: 2}),
+		fault(faults.Event{At: 4 * ms, Kind: faults.KindRxDropBurst, Port: 5, Dur: 250 * sim.Microsecond}),
+		fault(faults.Event{At: 5 * ms, Kind: faults.KindGPURepair, Node: 1}),
+		fault(faults.Event{At: 5 * ms, Kind: faults.KindPCIeRestore, Node: 0}),
 	}
-	if !reflect.DeepEqual(cmds[8:], wantHW) {
-		t.Fatalf("hardware commands = %+v\nwant %+v", cmds[8:], wantHW)
+	if !reflect.DeepEqual(cmds[5:], wantHW) {
+		t.Fatalf("hardware commands = %+v\nwant %+v", cmds[5:], wantHW)
 	}
+}
+
+// fault is the OpFault command delivering e at its offset.
+func fault(e faults.Event) ctrl.Command {
+	return ctrl.Command{At: e.At, Op: ctrl.OpFault, Fault: e}
 }
 
 func TestParseScriptSplitRouteBatches(t *testing.T) {
@@ -251,26 +261,31 @@ func TestAttachPrechecks(t *testing.T) {
 		name   string
 		script *ctrl.Script
 		cfg    ctrl.Config
+		want   string // in the error
 	}{
-		{"route without FIB", ctrl.NewScript(ctrl.RouteDel(0, route.Prefix{Len: 8})), ctrl.Config{}},
-		{"empty batch", ctrl.NewScript(ctrl.RouteBatch(0, nil)), ctrl.Config{FIB: &ctrl.DynamicFIB{T: dyn}}},
-		{"chunkcap zero", ctrl.NewScript(ctrl.SetChunkCap(0, 0)), ctrl.Config{}},
-		{"gathermax zero", ctrl.NewScript(ctrl.SetGatherMax(0, 0)), ctrl.Config{}},
-		{"port high", ctrl.NewScript(ctrl.PortAdmin(0, model.NumPorts, false)), ctrl.Config{}},
-		{"port negative", ctrl.NewScript(ctrl.PortAdmin(0, -1, false)), ctrl.Config{}},
-		{"gpu node high", ctrl.NewScript(ctrl.GPU(0, model.NumNodes, false)), ctrl.Config{}},
-		{"pcie node negative", ctrl.NewScript(ctrl.PCIeRestore(0, -1)), ctrl.Config{}},
-		{"pcie divisor zero", ctrl.NewScript(ctrl.PCIeRetrain(0, 0, 0)), ctrl.Config{}},
-		{"rxburst port high", ctrl.NewScript(ctrl.RxBurst(0, model.NumPorts, sim.Microsecond)), ctrl.Config{}},
-		{"rxburst empty", ctrl.NewScript(ctrl.RxBurst(0, 0, 0)), ctrl.Config{}},
-		{"negative offset", ctrl.NewScript(ctrl.Stats(-1)), ctrl.Config{}},
+		{"route without FIB", ctrl.NewScript(ctrl.RouteDel(0, route.Prefix{Len: 8})), ctrl.Config{}, "FIBApplier"},
+		{"empty batch", ctrl.NewScript(ctrl.RouteBatch(0, nil)), ctrl.Config{FIB: &ctrl.DynamicFIB{T: dyn}}, "empty route batch"},
+		{"chunkcap zero", ctrl.NewScript(ctrl.SetChunkCap(0, 0)), ctrl.Config{}, "chunkcap 0"},
+		{"gathermax zero", ctrl.NewScript(ctrl.SetGatherMax(0, 0)), ctrl.Config{}, "gathermax 0"},
+		{"port high", faultScript(faults.Event{Kind: faults.KindLinkDown, Port: model.NumPorts}), ctrl.Config{}, "port 8 outside"},
+		{"port negative", faultScript(faults.Event{Kind: faults.KindLinkUp, Port: -1}), ctrl.Config{}, "port -1 outside"},
+		{"gpu node high", faultScript(faults.Event{Kind: faults.KindGPUFail, Node: model.NumNodes}), ctrl.Config{}, "node 2 outside"},
+		{"pcie node negative", faultScript(faults.Event{Kind: faults.KindPCIeRestore, Node: -1}), ctrl.Config{}, "node -1 outside"},
+		{"pcie divisor zero", faultScript(faults.Event{Kind: faults.KindPCIeRetrain}), ctrl.Config{}, "divisor 0"},
+		{"rxburst port high", faultScript(faults.Event{Kind: faults.KindRxDropBurst, Port: model.NumPorts, Dur: sim.Microsecond}), ctrl.Config{}, "port 8 outside"},
+		{"rxburst empty", faultScript(faults.Event{Kind: faults.KindRxDropBurst}), ctrl.Config{}, "duration"},
+		{"unknown kind", faultScript(faults.Event{Kind: 99}), ctrl.Config{}, "fault-99"},
+		{"negative offset", ctrl.NewScript(ctrl.Stats(-1)), ctrl.Config{}, "negative offset"},
 	}
 	for _, c := range cases {
-		if _, err := ctrl.Attach(env, r, c.script, c.cfg); err == nil {
-			t.Errorf("%s: want attach error", c.name)
+		if _, err := ctrl.Attach(env, r, c.script, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: attach error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
 }
+
+// faultScript is the script of one OpFault command delivering e.
+func faultScript(e faults.Event) *ctrl.Script { return ctrl.NewScript(fault(e)) }
 
 // TestAttachRejectsBadPrefix: a batch built in code skips the parser's
 // host-bit check, so Attach applies the same rule and names the prefix;
@@ -368,9 +383,9 @@ func TestPortAdminDropsCarrier(t *testing.T) {
 	env, r, _, _ := testRouter(t)
 	var out bytes.Buffer
 	script := ctrl.NewScript(
-		ctrl.PortAdmin(1*sim.Millisecond, 2, false),
+		fault(faults.Event{At: 1 * sim.Millisecond, Kind: faults.KindLinkDown, Port: 2}),
 		ctrl.Stats(2*sim.Millisecond),
-		ctrl.PortAdmin(3*sim.Millisecond, 2, true),
+		fault(faults.Event{At: 3 * sim.Millisecond, Kind: faults.KindLinkUp, Port: 2}),
 	)
 	if _, err := ctrl.Attach(env, r, script, ctrl.Config{Out: &out}); err != nil {
 		t.Fatal(err)
@@ -396,7 +411,7 @@ func TestControllerByteIdentity(t *testing.T) {
 			ctrl.Stats(500*sim.Microsecond),
 			ctrl.RouteDel(1*sim.Millisecond, entries[500].Prefix),
 			ctrl.SetChunkCap(1500*sim.Microsecond, 32),
-			ctrl.PortAdmin(2*sim.Millisecond, 1, false),
+			fault(faults.Event{At: 2 * sim.Millisecond, Kind: faults.KindLinkDown, Port: 1}),
 			ctrl.Stats(2500*sim.Microsecond),
 		)
 		var out bytes.Buffer
@@ -485,9 +500,9 @@ func TestControllerPCIeRetrainRestore(t *testing.T) {
 	}
 }
 
-// TestFromPlanKeepsPlanOrder pins the compile step: one command per
-// event, sorted by offset with same-instant events in insertion order,
-// carrying the event's target and argument.
+// TestFromPlanKeepsPlanOrder pins the compile step: one OpFault command
+// per event, sorted by offset with same-instant events in insertion
+// order, carrying the event whole.
 func TestFromPlanKeepsPlanOrder(t *testing.T) {
 	pl := faults.NewPlan().
 		GPUOutage(1, 5*sim.Millisecond, 2*sim.Millisecond).
@@ -495,15 +510,15 @@ func TestFromPlanKeepsPlanOrder(t *testing.T) {
 		RxDropBurst(4, 5*sim.Millisecond, 100*sim.Microsecond).
 		PCIeRetrain(0, 5*sim.Millisecond, 2*sim.Millisecond)
 	got := ctrl.FromPlan(pl).Commands()
+	ms := sim.Millisecond
 	want := []ctrl.Command{
-		ctrl.PortAdmin(1*sim.Millisecond, 3, false),
-		ctrl.PortAdmin(2*sim.Millisecond, 3, true),
-		ctrl.GPU(5*sim.Millisecond, 1, false),
-		ctrl.RxBurst(5*sim.Millisecond, 4, 100*sim.Microsecond),
-		ctrl.PCIeRetrain(5*sim.Millisecond, 0, 2),
-		ctrl.GPU(7*sim.Millisecond, 1, true),
-		// The plan's restore event carries Div 1; a restore ignores it.
-		{At: 7 * sim.Millisecond, Op: ctrl.OpPCIe, N: 0, On: true, Div: 1},
+		fault(faults.Event{At: 1 * ms, Kind: faults.KindLinkDown, Port: 3}),
+		fault(faults.Event{At: 2 * ms, Kind: faults.KindLinkUp, Port: 3}),
+		fault(faults.Event{At: 5 * ms, Kind: faults.KindGPUFail, Node: 1}),
+		fault(faults.Event{At: 5 * ms, Kind: faults.KindRxDropBurst, Port: 4, Dur: 100 * sim.Microsecond}),
+		fault(faults.Event{At: 5 * ms, Kind: faults.KindPCIeRetrain, Node: 0, Div: 2}),
+		fault(faults.Event{At: 7 * ms, Kind: faults.KindGPURepair, Node: 1}),
+		fault(faults.Event{At: 7 * ms, Kind: faults.KindPCIeRestore, Node: 0}),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("compiled script = %+v\nwant %+v", got, want)

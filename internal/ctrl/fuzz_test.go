@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"packetshader/internal/ctrl"
+	"packetshader/internal/faults"
 	"packetshader/internal/sim"
 )
 
@@ -34,7 +35,6 @@ func FuzzParseScript(f *testing.F) {
 			if c.At < 0 || c.At > maxDur {
 				t.Fatalf("%+v: offset outside 0..1e6s", c)
 			}
-			n16 := c.N >= 0 && c.N <= 65535
 			switch c.Op {
 			case ctrl.OpRoute:
 				if len(c.Routes) == 0 {
@@ -46,20 +46,22 @@ func FuzzParseScript(f *testing.F) {
 					}
 				}
 			case ctrl.OpChunkCap, ctrl.OpGatherMax:
-				if !n16 || c.N < 1 {
+				if c.N < 1 || c.N > 65535 {
 					t.Fatalf("%+v: count outside 1..65535", c)
 				}
-			case ctrl.OpPortAdmin, ctrl.OpGPU:
-				if !n16 {
+			case ctrl.OpFault:
+				e := c.Fault
+				if e.Kind > faults.KindRxDropBurst || e.At != c.At {
+					t.Fatalf("%+v: unknown fault kind or an event off its command's offset", c)
+				}
+				if e.Port < 0 || e.Port > 65535 || e.Node < 0 || e.Node > 65535 {
 					t.Fatalf("%+v: index outside 0..65535", c)
 				}
-			case ctrl.OpPCIe:
-				if !n16 || (!c.On && (c.Div < 1 || c.Div > 65535)) {
-					t.Fatalf("%+v: index or divisor out of range", c)
+				if e.Kind == faults.KindPCIeRetrain && (e.Div < 1 || e.Div > 65535) {
+					t.Fatalf("%+v: divisor outside 1..65535", c)
 				}
-			case ctrl.OpRxBurst:
-				if !n16 || c.Dur <= 0 || c.Dur > maxDur {
-					t.Fatalf("%+v: index or duration out of range", c)
+				if e.Kind == faults.KindRxDropBurst && (e.Dur <= 0 || e.Dur > maxDur) {
+					t.Fatalf("%+v: burst duration outside (0, 1e6s]", c)
 				}
 			case ctrl.OpOpportunistic, ctrl.OpStats, ctrl.OpMetrics:
 			default:

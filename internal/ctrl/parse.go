@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"packetshader/internal/faults"
 	"packetshader/internal/packet"
 	"packetshader/internal/route"
 	"packetshader/internal/sim"
@@ -117,54 +118,6 @@ func parseCommand(at sim.Duration, f []string) (Command, error) {
 		return parseRoute(at, f[1:])
 	case "set":
 		return parseSet(at, f[1:])
-	case "port":
-		port, up, err := parseTarget(f, "port", "up", "down")
-		if err != nil {
-			return Command{}, err
-		}
-		return PortAdmin(at, port, up), nil
-	case "gpu":
-		node, up, err := parseTarget(f, "node", "repair", "fail")
-		if err != nil {
-			return Command{}, err
-		}
-		return GPU(at, node, up), nil
-	case "pcie":
-		if len(f) < 3 {
-			return Command{}, fmt.Errorf("usage: pcie <node> retrain <div>|restore")
-		}
-		node, err := parseUint16("node", f[1], 0)
-		if err != nil {
-			return Command{}, err
-		}
-		switch {
-		case f[2] == "restore" && len(f) == 3:
-			return PCIeRestore(at, node), nil
-		case f[2] == "retrain" && len(f) == 4:
-			div, err := parseUint16("divisor", f[3], 1)
-			if err != nil {
-				return Command{}, err
-			}
-			return PCIeRetrain(at, node, div), nil
-		default:
-			return Command{}, fmt.Errorf("usage: pcie <node> retrain <div>|restore")
-		}
-	case "rxburst":
-		if len(f) != 3 {
-			return Command{}, fmt.Errorf("usage: rxburst <port> <duration>")
-		}
-		port, err := parseUint16("port", f[1], 0)
-		if err != nil {
-			return Command{}, err
-		}
-		dur, err := parseDuration(f[2])
-		if err != nil {
-			return Command{}, err
-		}
-		if dur <= 0 {
-			return Command{}, fmt.Errorf("rxburst duration %q: must be positive", f[2])
-		}
-		return RxBurst(at, port, dur), nil
 	case "stats":
 		if len(f) != 1 {
 			return Command{}, fmt.Errorf("stats takes no arguments")
@@ -176,8 +129,90 @@ func parseCommand(at sim.Duration, f []string) (Command, error) {
 		}
 		return Metrics(at), nil
 	default:
+		return parseFault(at, f)
+	}
+}
+
+// faultWords spells each fault kind in the .psc language: the verb,
+// what the index after it names (a port or a NUMA node), and the words
+// after the index, where <div> and <duration> stand for the event's Div
+// and Dur. ParseScript reads it words → kind and the controller's
+// confirmation line kind → words, so the two spell every kind alike.
+var faultWords = [...]struct{ verb, index, form string }{
+	faults.KindLinkDown:    {"port", "port", "down"},
+	faults.KindLinkUp:      {"port", "port", "up"},
+	faults.KindGPUFail:     {"gpu", "node", "fail"},
+	faults.KindGPURepair:   {"gpu", "node", "repair"},
+	faults.KindPCIeRetrain: {"pcie", "node", "retrain <div>"},
+	faults.KindPCIeRestore: {"pcie", "node", "restore"},
+	faults.KindRxDropBurst: {"rxburst", "port", "<duration>"},
+}
+
+// faultIndex returns what e's kind targets, "port" or "node", and e's
+// index of it. The kind must be one of faultWords'.
+func faultIndex(e faults.Event) (string, int) {
+	if what := faultWords[e.Kind].index; what == "node" {
+		return what, e.Node
+	}
+	return "port", e.Port
+}
+
+// faultLine spells e as the words of its .psc line after the offset.
+func faultLine(e faults.Event) string {
+	_, n := faultIndex(e)
+	args := strings.NewReplacer("<div>", strconv.Itoa(e.Div),
+		"<duration>", fmt.Sprintf("%.3fus", e.Dur.Microseconds()))
+	return fmt.Sprintf("%s %d %s", faultWords[e.Kind].verb, n, args.Replace(faultWords[e.Kind].form))
+}
+
+// parseFault parses a hardware line, `verb index words…`, into the event
+// of the faultWords row it spells.
+func parseFault(at sim.Duration, f []string) (Command, error) {
+	var what string
+	var forms []string
+	for _, w := range faultWords {
+		if w.verb == f[0] {
+			what, forms = w.index, append(forms, w.form)
+		}
+	}
+	if forms == nil {
 		return Command{}, fmt.Errorf("unknown command %q", f[0])
 	}
+	usage := fmt.Errorf("usage: %s <%s> %s", f[0], what, strings.Join(forms, " | "))
+	if len(f) < 2 {
+		return Command{}, usage
+	}
+	n, err := parseUint16(what, f[1], 0)
+	if err != nil {
+		return Command{}, err
+	}
+	for k, w := range faultWords {
+		words := strings.Fields(w.form)
+		// Only a form's first word can be a literal to match.
+		if w.verb != f[0] || len(f) != 2+len(words) || words[0][0] != '<' && words[0] != f[2] {
+			continue
+		}
+		e := faults.Event{At: at, Kind: faults.Kind(k)}
+		if what == "node" {
+			e.Node = n
+		} else {
+			e.Port = n
+		}
+		arg := f[len(f)-1]
+		switch words[len(words)-1] {
+		case "<div>":
+			e.Div, err = parseUint16("divisor", arg, 1)
+		case "<duration>":
+			if e.Dur, err = parseDuration(arg); err == nil && e.Dur <= 0 {
+				err = fmt.Errorf("%s duration %q: must be positive", f[0], arg)
+			}
+		}
+		if err != nil {
+			return Command{}, err
+		}
+		return Command{At: at, Op: OpFault, Fault: e}, nil
+	}
+	return Command{}, usage
 }
 
 func parseRoute(at sim.Duration, f []string) (Command, error) {
@@ -240,20 +275,6 @@ func parseSet(at sim.Duration, f []string) (Command, error) {
 	default:
 		return Command{}, fmt.Errorf("unknown knob %q (want chunkcap, gathermax or opportunistic)", f[0])
 	}
-}
-
-// parseTarget parses `<verb> <index> <yes|no>`, the shape port and gpu
-// share; what names the index in errors.
-func parseTarget(f []string, what, yes, no string) (int, bool, error) {
-	if len(f) != 3 {
-		return 0, false, fmt.Errorf("usage: %s <%s> %s|%s", f[0], what, yes, no)
-	}
-	n, err := parseUint16(what, f[1], 0)
-	if err != nil {
-		return 0, false, err
-	}
-	on, err := parseChoice(f[2], yes, no)
-	return n, on, err
 }
 
 // parseChoice maps the word yes to true and the word no to false.

@@ -1,12 +1,15 @@
 // Package faults is the data model of deterministic fault injection: a
 // Plan is an ordered schedule of typed hardware fault Events, built by
-// hand or by the seeded Random generator. The package schedules
-// nothing itself. Its two readers do: internal/ctrl compiles a Plan to
-// a control script (ctrl.FromPlan) and delivers it to a router through
-// the one Controller, and internal/cluster arms link and node events on
-// the fabric's per-node partitions (the fabric has no Router). Either
-// way the plan is part of a run's deterministic input — two runs of the
-// same plan at the same seed produce byte-identical output.
+// hand or by the seeded Random generator. An Event is the one encoding
+// of a hardware fault, from a .psc script line to the model it changes.
+// The package schedules nothing itself. Its two readers do:
+// internal/ctrl compiles a Plan to a control script (ctrl.FromPlan, one
+// OpFault command carrying each Event) that the one Controller delivers
+// to core.Router.ApplyFault, and internal/cluster arms link and node
+// events on the fabric's per-node partitions (the fabric has no
+// Router). Both reject a Kind outside the seven. Either way the
+// plan is part of a run's deterministic input — two runs of the same
+// plan at the same seed produce byte-identical output.
 //
 // The fault classes map onto the calibrated hardware models:
 //
@@ -67,17 +70,19 @@ func (k Kind) String() string {
 
 // Event is one scheduled fault. At is an offset from the instant the
 // plan is armed (ctrl.Attach of the compiled script), so a plan is
-// position-independent and reusable across warmup phases.
+// position-independent and reusable across warmup phases. Fields a kind
+// does not use stay zero.
 type Event struct {
 	At   sim.Duration
 	Kind Kind
 	// Port targets link events; Node targets GPU/PCIe events.
 	Port int
 	Node int
-	// Dur is the burst length for KindRxDropBurst (unused otherwise —
-	// paired kinds carry their own restore event).
+	// Dur is the burst length for KindRxDropBurst (paired kinds carry
+	// their own restore event instead).
 	Dur sim.Duration
-	// Div is the β-divisor for KindPCIeRetrain (2 = half speed).
+	// Div is the β-divisor for KindPCIeRetrain (2 = half speed); a
+	// restore always returns to full speed.
 	Div int
 }
 
@@ -115,7 +120,7 @@ func (pl *Plan) GPUOutage(node int, at, dur sim.Duration) *Plan {
 // offset at, restored to full speed after dur.
 func (pl *Plan) PCIeRetrain(node int, at, dur sim.Duration) *Plan {
 	pl.Add(Event{At: at, Kind: KindPCIeRetrain, Node: node, Div: 2})
-	return pl.Add(Event{At: at + dur, Kind: KindPCIeRestore, Node: node, Div: 1})
+	return pl.Add(Event{At: at + dur, Kind: KindPCIeRestore, Node: node})
 }
 
 // RxDropBurst schedules a dur-long RX discard window on port at offset

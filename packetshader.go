@@ -152,13 +152,13 @@ func WithFIBUpdate(m FIBUpdateMode) Option {
 	return func(c *Config) { c.FIBUpdate = m }
 }
 
-// WithFaults merges a full fault plan (see internal/faults: link flaps,
-// RX drop bursts, GPU outages, PCIe retrains, or a seeded Random mix)
-// into the instance. The constructor compiles the merged plan to a
-// control script (ctrl.FromPlan) and attaches it, so offsets count from
-// the router's start and a fault aimed at a port or node the router
-// does not have fails the constructor. Options compose: multiple
-// WithFaults/WithGPUOutage/WithLinkFlap options merge into one plan.
+// WithFaults merges a fault plan (see internal/faults: link flaps, RX
+// drop bursts, GPU outages, PCIe retrains, or a seeded Random mix) into
+// the instance; it is the facade's one fault option. The constructor
+// compiles the merged plan to a control script (ctrl.FromPlan) and
+// attaches it, so offsets count from the router's start, and a fault of
+// an unknown kind or aimed at a port or node the router does not have
+// fails the constructor. Several WithFaults options merge into one plan.
 func WithFaults(p *faults.Plan) Option {
 	return func(c *Config) {
 		if c.faults == nil {
@@ -166,24 +166,6 @@ func WithFaults(p *faults.Plan) Option {
 		}
 		c.faults.Merge(p)
 	}
-}
-
-// WithGPUOutage schedules a GPU failure on every node at offset at from
-// the router's start, repaired after dur. The master watchdog degrades
-// to the CPU path for the outage (see Report.DegradedTime).
-func WithGPUOutage(at, dur Duration) Option {
-	pl := faults.NewPlan()
-	for n := 0; n < model.NumNodes; n++ {
-		pl.GPUOutage(n, at, dur)
-	}
-	return WithFaults(pl)
-}
-
-// WithLinkFlap schedules carrier loss on one port at offset at from the
-// router's start, restored after dur. Packets forwarded to the port
-// during the flap are dropped and counted in Report.DroppedPackets.
-func WithLinkFlap(port int, at, dur Duration) Option {
-	return WithFaults(faults.NewPlan().LinkFlap(port, at, dur))
 }
 
 // Instance is an assembled router plus its workload generator and
@@ -274,8 +256,8 @@ func New(app core.App, src Source, opts ...Option) (*Instance, error) {
 		}
 	}
 	r.SetSource(src)
-	// The fault options are sugar over the controller: the merged plan
-	// is one more script, attached at virtual time zero.
+	// WithFaults is sugar over the controller: the merged plan is one
+	// more script, attached at virtual time zero.
 	if _, err := ctrl.Attach(env, r, ctrl.FromPlan(cfg.faults), ctrl.Config{}); err != nil {
 		return nil, err
 	}

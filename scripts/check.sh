@@ -16,8 +16,8 @@
 # subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
-# server-span, golden and replay checks failing on mutations of their
-# own kind.
+# server-span, golden, replay and FuzzCTR checks failing on mutations of
+# their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -178,8 +178,9 @@ go test -race -short ./internal/experiments
 # n-1 intermediates fails the fabric's model check and golden file, an
 # uncounted node drop fails the fabric ledger, a ScheduleChain that
 # stops counting its services fails the server span test and a golden
-# util line, and a worker reading the chunk cap at each fetch rather
-# than once per round fails the pshaderd replay.
+# util line, a worker reading the chunk cap at each fetch rather than
+# once per round and a link-up that leaves the RX queues down fail the
+# pshaderd replay, and an AES-CTR counter starting at 2 fails FuzzCTR.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

@@ -28,6 +28,8 @@
 #	                blocks on a worker's Proc             the engine (ctrl tests)
 #	fetch-cap       a worker reads the chunk cap when it
 #	                fetches, not once per round           the pshaderd replay
+#	link-up-rx      ApplyFault's link-up raises the TX
+#	                carrier but leaves RX down            the pshaderd replay
 #	global-rand     rand.Uint32() for rng.Uint32() in
 #	                GenerateBGPTable                      the route tests
 #	tx-run-offset   a TX run's k-th DMA completion one
@@ -45,6 +47,8 @@
 #	                services                              the server span
 #	                                                      test and the
 #	                                                      golden files
+#	ctr-off-by-one  AES-CTR starts the RFC 3686 counter
+#	                at 2                                  FuzzCTR
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -72,7 +76,10 @@
 # pshaderd replay is check.sh's: the demo script's stdout against
 # cmd/pshader/testdata (the trace goes to /dev/null, since its event
 # count is part of the stdout); the demo retunes the chunk cap while
-# workers are mid-round, so a cap read at the wrong point moves it.
+# workers are mid-round, so a cap read at the wrong point moves it, and
+# it takes port 2 down and up again before its last stats line, whose
+# rx count a port that stays deaf moves. FuzzCTR's seeds hold both
+# AES-CTR paths to a block-at-a-time loop whose counter starts at 1.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -101,6 +108,7 @@ heapgates="go test -count=1 -short -run TestGoldenOutputs|FuzzEventStore ./inter
 modelgates="go test -count=1 -short -run TestFabricMatchesModel|TestGoldenOutputs ./internal/experiments"
 clustertests="go test -count=1 ./internal/cluster"
 spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
+ctrfuzz="go test -count=1 -run FuzzCTR ./internal/ipsec"
 
 # replay is the pshaderd replay's stdout gate, run in the tree.
 replay() {
@@ -166,7 +174,7 @@ mutate_map_order() {
 }
 
 mutate_bare_ps() {
-	insert internal/core/faults.go 'func (r *Router) RxDropBurst(' '	d += sim.Duration(500)'
+	insert internal/core/faults.go 'case faults.KindRxDropBurst:' '		e.Dur += sim.Duration(500)'
 	gate="$only picounits ./..." want="[picounits]"
 }
 
@@ -196,6 +204,16 @@ mutate_fetch_cap() {
 	insert internal/core/worker.go 'func (w *worker) fetchChunk(p *sim.Proc, max int) *Chunk {' \
 		'	max = w.router.Cfg.ChunkCap'
 	gate=replay want="pshaderd-demo.txt - differ"
+}
+
+mutate_link_up_rx() {
+	insert internal/core/faults.go 'port.Tx.SetCarrier(up)' '			up = false'
+	gate=replay want="pshaderd-demo.txt - differ"
+}
+
+mutate_ctr_off_by_one() {
+	insert internal/ipsec/aes.go 'binary.BigEndian.PutUint32(a.ctr[12:16], 1)' '	a.ctr[15] = 2'
+	gate=$ctrfuzz want="differs from the block loop"
 }
 
 mutate_global_rand() {
@@ -241,7 +259,7 @@ mutate_chain_spans() {
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
-		model-vlb-share fabric-lost-batch chain-spans fetch-cap
+		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one
 fi
 
 status=0
@@ -267,6 +285,8 @@ for m in "$@"; do
 	fabric-lost-batch) mutate_fabric_lost_batch ;;
 	chain-spans) mutate_chain_spans ;;
 	fetch-cap) mutate_fetch_cap ;;
+	link-up-rx) mutate_link_up_rx ;;
+	ctr-off-by-one) mutate_ctr_off_by_one ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
