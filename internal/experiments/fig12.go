@@ -66,7 +66,9 @@ func ipv6Run(seed uint64, d sim.Duration, opts ...packetshader.Option) packetsha
 
 // pipeline is the CPU+GPU path's accounting table, the counterpart of
 // Table 3's for the skb path: for IPv4 and IPv6 forwarding at 64 B and
-// 1514 B, over Figure 11's measured window only, where a chunk spends
+// 1514 B under full load, and for Figure 12's lightest CPU+GPU point
+// (IPv6 64 B, 1 Gbps offered in total, whose latency deviation 3 is
+// about), over Figure 11's measured window only, where a chunk spends
 // its time (the mean per stage, between the stamps of core.Stages) and
 // how busy every core and server is. The chunk residence runs from the
 // worker's poll to the end of its TX hand-off; the frame latency mean
@@ -76,18 +78,22 @@ func pipeline(c *Ctx) *Result {
 	r := &Result{
 		ID:     "pipeline",
 		Title:  "CPU+GPU pipeline over the measured window: mean per chunk (us) and busy share (%)",
-		Header: []string{"Quantity", "IPv4 64B", "IPv4 1514B", "IPv6 64B", "IPv6 1514B"},
+		Header: []string{"Quantity", "IPv4 64B", "IPv4 1514B", "IPv6 64B", "IPv6 1514B", "IPv6 64B 1Gbps"},
 	}
-	cols := MapPoints(c, 4, func(k int, _ *Point) [][2]Cell {
+	cols := MapPoints(c, 5, func(k int, _ *Point) [][2]Cell {
 		size := []int{64, 1514}[k%2]
 		if k < 2 {
 			entries, tbl := BGPFixture()
 			return pipelineColumn(size, &apps.IPv4Fwd{Table: tbl, NumPorts: model.NumPorts},
 				&pktgen.UDP4Source{Size: size, Seed: 11, Table: entries})
 		}
+		var load []packetshader.Option
+		if k == 4 {
+			load = append(load, packetshader.WithOfferedGbps(1.0/model.NumPorts))
+		}
 		entries, tbl := IPv6Fixture()
 		return pipelineColumn(size, &apps.IPv6Fwd{Table: tbl, NumPorts: model.NumPorts},
-			&pktgen.UDP6Source{Size: size, Seed: 12, Table: entries})
+			&pktgen.UDP6Source{Size: size, Seed: 12, Table: entries}, load...)
 	})
 	// Every column builds the same topology, so its rows, servers
 	// included, come in one order under one set of labels.
@@ -101,18 +107,20 @@ func pipeline(c *Ctx) *Result {
 	r.Note("workers work: stages rx_fetch + pre_shade + post_shade + tx over %d worker cores, less their waits for RX DMA and TX ring room (workers wait); masters: launches and fallbacks over %d",
 		model.NumNodes*(model.CoresPerNode-1), model.NumNodes)
 	r.Note("stage sums are of the chunks completed in the window, boundary chunks whole; waits are of the window")
+	r.Note("IPv6 64B 1Gbps is Figure 12's lightest CPU+GPU point, 1 Gbps offered in total; the other columns are at full load")
 	return r
 }
 
-// pipelineColumn runs one CPU+GPU router through Figure 11's warm-up and
-// window and returns its column of the pipeline table as (label, value)
-// rows: the mean of each stage and of the residence per chunk completed
-// in the window, the mean latency of the frames delivered in it, the
-// worker cores' share of work and of waits in the packet I/O engine,
-// and the busy share of the master cores and every server.
-func pipelineColumn(size int, app core.App, src packetshader.Source) [][2]Cell {
-	inst := packetshader.Must(packetshader.New(app, src,
-		packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)))
+// pipelineColumn runs one CPU+GPU router, at full load unless load says
+// otherwise, through Figure 11's warm-up and window and returns its
+// column of the pipeline table as (label, value) rows: the mean of each
+// stage and of the residence per chunk completed in the window, the
+// mean latency of the frames delivered in it, the worker cores' share
+// of work and of waits in the packet I/O engine, and the busy share of
+// the master cores and every server.
+func pipelineColumn(size int, app core.App, src packetshader.Source, load ...packetshader.Option) [][2]Cell {
+	inst := packetshader.Must(packetshader.New(app, src, append([]packetshader.Option{
+		packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)}, load...)...))
 	defer inst.Close()
 	warm := inst.Run(appWarmup)
 	servers := inst.Env.Servers()
