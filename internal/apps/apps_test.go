@@ -1,16 +1,20 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"packetshader/internal/core"
+	"packetshader/internal/hw/nic"
 	"packetshader/internal/ipsec"
 	"packetshader/internal/lookup/ipv4"
 	"packetshader/internal/lookup/ipv6"
 	"packetshader/internal/openflow"
 	"packetshader/internal/packet"
+	"packetshader/internal/pcap"
+	"packetshader/internal/pktgen"
 	"packetshader/internal/route"
 	"packetshader/internal/sim"
 )
@@ -30,7 +34,6 @@ func mkChunkIn(pool *packet.BufPool, frames ...[]byte) *core.Chunk {
 		b := pool.Get(len(f))
 		copy(b.Data, f)
 		b.Port = i % 8
-		b.Hash = uint32(i) * 2654435761
 		c.Bufs = append(c.Bufs, b)
 		c.OutPorts = append(c.OutPorts, 0)
 	}
@@ -548,6 +551,55 @@ func TestIPsecGWRoundTripsThroughPeerSAs(t *testing.T) {
 	}
 }
 
+// TestIPsecGWReplayedCaptureKeepsSASpread: a capture of generated
+// traffic, replayed, spreads its tunnels over the SAs exactly as the
+// generated frames do. The SA comes from the frame's own 5-tuple, so a
+// source that carries no hash (a replay) cannot send every tunnel
+// through SA 0 and port 0.
+func TestIPsecGWReplayedCaptureKeepsSASpread(t *testing.T) {
+	const n, size = 256, 128
+	gen := &pktgen.UDP4Source{Size: size, Seed: 5}
+	pool := packet.NewBufPool(2048)
+	var capture bytes.Buffer
+	w := pcap.NewWriter(&capture, 65535)
+	synth, replayed := &core.Chunk{}, &core.Chunk{}
+	for i := range n {
+		b := pool.Get(size)
+		gen.Fill(b, 0, 0, uint64(i))
+		if err := w.WritePacket(sim.Time(i), b.Data); err != nil {
+			t.Fatal(err)
+		}
+		synth.Bufs = append(synth.Bufs, b)
+	}
+	src, err := pktgen.NewReplaySourceFromBytes(capture.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		b := pool.Get(size)
+		src.Fill(b, 0, 0, uint64(i)) // port 0, queue 0: seq i replays frame i
+		replayed.Bufs = append(replayed.Bufs, b)
+	}
+	ports := func(c *core.Chunk) []int {
+		c.OutPorts = make([]int, len(c.Bufs))
+		app := NewIPsecGW(8)
+		app.PreShade(c)
+		app.PostShade(c)
+		return c.OutPorts
+	}
+	want, got := ports(synth), ports(replayed)
+	used := map[int]bool{}
+	for i := range want {
+		used[want[i]] = true
+		if got[i] != want[i] {
+			t.Fatalf("frame %d: replayed to port %d, generated to port %d", i, got[i], want[i])
+		}
+	}
+	if len(used) != 8 {
+		t.Errorf("%d generated frames reach %d of 8 ports, want all", n, len(used))
+	}
+}
+
 func TestIPsecGWNonIPv4Dropped(t *testing.T) {
 	app := NewIPsecGW(8)
 	dst := packet.IPv6AddrFromParts(1<<61, 0)
@@ -648,13 +700,20 @@ func TestIPsecGWThroughputMetricBytes(t *testing.T) {
 // negative on a 32-bit host, and so was the index.
 func TestIPsecGWHashTopBitSet(t *testing.T) {
 	app := NewIPsecGW(8)
-	c := mkChunk(udp4Frame(0x0C000001, 100))
-	c.Bufs[0].Hash = 0x80000003
+	dst := packet.IPv4Addr(0x0C000001)
+	hash := func() uint32 {
+		return nic.RSSHashIPv4(nic.DefaultRSSKey[:], 0x0B000001, uint32(dst), 1111, 2222)
+	}
+	for hash()>>31 == 0 {
+		dst++
+	}
+	c := mkChunk(udp4Frame(dst, 100))
 	app.PreShade(c)
 	app.RunKernel(c)
 	app.PostShade(c)
-	if sa := c.State.(*ipsecState).sa[0]; sa != 3 || c.OutPorts[0] != 3 || app.Errors != 0 {
-		t.Errorf("hash 0x80000003 of 8 SAs: SA %d, port %d, errors %d; want 3, 3, 0", sa, c.OutPorts[0], app.Errors)
+	want := int(hash() % 8)
+	if sa := c.State.(*ipsecState).sa[0]; sa != want || c.OutPorts[0] != want || app.Errors != 0 {
+		t.Errorf("hash %#x of 8 SAs: SA %d, port %d, errors %d; want %d, %d, 0", hash(), sa, c.OutPorts[0], app.Errors, want, want)
 	}
 }
 

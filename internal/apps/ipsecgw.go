@@ -3,6 +3,7 @@ package apps
 import (
 	"packetshader/internal/core"
 	"packetshader/internal/hw/gpu"
+	"packetshader/internal/hw/nic"
 	"packetshader/internal/ipsec"
 	"packetshader/internal/model"
 	"packetshader/internal/packet"
@@ -56,6 +57,21 @@ func (a *IPsecGW) Name() string { return "ipsec-gateway" }
 // Kernel implements core.App.
 func (a *IPsecGW) Kernel() *gpu.KernelSpec { return &gpu.KernelIPsec }
 
+// flowHash is the RSS hash of d's decoded IPv4 5-tuple under the
+// default key, the hash the testbed's NIC reports per packet: ports
+// from a UDP or TCP header, zero for other protocols (the NIC's
+// address-only hash, since zero bytes add nothing to a Toeplitz hash).
+func flowHash(d *packet.Decoder) uint32 {
+	var sp, dp uint16
+	switch {
+	case d.Has(packet.LayerUDP):
+		sp, dp = d.UDP.SrcPort, d.UDP.DstPort
+	case d.Has(packet.LayerTCP):
+		sp, dp = d.TCP.SrcPort, d.TCP.DstPort
+	}
+	return nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(d.IPv4.Src), uint32(d.IPv4.Dst), sp, dp)
+}
+
 // PreShade parses packets, selects the tunnel SA by flow hash, and
 // computes transfer sizes: IPsec moves entire payloads across PCIe
 // (§6.3: "entire packet payloads and other metadata ... are transmitted
@@ -77,7 +93,7 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 			continue
 		}
 		c.OutPorts[i] = -2
-		st.sa[i] = int(b.Hash % uint32(len(a.SAs))) // int(b.Hash) is negative on 32-bit hosts
+		st.sa[i] = int(flowHash(d) % uint32(len(a.SAs))) // an int hash is negative on 32-bit hosts
 		innerLen := len(b.Data) - packet.EthHdrLen
 		st.espLens[i] = innerLen + ipsec.EncapOverhead(innerLen)
 		inBytes += innerLen + 32 // payload + key/IV metadata

@@ -64,7 +64,6 @@ type seqSource struct{}
 
 func (seqSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	b.Data[0] = byte(seq)
-	b.Hash = uint32(seq)
 }
 
 func runRouter(t *testing.T, cfg Config, app App, window sim.Duration) *Router {

@@ -7,7 +7,6 @@ import (
 	"packetshader"
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
-	"packetshader/internal/hw/nic"
 	"packetshader/internal/model"
 	"packetshader/internal/obs"
 	"packetshader/internal/openflow"
@@ -142,7 +141,6 @@ func (s *ofSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	})
 	b.Reset(s.tmpl.Size())
 	s.tmpl.Render(b.Data, src, dst, sp, dp)
-	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(dst), sp, dp)
 }
 
 // FillBatch implements nic.BatchSource. The flow tuple is computed, not

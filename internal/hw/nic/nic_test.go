@@ -126,11 +126,14 @@ func newQueue(env *sim.Env) (*RxQueue, *pcie.IOH) {
 
 type countingSource struct{ fills int }
 
+// Fill writes seq into the frame's first four bytes, where seqOf reads
+// it back.
 func (s *countingSource) Fill(b *packet.Buf, port, queue int, seq uint64) {
 	s.fills++
-	b.Hash = uint32(seq)
-	b.Data[0] = byte(seq)
+	binary.BigEndian.PutUint32(b.Data, uint32(seq))
 }
+
+func seqOf(b *packet.Buf) uint32 { return binary.BigEndian.Uint32(b.Data) }
 
 func TestRxQueueFluidArrival(t *testing.T) {
 	env := sim.NewEnv()
@@ -151,8 +154,8 @@ func TestRxQueueFluidArrival(t *testing.T) {
 	}
 	// Sequence numbers must be consecutive and metadata set.
 	for i, b := range got {
-		if b.Hash != uint32(i) {
-			t.Fatalf("packet %d has seq %d", i, b.Hash)
+		if seqOf(b) != uint32(i) {
+			t.Fatalf("packet %d has seq %d", i, seqOf(b))
 		}
 		if b.Size() != 64 || b.Port != 0 {
 			t.Fatalf("bad buf metadata: %+v", b)
@@ -576,8 +579,8 @@ func TestFetchCallsFillBatchOncePerFetch(t *testing.T) {
 		}
 	}
 	for i, b := range out {
-		if b.Hash != uint32(i) || b.GenAt == 0 {
-			t.Fatalf("packet %d: seq %d, GenAt %d (stamped before the fill?)", i, b.Hash, b.GenAt)
+		if seqOf(b) != uint32(i) || b.GenAt == 0 {
+			t.Fatalf("packet %d: seq %d, GenAt %d (stamped before the fill?)", i, seqOf(b), b.GenAt)
 		}
 	}
 }
@@ -670,7 +673,7 @@ func runTxCase(c txCase, seed uint64, hooked bool, transmit func(*TxPort, []*pac
 	tx = NewTxPort(env, 0, c.ringCap, iohs)
 	pool := packet.NewBufPool(2048)
 	logf := func(format string, args ...any) { obs = append(obs, fmt.Sprintf(format, args...)) }
-	tx.OnComplete = func(b *packet.Buf, at sim.Time) { logf("packet %d done at %d", b.Hash, at) }
+	tx.OnComplete = func(b *packet.Buf, at sim.Time) { logf("packet %d done at %d", seqOf(b), at) }
 	draw := func(n int) int {
 		r := sim.SplitMix64(seed)
 		seed += sim.SplitMixGamma
@@ -711,7 +714,7 @@ func runTxCase(c txCase, seed uint64, hooked bool, transmit func(*TxPort, []*pac
 				}
 				left--
 				bufs[i] = pool.Get(size)
-				bufs[i].Hash = id
+				binary.BigEndian.PutUint32(bufs[i].Data, id)
 				id++
 			}
 			transmit(tx, bufs)

@@ -16,8 +16,8 @@ import (
 type FrameSource interface {
 	// Fill writes the frame for the seq-th packet of the given
 	// port/queue into b (Data arrives sized to the offered packet size;
-	// a source whose frame differs sizes it with b.Reset) and sets
-	// b.Hash.
+	// a source whose frame differs sizes it with b.Reset). It sets no
+	// hash: RSSHashIPv4 of the 5-tuple is computed where it is read.
 	Fill(b *packet.Buf, port, queue int, seq uint64)
 }
 

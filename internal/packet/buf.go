@@ -21,11 +21,11 @@ type Buf struct {
 	// Port and Queue identify where the packet was received.
 	Port  int
 	Queue int
-	// Hash is the RSS hash computed by the NIC.
-	Hash uint32
 	// GenAt is the generator's send timestamp (for round-trip latency).
 	GenAt sim.Time
 	pool  *BufPool
+	// The pad keeps a Buf one 64-byte line on 64-bit hosts.
+	_ [8]byte
 }
 
 // Size returns the frame length in bytes.
@@ -126,7 +126,7 @@ func (p *BufPool) Get(n int) *Buf {
 		c = max(p.maxClass, classOf(n))
 	}
 	b := p.get(c)
-	b.Port, b.Queue, b.Hash, b.GenAt = 0, 0, 0, 0
+	b.Port, b.Queue, b.GenAt = 0, 0, 0
 	b.Data = b.Data[:n]
 	return b
 }

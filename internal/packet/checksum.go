@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the RFC 1071 Internet checksum over b.
 func Checksum(b []byte) uint16 {
@@ -8,22 +11,45 @@ func Checksum(b []byte) uint16 {
 }
 
 // sumWords adds the 16-bit big-endian words of b to acc (odd trailing
-// byte padded with zero, per RFC 1071).
+// byte padded with zero, per RFC 1071), eight bytes per step. By RFC
+// 1071 §2 the ones-complement sum is independent of byte order and may
+// be taken over wider words in parallel: a big-endian 64-bit load is
+// four of the 16-bit words, weighted by powers of 2^16, each ≡ 1 modulo
+// 0xffff, and the end-around carry keeps the running sum's class
+// modulo 0xffff. A sum that is not zero never folds to zero, so the
+// value returned folds to the 16-bit loop's for every input.
 func sumWords(b []byte, acc uint32) uint32 {
-	for len(b) >= 2 {
-		acc += uint32(binary.BigEndian.Uint16(b))
+	s, c := uint64(acc), uint64(0)
+	for len(b) >= 8 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	// The tail is under eight bytes: its words fit a uint64 unsummed.
+	var t uint64
+	if len(b) >= 4 {
+		t = uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		t += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		acc += uint32(b[0]) << 8
+		t += uint64(b[0]) << 8
 	}
-	return acc
+	s, c = bits.Add64(s, t, c)
+	s += c // cannot carry again: a wrapped s is at most t
+	hi, lo := uint32(s>>32), uint32(s)
+	r, c32 := bits.Add32(hi, lo, 0)
+	return r + c32
 }
 
+// finishChecksum folds sum to 16 bits and complements it. Two folds
+// always suffice: the first leaves at most 0x1fffe, the second at most
+// 0xffff, and a fold of a value that already fits changes nothing.
 func finishChecksum(sum uint32) uint16 {
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 

@@ -414,7 +414,7 @@ func TestBufPoolRecycles(t *testing.T) {
 	if b.Size() != 128 {
 		t.Errorf("size = %d, want 128", b.Size())
 	}
-	if b.Port != 0 || b.Hash != 0 || b.GenAt != 0 {
+	if b.Port != 0 || b.Queue != 0 || b.GenAt != 0 {
 		t.Error("metadata not reset on reuse")
 	}
 }

@@ -9,11 +9,13 @@ import "encoding/binary"
 // batching removes from the real engine. A template prebuilds the whole
 // frame once per (size, MAC pair); per packet the generator copies it
 // and patches the four variable fields, fixing the IPv4 header checksum
-// incrementally per RFC 1624. The result is byte-identical to a fresh
-// BuildUDP4/BuildUDP6 (enforced by differential tests): the incremental
-// update and the full sum compute the same ones-complement value, and
-// both fold into the same canonical representative because neither sum
-// is ever the all-zero word.
+// incrementally: the addresses replace zero words, so their words add
+// onto the template's sum (RFC 1624 with every old word zero). The
+// result is byte-identical to a fresh BuildUDP4/BuildUDP6 (enforced by
+// differential tests): the incremental update and the full sum compute
+// the same ones-complement value, and both fold into the same canonical
+// representative because neither sum is ever the all-zero word (the
+// header's version byte is never zero).
 
 // Patch offsets within a UDP4 template frame (Ethernet at 0, IPv4 at
 // EthHdrLen, UDP at EthHdrLen+IPv4HdrLen).
@@ -30,7 +32,7 @@ const (
 type UDP4Template struct {
 	frame []byte
 	// cs0 is the baseline IPv4 header checksum (addresses zero), the
-	// starting point of the per-packet RFC 1624 fixup.
+	// starting point of the per-packet fixup.
 	cs0 uint16
 }
 
@@ -49,7 +51,7 @@ func (t *UDP4Template) Size() int { return len(t.frame) }
 
 // Render writes the template into dst (capacity must be ≥ Size) with
 // the given addresses and ports patched in and the IPv4 checksum fixed
-// up incrementally. It returns the frame slice, byte-identical to
+// up in one fold. It returns the frame slice, byte-identical to
 // BuildUDP4(dst, size, ...) with the same parameters.
 func (t *UDP4Template) Render(dst []byte, src, dstIP IPv4Addr, srcPort, dstPort uint16) []byte {
 	b := dst[:len(t.frame)]
@@ -58,9 +60,11 @@ func (t *UDP4Template) Render(dst []byte, src, dstIP IPv4Addr, srcPort, dstPort 
 	binary.BigEndian.PutUint32(b[udp4DstOff:], uint32(dstIP))
 	binary.BigEndian.PutUint16(b[udp4SrcPortOff:], srcPort)
 	binary.BigEndian.PutUint16(b[udp4DstPortOff:], dstPort)
-	cs := ChecksumUpdate32(t.cs0, 0, uint32(src))
-	cs = ChecksumUpdate32(cs, 0, uint32(dstIP))
-	binary.BigEndian.PutUint16(b[udp4CsumOff:], cs)
+	// The addresses replace zero words: their four words add onto the
+	// baseline sum ^cs0, which is never zero, and fold once.
+	sum := uint32(^t.cs0) + uint32(src>>16) + uint32(src&0xffff) +
+		uint32(dstIP>>16) + uint32(dstIP&0xffff)
+	binary.BigEndian.PutUint16(b[udp4CsumOff:], finishChecksum(sum))
 	return b
 }
 

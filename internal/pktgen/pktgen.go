@@ -9,7 +9,6 @@ import (
 	"math"
 	"sync"
 
-	"packetshader/internal/hw/nic"
 	"packetshader/internal/packet"
 	"packetshader/internal/route"
 	"packetshader/internal/sim"
@@ -62,8 +61,8 @@ func (s *UDP4Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
 // loop that does nothing else: the table is larger than the host's L2
 // and the loads are independent, so their cache misses overlap instead
 // of each waiting behind the divide and the render of the packet
-// before. Compose makes the destinations, and render writes, hashes and
-// stamps the frames. The scratch lives on the stack: sources are shared
+// before. Compose makes the destinations, and render writes and stamps
+// the frames. The scratch lives on the stack: sources are shared
 // by every RX queue's fetch proc and must stay read-only across procs.
 func (s *UDP4Source) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(s.init)
@@ -129,7 +128,6 @@ func (s *UDP4Source) render(b *packet.Buf, r2 uint64, dst packet.IPv4Addr) {
 	sp, dp := uint16(r2>>16), uint16(r2)
 	b.Reset(s.tmpl.Size())
 	s.tmpl.Render(b.Data, src, dst, sp, dp)
-	b.Hash = nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(src), uint32(dst), sp, dp)
 	if s.Stamp {
 		packet.SetTimestamp(b.Data, int64(b.GenAt))
 	}

@@ -346,8 +346,7 @@ func TestFillBatchMatchesFill(t *testing.T) {
 				for i := range one {
 					ts1, ok1 := packet.Timestamp(one[i].Data)
 					ts2, ok2 := packet.Timestamp(batch[i].Data)
-					if !bytes.Equal(one[i].Data, batch[i].Data) || one[i].Hash != batch[i].Hash ||
-						ts1 != ts2 || ok1 != ok2 {
+					if !bytes.Equal(one[i].Data, batch[i].Data) || ts1 != ts2 || ok1 != ok2 {
 						t.Fatalf("%s seed %d n %d: packet %d differs between Fill and FillBatch", name, seed, n, i)
 					}
 				}
@@ -406,7 +405,7 @@ func TestFetchPerPacketFallbackMatchesBatch(t *testing.T) {
 	}
 	for i := range batched {
 		a, b := &batched[i], &perPkt[i]
-		if !bytes.Equal(a.Data, b.Data) || a.Hash != b.Hash || a.GenAt != b.GenAt ||
+		if !bytes.Equal(a.Data, b.Data) || a.GenAt != b.GenAt ||
 			a.Port != b.Port || a.Queue != b.Queue {
 			t.Fatalf("packet %d differs between the batched and the per-packet path", i)
 		}

@@ -75,7 +75,10 @@ const NumPorts = model.NumPorts
 // Source synthesizes the frames the RX queues receive. It is the
 // facade's name for the NIC-layer frame source: Fill writes the seq-th
 // frame of (port, queue) into b.Data (already sized to the configured
-// packet size) and sets b.Hash. The built-in generators in
+// packet size; a frame of another size re-sizes it with b.Reset). A
+// Buf carries no RSS hash: an application that needs the NIC's flow
+// hash computes it from the frame, as the IPsec gateway does. The
+// built-in generators in
 // internal/pktgen implement it; custom workloads implement it directly
 // (see ExampleOpenFlowSwitch).
 type Source interface {

@@ -11,13 +11,14 @@
 # against its checked-in stdout and trace digest), pshader's exit
 # status on a capture it cannot write, short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
-# FuzzEventStore, FuzzDecode, FuzzDynamicTable and FuzzApplyMods runs,
+# FuzzEventStore, FuzzDecode, FuzzChecksum, FuzzDynamicTable and
+# FuzzApplyMods runs,
 # race tests on the concurrency-bearing packages and on the golden
 # subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
-# server-span, golden, replay and FuzzCTR checks failing on mutations of
-# their own kind.
+# server-span, golden, replay, FuzzCTR and FuzzChecksum checks failing on
+# mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -95,7 +96,7 @@ GOARCH=386 go test ./internal/experiments
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzDynamicTable, FuzzApplyMods, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzChecksum, FuzzDynamicTable, FuzzApplyMods, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzHMACSHA1 -fuzztime 5s ./internal/ipsec
@@ -103,6 +104,7 @@ go test -run '^$' -fuzz FuzzPcapReader -fuzztime 5s ./internal/pcap
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
+go test -run '^$' -fuzz FuzzChecksum -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
 go test -run '^$' -fuzz FuzzApplyMods -fuzztime 5s ./internal/openflow
 
@@ -180,7 +182,9 @@ go test -race -short ./internal/experiments
 # stops counting its services fails the server span test and a golden
 # util line, a worker reading the chunk cap at each fetch rather than
 # once per round and a link-up that leaves the RX queues down fail the
-# pshaderd replay, and an AES-CTR counter starting at 2 fails FuzzCTR.
+# pshaderd replay, an AES-CTR counter starting at 2 fails FuzzCTR, and
+# an Internet checksum that drops the carry between its 64-bit words
+# fails FuzzChecksum.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

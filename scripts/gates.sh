@@ -49,6 +49,8 @@
 #	                                                      golden files
 #	ctr-off-by-one  AES-CTR starts the RFC 3686 counter
 #	                at 2                                  FuzzCTR
+#	checksum-carry  the Internet checksum drops the carry
+#	                between its 64-bit words              FuzzChecksum
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -80,6 +82,9 @@
 # it takes port 2 down and up again before its last stats line, whose
 # rx count a port that stays deaf moves. FuzzCTR's seeds hold both
 # AES-CTR paths to a block-at-a-time loop whose counter starts at 1.
+# FuzzChecksum's seeds hold Checksum and TransportChecksumIPv4 to the
+# 16-bit RFC 1071 loop; a run of 0xff bytes carries out of every 64-bit
+# add.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -109,6 +114,7 @@ modelgates="go test -count=1 -short -run TestFabricMatchesModel|TestGoldenOutput
 clustertests="go test -count=1 ./internal/cluster"
 spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
 ctrfuzz="go test -count=1 -run FuzzCTR ./internal/ipsec"
+csumfuzz="go test -count=1 -run FuzzChecksum ./internal/packet"
 
 # replay is the pshaderd replay's stdout gate, run in the tree.
 replay() {
@@ -216,6 +222,11 @@ mutate_ctr_off_by_one() {
 	gate=$ctrfuzz want="differs from the block loop"
 }
 
+mutate_checksum_carry() {
+	insert internal/packet/checksum.go 's, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)' '		c = 0'
+	gate=$csumfuzz want="differs from the 16-bit reference"
+}
+
 mutate_global_rand() {
 	f=internal/route/route.go
 	insert $f 'addr := packet.IPv4Addr(rng.Uint32()' \
@@ -259,7 +270,8 @@ mutate_chain_spans() {
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
-		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one
+		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
+		checksum-carry
 fi
 
 status=0
@@ -287,6 +299,7 @@ for m in "$@"; do
 	fetch-cap) mutate_fetch_cap ;;
 	link-up-rx) mutate_link_up_rx ;;
 	ctr-off-by-one) mutate_ctr_off_by_one ;;
+	checksum-carry) mutate_checksum_carry ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
