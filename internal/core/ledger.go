@@ -20,6 +20,18 @@ type Ledger struct {
 	RxBurstDrops uint64 // arrivals discarded inside an injected drop burst
 }
 
+// LedgerNames name a Ledger's counts in the order Counts returns them:
+// the metrics dump prints each as a ledger.<name> counter, and the
+// control script's stats command as name=value on a ledger line.
+var LedgerNames = [...]string{"fetched", "transmitted", "tx_ring_drops",
+	"carrier_drops", "app_drops", "in_flight", "rx_ring_drops", "rx_burst_drops"}
+
+// Counts returns the ledger's counts in LedgerNames order.
+func (l Ledger) Counts() [len(LedgerNames)]uint64 {
+	return [...]uint64{l.Fetched, l.Transmitted, l.TxRingDrops,
+		l.CarrierDrops, l.AppDrops, l.InFlight, l.RxRingDrops, l.RxBurstDrops}
+}
+
 // Ledger reads the counters the engine, ports and workers keep anyway;
 // it writes nothing. Call it between Env.Run calls.
 func (r *Router) Ledger() Ledger {

@@ -88,7 +88,7 @@ func (r *Router) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 }
 
 // ObserveStats snapshots the router's cumulative counters (framework,
-// GPU devices, packet I/O engine, the sim engine's self-metrics, and
+// packet ledger, GPU devices, packet I/O engine, the sim engine's self-metrics, and
 // the application's own, if it reports any) into the registry installed
 // by EnableObs. Call at the end of a run, before dumping the registry.
 func (r *Router) ObserveStats() {
@@ -104,6 +104,9 @@ func (r *Router) ObserveStats() {
 	reg.Counter("core.gpu_stalls").Set(r.Stats.GPUStalls)
 	reg.Counter("core.fallback_chunks").Set(r.Stats.FallbackChunks)
 	reg.Counter("core.degraded_time_ps").Set(uint64(r.DegradedTime()))
+	for i, n := range r.Ledger().Counts() {
+		reg.Counter("ledger." + LedgerNames[i]).Set(n)
+	}
 	for _, d := range r.Devices {
 		n := strconv.Itoa(d.Node)
 		reg.Counter("gpu" + n + ".launches").Set(d.Launches)

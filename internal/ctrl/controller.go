@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"packetshader/internal/core"
 	"packetshader/internal/faults"
@@ -173,7 +174,8 @@ func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 	return 0, 0, ""
 }
 
-// stats streams the one-line framework counter snapshot.
+// stats streams the framework counter snapshot on one line and the
+// packet ledger on the next.
 func (c *Controller) stats() {
 	r := c.router
 	rx, rxDropped, tx, txDropped := r.Engine.AggregateStats()
@@ -181,6 +183,11 @@ func (c *Controller) stats() {
 		c.env.Now(), r.Stats.Packets, rx, rxDropped, tx, txDropped,
 		r.Stats.Drops, r.Stats.ChunksCPU, r.Stats.ChunksGPU,
 		r.Stats.GPULaunches, r.DeliveredGbps())
+	var b strings.Builder
+	for i, n := range r.Ledger().Counts() {
+		fmt.Fprintf(&b, " %s=%d", core.LedgerNames[i], n)
+	}
+	c.printf("@%v ledger%s\n", c.env.Now(), b.String())
 }
 
 func (c *Controller) printf(format string, args ...any) {

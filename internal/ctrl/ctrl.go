@@ -58,7 +58,8 @@ const (
 	// OpFault delivers the command's Fault event to the router's
 	// hardware models (core.Router.ApplyFault).
 	OpFault
-	// OpStats streams a one-line framework counter snapshot.
+	// OpStats streams a one-line framework counter snapshot and a
+	// one-line packet ledger.
 	OpStats
 	// OpMetrics streams a full metrics-registry snapshot.
 	OpMetrics

@@ -3,6 +3,7 @@ package ctrl_test
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -398,6 +399,48 @@ func TestPortAdminDropsCarrier(t *testing.T) {
 		!strings.Contains(out.String(), "port 2 up") ||
 		!strings.Contains(out.String(), "stats packets=") {
 		t.Fatalf("unexpected output:\n%s", out.String())
+	}
+}
+
+// TestStatsPrintsLedger: the stats command prints the packet ledger on
+// the line after its counters, every count under its LedgerNames name,
+// and mid-run, with a port down, the ledger balances and counts the
+// carrier drops.
+func TestStatsPrintsLedger(t *testing.T) {
+	env, r, _, _ := testRouter(t)
+	var out bytes.Buffer
+	script := ctrl.NewScript(
+		fault(faults.Event{At: 1 * sim.Millisecond, Kind: faults.KindLinkDown, Port: 2}),
+		ctrl.Stats(2*sim.Millisecond),
+	)
+	if _, err := ctrl.Attach(env, r, script, ctrl.Config{Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	run(env, r, 3*sim.Millisecond)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	last := strings.Fields(lines[len(lines)-1])
+	if len(lines) < 2 || !strings.Contains(lines[len(lines)-2], " stats packets=") ||
+		len(last) != 2+len(core.LedgerNames) || last[1] != "ledger" {
+		t.Fatalf("want a stats line, then a ledger line:\n%s", out.String())
+	}
+	var n [len(core.LedgerNames)]uint64
+	for i, name := range core.LedgerNames {
+		v, ok := strings.CutPrefix(last[2+i], name+"=")
+		if !ok {
+			t.Fatalf("ledger field %d is %q, want %s=", i, last[2+i], name)
+		}
+		var err error
+		if n[i], err = strconv.ParseUint(v, 10, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := core.Ledger{Fetched: n[0], Transmitted: n[1], TxRingDrops: n[2], CarrierDrops: n[3],
+		AppDrops: n[4], InFlight: n[5], RxRingDrops: n[6], RxBurstDrops: n[7]}
+	if l.Counts() != n {
+		t.Fatalf("Counts() = %v, not in LedgerNames order %v", l.Counts(), n)
+	}
+	if err := l.Check(); err != nil || l.CarrierDrops == 0 {
+		t.Errorf("printed ledger %+v: %v, carrier drops %d (want some)", l, err, l.CarrierDrops)
 	}
 }
 
