@@ -266,6 +266,11 @@ type Router struct {
 	// chunkDone, when set (by tests), sees every chunk as its trip ends.
 	chunkDone func(*Chunk)
 
+	// workerBusy clocks the workers' rx-fetch (empty polls included),
+	// pre-shade, post-shade and tx time; masterBusy the masters'
+	// launches and fallbacks.
+	workerBusy, masterBusy sim.BusyClock
+
 	// chunkFree is the router's Chunk free list (deterministic LIFO —
 	// sync.Pool would introduce scheduling-dependent reuse): the hot
 	// path recycles Chunk headers together with their Bufs/OutPorts

@@ -39,21 +39,12 @@ type master struct {
 	// gather is the reusable §5.4 gather buffer: the set of chunks in
 	// the current launch. Reset (not reallocated) every round.
 	gather []*Chunk
-
-	// busy sums the virtual time the master spent in launches
-	// (watchdog stalls included) and CPU fallbacks.
-	busy sim.Duration
 }
 
 // MasterBusy sums, over every master, the virtual time spent so far in
-// GPU launches and CPU fallbacks: the masters' busy time.
-func (r *Router) MasterBusy() sim.Duration {
-	var d sim.Duration
-	for _, m := range r.masters {
-		d += m.busy
-	}
-	return d
-}
+// GPU launches (watchdog stalls included) and CPU fallbacks, a launch
+// in progress counted up to now: the masters' busy time.
+func (r *Router) MasterBusy() sim.Duration { return r.masterBusy.At(r.Env.Now()) }
 
 // heldOut reports whether the GPU should be bypassed right now: the
 // master reads it per launch, and its node's workers per offload
@@ -81,6 +72,7 @@ func (m *master) run(p *sim.Proc) {
 		}
 		chunks := m.gather
 		gathered := p.Now()
+		r.masterBusy.Begin(gathered)
 		var threads, inB, outB, strB int
 		for _, c := range chunks {
 			c.stamps[stampGathered] = gathered
@@ -114,7 +106,7 @@ func (m *master) run(p *sim.Proc) {
 		// Scatter (§5.4): results go to each chunk's own worker output
 		// queue, avoiding 1-to-N sharing.
 		worked := p.Now()
-		m.busy += sim.Duration(worked - gathered)
+		r.masterBusy.End(gathered, worked)
 		for _, c := range chunks {
 			c.stamps[stampWorked] = worked
 			m.router.workers[c.Worker].outQ.Put(p, c)

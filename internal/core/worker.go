@@ -30,6 +30,12 @@ type worker struct {
 	txOrder []int
 }
 
+// WorkerBusy sums, over every worker, the virtual time spent so far in
+// rx-fetch (polls that find no packet included), pre-shade, post-shade
+// and tx, the activity in progress counted up to now. It includes the
+// waits in the packet I/O engine (pktio.Engine.Blocked).
+func (r *Router) WorkerBusy() sim.Duration { return r.workerBusy.At(r.Env.Now()) }
+
 func (w *worker) maxInflight() int {
 	if !w.router.Cfg.Pipelining {
 		return 1
@@ -68,6 +74,7 @@ func (w *worker) run(p *sim.Proc) {
 				c.StreamBytes = pre.StreamBytes
 				p.Sleep(cycles(pre.CPUCycles))
 				c.stamps[stampPreShaded] = p.Now()
+				w.router.workerBusy.End(c.stamps[stampFetch], p.Now())
 				o.tr.SpanUntil(track, "pre-shade", c.stamps[stampFetched], p.Now())
 				offload := gpuMode && pre.Threads > 0
 				if offload && opp && len(c.Bufs) <= cfg.OppThreshold {
@@ -114,6 +121,7 @@ func (w *worker) run(p *sim.Proc) {
 // "we do not intentionally wait for the fixed number of packets" (§5.3).
 func (w *worker) fetchChunk(p *sim.Proc, max int) *Chunk {
 	start := p.Now()
+	w.router.workerBusy.Begin(start)
 	c := w.router.getChunk()
 	for i := 0; i < len(w.ifaces); i++ {
 		f := w.ifaces[w.rr]
@@ -137,6 +145,7 @@ func (w *worker) fetchChunk(p *sim.Proc, max int) *Chunk {
 		return c
 	}
 	w.router.putChunk(c)
+	w.router.workerBusy.End(start, p.Now())
 	return nil
 }
 
@@ -146,6 +155,7 @@ func (w *worker) finish(p *sim.Proc, c *Chunk) {
 	o := w.router.obs
 	track := o.workerTracks[w.id]
 	c.stamps[stampReturned] = p.Now()
+	w.router.workerBusy.Begin(c.stamps[stampReturned])
 	p.Sleep(cycles(w.router.App.PostShade(c)))
 	c.stamps[stampPostShaded] = p.Now()
 	o.tr.SpanUntil(track, "post-shade", c.stamps[stampReturned], p.Now(),
@@ -184,6 +194,7 @@ func (w *worker) finish(p *sim.Proc, c *Chunk) {
 		w.txBufs[port] = bufs[:0]
 	}
 	c.stamps[stampTx] = p.Now()
+	w.router.workerBusy.End(c.stamps[stampReturned], p.Now())
 	if len(order) > 0 {
 		o.tr.SpanUntil(track, "tx", c.stamps[stampPostShaded], p.Now())
 	}

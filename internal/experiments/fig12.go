@@ -104,9 +104,9 @@ func pipeline(c *Ctx) *Result {
 		}
 		r.AddRow(row...)
 	}
-	r.Note("workers work: stages rx_fetch + pre_shade + post_shade + tx over %d worker cores, less their waits for RX DMA and TX ring room (workers wait); masters: launches and fallbacks over %d",
+	r.Note("workers work: stages rx_fetch (empty polls included) + pre_shade + post_shade + tx over %d worker cores, less their waits for RX DMA and TX ring room (workers wait); masters: launches and fallbacks over %d",
 		model.NumNodes*(model.CoresPerNode-1), model.NumNodes)
-	r.Note("stage sums are of the chunks completed in the window, boundary chunks whole; waits are of the window")
+	r.Note("stage means are of the chunks completed in the window; the workers' and masters' shares are of the window, clipped at its edges")
 	r.Note("IPv6 64B 1Gbps is Figure 12's lightest CPU+GPU point, 1 Gbps offered in total; the other columns are at full load")
 	return r
 }
@@ -128,8 +128,8 @@ func pipelineColumn(size int, app core.App, src packetshader.Source, load ...pac
 	for i, s := range servers {
 		busy[i] = s.BusyTime()
 	}
-	masterBusy := inst.Router.MasterBusy()
-	blocked := inst.Router.Engine.Blocked
+	workerBusy, masterBusy := inst.Router.WorkerBusy(), inst.Router.MasterBusy()
+	blocked := inst.Router.Engine.Blocked()
 	// The sink's latency sum, in us; the conversion keeps the product
 	// from fusing into the difference below.
 	latencySum := func() float64 { return float64(inst.Sink.MeanMicros() * float64(inst.Sink.Count)) }
@@ -152,8 +152,8 @@ func pipelineColumn(size int, app core.App, src packetshader.Source, load ...pac
 		return Num("%.1f", 100*float64(d)/float64(cores)/float64(appWindow))
 	}
 	workers := model.NumNodes * (model.CoresPerNode - 1)
-	worker := stage[core.StageRxFetch] + stage[core.StagePreShade] + stage[core.StagePostShade] + stage[core.StageTx]
-	wait := inst.Router.Engine.Blocked - blocked
+	worker := inst.Router.WorkerBusy() - workerBusy
+	wait := inst.Router.Engine.Blocked() - blocked
 	add("workers work", share(worker-wait, workers))
 	add("workers wait", share(wait, workers))
 	add("masters", share(inst.Router.MasterBusy()-masterBusy, model.NumNodes))

@@ -94,12 +94,16 @@ type Engine struct {
 	// breakdown accumulates RX cycles per functional bin (Table 3).
 	breakdown Breakdown
 
-	// Blocked sums the virtual time callers spent waiting in the engine
-	// rather than working: in FetchChunk until the previous fetch's RX
-	// DMA is far enough along, and in Send on a full TX ring. (Waiting
-	// for packets in Iface.Wait is idling, not counted here.)
-	Blocked sim.Duration
+	// blocked clocks the virtual time callers spend waiting in the
+	// engine rather than working: in FetchChunk until the previous
+	// fetch's RX DMA is far enough along, and in Send on a full TX ring.
+	// (Waiting for packets in Iface.Wait is idling, not counted here.)
+	blocked sim.BusyClock
 }
+
+// Blocked returns the virtual time callers have spent waiting in the
+// engine so far, a wait in progress counted up to now.
+func (e *Engine) Blocked() sim.Duration { return e.blocked.At(e.Env.Now()) }
 
 // Breakdown is the Table 3 cycle accounting.
 type Breakdown struct {
@@ -240,8 +244,9 @@ func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Bu
 		max = f.Engine.Cfg.BatchCap
 	}
 	start := p.Now()
+	f.Engine.blocked.Begin(start)
 	got := f.Queue.Fetch(p, max, out)
-	f.Engine.Blocked += sim.Duration(p.Now() - start)
+	f.Engine.blocked.End(start, p.Now())
 	n := len(got) - len(out)
 	if n <= 0 {
 		return nil
@@ -287,8 +292,9 @@ func (e *Engine) Send(p *sim.Proc, workerNode, port int, bufs []*packet.Buf) {
 	}
 	p.Sleep(model.Cycles(cycles))
 	start := p.Now()
+	e.blocked.Begin(start)
 	tgt.Tx.TransmitBlocking(p, bufs)
-	e.Blocked += sim.Duration(p.Now() - start)
+	e.blocked.End(start, p.Now())
 }
 
 // RxBreakdown returns the accumulated Table 3 accounting.

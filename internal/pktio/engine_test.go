@@ -295,7 +295,8 @@ var _ = packet.Buf{} // keep the import if helpers change
 // FetchChunk and Send take beyond the cycles they charge. One core
 // forwards two ports of 1514 B line rate into one TX port, so the TX
 // ring fills and Send waits, and each fetch of a large batch waits for
-// the previous one's RX DMA.
+// the previous one's RX DMA. The run goes on until the worker stops,
+// so that no wait is in progress when Blocked is read.
 func TestBlockedIsElapsedLessCharged(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := DefaultConfig()
@@ -335,11 +336,11 @@ func TestBlockedIsElapsedLessCharged(t *testing.T) {
 			}
 		}
 	})
-	env.Run(sim.Time(5 * sim.Millisecond))
+	env.Run(0)
 	if rxWait <= 0 || txWait <= 0 {
 		t.Fatalf("RX wait %v, TX wait %v: want both waits exercised", rxWait, txWait)
 	}
-	if e.Blocked != rxWait+txWait {
-		t.Errorf("Blocked = %v; elapsed less charged: RX %v + TX %v", e.Blocked, rxWait, txWait)
+	if e.Blocked() != rxWait+txWait {
+		t.Errorf("Blocked = %v; elapsed less charged: RX %v + TX %v", e.Blocked(), rxWait, txWait)
 	}
 }

@@ -144,3 +144,33 @@ func (s *Server) BusyTime() Duration { return s.busy }
 // and one per ScheduleChain element, exactly the spans the hooks see
 // when installed.
 func (s *Server) Spans() uint64 { return s.spans }
+
+// A BusyClock sums the virtual time a set of activities is open, each
+// from its Begin to its End, however many overlap. Read mid-run, At
+// includes the part of every open activity elapsed so far, so the
+// difference of two readings is exactly the busy time between them:
+// an activity that straddles either reading is clipped at it. The
+// clock is three numbers, whatever the number of activities open.
+type BusyClock struct {
+	closed Duration
+	open   int64
+	starts Time // the sum of the open activities' Begin times
+}
+
+// Begin opens an activity at virtual time at.
+func (b *BusyClock) Begin(at Time) {
+	b.open++
+	b.starts += at
+}
+
+// End closes the activity that Begin opened at begun.
+func (b *BusyClock) End(begun, at Time) {
+	b.open--
+	b.starts -= begun
+	b.closed += Duration(at - begun)
+}
+
+// At returns the busy time summed up to now.
+func (b *BusyClock) At(now Time) Duration {
+	return b.closed + Duration(Time(b.open)*now-b.starts)
+}

@@ -291,6 +291,56 @@ func TestQueueDrainWakesPutters(t *testing.T) {
 	}
 }
 
+// TestBusyClockClipsAtReadings: for random overlapping activities, the
+// difference of two readings of a BusyClock equals the activities'
+// time inside the interval between them, each clipped at its edges.
+func TestBusyClockClipsAtReadings(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		type span struct{ from, to Time }
+		spans := make([]span, 1+rng.Intn(20))
+		type step struct {
+			at   Time
+			span int // -1: a reading
+		}
+		var steps []step
+		for i := range spans {
+			a, b := Time(rng.Intn(1000)), Time(rng.Intn(1000))
+			spans[i] = span{min(a, b), max(a, b)}
+			steps = append(steps, step{spans[i].from, i}, step{spans[i].to, i})
+		}
+		t0, t1 := Time(rng.Intn(1000)), Time(rng.Intn(1000))
+		t0, t1 = min(t0, t1), max(t0, t1)
+		steps = append(steps, step{t0, -1}, step{t1, -1})
+		// Time order; at one instant, a span's Begin stays before its End,
+		// and the readings come last.
+		open := make([]bool, len(spans))
+		slices.SortStableFunc(steps, func(x, y step) int { return int(x.at - y.at) })
+		var c BusyClock
+		var reads []Duration
+		for _, st := range steps {
+			switch {
+			case st.span < 0:
+				reads = append(reads, c.At(st.at))
+			case !open[st.span]:
+				open[st.span] = true
+				c.Begin(st.at)
+			default:
+				c.End(spans[st.span].from, st.at)
+			}
+		}
+		var want Duration
+		for _, sp := range spans {
+			if lo, hi := max(sp.from, t0), min(sp.to, t1); hi > lo {
+				want += Duration(hi - lo)
+			}
+		}
+		if got := reads[1] - reads[0]; got != want {
+			t.Fatalf("trial %d: readings at %d and %d differ by %d, the clipped spans sum to %d", trial, t0, t1, got, want)
+		}
+	}
+}
+
 func TestServerSerializes(t *testing.T) {
 	env := NewEnv()
 	srv := NewServer(env, "link")
