@@ -93,7 +93,7 @@ func (a *IPsecGW) PreShade(c *core.Chunk) core.PreResult {
 			continue
 		}
 		c.OutPorts[i] = -2
-		st.sa[i] = int(flowHash(d) % uint32(len(a.SAs))) // an int hash is negative on 32-bit hosts
+		st.sa[i] = int(flowHash(d) % uint32(len(a.SAs))) // in uint32: int(hash) is negative on 32-bit hosts
 		innerLen := len(b.Data) - packet.EthHdrLen
 		st.espLens[i] = innerLen + ipsec.EncapOverhead(innerLen)
 		inBytes += innerLen + 32 // payload + key/IV metadata

@@ -88,9 +88,10 @@ func (r *Router) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 }
 
 // ObserveStats snapshots the router's cumulative counters (framework,
-// packet ledger, GPU devices, packet I/O engine, the sim engine's self-metrics, and
-// the application's own, if it reports any) into the registry installed
-// by EnableObs. Call at the end of a run, before dumping the registry.
+// packet ledger, GPU devices, packet I/O engine, the sim engine's
+// self-metrics, and the application's own, if it reports any) into the
+// registry installed by EnableObs. Call at the end of a run, before
+// dumping the registry.
 func (r *Router) ObserveStats() {
 	reg := r.obs.reg
 	if reg == nil {

@@ -9,8 +9,8 @@ import (
 
 // TestOFSourceFillBatchMatchesFill: the OpenFlow flow-space source's
 // batch entry point leaves every Buf's frame bytes as per-packet Fill
-// does, from a non-zero starting seq. The pktgen sources
-// carry the same test next to their code.
+// does, from a non-zero starting seq. The pktgen sources carry the same
+// test next to their code.
 func TestOFSourceFillBatchMatchesFill(t *testing.T) {
 	const seq0 = 1<<33 + 12345
 	for _, seed := range []uint64{1, 2, 3} {

@@ -403,6 +403,7 @@ func TestBufPoolRecycles(t *testing.T) {
 		t.Errorf("size = %d", a.Size())
 	}
 	a.Data[0] = 0xAA
+	a.Port, a.Queue, a.GenAt = 3, 2, 1
 	a.Release()
 	if p.FreeCount() != 1 {
 		t.Errorf("free = %d, want 1", p.FreeCount())

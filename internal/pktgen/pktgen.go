@@ -62,8 +62,8 @@ func (s *UDP4Source) Fill(b *packet.Buf, port, queue int, seq uint64) {
 // and the loads are independent, so their cache misses overlap instead
 // of each waiting behind the divide and the render of the packet
 // before. Compose makes the destinations, and render writes and stamps
-// the frames. The scratch lives on the stack: sources are shared
-// by every RX queue's fetch proc and must stay read-only across procs.
+// the frames. The scratch lives on the stack: sources are shared by
+// every RX queue's fetch proc and must stay read-only across procs.
 func (s *UDP4Source) FillBatch(bufs []*packet.Buf, port, queue int, seq uint64) {
 	s.once.Do(s.init)
 	var (
