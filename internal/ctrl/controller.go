@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"packetshader/internal/core"
 	"packetshader/internal/faults"
@@ -183,11 +182,11 @@ func (c *Controller) stats() {
 		c.env.Now(), r.Stats.Packets, rx, rxDropped, tx, txDropped,
 		r.Stats.Drops, r.Stats.ChunksCPU, r.Stats.ChunksGPU,
 		r.Stats.GPULaunches, r.DeliveredGbps())
-	var b strings.Builder
+	c.printf("@%v ledger", c.env.Now())
 	for i, n := range r.Ledger().Counts() {
-		fmt.Fprintf(&b, " %s=%d", core.LedgerNames[i], n)
+		c.printf(" %s=%d", core.LedgerNames[i], n)
 	}
-	c.printf("@%v ledger%s\n", c.env.Now(), b.String())
+	c.printf("\n")
 }
 
 func (c *Controller) printf(format string, args ...any) {
