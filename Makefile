@@ -48,13 +48,16 @@ lint:
 # drop, a server chain that stops counting its services, a worker that
 # reads the chunk cap at each fetch instead of once per round, a link-up
 # that leaves the RX queues down, an AES-CTR counter starting at 2, an
-# Internet checksum that drops its carry between 64-bit words) and
+# Internet checksum that drops its carry between 64-bit words, a server
+# that counts service when it is booked, a second core.New( caller) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
 # the golden schedule digests, the fabric's model check and the golden
 # files, the fabric ledger, the server span test and the golden util
-# lines, the pshaderd replay, FuzzCTR, FuzzChecksum) fails on it.
+# lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
+# util and share checks and FuzzServerBusy, the one-path gates) fails
+# on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

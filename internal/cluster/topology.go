@@ -4,9 +4,9 @@
 // creation order (which pins the deterministic barrier-flush order) and
 // makes the per-hop routing decision. Two implementations: FullMesh
 // reproduces the original mesh exactly (Direct and Valiant routing),
-// and LeafSpine is the datacenter-scale two-tier Clos of ROADMAP item
-// 2 — L leaves × S spines with ECMP over parallel uplinks, links
-// growing O(L·S) instead of the mesh's O(n²).
+// and LeafSpine is a datacenter-scale two-tier Clos — L leaves × S
+// spines with ECMP over parallel uplinks, links growing O(L·S) instead
+// of the mesh's O(n²).
 package cluster
 
 import (

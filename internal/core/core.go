@@ -201,10 +201,6 @@ type Config struct {
 	GPUBackoffMax sim.Duration
 }
 
-// maxInFlight is the chunk-pipelining depth per worker (§5.4): how many
-// chunks a worker may have at its master before it waits for results.
-const maxInFlight = 4
-
 // Recovery-policy defaults (used when the Config fields are zero).
 const (
 	defaultGPUWatchdog   = 500 * sim.Microsecond

@@ -315,7 +315,7 @@ func TestPacketConservation(t *testing.T) {
 			// In-flight bound: chunks queued in the pipeline plus one
 			// in-progress chunk per worker and per master.
 			workers := len(r.workers)
-			maxInflight := uint64((workers*(maxInFlight+2) +
+			maxInflight := uint64((workers*(model.MaxInFlightChunks+2) +
 				len(r.masters)*cfg.GatherMax + len(r.masters)*model.InputQueueDepth) *
 				cfg.ChunkCap)
 			if rx-accounted > maxInflight {
@@ -334,7 +334,7 @@ func TestBufPoolBoundedUnderLoad(t *testing.T) {
 	r := runRouter(t, cfg, newEchoApp(2), 5*sim.Millisecond)
 	// Bound: pipeline capacity (chunks in flight) × chunk size plus the
 	// per-queue fetch working set.
-	bound := (len(r.workers)*(maxInFlight+2) + model.InputQueueDepth + model.OutputQueueDepth) * cfg.ChunkCap * 4
+	bound := (len(r.workers)*(model.MaxInFlightChunks+2) + model.InputQueueDepth + model.OutputQueueDepth) * cfg.ChunkCap * 4
 	if r.Engine.Pool.Allocs > bound {
 		t.Errorf("pool allocated %d cells, bound %d: leak through the pipeline", r.Engine.Pool.Allocs, bound)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"packetshader/internal/model"
 	"packetshader/internal/obs"
 	"packetshader/internal/packet"
 	"packetshader/internal/pktio"
@@ -40,7 +41,7 @@ func (w *worker) maxInflight() int {
 	if !w.router.Cfg.Pipelining {
 		return 1
 	}
-	return maxInFlight
+	return model.MaxInFlightChunks
 }
 
 func (w *worker) run(p *sim.Proc) {

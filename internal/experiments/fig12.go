@@ -6,6 +6,7 @@ import (
 	"packetshader"
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
+	"packetshader/internal/hw/gpu"
 	"packetshader/internal/model"
 	"packetshader/internal/pktgen"
 	"packetshader/internal/sim"
@@ -69,8 +70,9 @@ func ipv6Run(seed uint64, d sim.Duration, opts ...packetshader.Option) packetsha
 // 1514 B under full load, and for Figure 12's lightest CPU+GPU point
 // (IPv6 64 B, 1 Gbps offered in total, whose latency deviation 3 is
 // about), over Figure 11's measured window only, where a chunk spends
-// its time (the mean per stage, between the stamps of core.Stages) and
-// how busy every core and server is. The chunk residence runs from the
+// its time (the mean per stage, between the stamps of core.Stages),
+// what a GPU launch carries and is made of, and how busy every core and
+// server is. The chunk residence runs from the
 // worker's poll to the end of its TX hand-off; the frame latency mean
 // beside it adds the frame's wait in the RX ring and its TX DMA, queue
 // and wire time.
@@ -107,6 +109,7 @@ func pipeline(c *Ctx) *Result {
 	r.Note("workers work: stages rx_fetch (empty polls included) + pre_shade + post_shade + tx over %d worker cores, less their waits for RX DMA and TX ring room (workers wait); masters: launches and fallbacks over %d",
 		model.NumNodes*(model.CoresPerNode-1), model.NumNodes)
 	r.Note("stage means are of the chunks completed in the window; the workers' and masters' shares are of the window, clipped at its edges")
+	r.Note("chunks/launch and the launch rows (us) are means per GPU launch completed in the window, exec including the wait for the exec engine; the servers' shares are clipped at the window's edges too")
 	r.Note("IPv6 64B 1Gbps is Figure 12's lightest CPU+GPU point, 1 Gbps offered in total; the other columns are at full load")
 	return r
 }
@@ -115,9 +118,10 @@ func pipeline(c *Ctx) *Result {
 // otherwise, through Figure 11's warm-up and window and returns its
 // column of the pipeline table as (label, value) rows: the mean of each
 // stage and of the residence per chunk completed in the window, the
-// mean latency of the frames delivered in it, the worker cores' share
-// of work and of waits in the packet I/O engine, and the busy share of
-// the master cores and every server.
+// mean latency of the frames delivered in it, the chunks and the five
+// parts (gpu.PartNames) of the GPU launches completed in it, the worker
+// cores' share of work and of waits in the packet I/O engine, and the
+// busy share of the master cores and every server.
 func pipelineColumn(size int, app core.App, src packetshader.Source, load ...packetshader.Option) [][2]Cell {
 	inst := packetshader.Must(packetshader.New(app, src, append([]packetshader.Option{
 		packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)}, load...)...))
@@ -128,6 +132,16 @@ func pipelineColumn(size int, app core.App, src packetshader.Source, load ...pac
 	for i, s := range servers {
 		busy[i] = s.BusyTime()
 	}
+	launches := func() (p gpu.LaunchParts, chunks uint64) {
+		for _, d := range inst.Router.Devices {
+			p.Launches += d.Parts.Launches
+			for i, t := range d.Parts.Time {
+				p.Time[i] += t
+			}
+		}
+		return p, inst.Router.Stats.ChunksGPU
+	}
+	parts, chunksGPU := launches()
 	workerBusy, masterBusy := inst.Router.WorkerBusy(), inst.Router.MasterBusy()
 	blocked := inst.Router.Engine.Blocked()
 	// The sink's latency sum, in us; the conversion keeps the product
@@ -148,6 +162,12 @@ func pipelineColumn(size int, app core.App, src packetshader.Source, load ...pac
 	}
 	add("chunk residence", Num("%.2f", residence.Microseconds()/chunks))
 	add("frame latency", Num("%.2f", (latencySum()-latency)/float64(inst.Sink.Count-frames)))
+	endParts, endChunks := launches()
+	n := float64(endParts.Launches - parts.Launches)
+	add("chunks/launch", Num("%.2f", float64(endChunks-chunksGPU)/n))
+	for i, name := range gpu.PartNames {
+		add("launch "+name, Num("%.2f", (endParts.Time[i]-parts.Time[i]).Microseconds()/n))
+	}
 	share := func(d sim.Duration, cores int) Cell {
 		return Num("%.1f", 100*float64(d)/float64(cores)/float64(appWindow))
 	}

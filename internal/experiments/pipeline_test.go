@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"packetshader/internal/core"
@@ -28,30 +30,66 @@ func TestPipelineStagesSumToResidence(t *testing.T) {
 	}
 }
 
-// TestPipelineCoreSharesAtMost100: the worker and master cores' shares
-// are of the window, clipped at its edges, so in every column each is
-// between 0 and 100 %, and so are the workers' work and wait together.
+// TestPipelineCoreSharesAtMost100: every share in the pipeline table —
+// the worker and master cores' and every server's — is of the window,
+// clipped at its edges, so in every column each is between 0 and 100 %,
+// and so are the workers' work and wait together.
 func TestPipelineCoreSharesAtMost100(t *testing.T) {
 	r := goldenResult(t, "pipeline")
 	rows := map[string][]Cell{}
+	var servers []string
 	for _, row := range r.Rows {
-		rows[row[0].text()] = row
+		label := row[0].text()
+		rows[label] = row
+		if strings.Contains(label, "#") {
+			servers = append(servers, label)
+		}
 	}
 	for _, label := range []string{"workers work", "workers wait", "masters"} {
 		if rows[label] == nil {
 			t.Fatalf("no %q row", label)
 		}
 	}
+	if len(servers) == 0 {
+		t.Fatal("no server rows")
+	}
+	type share struct {
+		what  string
+		share float64
+	}
 	for col := 1; col < len(r.Header); col++ {
 		work, wait := rows["workers work"][col].V, rows["workers wait"][col].V
-		for _, v := range []struct {
-			what  string
-			share float64
-		}{{"workers work", work}, {"workers wait", wait}, {"workers work + wait", work + wait}, {"masters", rows["masters"][col].V}} {
-			// A core busy the whole window reads 100 % up to rounding.
+		shares := []share{{"workers work", work}, {"workers wait", wait}, {"workers work + wait", work + wait}, {"masters", rows["masters"][col].V}}
+		for _, label := range servers {
+			shares = append(shares, share{label, rows[label][col].V})
+		}
+		for _, v := range shares {
+			// A core or server busy the whole window reads 100 % up to
+			// rounding.
 			if v.share < 0 || v.share > 100+1e-9 {
 				t.Errorf("%s: %s is %.3f %%, want 0–100 %%", r.Header[col], v.what, v.share)
 			}
 		}
+	}
+}
+
+// TestUtilLinesAtMost1000: a server's busy time counts service up to the
+// instant it is read, so no util line of the golden run's metrics dumps
+// reads an occupancy over 1000 ‰ of the run.
+func TestUtilLinesAtMost1000(t *testing.T) {
+	goldenResult(t, "fig11a")
+	n := 0
+	for _, line := range strings.Split(string(golden.out), "\n") {
+		if !strings.HasPrefix(line, "util ") {
+			continue
+		}
+		n++
+		_, occ, ok := strings.Cut(line, " occ=")
+		if v, err := strconv.Atoi(occ); !ok || err != nil || v < 0 || v > 1000 {
+			t.Errorf("util line over 1000 ‰ (or unreadable): %s", line)
+		}
+	}
+	if n == 0 {
+		t.Fatal("the golden run printed no util line")
 	}
 }

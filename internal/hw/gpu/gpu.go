@@ -94,6 +94,9 @@ type Device struct {
 	// Launches and ThreadsRun accumulate usage statistics.
 	Launches   uint64
 	ThreadsRun uint64
+	// Parts sums the round trips of the Launch calls completed so far,
+	// part by part.
+	Parts LaunchParts
 
 	// failed marks the device as stalled/failed (fault injection): a
 	// failed device never completes a launch — LaunchChecked times out
@@ -109,6 +112,27 @@ type Device struct {
 	// level via Env hooks; these spans add the launch-lifecycle view.
 	trace *obs.Tracer
 	track obs.TrackID
+}
+
+// The parts of a launch's round trip, in the order Launch waits them out.
+const (
+	PartH2D     = iota // the host-to-device copy
+	PartLatency        // the launch latency
+	PartExec           // the kernel, its wait for the exec engine included
+	PartD2H            // the device-to-host copy
+	PartSync           // the driver sync
+	NumParts
+)
+
+// PartNames name the parts, in part order.
+var PartNames = [NumParts]string{"h2d", "latency", "exec", "d2h", "sync"}
+
+// LaunchParts sums the round trips of Launches launches, part by part.
+// LaunchStreams over more than one stream, whose parts overlap, adds
+// nothing.
+type LaunchParts struct {
+	Launches uint64
+	Time     [NumParts]sim.Duration
 }
 
 // New creates a device on the given NUMA node. Its PCIe link and exec
@@ -189,8 +213,9 @@ func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outByte
 	h2dDone := p.Now()
 	d.trace.SpanUntil(d.track, "h2d", start, h2dDone,
 		obs.Arg{Key: "bytes", Val: int64(inBytes)})
-	p.Sleep(model.GPULaunchTime(threads))
-	d.exec.Use(p, spec.ExecTime(threads, streamBytes))
+	latency := model.GPULaunchTime(threads)
+	p.Sleep(latency)
+	exec := d.exec.Use(p, spec.ExecTime(threads, streamBytes))
 	// The kernel span includes launch latency and exec-engine queueing:
 	// it is the launch's wall view, while the exec server's own busy
 	// span (via sim hooks) isolates pure execution. Its name is built
@@ -211,8 +236,16 @@ func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outByte
 	syncStart := p.Now()
 	// Host-side driver round-trip overhead (synchronization, completion
 	// notification) — the dominant fixed cost for small batches.
-	p.Sleep(sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond)))
+	sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
+	p.Sleep(sync)
 	d.trace.SpanUntil(d.track, "sync", syncStart, p.Now())
+	pt := &d.Parts
+	pt.Launches++
+	pt.Time[PartH2D] += sim.Duration(h2dDone - start)
+	pt.Time[PartLatency] += latency
+	pt.Time[PartExec] += exec
+	pt.Time[PartD2H] += sim.Duration(syncStart - d2hStart)
+	pt.Time[PartSync] += sync
 	return sim.Duration(p.Now() - start)
 }
 

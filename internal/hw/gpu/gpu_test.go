@@ -149,6 +149,42 @@ func TestLaunchLatencyAppearsInRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLaunchPartsTileRoundTrips: the five parts Launch sums add up to
+// the round trips it returns, two masters queueing on one device's copy
+// and exec engines included, and a streamed launch adds none.
+func TestLaunchPartsTileRoundTrips(t *testing.T) {
+	env := sim.NewEnv()
+	dev := newDevice(env)
+	var total sim.Duration
+	for m := 0; m < 2; m++ {
+		env.Go("master", func(p *sim.Proc) {
+			for i := 0; i < 3; i++ {
+				total += dev.Launch(p, &KernelIPv6, 4096, 4096*16, 4096*2, 0, nil)
+			}
+			dev.LaunchStreams(p, &KernelIPv6, 4, 4096, 4096*16, 4096*2, 0, nil)
+		})
+	}
+	env.Run(0)
+	pt := dev.Parts
+	if pt.Launches != 6 {
+		t.Fatalf("parts of %d launches, want 6", pt.Launches)
+	}
+	var sum sim.Duration
+	for _, d := range pt.Time {
+		sum += d
+	}
+	if sum != total {
+		t.Errorf("parts sum to %v, the round trips to %v", sum, total)
+	}
+	if pt.Time[PartLatency] != 6*model.GPULaunchTime(4096) ||
+		pt.Time[PartSync] != 6*sim.Duration(model.GPUSyncOverheadNs*float64(sim.Nanosecond)) {
+		t.Errorf("launch latency %v and sync %v are not six of the model's", pt.Time[PartLatency], pt.Time[PartSync])
+	}
+	if exec := KernelIPv6.ExecTime(4096, 0); pt.Time[PartExec] <= 6*exec {
+		t.Errorf("exec %v shows no wait behind the other master's kernels (6 × %v)", pt.Time[PartExec], exec)
+	}
+}
+
 func TestIPsecKernelStreamBound(t *testing.T) {
 	// Large packets: the cipher byte rate dominates. 1000 packets of
 	// 1560B ≈ 1.56MB at 2.2 GB/s ≈ 709 µs.

@@ -192,6 +192,7 @@ func TestRxFetchChargesIOH(t *testing.T) {
 	env.Go("reader", func(p *sim.Proc) {
 		p.Sleep(50 * sim.Microsecond)
 		q.Fetch(p, 512, nil)
+		p.Sleep(sim.Millisecond) // the booked DMA runs
 	})
 	env.Run(0)
 	if ioh.UpBusy() == 0 {
@@ -303,6 +304,7 @@ func TestNodeCrossingDMAChargesBothIOHs(t *testing.T) {
 	env.Go("reader", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
 		q.Fetch(p, 128, nil)
+		p.Sleep(sim.Millisecond) // the booked DMA runs
 	})
 	env.Run(0)
 	if ioh0.UpBusy() == 0 || ioh1.UpBusy() == 0 {

@@ -390,6 +390,12 @@ const (
 	// MaxGatherChunks bounds how many chunks a master gathers into one
 	// GPU launch (§5.4 gather/scatter).
 	MaxGatherChunks = 8
+	// MaxInFlightChunks is the chunk-pipelining depth (§5.4): how many
+	// chunks a worker may have at its master before it waits for their
+	// results. The paper pipelines chunks but gives no depth; 4 is an
+	// estimate, and a steep one: at 3 / 4 / 5 the IPv4 64 B CPU+GPU
+	// point reads 28.2 / 34.5 / 36.7 Gbps.
+	MaxInFlightChunks = 4
 	// InputQueueDepth/OutputQueueDepth are the worker↔master queues.
 	InputQueueDepth  = 64
 	OutputQueueDepth = 64

@@ -352,11 +352,13 @@ func TestSamplerWithNilTracer(t *testing.T) {
 		}
 		s := sim.NewServer(env, "ioh-up")
 		s.Schedule(7 * sim.Microsecond)
+		env.After(14*sim.Microsecond, func() {})
+		env.Run(0)
 		if err := WriteUtil(&reps[i], env); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if want := "util ioh-up#1 busy=7.000000us spans=1 occ=0\n"; reps[0].String() != want || reps[1].String() != want {
+	if want := "util ioh-up#1 busy=7.000000us spans=1 occ=500\n"; reps[0].String() != want || reps[1].String() != want {
 		t.Errorf("without hooks %q, with a nil-tracer sampler %q; want %q", reps[0].String(), reps[1].String(), want)
 	}
 }

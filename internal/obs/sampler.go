@@ -12,10 +12,10 @@ import (
 // ServerSampler implements sim.Hooks: every reservation on every
 // sim.Server (PCIe links, IOH engines, GPU copy/exec engines, NIC wire
 // serializers) becomes a span on a per-resource trace track, created on
-// the server's first span. Because FIFO servers are never idle
-// mid-queue, the spans tile each server's busy time exactly. Occupancy
-// totals are the servers' own (sim.Server.BusyTime and Spans, written by
-// WriteUtil); the sampler exists for the trace.
+// the server's first span. A span is recorded when it is booked; clipped
+// at any instant, the spans tile the server's busy time up to it.
+// Occupancy totals are the servers' own (sim.Server.BusyTime and Spans,
+// written by WriteUtil); the sampler exists for the trace.
 //
 // Install with env.SetHooks(obs.NewServerSampler(tracer)); a nil tracer
 // records nothing, like every Tracer method on nil.
@@ -45,8 +45,8 @@ func (h *ServerSampler) ServerBusy(s *sim.Server, start, end sim.Time) {
 //	util <name>#<id> busy=<us> spans=<n> occ=<permille>
 //
 // Occupancy is busy/now in permille, integer arithmetic only, so it
-// covers the whole run from virtual time zero. Reservations extend into
-// the future (Schedule), so occupancy can transiently exceed 1000.
+// covers the whole run from virtual time zero. Busy time counts service
+// up to now only, so occupancy is at most 1000.
 func WriteUtil(w io.Writer, env *sim.Env) error {
 	ew := &errWriter{w: w}
 	// Servers come in ID order, so a stable sort by name sorts by (name, id).

@@ -104,9 +104,9 @@ func (d *Decoder) Decode(frame []byte) error {
 }
 
 // DecodeFast is Decode under the name bench/micro.go calls; bench/ is
-// frozen outside benchmark-type PRs (ROADMAP item 2(f) switches it and
-// deletes this). Nothing else may call it: scripts/check.sh fails if
-// anything outside bench/ does.
+// frozen outside changes to the benchmark, and the next such change
+// switches it to Decode and deletes this. Nothing else may call it:
+// scripts/onepath.sh fails if anything outside bench/ does.
 func (d *Decoder) DecodeFast(frame []byte) error { return d.Decode(frame) }
 
 // Has reports whether layer l was decoded by the last Decode.

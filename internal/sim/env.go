@@ -19,6 +19,13 @@
 // transfers directly from the yielding process to the next runnable one
 // with a single channel operation — none at all when that one is a task —
 // and there is no separate scheduler goroutine to bounce through.
+//
+// Busy time has one rule: an activity counts as it runs, up to the
+// instant of the reading. A Server's BusyTime leaves out the service it
+// has booked ahead of now, and a BusyClock counts an open activity up to
+// now, so the difference of two readings of either is the busy time
+// between them, never more than the time that passed. A Server's Spans
+// and hooks see each service when it is booked.
 package sim
 
 import (
@@ -80,10 +87,10 @@ type event struct {
 // internal/obs provides the standard implementation.
 type Hooks interface {
 	// ServerBusy reports one reservation occupying server s over the
-	// half-open virtual-time interval [start, end). FIFO servers never
-	// idle mid-queue, so these intervals tile the server's busy time
-	// exactly: their number equals Server.Spans and their total
-	// duration Server.BusyTime.
+	// half-open virtual-time interval [start, end), when it is booked.
+	// The intervals tile the server's busy time exactly: their number
+	// equals Server.Spans, and their total clipped at now equals
+	// Server.BusyTime.
 	ServerBusy(s *Server, start, end Time)
 }
 

@@ -12,12 +12,21 @@ type Server struct {
 	// freeAt is the virtual time at which the server finishes its
 	// currently queued work.
 	freeAt Time
-	// busy and spans accumulate the service time and the services of
-	// positive length charged so far: what the hooks see, counted
-	// whether or not hooks are installed.
-	busy  Duration
-	spans uint64
+	// booked and spans accumulate the service time and the services of
+	// positive length reserved so far: what the hooks see, counted
+	// whether or not hooks are installed. Service reserved ahead of now
+	// is in booked but not yet in BusyTime.
+	booked Duration
+	spans  uint64
+	// gaps holds, in time order, the idle stretches inside the queue
+	// that a service starting later than the queue's end (ScheduleAt,
+	// ScheduleChain) left, from the oldest that may still lie ahead of
+	// now. Gaps wholly in the past are dropped when the next is added.
+	gaps Ring[gap]
 }
+
+// gap is an idle stretch [start, end) inside a server's queue.
+type gap struct{ start, end Time }
 
 // NewServer creates a named FIFO server.
 func NewServer(env *Env, name string) *Server {
@@ -34,19 +43,31 @@ func (s *Server) Name() string { return s.name }
 // IDs never do.
 func (s *Server) ID() int { return s.id }
 
+// queueEnd returns when a service reserved now could start at the
+// earliest: the end of the queued work, or now if the server is idle.
+func (s *Server) queueEnd() Time { return max(s.freeAt, s.env.now) }
+
+// idle records that the server stays idle over [start, end), a stretch
+// inside the queue that may lie ahead of now, and drops the recorded
+// stretches that have passed.
+func (s *Server) idle(start, end Time) {
+	for s.gaps.Len() > 0 && s.gaps.Front().end <= s.env.now {
+		s.gaps.PopFront()
+	}
+	s.gaps.PushBack(gap{start, end})
+}
+
 // reserve extends the server's queue by d starting no earlier than
 // notBefore, updates busy accounting, notifies the env hooks, and
 // returns the completion time.
 func (s *Server) reserve(notBefore Time, d Duration) Time {
-	if s.freeAt < s.env.now {
-		s.freeAt = s.env.now
+	start := s.queueEnd()
+	if start < notBefore {
+		s.idle(start, notBefore)
+		start = notBefore
 	}
-	if s.freeAt < notBefore {
-		s.freeAt = notBefore
-	}
-	start := s.freeAt
-	s.freeAt += Time(d)
-	s.busy += d
+	s.freeAt = start + Time(d)
+	s.booked += d
 	if d > 0 {
 		s.spans++
 		if s.env.hooks != nil {
@@ -90,9 +111,9 @@ func (s *Server) ScheduleAt(notBefore Time, d Duration) Time {
 // span to the hooks; a caller that needs them (Env.Hooks) reports each
 // service with Report, in the order its own calls would have.
 func (s *Server) ScheduleRun(n int, d Duration) (start Time) {
-	start = max(s.freeAt, s.env.now)
+	start = s.queueEnd()
 	s.freeAt = start + Time(n)*Time(d)
-	s.busy += Duration(n) * d
+	s.booked += Duration(n) * d
 	if d > 0 {
 		s.spans += uint64(n)
 	}
@@ -103,16 +124,21 @@ func (s *Server) ScheduleRun(n int, d Duration) (start Time) {
 // beginning no earlier than at[k], exactly as len(at) calls of
 // ScheduleAt(at[k], d) would, and overwrites at[k] with that service's
 // completion. The queue is the max-plus recurrence
-// free = max(free, at[k]) + d, run on a local and committed once. Like
+// free = max(free, at[k]) + d, run on a local and committed once; each
+// wait for an at[k] is recorded as ScheduleAt records it. Like
 // ScheduleRun it reports no span.
 func (s *Server) ScheduleChain(at []Time, d Duration) {
-	free := max(s.freeAt, s.env.now)
+	free := s.queueEnd()
 	for k, t := range at {
-		free = max(free, t) + Time(d)
+		if free < t {
+			s.idle(free, t)
+			free = t
+		}
+		free += Time(d)
 		at[k] = free
 	}
 	s.freeAt = free
-	s.busy += Duration(len(at)) * d
+	s.booked += Duration(len(at)) * d
 	if d > 0 {
 		s.spans += uint64(len(at))
 	}
@@ -136,13 +162,27 @@ func (s *Server) Backlog() Duration {
 	return Duration(s.freeAt - s.env.now)
 }
 
-// BusyTime returns the cumulative service time charged so far.
-func (s *Server) BusyTime() Duration { return s.busy }
+// BusyTime returns the service time the server has given up to now: a
+// service in progress counts up to now, one booked ahead of now not at
+// all, as a BusyClock counts an activity. The booked-ahead service is
+// the backlog less the idle gaps still ahead inside it, so the server
+// reads it without walking its reservations.
+func (s *Server) BusyTime() Duration {
+	now := s.env.now
+	ahead := s.Backlog()
+	for i := 0; ahead > 0 && i < s.gaps.Len(); i++ {
+		if g := s.gaps.At(i); g.end > now {
+			ahead -= Duration(g.end - max(g.start, now))
+		}
+	}
+	return s.booked - ahead
+}
 
 // Spans returns how many services of positive length the server has
 // been charged: one per Use, Schedule or ScheduleAt, n per ScheduleRun
 // and one per ScheduleChain element, exactly the spans the hooks see
-// when installed.
+// when installed. Like the hooks, it counts a service when it is
+// booked.
 func (s *Server) Spans() uint64 { return s.spans }
 
 // A BusyClock sums the virtual time a set of activities is open, each

@@ -60,6 +60,9 @@ func (r *Ring[T]) PopFront() T {
 	return v
 }
 
+// At returns the i-th element from the head, 0 ≤ i < Len.
+func (r *Ring[T]) At(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
 // Front returns the head element without removing it. It panics on an
 // empty ring.
 func (r *Ring[T]) Front() T {

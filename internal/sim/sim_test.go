@@ -548,17 +548,28 @@ func TestServerScheduleAt(t *testing.T) {
 	env.Run(0)
 }
 
+// TestServerScheduleAtCountsBusyOnly: busy time excludes the idle gap
+// before notBefore, and counts the service only as it runs.
 func TestServerScheduleAtCountsBusyOnly(t *testing.T) {
 	env := NewEnv()
 	srv := NewServer(env, "s")
 	srv.ScheduleAt(Time(1*Millisecond), 10*Microsecond)
-	// Busy time excludes the idle gap before notBefore.
-	if srv.BusyTime() != 10*Microsecond {
-		t.Errorf("busy = %v, want 10us", srv.BusyTime())
-	}
 	if srv.Backlog() != Duration(Time(1*Millisecond)+Time(10*Microsecond)) {
 		t.Errorf("backlog = %v", srv.Backlog())
 	}
+	for _, c := range []struct{ at, busy Duration }{
+		{0, 0},
+		{Millisecond / 2, 0},
+		{Millisecond + 4*Microsecond, 4 * Microsecond},
+		{2 * Millisecond, 10 * Microsecond},
+	} {
+		env.At(Time(c.at), func() {
+			if srv.BusyTime() != c.busy {
+				t.Errorf("busy at %v = %v, want %v", c.at, srv.BusyTime(), c.busy)
+			}
+		})
+	}
+	env.Run(0)
 }
 
 func TestMultiplePuttersWakeInFIFOOrder(t *testing.T) {
@@ -657,16 +668,23 @@ func TestServerBusyHooksTileBusyTime(t *testing.T) {
 	if len(h.spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(h.spans))
 	}
-	var total Duration
+	var spans [][2]Time
 	for i, sp := range h.spans {
 		if sp.end <= sp.start {
 			t.Errorf("span %d empty: [%v,%v)", i, sp.start, sp.end)
 		}
-		total += Duration(sp.end - sp.start)
+		spans = append(spans, [2]Time{sp.start, sp.end})
 	}
-	if total != srv.BusyTime() {
-		t.Errorf("span total %v != busy time %v", total, srv.BusyTime())
+	// The run ends at 15us with 5us of service booked ahead; the spans,
+	// clipped at each reading, tile the busy time up to it.
+	check := func() {
+		if want := clippedBusy(spans, env.Now()); srv.BusyTime() != want {
+			t.Errorf("at %v: spans clipped there total %v, busy time %v", env.Now(), want, srv.BusyTime())
+		}
 	}
+	check()
+	env.At(Time(101*Microsecond), check)
+	env.Run(0)
 	// Spans of one FIFO server never overlap.
 	for i := 1; i < len(h.spans); i++ {
 		if h.spans[i].start < h.spans[i-1].end {
@@ -679,25 +697,32 @@ func TestServerBusyHooksTileBusyTime(t *testing.T) {
 	}
 }
 
-// countingHooks totals, per server, the spans the hooks see.
-type countingHooks map[*Server]struct {
-	spans uint64
-	busy  Duration
-}
+// countingHooks records, per server, the spans the hooks see.
+type countingHooks map[*Server][][2]Time
 
 func (h countingHooks) ServerBusy(s *Server, start, end Time) {
-	c := h[s]
-	c.spans++
-	c.busy += Duration(end - start)
-	h[s] = c
+	h[s] = append(h[s], [2]Time{start, end})
+}
+
+// clippedBusy sums spans clipped at now: the service they give up to
+// now, whatever is booked beyond it.
+func clippedBusy(spans [][2]Time, now Time) Duration {
+	var d Duration
+	for _, sp := range spans {
+		if sp[0] < now {
+			d += Duration(min(sp[1], now) - sp[0])
+		}
+	}
+	return d
 }
 
 // TestServerCountsTheSpansHooksSee: whichever way a service is charged —
 // Use, Schedule, ScheduleAt, ScheduleRun or ScheduleChain with their
-// spans reported through Report — the server's own Spans and BusyTime
-// equal what hooks installed from the start see, zero-length services
-// included (they count in neither), and Env.Servers lists the servers
-// in creation order.
+// spans reported through Report — the server's own Spans equal the
+// spans hooks installed from the start see, and its BusyTime, read after
+// every round while service is still booked ahead, equals those spans
+// clipped at the reading, zero-length services included (they count in
+// neither), and Env.Servers lists the servers in creation order.
 func TestServerCountsTheSpansHooksSee(t *testing.T) {
 	charges := []struct {
 		name   string
@@ -727,15 +752,26 @@ func TestServerCountsTheSpansHooksSee(t *testing.T) {
 	for i, c := range charges {
 		servers[i] = NewServer(env, c.name)
 	}
+	check := func(now Time) {
+		for _, s := range servers {
+			c := h[s]
+			if busy := clippedBusy(c, now); s.Spans() != uint64(len(c)) || s.BusyTime() != busy {
+				t.Errorf("%s: server counts %d spans, %v busy at %v; the hooks saw %d spans, %v busy up to then",
+					s.Name(), s.Spans(), s.BusyTime(), now, len(c), busy)
+			}
+		}
+	}
 	env.Go("driver", func(p *Proc) {
 		for _, d := range []Duration{3 * Nanosecond, 0, 7 * Nanosecond} {
 			for i, c := range charges {
 				c.charge(p, servers[i], d)
 			}
+			check(p.Now())
 			p.Sleep(Microsecond)
 		}
 	})
 	env.Run(0)
+	check(env.Now())
 	if got := env.Servers(); len(got) != len(servers) {
 		t.Fatalf("Env.Servers lists %d servers, want %d", len(got), len(servers))
 	}
@@ -743,10 +779,8 @@ func TestServerCountsTheSpansHooksSee(t *testing.T) {
 		if env.Servers()[i] != s || s.ID() != i+1 {
 			t.Errorf("Env.Servers()[%d] is not the server created %d-th", i, i+1)
 		}
-		c := h[s]
-		if s.Spans() != c.spans || s.BusyTime() != c.busy || c.spans == 0 {
-			t.Errorf("%s: server counts %d spans, %v busy; the hooks saw %d spans, %v busy",
-				s.Name(), s.Spans(), s.BusyTime(), c.spans, c.busy)
+		if len(h[s]) == 0 {
+			t.Errorf("%s: the hooks saw no span", s.Name())
 		}
 	}
 }

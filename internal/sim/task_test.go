@@ -56,7 +56,7 @@ func TestTaskMisusePanics(t *testing.T) {
 		}
 	}
 	if q.Len() != 1 || q.getters.Len() != 0 || q.putters.Len() != 0 ||
-		srv.BusyTime() != 0 {
+		srv.BusyTime() != 0 || srv.Spans() != 0 || srv.Backlog() != 0 {
 		t.Error("a refused blocking call left a side effect behind")
 	}
 

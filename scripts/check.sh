@@ -7,18 +7,18 @@
 # module; TestGoldenOutputs, the paper checks over its run and the
 # Example functions included), the 32-bit tests of pcap, apps and ipsec
 # and the 32-bit golden outputs and paper checks, the one-path
-# gates, the byte-identity gate's second half (the pshaderd replay
+# gates (scripts/onepath.sh), the byte-identity gate's second half (the pshaderd replay
 # against its checked-in stdout and trace digest), pshader's exit
 # status on a capture it cannot write, short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
-# FuzzEventStore, FuzzDecode, FuzzChecksum, FuzzDynamicTable and
-# FuzzApplyMods runs,
+# FuzzEventStore, FuzzServerBusy, FuzzDecode, FuzzChecksum,
+# FuzzDynamicTable and FuzzApplyMods runs,
 # race tests on the concurrency-bearing packages and on the golden
 # subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
-# server-span, golden, replay, FuzzCTR and FuzzChecksum checks failing on
-# mutations of their own kind.
+# server-span, golden, replay, FuzzCTR, FuzzChecksum, busy-time and
+# one-path checks failing on mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -96,46 +96,21 @@ GOARCH=386 go test ./internal/experiments
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzDecode, FuzzChecksum, FuzzDynamicTable, FuzzApplyMods, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzServerBusy, FuzzDecode, FuzzChecksum, FuzzDynamicTable, FuzzApplyMods, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzHMACSHA1 -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzPcapReader -fuzztime 5s ./internal/pcap
 go test -run '^$' -fuzz FuzzParseScript -fuzztime 5s ./internal/ctrl
 go test -run '^$' -fuzz FuzzEventStore -fuzztime 5s ./internal/sim
+go test -run '^$' -fuzz FuzzServerBusy -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz FuzzChecksum -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
 go test -run '^$' -fuzz FuzzApplyMods -fuzztime 5s ./internal/openflow
 
-# A router is stood up and measured in one place, the facade's New and
-# Run: the paper's figures may not assemble their own (tests may:
-# hand-built routers are their differential), and bench/ is its own
-# module with its own rules.
 echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments; one §4 worker loop; one decoder"
-onepath="$(git grep -n 'core\.New(' -- '*.go' ':!*_test.go' ':!bench/' | cut -d: -f1)"
-if [ "$onepath" != packetshader.go ]; then
-	echo "core.New( must have exactly one caller, in packetshader.go; found in:"
-	echo "$onepath"
-	exit 1
-fi
-if git grep -n 'ResetMeasurement\|OnComplete' -- internal/experiments ':!*_test.go'; then
-	echo "experiments measure through Instance.Run and tap through Instance.TapTx"
-	exit 1
-fi
-# The §4 figures likewise share one harness and one worker loop.
-if [ "$(git grep -c 'env\.Go(' -- internal/experiments/pktio.go | cut -d: -f2)" != 1 ]; then
-	echo "internal/experiments/pktio.go spawns workers in one place, ioHarness (one env.Go running ioWorkerLoop)"
-	exit 1
-fi
-# There is one frame decoder, packet.Decoder.Decode. DecodeFast is its
-# alias for the frozen bench/ module and nothing else may name it.
-decodefast="$(git grep -n 'DecodeFast' -- '*.go' ':!bench/' | grep -v '^internal/packet/decode\.go:' || true)"
-if [ -n "$decodefast" ]; then
-	echo "DecodeFast is bench/'s name for packet.Decoder.Decode; call Decode:"
-	echo "$decodefast"
-	exit 1
-fi
+./scripts/onepath.sh
 
 # The byte-identity gate is the checked-in outputs: TestGoldenOutputs
 # (run by go test above) holds every experiment, and this step holds
@@ -182,9 +157,12 @@ go test -race -short ./internal/experiments
 # stops counting its services fails the server span test and a golden
 # util line, a worker reading the chunk cap at each fetch rather than
 # once per round and a link-up that leaves the RX queues down fail the
-# pshaderd replay, an AES-CTR counter starting at 2 fails FuzzCTR, and
-# an Internet checksum that drops the carry between its 64-bit words
-# fails FuzzChecksum.
+# pshaderd replay, an AES-CTR counter starting at 2 fails FuzzCTR, an
+# Internet checksum that drops the carry between its 64-bit words
+# fails FuzzChecksum, a server that counts service when it is booked
+# fails the golden run's util and pipeline share checks and
+# FuzzServerBusy, and a second core.New( caller fails the one-path
+# gates.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

@@ -51,6 +51,13 @@
 #	                at 2                                  FuzzCTR
 #	checksum-carry  the Internet checksum drops the carry
 #	                between its 64-bit words              FuzzChecksum
+#	busy-booked     Server.BusyTime counts service when
+#	                it is booked, not as it runs          the golden run's
+#	                                                      util and share
+#	                                                      checks and
+#	                                                      FuzzServerBusy
+#	second-core-new a second core.New( call in an
+#	                experiment                            the one-path gates
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -84,7 +91,13 @@
 # AES-CTR paths to a block-at-a-time loop whose counter starts at 1.
 # FuzzChecksum's seeds hold Checksum and TransportChecksumIPv4 to the
 # 16-bit RFC 1071 loop; a run of 0xff bytes carries out of every 64-bit
-# add.
+# add. busy-booked names two gates: TestUtilLinesAtMost1000 and
+# TestPipelineCoreSharesAtMost100 over the full golden run, which hold
+# every util line to 1000 permille and every pipeline share to 100 %
+# (a saturated IOH books RX DMA ahead of the run's end), and
+# FuzzServerBusy's seeds, which hold BusyTime to the hooks' spans
+# clipped at each reading. The one-path gates are scripts/onepath.sh,
+# plain grep, so they run in this copy of the tree.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -115,6 +128,8 @@ clustertests="go test -count=1 ./internal/cluster"
 spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
 ctrfuzz="go test -count=1 -run FuzzCTR ./internal/ipsec"
 csumfuzz="go test -count=1 -run FuzzChecksum ./internal/packet"
+busygates="go test -count=1 -run TestUtilLinesAtMost1000|TestPipelineCoreSharesAtMost100|FuzzServerBusy ./internal/experiments ./internal/sim"
+onepath="sh scripts/onepath.sh"
 
 # replay is the pshaderd replay's stdout gate, run in the tree.
 replay() {
@@ -227,6 +242,17 @@ mutate_checksum_carry() {
 	gate=$csumfuzz want="differs from the 16-bit reference"
 }
 
+mutate_busy_booked() {
+	insert internal/sim/resource.go 'func (s *Server) BusyTime() Duration {' '	return s.booked'
+	gate=$busygates want="util line over 1000" want2="the spans clipped there total"
+}
+
+mutate_second_core_new() {
+	insert internal/experiments/fig12.go 'warm := inst.Run(appWarmup)' \
+		'	_ = func() *core.Router { return core.New(inst.Env, core.DefaultConfig(), app) }'
+	gate=$onepath want="core.New( must have exactly one caller"
+}
+
 mutate_global_rand() {
 	f=internal/route/route.go
 	insert $f 'addr := packet.IPv4Addr(rng.Uint32()' \
@@ -271,7 +297,7 @@ if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
-		checksum-carry
+		checksum-carry busy-booked second-core-new
 fi
 
 status=0
@@ -300,6 +326,8 @@ for m in "$@"; do
 	link-up-rx) mutate_link_up_rx ;;
 	ctr-off-by-one) mutate_ctr_off_by_one ;;
 	checksum-carry) mutate_checksum_carry ;;
+	busy-booked) mutate_busy_booked ;;
+	second-core-new) mutate_second_core_new ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
