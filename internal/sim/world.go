@@ -269,14 +269,18 @@ func (w *World) Run(until Time, workers int) Time {
 	w.running = true
 	defer func() { w.running = false }()
 	for {
-		// The next window starts at the earliest pending event anywhere,
-		// so idle stretches of virtual time cost nothing.
+		// Windows lie on the grid [kW, (k+1)W): the next one is the
+		// grid window holding the earliest pending event anywhere, so
+		// idle stretches cost nothing, and which barrier flushes a
+		// message depends on the model alone, not on which engine
+		// events happen to exist.
 		start, ok := w.nextEventAt()
 		if !ok || start > until {
 			break
 		}
 		end := until
 		if w.lookahead > 0 {
+			start -= start % Time(w.lookahead)
 			// Window [start, start+W) — Env.Run horizons are inclusive,
 			// hence the -1. An event exactly at `end` still executes in
 			// this window; its sends arrive at ≥ end+1, next window.

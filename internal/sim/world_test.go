@@ -578,9 +578,9 @@ func TestLinkSendAt(t *testing.T) {
 }
 
 // TestWorldSparseIdleSkip: with events microseconds apart and lookahead
-// of 100ns, Run must skip the idle windows (start each window at the
-// next pending event) and still deliver at exact instants at any worker
-// count.
+// of 100ns, Run must skip the idle windows (start at the grid window
+// holding the next pending event) and still deliver at exact instants
+// at any worker count.
 func TestWorldSparseIdleSkip(t *testing.T) {
 	const lat = 100 * Nanosecond
 	run := func(workers int) []Time {
@@ -621,6 +621,39 @@ func TestWorldSparseIdleSkip(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: arrival %d at %v, want %v", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestWorldWindowsOnTheGrid: windows are [kW, (k+1)W) whatever the
+// events are. Each callback records how many windows had ended when it
+// ran: 0.9 and 1.1 µs fall in different windows although they lie
+// within W of each other, 1.999 and 2 µs do too, and the idle stretch
+// from 3 to 7 µs costs no window, so the run takes four windows with one
+// skip-ahead. A window that started at the earliest event would put
+// 0.9 and 1.1 µs in one window and take three.
+func TestWorldWindowsOnTheGrid(t *testing.T) {
+	const W = Microsecond
+	at := []Time{900_000, 1_100_000, 1_999_999, 2_000_000, 7_300_000, 7_999_999}
+	want := []uint64{0, 1, 1, 2, 3, 3}
+	for _, workers := range []int{1, 2} {
+		w := NewWorld()
+		a := w.NewPartition("a")
+		b := w.NewPartition("b")
+		NewLink(a, b, W, NewQueue[int](b.Env(), 0))
+		got := make([]uint64, len(at))
+		for i, ti := range at {
+			a.Env().At(ti, func() { got[i] = w.stats.Windows })
+		}
+		w.Run(Time(10*W), workers)
+		w.Close()
+		for i := range at {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d: the event at %v ran after %d windows, want %d", workers, at[i], got[i], want[i])
+			}
+		}
+		if s := w.Stats(); s.Windows != 4 || s.SkipAheads != 1 {
+			t.Errorf("workers=%d: %d windows with %d skip-aheads, want 4 with 1", workers, s.Windows, s.SkipAheads)
 		}
 	}
 }
