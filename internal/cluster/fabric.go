@@ -6,13 +6,14 @@
 // batches traverse ingress, per-hop forwarding budgets, per-link
 // serialization and propagation latency — and reports what was actually
 // delivered, with end-to-end latency, under the topology's routing
-// (mesh Direct/VLB, or leaf-spine ECMP). Wire and port serialization
-// are arithmetic recurrences (end = max(now, free) + batch time, the
-// batch time a per-run constant), not dedicated processes, and a node's
-// generator and forwarder are sim tasks (step functions the event loop
-// calls inline, no goroutine): a node is two tasks regardless of its
-// degree, and a wake-up costs a function call, which is what lets a
-// 128-leaf fabric run inside the bench budget.
+// (mesh Direct/VLB, or leaf-spine ECMP). The forwarding budget, wire
+// and port serialization are arithmetic recurrences (end = max(now,
+// free) + batch time, the batch time a per-run constant), not
+// dedicated processes: a node is one generator task (a step function
+// the event loop calls inline, no goroutine) regardless of its degree,
+// and a forwarding operation costs the one engine event that delivers
+// its batch, which is what lets a 128-leaf fabric run inside the bench
+// budget.
 package cluster
 
 import (
@@ -92,8 +93,8 @@ type FabricResult struct {
 	// node.
 	RouteDrops, NodeDrops uint64
 	// Late counts batches whose external port finishes them past the
-	// horizon; InFlight, batches the horizon leaves in an inbox, in a
-	// forwarding budget or on a link. Every generated batch is in
+	// horizon; InFlight, batches the horizon leaves waiting for or in a
+	// forwarding budget, or on a link. Every generated batch is in
 	// exactly one of Delivered, Late, RouteDrops, NodeDrops and
 	// InFlight: the fabric's ledger, which every run checks.
 	Late, InFlight uint64
@@ -105,7 +106,8 @@ type FabricMetrics struct {
 	// World is the world's self-metrics: events, windows, barriers and
 	// the schedule digest.
 	World sim.WorldStats
-	// InboxPeak is the deepest any forwarder's inbox got.
+	// InboxPeak is the most batches waiting for one node's forwarding
+	// budget at any arrival (the arriving batch included).
 	InboxPeak int
 	// SlotUtil is each egress slot's serializer utilisation in permille
 	// (batches × txTime / horizon), node by node and slot by slot. A
@@ -115,32 +117,30 @@ type FabricMetrics struct {
 
 // batch is the unit of simulated traffic: a burst of packets of one
 // flow, batchBytes long. Batches travel between nodes by value through
-// sim.Links and queues, so ownership hands off at scheduler-visible
-// boundaries.
+// sim.Links, so ownership hands off at scheduler-visible boundaries.
 type batch struct {
-	src, dst int
+	src, dst int32
 	hops     uint32
 	hash     uint32 // RSS flow hash: VLB intermediate / ECMP path choice
 	born     sim.Time
 }
 
 // fabricNode is one fabric box: a generator task emitting external
-// ingress and a forwarder task draining the inbox. The forwarding
-// budget is the forwarder's timed wake-up; link and external-port
-// serialization are arithmetic FIFO recurrences (txFree/extFree) proven
-// equivalent to the dedicated server procs they replaced — max(now,
-// free) + bits/rate is exactly a single-server FIFO queue's completion
-// time. Batches have one size, so every bits/rate is a constant
-// newFabric computes once (fwdTime, extTime, txTime). Every field
-// belongs to the node's own partition: its two tasks and its fault
-// callbacks write it, ordered by the partition's (at, seq), and only
-// batches on its links leave it. Everything merges in node order after
-// the run.
+// ingress, and arrive, which its links and its generator call with
+// each batch. The forwarding budget, link and external-port
+// serialization are arithmetic FIFO recurrences (fwdFree, txFree,
+// extFree) — max(now, free) + bits/rate is exactly a single-server
+// FIFO queue's completion time. Batches have one size, so every
+// bits/rate is a constant newFabric computes once (fwdTime, extTime,
+// txTime). Every field belongs to the node's own partition: its task
+// and its links' deliveries write it, ordered by the partition's (at,
+// seq), and only batches on its links leave it. Everything merges in
+// node order after the run.
 type fabricNode struct {
-	id    int
-	part  *sim.Partition
-	inbox *sim.Queue[batch]
-	out   []*sim.Link[batch]
+	id   int
+	part *sim.Partition
+	env  *sim.Env
+	out  []*sim.Link[batch]
 
 	// read-only once the tasks are spawned
 	topo    Topology
@@ -161,17 +161,22 @@ type fabricNode struct {
 	flowHash   []uint32 // per-destination hash of the persistent key material
 	genBatches uint64
 
-	// forwarder state, and the fault-toggled liveness it reads (up and
-	// busy side by side: a padded bool each would take the node to a
-	// larger allocation size class)
-	alive   []bool     // per-slot link carrier, read at routing
-	up      bool       // node liveness, read at each take
-	busy    bool       // cur is valid: the armed wake-up ends its budget
-	txFree  []sim.Time // per-slot wire-free time (FIFO serialization)
-	extFree sim.Time   // external port free time
-	cur     batch      // the batch in the forwarding budget
+	// The fault timeline: the node's link and node events in plan
+	// order (sorted by At), the next one to apply, and the liveness
+	// they have set so far. Budget starts and ends only move forward,
+	// so applying every event up to the instant being read is the
+	// state an At callback per event would have left.
+	faults    []faults.Event
+	nextFault int
+	alive     []bool // per-slot link carrier, read when a budget ends
+	up        bool   // node liveness, read when a budget starts
 
-	inboxPeak int // deepest inbox seen before a take
+	fwdFree sim.Time           // forwarding-budget free time
+	started sim.Ring[sim.Time] // budget starts not yet reached at the latest arrival
+	txFree  []sim.Time         // per-slot wire-free time (FIFO serialization)
+	extFree sim.Time           // external port free time
+
+	inboxPeak int // most batches waiting for the budget at an arrival
 
 	forwards      uint64
 	delivered     uint64
@@ -182,6 +187,7 @@ type fabricNode struct {
 	late          uint64
 	routeDrops    uint64
 	nodeDrops     uint64
+	inFlight      uint64 // batches whose budget starts or ends past the horizon
 }
 
 // gbpsTime returns the serialization time of one batch at rate gbps:
@@ -277,9 +283,10 @@ func zipfDraw(cum []float64, rng *uint64) int {
 	return sort.SearchFloat64s(cum, u*cum[len(cum)-1]) + 1
 }
 
-// fabric is one built fabric world: validated, wired and fault-armed,
-// with no process spawned yet. RunFabric spawns the node tasks on it;
-// the tests spawn the goroutine oracle on the same nodes instead.
+// fabric is one built fabric world: validated, wired and with its fault
+// timelines, with no process spawned yet. RunFabric spawns the node
+// tasks on it; the tests spawn the goroutine oracle on the same nodes
+// instead.
 type fabric struct {
 	cfg   FabricConfig // defaults applied
 	world *sim.World
@@ -309,8 +316,9 @@ func checkMatrix(m Matrix, ext int, max sim.Duration) error {
 
 // newFabric validates cfg and builds the world: one partition and node
 // per topology node with its per-run batch times, the links, and the
-// fault schedule.
-func newFabric(cfg FabricConfig) (*fabric, error) {
+// fault timelines. A link into node nd delivers to recv(nd), which
+// RunFabric makes nd.arrive.
+func newFabric(cfg FabricConfig, recv func(nd *fabricNode) func(batch)) (*fabric, error) {
 	topo := cfg.Topo
 	if topo == nil {
 		return nil, fmt.Errorf("fabric: Topo is required")
@@ -340,7 +348,7 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 		nd := &fabricNode{
 			id:      i,
 			part:    part,
-			inbox:   sim.NewQueue[batch](part.Env(), 0),
+			env:     part.Env(),
 			up:      true,
 			topo:    topo,
 			horizon: sim.Time(cfg.Horizon),
@@ -356,20 +364,24 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 			}
 		}
 	}
+	in := make([]func(batch), n)
+	for i, nd := range f.nodes {
+		in[i] = recv(nd)
+	}
 	for _, tl := range topo.Links() {
 		nd := f.nodes[tl.From]
 		tx, err := batchTime(tl.Gbps, maxTime)
 		if err != nil {
 			return fail(fmt.Errorf("fabric: node %d slot %d link: %w", tl.From, len(nd.out), err))
 		}
-		nd.out = append(nd.out, sim.NewLink(nd.part, f.nodes[tl.To].part,
-			cfg.LinkLatency, f.nodes[tl.To].inbox))
+		nd.out = append(nd.out, sim.NewLinkFunc(nd.part, f.nodes[tl.To].part,
+			cfg.LinkLatency, in[tl.To]))
 		nd.txTime = append(nd.txTime, tx)
 		nd.alive = append(nd.alive, true)
 		nd.txFree = append(nd.txFree, 0)
 	}
 	if cfg.Faults != nil {
-		if err := armFaults(cfg.Faults, f.nodes); err != nil {
+		if err := planFaults(cfg.Faults, f.nodes); err != nil {
 			return fail(err)
 		}
 	}
@@ -380,13 +392,18 @@ func newFabric(cfg FabricConfig) (*fabric, error) {
 }
 
 // run advances the world to the horizon, closes it, and merges the
-// per-node counters in node order: the result is independent of how
-// many workers advanced the partitions. It panics if the ledger does
-// not balance: a batch that ends in no terminal state is a lost count.
+// result.
 func (f *fabric) run() FabricResult {
 	defer f.world.Close()
 	f.world.Run(sim.Time(f.cfg.Horizon), f.cfg.Workers)
+	return f.result()
+}
 
+// result merges the per-node counters of a finished run in node order:
+// it is independent of how many workers advanced the partitions. It
+// panics if the ledger does not balance: a batch that ends in no
+// terminal state is a lost count.
+func (f *fabric) result() FabricResult {
 	res := FabricResult{OfferedGbps: f.cfg.Matrix.Total()}
 	for _, nd := range f.nodes {
 		res.Batches += nd.genBatches
@@ -398,10 +415,7 @@ func (f *fabric) run() FabricResult {
 		res.RouteDrops += nd.routeDrops
 		res.NodeDrops += nd.nodeDrops
 		res.Late += nd.late
-		res.InFlight += uint64(nd.inbox.Len())
-		if nd.busy {
-			res.InFlight++
-		}
+		res.InFlight += nd.inFlight
 		for _, l := range nd.out {
 			res.InFlight += uint64(l.InFlight())
 		}
@@ -426,10 +440,7 @@ func (f *fabric) run() FabricResult {
 func (f *fabric) metrics() FabricMetrics {
 	m := FabricMetrics{World: f.world.Stats()}
 	for _, nd := range f.nodes {
-		// Only the forwarder takes from the inbox, so between takes the
-		// depth only grows: its peak is the depth before some take or
-		// the depth left at the horizon.
-		m.InboxPeak = max(m.InboxPeak, nd.inboxPeak, nd.inbox.Len())
+		m.InboxPeak = max(m.InboxPeak, nd.inboxPeak)
 		for slot, l := range nd.out {
 			busy := sim.Duration(l.Sent) * nd.txTime[slot]
 			m.SlotUtil = append(m.SlotUtil, int64(busy*1000/f.cfg.Horizon))
@@ -457,32 +468,27 @@ func RunFabricMetrics(cfg FabricConfig) (FabricResult, FabricMetrics, error) {
 	return res, f.metrics(), nil
 }
 
-// startFabric builds the fabric world and spawns every node's tasks.
+// startFabric builds the fabric world, its links delivering to arrive,
+// and spawns every external node's generator task.
 func startFabric(cfg FabricConfig) (*fabric, error) {
-	f, err := newFabric(cfg)
+	f, err := newFabric(cfg, func(nd *fabricNode) func(batch) { return nd.arrive })
 	if err != nil {
 		return nil, err
 	}
-	ext := f.cfg.Topo.Externals()
-	for i, nd := range f.nodes { // nd is per-iteration: each task touches its own node only
-		env := nd.part.Env()
-		if i < ext {
-			nd.initGenerator(f.cfg.Matrix[i], f.cfg.Seed, f.zipf)
-			env.Task("gen", nd.generate)
-		}
-		env.Task("fwd", nd.forward)
+	for _, nd := range f.nodes[:f.cfg.Topo.Externals()] { // each task touches its own node only
+		nd.initGenerator(f.cfg.Matrix[nd.id], f.cfg.Seed, f.zipf)
+		nd.env.Task("gen", nd.generate)
 	}
 	return f, nil
 }
 
-// armFaults schedules the plan's link and node events on each affected
-// node's own environment, whose callback writes that node's alive or up
-// directly, so a fault only ever touches partition-local state (a leaf
-// never reads a spine's liveness — a dead node simply consumes and
-// drops what reaches it). The forwarder reads up when it takes a batch
-// and alive when the batch's budget ends, so a link that dies during a
-// budget already fails that batch's routing.
-func armFaults(plan *faults.Plan, nodes []*fabricNode) error {
+// planFaults gives each affected node the plan's link and node events
+// as its fault timeline, so a fault only ever touches partition-local
+// state (a leaf never reads a spine's liveness — a dead node simply
+// consumes and drops what reaches it). arrive reads up where a budget
+// starts and alive where it ends, so a link that dies during a budget
+// already fails that batch's routing.
+func planFaults(plan *faults.Plan, nodes []*fabricNode) error {
 	for _, ev := range plan.Events() {
 		if ev.Node < 0 || ev.Node >= len(nodes) {
 			return fmt.Errorf("fabric: fault event targets node %d of %d", ev.Node, len(nodes))
@@ -500,18 +506,23 @@ func armFaults(plan *faults.Plan, nodes []*fabricNode) error {
 		default:
 			return fmt.Errorf("fabric: unknown fault kind %s", ev.Kind)
 		}
-		nd.part.Env().At(sim.Time(ev.At), func() { nd.applyFault(ev) })
+		nd.faults = append(nd.faults, ev)
 	}
 	return nil
 }
 
-// applyFault applies one fault event to the node's liveness.
-func (nd *fabricNode) applyFault(ev faults.Event) {
-	switch ev.Kind {
-	case faults.KindLinkDown, faults.KindLinkUp:
-		nd.alive[ev.Port] = ev.Kind == faults.KindLinkUp
-	case faults.KindGPUFail, faults.KindGPURepair:
-		nd.up = ev.Kind == faults.KindGPURepair
+// faultsAt applies every fault event of the node's timeline with At ≤ t,
+// in plan order. Callers read forward in time only.
+func (nd *fabricNode) faultsAt(t sim.Time) {
+	for nd.nextFault < len(nd.faults) && sim.Time(nd.faults[nd.nextFault].At) <= t {
+		ev := &nd.faults[nd.nextFault]
+		nd.nextFault++
+		switch ev.Kind {
+		case faults.KindLinkDown, faults.KindLinkUp:
+			nd.alive[ev.Port] = ev.Kind == faults.KindLinkUp
+		case faults.KindGPUFail, faults.KindGPURepair:
+			nd.up = ev.Kind == faults.KindGPURepair
+		}
 	}
 }
 
@@ -553,7 +564,7 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 	if nd.genArmed {
 		g := nd.gen[0]
 		j := g.dst
-		b := batch{src: nd.id, dst: j, born: p.Now()}
+		b := batch{src: int32(nd.id), dst: int32(j), born: p.Now()}
 		if nd.zipf == nil {
 			b.hash = drawFlowHash(&nd.rng)
 		} else {
@@ -565,7 +576,7 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 			b.hash = nd.flowHash[j]
 		}
 		nd.genBatches++
-		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
+		nd.arrive(b) // own ingress enters the local forwarding budget
 		nd.gen.down(0, genSlot{next: g.next + sim.Time(g.interval), interval: g.interval, dst: j})
 	}
 	if len(nd.gen) == 0 || nd.gen[0].next > nd.horizon {
@@ -585,51 +596,53 @@ func drawFlowHash(rng *uint64) uint32 {
 		uint16(flowSrc>>16), uint16(flowDst>>16))
 }
 
-// forward is the forwarder task's step, the node's packet path as a
-// two-state machine. Idle: take the next batch from the inbox (or
-// register for one and return), drop it if the node is down, or arm
-// the forwarding budget — a plain timed wake-up, since this task is the
-// budget's only user. Busy: the budget has elapsed, so route the batch
-// and go idle again within the same step.
-func (nd *fabricNode) forward(p *sim.Proc) {
-	if nd.busy {
-		nd.busy = false
-		nd.route(p, nd.cur)
+// arrive accepts a batch into the node's forwarding budget, a FIFO
+// single server: the batch starts at s = max(now, fwdFree) and leaves
+// at e = s + fwdTime. A node down at s drops it without spending the
+// budget; otherwise it is routed at e with the carrier as it is at e.
+// A batch whose s or e passes the horizon stays in flight. Everything
+// a forwarder task would have done at s and e is decided here, at the
+// arrival, and the batch leaves through Post at e, so the fabric
+// spends one engine event per forwarding operation: the delivery that
+// brought the batch in.
+func (nd *fabricNode) arrive(b batch) {
+	now := nd.env.Now()
+	s := max(now, nd.fwdFree)
+	for nd.started.Len() > 0 && nd.started.Front() <= now {
+		nd.started.PopFront()
 	}
-	for {
-		if n := nd.inbox.Len(); n > nd.inboxPeak {
-			nd.inboxPeak = n
-		}
-		b, ok := nd.inbox.Await(p)
-		if !ok {
-			return
-		}
-		if !nd.up {
-			nd.nodeDrops++
-			continue
-		}
-		nd.cur, nd.busy = b, true
-		p.WakeAfter(nd.fwdTime)
+	nd.started.PushBack(s)
+	nd.inboxPeak = max(nd.inboxPeak, nd.started.Len())
+	if s > nd.horizon {
+		nd.inFlight++
 		return
 	}
+	nd.faultsAt(s)
+	if !nd.up {
+		nd.nodeDrops++
+		return
+	}
+	e := s + sim.Time(nd.fwdTime)
+	nd.fwdFree = e
+	if e > nd.horizon {
+		nd.inFlight++
+		return
+	}
+	nd.faultsAt(e)
+	nd.route(e, b)
 }
 
-// route sends a batch that has spent its forwarding budget onward.
+// route sends a batch that leaves its forwarding budget at now onward.
 // Local deliveries pass through the external-port recurrence and count
-// as delivered only if the port finishes them by the horizon — exactly
-// when the dedicated egress proc this replaces would have executed its
-// completion event — and as late otherwise. Transit batches pick an
-// egress slot via the topology, serialize on the per-slot wire
-// recurrence, and depart through SendAt.
-func (nd *fabricNode) route(p *sim.Proc, b batch) {
+// as delivered only if the port finishes them by the horizon, and as
+// late otherwise. Transit batches pick an egress slot via the topology,
+// serialize on the per-slot wire recurrence, and leave through Post,
+// sent at now.
+func (nd *fabricNode) route(now sim.Time, b batch) {
 	nd.forwards++
 	b.hops++
-	if b.dst == nd.id {
-		end := p.Now()
-		if nd.extFree > end {
-			end = nd.extFree
-		}
-		end += sim.Time(nd.extTime)
+	if int(b.dst) == nd.id {
+		end := max(now, nd.extFree) + sim.Time(nd.extTime)
 		nd.extFree = end
 		if end <= nd.horizon {
 			nd.delivered++
@@ -645,16 +658,12 @@ func (nd *fabricNode) route(p *sim.Proc, b batch) {
 		}
 		return
 	}
-	slot, ok := nd.topo.NextHop(nd.id, b.src, b.dst, b.hash, nd.alive)
+	slot, ok := nd.topo.NextHop(nd.id, int(b.src), int(b.dst), b.hash, nd.alive)
 	if !ok {
 		nd.routeDrops++
 		return
 	}
-	dep := p.Now()
-	if nd.txFree[slot] > dep {
-		dep = nd.txFree[slot]
-	}
-	dep += sim.Time(nd.txTime[slot])
+	dep := max(now, nd.txFree[slot]) + sim.Time(nd.txTime[slot])
 	nd.txFree[slot] = dep
-	nd.out[slot].SendAt(p, dep, b)
+	nd.out[slot].Post(now, dep, b)
 }

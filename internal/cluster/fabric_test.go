@@ -290,31 +290,75 @@ func TestGenHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// runFabricOracle is RunFabric with the goroutine generator and
-// forwarder spawned on the nodes instead of the tasks: same build, same
-// run and merge, so any difference in the result is a difference
-// between the two process forms.
-func runFabricOracle(cfg FabricConfig) (FabricResult, error) {
-	f, err := newFabric(cfg)
-	if err != nil {
-		return FabricResult{}, err
-	}
-	ext := f.cfg.Topo.Externals()
-	for i, nd := range f.nodes {
-		env := nd.part.Env()
-		if i < ext {
-			env.Go("gen", func(p *sim.Proc) { nd.oracleGenerate(p, &f.cfg, f.zipf) })
-		}
-		env.Go("fwd", func(p *sim.Proc) { nd.oracleForward(p, &f.cfg, f.cfg.Topo) })
-	}
-	return f.run(), nil
+// oracleNode is what the goroutine oracle keeps per node beside the
+// fabricNode whose counters it writes: the forwarder's inbox queue, the
+// liveness its fault callbacks toggle, and whether a batch is in its
+// budget.
+type oracleNode struct {
+	nd    *fabricNode
+	inbox *sim.Queue[batch]
+	up    bool
+	alive []bool
+	busy  bool
+	peak  int // deepest inbox seen before a Get
 }
 
-// oracleGenerate is the generator as the goroutine process it was before
-// the fabric ran on tasks, body verbatim: the differential oracle for
-// fabricNode.generate (whose comment says what both do), and with its
-// linear scan for the earliest destination, for genHeap.
-func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
+// runFabricOracle is RunFabric with the fabric as it ran before the
+// budget became a recurrence: links deliver into an inbox queue per
+// node, a goroutine generator and a goroutine forwarder run on each
+// node, and every fault event is an At callback on its node. Same
+// build, same world and the same merge, so any difference in the result
+// is a difference between the two forms.
+func runFabricOracle(cfg FabricConfig) (FabricResult, FabricMetrics, error) {
+	var on []*oracleNode
+	f, err := newFabric(cfg, func(nd *fabricNode) func(batch) {
+		o := &oracleNode{nd: nd, inbox: sim.NewQueue[batch](nd.env, 0), up: true}
+		on = append(on, o)
+		return func(b batch) { o.inbox.TryPut(b) }
+	})
+	if err != nil {
+		return FabricResult{}, FabricMetrics{}, err
+	}
+	defer f.world.Close()
+	ext := f.cfg.Topo.Externals()
+	for i, o := range on {
+		o.alive = append([]bool(nil), o.nd.alive...)
+		for _, ev := range o.nd.faults {
+			o.nd.env.At(sim.Time(ev.At), func() {
+				switch ev.Kind {
+				case faults.KindLinkDown, faults.KindLinkUp:
+					o.alive[ev.Port] = ev.Kind == faults.KindLinkUp
+				case faults.KindGPUFail, faults.KindGPURepair:
+					o.up = ev.Kind == faults.KindGPURepair
+				}
+			})
+		}
+		if i < ext {
+			o.nd.env.Go("gen", func(p *sim.Proc) { o.generate(p, &f.cfg, f.zipf) })
+		}
+		o.nd.env.Go("fwd", func(p *sim.Proc) { o.forward(p, &f.cfg, f.cfg.Topo) })
+	}
+	f.world.Run(sim.Time(f.cfg.Horizon), f.cfg.Workers)
+	for _, o := range on {
+		o.nd.inFlight += uint64(o.inbox.Len())
+		if o.busy {
+			o.nd.inFlight++
+		}
+		// Only the forwarder takes from the inbox, so between takes the
+		// depth only grows: its peak is the depth before some take or
+		// the depth left at the horizon.
+		o.nd.inboxPeak = max(o.peak, o.inbox.Len())
+	}
+	return f.result(), f.metrics(), nil
+}
+
+// generate is the generator as the goroutine process it was before the
+// fabric ran on tasks, body verbatim but for the inbox: the
+// differential oracle for fabricNode.generate (whose comment says what
+// both do), and with its linear scan for the earliest destination, for
+// genHeap.
+func (o *oracleNode) generate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
+	nd := o.nd
 	ext := len(cfg.Matrix)
 	// next[j] is the emission time of the next batch to j; interval[j]
 	// the batch period at the offered rate.
@@ -353,7 +397,7 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 			return
 		}
 		p.SleepUntil(next[j])
-		b := batch{src: nd.id, dst: j, born: p.Now()}
+		b := batch{src: int32(nd.id), dst: int32(j), born: p.Now()}
 		if zipf == nil {
 			b.hash = drawFlowHash(&rng)
 		} else {
@@ -365,18 +409,20 @@ func (nd *fabricNode) oracleGenerate(p *sim.Proc, cfg *FabricConfig, zipf []floa
 			b.hash = flowHash[j]
 		}
 		nd.genBatches++
-		nd.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
+		o.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
 		next[j] += sim.Time(interval[j])
 	}
 }
 
-// oracleForward is the forwarder as a goroutine process, body verbatim
-// from before the task rewrite but for the ledger's state (cur and busy
-// around the budget, late past the horizon), which it keeps as the task
-// does: the oracle for fabricNode.forward and .route, and — it calls
-// gbpsTime with the topology's rates at every hop — for the per-run
-// fwdTime/extTime/txTime constants.
-func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
+// forward is the forwarder as a goroutine process, body verbatim from
+// before the task rewrite but for the ledger's state (busy around the
+// budget, late past the horizon) and the inbox depth it measures before
+// each Get, as the forwarder task did: the oracle for fabricNode.arrive
+// and .route, for the fault timeline, and — it calls gbpsTime with the
+// topology's rates at every hop — for the per-run fwdTime/extTime/txTime
+// constants.
+func (o *oracleNode) forward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
+	nd := o.nd
 	fwdGbps := topo.ForwardGbps(nd.id)
 	extGbps := topo.ExternalGbps(nd.id)
 	horizon := sim.Time(cfg.Horizon)
@@ -387,17 +433,18 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 		}
 	}
 	for {
-		b := nd.inbox.Get(p)
-		if !nd.up {
+		o.peak = max(o.peak, o.inbox.Len())
+		b := o.inbox.Get(p)
+		if !o.up {
 			nd.nodeDrops++
 			continue
 		}
-		nd.cur, nd.busy = b, true
+		o.busy = true
 		p.Sleep(gbpsTime(fwdGbps))
-		nd.busy = false
+		o.busy = false
 		nd.forwards++
 		b.hops++
-		if b.dst == nd.id {
+		if int(b.dst) == nd.id {
 			end := p.Now()
 			if nd.extFree > end {
 				end = nd.extFree
@@ -418,7 +465,7 @@ func (nd *fabricNode) oracleForward(p *sim.Proc, cfg *FabricConfig, topo Topolog
 			}
 			continue
 		}
-		slot, ok := topo.NextHop(nd.id, b.src, b.dst, b.hash, nd.alive)
+		slot, ok := topo.NextHop(nd.id, int(b.src), int(b.dst), b.hash, o.alive)
 		if !ok {
 			nd.routeDrops++
 			continue
@@ -466,9 +513,12 @@ func diffFaults(nodes int) *faults.Plan {
 }
 
 // TestFabricTasksMatchGoroutineOracle is the differential test behind
-// the task rewrite: the production fabric (tasks) and the goroutine
-// oracle must agree on every field of the result, because a task issues
-// the same Env.schedule calls as the goroutine process it replaced.
+// the task rewrite and the budget recurrence: the production fabric (a
+// generator task, arrive's recurrence, Post and the fault timeline) and
+// the goroutine oracle must agree on every field of the result and on
+// the inbox peak and slot utilisations, because on the window grid a
+// batch reaches a node in the same order either way, and the
+// recurrence is the FIFO budget's arithmetic.
 func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
 	var late uint64
 	for ti, base := range diffTopos() {
@@ -483,16 +533,20 @@ func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
 							cfg.Faults = diffFaults(cfg.Topo.Nodes())
 						}
 						name := fmt.Sprintf("topo%d/seed%d/zipf%v/faults%v/p%d", ti, seed, zipfS, faulty, workers)
-						got, err := RunFabric(cfg)
+						got, gotM, err := RunFabricMetrics(cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						want, err := runFabricOracle(cfg)
+						want, wantM, err := runFabricOracle(cfg)
 						if err != nil {
 							t.Fatalf("%s: oracle: %v", name, err)
 						}
 						if got != want {
 							t.Errorf("%s: tasks diverged from the goroutine oracle:\n got %+v\nwant %+v", name, got, want)
+						}
+						if gotM.InboxPeak != wantM.InboxPeak || !reflect.DeepEqual(gotM.SlotUtil, wantM.SlotUtil) {
+							t.Errorf("%s: metrics diverged from the goroutine oracle: inbox peak %d, want %d; slot util %v, want %v",
+								name, gotM.InboxPeak, wantM.InboxPeak, gotM.SlotUtil, wantM.SlotUtil)
 						}
 						if got.Delivered == 0 || got.InFlight == 0 || faulty && (got.NodeDrops == 0 || got.RouteDrops == 0) {
 							t.Errorf("%s: case does not exercise its paths: %+v", name, got)
@@ -505,6 +559,33 @@ func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
 	}
 	if late == 0 {
 		t.Error("no case finishes a delivery past the horizon: the late path is untested")
+	}
+	// The bench's fabric-ls64: backlog at scale, 64 leaves on 8 spines.
+	for seed := uint64(1); seed <= 2; seed++ {
+		cfg := FabricConfig{
+			Topo: &LeafSpine{
+				Leaves: 64, Spines: 8, Uplinks: 2,
+				EdgeGbps: 10, LeafGbps: 40, SpineGbps: 160, UplinkGbps: 10,
+			},
+			Matrix:      Uniform(64, 640),
+			LinkLatency: 50 * sim.Microsecond,
+			Horizon:     20 * sim.Millisecond,
+			Seed:        seed,
+			Workers:     1,
+			Flows:       FlowModel{ZipfS: 1.1},
+		}
+		got, gotM, err := RunFabricMetrics(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantM, err := runFabricOracle(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || gotM.InboxPeak != wantM.InboxPeak || !reflect.DeepEqual(gotM.SlotUtil, wantM.SlotUtil) {
+			t.Errorf("ls64/seed%d: tasks diverged from the goroutine oracle:\n got %+v, inbox peak %d\nwant %+v, inbox peak %d",
+				seed, got, gotM.InboxPeak, want, wantM.InboxPeak)
+		}
 	}
 }
 
@@ -557,7 +638,7 @@ func TestFabricNodeFailsMidRunAndRecovers(t *testing.T) {
 	if outage.NodeDrops >= dead.NodeDrops {
 		t.Errorf("NodeDrops: outage %d, dead %d — the repaired spine must stop dropping", outage.NodeDrops, dead.NodeDrops)
 	}
-	want, err := runFabricOracle(build(faults.NewPlan().GPUOutage(spine, 1*sim.Millisecond, 1*sim.Millisecond)))
+	want, _, err := runFabricOracle(build(faults.NewPlan().GPUOutage(spine, 1*sim.Millisecond, 1*sim.Millisecond)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +654,7 @@ func TestFabricNodeFailsMidRunAndRecovers(t *testing.T) {
 // every later one: nothing is delivered, late or left in flight.
 func TestFabricLinkDiesMidBudget(t *testing.T) {
 	cfg := fabCfg(2, Direct, Matrix{{0, 0.4}, {0, 0}}, 1)
-	probe, err := newFabric(cfg)
+	probe, err := newFabric(cfg, func(nd *fabricNode) func(batch) { return nd.arrive })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (e *Env) Stats() Stats { return e.stats }
 type WorldStats struct {
 	Windows    uint64 // conservative windows, one barrier each
 	SkipAheads uint64 // windows that began past the previous one's end (idle time skipped)
-	DirtyLinks uint64 // links flushed at barriers, summed over barriers
+	DirtyLinks uint64 // links a barrier moved messages of, summed over barriers
 	// IdleWindows counts (partition, window) pairs in which the
 	// partition dispatched no event.
 	IdleWindows uint64
@@ -95,8 +95,7 @@ func (w *World) Stats() WorldStats {
 }
 
 // countWindow folds the window that just ended into the world's
-// counters: each partition's events since the previous window, and the
-// links its barrier is about to flush.
+// counters: each partition's events since the previous window.
 func (w *World) countWindow(start Time) {
 	s := &w.stats
 	if start > w.lastEnd+1 {
@@ -117,7 +116,6 @@ func (w *World) countWindow(start Time) {
 		if i == 0 || n < least {
 			least = n
 		}
-		s.DirtyLinks += uint64(len(pt.dirty))
 	}
 	s.ImbalanceMax = max(s.ImbalanceMax, most-least)
 	s.ImbalanceSum += most - least

@@ -17,10 +17,11 @@ import (
 // an event executed at time t inside a window can influence another
 // partition no earlier than t+W, which lies beyond the window's end, so
 // within a window every partition's event loop is causally independent
-// and may run on its own goroutine. At the window barrier, messages sent
-// during the window are delivered serially — links in creation order,
-// messages in send order — by scheduling arrival events into the
-// destination environments. Each destination assigns those events its own
+// and may run on its own goroutine. Windows lie on a fixed grid,
+// [kW, (k+1)W). At the window barrier, messages sent in the window
+// (Link.Post may send one ahead of its sender's clock) are delivered
+// serially — links in creation order, messages in send order — by
+// scheduling arrival events into the destination environments. Each destination assigns those events its own
 // (at, seq) order at that deterministic insertion point, so the next
 // window executes them exactly as a serial run would: the worker count
 // changes only which host goroutine drives a partition, never the event
@@ -32,7 +33,7 @@ type World struct {
 	running   bool
 	closed    bool
 
-	dirty []uint64 // per-window scratch: one bit per link, by creation index
+	dirty []uint64 // one bit per link with pending messages, by creation index
 
 	stats   WorldStats // windows and barriers (Stats adds the partitions')
 	lastEnd Time       // the latest window's end (-1 before the first)
@@ -47,7 +48,7 @@ type World struct {
 
 // Partition is one member environment of a World. Its processes must
 // touch only state owned by the partition; the only way to affect another
-// partition is Link.Send. Partitions run on separate goroutines within
+// partition is a Link. Partitions run on separate goroutines within
 // a window, so state shared any other way is a data race, and the race
 // detector reports it (DESIGN.md, determinism contract rule 7).
 type Partition struct {
@@ -56,11 +57,10 @@ type Partition struct {
 	env   *Env
 
 	// dirty lists the creation indexes of this partition's outgoing
-	// links that have buffered sends in the current window, in
-	// first-send order. Only processes of this partition append
-	// (Link.Send runs in the source partition), so the list needs no
-	// synchronization; the barrier folds it into the world's bitmap and
-	// clears it.
+	// links whose pending buffer became non-empty in the current
+	// window. Only this partition appends (Link.Post runs in the source
+	// partition), so the list needs no synchronization; the barrier
+	// folds it into the world's bitmap and clears it.
 	dirty []int
 
 	events uint64 // the env's dispatched events at the latest barrier
@@ -68,7 +68,8 @@ type Partition struct {
 
 // flusher is the untyped view of Link[T] used by the window barrier.
 type flusher interface {
-	flush()
+	flush(end Time) bool
+	waiting() (Time, bool)
 }
 
 // NewWorld returns an empty world.
@@ -107,42 +108,57 @@ type linkItem[T any] struct {
 	v  T
 }
 
+// postItem is one message waiting at the sender: the instant it is
+// logically sent, and the message.
+type postItem[T any] struct {
+	sent Time
+	msg  linkItem[T]
+}
+
 // Link is a unidirectional cross-partition channel with latency. A
-// message sent at time t becomes visible to the destination partition at
-// t+latency, by TryPut into dst at that instant. The latency is the
-// propagation delay of the modeled wire and, crucially, the lookahead
-// that makes conservative parallelism sound — which is why zero-latency
-// links are rejected at construction.
+// message departing at t is handed to the link's receiver in the
+// destination partition at t+latency. The latency is the propagation
+// delay of the modeled wire and, crucially, the lookahead that makes
+// conservative parallelism sound — which is why zero-latency links are
+// rejected at construction.
 type Link[T any] struct {
 	from, to *Partition
 	latency  Duration
-	dst      *Queue[T]
+	recv     func(T)
 	idx      int // creation index across the world's links
-	pending  []linkItem[T]
+
+	// pending holds posted messages in post order until the barrier
+	// after the window holding their send instant. Only the source
+	// partition appends to it, and only the barrier removes from it.
+	pending []postItem[T]
 
 	// inflight holds flushed messages awaiting delivery, in arrival
-	// order (send times are nondecreasing per link, so arrivals are
-	// too). One reusable callback (deliver) walks it: each scheduled
-	// event delivers every message due at that instant and re-arms at
-	// the next arrival, so a window's burst costs one scheduled event
-	// per distinct arrival instant instead of one closure per message.
+	// order (departures are nondecreasing per link, so arrivals are
+	// too). Only the barrier appends to it, and only the destination
+	// partition removes from it. One reusable callback (deliver) walks
+	// it: each scheduled event delivers every message due at that
+	// instant and re-arms at the next arrival, so a window's burst
+	// costs one scheduled event per distinct arrival instant instead of
+	// one closure per message.
 	inflight Ring[linkItem[T]]
 	armed    bool
 	deliver  func()
-	lastSend Time // latest accepted departure time (SendAt monotonicity)
+	lastSend Time // latest accepted departure time (FIFO wire)
 
-	// Sent counts messages accepted by Send; Dropped counts arrivals
-	// rejected because dst was full at delivery time. Both are
-	// deterministic. Use an unbounded dst queue for lossless links.
+	// Sent counts messages accepted by Post, Send and SendAt; Dropped
+	// counts arrivals a NewLink queue rejected because it was full at
+	// delivery time. Both are deterministic. Use an unbounded queue for
+	// lossless links.
 	Sent    uint64
 	Dropped uint64
 }
 
-// NewLink connects from → to with the given latency, delivering into
-// dst, which must belong to to's environment. Latency must be strictly
+// NewLinkFunc connects from → to with the given latency, handing each
+// arriving message to recv in to's scheduler context (an At callback of
+// to's environment), so recv must not block. Latency must be strictly
 // positive: a zero-latency link would give the world zero lookahead and
 // no window in which partitions can safely run concurrently.
-func NewLink[T any](from, to *Partition, latency Duration, dst *Queue[T]) *Link[T] {
+func NewLinkFunc[T any](from, to *Partition, latency Duration, recv func(T)) *Link[T] {
 	if from == nil || to == nil || from.world != to.world {
 		panic("sim: NewLink endpoints must belong to the same World")
 	}
@@ -152,14 +168,14 @@ func NewLink[T any](from, to *Partition, latency Duration, dst *Queue[T]) *Link[
 	if latency <= 0 {
 		panic(fmt.Sprintf("sim: NewLink latency must be positive (got %d): zero-latency links leave no lookahead", latency))
 	}
-	if dst == nil || dst.env != to.env {
-		panic("sim: NewLink dst queue must belong to the destination partition")
+	if recv == nil {
+		panic("sim: NewLinkFunc needs a receiver")
 	}
 	w := from.world
 	if w.running {
 		panic("sim: NewLink during World.Run")
 	}
-	l := &Link[T]{from: from, to: to, latency: latency, dst: dst, idx: len(w.links)}
+	l := &Link[T]{from: from, to: to, latency: latency, recv: recv, idx: len(w.links)}
 	l.deliver = l.deliverDue
 	w.links = append(w.links, l)
 	if len(w.links) > 64*len(w.dirty) {
@@ -171,35 +187,66 @@ func NewLink[T any](from, to *Partition, latency Duration, dst *Queue[T]) *Link[
 	return l
 }
 
+// NewLink is NewLinkFunc delivering into dst, a queue of to's
+// environment, by TryPut: an arrival dst has no room for is counted in
+// Dropped.
+func NewLink[T any](from, to *Partition, latency Duration, dst *Queue[T]) *Link[T] {
+	if to != nil && (dst == nil || dst.env != to.env) {
+		panic("sim: NewLink dst queue must belong to the destination partition")
+	}
+	var l *Link[T]
+	l = NewLinkFunc(from, to, latency, func(v T) {
+		if !dst.TryPut(v) {
+			l.Dropped++
+		}
+	})
+	return l
+}
+
 // Send transmits v from the calling process, to arrive at the
 // destination partition after the link latency. It never blocks; wire
 // serialization (bandwidth) should be modeled with a Server in the
 // sending partition before calling Send — or computed arithmetically
-// and expressed through SendAt.
+// and expressed through SendAt or Post.
 func (l *Link[T]) Send(p *Proc, v T) { l.SendAt(p, p.Now(), v) }
 
-// SendAt transmits v departing at the future instant depart (arrival is
-// depart+latency). It lets a sender that models wire serialization
-// arithmetically — "this message finishes serializing at T" — emit the
-// message without sleeping until T. Departures on one link must be
-// nondecreasing, which keeps the link FIFO and its in-flight buffer in
-// arrival order; a send that would reorder the wire panics.
+// SendAt transmits v from the calling process, departing at the future
+// instant depart (arrival is depart+latency): Post(p.Now(), depart, v)
+// from a process of the source partition.
 func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 	if p.env != l.from.env {
 		panic("sim: Link.Send from a process outside the source partition")
 	}
-	if depart < p.Now() {
-		panic("sim: Link.SendAt departure in the past")
+	l.Post(p.Now(), depart, v)
+}
+
+// Post transmits v logically sent at the instant sent ≥ now and
+// departing at depart ≥ sent, so a sender that computes its own timing
+// arithmetically — "this message leaves the forwarding budget at S and
+// finishes serializing at D" — emits it without an event at S or D. It
+// must be called from the source partition (a process or callback of
+// its environment). The message waits at the sender until the barrier
+// after the window that holds sent, exactly where a Send at sent would
+// be flushed, so the destination orders it as it would that Send.
+// Departures on one link must be nondecreasing, which keeps the link
+// FIFO and its in-flight buffer in arrival order; a post that would
+// reorder the wire panics.
+func (l *Link[T]) Post(sent, depart Time, v T) {
+	if sent < l.from.env.now {
+		panic("sim: Link.Post sent before now")
+	}
+	if depart < sent {
+		panic("sim: Link.Post departure before its send")
 	}
 	if depart < l.lastSend {
-		panic("sim: Link.SendAt departures must be nondecreasing (FIFO wire)")
+		panic("sim: Link departures must be nondecreasing (FIFO wire)")
 	}
 	l.lastSend = depart
 	l.Sent++
 	if len(l.pending) == 0 {
 		l.from.dirty = append(l.from.dirty, l.idx)
 	}
-	l.pending = append(l.pending, linkItem[T]{at: depart + Time(l.latency), v: v})
+	l.pending = append(l.pending, postItem[T]{sent, linkItem[T]{depart + Time(l.latency), v}})
 }
 
 // InFlight returns the number of messages sent and not yet delivered:
@@ -207,38 +254,48 @@ func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 // destination.
 func (l *Link[T]) InFlight() int { return len(l.pending) + l.inflight.Len() }
 
-// flush runs at the window barrier, on the World.Run goroutine, after
-// all partitions have joined. Every pending arrival lies strictly
-// beyond the window that produced it (send at t ≥ window start, arrival
-// t+latency ≥ start+lookahead > window end), so moving it in-flight and
-// arming the delivery callback here — before the next window starts —
-// delivers it exactly when a serial run would.
-func (l *Link[T]) flush() {
-	if len(l.pending) == 0 {
-		return
+// flush runs at the window barrier that ends at end, on the World.Run
+// goroutine, after all partitions have joined. It moves in-flight every
+// pending message sent by end, stopping at the first one sent later (a
+// message never overtakes an earlier post), arms the delivery callback,
+// and reports whether it moved any. Every message it moves arrives
+// strictly beyond its window (sent at t ≥ window start, arrival ≥
+// t+latency ≥ start+lookahead > end), so arming here — before the next
+// window starts — delivers it exactly when a serial run would.
+func (l *Link[T]) flush(end Time) bool {
+	n := 0
+	for n < len(l.pending) && l.pending[n].sent <= end {
+		l.inflight.PushBack(l.pending[n].msg)
+		n++
 	}
-	for i := range l.pending {
-		l.inflight.PushBack(l.pending[i])
-		l.pending[i] = linkItem[T]{}
+	if n == 0 {
+		return false
 	}
-	l.pending = l.pending[:0]
+	rest := copy(l.pending, l.pending[n:])
+	clear(l.pending[rest:])
+	l.pending = l.pending[:rest]
 	if !l.armed {
 		l.armed = true
 		l.to.env.At(l.inflight.Front().at, l.deliver)
 	}
+	return true
+}
+
+// waiting reports the send instant of the earliest pending message.
+func (l *Link[T]) waiting() (Time, bool) {
+	if len(l.pending) == 0 {
+		return 0, false
+	}
+	return l.pending[0].sent, true
 }
 
 // deliverDue runs in the destination environment at an arrival instant:
-// it delivers every in-flight message due now (dst assigns them
-// consecutive wakeups, preserving send order) and re-arms at the next
-// arrival, if any.
+// it hands every in-flight message due now to the receiver, in send
+// order, and re-arms at the next arrival, if any.
 func (l *Link[T]) deliverDue() {
 	now := l.to.env.Now()
 	for l.inflight.Len() > 0 && l.inflight.Front().at == now {
-		it := l.inflight.PopFront()
-		if !l.dst.TryPut(it.v) {
-			l.Dropped++
-		}
+		l.recv(l.inflight.PopFront().v)
 	}
 	if l.inflight.Len() > 0 {
 		l.to.env.At(l.inflight.Front().at, l.deliver)
@@ -291,7 +348,7 @@ func (w *World) Run(until Time, workers int) Time {
 		w.advance(end, workers)
 		w.countWindow(start)
 		w.lastEnd = end
-		w.barrier()
+		w.barrier(end)
 	}
 	// Settle every clock at the horizon so Now() is uniform afterwards.
 	for _, pt := range w.parts {
@@ -301,46 +358,67 @@ func (w *World) Run(until Time, workers int) Time {
 	return until
 }
 
-// barrier flushes the window's sends. Only links that actually buffered
-// messages are flushed: the per-partition dirty lists set one bit per
-// link in a bitmap over the creation indexes — here, serially, so the
-// workers never share a word — and the bitmap is walked lowest bit
-// first. That is creation order, the order a flush-all pass would visit
-// the same links in (a clean link's flush is a no-op), so dirty
-// tracking is schedule-invisible. The advance barrier (WaitGroup) has
-// already ordered the workers' writes to the dirty lists and pending
-// buffers before this read.
-func (w *World) barrier() {
+// barrier flushes the messages sent by end. Only links that hold
+// pending messages are visited: the per-partition dirty lists set one
+// bit per link in a bitmap over the creation indexes — here, serially,
+// so the workers never share a word — and the bitmap is walked lowest
+// bit first. That is creation order, the order a flush-all pass would
+// visit the same links in (a link with nothing due flushes nothing), so
+// dirty tracking is schedule-invisible. A link keeps its bit while it
+// holds messages posted for a later window. The advance barrier
+// (WaitGroup) has already ordered the workers' writes to the dirty
+// lists and pending buffers before this read.
+func (w *World) barrier(end Time) {
+	w.fold()
 	if w.flushAll {
 		for _, l := range w.links {
-			l.flush()
+			if l.flush(end) {
+				w.stats.DirtyLinks++
+			}
 		}
-		for _, pt := range w.parts {
-			pt.dirty = pt.dirty[:0]
-		}
-		return
 	}
+	for wi, word := range w.dirty {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			l := w.links[wi<<6|b]
+			if !w.flushAll && l.flush(end) {
+				w.stats.DirtyLinks++
+			}
+			if _, ok := l.waiting(); !ok {
+				w.dirty[wi] &^= 1 << b
+			}
+		}
+	}
+}
+
+// fold sets the bits of the links the partitions' dirty lists name and
+// clears the lists.
+func (w *World) fold() {
 	for _, pt := range w.parts {
 		for _, i := range pt.dirty {
 			w.dirty[i>>6] |= 1 << (uint(i) & 63)
 		}
 		pt.dirty = pt.dirty[:0]
 	}
-	for wi, word := range w.dirty {
-		for ; word != 0; word &= word - 1 {
-			w.links[wi<<6|bits.TrailingZeros64(word)].flush()
-		}
-		w.dirty[wi] = 0
-	}
 }
 
-// nextEventAt returns the earliest pending event time across partitions.
+// nextEventAt returns the earliest instant at which anything is pending
+// across partitions: an event, or a posted message's send instant (its
+// window must run so that its barrier flushes the message).
 func (w *World) nextEventAt() (Time, bool) {
 	var best Time
 	found := false
 	for _, pt := range w.parts {
 		if t, ok := pt.env.NextEventAt(); ok && (!found || t < best) {
 			best, found = t, true
+		}
+	}
+	w.fold()
+	for wi, word := range w.dirty {
+		for ; word != 0; word &= word - 1 {
+			if t, ok := w.links[wi<<6|bits.TrailingZeros64(word)].waiting(); ok && (!found || t < best) {
+				best, found = t, true
+			}
 		}
 	}
 	return best, found

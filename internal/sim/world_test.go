@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -655,5 +656,105 @@ func TestWorldWindowsOnTheGrid(t *testing.T) {
 		if s := w.Stats(); s.Windows != 4 || s.SkipAheads != 1 {
 			t.Errorf("workers=%d: %d windows with %d skip-aheads, want 4 with 1", workers, s.Windows, s.SkipAheads)
 		}
+	}
+}
+
+// TestLinkPostFlushesAfterItsSendWindow: a message posted at 0 µs with
+// a send instant of 2.5 µs waits at the sender through the barriers at
+// 1 and 2 µs and is flushed at the one after window [2, 3) µs, exactly
+// where a Send at 2.5 µs would be. The destination sees the difference:
+// its own event at 4 µs, scheduled at 2.2 µs, comes before the
+// message's delivery at 4 µs, because a barrier at 3 µs schedules that
+// delivery after it; a flush at 1 µs would have put the delivery first.
+func TestLinkPostFlushesAfterItsSendWindow(t *testing.T) {
+	const W = Microsecond
+	for _, workers := range []int{1, 2} {
+		w := NewWorld()
+		a := w.NewPartition("a")
+		b := w.NewPartition("b")
+		var order []string
+		l := NewLinkFunc(a, b, W, func(v int) { order = append(order, fmt.Sprint("message ", v)) })
+		a.Env().At(0, func() { l.Post(Time(2500*Nanosecond), Time(3*W), 1) })
+		b.Env().At(Time(2200*Nanosecond), func() {
+			b.Env().At(Time(4*W), func() { order = append(order, "local") })
+		})
+		w.Run(Time(2400*Nanosecond), workers)
+		if len(l.pending) != 1 || l.inflight.Len() != 0 {
+			t.Errorf("workers=%d: at 2.4 µs %d pending and %d in flight, want the message still pending",
+				workers, len(l.pending), l.inflight.Len())
+		}
+		w.Run(Time(5*W), workers)
+		w.Close()
+		if want := []string{"local", "message 1"}; !reflect.DeepEqual(order, want) {
+			t.Errorf("workers=%d: at 4 µs the destination ran %q, want %q", workers, order, want)
+		}
+	}
+}
+
+// TestLinkSendAtIsPostNow: a process's SendAt(p, d, v) and Post(p.Now(),
+// d, v) give the same arrivals and the same schedule digest.
+func TestLinkSendAtIsPostNow(t *testing.T) {
+	const W = 100 * Nanosecond
+	run := func(post bool) ([]Time, uint64) {
+		w := NewWorld()
+		defer w.Close()
+		a := w.NewPartition("a")
+		b := w.NewPartition("b")
+		var got []Time
+		l := NewLinkFunc(a, b, W, func(int) { got = append(got, b.Env().Now()) })
+		a.Env().Go("send", func(p *Proc) {
+			var d Time // a wire that serializes 0, 40 or 80 ns per message
+			for k := 0; k < 20; k++ {
+				p.Sleep(Duration(30+k*7) * Nanosecond)
+				d = max(p.Now(), d) + Time(k%3)*Time(40*Nanosecond)
+				if post {
+					l.Post(p.Now(), d, k)
+				} else {
+					l.SendAt(p, d, k)
+				}
+			}
+		})
+		w.Run(Time(10*Microsecond), 2)
+		return got, w.Stats().Engine.Digest
+	}
+	sendAt, d1 := run(false)
+	post, d2 := run(true)
+	if !reflect.DeepEqual(sendAt, post) || d1 != d2 || len(post) != 20 {
+		t.Errorf("SendAt arrivals %v (digest %x), Post(now) %v (digest %x)", sendAt, d1, post, d2)
+	}
+}
+
+// TestLinkPostPanics: a send instant before the sender's clock, a
+// departure before its send, and a departure before the link's previous
+// one are each rejected.
+func TestLinkPostPanics(t *testing.T) {
+	w := NewWorld()
+	defer w.Close()
+	a := w.NewPartition("a")
+	b := w.NewPartition("b")
+	l := NewLinkFunc(a, b, Microsecond, func(int) {})
+	var msgs []string
+	expectPanic := func(what string, fn func()) {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s did not panic", what)
+			} else {
+				msgs = append(msgs, fmt.Sprint(r))
+			}
+		}()
+		fn()
+	}
+	a.Env().At(Time(5*Microsecond), func() {
+		expectPanic("sent < now", func() { l.Post(Time(5*Microsecond)-1, Time(6*Microsecond), 1) })
+		expectPanic("depart < sent", func() { l.Post(Time(7*Microsecond), Time(7*Microsecond)-1, 1) })
+		l.Post(Time(7*Microsecond), Time(8*Microsecond), 1)
+		expectPanic("non-monotone departure", func() { l.Post(Time(7*Microsecond), Time(8*Microsecond)-1, 2) })
+	})
+	w.Run(Time(10*Microsecond), 1)
+	if l.Sent != 1 {
+		t.Errorf("Sent = %d, want 1: a rejected post must not count", l.Sent)
+	}
+	if len(msgs) == 3 && (msgs[0] == msgs[1] || msgs[1] == msgs[2]) {
+		t.Errorf("panics %q: each rejection should say what it rejects", msgs)
 	}
 }

@@ -58,6 +58,10 @@
 #	                                                      FuzzServerBusy
 #	second-core-new a second core.New( call in an
 #	                experiment                            the one-path gates
+#	post-early      Link.flush moves every pending message
+#	                whatever its send instant             the fabric oracle
+#	window-skip     World windows start at the earliest
+#	                event again, off the lookahead grid   the golden files
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -97,7 +101,14 @@
 # (a saturated IOH books RX DMA ahead of the run's end), and
 # FuzzServerBusy's seeds, which hold BusyTime to the hooks' spans
 # clipped at each reading. The one-path gates are scripts/onepath.sh,
-# plain grep, so they run in this copy of the tree.
+# plain grep, so they run in this copy of the tree. The fabric oracle is
+# TestFabricTasksMatchGoroutineOracle: a message posted ahead of its
+# sender's clock and flushed before its send window reaches its
+# destination in another order than the oracle's send at that instant.
+# window-skip's gate is the -short TestGoldenOutputs: off the grid, the
+# fabric's fewer engine events move the window starts, and with them
+# the order of same-instant arrivals the fabric table was written
+# with.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -129,6 +140,8 @@ spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutp
 ctrfuzz="go test -count=1 -run FuzzCTR ./internal/ipsec"
 csumfuzz="go test -count=1 -run FuzzChecksum ./internal/packet"
 busygates="go test -count=1 -run TestUtilLinesAtMost1000|TestPipelineCoreSharesAtMost100|FuzzServerBusy ./internal/experiments ./internal/sim"
+oracle="go test -count=1 -run TestFabricTasksMatchGoroutineOracle ./internal/cluster"
+golden="go test -count=1 -short -run TestGoldenOutputs ./internal/experiments"
 onepath="sh scripts/onepath.sh"
 
 # replay is the pshaderd replay's stdout gate, run in the tree.
@@ -169,7 +182,7 @@ mutate_shared_pointer() {
 	insert $f 'type fabricNode struct {' '	shared *uint64'
 	insert $f 'f := &fabric{' '	shared := new(uint64)'
 	insert $f 'f.nodes[i] = nd' '		nd.shared = shared'
-	insert $f 'nd.cur, nd.busy = b, true' '		*nd.shared++'
+	insert $f 'nd.fwdFree = e' '	*nd.shared++'
 	gate=$race want="WARNING: DATA RACE"
 }
 
@@ -177,7 +190,7 @@ mutate_shared_global() {
 	f=internal/cluster/fabric.go
 	insert $f 'type genHeap []genSlot' 'var forwardsSeen uint64'
 	insert $f 'func (f *fabric) run() FabricResult {' '	forwardsSeen = 0'
-	insert $f 'nd.cur, nd.busy = b, true' '		forwardsSeen++'
+	insert $f 'nd.fwdFree = e' '	forwardsSeen++'
 	gate=$race want="WARNING: DATA RACE"
 }
 
@@ -293,11 +306,21 @@ mutate_chain_spans() {
 	gate=$spangates want="ScheduleChain: server counts" want2="util tx0-wire"
 }
 
+mutate_post_early() {
+	insert internal/sim/world.go 'func (l *Link[T]) flush(end Time) bool {' '	end = 1<<63 - 1'
+	gate=$oracle want="diverged from the goroutine oracle"
+}
+
+mutate_window_skip() {
+	delete internal/sim/world.go 'start -= start % Time(w.lookahead)'
+	gate=$golden want="fabric differs from"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
-		checksum-carry busy-booked second-core-new
+		checksum-carry busy-booked second-core-new post-early window-skip
 fi
 
 status=0
@@ -328,6 +351,8 @@ for m in "$@"; do
 	checksum-carry) mutate_checksum_carry ;;
 	busy-booked) mutate_busy_booked ;;
 	second-core-new) mutate_second_core_new ;;
+	post-early) mutate_post_early ;;
+	window-skip) mutate_window_skip ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
