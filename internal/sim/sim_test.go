@@ -809,6 +809,8 @@ func TestServerRunsMatchSingleReservations(t *testing.T) {
 	runs, singles := &recordingHooks{}, &recordingHooks{}
 	a, b := NewServer(env, "runs"), NewServer(env, "singles")
 	rng := uint64(7)
+	// The driver runs on a process goroutine, where t.Fatal would strand
+	// the run; it reports a failure and stops instead.
 	env.Go("driver", func(p *Proc) {
 		for step := 0; step < 200; step++ {
 			p.Sleep(Duration(splitmix64(&rng) % 3000))
@@ -823,7 +825,8 @@ func TestServerRunsMatchSingleReservations(t *testing.T) {
 				env.SetHooks(singles)
 				for k := 0; k < n; k++ {
 					if got, want := start+Time(k+1)*Time(d), b.Schedule(d); got != want {
-						t.Fatalf("step %d: run service %d completes at %v, single at %v", step, k, got, want)
+						t.Errorf("step %d: run service %d completes at %v, single at %v", step, k, got, want)
+						return
 					}
 				}
 			} else {
@@ -841,13 +844,15 @@ func TestServerRunsMatchSingleReservations(t *testing.T) {
 				for k, end := range at {
 					a.Report(end-Time(d), end)
 					if end != want[k] {
-						t.Fatalf("step %d: chain service %d completes at %v, single at %v", step, k, end, want[k])
+						t.Errorf("step %d: chain service %d completes at %v, single at %v", step, k, end, want[k])
+						return
 					}
 				}
 			}
 			if a.BusyTime() != b.BusyTime() || a.Spans() != b.Spans() || a.Backlog() != b.Backlog() {
-				t.Fatalf("step %d: busy %v / %v, spans %d / %d, backlog %v / %v", step,
+				t.Errorf("step %d: busy %v / %v, spans %d / %d, backlog %v / %v", step,
 					a.BusyTime(), b.BusyTime(), a.Spans(), b.Spans(), a.Backlog(), b.Backlog())
+				return
 			}
 		}
 	})
