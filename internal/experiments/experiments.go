@@ -130,6 +130,7 @@ var Registry = []registryEntry{
 	{ID: "fig11d", Run: fig11d},
 	{ID: "fig12", Run: fig12},
 	{ID: "pipeline", Run: pipeline},
+	{ID: "workers", Run: workerCycles},
 	{ID: "ablation", Run: ablation},
 	{ID: "fabric", Run: fabricScaling},
 	{ID: "faults", Run: faultScenario},

@@ -182,3 +182,79 @@ func pipelineColumn(size int, app core.App, src packetshader.Source, load ...pac
 	}
 	return rows
 }
+
+// workerCycles is Table 3 for the CPU+GPU worker path: the worker CPU
+// cycles one full chunk of 64 B IPv4 packets costs, by the model
+// constant that charges them, and the stage each falls in. RX charges
+// the fetch's batch and per-packet halves (pktio.FetchChunk); TX splits
+// the chunk evenly over the ports, one Send per port, those of the
+// other node at RemoteMemFactor (pktio.Engine.Send); the app charges
+// pre- and post-shading per packet and runs the lookup on the GPU. The
+// measured row is the same four stages' means per chunk of a full-load
+// run over Figure 11's window; the budget is what one chunk may cost
+// for the six workers to carry the paper's 39 Gbps.
+func workerCycles(c *Ctx) *Result {
+	r := &Result{
+		ID:     "workers",
+		Title:  "Worker CPU cycles per chunk (CPU+GPU, IPv4 64B, 256 packets)",
+		Header: []string{"Cost", "Stage", "Cycles", "us", "Share"},
+	}
+	const size = 64
+	n := float64(model.MaxChunkSize)
+	local := float64(model.NumPorts / model.NumNodes)
+	remote := float64(model.NumPorts) - local
+	ports := local + remote*model.RemoteMemFactor // per-port TX charges, remote ones inflated
+	costs := []struct {
+		name, stage string
+		cycles      float64
+	}{
+		{"IOBatchCycles x IORxShare", "rx_fetch", model.IOBatchCycles * model.IORxShare},
+		{"IOPerPacketCycles x IORxShare", "rx_fetch", n * model.IOPerPacketCycles * model.IORxShare},
+		{"CopyCyclesPerByte beyond 64B", "rx_fetch", n * (size - 64) * model.CopyCyclesPerByte},
+		{"AppIPv4PreCycles", "pre_shade", n * model.AppIPv4PreCycles},
+		{"IPv4 lookup", "GPU", 0},
+		{"AppIPv4PostCycles", "post_shade", n * model.AppIPv4PostCycles},
+		{"IOBatchCycles x IOTxShare", "tx", float64(model.IOBatchCycles*model.IOTxShare) * ports},
+		{"IOPerPacketCycles x IOTxShare", "tx", float64(n/float64(model.NumPorts)*model.IOPerPacketCycles*model.IOTxShare) * ports},
+	}
+	var total float64
+	for _, k := range costs {
+		total += k.cycles
+	}
+	us := func(cycles float64) Cell { return Num("%.2f", model.Cycles(cycles).Microseconds()) }
+	for _, k := range costs {
+		r.AddRow(Label(k.name), Label(k.stage), Num("%.0f", k.cycles), us(k.cycles), Num("%.1f%%", 100*k.cycles/total))
+	}
+	r.AddRow(Label("total"), Label("-"), Num("%.0f", total), us(total), Num("%.1f%%", 100.0))
+
+	measured := MapPoints(c, 1, func(int, *Point) sim.Duration {
+		entries, tbl := BGPFixture()
+		inst := packetshader.Must(packetshader.New(&apps.IPv4Fwd{Table: tbl, NumPorts: model.NumPorts},
+			&pktgen.UDP4Source{Size: size, Seed: 11, Table: entries},
+			packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)))
+		defer inst.Close()
+		warm := inst.Run(appWarmup)
+		rep := inst.Run(appWindow)
+		var d sim.Duration
+		for i, name := range core.StageNames {
+			switch name {
+			case "rx_fetch", "pre_shade", "post_shade", "tx":
+				d += rep.Stages.Time[i] - warm.Stages.Time[i]
+			}
+		}
+		return d / sim.Duration(rep.Stages.Chunks-warm.Stages.Chunks)
+	})[0]
+	r.AddRow(Label("measured"), Label("worker stages"), Num("%.0f", model.CyclesOf(measured)), Num("%.2f", measured.Microseconds()), Label("-"))
+	workers := model.NumNodes * (model.CoresPerNode - 1)
+	paperGbps := paperValue("fig11a", "64", "CPU+GPU")
+	budget := float64(workers) * n / (paperGbps * 1e9 / (float64(model.WireBytes(size)) * 8))
+	r.AddRow(Label("budget at paper Gbps"), Label("-"), Num("%.0f", budget*model.CPUFreqHz), Num("%.2f", budget*1e6), Label("-"))
+	r.Note("TX splits a chunk over %d ports, one Send each; the %.0f on the other node cost RemoteMemFactor %.2f times as much",
+		model.NumPorts, remote, model.RemoteMemFactor)
+	r.Note("paper: Fig 5's %.2f Gbps at batch 1 and %.1f at batch 64 fix IOBatchCycles and IOPerPacketCycles (%.0f cycles per packet for RX+TX at batch 64); it gives no per-packet cost for pre- or post-shading",
+		paperValue("fig5", "1", "Forwarding Gbps"), paperValue("fig5", "64", "Forwarding Gbps"),
+		float64(model.IOBatchCycles/64)+model.IOPerPacketCycles)
+	r.Note("budget: the time between one worker's chunks when %d workers share the paper's %.0f Gbps (fig11a, 64B); a chunk that costs more binds the workers beside the masters (deviation 1)",
+		workers, paperGbps)
+	return r
+}

@@ -46,7 +46,7 @@ var paperTable = []PaperPoint{
 	span("numa", "NUMA-blind", "Gbps", math.Inf(-1), 25).within(29, 34).because("5, remote access charged on the packet path only"),
 
 	at("fig11a", "64", "CPU-only", 28),
-	at("fig11a", "64", "CPU+GPU", 39).within(33, 41).because("1, the masters saturate"),
+	at("fig11a", "64", "CPU+GPU", 39).within(33, 41).because("1, the masters and the workers' per-chunk budget bind"),
 	span("fig11a", "*", "CPU-only", 40, 41).within(38, 44), span("fig11a", "*", "CPU+GPU", 40, 41).within(38, 44),
 
 	at("fig11b", "64", "CPU-only", 8), at("fig11b", "64", "CPU+GPU", 38.2).within(34.4, 41),

@@ -93,3 +93,37 @@ func TestUtilLinesAtMost1000(t *testing.T) {
 		t.Fatal("the golden run printed no util line")
 	}
 }
+
+// TestWorkerCyclesAccountTheStages: the workers table's cost rows add up
+// to its total, and that total is what the worker stages of a run
+// measure per chunk, within a cycle per packet — every cycle a worker
+// spends on a full-load chunk is named by a model constant. The total
+// exceeds the budget at the paper's rate, which is what puts the
+// workers beside the masters in deviation 1.
+func TestWorkerCyclesAccountTheStages(t *testing.T) {
+	r := goldenResult(t, "workers")
+	rows := map[string][]Cell{}
+	var sum float64
+	costs := true // the rows above the total
+	for _, row := range r.Rows {
+		label := row[0].text()
+		rows[label] = row
+		costs = costs && label != "total"
+		if costs {
+			sum += row[2].V
+		}
+	}
+	total, measured, budget := rows["total"], rows["measured"], rows["budget at paper Gbps"]
+	if total == nil || measured == nil || budget == nil {
+		t.Fatalf("want total, measured and budget rows in %v", r.Rows)
+	}
+	if math.Abs(sum-total[2].V) > 0.5 {
+		t.Errorf("cost rows sum to %.1f cycles, the total row reads %.1f", sum, total[2].V)
+	}
+	if math.Abs(measured[2].V-total[2].V) > 256 {
+		t.Errorf("the worker stages measure %.0f cycles per chunk, the model constants account %.0f", measured[2].V, total[2].V)
+	}
+	if total[3].V <= budget[3].V {
+		t.Errorf("a chunk costs %.2f us, within the %.2f us budget: the workers would not bind", total[3].V, budget[3].V)
+	}
+}
