@@ -49,15 +49,17 @@ lint:
 # reads the chunk cap at each fetch instead of once per round, a link-up
 # that leaves the RX queues down, an AES-CTR counter starting at 2, an
 # Internet checksum that drops its carry between 64-bit words, a server
-# that counts service when it is booked, a second core.New( caller) and
+# that counts service when it is booked, a second core.New( caller, a
+# link that flushes a posted message before its send window, windows
+# off the lookahead grid) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
 # the golden schedule digests, the fabric's model check and the golden
 # files, the fabric ledger, the server span test and the golden util
 # lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
-# util and share checks and FuzzServerBusy, the one-path gates) fails
-# on it.
+# util and share checks and FuzzServerBusy, the one-path gates, the
+# fabric's goroutine oracle, the golden files) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

@@ -600,11 +600,10 @@ func drawFlowHash(rng *uint64) uint32 {
 // single server: the batch starts at s = max(now, fwdFree) and leaves
 // at e = s + fwdTime. A node down at s drops it without spending the
 // budget; otherwise it is routed at e with the carrier as it is at e.
-// A batch whose s or e passes the horizon stays in flight. Everything
-// a forwarder task would have done at s and e is decided here, at the
-// arrival, and the batch leaves through Post at e, so the fabric
-// spends one engine event per forwarding operation: the delivery that
-// brought the batch in.
+// A batch whose s or e passes the horizon stays in flight. What
+// happens at s and e is decided here, at the arrival, and the batch
+// leaves through Post at e, so the fabric spends one engine event per
+// forwarding operation: the one that brought the batch in.
 func (nd *fabricNode) arrive(b batch) {
 	now := nd.env.Now()
 	s := max(now, nd.fwdFree)
@@ -632,17 +631,17 @@ func (nd *fabricNode) arrive(b batch) {
 	nd.route(e, b)
 }
 
-// route sends a batch that leaves its forwarding budget at now onward.
+// route sends a batch that leaves its forwarding budget at e onward.
 // Local deliveries pass through the external-port recurrence and count
 // as delivered only if the port finishes them by the horizon, and as
 // late otherwise. Transit batches pick an egress slot via the topology,
 // serialize on the per-slot wire recurrence, and leave through Post,
-// sent at now.
-func (nd *fabricNode) route(now sim.Time, b batch) {
+// sent at e.
+func (nd *fabricNode) route(e sim.Time, b batch) {
 	nd.forwards++
 	b.hops++
 	if int(b.dst) == nd.id {
-		end := max(now, nd.extFree) + sim.Time(nd.extTime)
+		end := max(e, nd.extFree) + sim.Time(nd.extTime)
 		nd.extFree = end
 		if end <= nd.horizon {
 			nd.delivered++
@@ -663,7 +662,7 @@ func (nd *fabricNode) route(now sim.Time, b batch) {
 		nd.routeDrops++
 		return
 	}
-	dep := max(now, nd.txFree[slot]) + sim.Time(nd.txTime[slot])
+	dep := max(e, nd.txFree[slot]) + sim.Time(nd.txTime[slot])
 	nd.txFree[slot] = dep
-	nd.out[slot].Post(now, dep, b)
+	nd.out[slot].Post(e, dep, b)
 }

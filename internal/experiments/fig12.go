@@ -233,16 +233,16 @@ func workerCycles(c *Ctx) *Result {
 			&pktgen.UDP4Source{Size: size, Seed: 11, Table: entries},
 			packetshader.WithMode(core.ModeGPU), packetshader.WithPacketSize(size)))
 		defer inst.Close()
-		warm := inst.Run(appWarmup)
-		rep := inst.Run(appWindow)
+		before := inst.Run(appWarmup).Stages
+		after := inst.Run(appWindow).Stages
 		var d sim.Duration
 		for i, name := range core.StageNames {
 			switch name {
 			case "rx_fetch", "pre_shade", "post_shade", "tx":
-				d += rep.Stages.Time[i] - warm.Stages.Time[i]
+				d += after.Time[i] - before.Time[i]
 			}
 		}
-		return d / sim.Duration(rep.Stages.Chunks-warm.Stages.Chunks)
+		return d / sim.Duration(after.Chunks-before.Chunks)
 	})[0]
 	r.AddRow(Label("measured"), Label("worker stages"), Num("%.0f", model.CyclesOf(measured)), Num("%.2f", measured.Microseconds()), Label("-"))
 	workers := model.NumNodes * (model.CoresPerNode - 1)

@@ -21,11 +21,11 @@ import (
 // [kW, (k+1)W). At the window barrier, messages sent in the window
 // (Link.Post may send one ahead of its sender's clock) are delivered
 // serially — links in creation order, messages in send order — by
-// scheduling arrival events into the destination environments. Each destination assigns those events its own
-// (at, seq) order at that deterministic insertion point, so the next
-// window executes them exactly as a serial run would: the worker count
-// changes only which host goroutine drives a partition, never the event
-// order within one.
+// scheduling arrival events into the destination environments. Each
+// destination assigns those events its own (at, seq) order at that
+// deterministic insertion point, so the next window executes them
+// exactly as a serial run would: the worker count changes only which
+// host goroutine drives a partition, never the event order within one.
 type World struct {
 	parts     []*Partition
 	links     []flusher

@@ -17,8 +17,9 @@
 # subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
-# server-span, golden, replay, FuzzCTR, FuzzChecksum, busy-time and
-# one-path checks failing on mutations of their own kind.
+# server-span, golden, replay, FuzzCTR, FuzzChecksum, busy-time,
+# one-path and fabric-oracle checks failing on mutations of their own
+# kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
