@@ -43,7 +43,8 @@ lint:
 # by every fabric node, one violation per pslint analyzer, a slow
 # host-to-device copy, a Buf kept after an app drop, a blocking call in
 # a ctrl callback, a global math/rand draw, a TX DMA completion off by
-# one step, an event heap without its seq tie-break, VLB spread over
+# one step, an event heap without its seq tie-break (in before and in
+# the child pick), VLB spread over
 # n-1 intermediates in the analytic model, an uncounted fabric node
 # drop, a server chain that stops counting its services, a worker that
 # reads the chunk cap at each fetch instead of once per round, a link-up
@@ -51,7 +52,9 @@ lint:
 # Internet checksum that drops its carry between 64-bit words, a server
 # that counts service when it is booked, a second core.New( caller, a
 # link that flushes a posted message before its send window, windows
-# off the lookahead grid) and
+# off the lookahead grid, a leaf that skips its live-slot scan after a
+# link went down, an inbox peak that counts a batch whose budget starts
+# at the arrival as waiting) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
@@ -59,7 +62,8 @@ lint:
 # files, the fabric ledger, the server span test and the golden util
 # lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
 # util and share checks and FuzzServerBusy, the one-path gates, the
-# fabric's goroutine oracle, the golden files) fails on it.
+# fabric's goroutine oracle, the golden files, the oracle twice more)
+# fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

@@ -116,10 +116,11 @@ func BenchmarkFabricWorkers(b *testing.B) {
 // benchmark, so `make profile` can see where its host time goes: a
 // 64-leaf × 8-spine leaf–spine with 2 uplinks per pair, 640 Gbps of
 // uniform load in Zipf 1.1 flows, 50 µs links, 20 ms of virtual time,
-// serial advance (20e6 sim-ns/op). Every wake-up in it is a node's
-// generator or forwarder task, which makes ns/op the price of the
-// engine's process machinery; FabricWorkers/p1 is a 16-node full mesh
-// and not what bench/ runs.
+// serial advance (20e6 sim-ns/op). Every wake-up in it is a link
+// delivery or a node's generator step (the forwarding budget is
+// arithmetic in arrive), which makes ns/op the price of the engine's
+// event store and window barriers plus the per-batch routing;
+// FabricWorkers/p1 is a 16-node full mesh and not what bench/ runs.
 func BenchmarkFabricLS64(b *testing.B) {
 	cfg := cluster.FabricConfig{
 		Topo: &cluster.LeafSpine{

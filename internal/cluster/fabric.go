@@ -169,6 +169,7 @@ type fabricNode struct {
 	faults    []faults.Event
 	nextFault int
 	alive     []bool // per-slot link carrier, read when a budget ends
+	down      int    // slots of alive that are false
 	up        bool   // node liveness, read when a budget starts
 
 	fwdFree sim.Time           // forwarding-budget free time
@@ -232,14 +233,18 @@ func (a *genSlot) before(b *genSlot) bool {
 type genHeap []genSlot
 
 // down sifts the hole at i down to where g belongs and puts g there.
+// It picks the smaller child with 0/1 arithmetic, as sim's event heap
+// does and for its reason: which child is smaller is a coin toss the
+// CPU cannot predict, and arithmetic has no branch to mispredict.
 func (h genHeap) down(i int, g genSlot) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
-			c = r
+		if r := c + 1; r < len(h) {
+			rc, lc := &h[r], &h[c]
+			c += b2i(rc.next < lc.next) | b2i(rc.next == lc.next)&b2i(rc.dst < lc.dst)
 		}
 		if !h[c].before(&g) {
 			break
@@ -248,6 +253,14 @@ func (h genHeap) down(i int, g genSlot) {
 		i = c
 	}
 	h[i] = g
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // init orders arbitrary slots into a heap.
@@ -519,7 +532,14 @@ func (nd *fabricNode) faultsAt(t sim.Time) {
 		nd.nextFault++
 		switch ev.Kind {
 		case faults.KindLinkDown, faults.KindLinkUp:
-			nd.alive[ev.Port] = ev.Kind == faults.KindLinkUp
+			if up := ev.Kind == faults.KindLinkUp; nd.alive[ev.Port] != up {
+				nd.alive[ev.Port] = up
+				if up {
+					nd.down--
+				} else {
+					nd.down++
+				}
+			}
 		case faults.KindGPUFail, faults.KindGPURepair:
 			nd.up = ev.Kind == faults.KindGPURepair
 		}
@@ -657,7 +677,11 @@ func (nd *fabricNode) route(e sim.Time, b batch) {
 		}
 		return
 	}
-	slot, ok := nd.topo.NextHop(nd.id, int(b.src), int(b.dst), b.hash, nd.alive)
+	alive := nd.alive
+	if nd.down == 0 {
+		alive = nil // every slot up: the topology needs no scan
+	}
+	slot, ok := nd.topo.NextHop(nd.id, int(b.src), int(b.dst), b.hash, alive)
 	if !ok {
 		nd.routeDrops++
 		return

@@ -292,15 +292,34 @@ func TestGenHeapMatchesLinearScan(t *testing.T) {
 
 // oracleNode is what the goroutine oracle keeps per node beside the
 // fabricNode whose counters it writes: the forwarder's inbox queue, the
-// liveness its fault callbacks toggle, and whether a batch is in its
-// budget.
+// liveness its fault callbacks toggle, whether a batch is in its budget
+// and until when, and whether the forwarder waits in Get.
 type oracleNode struct {
 	nd    *fabricNode
 	inbox *sim.Queue[batch]
 	up    bool
 	alive []bool
 	busy  bool
-	peak  int // deepest inbox seen before a Get
+	until sim.Time // the budget's end while busy
+	idle  bool     // in Get: the forwarder takes the next batch on arrival
+	peak  int      // most batches waiting at an arrival (put)
+}
+
+// put is a batch's arrival at the oracle's inbox, by link or from the
+// generator. It counts the batches waiting for the budget, the arriving
+// one included, as fabricNode.arrive does: every batch in the inbox but
+// the head when the forwarder takes the head at this instant (it is
+// idle, or its budget ends now) — a batch whose budget starts now is no
+// longer waiting. The count does not depend on whether the forwarder's
+// wake-up at this instant runs before or after the arrival, which the
+// inbox depth alone would.
+func (o *oracleNode) put(b batch) {
+	o.inbox.TryPut(b)
+	n := o.inbox.Len()
+	if n > 1 && (o.idle || o.busy && o.until == o.nd.env.Now()) {
+		n--
+	}
+	o.peak = max(o.peak, n)
 }
 
 // runFabricOracle is RunFabric with the fabric as it ran before the
@@ -314,7 +333,7 @@ func runFabricOracle(cfg FabricConfig) (FabricResult, FabricMetrics, error) {
 	f, err := newFabric(cfg, func(nd *fabricNode) func(batch) {
 		o := &oracleNode{nd: nd, inbox: sim.NewQueue[batch](nd.env, 0), up: true}
 		on = append(on, o)
-		return func(b batch) { o.inbox.TryPut(b) }
+		return o.put
 	})
 	if err != nil {
 		return FabricResult{}, FabricMetrics{}, err
@@ -344,10 +363,7 @@ func runFabricOracle(cfg FabricConfig) (FabricResult, FabricMetrics, error) {
 		if o.busy {
 			o.nd.inFlight++
 		}
-		// Only the forwarder takes from the inbox, so between takes the
-		// depth only grows: its peak is the depth before some take or
-		// the depth left at the horizon.
-		o.nd.inboxPeak = max(o.peak, o.inbox.Len())
+		o.nd.inboxPeak = o.peak
 	}
 	return f.result(), f.metrics(), nil
 }
@@ -409,18 +425,18 @@ func (o *oracleNode) generate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
 			b.hash = flowHash[j]
 		}
 		nd.genBatches++
-		o.inbox.TryPut(b) // unbounded: own ingress enters the local inbox
+		o.put(b) // unbounded: own ingress enters the local inbox
 		next[j] += sim.Time(interval[j])
 	}
 }
 
 // forward is the forwarder as a goroutine process, body verbatim from
 // before the task rewrite but for the ledger's state (busy around the
-// budget, late past the horizon) and the inbox depth it measures before
-// each Get, as the forwarder task did: the oracle for fabricNode.arrive
-// and .route, for the fault timeline, and — it calls gbpsTime with the
-// topology's rates at every hop — for the per-run fwdTime/extTime/txTime
-// constants.
+// budget, late past the horizon) and what put reads to count the
+// waiting batches (idle around Get, the budget's end): the oracle for
+// fabricNode.arrive and .route, for the fault timeline, and — it calls
+// gbpsTime with the topology's rates at every hop — for the per-run
+// fwdTime/extTime/txTime constants.
 func (o *oracleNode) forward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
 	nd := o.nd
 	fwdGbps := topo.ForwardGbps(nd.id)
@@ -433,14 +449,16 @@ func (o *oracleNode) forward(p *sim.Proc, cfg *FabricConfig, topo Topology) {
 		}
 	}
 	for {
-		o.peak = max(o.peak, o.inbox.Len())
+		o.idle = true
 		b := o.inbox.Get(p)
+		o.idle = false
 		if !o.up {
 			nd.nodeDrops++
 			continue
 		}
-		o.busy = true
-		p.Sleep(gbpsTime(fwdGbps))
+		budget := gbpsTime(fwdGbps)
+		o.busy, o.until = true, p.Now()+sim.Time(budget)
+		p.Sleep(budget)
 		o.busy = false
 		nd.forwards++
 		b.hops++
@@ -584,6 +602,34 @@ func TestFabricTasksMatchGoroutineOracle(t *testing.T) {
 		}
 		if got != want || gotM.InboxPeak != wantM.InboxPeak || !reflect.DeepEqual(gotM.SlotUtil, wantM.SlotUtil) {
 			t.Errorf("ls64/seed%d: tasks diverged from the goroutine oracle:\n got %+v, inbox peak %d\nwant %+v, inbox peak %d",
+				seed, got, gotM.InboxPeak, want, wantM.InboxPeak)
+		}
+	}
+	// Ties at the peak: node 1 of a two-node mesh forwards at its link's
+	// rate, so the saturated link from node 0 delivers a batch every
+	// budget time, and with node 1's own ingress queued behind them,
+	// every arrival falls on the instant a waiting batch starts its
+	// budget, the peak's among them. That batch no longer waits.
+	for seed := uint64(1); seed <= 2; seed++ {
+		cfg := FabricConfig{
+			Topo: &FullMesh{Scheme: Direct, Cluster: Config{
+				Nodes: 2, ExternalGbps: 40, NodeForwardingGbps: 10, InternalLinkGbps: 10}},
+			Matrix:      Matrix{{0, 10}, {0, 1}},
+			LinkLatency: 50 * sim.Microsecond,
+			Horizon:     2 * sim.Millisecond,
+			Seed:        seed,
+			Workers:     1,
+		}
+		got, gotM, err := RunFabricMetrics(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantM, err := runFabricOracle(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || gotM.InboxPeak != wantM.InboxPeak {
+			t.Errorf("tie/seed%d: tasks diverged from the goroutine oracle:\n got %+v, inbox peak %d\nwant %+v, inbox peak %d",
 				seed, got, gotM.InboxPeak, want, wantM.InboxPeak)
 		}
 	}

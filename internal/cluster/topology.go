@@ -41,11 +41,11 @@ type Topology interface {
 	Links() []TopoLink
 	// NextHop picks the egress slot at node i for a batch of the flow
 	// with RSS hash `hash` that entered the fabric at src and leaves it
-	// at dst (dst != i). alive is node i's per-slot link-up state;
-	// implementations must not pick a dead slot. ok=false means the
-	// batch is unroutable (blackholed) at this node. The flow is passed
-	// by value: a pointer through this interface would put every
-	// forwarded batch on the heap.
+	// at dst (dst != i). alive is node i's per-slot link-up state, nil
+	// when every slot is up; implementations must not pick a dead slot.
+	// ok=false means the batch is unroutable (blackholed) at this node.
+	// The flow is passed by value: a pointer through this interface
+	// would put every forwarded batch on the heap.
 	NextHop(i, src, dst int, hash uint32, alive []bool) (slot int, ok bool)
 	Validate() error
 }
@@ -100,7 +100,7 @@ func (m *FullMesh) NextHop(i, src, dst int, hash uint32, alive []bool) (int, boo
 	if hop > i {
 		slot = hop - 1
 	}
-	return slot, alive[slot]
+	return slot, alive == nil || alive[slot]
 }
 
 // Validate implements Topology.
@@ -182,12 +182,17 @@ func (t *LeafSpine) Links() []TopoLink {
 // slot among all Spines×Uplinks uplinks, so a flow sticks to one path
 // while live-path churn (faults) only remaps hash buckets. At a spine,
 // the same hash picks among the Uplinks parallel links down to the
-// destination leaf.
+// destination leaf. With every slot up (alive == nil) the hash-th live
+// slot is slot lo+hash%(hi-lo), so no scan runs: a scan that stops at
+// a hash-chosen slot mispredicts its exit on nearly every call.
 func (t *LeafSpine) NextHop(i, _, dst int, hash uint32, alive []bool) (int, bool) {
-	lo, hi := 0, len(alive)
+	lo, hi := 0, t.Spines*t.Uplinks
 	if i >= t.Leaves {
 		lo = dst * t.Uplinks
 		hi = lo + t.Uplinks
+	}
+	if alive == nil {
+		return lo + int(hash%uint32(hi-lo)), true
 	}
 	live := 0
 	for s := lo; s < hi; s++ {

@@ -269,3 +269,145 @@ func TestLeafSpineValidation(t *testing.T) {
 		}
 	}
 }
+
+// scanNextHop is NextHop as both topologies had it before alive could
+// be nil: the mesh reads alive[slot], and the leaf–spine walks its slot
+// range twice, counting the live slots and then taking the hash-th.
+func scanNextHop(topo Topology, i, src, dst int, hash uint32, alive []bool) (int, bool) {
+	switch t := topo.(type) {
+	case *FullMesh:
+		hop := dst
+		if t.Scheme == VLB && i == src {
+			if via := int(hash % uint32(t.Cluster.Nodes)); via != src && via != dst {
+				hop = via
+			}
+		}
+		slot := hop
+		if hop > i {
+			slot = hop - 1
+		}
+		return slot, alive[slot]
+	case *LeafSpine:
+		lo, hi := 0, len(alive)
+		if i >= t.Leaves {
+			lo = dst * t.Uplinks
+			hi = lo + t.Uplinks
+		}
+		live := 0
+		for s := lo; s < hi; s++ {
+			if alive[s] {
+				live++
+			}
+		}
+		if live == 0 {
+			return 0, false
+		}
+		pick := int(hash % uint32(live))
+		for s := lo; s < hi; s++ {
+			if alive[s] {
+				if pick == 0 {
+					return s, true
+				}
+				pick--
+			}
+		}
+	}
+	panic("scanNextHop: no slot picked")
+}
+
+// TestNextHopEverySlotUpMatchesScan holds the every-slot-up path of
+// NextHop (alive == nil, no scan) to the scan it skips, over 10^4 flow
+// hashes at a leaf and a spine of a 6×4 leaf–spine with 3 uplinks per
+// pair and at the source and a transit node of an 8-node mesh, Direct
+// and VLB: nil and an all-true slice pick the same slot as scanNextHop
+// does with every slot up. With at least one slot down, in random
+// masks, NextHop still answers exactly as scanNextHop.
+func TestNextHopEverySlotUpMatchesScan(t *testing.T) {
+	ls := &LeafSpine{Leaves: 6, Spines: 4, Uplinks: 3}
+	direct := &FullMesh{Cluster: ps(8), Scheme: Direct}
+	vlb := &FullMesh{Cluster: ps(8), Scheme: VLB}
+	for _, c := range []struct {
+		name        string
+		topo        Topology
+		i, src, dst int
+	}{
+		{"leaf", ls, 1, 1, 4},
+		{"spine", ls, 6 + 2, 0, 5},
+		{"mesh-direct", direct, 2, 2, 6},
+		{"mesh-vlb-source", vlb, 2, 2, 6},
+		{"mesh-vlb-transit", vlb, 4, 2, 6},
+	} {
+		degree := 0
+		for _, l := range c.topo.Links() {
+			if l.From == c.i {
+				degree++
+			}
+		}
+		up := make([]bool, degree)
+		mask := make([]bool, degree)
+		rng := uint64(48)
+		for n := 0; n < 10_000; n++ {
+			hash := uint32(splitmix64(&rng))
+			for s := range up {
+				up[s] = true
+			}
+			wantSlot, wantOK := scanNextHop(c.topo, c.i, c.src, c.dst, hash, up)
+			for _, alive := range [][]bool{nil, up} {
+				if slot, ok := c.topo.NextHop(c.i, c.src, c.dst, hash, alive); slot != wantSlot || ok != wantOK {
+					t.Fatalf("%s: hash %#x, every slot up (nil slice: %v): slot %d ok %v, the scan picks %d ok %v",
+						c.name, hash, alive == nil, slot, ok, wantSlot, wantOK)
+				}
+			}
+			bits := splitmix64(&rng)
+			for s := range mask {
+				mask[s] = bits>>(2*s)&3 != 0 // each slot down with probability 1/4
+			}
+			mask[int(bits>>60)%degree] = false
+			wantSlot, wantOK = scanNextHop(c.topo, c.i, c.src, c.dst, hash, mask)
+			if slot, ok := c.topo.NextHop(c.i, c.src, c.dst, hash, mask); slot != wantSlot || ok != wantOK {
+				t.Fatalf("%s: hash %#x, alive %v: slot %d ok %v, the scan picks %d ok %v",
+					c.name, hash, mask, slot, ok, wantSlot, wantOK)
+			}
+		}
+	}
+}
+
+// TestFaultsAtCountsCarrierChanges: a node's down-slot count, which
+// lets route skip the live-slot scan while it is zero, follows the
+// carrier itself. A link-up of a live slot and a repeated link-down
+// change nothing, so after every fault event the count equals the
+// slots alive marks down.
+func TestFaultsAtCountsCarrierChanges(t *testing.T) {
+	cfg := fabCfg(4, Direct, Uniform(4, 40), 1)
+	plan := faults.NewPlan()
+	for k, e := range []struct {
+		kind faults.Kind
+		port int
+	}{
+		{faults.KindLinkUp, 0}, {faults.KindLinkDown, 1}, {faults.KindLinkDown, 1},
+		{faults.KindLinkDown, 2}, {faults.KindLinkUp, 1}, {faults.KindLinkUp, 1},
+		{faults.KindLinkDown, 1}, {faults.KindLinkUp, 2}, {faults.KindLinkUp, 1},
+	} {
+		plan.Add(faults.Event{At: sim.Duration(k+1) * sim.Microsecond, Kind: e.kind, Node: 0, Port: e.port})
+	}
+	cfg.Faults = plan
+	f, err := newFabric(cfg, func(nd *fabricNode) func(batch) { return nd.arrive })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.world.Close()
+	nd := f.nodes[0]
+	wantDown := []int{0, 1, 1, 2, 1, 1, 2, 1, 0}
+	for k, want := range wantDown {
+		nd.faultsAt(sim.Time(sim.Duration(k+1) * sim.Microsecond))
+		down := 0
+		for _, up := range nd.alive {
+			if !up {
+				down++
+			}
+		}
+		if nd.down != down || down != want {
+			t.Errorf("after event %d: down count %d, alive marks %d down, want %d", k, nd.down, down, want)
+		}
+	}
+}

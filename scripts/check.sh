@@ -162,8 +162,12 @@ go test -race -short ./internal/experiments
 # Internet checksum that drops the carry between its 64-bit words
 # fails FuzzChecksum, a server that counts service when it is booked
 # fails the golden run's util and pipeline share checks and
-# FuzzServerBusy, and a second core.New( caller fails the one-path
-# gates.
+# FuzzServerBusy, a second core.New( caller fails the one-path
+# gates, and a Link.flush that moves every pending message, a leaf
+# that skips its live-slot scan after a link went down and an inbox
+# peak that counts a batch starting at the arrival as waiting fail
+# the fabric's goroutine oracle, and windows off the lookahead grid
+# fail the golden files.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

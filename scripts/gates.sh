@@ -36,7 +36,8 @@
 #	                step early                            the TX oracle and
 #	                                                      the golden files
 #	tie-break       the event heap orders by time alone,
-#	                without (at, seq)'s seq               FuzzEventStore and
+#	                without (at, seq)'s seq, in before
+#	                and in popMin's child pick            FuzzEventStore and
 #	                                                      the golden digests
 #	model-vlb-share Evaluate spreads VLB over n-1
 #	                intermediates instead of n           the fabric's model
@@ -62,6 +63,11 @@
 #	                whatever its send instant             the fabric oracle
 #	window-skip     World windows start at the earliest
 #	                event again, off the lookahead grid   the golden files
+#	ecmp-stale-live faultsAt does not count a slot that
+#	                goes down, so route skips the
+#	                live-slot scan over a dead link       the fabric oracle
+#	inbox-tie       InboxPeak counts a batch whose budget
+#	                starts at the arrival as waiting      the fabric oracle
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -108,7 +114,11 @@
 # window-skip's gate is the -short TestGoldenOutputs: off the grid, the
 # fabric's fewer engine events move the window starts, and with them
 # the order of same-instant arrivals the fabric table was written
-# with.
+# with. ecmp-stale-live and inbox-tie are caught by the fabric oracle
+# too: its goroutine forwarder always scans the live slots, so a leaf
+# that routes onto a link its fault plan took down diverges in the
+# faulted cases; and its tie case puts an arrival on the instant a
+# waiting batch starts its budget, at the peak.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -286,6 +296,8 @@ mutate_tie_break() {
 	f=internal/sim/events.go
 	insert $f 'func (a *event) before(b *event) bool {' '	return a.at < b.at'
 	delete $f 'a.at == b.at && a.seq < b.seq'
+	insert $f 'rc.seq < lc.seq' '			c += b2i(rc.at < lc.at)'
+	delete $f 'rc.seq < lc.seq'
 	gate=$heapgates want="heap popped" want2="counter sim.digest"
 }
 
@@ -316,11 +328,24 @@ mutate_window_skip() {
 	gate=$golden want="fabric differs from"
 }
 
+mutate_ecmp_stale_live() {
+	delete internal/cluster/fabric.go 'nd.down++'
+	gate=$oracle want="diverged from the goroutine oracle"
+}
+
+mutate_inbox_tie() {
+	f=internal/cluster/fabric.go
+	insert $f 'nd.started.Front() <= now' '	for nd.started.Len() > 0 && nd.started.Front() < now {'
+	delete $f 'nd.started.Front() <= now'
+	gate=$oracle want="diverged from the goroutine oracle"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
-		checksum-carry busy-booked second-core-new post-early window-skip
+		checksum-carry busy-booked second-core-new post-early window-skip ecmp-stale-live \
+		inbox-tie
 fi
 
 status=0
@@ -353,6 +378,8 @@ for m in "$@"; do
 	second-core-new) mutate_second_core_new ;;
 	post-early) mutate_post_early ;;
 	window-skip) mutate_window_skip ;;
+	ecmp-stale-live) mutate_ecmp_stale_live ;;
+	inbox-tie) mutate_inbox_tie ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2

@@ -8,8 +8,8 @@
 # configuration: the gateway's real AES-CTR and HMAC-SHA1 over 1514 B
 # frames), FabricWorkers at p1 and p8 (conservative-parallel cluster
 # fabric, serial and partitioned advance, a 16-node full mesh), FabricLS64 (bench/'s fabric-ls64
-# configuration: the 64×8 leaf–spine whose host time is all engine and
-# forwarder tasks) and LeafSpineScale/l128 (144 partitions, 8,192
+# configuration: the 64×8 leaf–spine whose host time is all engine:
+# link deliveries and generator steps) and LeafSpineScale/l128 (144 partitions, 8,192
 # links: the most Envs and links the repository runs, so the first
 # place an event store or a window barrier that stops fitting would
 # show) — with CPU and allocation profiling enabled, and drops
