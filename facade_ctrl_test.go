@@ -2,6 +2,7 @@ package packetshader_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -32,6 +33,11 @@ func TestValidateBoundaries(t *testing.T) {
 		{"gather max 0", packetshader.WithGatherMax(0), false},
 		{"gather max 1", packetshader.WithGatherMax(1), true},
 		{"offered -1", packetshader.WithOfferedGbps(-1), false},
+		{"offered NaN", packetshader.WithOfferedGbps(math.NaN()), false},
+		{"offered +Inf", packetshader.WithOfferedGbps(math.Inf(1)), false},
+		{"offered 0", packetshader.WithOfferedGbps(0), true},
+		{"offered 1e-7", packetshader.WithOfferedGbps(1e-7), false},
+		{"offered 1e-6", packetshader.WithOfferedGbps(1e-6), true},
 		{"fib mode 99", packetshader.WithFIBUpdate(packetshader.FIBUpdateMode(99)), false},
 	} {
 		_, err := packetshader.IPv4(500, 1, c.opt)

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
@@ -267,13 +268,20 @@ func New(app core.App, src Source, opts ...Option) (*Instance, error) {
 	return inst, nil
 }
 
+// minOfferedGbps is the smallest positive offered load per port, 1
+// kbit/s. An RX queue waits 1/rate for its next packet, and at about
+// 1e-11 Gbps and 1514 B that wait no longer fits the picosecond clock.
+const minOfferedGbps = 1e-6
+
 // validate rejects configurations the models are not calibrated for.
 func validate(cfg *core.Config) error {
 	switch {
 	case cfg.PacketSize < 64 || cfg.PacketSize > 1514:
 		return fmt.Errorf("packetshader: packet size %d outside 64..1514", cfg.PacketSize)
-	case cfg.OfferedGbpsPerPort < 0:
-		return fmt.Errorf("packetshader: negative offered load %g Gbps", cfg.OfferedGbpsPerPort)
+	case !(cfg.OfferedGbpsPerPort >= 0) || math.IsInf(cfg.OfferedGbpsPerPort, 1): // NaN fails the first test
+		return fmt.Errorf("packetshader: offered load %g Gbps is not a finite non-negative rate", cfg.OfferedGbpsPerPort)
+	case cfg.OfferedGbpsPerPort > 0 && cfg.OfferedGbpsPerPort < minOfferedGbps:
+		return fmt.Errorf("packetshader: offered load %g Gbps is positive but below %g", cfg.OfferedGbpsPerPort, minOfferedGbps)
 	case cfg.Streams < 1:
 		return fmt.Errorf("packetshader: streams %d < 1", cfg.Streams)
 	case cfg.ChunkCap < 1:

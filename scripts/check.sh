@@ -12,7 +12,7 @@
 # status on a capture it cannot write, short FuzzDecap,
 # FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript,
 # FuzzEventStore, FuzzServerBusy, FuzzDecode, FuzzChecksum,
-# FuzzDynamicTable and FuzzApplyMods runs,
+# FuzzDynamicTable, FuzzApplyMods and FuzzFacadeOptions runs,
 # race tests on the concurrency-bearing packages and on the golden
 # subset (table1 launch fig2 table3 fig5 fabric), and scripts/gates.sh,
 # which shows the race, pslint, paper-point, packet-ledger, engine,
@@ -97,7 +97,7 @@ GOARCH=386 go test ./internal/experiments
 echo "== bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzServerBusy, FuzzDecode, FuzzChecksum, FuzzDynamicTable, FuzzApplyMods, 5s each)"
+echo "== fuzz smoke (FuzzDecap, FuzzCTR, FuzzHMACSHA1, FuzzPcapReader, FuzzParseScript, FuzzEventStore, FuzzServerBusy, FuzzDecode, FuzzChecksum, FuzzDynamicTable, FuzzApplyMods, FuzzFacadeOptions, 5s each)"
 go test -run '^$' -fuzz FuzzDecap -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzCTR -fuzztime 5s ./internal/ipsec
 go test -run '^$' -fuzz FuzzHMACSHA1 -fuzztime 5s ./internal/ipsec
@@ -109,6 +109,7 @@ go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz FuzzChecksum -fuzztime 5s ./internal/packet
 go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
 go test -run '^$' -fuzz FuzzApplyMods -fuzztime 5s ./internal/openflow
+go test -run '^$' -fuzz FuzzFacadeOptions -fuzztime 5s .
 
 echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments; one §4 worker loop; one decoder"
 ./scripts/onepath.sh
