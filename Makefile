@@ -54,7 +54,8 @@ lint:
 # link that flushes a posted message before its send window, windows
 # off the lookahead grid, a leaf that skips its live-slot scan after a
 # link went down, an inbox peak that counts a batch whose budget starts
-# at the arrival as waiting) and
+# at the arrival as waiting, a GPU launch latency booked off the exec
+# engine, the IOH's coupling one ulp low) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
@@ -62,8 +63,8 @@ lint:
 # files, the fabric ledger, the server span test and the golden util
 # lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
 # util and share checks and FuzzServerBusy, the one-path gates, the
-# fabric's goroutine oracle, the golden files, the oracle twice more)
-# fails on it.
+# fabric's goroutine oracle, the golden files, the oracle twice more,
+# the full paper points, the full golden files) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

@@ -288,7 +288,7 @@ func ExampleIPsec() {
 	//
 	// IPsec gateway throughput, input Gbps (CPU-only vs CPU+GPU):
 	//     64B:    3.2   10.8
-	//    512B:    5.5   20.2
-	//   1514B:    6.3   20.5
+	//    512B:    5.5   20.0
+	//   1514B:    6.3   19.7
 	// paper: 2.9-5.7 CPU-only; 10.2 (64B) to 20.0 (1514B) CPU+GPU
 }

@@ -38,6 +38,10 @@ func TestValidateBoundaries(t *testing.T) {
 		{"offered 0", packetshader.WithOfferedGbps(0), true},
 		{"offered 1e-7", packetshader.WithOfferedGbps(1e-7), false},
 		{"offered 1e-6", packetshader.WithOfferedGbps(1e-6), true},
+		{"offered 10", packetshader.WithOfferedGbps(10), true},
+		{"offered 10.5", packetshader.WithOfferedGbps(10.5), false},
+		{"offered 1e6", packetshader.WithOfferedGbps(1e6), false},
+		{"offered 1e20", packetshader.WithOfferedGbps(1e20), false},
 		{"fib mode 99", packetshader.WithFIBUpdate(packetshader.FIBUpdateMode(99)), false},
 	} {
 		_, err := packetshader.IPv4(500, 1, c.opt)

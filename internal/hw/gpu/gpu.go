@@ -53,10 +53,7 @@ func (k *KernelSpec) ExecTime(threads, streamBytes int) sim.Duration {
 	}
 	t := float64(threads)
 	// Throughput terms (saturated device).
-	div := k.DivergenceFactor
-	if div < 1 {
-		div = 1
-	}
+	div := max(k.DivergenceFactor, 1)
 	compute := t * k.ComputeCycles * div / (model.GPUCores * model.GPUFreqHz)
 	mem := t * k.RandomAccesses / model.GPURandomAccessPerSec
 	var stream, perThread float64
@@ -68,19 +65,9 @@ func (k *KernelSpec) ExecTime(threads, streamBytes int) sim.Duration {
 	// below one serial chain; with more threads than the device can
 	// keep resident, the chain repeats per "round".
 	maxResident := float64(model.GPUSMs * model.GPUMaxWarpsPerSM * model.GPUWarpSize)
-	rounds := 1.0
-	if t > maxResident {
-		rounds = t / maxResident
-	}
+	rounds := max(t/maxResident, 1)
 	floor := k.RandomAccesses * model.GPUDevMemLatencyNs * 1e-9 * rounds
-
-	exec := compute
-	for _, v := range []float64{mem, stream, perThread, floor} {
-		if v > exec {
-			exec = v
-		}
-	}
-	return sim.DurationFromSeconds(exec)
+	return sim.DurationFromSeconds(max(compute, mem, stream, perThread, floor))
 }
 
 // Device is one GTX480 attached to an IOH via a PCIe x16 link.
@@ -94,9 +81,12 @@ type Device struct {
 	// Launches and ThreadsRun accumulate usage statistics.
 	Launches   uint64
 	ThreadsRun uint64
-	// Parts sums the round trips of the Launch calls completed so far,
-	// part by part.
+	// Parts sums the round trips of the one-stream launches completed so
+	// far, part by part.
 	Parts LaunchParts
+	// ends holds the current launch's kernel completions, one per
+	// stream, reused so that a launch allocates nothing.
+	ends []sim.Time
 
 	// failed marks the device as stalled/failed (fault injection): a
 	// failed device never completes a launch — LaunchChecked times out
@@ -114,7 +104,7 @@ type Device struct {
 	track obs.TrackID
 }
 
-// The parts of a launch's round trip, in the order Launch waits them out.
+// The parts of a one-stream launch's round trip, in time order.
 const (
 	PartH2D     = iota // the host-to-device copy
 	PartLatency        // the launch latency
@@ -127,8 +117,8 @@ const (
 // PartNames name the parts, in part order.
 var PartNames = [NumParts]string{"h2d", "latency", "exec", "d2h", "sync"}
 
-// LaunchParts sums the round trips of Launches launches, part by part.
-// LaunchStreams over more than one stream, whose parts overlap, adds
+// LaunchParts sums the round trips of Launches one-stream launches, part
+// by part. A launch over more than one stream, whose parts overlap, adds
 // nothing.
 type LaunchParts struct {
 	Launches uint64
@@ -160,12 +150,12 @@ func (d *Device) Repair() { d.failed = false }
 // Healthy reports whether the device currently completes launches.
 func (d *Device) Healthy() bool { return !d.failed }
 
-// LaunchChecked is Launch/LaunchStreams guarded by a host-side watchdog
-// (the master's recovery path): on a healthy device it behaves exactly
-// like Launch (or LaunchStreams when nStreams > 1) and returns true; on
-// a failed device the caller blocks for the watchdog timeout — the time
-// a real driver waits before declaring the launch hung — runs no
-// functional work, and gets false so it can fall back to the CPU path.
+// LaunchChecked is launch over nStreams streams (one when nStreams < 1)
+// guarded by a host-side watchdog (the master's recovery path): on a
+// healthy device it books the launch and returns true; on a failed
+// device the caller blocks for the watchdog timeout — the time a real
+// driver waits before declaring the launch hung — runs no functional
+// work, and gets false so it can fall back to the CPU path.
 func (d *Device) LaunchChecked(p *sim.Proc, spec *KernelSpec, watchdog sim.Duration, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) bool {
 	if threads <= 0 {
 		return true
@@ -178,11 +168,7 @@ func (d *Device) LaunchChecked(p *sim.Proc, spec *KernelSpec, watchdog sim.Durat
 			obs.Arg{Key: "threads", Val: int64(threads)})
 		return false
 	}
-	if nStreams > 1 {
-		d.LaunchStreams(p, spec, nStreams, threads, inBytes, outBytes, streamBytes, fn)
-	} else {
-		d.Launch(p, spec, threads, inBytes, outBytes, streamBytes, fn)
-	}
+	d.launch(p, spec, max(nStreams, 1), threads, inBytes, outBytes, streamBytes, fn)
 	return true
 }
 
@@ -193,100 +179,82 @@ func (d *Device) EnableTrace(tr *obs.Tracer) {
 	d.track = tr.Track("devices", "gpu"+strconv.Itoa(d.Node))
 }
 
-// Launch runs one synchronous GPU round trip from the calling (master)
-// process: host→device copy of inBytes, kernel execution of threads work
-// items, device→host copy of outBytes, plus launch latency and the
-// host-side driver sync overhead. fn is the kernel's functional work,
-// executed once (it should process the whole batch). The call blocks p
-// for the full round trip and returns its duration.
+// Launch is launch's one-stream case, the round trip PacketShader's
+// master runs (§5.1). It returns the round trip's duration.
 func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outBytes, streamBytes int, fn func()) sim.Duration {
+	return d.launch(p, spec, 1, threads, inBytes, outBytes, streamBytes, fn)
+}
+
+// launch runs one synchronous GPU round trip from the calling (master)
+// process over n ≥ 1 streams, the batch split into n equal slices
+// ("concurrent copy and execution" when n > 1, §5.4). At the start it
+// books each slice's H2D copy and, from the copy's end, its launch
+// latency and kernel on the exec engine. At each kernel's end the master
+// wakes and books that slice's D2H copy. fn, the kernel's functional
+// work over the whole batch, runs at the last kernel's end; the master
+// then sleeps once, until the last copy is done plus the driver sync.
+func (d *Device) launch(p *sim.Proc, spec *KernelSpec, n, threads, inBytes, outBytes, streamBytes int, fn func()) sim.Duration {
 	start := p.Now()
 	if threads <= 0 {
 		return 0
 	}
 	d.Launches++
 	d.ThreadsRun += uint64(threads)
-
-	if inBytes > 0 {
-		d.Link.CopyH2D(p, inBytes)
+	per := func(total int) int { return (total + n - 1) / n }
+	// The launch latency grows with the thread count, so it is device
+	// work: one latency per stream is what makes streams hurt a light
+	// kernel.
+	latency := model.GPULaunchTime(per(threads))
+	kernel := latency + spec.ExecTime(per(threads), per(streamBytes))
+	h2d := start
+	d.ends = d.ends[:0]
+	for range n {
+		if inBytes > 0 {
+			h2d = d.Link.ScheduleH2D(per(inBytes))
+		}
+		d.ends = append(d.ends, d.exec.ScheduleAt(h2d, kernel))
 	}
-	h2dDone := p.Now()
-	d.trace.SpanUntil(d.track, "h2d", start, h2dDone,
+	var kernelDone, d2h sim.Time
+	for _, kernelDone = range d.ends {
+		p.SleepUntil(kernelDone)
+		d2h = kernelDone
+		if outBytes > 0 {
+			d2h = d.Link.ScheduleD2H(per(outBytes))
+		}
+	}
+	if fn != nil {
+		fn()
+	}
+	sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
+	p.SleepUntil(d2h + sim.Time(sync))
+	end := p.Now()
+	if n > 1 {
+		// The slices overlap: the launch is one span and adds no Parts.
+		if d.trace.Enabled() {
+			d.trace.SpanUntil(d.track, "launch-streams:"+spec.Name, start, end,
+				obs.Arg{Key: "threads", Val: int64(threads)},
+				obs.Arg{Key: "streams", Val: int64(n)})
+		}
+		return sim.Duration(end - start)
+	}
+	d.trace.SpanUntil(d.track, "h2d", start, h2d,
 		obs.Arg{Key: "bytes", Val: int64(inBytes)})
-	latency := model.GPULaunchTime(threads)
-	p.Sleep(latency)
-	exec := d.exec.Use(p, spec.ExecTime(threads, streamBytes))
-	// The kernel span includes launch latency and exec-engine queueing:
-	// it is the launch's wall view, while the exec server's own busy
-	// span (via sim hooks) isolates pure execution. Its name is built
-	// only for a tracer that will keep it.
+	// The kernel span is the launch's view, latency and queueing included.
 	if d.trace.Enabled() {
-		d.trace.SpanUntil(d.track, "kernel:"+spec.Name, h2dDone, p.Now(),
+		d.trace.SpanUntil(d.track, "kernel:"+spec.Name, h2d, kernelDone,
 			obs.Arg{Key: "threads", Val: int64(threads)})
 	}
-	if fn != nil {
-		fn()
-	}
-	d2hStart := p.Now()
 	if outBytes > 0 {
-		d.Link.CopyD2H(p, outBytes)
-		d.trace.SpanUntil(d.track, "d2h", d2hStart, p.Now(),
+		d.trace.SpanUntil(d.track, "d2h", kernelDone, d2h,
 			obs.Arg{Key: "bytes", Val: int64(outBytes)})
 	}
-	syncStart := p.Now()
-	// Host-side driver round-trip overhead (synchronization, completion
-	// notification) — the dominant fixed cost for small batches.
-	sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
-	p.Sleep(sync)
-	d.trace.SpanUntil(d.track, "sync", syncStart, p.Now())
-	pt := &d.Parts
-	pt.Launches++
-	pt.Time[PartH2D] += sim.Duration(h2dDone - start)
-	pt.Time[PartLatency] += latency
-	pt.Time[PartExec] += exec
-	pt.Time[PartD2H] += sim.Duration(syncStart - d2hStart)
-	pt.Time[PartSync] += sync
-	return sim.Duration(p.Now() - start)
-}
-
-// LaunchStreams is the "concurrent copy and execution" variant (§5.4,
-// Figure 10(c)): the batch is split into nStreams slices whose copies
-// and kernel executions overlap. Per-call CUDA overhead grows with
-// stream count (the paper notes multiple streams hurt lightweight
-// kernels), modelled as one extra launch latency per stream.
-func (d *Device) LaunchStreams(p *sim.Proc, spec *KernelSpec, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) sim.Duration {
-	if nStreams <= 1 {
-		return d.Launch(p, spec, threads, inBytes, outBytes, streamBytes, fn)
+	d.trace.SpanUntil(d.track, "sync", d2h, end)
+	d.Parts.Launches++
+	at := [NumParts + 1]sim.Time{start, h2d, h2d + sim.Time(latency), kernelDone, d2h, end}
+	for i := range d.Parts.Time {
+		d.Parts.Time[i] += sim.Duration(at[i+1] - at[i])
 	}
-	start := p.Now()
-	d.Launches++
-	d.ThreadsRun += uint64(threads)
-
-	per := func(total int) int { return (total + nStreams - 1) / nStreams }
-	var lastD2H sim.Time
-	for s := 0; s < nStreams; s++ {
-		// Copy-in of slice s occupies the link; the kernel for slice s
-		// starts when both its copy and the previous slice's kernel
-		// finish; its copy-out starts when the kernel is done.
-		h2dDone := d.Link.ScheduleH2D(per(inBytes))
-		lt := model.GPULaunchTime(per(threads))
-		execDur := spec.ExecTime(per(threads), per(streamBytes))
-		kernelDone := d.exec.ScheduleAt(h2dDone, lt+execDur)
-		lastD2H = d.Link.ScheduleD2HAt(kernelDone, per(outBytes))
-	}
-	if fn != nil {
-		fn()
-	}
-	p.SleepUntil(lastD2H)
-	p.Sleep(sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond)))
-	// Streamed copies/kernels are interleaved; the per-engine busy spans
-	// (sim hooks) carry the detail, so the launch view is one span.
-	if d.trace.Enabled() {
-		d.trace.SpanUntil(d.track, "launch-streams:"+spec.Name, start, p.Now(),
-			obs.Arg{Key: "threads", Val: int64(threads)},
-			obs.Arg{Key: "streams", Val: int64(nStreams)})
-	}
-	return sim.Duration(p.Now() - start)
+	return sim.Duration(end - start)
 }
 
 // ---------------------------------------------------------------------------

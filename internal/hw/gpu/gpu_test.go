@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/rand"
 	"testing"
 
 	"packetshader/internal/hw/pcie"
@@ -10,6 +11,166 @@ import (
 
 func newDevice(env *sim.Env) *Device {
 	return New(env, pcie.NewIOH(env, 0), 0)
+}
+
+// checked runs one LaunchChecked on a healthy device and returns its
+// round trip.
+func checked(p *sim.Proc, dev *Device, spec *KernelSpec, streams, threads, inBytes, outBytes, streamBytes int) sim.Duration {
+	start := p.Now()
+	dev.LaunchChecked(p, spec, sim.Millisecond, streams, threads, inBytes, outBytes, streamBytes, nil)
+	return sim.Duration(p.Now() - start)
+}
+
+// referenceLaunch is the blocking one-stream launch that launch's
+// bookings replaced, kept as their oracle: it waits out the H2D copy,
+// the launch latency, the exec engine, the D2H copy and the driver sync
+// in turn, and books the latency off the exec engine.
+func referenceLaunch(d *Device, p *sim.Proc, spec *KernelSpec, threads, inBytes, outBytes, streamBytes int) sim.Duration {
+	start := p.Now()
+	if threads <= 0 {
+		return 0
+	}
+	d.Launches++
+	d.ThreadsRun += uint64(threads)
+	if inBytes > 0 {
+		d.Link.CopyH2D(p, inBytes)
+	}
+	h2dDone := p.Now()
+	latency := model.GPULaunchTime(threads)
+	p.Sleep(latency)
+	exec := d.exec.Use(p, spec.ExecTime(threads, streamBytes))
+	d2hStart := p.Now()
+	if outBytes > 0 {
+		d.Link.CopyD2H(p, outBytes)
+	}
+	syncStart := p.Now()
+	sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
+	p.Sleep(sync)
+	pt := &d.Parts
+	pt.Launches++
+	pt.Time[PartH2D] += sim.Duration(h2dDone - start)
+	pt.Time[PartLatency] += latency
+	pt.Time[PartExec] += exec
+	pt.Time[PartD2H] += sim.Duration(syncStart - d2hStart)
+	pt.Time[PartSync] += sync
+	return sim.Duration(p.Now() - start)
+}
+
+// launchRun is what one master sees of a device while a second process
+// books NIC DMA on the IOH: the round trip of each launch and the link's
+// and the IOH's busy times, read as each launch returns, then the parts
+// and the exec engine's busy time at the end.
+type launchRun struct {
+	trips            []sim.Duration
+	linkUp, linkDown []sim.Duration
+	iohUp, iohDown   []sim.Duration
+	parts            LaunchParts
+	exec             sim.Duration
+}
+
+// runLaunches drives one master through launches of sizes drawn from
+// seed, through launch (reference false) or referenceLaunch, beside a
+// process that books IOH traffic at times and sizes drawn from seed too.
+func runLaunches(seed int64, reference bool) launchRun {
+	env := sim.NewEnv()
+	defer env.Close()
+	ioh := pcie.NewIOH(env, 0)
+	dev := New(env, ioh, 0)
+	rng := rand.New(rand.NewSource(seed))
+	type size struct{ threads, in, out, str int }
+	sizes := make([]size, 40)
+	for i := range sizes {
+		threads := 1 + rng.Intn(2048)
+		sizes[i] = size{threads, rng.Intn(2) * threads * (1 + rng.Intn(1600)),
+			rng.Intn(2) * threads * (1 + rng.Intn(1600)), threads * rng.Intn(1600)}
+	}
+	nic := rand.New(rand.NewSource(seed + 1))
+	var r launchRun
+	env.Go("nic", func(p *sim.Proc) {
+		for len(r.trips) < len(sizes) {
+			p.Sleep(sim.Duration(nic.Intn(8000)) * sim.Nanosecond)
+			if nic.Intn(2) == 0 {
+				ioh.ScheduleUp(64 + nic.Intn(8000))
+			} else {
+				ioh.ScheduleDown(64 + nic.Intn(8000))
+			}
+		}
+	})
+	env.Go("master", func(p *sim.Proc) {
+		for _, s := range sizes {
+			var trip sim.Duration
+			if reference {
+				trip = referenceLaunch(dev, p, &KernelIPsec, s.threads, s.in, s.out, s.str)
+			} else {
+				trip = dev.Launch(p, &KernelIPsec, s.threads, s.in, s.out, s.str, nil)
+			}
+			r.trips = append(r.trips, trip)
+			r.linkUp = append(r.linkUp, dev.Link.UpBusy())
+			r.linkDown = append(r.linkDown, dev.Link.DownBusy())
+			r.iohUp = append(r.iohUp, ioh.UpBusy())
+			r.iohDown = append(r.iohDown, ioh.DownBusy())
+			p.Sleep(sim.Duration(rng.Intn(50000)) * sim.Nanosecond)
+		}
+	})
+	env.Run(0)
+	r.parts, r.exec = dev.Parts, dev.ExecBusy()
+	return r
+}
+
+// TestLaunchMatchesBlockingReference: one-stream launches give the
+// round trips, the parts and the link's and IOH's busy times of the
+// blocking launch they replaced, with NIC DMA on the IOH between their
+// stages. The exec engine is busy longer by exactly the launch
+// latencies, which launch books on it.
+func TestLaunchMatchesBlockingReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		got, want := runLaunches(seed, false), runLaunches(seed, true)
+		if len(got.trips) != len(want.trips) {
+			t.Fatalf("seed %d: %d launches, the reference %d", seed, len(got.trips), len(want.trips))
+		}
+		for i := range want.trips {
+			if got.trips[i] != want.trips[i] || got.linkUp[i] != want.linkUp[i] ||
+				got.linkDown[i] != want.linkDown[i] || got.iohUp[i] != want.iohUp[i] ||
+				got.iohDown[i] != want.iohDown[i] {
+				t.Fatalf("seed %d launch %d: round trip %v, link busy %v/%v, IOH busy %v/%v; the reference %v, %v/%v, %v/%v",
+					seed, i, got.trips[i], got.linkUp[i], got.linkDown[i], got.iohUp[i], got.iohDown[i],
+					want.trips[i], want.linkUp[i], want.linkDown[i], want.iohUp[i], want.iohDown[i])
+			}
+		}
+		if got.parts != want.parts {
+			t.Errorf("seed %d: parts %v, the reference %v", seed, got.parts, want.parts)
+		}
+		if latency := got.parts.Time[PartLatency]; got.exec != want.exec+latency {
+			t.Errorf("seed %d: exec busy %v, the reference %v plus the latencies %v", seed, got.exec, want.exec, latency)
+		}
+	}
+}
+
+// TestLaunchDoesNotAllocate: on a warm device a launch allocates
+// nothing, over one stream or four.
+func TestLaunchDoesNotAllocate(t *testing.T) {
+	for _, streams := range []int{1, 4} {
+		env := sim.NewEnv()
+		dev := newDevice(env)
+		const threads = 1024
+		launches := 0
+		fn := func() { launches++ }
+		env.Go("master", func(p *sim.Proc) {
+			for {
+				dev.LaunchChecked(p, &KernelIPsec, sim.Millisecond, streams, threads,
+					threads*1500, threads*1500, threads*1500, fn)
+			}
+		})
+		env.Run(sim.Time(sim.Millisecond))
+		before := launches
+		if n := testing.AllocsPerRun(50, func() { env.Run(env.Now() + sim.Time(sim.Millisecond)) }); n != 0 {
+			t.Errorf("%d streams: %v allocs per millisecond of launches, want 0", streams, n)
+		}
+		if launches == before {
+			t.Errorf("%d streams: no launch ran", streams)
+		}
+		env.Close()
+	}
 }
 
 func TestLaunchRunsKernelFunction(t *testing.T) {
@@ -149,9 +310,9 @@ func TestLaunchLatencyAppearsInRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLaunchPartsTileRoundTrips: the five parts Launch sums add up to
-// the round trips it returns, two masters queueing on one device's copy
-// and exec engines included, and a streamed launch adds none.
+// TestLaunchPartsTileRoundTrips: the five parts a one-stream launch
+// sums add up to its round trips, two masters queueing on one device's
+// copy and exec engines included, and a streamed launch adds none.
 func TestLaunchPartsTileRoundTrips(t *testing.T) {
 	env := sim.NewEnv()
 	dev := newDevice(env)
@@ -159,9 +320,9 @@ func TestLaunchPartsTileRoundTrips(t *testing.T) {
 	for m := 0; m < 2; m++ {
 		env.Go("master", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				total += dev.Launch(p, &KernelIPv6, 4096, 4096*16, 4096*2, 0, nil)
+				total += checked(p, dev, &KernelIPv6, 1, 4096, 4096*16, 4096*2, 0)
 			}
-			dev.LaunchStreams(p, &KernelIPv6, 4, 4096, 4096*16, 4096*2, 0, nil)
+			checked(p, dev, &KernelIPv6, 4, 4096, 4096*16, 4096*2, 0)
 		})
 	}
 	env.Run(0)
@@ -228,11 +389,7 @@ func TestStreamsOverlapHelpsHeavyKernel(t *testing.T) {
 		dev := newDevice(env)
 		var dur sim.Duration
 		env.Go("m", func(p *sim.Proc) {
-			if streams <= 1 {
-				dur = dev.Launch(p, &KernelIPsec, threads, bytes, bytes, bytes, nil)
-			} else {
-				dur = dev.LaunchStreams(p, &KernelIPsec, streams, threads, bytes, bytes, bytes, nil)
-			}
+			dur = checked(p, dev, &KernelIPsec, streams, threads, bytes, bytes, bytes)
 		})
 		env.Run(0)
 		return dur
@@ -254,7 +411,7 @@ func TestStreamsHurtLightKernel(t *testing.T) {
 		dev := newDevice(env)
 		var dur sim.Duration
 		env.Go("m", func(p *sim.Proc) {
-			dur = dev.LaunchStreams(p, &KernelIPv4, streams, threads, threads*4, threads*2, 0, nil)
+			dur = checked(p, dev, &KernelIPv4, streams, threads, threads*4, threads*2, 0)
 		})
 		env.Run(0)
 		return dur

@@ -213,14 +213,3 @@ func (l *Link) UpBusy() sim.Duration { return l.up.BusyTime() }
 
 // DownBusy exposes cumulative host→device link work.
 func (l *Link) DownBusy() sim.Duration { return l.down.BusyTime() }
-
-// ScheduleD2HAt reserves a device→host transfer that may not start
-// before notBefore (pipelined copy-out after a kernel completes).
-func (l *Link) ScheduleD2HAt(notBefore sim.Time, size int) sim.Time {
-	done := l.up.ScheduleAt(notBefore, l.d2hTime(size))
-	express := l.ioh.ExpressUp(size)
-	if express < notBefore {
-		express = notBefore
-	}
-	return max(done, express)
-}

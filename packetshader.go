@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"packetshader/internal/apps"
 	"packetshader/internal/core"
@@ -108,7 +107,8 @@ func WithPacketSize(bytes int) Option {
 	return func(c *Config) { c.PacketSize = bytes }
 }
 
-// WithOfferedGbps sets the offered load per port.
+// WithOfferedGbps sets the offered load per port, in Gbps: 0, or from
+// 1e-6 up to the ports' 10 Gbps line rate.
 func WithOfferedGbps(g float64) Option {
 	return func(c *Config) { c.OfferedGbpsPerPort = g }
 }
@@ -273,13 +273,19 @@ func New(app core.App, src Source, opts ...Option) (*Instance, error) {
 // 1e-11 Gbps and 1514 B that wait no longer fits the picosecond clock.
 const minOfferedGbps = 1e-6
 
+// maxOfferedGbps is the largest offered load per port: the line rate of
+// the 10 GbE ports, which is all a port can carry.
+const maxOfferedGbps = model.PortRateBps / 1e9
+
 // validate rejects configurations the models are not calibrated for.
 func validate(cfg *core.Config) error {
 	switch {
 	case cfg.PacketSize < 64 || cfg.PacketSize > 1514:
 		return fmt.Errorf("packetshader: packet size %d outside 64..1514", cfg.PacketSize)
-	case !(cfg.OfferedGbpsPerPort >= 0) || math.IsInf(cfg.OfferedGbpsPerPort, 1): // NaN fails the first test
-		return fmt.Errorf("packetshader: offered load %g Gbps is not a finite non-negative rate", cfg.OfferedGbpsPerPort)
+	case !(cfg.OfferedGbpsPerPort >= 0): // NaN fails it too
+		return fmt.Errorf("packetshader: offered load %g Gbps is not a non-negative rate", cfg.OfferedGbpsPerPort)
+	case cfg.OfferedGbpsPerPort > maxOfferedGbps: // +Inf too
+		return fmt.Errorf("packetshader: offered load %g Gbps is above the %g Gbps port rate", cfg.OfferedGbpsPerPort, maxOfferedGbps)
 	case cfg.OfferedGbpsPerPort > 0 && cfg.OfferedGbpsPerPort < minOfferedGbps:
 		return fmt.Errorf("packetshader: offered load %g Gbps is positive but below %g", cfg.OfferedGbpsPerPort, minOfferedGbps)
 	case cfg.Streams < 1:

@@ -68,6 +68,11 @@
 #	                live-slot scan over a dead link       the fabric oracle
 #	inbox-tie       InboxPeak counts a batch whose budget
 #	                starts at the arrival as waiting      the fabric oracle
+#	launch-latency-host  the GPU launch latency booked off
+#	                the exec engine                       the full paper
+#	                                                      points
+#	kappa-ulp-down  model.IOHKappa one ulp below 0.465    the full golden
+#	                                                      files
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -118,7 +123,13 @@
 # too: its goroutine forwarder always scans the live slots, so a leaf
 # that routes onto a link its fault plan took down diverges in the
 # faulted cases; and its tie case puts an arrival on the instant a
-# waiting batch starts its budget, at the peak.
+# waiting batch starts its budget, at the peak. launch-latency-host's
+# gate is TestPaperPoints over the full golden run: with the latency off
+# the exec engine, IPsec's four streams overlap their latencies, and
+# fig11d's 64 B CPU+GPU point leaves its band (the latency grows with
+# the thread count, so it is device work). kappa-ulp-down's gate is the
+# full TestGoldenOutputs: one ulp of the IOH's coupling moves no table
+# cell, only fig11a's first ioh0-up util line.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -152,6 +163,8 @@ csumfuzz="go test -count=1 -run FuzzChecksum ./internal/packet"
 busygates="go test -count=1 -run TestUtilLinesAtMost1000|TestPipelineCoreSharesAtMost100|FuzzServerBusy ./internal/experiments ./internal/sim"
 oracle="go test -count=1 -run TestFabricTasksMatchGoroutineOracle ./internal/cluster"
 golden="go test -count=1 -short -run TestGoldenOutputs ./internal/experiments"
+fullgolden="go test -count=1 -run TestGoldenOutputs ./internal/experiments"
+fullpoints="go test -count=1 -run TestPaperPoints ./internal/experiments"
 onepath="sh scripts/onepath.sh"
 
 # replay is the pshaderd replay's stdout gate, run in the tree.
@@ -340,12 +353,27 @@ mutate_inbox_tie() {
 	gate=$oracle want="diverged from the goroutine oracle"
 }
 
+mutate_launch_latency_host() {
+	f=internal/hw/gpu/gpu.go
+	insert $f 'd.exec.ScheduleAt(h2d, kernel))' \
+		'		d.ends = append(d.ends, d.exec.ScheduleAt(h2d+sim.Time(latency), kernel-latency))'
+	delete $f 'd.exec.ScheduleAt(h2d, kernel))'
+	gate=$fullpoints want="point (fig11d, 64, CPU+GPU)" want2="outside its band"
+}
+
+mutate_kappa_ulp_down() {
+	f=internal/model/model.go
+	insert $f 'IOHKappa = 0.465' '	IOHKappa = 0.46499999999999997 // one ulp below'
+	delete $f 'IOHKappa = 0.465'
+	gate=$fullgolden want="fig11a differs from" want2="util ioh0-up"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
 		checksum-carry busy-booked second-core-new post-early window-skip ecmp-stale-live \
-		inbox-tie
+		inbox-tie launch-latency-host kappa-ulp-down
 fi
 
 status=0
@@ -380,6 +408,8 @@ for m in "$@"; do
 	window-skip) mutate_window_skip ;;
 	ecmp-stale-live) mutate_ecmp_stale_live ;;
 	inbox-tie) mutate_inbox_tie ;;
+	launch-latency-host) mutate_launch_latency_host ;;
+	kappa-ulp-down) mutate_kappa_ulp_down ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
