@@ -41,8 +41,8 @@ lint:
 
 # gates applies named mutations to a copy of the tree (a counter shared
 # by every fabric node, one violation per pslint analyzer, a slow
-# host-to-device copy, a Buf kept after an app drop, a blocking call in
-# a ctrl callback, a global math/rand draw, a TX DMA completion off by
+# host-to-device copy, a Buf kept after an app drop, a blocking call on
+# a worker task in a ctrl callback, a global math/rand draw, a TX DMA completion off by
 # one step, an event heap without its seq tie-break (in before and in
 # the child pick), VLB spread over
 # n-1 intermediates in the analytic model, an uncounted fabric node
@@ -55,7 +55,8 @@ lint:
 # off the lookahead grid, a leaf that skips its live-slot scan after a
 # link went down, an inbox peak that counts a batch whose budget starts
 # at the arrival as waiting, a GPU launch latency booked off the exec
-# engine, the IOH's coupling one ulp low) and
+# engine, the IOH's coupling one ulp low, a master that scatters its
+# chunks in reverse order, a SHA-1 lane reading another's message) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
@@ -64,7 +65,8 @@ lint:
 # lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
 # util and share checks and FuzzServerBusy, the one-path gates, the
 # fabric's goroutine oracle, the golden files, the oracle twice more,
-# the full paper points, the full golden files) fails on it.
+# the full paper points, the full golden files twice, FuzzHMACSHA1)
+# fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

@@ -69,7 +69,7 @@ func flowHash(d *packet.Decoder) uint32 {
 	case d.Has(packet.LayerTCP):
 		sp, dp = d.TCP.SrcPort, d.TCP.DstPort
 	}
-	return nic.RSSHashIPv4(nic.DefaultRSSKey[:], uint32(d.IPv4.Src), uint32(d.IPv4.Dst), sp, dp)
+	return nic.RSSHashIPv4Default(uint32(d.IPv4.Src), uint32(d.IPv4.Dst), sp, dp)
 }
 
 // PreShade parses packets, selects the tunnel SA by flow hash, and

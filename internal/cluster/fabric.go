@@ -612,7 +612,7 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 func drawFlowHash(rng *uint64) uint32 {
 	flowSrc := uint32(splitmix64(rng))
 	flowDst := uint32(splitmix64(rng))
-	return nic.RSSHashIPv4(nic.DefaultRSSKey[:], flowSrc, flowDst,
+	return nic.RSSHashIPv4Default(flowSrc, flowDst,
 		uint16(flowSrc>>16), uint16(flowDst>>16))
 }
 

@@ -318,6 +318,7 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 				router: r, node: n, dev: dev,
 				inQ: sim.NewQueue[*Chunk](env, model.InputQueueDepth),
 			}
+			m.kernels = m.runKernels
 			r.masters = append(r.masters, m)
 		}
 		for wi := 0; wi < workersPerNode; wi++ {
@@ -366,16 +367,14 @@ func (r *Router) SetSource(src nic.FrameSource) {
 // Source returns the frame source installed by SetSource (nil before).
 func (r *Router) Source() any { return r.src }
 
-// Start launches all worker and master processes.
+// Start spawns the masters' and the workers' tasks.
 func (r *Router) Start() {
 	r.start = r.Env.Now()
 	for _, m := range r.masters {
-		m := m
-		r.Env.Go("master", func(p *sim.Proc) { m.run(p) })
+		r.Env.Task("master", m.step)
 	}
 	for _, w := range r.workers {
-		w := w
-		r.Env.Go("worker", func(p *sim.Proc) { w.run(p) })
+		r.Env.Task("worker", w.step)
 	}
 }
 

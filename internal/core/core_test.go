@@ -543,3 +543,50 @@ func TestLedgerCheckNamesCounts(t *testing.T) {
 		t.Errorf("error %q, want %q", got, want)
 	}
 }
+
+// TestRouterRunsAsTasks: the workers and masters are sim tasks, so a
+// router's Env holds no goroutine process. Every process wake-up is a
+// task step, and a fault plan's events stay callbacks: in GPU mode, CPU
+// mode and with opportunistic offload, and through a GPU outage with
+// its CPU fallback beside a TX carrier loss.
+func TestRouterRunsAsTasks(t *testing.T) {
+	opp := smallConfig(ModeGPU)
+	opp.OpportunisticOffload = true
+	opp.OfferedGbpsPerPort = 0.5
+	outage := smallConfig(ModeGPU)
+	outage.GPUWatchdog = 100 * sim.Microsecond
+	outage.GPUBackoff = 500 * sim.Microsecond
+	cases := []struct {
+		name string
+		cfg  Config
+		plan *faults.Plan
+		ran  func(r *Router) bool // the case took the path it names
+	}{
+		{"gpu", smallConfig(ModeGPU), nil, func(r *Router) bool { return r.Stats.ChunksGPU > 0 }},
+		{"cpu", smallConfig(ModeCPUOnly), nil, func(r *Router) bool { return r.Stats.ChunksCPU > 0 }},
+		{"opportunistic", opp, nil, func(r *Router) bool { return r.Stats.ChunksCPU > 0 }},
+		{"outage", outage, faults.NewPlan().
+			GPUOutage(0, 1*sim.Millisecond, 2*sim.Millisecond).
+			LinkFlap(1, 2*sim.Millisecond, 1*sim.Millisecond),
+			func(r *Router) bool { return r.Stats.FallbackChunks > 0 && r.CarrierDrops() > 0 }},
+	}
+	for _, c := range cases {
+		env, r := newRouter(c.cfg, newEchoApp(2))
+		events := 0
+		if c.plan != nil {
+			arm(env, r, c.plan)
+			events = c.plan.Len()
+		}
+		r.Start()
+		env.Run(sim.Time(6 * sim.Millisecond))
+		st := env.Stats()
+		if st.HandOffs != 0 || st.SelfResumes != 0 || st.TaskSteps == 0 || st.Callbacks != uint64(events) {
+			t.Errorf("%s: %d hand-offs, %d self-resumes, %d task steps, %d callbacks; want only task steps and the plan's %d callbacks",
+				c.name, st.HandOffs, st.SelfResumes, st.TaskSteps, st.Callbacks, events)
+		}
+		if !c.ran(r) {
+			t.Errorf("%s: the run did not take its path: %+v", c.name, r.Stats)
+		}
+		env.Close()
+	}
+}

@@ -37,9 +37,35 @@ type master struct {
 	degraded sim.Duration
 
 	// gather is the reusable §5.4 gather buffer: the set of chunks in
-	// the current launch. Reset (not reallocated) every round.
-	gather []*Chunk
+	// the current launch. Reset (not reallocated) every round. kernels
+	// is runKernels, bound once: one closure for the master's lifetime,
+	// not one per launch.
+	gather  []*Chunk
+	kernels func()
+
+	// What step keeps across its waits: where it resumes, the launch in
+	// flight, when the gather ended and its thread count, the chunk a
+	// fallback or the scatter is at, when that fallback began and when
+	// the work ended.
+	at       masterAt
+	flight   gpu.Flight
+	gathered sim.Time
+	threads  int
+	k        int
+	since    sim.Time
+	worked   sim.Time
 }
+
+// The points at which a master's step resumes.
+type masterAt uint8
+
+const (
+	mGather   masterAt = iota // wait for a chunk, gather, launch
+	mLaunch                   // the launch (or its watchdog stall) is in flight
+	mFallback                 // re-dispatch the next chunk on the CPU
+	mFellBack                 // that chunk's CPU work is charged
+	mScatter                  // return the chunks to their workers
+)
 
 // MasterBusy sums, over every master, the virtual time spent so far in
 // GPU launches (watchdog stalls included) and CPU fallbacks, a launch
@@ -51,67 +77,132 @@ func (r *Router) MasterBusy() sim.Duration { return r.masterBusy.At(r.Env.Now())
 // decision.
 func (m *master) heldOut(now sim.Time) bool { return m.gpuOut && now < m.retryAt }
 
-func (m *master) run(p *sim.Proc) {
+// step runs the master from where its last wake-up left it to its next
+// wait, which it arms before it returns: gather the chunks its workers
+// queued, shade them on the GPU (or re-dispatch them on the CPU while
+// the GPU is held out or after a stall), and scatter them back.
+func (m *master) step(p *sim.Proc) {
 	r := m.router
 	o := r.obs
 	track := o.masterTracks[m.node]
-	// fn is hoisted out of the loop (one closure for the master's
-	// lifetime, not one per launch); it runs the kernels over the
-	// current gather set.
-	fn := func() {
-		for _, c := range m.gather {
-			r.App.RunKernel(c)
-		}
-	}
 	for {
-		first := m.inQ.Get(p)
-		m.gather = append(m.gather[:0], first)
-		if gatherMax := r.Cfg.GatherMax; gatherMax > 1 {
-			// Gather (§5.4): take whatever else is already queued.
-			m.gather = m.inQ.DrainAppend(m.gather, gatherMax-1)
-		}
-		chunks := m.gather
-		gathered := p.Now()
-		r.masterBusy.Begin(gathered)
-		var threads, inB, outB, strB int
-		for _, c := range chunks {
-			c.stamps[stampGathered] = gathered
-			o.gpuWait.ObserveDuration(sim.Duration(gathered - c.stamps[stampPreShaded]))
-			threads += c.Threads
-			inB += c.InBytes
-			outB += c.OutBytes
-			strB += c.StreamBytes
-		}
-		o.launchThreads.Observe(int64(threads))
-		spec := r.App.Kernel()
-		if m.heldOut(p.Now()) {
-			// Chunks offloaded before the stall was detected: re-dispatch
-			// them on the CPU directly — burning a watchdog per backlog
-			// batch would double the backoff without probing anything.
-			m.fallback(p, track, chunks)
-		} else if m.dev.LaunchChecked(p, spec, r.Cfg.GPUWatchdog, r.Cfg.Streams,
-			threads, inB, outB, strB, fn) {
-			o.tr.SpanUntil(track, "gpu-launch", gathered, p.Now(),
-				obs.Arg{Key: "threads", Val: int64(threads)},
-				obs.Arg{Key: "chunks", Val: int64(len(chunks))})
-			r.Stats.GPULaunches++
-			r.Stats.ChunksGPU += uint64(len(chunks))
-			if m.gpuOut {
-				m.recoverGPU(p, track)
+		switch m.at {
+		case mGather:
+			first, ok := m.inQ.Await(p)
+			if !ok {
+				return
 			}
-		} else {
-			m.stall(p, track)
-			m.fallback(p, track, chunks)
-		}
-		// Scatter (§5.4): results go to each chunk's own worker output
-		// queue, avoiding 1-to-N sharing.
-		worked := p.Now()
-		r.masterBusy.End(gathered, worked)
-		for _, c := range chunks {
-			c.stamps[stampWorked] = worked
-			m.router.workers[c.Worker].outQ.Put(p, c)
+			m.gather = append(m.gather[:0], first)
+			if gatherMax := r.Cfg.GatherMax; gatherMax > 1 {
+				// Gather (§5.4): take whatever else is already queued.
+				m.gather = m.inQ.DrainAppend(m.gather, gatherMax-1)
+			}
+			m.gathered = p.Now()
+			r.masterBusy.Begin(m.gathered)
+			var threads, inB, outB, strB int
+			for _, c := range m.gather {
+				c.stamps[stampGathered] = m.gathered
+				o.gpuWait.ObserveDuration(sim.Duration(m.gathered - c.stamps[stampPreShaded]))
+				threads += c.Threads
+				inB += c.InBytes
+				outB += c.OutBytes
+				strB += c.StreamBytes
+			}
+			o.launchThreads.Observe(int64(threads))
+			m.threads = threads
+			spec := r.App.Kernel()
+			if m.heldOut(p.Now()) {
+				// Chunks offloaded before the stall was detected:
+				// re-dispatch them on the CPU directly — burning a watchdog
+				// per backlog batch would double the backoff without
+				// probing anything.
+				m.k, m.at = 0, mFallback
+				continue
+			}
+			next, wait := m.dev.StartLaunch(p, &m.flight, spec, r.Cfg.GPUWatchdog, r.Cfg.Streams,
+				threads, inB, outB, strB, m.kernels)
+			if wait {
+				m.at = mLaunch
+				p.WakeAt(next)
+				return
+			}
+			m.launched(p, track, true)
+		case mLaunch:
+			next, wait, ok := m.dev.ResumeLaunch(p, &m.flight)
+			if wait {
+				p.WakeAt(next)
+				return
+			}
+			m.launched(p, track, ok)
+		case mFallback:
+			// The fallback re-dispatches stalled chunks through the
+			// application's CPU path on the master's own core — the
+			// in-flight work must not be lost, and the workers' cores
+			// are already busy with the bypass traffic. PostShade still
+			// runs on the owning worker after the scatter.
+			if m.k == len(m.gather) {
+				m.scatter(p)
+				continue
+			}
+			m.since, m.at = p.Now(), mFellBack
+			p.WakeAfter(simCycles(r.App.CPUWork(m.gather[m.k])))
+			return
+		case mFellBack:
+			n := int64(len(m.gather[m.k].Bufs))
+			o.tr.SpanUntil(track, "cpu-fallback", m.since, p.Now(), obs.Arg{Key: "packets", Val: n})
+			o.fallbackChunk.Observe(n)
+			r.Stats.FallbackChunks++
+			r.Stats.ChunksCPU++
+			m.k++
+			m.at = mFallback
+		case mScatter:
+			// Scatter (§5.4): results go to each chunk's own worker
+			// output queue, avoiding 1-to-N sharing.
+			for ; m.k < len(m.gather); m.k++ {
+				c := m.gather[m.k]
+				c.stamps[stampWorked] = m.worked
+				if !r.workers[c.Worker].outQ.Offer(p, c) {
+					return // the queue is full
+				}
+			}
+			m.at = mGather
 		}
 	}
+}
+
+// runKernels is a launch's functional work: the application's kernels
+// over the gathered chunks.
+func (m *master) runKernels() {
+	for _, c := range m.gather {
+		m.router.App.RunKernel(c)
+	}
+}
+
+// launched goes on from a launch that completed (ok) or stalled.
+func (m *master) launched(p *sim.Proc, track obs.TrackID, ok bool) {
+	r := m.router
+	if !ok {
+		m.stall(p, track)
+		m.k, m.at = 0, mFallback
+		return
+	}
+	r.obs.tr.SpanUntil(track, "gpu-launch", m.gathered, p.Now(),
+		obs.Arg{Key: "threads", Val: int64(m.threads)},
+		obs.Arg{Key: "chunks", Val: int64(len(m.gather))})
+	r.Stats.GPULaunches++
+	r.Stats.ChunksGPU += uint64(len(m.gather))
+	if m.gpuOut {
+		m.recoverGPU(p, track)
+	}
+	m.scatter(p)
+}
+
+// scatter ends the master's work on the gathered chunks and starts
+// returning them.
+func (m *master) scatter(p *sim.Proc) {
+	m.worked = p.Now()
+	m.router.masterBusy.End(m.gathered, m.worked)
+	m.k, m.at = 0, mScatter
 }
 
 // stall records a watchdog-detected launch failure and schedules the
@@ -143,24 +234,6 @@ func (m *master) recoverGPU(p *sim.Proc, track obs.TrackID) {
 	m.gpuOut = false
 	m.retryAt = 0
 	m.backoff = 0
-}
-
-// fallback re-dispatches stalled chunks through the application's CPU
-// path on the master's own core — the in-flight work must not be lost,
-// and the workers' cores are already busy with the bypass traffic.
-// PostShade still runs on the owning worker after the scatter.
-func (m *master) fallback(p *sim.Proc, track obs.TrackID, chunks []*Chunk) {
-	r := m.router
-	o := r.obs
-	for _, c := range chunks {
-		start := p.Now()
-		p.Sleep(simCycles(r.App.CPUWork(c)))
-		o.tr.SpanUntil(track, "cpu-fallback", start, p.Now(),
-			obs.Arg{Key: "packets", Val: int64(len(c.Bufs))})
-		o.fallbackChunk.Observe(int64(len(c.Bufs)))
-		r.Stats.FallbackChunks++
-		r.Stats.ChunksCPU++
-	}
 }
 
 func simCycles(c float64) sim.Duration { return model.Cycles(c) }

@@ -157,19 +157,14 @@ func (d *Device) Healthy() bool { return !d.failed }
 // driver waits before declaring the launch hung — runs no functional
 // work, and gets false so it can fall back to the CPU path.
 func (d *Device) LaunchChecked(p *sim.Proc, spec *KernelSpec, watchdog sim.Duration, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) bool {
-	if threads <= 0 {
-		return true
+	var f Flight
+	next, wait := d.StartLaunch(p, &f, spec, watchdog, nStreams, threads, inBytes, outBytes, streamBytes, fn)
+	ok := true
+	for wait {
+		p.SleepUntil(next)
+		next, wait, ok = d.ResumeLaunch(p, &f)
 	}
-	if d.failed {
-		d.Stalls++
-		start := p.Now()
-		p.Sleep(watchdog)
-		d.trace.SpanUntil(d.track, "stall", start, p.Now(),
-			obs.Arg{Key: "threads", Val: int64(threads)})
-		return false
-	}
-	d.launch(p, spec, max(nStreams, 1), threads, inBytes, outBytes, streamBytes, fn)
-	return true
+	return ok
 }
 
 // EnableTrace attaches tr to the device, recording launch stage spans
@@ -182,21 +177,85 @@ func (d *Device) EnableTrace(tr *obs.Tracer) {
 // Launch is launch's one-stream case, the round trip PacketShader's
 // master runs (§5.1). It returns the round trip's duration.
 func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outBytes, streamBytes int, fn func()) sim.Duration {
-	return d.launch(p, spec, 1, threads, inBytes, outBytes, streamBytes, fn)
+	start := p.Now()
+	var f Flight
+	for next, wait := d.launch(p, &f, spec, 1, threads, inBytes, outBytes, streamBytes, fn); wait; next, wait, _ = d.ResumeLaunch(p, &f) {
+		p.SleepUntil(next)
+	}
+	return sim.Duration(p.Now() - start)
 }
 
-// launch runs one synchronous GPU round trip from the calling (master)
+// A Flight is one launch in flight, what its wake-ups need of its
+// start. The caller keeps it across them: a blocking launch on its
+// stack, a task in its own state.
+type Flight struct {
+	spec                       *KernelSpec
+	fn                         func()
+	threads, in, out, perOut   int
+	latency                    sim.Duration
+	start, h2d, at, kernelDone sim.Time // at: the next kernel end
+	d2h                        sim.Time
+	ends                       []sim.Time // the device's ends as this launch booked them
+	next                       int        // the slice whose kernel ends at at; len(ends) for the sync
+	stall                      bool       // a watchdog stall on a failed device
+}
+
+// StartLaunch is the non-yielding half of LaunchChecked for a task: it
+// starts the launch from p, now, keeping its state in f, and returns
+// the instant of its first wake-up, or false when there is none (no
+// threads). At that and each later wake-up the caller calls
+// ResumeLaunch, which returns the next. The wake-ups are
+// LaunchChecked's, so both forms book the same.
+func (d *Device) StartLaunch(p *sim.Proc, f *Flight, spec *KernelSpec, watchdog sim.Duration, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) (sim.Time, bool) {
+	if threads > 0 && d.failed {
+		d.Stalls++
+		*f = Flight{threads: threads, start: p.Now(), stall: true}
+		return p.Now() + sim.Time(max(watchdog, 0)), true
+	}
+	return d.launch(p, f, spec, max(nStreams, 1), threads, inBytes, outBytes, streamBytes, fn)
+}
+
+// ResumeLaunch carries the launch in flight on at one of its wake-ups:
+// it returns the next one, or false and whether the launch completed
+// (false after a watchdog stall) when the round trip is over.
+func (d *Device) ResumeLaunch(p *sim.Proc, f *Flight) (next sim.Time, wait, ok bool) {
+	if f.stall {
+		d.trace.SpanUntil(d.track, "stall", f.start, p.Now(),
+			obs.Arg{Key: "threads", Val: int64(f.threads)})
+		return 0, false, false
+	}
+	if f.next < len(f.ends) {
+		f.kernelDone, f.d2h = f.at, f.at
+		if f.out > 0 {
+			f.d2h = d.Link.ScheduleD2H(f.perOut)
+		}
+		if f.next++; f.next < len(f.ends) {
+			f.at = f.ends[f.next]
+			return f.at, true, true
+		}
+		if f.fn != nil {
+			f.fn()
+		}
+		sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
+		return f.d2h + sim.Time(sync), true, true
+	}
+	d.finish(f, p.Now())
+	return 0, false, true
+}
+
+// launch starts one synchronous GPU round trip from the calling (master)
 // process over n ≥ 1 streams, the batch split into n equal slices
-// ("concurrent copy and execution" when n > 1, §5.4). At the start it
-// books each slice's H2D copy and, from the copy's end, its launch
-// latency and kernel on the exec engine. At each kernel's end the master
-// wakes and books that slice's D2H copy. fn, the kernel's functional
-// work over the whole batch, runs at the last kernel's end; the master
-// then sleeps once, until the last copy is done plus the driver sync.
-func (d *Device) launch(p *sim.Proc, spec *KernelSpec, n, threads, inBytes, outBytes, streamBytes int, fn func()) sim.Duration {
+// ("concurrent copy and execution" when n > 1, §5.4), and returns its
+// first wake-up. At the start it books each slice's H2D copy and, from
+// the copy's end, its launch latency and kernel on the exec engine. At
+// each kernel's end the master wakes and books that slice's D2H copy.
+// fn, the kernel's functional work over the whole batch, runs at the
+// last kernel's end; the master then sleeps once, until the last copy
+// is done plus the driver sync.
+func (d *Device) launch(p *sim.Proc, f *Flight, spec *KernelSpec, n, threads, inBytes, outBytes, streamBytes int, fn func()) (sim.Time, bool) {
 	start := p.Now()
 	if threads <= 0 {
-		return 0
+		return 0, false
 	}
 	d.Launches++
 	d.ThreadsRun += uint64(threads)
@@ -214,47 +273,40 @@ func (d *Device) launch(p *sim.Proc, spec *KernelSpec, n, threads, inBytes, outB
 		}
 		d.ends = append(d.ends, d.exec.ScheduleAt(h2d, kernel))
 	}
-	var kernelDone, d2h sim.Time
-	for _, kernelDone = range d.ends {
-		p.SleepUntil(kernelDone)
-		d2h = kernelDone
-		if outBytes > 0 {
-			d2h = d.Link.ScheduleD2H(per(outBytes))
-		}
-	}
-	if fn != nil {
-		fn()
-	}
-	sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
-	p.SleepUntil(d2h + sim.Time(sync))
-	end := p.Now()
-	if n > 1 {
-		// The slices overlap: the launch is one span and adds no Parts.
+	*f = Flight{spec: spec, fn: fn, threads: threads, in: inBytes, out: outBytes, perOut: per(outBytes),
+		latency: latency, start: start, h2d: h2d, at: d.ends[0], ends: d.ends}
+	return f.at, true
+}
+
+// finish records the launch in flight, its round trip over at end: one
+// span for a launch over more than one stream, whose slices overlap and
+// add no Parts, and the spans and Parts of a one-stream launch.
+func (d *Device) finish(f *Flight, end sim.Time) {
+	if len(f.ends) > 1 {
 		if d.trace.Enabled() {
-			d.trace.SpanUntil(d.track, "launch-streams:"+spec.Name, start, end,
-				obs.Arg{Key: "threads", Val: int64(threads)},
-				obs.Arg{Key: "streams", Val: int64(n)})
+			d.trace.SpanUntil(d.track, "launch-streams:"+f.spec.Name, f.start, end,
+				obs.Arg{Key: "threads", Val: int64(f.threads)},
+				obs.Arg{Key: "streams", Val: int64(len(f.ends))})
 		}
-		return sim.Duration(end - start)
+		return
 	}
-	d.trace.SpanUntil(d.track, "h2d", start, h2d,
-		obs.Arg{Key: "bytes", Val: int64(inBytes)})
+	d.trace.SpanUntil(d.track, "h2d", f.start, f.h2d,
+		obs.Arg{Key: "bytes", Val: int64(f.in)})
 	// The kernel span is the launch's view, latency and queueing included.
 	if d.trace.Enabled() {
-		d.trace.SpanUntil(d.track, "kernel:"+spec.Name, h2d, kernelDone,
-			obs.Arg{Key: "threads", Val: int64(threads)})
+		d.trace.SpanUntil(d.track, "kernel:"+f.spec.Name, f.h2d, f.kernelDone,
+			obs.Arg{Key: "threads", Val: int64(f.threads)})
 	}
-	if outBytes > 0 {
-		d.trace.SpanUntil(d.track, "d2h", kernelDone, d2h,
-			obs.Arg{Key: "bytes", Val: int64(outBytes)})
+	if f.out > 0 {
+		d.trace.SpanUntil(d.track, "d2h", f.kernelDone, f.d2h,
+			obs.Arg{Key: "bytes", Val: int64(f.out)})
 	}
-	d.trace.SpanUntil(d.track, "sync", d2h, end)
+	d.trace.SpanUntil(d.track, "sync", f.d2h, end)
 	d.Parts.Launches++
-	at := [NumParts + 1]sim.Time{start, h2d, h2d + sim.Time(latency), kernelDone, d2h, end}
+	at := [NumParts + 1]sim.Time{f.start, f.h2d, f.h2d + sim.Time(f.latency), f.kernelDone, f.d2h, end}
 	for i := range d.Parts.Time {
 		d.Parts.Time[i] += sim.Duration(at[i+1] - at[i])
 	}
-	return sim.Duration(end - start)
 }
 
 // ---------------------------------------------------------------------------

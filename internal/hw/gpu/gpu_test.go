@@ -1,11 +1,15 @@
 package gpu
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"packetshader/internal/hw/pcie"
 	"packetshader/internal/model"
+	"packetshader/internal/obs"
 	"packetshader/internal/sim"
 )
 
@@ -146,30 +150,191 @@ func TestLaunchMatchesBlockingReference(t *testing.T) {
 	}
 }
 
-// TestLaunchDoesNotAllocate: on a warm device a launch allocates
-// nothing, over one stream or four.
-func TestLaunchDoesNotAllocate(t *testing.T) {
-	for _, streams := range []int{1, 4} {
-		env := sim.NewEnv()
-		dev := newDevice(env)
-		const threads = 1024
-		launches := 0
-		fn := func() { launches++ }
-		env.Go("master", func(p *sim.Proc) {
-			for {
-				dev.LaunchChecked(p, &KernelIPsec, sim.Millisecond, streams, threads,
-					threads*1500, threads*1500, threads*1500, fn)
+// serviceLog records every service a server books, as the Env's hooks
+// see it: the exec engine's spans end at the kernel ends, the link's
+// down spans at the D2H ends.
+type serviceLog []string
+
+func (l *serviceLog) ServerBusy(s *sim.Server, start, end sim.Time) {
+	*l = append(*l, fmt.Sprintf("%s %d %d", s.Name(), start, end))
+}
+
+// twinRun is what a master's launches show: each launch's return time
+// and result, every booked service, the parts and the device's spans.
+type twinRun struct {
+	returns  []sim.Time
+	oks      []bool
+	services serviceLog
+	parts    LaunchParts
+	spans    string
+}
+
+// runTwinLaunches drives one master through launches of drawn sizes
+// over streams streams, a zero-thread one among them, with gaps between
+// them; with failed, the device fails before the third and is repaired
+// before the fifth. The master is a task calling StartLaunch and
+// ResumeLaunch, or a goroutine process calling Launch (one stream, a
+// healthy device) or LaunchChecked.
+func runTwinLaunches(task bool, streams int, failed bool) twinRun {
+	env := sim.NewEnv()
+	defer env.Close()
+	var r twinRun
+	env.SetHooks(&r.services)
+	tr := obs.NewTracer()
+	dev := newDevice(env)
+	dev.EnableTrace(tr)
+	rng := rand.New(rand.NewSource(int64(streams)))
+	type size struct{ threads, in, out, str int }
+	sizes := make([]size, 8)
+	gaps := make([]sim.Duration, len(sizes))
+	for i := range sizes {
+		threads := 1 + rng.Intn(4096)
+		if i == 1 {
+			threads = 0
+		}
+		sizes[i] = size{threads, threads * rng.Intn(1600), threads * rng.Intn(400), threads * rng.Intn(1600)}
+		gaps[i] = sim.Duration(rng.Intn(20000)) * sim.Nanosecond
+	}
+	faults := func(i int) {
+		if failed && i == 2 {
+			dev.Fail()
+		} else if failed && i == 4 {
+			dev.Repair()
+		}
+	}
+	done := func(p *sim.Proc, ok bool) {
+		r.returns = append(r.returns, p.Now())
+		r.oks = append(r.oks, ok)
+	}
+	const watchdog = 300 * sim.Microsecond
+	if task {
+		var f Flight
+		i, inFlight := 0, false
+		env.Task("master", func(p *sim.Proc) {
+			for i < len(sizes) {
+				ok := true
+				if inFlight {
+					var next sim.Time
+					var wait bool
+					if next, wait, ok = dev.ResumeLaunch(p, &f); wait {
+						p.WakeAt(next)
+						return
+					}
+					inFlight = false
+				} else {
+					faults(i)
+					s := sizes[i]
+					next, wait := dev.StartLaunch(p, &f, &KernelIPsec, watchdog, streams, s.threads, s.in, s.out, s.str, nil)
+					if inFlight = wait; wait {
+						p.WakeAt(next)
+						return
+					}
+				}
+				done(p, ok)
+				if i++; i < len(sizes) {
+					p.WakeAfter(gaps[i])
+					return
+				}
 			}
 		})
-		env.Run(sim.Time(sim.Millisecond))
-		before := launches
-		if n := testing.AllocsPerRun(50, func() { env.Run(env.Now() + sim.Time(sim.Millisecond)) }); n != 0 {
-			t.Errorf("%d streams: %v allocs per millisecond of launches, want 0", streams, n)
+	} else {
+		env.Go("master", func(p *sim.Proc) {
+			for i, s := range sizes {
+				if i > 0 {
+					p.Sleep(gaps[i])
+				}
+				faults(i)
+				ok := true
+				if streams == 1 && dev.Healthy() {
+					dev.Launch(p, &KernelIPsec, s.threads, s.in, s.out, s.str, nil)
+				} else {
+					ok = dev.LaunchChecked(p, &KernelIPsec, watchdog, streams, s.threads, s.in, s.out, s.str, nil)
+				}
+				done(p, ok)
+			}
+		})
+	}
+	env.Run(0)
+	r.parts = dev.Parts
+	var b bytes.Buffer
+	if err := tr.WriteJSON(&b); err != nil {
+		panic(err)
+	}
+	r.spans = b.String()
+	return r
+}
+
+// TestTaskLaunchMatchesGoroutineTwin: a launch driven from a task books
+// the kernel and D2H ends, sums the parts, records the spans and returns
+// at the instants of the same launch made from a goroutine, over one
+// stream and four, and through watchdog stalls on a failed device.
+func TestTaskLaunchMatchesGoroutineTwin(t *testing.T) {
+	for _, streams := range []int{1, 4} {
+		for _, failed := range []bool{false, true} {
+			got, want := runTwinLaunches(true, streams, failed), runTwinLaunches(false, streams, failed)
+			if len(want.returns) != 8 || len(want.services) < 8 {
+				t.Fatalf("%d streams, failed %v: the goroutine twin made %d launches and %d services",
+					streams, failed, len(want.returns), len(want.services))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d streams, failed %v: the task's launches diverged from the goroutine's:\n"+
+					"returns %v / %v\noks %v / %v\nparts %v / %v\n%d / %d services, spans equal %v",
+					streams, failed, got.returns, want.returns, got.oks, want.oks, got.parts, want.parts,
+					len(got.services), len(want.services), got.spans == want.spans)
+			}
+			if stalls := !want.oks[2] && !want.oks[3]; failed != stalls {
+				t.Errorf("%d streams, failed %v: oks %v", streams, failed, want.oks)
+			}
 		}
-		if launches == before {
-			t.Errorf("%d streams: no launch ran", streams)
+	}
+}
+
+// TestLaunchDoesNotAllocate: on a warm device a launch allocates
+// nothing, over one stream or four, from a goroutine or a task.
+func TestLaunchDoesNotAllocate(t *testing.T) {
+	for _, task := range []bool{false, true} {
+		for _, streams := range []int{1, 4} {
+			env := sim.NewEnv()
+			dev := newDevice(env)
+			const threads = 1024
+			launches := 0
+			fn := func() { launches++ }
+			if task {
+				var f Flight
+				inFlight := false
+				env.Task("master", func(p *sim.Proc) {
+					for {
+						next, wait := sim.Time(0), false
+						if inFlight {
+							next, wait, _ = dev.ResumeLaunch(p, &f)
+						} else {
+							next, wait = dev.StartLaunch(p, &f, &KernelIPsec, sim.Millisecond, streams, threads,
+								threads*1500, threads*1500, threads*1500, fn)
+						}
+						if inFlight = wait; wait {
+							p.WakeAt(next)
+							return
+						}
+					}
+				})
+			} else {
+				env.Go("master", func(p *sim.Proc) {
+					for {
+						dev.LaunchChecked(p, &KernelIPsec, sim.Millisecond, streams, threads,
+							threads*1500, threads*1500, threads*1500, fn)
+					}
+				})
+			}
+			env.Run(sim.Time(sim.Millisecond))
+			before := launches
+			if n := testing.AllocsPerRun(50, func() { env.Run(env.Now() + sim.Time(sim.Millisecond)) }); n != 0 {
+				t.Errorf("task %v, %d streams: %v allocs per millisecond of launches, want 0", task, streams, n)
+			}
+			if launches == before {
+				t.Errorf("task %v, %d streams: no launch ran", task, streams)
+			}
+			env.Close()
 		}
-		env.Close()
 	}
 }
 

@@ -80,9 +80,9 @@ func TestToeplitzLUTMatchesBitSerial(t *testing.T) {
 }
 
 // TestRSSHashIPv4LUTMatchesBitSerial pins the per-packet fast path:
-// RSSHashIPv4 with the default key (LUT) against the bit-serial
-// reference over random tuples, plus a non-default key exercising the
-// fallback.
+// RSSHashIPv4Default, and RSSHashIPv4 with the default key, both by
+// table, against the bit-serial reference over random tuples, plus a
+// non-default key exercising the fallback.
 func TestRSSHashIPv4LUTMatchesBitSerial(t *testing.T) {
 	ref := func(key []byte, srcIP, dstIP uint32, sp, dp uint16) uint32 {
 		var in [12]byte
@@ -98,9 +98,12 @@ func TestRSSHashIPv4LUTMatchesBitSerial(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		srcIP, dstIP := rng.Uint32(), rng.Uint32()
 		sp, dp := uint16(rng.Uint32()), uint16(rng.Uint32())
-		if got, want := RSSHashIPv4(DefaultRSSKey[:], srcIP, dstIP, sp, dp),
-			ref(DefaultRSSKey[:], srcIP, dstIP, sp, dp); got != want {
+		want := ref(DefaultRSSKey[:], srcIP, dstIP, sp, dp)
+		if got := RSSHashIPv4(DefaultRSSKey[:], srcIP, dstIP, sp, dp); got != want {
 			t.Fatalf("default key tuple %d: got %#08x, want %#08x", i, got, want)
+		}
+		if got := RSSHashIPv4Default(srcIP, dstIP, sp, dp); got != want {
+			t.Fatalf("RSSHashIPv4Default tuple %d: got %#08x, want %#08x", i, got, want)
 		}
 		if got, want := RSSHashIPv4(altKey, srcIP, dstIP, sp, dp),
 			ref(altKey, srcIP, dstIP, sp, dp); got != want {
@@ -110,9 +113,12 @@ func TestRSSHashIPv4LUTMatchesBitSerial(t *testing.T) {
 	// Edge tuples: all-zero and all-ones inputs.
 	for _, v := range []uint32{0, 0xffffffff} {
 		p := uint16(v)
-		if got, want := RSSHashIPv4(DefaultRSSKey[:], v, v, p, p),
-			ref(DefaultRSSKey[:], v, v, p, p); got != want {
+		want := ref(DefaultRSSKey[:], v, v, p, p)
+		if got := RSSHashIPv4(DefaultRSSKey[:], v, v, p, p); got != want {
 			t.Fatalf("edge tuple %#x: got %#08x, want %#08x", v, got, want)
+		}
+		if got := RSSHashIPv4Default(v, v, p, p); got != want {
+			t.Fatalf("RSSHashIPv4Default edge tuple %#x: got %#08x, want %#08x", v, got, want)
 		}
 	}
 }

@@ -44,43 +44,31 @@ type RxQueue struct {
 	rate    float64 // offered packets/s for this queue
 	pktSize int
 	src     FrameSource
-	// batch is src's BatchSource side, or nil: detected once in
-	// SetOffered, so a decorator that implements only FrameSource keeps
-	// the per-packet calls it counts.
-	batch BatchSource
-	// spacing memoizes DurationFromSeconds(1/rate): Fetch needs it per
-	// call and the rate only changes in SetOffered.
-	spacing sim.Duration
+	// batch is src's BatchSource side, or nil (a decorator that is only
+	// a FrameSource keeps the per-packet calls it counts).
+	batch   BatchSource
+	spacing sim.Duration // DurationFromSeconds(1/rate), set in SetOffered
 
 	lastUpd sim.Time
 	occ     float64 // packets waiting (fractional accumulation)
-	// dropAcc carries the fractional part of overflowed packets between
-	// updates so Stats.Dropped counts whole packets exactly: truncating
-	// each sub-packet overflow would lose it forever under fine-grained
-	// update steps.
+	// dropAcc carries the fraction of overflowed packets between updates,
+	// so Stats.Dropped counts whole packets exactly.
 	dropAcc float64
 	fetched uint64 // sequence number of next packet to materialize
 
-	// carrierDown models link loss (fault injection): while down the
-	// peer sees no carrier either, so nothing arrives — the fluid
-	// process accrues neither packets nor drops.
+	// carrierDown models link loss (fault injection): the peer sees no
+	// carrier either, so the fluid process accrues neither packets nor drops.
 	carrierDown bool
 	// burstUntil, when ahead of lastUpd, marks an RX drop burst: frames
-	// arriving before it are discarded at the ring (counted in
-	// Stats.Dropped) instead of accumulating.
+	// arriving before it are dropped at the ring (Stats.Dropped).
 	burstUntil sim.Time
 
 	// dmaPath lists the IOHs the RX DMA crosses (one for local
 	// placement; both when NUMA-blind placement crosses nodes, §4.5).
 	dmaPath []*pcie.IOH
-	// dmaDone is when the latest fetch's RX DMA completes: the NIC DMAs
-	// asynchronously while the CPU processes recent packets, so a fetch
-	// only stalls when the in-flight DMA falls behind the prefetch
-	// pipeline depth (i.e. the IOH is the bottleneck). dmaBatches and
-	// dmaCompleted track batch completions for exact RX throughput
-	// accounting; the ring reuses one backing array for the lifetime of
-	// the queue (a plain slice re-sliced forward reallocates every
-	// refill).
+	// dmaDone is when the latest fetch's RX DMA completes (see DMAWait).
+	// dmaBatches and dmaCompleted track batch completions for exact RX
+	// throughput accounting, in a ring that reuses its backing array.
 	dmaDone      sim.Time
 	dmaBatches   sim.Ring[rxDMABatch]
 	dmaCompleted uint64
@@ -196,17 +184,27 @@ func (q *RxQueue) Available() int {
 	return int(q.occ)
 }
 
-// Fetch materializes up to max waiting packets, blocking p for the RX
-// DMA they consumed on the queue's IOH path. Packets carry GenAt
-// timestamps reconstructed from the fluid arrival spacing. Returns nil
-// if nothing is waiting.
+// Fetch materializes up to max waiting packets into out, after
+// blocking p for DMAWait's wait. Packets carry GenAt timestamps
+// reconstructed from the fluid arrival spacing.
 func (q *RxQueue) Fetch(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
-	// Wait until the previous batch's DMA is within the prefetch
-	// pipeline depth: DMA overlaps CPU work on recent packets, but the
-	// CPU cannot run unboundedly ahead of a saturated IOH.
-	if edge := q.dmaDone - sim.Time(model.RxDMAPipelineNs*float64(sim.Nanosecond)); edge > q.env.Now() {
+	if edge, wait := q.DMAWait(); wait {
 		p.SleepUntil(edge)
 	}
+	return q.FetchNow(max, out)
+}
+
+// DMAWait is the non-yielding half of Fetch's wait: whether a fetch now
+// must wait for the previous fetch's RX DMA to come within the prefetch
+// pipeline depth, and until when. DMA overlaps CPU work on recent
+// packets, but the CPU cannot run unboundedly ahead of a saturated IOH.
+func (q *RxQueue) DMAWait() (sim.Time, bool) {
+	edge := q.dmaDone - sim.Time(model.RxDMAPipelineNs*float64(sim.Nanosecond))
+	return edge, edge > q.env.Now()
+}
+
+// FetchNow is the rest of Fetch, once DMAWait's wait is over.
+func (q *RxQueue) FetchNow(max int, out []*packet.Buf) []*packet.Buf {
 	q.reapDMA()
 	q.update()
 	n := int(q.occ)
@@ -502,28 +500,25 @@ func (t *TxPort) reserveRun(done []sim.Time, size int, traced bool) sim.Duration
 // instead of dropping (what a user-level forwarder does — §5.2's
 // engine checks ring occupancy). This pushes overload back to the RX
 // rings, where excess packets are dropped before consuming any IOH
-// bandwidth.
+// bandwidth. Carrier loss is not backpressure: a dead port drops at once.
 func (t *TxPort) TransmitBlocking(p *sim.Proc, bufs []*packet.Buf) {
-	if len(bufs) == 0 {
-		return
-	}
-	if t.carrierDown {
-		// Carrier loss is not backpressure: the worker must not park on
-		// a dead port. Drop and account immediately.
-		t.Transmit(bufs)
-		return
-	}
-	t.reap()
-	for t.pending+len(bufs) > t.ringCap && t.completions.Len() > 0 {
-		next := t.completions.Front().done
-		if next <= p.Now() {
-			t.reap()
-			continue
+	if !t.carrierDown {
+		for next, full := t.Room(len(bufs)); full; next, full = t.Room(len(bufs)) {
+			p.SleepUntil(next)
 		}
-		p.SleepUntil(next)
-		t.reap()
 	}
 	t.Transmit(bufs)
+}
+
+// Room is the non-yielding half of TransmitBlocking's wait: whether n
+// more descriptors must wait for room in the ring, and until when (the
+// next batch completion, always after now).
+func (t *TxPort) Room(n int) (sim.Time, bool) {
+	t.reap()
+	if t.pending+n <= t.ringCap || t.completions.Len() == 0 {
+		return 0, false
+	}
+	return t.completions.Front().done, true
 }
 
 // reap folds finished batches into the delivered tally.

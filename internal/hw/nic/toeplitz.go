@@ -110,24 +110,16 @@ func (t *ToeplitzLUT) Hash(input []byte) uint32 {
 	return h
 }
 
-// defaultRSSLUT serves RSSHashIPv4 for the default key: built once at
-// init, read-only afterwards. 12 positions x 256 entries x 4B = 12 KiB,
-// comfortably cache-resident.
+// defaultRSSLUT serves the default key: built once at init, read-only
+// afterwards. 12 positions x 256 entries x 4B = 12 KiB, cache-resident.
 var defaultRSSLUT = NewToeplitzLUT(DefaultRSSKey[:], 12)
 
 // RSSHashIPv4 computes the RSS hash over the IPv4/UDP-or-TCP 5-tuple
-// (12-byte input: src IP, dst IP, src port, dst port). The default key
-// takes the precomputed-table path; other keys fall back to the
-// bit-serial reference.
+// (12-byte input: src IP, dst IP, src port, dst port) under key: the
+// default key through RSSHashIPv4Default, others bit-serially.
 func RSSHashIPv4(key []byte, srcIP, dstIP uint32, srcPort, dstPort uint16) uint32 {
 	if bytes.Equal(key, DefaultRSSKey[:]) {
-		l := defaultRSSLUT.lut
-		return l[0][byte(srcIP>>24)] ^ l[1][byte(srcIP>>16)] ^
-			l[2][byte(srcIP>>8)] ^ l[3][byte(srcIP)] ^
-			l[4][byte(dstIP>>24)] ^ l[5][byte(dstIP>>16)] ^
-			l[6][byte(dstIP>>8)] ^ l[7][byte(dstIP)] ^
-			l[8][byte(srcPort>>8)] ^ l[9][byte(srcPort)] ^
-			l[10][byte(dstPort>>8)] ^ l[11][byte(dstPort)]
+		return RSSHashIPv4Default(srcIP, dstIP, srcPort, dstPort)
 	}
 	var in [12]byte
 	binary.BigEndian.PutUint32(in[0:4], srcIP)
@@ -135,4 +127,15 @@ func RSSHashIPv4(key []byte, srcIP, dstIP uint32, srcPort, dstPort uint16) uint3
 	binary.BigEndian.PutUint16(in[8:10], srcPort)
 	binary.BigEndian.PutUint16(in[10:12], dstPort)
 	return ToeplitzHash(key, in[:])
+}
+
+// RSSHashIPv4Default is RSSHashIPv4 under DefaultRSSKey, by table.
+func RSSHashIPv4Default(srcIP, dstIP uint32, srcPort, dstPort uint16) uint32 {
+	l := defaultRSSLUT.lut
+	return l[0][byte(srcIP>>24)] ^ l[1][byte(srcIP>>16)] ^
+		l[2][byte(srcIP>>8)] ^ l[3][byte(srcIP)] ^
+		l[4][byte(dstIP>>24)] ^ l[5][byte(dstIP>>16)] ^
+		l[6][byte(dstIP>>8)] ^ l[7][byte(dstIP)] ^
+		l[8][byte(srcPort>>8)] ^ l[9][byte(srcPort)] ^
+		l[10][byte(dstPort>>8)] ^ l[11][byte(dstPort)]
 }

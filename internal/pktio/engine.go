@@ -240,16 +240,35 @@ func (f *Iface) skbRxCycles() float64 {
 // the RX DMA before it counts in Blocked. Returns nil when the queue is
 // empty.
 func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
-	if max > f.Engine.Cfg.BatchCap {
-		max = f.Engine.Cfg.BatchCap
+	since := p.Now()
+	if edge, wait := f.FetchWait(); wait {
+		p.SleepUntil(edge)
 	}
-	start := p.Now()
-	f.Engine.blocked.Begin(start)
-	got := f.Queue.Fetch(p, max, out)
-	f.Engine.blocked.End(start, p.Now())
+	got, cost := f.FetchNow(max, out, since)
+	if got != nil {
+		p.Sleep(cost)
+	}
+	return got
+}
+
+// FetchWait is the non-yielding half of FetchChunk's wait for the RX
+// DMA: whether a fetch now must wait, and until when. The wait counts
+// in Blocked from now until FetchNow, which must follow.
+func (f *Iface) FetchWait() (sim.Time, bool) {
+	f.Engine.blocked.Begin(f.Engine.Env.Now())
+	return f.Queue.DMAWait()
+}
+
+// FetchNow is the rest of FetchChunk once the wait FetchWait began at
+// since is over: it fetches up to max packets into out and returns them
+// with the CPU time they cost the caller, FetchChunk's second wait
+// (nil and 0 when the queue is empty).
+func (f *Iface) FetchNow(max int, out []*packet.Buf, since sim.Time) ([]*packet.Buf, sim.Duration) {
+	f.Engine.blocked.End(since, f.Engine.Env.Now())
+	got := f.Queue.FetchNow(min(max, f.Engine.Cfg.BatchCap), out)
 	n := len(got) - len(out)
 	if n <= 0 {
-		return nil
+		return nil, 0
 	}
 	cycles := model.IOBatchCycles * model.IORxShare * f.remoteFactor()
 	for _, b := range got[len(out):] {
@@ -260,8 +279,7 @@ func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Bu
 			cycles += f.skbRxCycles()
 		}
 	}
-	p.Sleep(model.Cycles(cycles))
-	return got
+	return got, model.Cycles(cycles)
 }
 
 // Wait blocks until the interface has packets, in the
@@ -278,23 +296,50 @@ func (e *Engine) Send(p *sim.Proc, workerNode, port int, bufs []*packet.Buf) {
 	if len(bufs) == 0 {
 		return
 	}
-	tgt := e.Ports[port]
+	p.Sleep(e.SendCost(workerNode, port, len(bufs)))
+	since := p.Now()
+	for next, wait := e.Post(port, bufs, since); wait; next, wait = e.Post(port, bufs, since) {
+		p.SleepUntil(next)
+	}
+}
+
+// SendCost is the CPU time Send charges for n packets before it posts
+// them, the non-yielding half of its first wait.
+func (e *Engine) SendCost(workerNode, port, n int) sim.Duration {
 	factor := 1.0
-	if workerNode != tgt.Node {
+	if workerNode != e.Ports[port].Node {
 		// §5.1: forwarding to ports in the other node is done by DMA,
 		// not CPU — but descriptor writes still touch remote memory.
 		factor = model.RemoteMemFactor
 	}
 	cycles := float64(model.IOBatchCycles * model.IOTxShare * factor)
-	cycles += float64(float64(len(bufs)) * model.IOPerPacketCycles * model.IOTxShare * factor)
+	cycles += float64(float64(n) * model.IOPerPacketCycles * model.IOTxShare * factor)
 	if !e.Cfg.PerQueueCounters {
-		cycles += float64(float64(len(bufs)) * model.SharedCounterPenaltyCycles)
+		cycles += float64(float64(n) * model.SharedCounterPenaltyCycles)
 	}
-	p.Sleep(model.Cycles(cycles))
-	start := p.Now()
-	e.blocked.Begin(start)
-	tgt.Tx.TransmitBlocking(p, bufs)
-	e.blocked.End(start, p.Now())
+	return model.Cycles(cycles)
+}
+
+// Post is the rest of Send, the non-yielding half of its wait for ring
+// room, first called at since, the instant SendCost's time ends, and
+// again at each instant it returns: it hands bufs to the TX ring and
+// reports false, or reports true and when to call it again. A port
+// whose carrier is down at since drops bufs at once (see
+// nic.TxPort.TransmitBlocking). The wait counts in Blocked.
+func (e *Engine) Post(port int, bufs []*packet.Buf, since sim.Time) (sim.Time, bool) {
+	tx, now := e.Ports[port].Tx, e.Env.Now()
+	first := now == since // a wait always ends after since
+	if first {
+		e.blocked.Begin(since)
+	}
+	if !first || tx.CarrierUp() {
+		if next, full := tx.Room(len(bufs)); full {
+			return next, true
+		}
+	}
+	tx.Transmit(bufs)
+	e.blocked.End(since, now)
+	return 0, false
 }
 
 // RxBreakdown returns the accumulated Table 3 accounting.

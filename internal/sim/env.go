@@ -219,7 +219,7 @@ func (e *Env) Run(until Time) Time {
 		panic("sim: Env.Run re-entered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() { e.running, e.inSched = false, false }()
 	e.until = until
 	e.drive(nil, false)
 	return e.now

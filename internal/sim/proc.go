@@ -61,8 +61,9 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // wakeup is scheduled exactly as Go schedules a process's start; at
 // that and every later wakeup Env.drive calls step inline, in scheduler
 // context. step must not block: it arms at most one next wakeup with
-// the non-yielding halves of the blocking operations — WakeAfter for
-// Sleep, Queue.Await for Queue.Get — and returns, keeping what it needs
+// the non-yielding halves of the blocking operations — WakeAfter and
+// WakeAt for Sleep and SleepUntil, Queue.Await for Queue.Get,
+// Queue.Offer for Queue.Put — and returns, keeping what it needs
 // across wakeups in its own state. A step that arms nothing leaves the
 // task parked for good, which is how a task ends. A task issues the
 // same Env.schedule calls as the goroutine process it replaces, so the
@@ -110,6 +111,13 @@ func (p *Proc) WakeAfter(d Duration) {
 		d = 0
 	}
 	p.env.wake(p, p.env.now+Time(d))
+}
+
+// WakeAt is the task half of SleepUntil: it schedules task p's next
+// step at absolute time t (now if t is in the past) and returns.
+func (p *Proc) WakeAt(t Time) {
+	p.mustArm("Proc.WakeAt")
+	p.env.wake(p, t)
 }
 
 // yield returns control to the event loop and blocks until this

@@ -52,6 +52,21 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 	q.wakeGetter()
 }
 
+// Offer is the task half of Put: it appends v if there is room and
+// reports true; otherwise it registers task p as a putter, so p's step
+// runs again when room frees, and reports false (the step offers v
+// again then).
+func (q *Queue[T]) Offer(p *Proc, v T) bool {
+	p.mustArm("Queue.Offer")
+	if q.full() {
+		q.putters.PushBack(p)
+		return false
+	}
+	q.items.PushBack(v)
+	q.wakeGetter()
+	return true
+}
+
 // TryPut appends v if there is room and reports whether it did. It never
 // blocks, so it is also safe to call from scheduler context.
 func (q *Queue[T]) TryPut(v T) bool {

@@ -65,7 +65,9 @@ func TestTaskMisusePanics(t *testing.T) {
 		fn   func(p *Proc)
 	}{
 		{"Proc.WakeAfter", func(p *Proc) { p.WakeAfter(Nanosecond) }},
+		{"Proc.WakeAt", func(p *Proc) { p.WakeAt(5) }},
 		{"Queue.Await", func(p *Proc) { q.Await(p) }},
+		{"Queue.Offer", func(p *Proc) { q.Offer(p, 2) }},
 	}
 	got = got[:0]
 	env.Go("goer", func(p *Proc) {
@@ -82,7 +84,7 @@ func TestTaskMisusePanics(t *testing.T) {
 			t.Errorf("%s on a goroutine process: panic %q does not name the call", c.call, got[i])
 		}
 	}
-	if q.Len() != 1 || q.getters.Len() != 0 {
+	if q.Len() != 1 || q.getters.Len() != 0 || q.putters.Len() != 0 {
 		t.Error("a refused arming call left a side effect behind")
 	}
 
@@ -200,11 +202,12 @@ func TestSchedulerContextMustNotBlock(t *testing.T) {
 // ties: the timer's period equals the producer's, the consumer's service
 // time makes it finish on the producer's instants, two consumers of
 // different forms wait on one queue, and an At callback wakes them with
-// TryPut.
-func runMixed(tasks bool) []string {
+// TryPut. A putter of either form fills a bounded queue that a goroutine
+// drains with TryGet and DrainAppend; fullOffers counts the task
+// putter's offers that found it full.
+func runMixed(tasks bool) (log []string, fullOffers int) {
 	env := NewEnv()
 	defer env.Close()
-	var log []string
 	rec := func(who string, v int) {
 		log = append(log, fmt.Sprintf("%d %s %d", env.Now(), who, v))
 	}
@@ -237,7 +240,39 @@ func runMixed(tasks bool) []string {
 	})
 	env.At(Time(30*Nanosecond), func() { rec("callback", 1) })
 
+	// A bounded queue, full at once: its putter waits on it, and a
+	// goroutine drainer makes room with TryGet and with DrainAppend.
+	bq := NewQueue[int](env, 2)
+	env.Go("drainer", func(p *Proc) {
+		var buf []int
+		for round := 0; round < 4; round++ {
+			p.Sleep(7 * Nanosecond)
+			if v, ok := bq.TryGet(); ok {
+				rec("tryget", v)
+			}
+			p.Sleep(4 * Nanosecond)
+			buf = bq.DrainAppend(buf[:0], 2)
+			for _, v := range buf {
+				rec("drain", v)
+			}
+		}
+	})
+
 	if tasks {
+		put := 0
+		env.Task("putter", func(p *Proc) {
+			for put < 9 {
+				if !bq.Offer(p, put) {
+					fullOffers++
+					return
+				}
+				rec("put", put)
+				if put++; put%3 == 0 {
+					p.WakeAfter(2 * Nanosecond)
+					return
+				}
+			}
+		})
 		ticks := 0
 		env.Task("timer", func(p *Proc) {
 			if ticks > 0 {
@@ -262,6 +297,15 @@ func runMixed(tasks bool) []string {
 			p.WakeAfter(10 * Nanosecond)
 		})
 	} else {
+		env.Go("putter", func(p *Proc) {
+			for i := 0; i < 9; i++ {
+				bq.Put(p, i)
+				rec("put", i)
+				if (i+1)%3 == 0 {
+					p.Sleep(2 * Nanosecond)
+				}
+			}
+		})
 		env.Go("timer", func(p *Proc) {
 			for i := 1; i <= 7; i++ {
 				p.Sleep(10 * Nanosecond)
@@ -278,7 +322,7 @@ func runMixed(tasks bool) []string {
 		})
 	}
 	env.Run(0)
-	return log
+	return log, fullOffers
 }
 
 // TestMixedEnvMatchesGoroutineTwin: tasks coexist with goroutine
@@ -286,8 +330,8 @@ func runMixed(tasks bool) []string {
 // schedule calls as the goroutine process it stands in for, the mixed
 // Env executes in exactly the order of its all-goroutine twin.
 func TestMixedEnvMatchesGoroutineTwin(t *testing.T) {
-	want := runMixed(false)
-	got := runMixed(true)
+	want, _ := runMixed(false)
+	got, fullOffers := runMixed(true)
 	if len(want) < 30 {
 		t.Fatalf("scenario too small to mean anything: %d records", len(want))
 	}
@@ -295,10 +339,27 @@ func TestMixedEnvMatchesGoroutineTwin(t *testing.T) {
 		t.Errorf("mixed Env diverged from its all-goroutine twin:\n got:\n%s\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	for _, who := range []string{"tick", "consumer", "consumed", "rival", "callback"} {
+	for _, who := range []string{"tick", "consumer", "consumed", "rival", "callback", "put", "tryget", "drain"} {
 		if !strings.Contains(strings.Join(want, "\n"), " "+who+" ") {
 			t.Errorf("scenario never ran %q", who)
 		}
+	}
+	// The task putter found the queue full, and both TryGet and
+	// DrainAppend woke it: a put at the instant of each.
+	woken := map[string]bool{}
+	at := map[string]string{}
+	for _, r := range want {
+		f := strings.Fields(r)
+		if f[1] == "put" && at[f[0]] != "" {
+			woken[at[f[0]]] = true
+		}
+		if f[1] == "tryget" || f[1] == "drain" {
+			at[f[0]] = f[1]
+		}
+	}
+	if fullOffers < 2 || !woken["tryget"] || !woken["drain"] {
+		t.Errorf("the putter offered to a full queue %d times; woken by TryGet %v, by DrainAppend %v",
+			fullOffers, woken["tryget"], woken["drain"])
 	}
 }
 
@@ -430,6 +491,26 @@ func TestTaskWakeupsAllocateNothing(t *testing.T) {
 	}
 	if sum < 200 {
 		t.Fatalf("getter received %d of 200 items", sum)
+	}
+
+	env3 := NewEnv()
+	defer env3.Close()
+	bq := NewQueue[int](env3, 1)
+	puts := 0
+	env3.Task("putter", func(p *Proc) {
+		for bq.Offer(p, 1) {
+			puts++
+		}
+	})
+	env3.Run(0)
+	if n := testing.AllocsPerRun(200, func() {
+		bq.TryGet()
+		env3.Run(0)
+	}); n != 0 {
+		t.Errorf("a task's put into a full queue: %v allocs per item, want 0", n)
+	}
+	if puts < 200 {
+		t.Fatalf("putter put %d of 200 items", puts)
 	}
 }
 

@@ -25,7 +25,7 @@
 #	leak-app-drop   worker.finish keeps the Buf of a
 #	                packet the app dropped                the packet ledger
 #	sched-callback  a ctrl command callback's knob hook
-#	                blocks on a worker's Proc             the engine (ctrl tests)
+#	                blocks on a worker task's Proc        the engine (ctrl tests)
 #	fetch-cap       a worker reads the chunk cap when it
 #	                fetches, not once per round           the pshaderd replay
 #	link-up-rx      ApplyFault's link-up raises the TX
@@ -73,6 +73,11 @@
 #	                                                      points
 #	kappa-ulp-down  model.IOHKappa one ulp below 0.465    the full golden
 #	                                                      files
+#	scatter-order   the master's scatter returns its
+#	                chunks in reverse order               the full golden
+#	                                                      files
+#	sha1-lane       blockSHA1x16's lanes 8-15 read the
+#	                messages of lanes 0-7                 FuzzHMACSHA1
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -80,8 +85,9 @@
 # state with another. The paper points are TestPaperPoints on the -short
 # golden run, which holds table1's cells to the paper's Table 1; the
 # ledger gate is TestDropsCounted, a run whose app drops every packet.
-# The engine gate is sim's own panic on a blocking call from an At/After
-# callback or a task step; any test that reaches the call shows it. The
+# The engine gate is sim's own panic on a blocking call on a task's Proc
+# (a worker is one) or from an At/After callback or a task step; any
+# test that reaches the call shows it. The
 # route tests compare GenerateBGPTable against a seeded reference.
 # tx-run-offset, tie-break and model-vlb-share name two gates each, and
 # both must print their finding: TestTransmitMatchesPerPacketOracle
@@ -129,7 +135,13 @@
 # fig11d's 64 B CPU+GPU point leaves its band (the latency grows with
 # the thread count, so it is device work). kappa-ulp-down's gate is the
 # full TestGoldenOutputs: one ulp of the IOH's coupling moves no table
-# cell, only fig11a's first ioh0-up util line.
+# cell, only fig11a's first ioh0-up util line. scatter-order's gate is
+# the full TestGoldenOutputs too: the master's scatter makes same-instant
+# schedule calls, one per chunk, so returning the chunks in another order
+# moves fig11a's sim.digest lines. sha1-lane's gate is FuzzHMACSHA1, which
+# holds all sixteen lanes of a Batch flush to crypto/hmac; no golden byte
+# depends on an ICV's value, so TestGoldenOutputs cannot catch it (and on
+# a host without AVX-512 the lanes do not run: the row fails there).
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -160,6 +172,7 @@ clustertests="go test -count=1 ./internal/cluster"
 spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
 ctrfuzz="go test -count=1 -run FuzzCTR ./internal/ipsec"
 csumfuzz="go test -count=1 -run FuzzChecksum ./internal/packet"
+hmacfuzz="go test -count=1 -run FuzzHMACSHA1 ./internal/ipsec"
 busygates="go test -count=1 -run TestUtilLinesAtMost1000|TestPipelineCoreSharesAtMost100|FuzzServerBusy ./internal/experiments ./internal/sim"
 oracle="go test -count=1 -run TestFabricTasksMatchGoroutineOracle ./internal/cluster"
 golden="go test -count=1 -short -run TestGoldenOutputs ./internal/experiments"
@@ -252,14 +265,13 @@ mutate_leak_app_drop() {
 
 mutate_sched_callback() {
 	insert internal/core/worker.go 'type worker struct {' '	proc *sim.Proc'
-	insert internal/core/worker.go 'func (w *worker) run(p *sim.Proc) {' '	w.proc = p'
+	insert internal/core/worker.go 'func (w *worker) step(p *sim.Proc) {' '	w.proc = p'
 	insert internal/core/core.go 'func (r *Router) SetChunkCap(n int) {' '	r.workers[0].outQ.Put(r.workers[0].proc, nil)'
-	gate=$ctrltests want="Queue.Put on worker from scheduler context"
+	gate=$ctrltests want="Queue.Put on task worker: a task's step must not block"
 }
 
 mutate_fetch_cap() {
-	insert internal/core/worker.go 'func (w *worker) fetchChunk(p *sim.Proc, max int) *Chunk {' \
-		'	max = w.router.Cfg.ChunkCap'
+	insert internal/core/worker.go 'case wPolled:' '			w.chunkCap = cfg.ChunkCap'
 	gate=replay want="pshaderd-demo.txt - differ"
 }
 
@@ -361,6 +373,20 @@ mutate_launch_latency_host() {
 	gate=$fullpoints want="point (fig11d, 64, CPU+GPU)" want2="outside its band"
 }
 
+mutate_scatter_order() {
+	f=internal/core/master.go
+	insert $f 'c := m.gather[m.k]' '				c := m.gather[len(m.gather)-1-m.k]'
+	delete $f 'c := m.gather[m.k]'
+	gate=$fullgolden want="fig11a differs from" want2="counter sim.digest"
+}
+
+mutate_sha1_lane() {
+	f=internal/ipsec/sha1x16_amd64.s
+	insert $f 'VMOVDQU64 64(AX), Z8' '	VMOVDQU64 (AX), Z8'
+	delete $f 'VMOVDQU64 64(AX), Z8'
+	gate=$hmacfuzz want="lane 8 of 16"
+}
+
 mutate_kappa_ulp_down() {
 	f=internal/model/model.go
 	insert $f 'IOHKappa = 0.465' '	IOHKappa = 0.46499999999999997 // one ulp below'
@@ -373,7 +399,7 @@ if [ $# -eq 0 ]; then
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
 		checksum-carry busy-booked second-core-new post-early window-skip ecmp-stale-live \
-		inbox-tie launch-latency-host kappa-ulp-down
+		inbox-tie launch-latency-host kappa-ulp-down scatter-order sha1-lane
 fi
 
 status=0
@@ -410,6 +436,8 @@ for m in "$@"; do
 	inbox-tie) mutate_inbox_tie ;;
 	launch-latency-host) mutate_launch_latency_host ;;
 	kappa-ulp-down) mutate_kappa_ulp_down ;;
+	scatter-order) mutate_scatter_order ;;
+	sha1-lane) mutate_sha1_lane ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
