@@ -56,7 +56,9 @@ lint:
 # link went down, an inbox peak that counts a batch whose budget starts
 # at the arrival as waiting, a GPU launch latency booked off the exec
 # engine, the IOH's coupling one ulp low, a master that scatters its
-# chunks in reverse order, a SHA-1 lane reading another's message) and
+# chunks in reverse order, a SHA-1 lane reading another's message, a
+# goroutine process in table1, model.Cycles' product unwrapped from its
+# float64(…)) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
@@ -65,8 +67,8 @@ lint:
 # lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
 # util and share checks and FuzzServerBusy, the one-path gates, the
 # fabric's goroutine oracle, the golden files, the oracle twice more,
-# the full paper points, the full golden files twice, FuzzHMACSHA1)
-# fails on it.
+# the full paper points, the full golden files twice, FuzzHMACSHA1, the
+# one-path gates, the fused-multiply-add gate) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

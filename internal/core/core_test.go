@@ -502,7 +502,7 @@ func TestFaultRunsDeterministic(t *testing.T) {
 // contract: fetchChunk reuses chunk OutPorts arrays WITHOUT clearing
 // them (every App's PreShade writes every slot). The free list is
 // pre-poisoned with out-of-range port numbers; if a stale slot ever
-// survived to transmission, Engine.Send would index a nonexistent port
+// survived to transmission, Engine.SendCost would index a nonexistent port
 // and panic, and the bogus ports would corrupt forwarding.
 func TestRecycledChunksDontLeakStalePorts(t *testing.T) {
 	env := sim.NewEnv()

@@ -186,9 +186,9 @@ func pipelineColumn(size int, app core.App, src packetshader.Source, load ...pac
 // workerCycles is Table 3 for the CPU+GPU worker path: the worker CPU
 // cycles one full chunk of 64 B IPv4 packets costs, by the model
 // constant that charges them, and the stage each falls in. RX charges
-// the fetch's batch and per-packet halves (pktio.FetchChunk); TX splits
-// the chunk evenly over the ports, one Send per port, those of the
-// other node at RemoteMemFactor (pktio.Engine.Send); the app charges
+// the fetch's batch and per-packet halves (pktio.Iface.FetchNow); TX
+// splits the chunk evenly over the ports, one send per port, those of
+// the other node at RemoteMemFactor (pktio.Engine.SendCost); the app charges
 // pre- and post-shading per packet and runs the lookup on the GPU. The
 // measured row is the same four stages' means per chunk of a full-load
 // run over Figure 11's window; the budget is what one chunk may cost

@@ -25,24 +25,25 @@ func table1(c *Ctx) *Result {
 		defer env.Close()
 		link := pcie.NewLink(env, pcie.NewIOH(env, 0), "gpu")
 		const reps = 100
-		var h2d, d2h sim.Duration
-		env.Go("copier", func(p *sim.Proc) {
-			t0 := p.Now()
-			for i := 0; i < reps; i++ {
-				link.CopyH2D(p, size)
+		// From time 0 the copier books reps host-to-device copies, each
+		// as the last ends, then reps device-to-host ones.
+		var h2d sim.Time
+		copies := 0
+		env.Task("copier", func(p *sim.Proc) {
+			if copies == reps {
+				h2d = p.Now()
 			}
-			h2d = sim.Duration(p.Now() - t0)
-			t0 = p.Now()
-			for i := 0; i < reps; i++ {
-				link.CopyD2H(p, size)
+			if copies++; copies <= reps {
+				p.WakeAt(link.ScheduleH2D(size))
+			} else if copies <= 2*reps {
+				p.WakeAt(link.ScheduleD2H(size))
 			}
-			d2h = sim.Duration(p.Now() - t0)
 		})
-		env.Run(0)
+		end := env.Run(0)
 		rate := func(d sim.Duration) float64 {
 			return float64(size*reps) / d.Seconds() / 1e6
 		}
-		return rates{rate(h2d), rate(d2h)}
+		return rates{rate(sim.Duration(h2d)), rate(sim.Duration(end - h2d))}
 	})
 	for i, size := range sizes {
 		row := sizeLabel(size)
@@ -115,14 +116,27 @@ func fig2(c *Ctx) *Result {
 			his[i] = uint64(0x2001)<<48 | uint64(i)*2654435761
 			los[i] = uint64(i) * 0x9e3779b97f4a7c15
 		}
-		var total sim.Duration
-		env.Go("m", func(p *sim.Proc) {
-			for i := 0; i < reps; i++ {
-				total += dev.Launch(p, &gpu.KernelIPv6, batch, batch*16, batch*2, 0,
-					func() { tbl.LookupBatch(his, los, hops) })
+		// The master runs reps launches back to back from time 0, so
+		// their round trips sum to the run's end.
+		var f gpu.Flight
+		launches, inFlight := 0, false
+		env.Task("m", func(p *sim.Proc) {
+			for launches < reps || inFlight {
+				next, wait := sim.Time(0), false
+				if inFlight {
+					next, wait, _ = dev.ResumeLaunch(p, &f)
+				} else {
+					launches++
+					next, wait = dev.StartLaunch(p, &f, &gpu.KernelIPv6, 0, 1, batch, batch*16, batch*2, 0,
+						func() { tbl.LookupBatch(his, los, hops) })
+				}
+				if inFlight = wait; wait {
+					p.WakeAt(next)
+					return
+				}
 			}
 		})
-		env.Run(0)
+		total := sim.Duration(env.Run(0))
 		return float64(batch*reps) / total.Seconds()
 	})
 	for i, batch := range batches {

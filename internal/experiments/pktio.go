@@ -44,9 +44,9 @@ func ioWorkersPerNode(cfg pktio.Config) int {
 
 // ioHarness is the one way a §4 figure drives the packet I/O engine:
 // build it from cfg, offer line rate split over each port's queues, bind
-// the queues to workers through place, run ioWorkerLoop on every worker
-// — packets move with no application processing — for window, and hand
-// back the engine for the caller to read.
+// the queues to workers through place, run an ioWorker task on every
+// worker — packets move with no application processing — for window,
+// and hand back the engine for the caller to read.
 func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, pktSize int, window sim.Duration) *pktio.Engine {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -66,68 +66,124 @@ func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, pktSize int, 
 			for port := lo; port < hi; port++ {
 				ifaces = append(ifaces, e.OpenIface(port, queue, n))
 			}
-			env.Go("worker", func(p *sim.Proc) {
-				ioWorkerLoop(p, e, wl, n, ifaces, pktSize, window)
-			})
+			env.Task("worker", ioWorker(e, wl, n, ifaces, pktSize, sim.Time(window)))
 		}
 	}
 	env.Run(sim.Time(window))
 	return e
 }
 
-// ioWorkerLoop is the fetch → send loop of one worker: poll its
-// interfaces round-robin, send each chunk out of a port of the output
-// node (drop it when RX-only; synthesize it when TX-only), and sleep on
-// the first interface when all are empty.
-func ioWorkerLoop(p *sim.Proc, e *pktio.Engine, wl ioWorkload,
-	node int, ifaces []*pktio.Iface, pktSize int, window sim.Duration) {
-	cfg := e.Cfg
-	portsPerNode := cfg.Ports / cfg.Nodes
-	outBase := node * portsPerNode
+// The points at which an ioWorker's step resumes: a round starts, if
+// the window has not ended; poll the next interface; its RX-DMA wait is
+// over; its RX cycles are charged; post the chunk to the TX ring, or
+// wait for room; the idle wait for packets is over.
+const (
+	ioRound = iota
+	ioPoll
+	ioPolled
+	ioFetched
+	ioPost
+	ioWoken
+)
+
+// ioWorker returns the step of one worker of node, a sim task: until
+// window it polls its interfaces round-robin and sends each chunk out of
+// a port of the output node (drops it when RX-only; synthesizes it when
+// TX-only), and after a round that fetched nothing it idles on its
+// first interface until that has packets. It arms nothing once the
+// window is over or that interface has no offered load.
+func ioWorker(e *pktio.Engine, wl ioWorkload, node int, ifaces []*pktio.Iface, pktSize int, window sim.Time) func(*sim.Proc) {
+	perNode := e.Cfg.Ports / e.Cfg.Nodes
+	outBase := node * perNode
 	if wl == wlForwardCrossing {
-		outBase = ((node + 1) % cfg.Nodes) * portsPerNode
+		outBase = ((node + 1) % e.Cfg.Nodes) * perNode
 	}
-	rr := 0
-	// Reusable batch buffers: Send/Transmit consume their argument
-	// synchronously, so one slice per worker serves every iteration.
-	bufs := make([]*packet.Buf, cfg.BatchCap)
-	var chunk []*packet.Buf
-	for p.Now() < sim.Time(window) {
-		switch wl {
-		case wlTxOnly:
-			// Synthesize and transmit; pace against ring backlog so the
-			// simulation does not spin generating drops.
-			port := e.Ports[outBase+rr%portsPerNode]
-			rr++
-			if port.Tx.Pending() > model.TxRingSize/2 {
-				p.Sleep(20 * sim.Microsecond)
-				continue
-			}
-			for i := range bufs {
-				bufs[i] = e.Pool.Get(pktSize)
-			}
-			e.Send(p, node, port.ID, bufs)
-		default:
-			progress := false
-			for range ifaces {
-				f := ifaces[rr%len(ifaces)]
-				rr++
-				chunk = f.FetchChunk(p, cfg.BatchCap, chunk[:0])
-				if len(chunk) == 0 {
+	// What the step keeps across its waits: where it resumes, the
+	// round's polls, the interface polled, the chunk in hand (Post
+	// consumes it at once, so one slice serves every batch) and its
+	// port, and when the current wait in the engine began.
+	at, rr, polled, port, progress := ioRound, 0, 0, 0, false
+	var f *pktio.Iface
+	chunk := make([]*packet.Buf, e.Cfg.BatchCap)
+	var since sim.Time
+	// send charges the TX cycles of the chunk for to, then posts it.
+	send := func(p *sim.Proc, to int) {
+		cost := e.SendCost(node, to, len(chunk))
+		at, port, since = ioPost, to, p.Now()+sim.Time(cost)
+		p.WakeAfter(cost)
+	}
+	return func(p *sim.Proc) {
+		for {
+			switch at {
+			case ioRound:
+				if p.Now() >= window {
+					return
+				}
+				at, polled, progress = ioPoll, 0, false
+				if wl != wlTxOnly {
 					continue
 				}
-				progress = true
-				if wl == wlRxOnly {
-					for _, b := range chunk {
-						b.Release()
+				// Synthesize and transmit; pace against ring backlog so
+				// the simulation does not spin generating drops.
+				tx := e.Ports[outBase+rr%perNode]
+				rr++
+				if at = ioRound; tx.Tx.Pending() > model.TxRingSize/2 {
+					p.WakeAfter(20 * sim.Microsecond)
+					return
+				}
+				for i := range chunk {
+					chunk[i] = e.Pool.Get(pktSize)
+				}
+				send(p, tx.ID)
+				return
+			case ioPoll:
+				if polled == len(ifaces) {
+					at = ioRound
+					if progress {
+						continue
+					}
+					if d, wait, ok := ifaces[0].Queue.PacketWait(); wait || !ok {
+						if wait {
+							at = ioWoken
+							p.WakeAfter(d)
+						}
+						return
 					}
 					continue
 				}
-				out := outBase + (rr % portsPerNode)
-				e.Send(p, node, out, chunk)
-			}
-			if !progress && !ifaces[0].Wait(p) {
-				return
+				f, rr, polled = ifaces[rr%len(ifaces)], rr+1, polled+1
+				at, since = ioPolled, p.Now()
+				if edge, wait := f.FetchWait(); wait {
+					p.WakeAt(edge)
+					return
+				}
+			case ioPolled:
+				got, cost := f.FetchNow(e.Cfg.BatchCap, chunk[:0], since)
+				if at = ioPoll; got != nil {
+					at, chunk, progress = ioFetched, got, true
+					p.WakeAfter(cost)
+					return
+				}
+			case ioFetched:
+				if wl != wlRxOnly {
+					send(p, outBase+rr%perNode)
+					return
+				}
+				for _, b := range chunk {
+					b.Release()
+				}
+				at = ioPoll
+			case ioPost:
+				if next, wait := e.Post(port, chunk, since); wait {
+					p.WakeAt(next)
+					return
+				}
+				if at = ioPoll; wl == wlTxOnly {
+					at = ioRound
+				}
+			case ioWoken:
+				ifaces[0].Queue.Update() // as WaitForPackets does
+				at = ioRound
 			}
 		}
 	}

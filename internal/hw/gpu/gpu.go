@@ -84,12 +84,9 @@ type Device struct {
 	// Parts sums the round trips of the one-stream launches completed so
 	// far, part by part.
 	Parts LaunchParts
-	// ends holds the current launch's kernel completions, one per
-	// stream, reused so that a launch allocates nothing.
-	ends []sim.Time
 
 	// failed marks the device as stalled/failed (fault injection): a
-	// failed device never completes a launch — LaunchChecked times out
+	// failed device never completes a launch — StartLaunch times out
 	// its watchdog instead. Failure takes effect at launch boundaries;
 	// a launch already in flight completes normally.
 	failed bool
@@ -140,7 +137,7 @@ func New(env *sim.Env, ioh *pcie.IOH, node int) *Device {
 // ExecBusy exposes cumulative execution-engine work.
 func (d *Device) ExecBusy() sim.Duration { return d.exec.BusyTime() }
 
-// Fail marks the device as stalled: subsequent LaunchChecked calls burn
+// Fail marks the device as stalled: launches started after it burn
 // their watchdog timeout and report failure until Repair.
 func (d *Device) Fail() { d.failed = true }
 
@@ -150,23 +147,6 @@ func (d *Device) Repair() { d.failed = false }
 // Healthy reports whether the device currently completes launches.
 func (d *Device) Healthy() bool { return !d.failed }
 
-// LaunchChecked is launch over nStreams streams (one when nStreams < 1)
-// guarded by a host-side watchdog (the master's recovery path): on a
-// healthy device it books the launch and returns true; on a failed
-// device the caller blocks for the watchdog timeout — the time a real
-// driver waits before declaring the launch hung — runs no functional
-// work, and gets false so it can fall back to the CPU path.
-func (d *Device) LaunchChecked(p *sim.Proc, spec *KernelSpec, watchdog sim.Duration, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) bool {
-	var f Flight
-	next, wait := d.StartLaunch(p, &f, spec, watchdog, nStreams, threads, inBytes, outBytes, streamBytes, fn)
-	ok := true
-	for wait {
-		p.SleepUntil(next)
-		next, wait, ok = d.ResumeLaunch(p, &f)
-	}
-	return ok
-}
-
 // EnableTrace attaches tr to the device, recording launch stage spans
 // on a per-device track. A nil tr disables tracing.
 func (d *Device) EnableTrace(tr *obs.Tracer) {
@@ -174,8 +154,9 @@ func (d *Device) EnableTrace(tr *obs.Tracer) {
 	d.track = tr.Track("devices", "gpu"+strconv.Itoa(d.Node))
 }
 
-// Launch is launch's one-stream case, the round trip PacketShader's
-// master runs (§5.1). It returns the round trip's duration.
+// Launch blocks p for launch's one-stream case, the round trip
+// PacketShader's master runs (§5.1), and returns its duration. Its only
+// non-test caller is bench/micro.go.
 func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outBytes, streamBytes int, fn func()) sim.Duration {
 	start := p.Now()
 	var f Flight
@@ -186,8 +167,9 @@ func (d *Device) Launch(p *sim.Proc, spec *KernelSpec, threads, inBytes, outByte
 }
 
 // A Flight is one launch in flight, what its wake-ups need of its
-// start. The caller keeps it across them: a blocking launch on its
-// stack, a task in its own state.
+// start. The caller keeps it across them, a task in its own state, and
+// a Flight kept from one launch to the next reuses its ends' backing
+// array, so a launch over up to that many streams allocates nothing.
 type Flight struct {
 	spec                       *KernelSpec
 	fn                         func()
@@ -195,21 +177,23 @@ type Flight struct {
 	latency                    sim.Duration
 	start, h2d, at, kernelDone sim.Time // at: the next kernel end
 	d2h                        sim.Time
-	ends                       []sim.Time // the device's ends as this launch booked them
-	next                       int        // the slice whose kernel ends at at; len(ends) for the sync
+	ends                       []sim.Time // the later slices' kernel ends, as this launch booked them
+	next                       int        // the kernel ends passed; len(ends)+1 once the sync is booked
 	stall                      bool       // a watchdog stall on a failed device
 }
 
-// StartLaunch is the non-yielding half of LaunchChecked for a task: it
-// starts the launch from p, now, keeping its state in f, and returns
-// the instant of its first wake-up, or false when there is none (no
-// threads). At that and each later wake-up the caller calls
-// ResumeLaunch, which returns the next. The wake-ups are
-// LaunchChecked's, so both forms book the same.
+// StartLaunch starts, from p, now, a launch over nStreams streams (one
+// when nStreams < 1) guarded by a host-side watchdog (the master's
+// recovery path), keeping its state in f. It returns the instant of the
+// launch's first wake-up, or false when there is none (no threads). At
+// that and each later wake-up the caller calls ResumeLaunch, which
+// returns the next. On a failed device the one wake-up is the watchdog
+// timeout — the time a real driver waits before declaring the launch
+// hung — and the launch runs no functional work.
 func (d *Device) StartLaunch(p *sim.Proc, f *Flight, spec *KernelSpec, watchdog sim.Duration, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) (sim.Time, bool) {
 	if threads > 0 && d.failed {
 		d.Stalls++
-		*f = Flight{threads: threads, start: p.Now(), stall: true}
+		*f = Flight{threads: threads, start: p.Now(), ends: f.ends[:0], stall: true}
 		return p.Now() + sim.Time(max(watchdog, 0)), true
 	}
 	return d.launch(p, f, spec, max(nStreams, 1), threads, inBytes, outBytes, streamBytes, fn)
@@ -217,20 +201,21 @@ func (d *Device) StartLaunch(p *sim.Proc, f *Flight, spec *KernelSpec, watchdog 
 
 // ResumeLaunch carries the launch in flight on at one of its wake-ups:
 // it returns the next one, or false and whether the launch completed
-// (false after a watchdog stall) when the round trip is over.
+// (false after a watchdog stall, so the caller can fall back to the CPU
+// path) when the round trip is over.
 func (d *Device) ResumeLaunch(p *sim.Proc, f *Flight) (next sim.Time, wait, ok bool) {
 	if f.stall {
 		d.trace.SpanUntil(d.track, "stall", f.start, p.Now(),
 			obs.Arg{Key: "threads", Val: int64(f.threads)})
 		return 0, false, false
 	}
-	if f.next < len(f.ends) {
+	if f.next <= len(f.ends) {
 		f.kernelDone, f.d2h = f.at, f.at
 		if f.out > 0 {
 			f.d2h = d.Link.ScheduleD2H(f.perOut)
 		}
-		if f.next++; f.next < len(f.ends) {
-			f.at = f.ends[f.next]
+		if f.next++; f.next <= len(f.ends) {
+			f.at = f.ends[f.next-1]
 			return f.at, true, true
 		}
 		if f.fn != nil {
@@ -265,16 +250,19 @@ func (d *Device) launch(p *sim.Proc, f *Flight, spec *KernelSpec, n, threads, in
 	// kernel.
 	latency := model.GPULaunchTime(per(threads))
 	kernel := latency + spec.ExecTime(per(threads), per(streamBytes))
-	h2d := start
-	d.ends = d.ends[:0]
-	for range n {
+	h2d, first, ends := start, sim.Time(0), f.ends[:0]
+	for k := range n {
 		if inBytes > 0 {
 			h2d = d.Link.ScheduleH2D(per(inBytes))
 		}
-		d.ends = append(d.ends, d.exec.ScheduleAt(h2d, kernel))
+		if end := d.exec.ScheduleAt(h2d, kernel); k == 0 {
+			first = end
+		} else {
+			ends = append(ends, end)
+		}
 	}
 	*f = Flight{spec: spec, fn: fn, threads: threads, in: inBytes, out: outBytes, perOut: per(outBytes),
-		latency: latency, start: start, h2d: h2d, at: d.ends[0], ends: d.ends}
+		latency: latency, start: start, h2d: h2d, at: first, ends: ends}
 	return f.at, true
 }
 
@@ -282,11 +270,11 @@ func (d *Device) launch(p *sim.Proc, f *Flight, spec *KernelSpec, n, threads, in
 // span for a launch over more than one stream, whose slices overlap and
 // add no Parts, and the spans and Parts of a one-stream launch.
 func (d *Device) finish(f *Flight, end sim.Time) {
-	if len(f.ends) > 1 {
+	if len(f.ends) > 0 {
 		if d.trace.Enabled() {
 			d.trace.SpanUntil(d.track, "launch-streams:"+f.spec.Name, f.start, end,
 				obs.Arg{Key: "threads", Val: int64(f.threads)},
-				obs.Arg{Key: "streams", Val: int64(len(f.ends))})
+				obs.Arg{Key: "streams", Val: int64(len(f.ends) + 1)})
 		}
 		return
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"packetshader/internal/hw/pcie"
@@ -17,13 +19,73 @@ func newDevice(env *sim.Env) *Device {
 	return New(env, pcie.NewIOH(env, 0), 0)
 }
 
-// checked runs one LaunchChecked on a healthy device and returns its
-// round trip.
-func checked(p *sim.Proc, dev *Device, spec *KernelSpec, streams, threads, inBytes, outBytes, streamBytes int) sim.Duration {
-	start := p.Now()
-	dev.LaunchChecked(p, spec, sim.Millisecond, streams, threads, inBytes, outBytes, streamBytes, nil)
-	return sim.Duration(p.Now() - start)
+// launchArgs is one launch a test master makes, gap after its last one
+// returned.
+type launchArgs struct {
+	gap                            sim.Duration
+	streams, threads, in, out, str int
 }
+
+// master is a test's master, a sim task: it makes its launches of spec
+// one after another through StartLaunch and ResumeLaunch, calls
+// before(i), if set, as launch i starts, and records when each launch
+// started and returned and whether it completed.
+type master struct {
+	dev      *Device
+	spec     *KernelSpec
+	watchdog sim.Duration
+	launches []launchArgs
+	before   func(i int)
+	fn       func()
+
+	starts, returns []sim.Time
+	oks             []bool
+
+	f                Flight
+	inFlight, waited bool
+}
+
+// startMaster starts m in env as a task named name and returns it.
+func startMaster(env *sim.Env, name string, m *master) *master {
+	env.Task(name, m.step)
+	return m
+}
+
+func (m *master) step(p *sim.Proc) {
+	for i := len(m.returns); i < len(m.launches); i = len(m.returns) {
+		a, ok := m.launches[i], true
+		switch {
+		case m.inFlight:
+			var next sim.Time
+			var wait bool
+			if next, wait, ok = m.dev.ResumeLaunch(p, &m.f); wait {
+				p.WakeAt(next)
+				return
+			}
+			m.inFlight = false
+		case a.gap > 0 && !m.waited:
+			m.waited = true
+			p.WakeAfter(a.gap)
+			return
+		default:
+			m.waited = false
+			if m.before != nil {
+				m.before(i)
+			}
+			m.starts = append(m.starts, p.Now())
+			next, wait := m.dev.StartLaunch(p, &m.f, m.spec, m.watchdog, a.streams, a.threads, a.in, a.out, a.str, m.fn)
+			if m.inFlight = wait; wait {
+				p.WakeAt(next)
+				return
+			}
+		}
+		m.returns = append(m.returns, p.Now())
+		m.oks = append(m.oks, ok)
+	}
+}
+
+// trip returns launch i's round trip.
+func (m *master) trip(i int) sim.Duration { return sim.Duration(m.returns[i] - m.starts[i]) }
 
 // referenceLaunch is the blocking one-stream launch that launch's
 // bookings replaced, kept as their oracle: it waits out the H2D copy,
@@ -37,15 +99,16 @@ func referenceLaunch(d *Device, p *sim.Proc, spec *KernelSpec, threads, inBytes,
 	d.Launches++
 	d.ThreadsRun += uint64(threads)
 	if inBytes > 0 {
-		d.Link.CopyH2D(p, inBytes)
+		p.SleepUntil(d.Link.ScheduleH2D(inBytes))
 	}
 	h2dDone := p.Now()
 	latency := model.GPULaunchTime(threads)
 	p.Sleep(latency)
-	exec := d.exec.Use(p, spec.ExecTime(threads, streamBytes))
+	p.SleepUntil(d.exec.Schedule(spec.ExecTime(threads, streamBytes)))
+	exec := sim.Duration(p.Now() - h2dDone - sim.Time(latency))
 	d2hStart := p.Now()
 	if outBytes > 0 {
-		d.Link.CopyD2H(p, outBytes)
+		p.SleepUntil(d.Link.ScheduleD2H(outBytes))
 	}
 	syncStart := p.Now()
 	sync := sim.Duration(model.GPUSyncOverheadNs * float64(sim.Nanosecond))
@@ -172,9 +235,9 @@ type twinRun struct {
 // runTwinLaunches drives one master through launches of drawn sizes
 // over streams streams, a zero-thread one among them, with gaps between
 // them; with failed, the device fails before the third and is repaired
-// before the fifth. The master is a task calling StartLaunch and
-// ResumeLaunch, or a goroutine process calling Launch (one stream, a
-// healthy device) or LaunchChecked.
+// before the fifth. The master is a task (master), or a goroutine
+// process calling Launch (one stream, a healthy device) or else
+// StartLaunch and ResumeLaunch, sleeping until each wake-up.
 func runTwinLaunches(task bool, streams int, failed bool) twinRun {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -202,43 +265,17 @@ func runTwinLaunches(task bool, streams int, failed bool) twinRun {
 			dev.Repair()
 		}
 	}
-	done := func(p *sim.Proc, ok bool) {
-		r.returns = append(r.returns, p.Now())
-		r.oks = append(r.oks, ok)
-	}
+	gaps[0] = 0 // the first launch starts at once
 	const watchdog = 300 * sim.Microsecond
+	m := &master{dev: dev, spec: &KernelIPsec, watchdog: watchdog, before: faults}
 	if task {
-		var f Flight
-		i, inFlight := 0, false
-		env.Task("master", func(p *sim.Proc) {
-			for i < len(sizes) {
-				ok := true
-				if inFlight {
-					var next sim.Time
-					var wait bool
-					if next, wait, ok = dev.ResumeLaunch(p, &f); wait {
-						p.WakeAt(next)
-						return
-					}
-					inFlight = false
-				} else {
-					faults(i)
-					s := sizes[i]
-					next, wait := dev.StartLaunch(p, &f, &KernelIPsec, watchdog, streams, s.threads, s.in, s.out, s.str, nil)
-					if inFlight = wait; wait {
-						p.WakeAt(next)
-						return
-					}
-				}
-				done(p, ok)
-				if i++; i < len(sizes) {
-					p.WakeAfter(gaps[i])
-					return
-				}
-			}
-		})
+		for i, s := range sizes {
+			m.launches = append(m.launches, launchArgs{gaps[i], streams, s.threads, s.in, s.out, s.str})
+		}
+		startMaster(env, "master", m)
 	} else {
 		env.Go("master", func(p *sim.Proc) {
+			var f Flight
 			for i, s := range sizes {
 				if i > 0 {
 					p.Sleep(gaps[i])
@@ -248,14 +285,19 @@ func runTwinLaunches(task bool, streams int, failed bool) twinRun {
 				if streams == 1 && dev.Healthy() {
 					dev.Launch(p, &KernelIPsec, s.threads, s.in, s.out, s.str, nil)
 				} else {
-					ok = dev.LaunchChecked(p, &KernelIPsec, watchdog, streams, s.threads, s.in, s.out, s.str, nil)
+					next, wait := dev.StartLaunch(p, &f, &KernelIPsec, watchdog, streams, s.threads, s.in, s.out, s.str, nil)
+					for wait {
+						p.SleepUntil(next)
+						next, wait, ok = dev.ResumeLaunch(p, &f)
+					}
 				}
-				done(p, ok)
+				m.returns = append(m.returns, p.Now())
+				m.oks = append(m.oks, ok)
 			}
 		})
 	}
 	env.Run(0)
-	r.parts = dev.Parts
+	r.returns, r.oks, r.parts = m.returns, m.oks, dev.Parts
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b); err != nil {
 		panic(err)
@@ -285,6 +327,50 @@ func TestTaskLaunchMatchesGoroutineTwin(t *testing.T) {
 			if stalls := !want.oks[2] && !want.oks[3]; failed != stalls {
 				t.Errorf("%d streams, failed %v: oks %v", streams, failed, want.oks)
 			}
+		}
+	}
+}
+
+// execEnds records the end of every service booked on a device's exec
+// engine: its kernel ends, in booking order.
+type execEnds []sim.Time
+
+func (e *execEnds) ServerBusy(s *sim.Server, _, end sim.Time) {
+	if strings.HasSuffix(s.Name(), "-exec") {
+		*e = append(*e, end)
+	}
+}
+
+// TestFlightsKeepTheirOwnKernelEnds: two task masters share a device,
+// each making one four-stream launch, the second 1 µs after the first,
+// so the two are in flight together. Each master wakes at the four
+// kernel ends its own launch booked, then once for the sync.
+func TestFlightsKeepTheirOwnKernelEnds(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	var ends execEnds
+	env.SetHooks(&ends)
+	dev := newDevice(env)
+	var wakes [2][]sim.Time
+	for i := range wakes {
+		const threads = 2048
+		m := &master{dev: dev, spec: &KernelIPsec, watchdog: sim.Millisecond, launches: []launchArgs{{
+			gap: sim.Duration(i) * sim.Microsecond, streams: 4,
+			threads: threads, in: threads * 64, out: threads * 64, str: threads * 64}}}
+		env.Task("master", func(p *sim.Proc) {
+			wakes[i] = append(wakes[i], p.Now())
+			m.step(p)
+		})
+	}
+	env.Run(0)
+	if len(ends) != 8 || ends[0] <= sim.Time(sim.Microsecond) {
+		t.Fatalf("kernel ends %v: want eight, the first after the second launch starts", ends)
+	}
+	for i, w := range wakes {
+		// Master i starts (and master 1 waits out its gap), then books
+		// kernels 4i … 4i+3.
+		if want := ends[4*i : 4*i+4]; len(w) != 6+i || !slices.Equal(w[1+i:5+i], want) {
+			t.Errorf("master %d woke at %v; its kernels end at %v", i, w, want)
 		}
 	}
 }
@@ -319,9 +405,14 @@ func TestLaunchDoesNotAllocate(t *testing.T) {
 				})
 			} else {
 				env.Go("master", func(p *sim.Proc) {
+					var f Flight
 					for {
-						dev.LaunchChecked(p, &KernelIPsec, sim.Millisecond, streams, threads,
+						next, wait := dev.StartLaunch(p, &f, &KernelIPsec, sim.Millisecond, streams, threads,
 							threads*1500, threads*1500, threads*1500, fn)
+						for wait {
+							p.SleepUntil(next)
+							next, wait, _ = dev.ResumeLaunch(p, &f)
+						}
 					}
 				})
 			}
@@ -481,16 +572,21 @@ func TestLaunchLatencyAppearsInRoundTrip(t *testing.T) {
 func TestLaunchPartsTileRoundTrips(t *testing.T) {
 	env := sim.NewEnv()
 	dev := newDevice(env)
-	var total sim.Duration
-	for m := 0; m < 2; m++ {
-		env.Go("master", func(p *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				total += checked(p, dev, &KernelIPv6, 1, 4096, 4096*16, 4096*2, 0)
-			}
-			checked(p, dev, &KernelIPv6, 4, 4096, 4096*16, 4096*2, 0)
-		})
+	one := launchArgs{streams: 1, threads: 4096, in: 4096 * 16, out: 4096 * 2}
+	four := one
+	four.streams = 4
+	var ms [2]*master
+	for i := range ms {
+		ms[i] = startMaster(env, "master", &master{dev: dev, spec: &KernelIPv6, watchdog: sim.Millisecond,
+			launches: []launchArgs{one, one, one, four}})
 	}
 	env.Run(0)
+	var total sim.Duration
+	for _, m := range ms {
+		for i := 0; i < 3; i++ {
+			total += m.trip(i)
+		}
+	}
 	pt := dev.Parts
 	if pt.Launches != 6 {
 		t.Fatalf("parts of %d launches, want 6", pt.Launches)
@@ -551,13 +647,10 @@ func TestStreamsOverlapHelpsHeavyKernel(t *testing.T) {
 	const bytes = threads * 1600
 	run := func(streams int) sim.Duration {
 		env := sim.NewEnv()
-		dev := newDevice(env)
-		var dur sim.Duration
-		env.Go("m", func(p *sim.Proc) {
-			dur = checked(p, dev, &KernelIPsec, streams, threads, bytes, bytes, bytes)
-		})
+		m := startMaster(env, "m", &master{dev: newDevice(env), spec: &KernelIPsec, watchdog: sim.Millisecond,
+			launches: []launchArgs{{streams: streams, threads: threads, in: bytes, out: bytes, str: bytes}}})
 		env.Run(0)
-		return dur
+		return m.trip(0)
 	}
 	serial := run(1)
 	overlapped := run(4)
@@ -573,13 +666,10 @@ func TestStreamsHurtLightKernel(t *testing.T) {
 	const threads = 256
 	run := func(streams int) sim.Duration {
 		env := sim.NewEnv()
-		dev := newDevice(env)
-		var dur sim.Duration
-		env.Go("m", func(p *sim.Proc) {
-			dur = checked(p, dev, &KernelIPv4, streams, threads, threads*4, threads*2, 0)
-		})
+		m := startMaster(env, "m", &master{dev: newDevice(env), spec: &KernelIPv4, watchdog: sim.Millisecond,
+			launches: []launchArgs{{streams: streams, threads: threads, in: threads * 4, out: threads * 2}}})
 		env.Run(0)
-		return dur
+		return m.trip(0)
 	}
 	if one, four := run(1), run(4); four <= one {
 		t.Errorf("4 streams (%v) unexpectedly beat 1 (%v) for a light kernel", four, one)
@@ -621,38 +711,39 @@ func TestDivergenceZeroTreatedAsOne(t *testing.T) {
 	}
 }
 
+// TestLaunchCheckedWatchdogAndRepair: a launch on a failed device
+// burns its watchdog, runs no kernel and reports failure; after Repair
+// the next launch completes.
 func TestLaunchCheckedWatchdogAndRepair(t *testing.T) {
 	env := sim.NewEnv()
 	dev := newDevice(env)
 	const watchdog = 500 * sim.Microsecond
 	ran := 0
-	var okFailed, okRepaired bool
-	var stallDur sim.Duration
-	env.Go("master", func(p *sim.Proc) {
-		dev.Fail()
-		if dev.Healthy() {
-			t.Error("Healthy() true after Fail()")
-		}
-		start := p.Now()
-		okFailed = dev.LaunchChecked(p, &KernelIPv4, watchdog, 1, 64, 256, 128, 0,
-			func() { ran++ })
-		stallDur = sim.Duration(p.Now() - start)
-		dev.Repair()
-		okRepaired = dev.LaunchChecked(p, &KernelIPv4, watchdog, 1, 64, 256, 128, 0,
-			func() { ran++ })
-	})
+	launch := launchArgs{streams: 1, threads: 64, in: 256, out: 128}
+	m := startMaster(env, "master", &master{dev: dev, spec: &KernelIPv4, watchdog: watchdog,
+		launches: []launchArgs{launch, launch}, fn: func() { ran++ },
+		before: func(i int) {
+			if i == 0 {
+				dev.Fail()
+				if dev.Healthy() {
+					t.Error("Healthy() true after Fail()")
+				}
+			} else {
+				dev.Repair()
+			}
+		}})
 	env.Run(0)
-	if okFailed {
+	if m.oks[0] {
 		t.Error("launch on failed device reported success")
 	}
-	if stallDur != watchdog {
+	if stallDur := m.trip(0); stallDur != watchdog {
 		t.Errorf("stall burned %v, want the %v watchdog", stallDur, watchdog)
 	}
 	if dev.Stalls != 1 {
 		t.Errorf("stalls = %d, want 1", dev.Stalls)
 	}
-	if !okRepaired || ran != 1 {
-		t.Errorf("after repair ok=%v kernel runs=%d, want true/1", okRepaired, ran)
+	if !m.oks[1] || ran != 1 {
+		t.Errorf("after repair ok=%v kernel runs=%d, want true/1", m.oks[1], ran)
 	}
 	if dev.Launches != 1 {
 		t.Errorf("launches = %d; stalled attempts must not count", dev.Launches)
@@ -663,13 +754,12 @@ func TestLaunchCheckedUsesStreams(t *testing.T) {
 	env := sim.NewEnv()
 	dev := newDevice(env)
 	ran := false
-	env.Go("master", func(p *sim.Proc) {
-		if !dev.LaunchChecked(p, &KernelIPv4, 500*sim.Microsecond, 4, 256, 1024, 512, 0,
-			func() { ran = true }) {
-			t.Error("healthy streamed launch failed")
-		}
-	})
+	m := startMaster(env, "master", &master{dev: dev, spec: &KernelIPv4, watchdog: 500 * sim.Microsecond,
+		launches: []launchArgs{{streams: 4, threads: 256, in: 1024, out: 512}}, fn: func() { ran = true }})
 	env.Run(0)
+	if !m.oks[0] {
+		t.Error("healthy streamed launch failed")
+	}
 	if !ran || dev.Launches != 1 {
 		t.Errorf("ran=%v launches=%d", ran, dev.Launches)
 	}

@@ -104,7 +104,7 @@ func NewRxQueue(env *sim.Env, port, id, ringCap int, pool *packet.BufPool, dmaPa
 // SetOffered sets the queue's offered load: rate packets/s of pktSize-
 // byte frames drawn from src.
 func (q *RxQueue) SetOffered(rate float64, pktSize int, src FrameSource) {
-	q.update()
+	q.Update()
 	q.rate = rate
 	q.pktSize = pktSize
 	q.src = src
@@ -123,7 +123,7 @@ func (q *RxQueue) SetDMAPath(path []*pcie.IOH) { q.dmaPath = path }
 // exact event time, keeping the arrival count independent of when the
 // next reader happens to poll.
 func (q *RxQueue) SetCarrier(up bool) {
-	q.update()
+	q.Update()
 	q.carrierDown = !up
 }
 
@@ -131,14 +131,16 @@ func (q *RxQueue) SetCarrier(up bool) {
 // virtual time (an injected ring-corruption/driver-pause burst). Counted
 // in Stats.Dropped. Overlapping bursts extend, not stack.
 func (q *RxQueue) DropBurst(d sim.Duration) {
-	q.update()
+	q.Update()
 	if until := q.env.Now() + sim.Time(d); until > q.burstUntil {
 		q.burstUntil = until
 	}
 }
 
-// update advances the fluid arrival process to now, dropping overflow.
-func (q *RxQueue) update() {
+// Update advances the fluid arrival process to now, dropping overflow.
+// Where it is called counts: arrivals integrated over two intervals do
+// not round as over one.
+func (q *RxQueue) Update() {
 	now := q.env.Now()
 	if now <= q.lastUpd {
 		return
@@ -180,13 +182,12 @@ func (q *RxQueue) update() {
 
 // Available returns how many whole packets are waiting right now.
 func (q *RxQueue) Available() int {
-	q.update()
+	q.Update()
 	return int(q.occ)
 }
 
-// Fetch materializes up to max waiting packets into out, after
-// blocking p for DMAWait's wait. Packets carry GenAt timestamps
-// reconstructed from the fluid arrival spacing.
+// Fetch blocks p through DMAWait's wait, then calls FetchNow. Its only
+// non-test caller is bench/micro.go.
 func (q *RxQueue) Fetch(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
 	if edge, wait := q.DMAWait(); wait {
 		p.SleepUntil(edge)
@@ -203,10 +204,11 @@ func (q *RxQueue) DMAWait() (sim.Time, bool) {
 	return edge, edge > q.env.Now()
 }
 
-// FetchNow is the rest of Fetch, once DMAWait's wait is over.
+// FetchNow is the rest of Fetch, once DMAWait's wait is over. Packets
+// carry GenAt timestamps reconstructed from the fluid arrival spacing.
 func (q *RxQueue) FetchNow(max int, out []*packet.Buf) []*packet.Buf {
 	q.reapDMA()
-	q.update()
+	q.Update()
 	n := int(q.occ)
 	if n > max {
 		n = max
@@ -280,7 +282,7 @@ func (q *RxQueue) CompletedDMA() uint64 {
 // available (0 if one already is). ok is false when the queue is empty
 // and has no offered load (it would never produce a packet).
 func (q *RxQueue) TimeToPacket() (d sim.Duration, ok bool) {
-	q.update()
+	q.Update()
 	if q.occ >= 1 {
 		return 0, true
 	}
@@ -289,32 +291,38 @@ func (q *RxQueue) TimeToPacket() (d sim.Duration, ok bool) {
 	}
 	if q.carrierDown {
 		// Link down but load is configured: the carrier may come back
-		// (fault injection), so the reader must keep polling rather
-		// than retire. This returns one moderation interval;
-		// worker.waitAny adds the interrupt moderation on top, so a
-		// worker re-polls a dead link every two intervals, while
-		// WaitForPackets re-polls it every one.
+		// (fault injection), so the reader keeps polling rather than
+		// retire, every two intervals in worker.waitAny, every one
+		// through PacketWait.
 		return q.Moderation, true
 	}
 	return sim.DurationFromSeconds((1 - q.occ) / q.rate), true
 }
 
-// WaitForPackets blocks p until the queue has at least one packet,
-// modelling the interrupt-enabled idle state of §5.2 (plus interrupt
-// moderation latency). Returns false if the queue has no offered load
-// (would block forever). While the carrier is down it sleeps one
-// moderation interval and reports alive so the caller re-polls.
+// WaitForPackets blocks p through PacketWait's wait, then calls Update;
+// false means no offered load. Its only non-test caller is bench/micro.go.
 func (q *RxQueue) WaitForPackets(p *sim.Proc) bool {
-	d, ok := q.TimeToPacket()
-	if !ok || q.occ >= 1 {
-		return ok
+	d, wait, ok := q.PacketWait()
+	if wait {
+		p.Sleep(d)
+		q.Update()
+	}
+	return ok
+}
+
+// PacketWait is the non-yielding half of WaitForPackets, §5.2's
+// interrupt-enabled idle: how long a reader waits for a packet, the
+// interrupt moderation included (one interval while the carrier is
+// down), and ok false without offered load. A reader that waits calls
+// Update as it wakes, as WaitForPackets does.
+func (q *RxQueue) PacketWait() (d sim.Duration, wait, ok bool) {
+	if d, ok = q.TimeToPacket(); !ok || q.occ >= 1 {
+		return 0, false, ok
 	}
 	if !q.carrierDown {
 		d += q.Moderation
 	}
-	p.Sleep(d)
-	q.update()
-	return true
+	return d, true, true
 }
 
 // TxPort serializes transmissions of one 10GbE port at line rate; the
@@ -495,12 +503,10 @@ func (t *TxPort) reserveRun(done []sim.Time, size int, traced bool) sim.Duration
 	return wt
 }
 
-// TransmitBlocking is Transmit with driver backpressure: when the TX
-// ring is full the calling process blocks until descriptors free up
-// instead of dropping (what a user-level forwarder does — §5.2's
-// engine checks ring occupancy). This pushes overload back to the RX
-// rings, where excess packets are dropped before consuming any IOH
-// bandwidth. Carrier loss is not backpressure: a dead port drops at once.
+// TransmitBlocking is Transmit with driver backpressure: on a full TX
+// ring p blocks until descriptors free up instead of dropping (§5.2's
+// user-level forwarder), pushing overload back to the RX rings. A dead
+// port drops at once. Its only non-test caller is bench/micro.go.
 func (t *TxPort) TransmitBlocking(p *sim.Proc, bufs []*packet.Buf) {
 	if !t.carrierDown {
 		for next, full := t.Room(len(bufs)); full; next, full = t.Room(len(bufs)) {

@@ -147,18 +147,6 @@ func NewLink(env *sim.Env, ioh *IOH, name string) *Link {
 	}
 }
 
-// CopyH2D blocks p for a host→device DMA of size bytes: the transfer
-// occupies the link (Table 1 time) and consumes IOH capacity; it
-// completes when the slower of the two is done.
-func (l *Link) CopyH2D(p *sim.Proc, size int) {
-	p.SleepUntil(l.ScheduleH2D(size))
-}
-
-// CopyD2H blocks p for a device→host DMA.
-func (l *Link) CopyD2H(p *sim.Proc, size int) {
-	p.SleepUntil(l.ScheduleD2H(size))
-}
-
 // SetRetrain sets the link's β-divisor: 1 restores full speed, 2 halves
 // the effective byte rate (a degraded retrain after link errors).
 // Divisors below 1 are clamped to 1. Transfers already scheduled keep
@@ -197,8 +185,9 @@ func (l *Link) d2hTime(size int) sim.Duration {
 	return t
 }
 
-// ScheduleH2D is the non-blocking variant (for pipelined streams):
-// it reserves both resources and returns the completion time.
+// ScheduleH2D reserves a host→device DMA of size bytes and returns its
+// completion: the transfer occupies the link (Table 1 time) and
+// consumes IOH capacity, and completes when the slower is done.
 func (l *Link) ScheduleH2D(size int) sim.Time {
 	return max(l.down.Schedule(l.h2dTime(size)), l.ioh.ExpressDown(size))
 }

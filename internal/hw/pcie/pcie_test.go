@@ -9,6 +9,47 @@ import (
 	"packetshader/internal/sim"
 )
 
+// copyTimes runs a copier task on env: reps host-to-device copies of
+// size bytes over l, each booked as the last one ends, then reps
+// device-to-host ones. It returns the time each direction took.
+func copyTimes(env *sim.Env, l *Link, size, reps int) (h2d, d2h sim.Duration) {
+	var t0 sim.Time
+	copies := 0
+	env.Task("copier", func(p *sim.Proc) {
+		switch copies {
+		case 0:
+			t0 = p.Now()
+		case reps:
+			h2d, t0 = sim.Duration(p.Now()-t0), p.Now()
+		case 2 * reps:
+			d2h = sim.Duration(p.Now() - t0)
+			return
+		}
+		if copies < reps {
+			p.WakeAt(l.ScheduleH2D(size))
+		} else {
+			p.WakeAt(l.ScheduleD2H(size))
+		}
+		copies++
+	})
+	env.Run(0)
+	return h2d, d2h
+}
+
+// copyOnce starts a task that books one copy through schedule and
+// records in done when the copy ends.
+func copyOnce(env *sim.Env, schedule func() sim.Time, done *sim.Time) {
+	booked := false
+	env.Task("copy", func(p *sim.Proc) {
+		if booked {
+			*done = p.Now()
+			return
+		}
+		booked = true
+		p.WakeAt(schedule())
+	})
+}
+
 // TestLinkReproducesTable1 drives sequential copies through an otherwise
 // idle link and checks the achieved MB/s against the paper's Table 1.
 func TestLinkReproducesTable1(t *testing.T) {
@@ -26,20 +67,7 @@ func TestLinkReproducesTable1(t *testing.T) {
 		ioh := NewIOH(env, 0)
 		link := NewLink(env, ioh, "gpu0")
 		const reps = 50
-		var h2dDur, d2hDur sim.Duration
-		env.Go("copier", func(p *sim.Proc) {
-			start := p.Now()
-			for i := 0; i < reps; i++ {
-				link.CopyH2D(p, c.size)
-			}
-			h2dDur = sim.Duration(p.Now() - start)
-			start = p.Now()
-			for i := 0; i < reps; i++ {
-				link.CopyD2H(p, c.size)
-			}
-			d2hDur = sim.Duration(p.Now() - start)
-		})
-		env.Run(0)
+		h2dDur, d2hDur := copyTimes(env, link, c.size, reps)
 		gotH2D := float64(c.size*reps) / h2dDur.Seconds() / 1e6
 		gotD2H := float64(c.size*reps) / d2hDur.Seconds() / 1e6
 		if rel := math.Abs(gotH2D-c.h2d) / c.h2d; rel > 0.15 {
@@ -122,21 +150,16 @@ func TestIOHDownAloneExceedsLineRate(t *testing.T) {
 	}
 }
 
-// TestLinkContention: two processes sharing one link direction halve
+// TestLinkContention: two copiers sharing one link direction halve
 // their individual throughput.
 func TestLinkContention(t *testing.T) {
 	env := sim.NewEnv()
 	ioh := NewIOH(env, 0)
 	link := NewLink(env, ioh, "gpu0")
 	var aDone, bDone sim.Time
-	env.Go("a", func(p *sim.Proc) {
-		link.CopyH2D(p, 1<<20)
-		aDone = p.Now()
-	})
-	env.Go("b", func(p *sim.Proc) {
-		link.CopyH2D(p, 1<<20)
-		bDone = p.Now()
-	})
+	h2d := func() sim.Time { return link.ScheduleH2D(1 << 20) }
+	copyOnce(env, h2d, &aDone)
+	copyOnce(env, h2d, &bDone)
 	env.Run(0)
 	one := model.H2DTime(1 << 20)
 	if aDone < sim.Time(one) || bDone < sim.Time(2*one)*9/10 {
@@ -152,14 +175,8 @@ func TestUpDownIndependentOnLink(t *testing.T) {
 	ioh := NewIOH(env, 0)
 	link := NewLink(env, ioh, "gpu0")
 	var h2dDone, d2hDone sim.Time
-	env.Go("h2d", func(p *sim.Proc) {
-		link.CopyH2D(p, 1<<20)
-		h2dDone = p.Now()
-	})
-	env.Go("d2h", func(p *sim.Proc) {
-		link.CopyD2H(p, 1<<20)
-		d2hDone = p.Now()
-	})
+	copyOnce(env, func() sim.Time { return link.ScheduleH2D(1 << 20) }, &h2dDone)
+	copyOnce(env, func() sim.Time { return link.ScheduleD2H(1 << 20) }, &d2hDone)
 	env.Run(0)
 	soloH2D := model.H2DTime(1 << 20)
 	soloD2H := model.D2HTime(1 << 20)
@@ -177,16 +194,7 @@ func TestUpDownIndependentOnLink(t *testing.T) {
 func TestLinkRetrainHalvesBeta(t *testing.T) {
 	const size = 1 << 20
 	copyTime := func(l *Link, env *sim.Env) (h2d, d2h sim.Duration) {
-		env.Go("copier", func(p *sim.Proc) {
-			start := p.Now()
-			l.CopyH2D(p, size)
-			h2d = sim.Duration(p.Now() - start)
-			start = p.Now()
-			l.CopyD2H(p, size)
-			d2h = sim.Duration(p.Now() - start)
-		})
-		env.Run(0)
-		return
+		return copyTimes(env, l, size, 1)
 	}
 	env := sim.NewEnv()
 	link := NewLink(env, NewIOH(env, 0), "gpu0")

@@ -318,11 +318,19 @@ func TestServerSamplerTilesBusyTime(t *testing.T) {
 	a := sim.NewServer(env, "pcie-up")
 	b := sim.NewServer(env, "gpu-exec")
 	sim.NewServer(env, "idle")
-	env.Go("driver", func(p *sim.Proc) {
-		a.Use(p, 3*sim.Microsecond)
-		b.Schedule(5 * sim.Microsecond)
-		p.Sleep(10 * sim.Microsecond)
-		a.Use(p, 2*sim.Microsecond)
+	// The driver task waits out 3 µs on a, books 5 µs on b, sleeps 10 µs
+	// and waits out 2 µs more on a.
+	wakes := 0
+	env.Task("driver", func(p *sim.Proc) {
+		switch wakes++; wakes {
+		case 1:
+			p.WakeAt(a.Schedule(3 * sim.Microsecond))
+		case 2:
+			b.Schedule(5 * sim.Microsecond)
+			p.WakeAfter(10 * sim.Microsecond)
+		case 3:
+			p.WakeAt(a.Schedule(2 * sim.Microsecond))
+		}
 	})
 	env.Run(0)
 	// One span per reservation, on per-resource tracks.

@@ -95,9 +95,9 @@ type Engine struct {
 	breakdown Breakdown
 
 	// blocked clocks the virtual time callers spend waiting in the
-	// engine rather than working: in FetchChunk until the previous
-	// fetch's RX DMA is far enough along, and in Send on a full TX ring.
-	// (Waiting for packets in Iface.Wait is idling, not counted here.)
+	// engine rather than working: from FetchWait until the previous
+	// fetch's RX DMA is far enough along, and in Post on a full TX ring.
+	// (Waiting for packets is idling, not counted here.)
 	blocked sim.BusyClock
 }
 
@@ -235,34 +235,18 @@ func (f *Iface) skbRxCycles() float64 {
 	return float64(c * f.remoteFactor())
 }
 
-// FetchChunk fetches up to max packets from the interface, charging the
-// worker's CPU time for the batch and per-packet RX costs; the wait for
-// the RX DMA before it counts in Blocked. Returns nil when the queue is
-// empty.
-func (f *Iface) FetchChunk(p *sim.Proc, max int, out []*packet.Buf) []*packet.Buf {
-	since := p.Now()
-	if edge, wait := f.FetchWait(); wait {
-		p.SleepUntil(edge)
-	}
-	got, cost := f.FetchNow(max, out, since)
-	if got != nil {
-		p.Sleep(cost)
-	}
-	return got
-}
-
-// FetchWait is the non-yielding half of FetchChunk's wait for the RX
-// DMA: whether a fetch now must wait, and until when. The wait counts
-// in Blocked from now until FetchNow, which must follow.
+// FetchWait starts a fetch from the interface: whether it must wait for
+// the previous fetch's RX DMA, and until when. The wait counts in
+// Blocked from now until FetchNow, which must follow.
 func (f *Iface) FetchWait() (sim.Time, bool) {
 	f.Engine.blocked.Begin(f.Engine.Env.Now())
 	return f.Queue.DMAWait()
 }
 
-// FetchNow is the rest of FetchChunk once the wait FetchWait began at
+// FetchNow is the rest of the fetch once the wait FetchWait began at
 // since is over: it fetches up to max packets into out and returns them
-// with the CPU time they cost the caller, FetchChunk's second wait
-// (nil and 0 when the queue is empty).
+// with the CPU time, the batch and per-packet RX costs, they cost the
+// caller (nil and 0 when the queue is empty).
 func (f *Iface) FetchNow(max int, out []*packet.Buf, since sim.Time) ([]*packet.Buf, sim.Duration) {
 	f.Engine.blocked.End(since, f.Engine.Env.Now())
 	got := f.Queue.FetchNow(min(max, f.Engine.Cfg.BatchCap), out)
@@ -282,29 +266,9 @@ func (f *Iface) FetchNow(max int, out []*packet.Buf, since sim.Time) ([]*packet.
 	return got, model.Cycles(cycles)
 }
 
-// Wait blocks until the interface has packets, in the
-// interrupt-then-poll style of §5.2. Returns false if the queue has no
-// offered load.
-func (f *Iface) Wait(p *sim.Proc) bool {
-	return f.Queue.WaitForPackets(p)
-}
-
-// Send transmits bufs on the engine's port tx, charging the worker the
-// TX half of the batch and per-packet costs; the wait for room in a full
-// TX ring after them counts in Blocked.
-func (e *Engine) Send(p *sim.Proc, workerNode, port int, bufs []*packet.Buf) {
-	if len(bufs) == 0 {
-		return
-	}
-	p.Sleep(e.SendCost(workerNode, port, len(bufs)))
-	since := p.Now()
-	for next, wait := e.Post(port, bufs, since); wait; next, wait = e.Post(port, bufs, since) {
-		p.SleepUntil(next)
-	}
-}
-
-// SendCost is the CPU time Send charges for n packets before it posts
-// them, the non-yielding half of its first wait.
+// SendCost is the CPU time a worker on workerNode spends on n packets
+// for port before it posts them: the TX half of the batch and
+// per-packet costs.
 func (e *Engine) SendCost(workerNode, port, n int) sim.Duration {
 	factor := 1.0
 	if workerNode != e.Ports[port].Node {
@@ -320,12 +284,11 @@ func (e *Engine) SendCost(workerNode, port, n int) sim.Duration {
 	return model.Cycles(cycles)
 }
 
-// Post is the rest of Send, the non-yielding half of its wait for ring
-// room, first called at since, the instant SendCost's time ends, and
-// again at each instant it returns: it hands bufs to the TX ring and
-// reports false, or reports true and when to call it again. A port
-// whose carrier is down at since drops bufs at once (see
-// nic.TxPort.TransmitBlocking). The wait counts in Blocked.
+// Post sends bufs on port once SendCost's time is over, first called at
+// since, the instant it ends, and again at each instant it returns: it
+// hands bufs to the TX ring and reports false, or reports true and when
+// to call it again, the ring being full. A port whose carrier is down
+// at since drops bufs at once. The wait counts in Blocked.
 func (e *Engine) Post(port int, bufs []*packet.Buf, since sim.Time) (sim.Time, bool) {
 	tx, now := e.Ports[port].Tx, e.Env.Now()
 	first := now == since // a wait always ends after since

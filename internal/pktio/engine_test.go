@@ -9,6 +9,113 @@ import (
 	"packetshader/internal/sim"
 )
 
+// worker is the fetch → send loop the tests drive the engine with, a
+// sim task on node 0. Each round, until until, polls the interfaces in
+// order, fetching up to max packets from each, and sends each chunk to
+// port dst(i), or drops it when dst is nil; a round that fetched
+// nothing idles on the first interface until it has packets. fetched
+// and sent, if set, see each fetch's and each send's packets and the
+// time it took.
+type worker struct {
+	e       *Engine
+	ifaces  []*Iface
+	max     int
+	until   sim.Time
+	dst     func(i int) int
+	fetched func(f *Iface, chunk []*packet.Buf, took sim.Duration)
+	sent    func(chunk []*packet.Buf, took sim.Duration)
+
+	at           int // where step resumes: one of the w* points below
+	i            int // the interface polled
+	progress     bool
+	chunk        []*packet.Buf
+	start, since sim.Time
+}
+
+const (
+	wRound   = iota // a round starts, if until has not passed
+	wPoll           // poll interface i
+	wPolled         // its RX-DMA wait is over
+	wFetched        // its RX cycles are charged
+	wSent           // the TX cycles are charged
+	wPost           // post to the TX ring, or wait for room
+	wWoken          // the idle wait for packets is over
+)
+
+func (w *worker) step(p *sim.Proc) {
+	for {
+		switch w.at {
+		case wRound:
+			if p.Now() >= w.until {
+				return
+			}
+			w.i, w.progress, w.at = 0, false, wPoll
+		case wPoll:
+			if w.i == len(w.ifaces) {
+				w.at = wRound
+				if w.progress {
+					continue
+				}
+				d, wait, ok := w.ifaces[0].Queue.PacketWait()
+				if !ok {
+					return
+				}
+				if wait {
+					w.at = wWoken
+					p.WakeAfter(d)
+					return
+				}
+				continue
+			}
+			w.start, w.at = p.Now(), wPolled
+			if edge, wait := w.ifaces[w.i].FetchWait(); wait {
+				p.WakeAt(edge)
+				return
+			}
+		case wPolled:
+			got, cost := w.ifaces[w.i].FetchNow(w.max, nil, w.start)
+			if w.chunk, w.at = got, wFetched; got != nil {
+				p.WakeAfter(cost)
+				return
+			}
+		case wFetched:
+			if w.fetched != nil {
+				w.fetched(w.ifaces[w.i], w.chunk, sim.Duration(p.Now()-w.start))
+			}
+			w.at = wPoll
+			if len(w.chunk) == 0 || w.dst == nil {
+				for _, b := range w.chunk {
+					b.Release()
+				}
+				w.progress = w.progress || len(w.chunk) > 0
+				w.i++
+				continue
+			}
+			w.progress, w.start, w.at = true, p.Now(), wSent
+			p.WakeAfter(w.e.SendCost(0, w.dst(w.i), len(w.chunk)))
+			return
+		case wSent:
+			w.since, w.at = p.Now(), wPost
+		case wPost:
+			if next, wait := w.e.Post(w.dst(w.i), w.chunk, w.since); wait {
+				p.WakeAt(next)
+				return
+			}
+			if w.sent != nil {
+				w.sent(w.chunk, sim.Duration(p.Now()-w.start))
+			}
+			w.i, w.at = w.i+1, wPoll
+		case wWoken:
+			w.ifaces[0].Queue.Update()
+			w.at = wRound
+		}
+	}
+}
+
+// otherPort forwards interface i's packets out of the other of two
+// ports.
+func otherPort(i int) int { return 1 - i }
+
 // forwardOneCore runs the §4.6 minimal-forwarding loop (RX + TX, no
 // lookup) on a single worker serving two ports at 64B line rate, with
 // the given batch cap — the Figure 5 experiment.
@@ -22,25 +129,9 @@ func forwardOneCore(cfg Config, window sim.Duration) float64 {
 	for _, p := range e.Ports {
 		p.Rx[0].SetOffered(rate, 64, nil)
 	}
-	ifaces := []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)}
-	env.Go("worker", func(p *sim.Proc) {
-		for p.Now() < sim.Time(window) {
-			progress := false
-			for i, f := range ifaces {
-				chunk := f.FetchChunk(p, cfg.BatchCap, nil)
-				if len(chunk) == 0 {
-					continue
-				}
-				progress = true
-				e.Send(p, 0, 1-i, chunk) // forward to the other port
-			}
-			if !progress {
-				if !ifaces[0].Wait(p) {
-					return
-				}
-			}
-		}
-	})
+	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
+		max: cfg.BatchCap, until: sim.Time(window), dst: otherPort}
+	env.Task("worker", w.step)
 	env.Run(sim.Time(window))
 	return e.DeliveredGbps(0)
 }
@@ -114,18 +205,10 @@ func TestTable3BreakdownShares(t *testing.T) {
 	cfg.Mode = ModeSkb
 	e := New(env, cfg)
 	e.Ports[0].Rx[0].SetOffered(model.PortPacketRate(64), 64, nil)
-	iface := e.OpenIface(0, 0, 0)
-	env.Go("rx-drop", func(p *sim.Proc) {
-		for p.Now() < sim.Time(5*sim.Millisecond) {
-			chunk := iface.FetchChunk(p, 64, nil)
-			for _, b := range chunk {
-				b.Release() // silently drop, as the Table 3 setup does
-			}
-			if len(chunk) == 0 && !iface.Wait(p) {
-				return
-			}
-		}
-	})
+	// The worker silently drops what it fetches, as the Table 3 setup
+	// does.
+	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0)}, max: 64, until: sim.Time(5 * sim.Millisecond)}
+	env.Task("rx-drop", w.step)
 	env.Run(sim.Time(5 * sim.Millisecond))
 	bd := e.RxBreakdown()
 	total := bd.Total()
@@ -182,9 +265,17 @@ func TestNUMABlindRoutesDMAAcrossHubs(t *testing.T) {
 	// the DMA path.
 	iface := e.OpenIface(0, 0, 1)
 	e.Ports[0].Rx[0].SetOffered(1e6, 64, nil)
-	env.Go("w", func(p *sim.Proc) {
-		p.Sleep(100 * sim.Microsecond)
-		iface.FetchChunk(p, 64, nil)
+	wakes := 0
+	env.Task("w", func(p *sim.Proc) {
+		switch wakes++; wakes {
+		case 1:
+			p.WakeAfter(100 * sim.Microsecond)
+		case 2:
+			// Fetch, and charge the RX cycles while the DMA runs.
+			iface.FetchWait()
+			_, cost := iface.FetchNow(64, nil, p.Now())
+			p.WakeAfter(cost)
+		}
 	})
 	env.Run(0)
 	if e.IOHs[1].UpBusy() == 0 {
@@ -209,11 +300,15 @@ func TestAggregateStatsOnDemand(t *testing.T) {
 		e.OpenIface(0, 0, 0), e.OpenIface(0, 1, 0),
 		e.OpenIface(1, 0, 0), e.OpenIface(1, 1, 0),
 	}
-	env.Go("w", func(p *sim.Proc) {
-		p.Sleep(100 * sim.Microsecond)
+	env.Task("w", func(p *sim.Proc) {
+		if p.Now() == 0 {
+			p.WakeAfter(100 * sim.Microsecond)
+			return
+		}
 		for _, f := range ifaces {
-			chunk := f.FetchChunk(p, 256, nil)
-			e.Send(p, 0, 1, chunk)
+			f.FetchWait()
+			chunk, _ := f.FetchNow(256, nil, p.Now())
+			e.Post(1, chunk, p.Now())
 		}
 	})
 	env.Run(0)
@@ -226,17 +321,16 @@ func TestAggregateStatsOnDemand(t *testing.T) {
 	}
 }
 
+// TestSendEmptyIsFree: posting no packets returns at once, with nothing
+// transmitted and no time blocked.
 func TestSendEmptyIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	e := New(env, DefaultConfig())
-	var elapsed sim.Time
-	env.Go("w", func(p *sim.Proc) {
-		e.Send(p, 0, 0, nil)
-		elapsed = p.Now()
-	})
-	env.Run(0)
-	if elapsed != 0 {
-		t.Errorf("empty send took %v", elapsed)
+	if _, wait := e.Post(0, nil, env.Now()); wait {
+		t.Error("an empty post waits for ring room")
+	}
+	if tx := e.Ports[0].Tx; tx.Pending() != 0 || tx.Stats.Packets != 0 || e.Blocked() != 0 {
+		t.Errorf("an empty post left %d pending, %d sent, %v blocked", tx.Pending(), tx.Stats.Packets, e.Blocked())
 	}
 }
 
@@ -248,10 +342,13 @@ func TestFetchChunkRespectsBatchCap(t *testing.T) {
 	e := New(env, cfg)
 	e.Ports[0].Rx[0].SetOffered(14e6, 64, nil)
 	iface := e.OpenIface(0, 0, 0)
-	env.Go("w", func(p *sim.Proc) {
-		p.Sleep(1 * sim.Millisecond) // thousands queued
-		chunk := iface.FetchChunk(p, 9999, nil)
-		if len(chunk) != 16 {
+	env.Task("w", func(p *sim.Proc) {
+		if p.Now() == 0 {
+			p.WakeAfter(1 * sim.Millisecond) // thousands queued
+			return
+		}
+		iface.FetchWait()
+		if chunk, _ := iface.FetchNow(9999, nil, p.Now()); len(chunk) != 16 {
 			t.Errorf("chunk = %d, want capped at 16", len(chunk))
 		}
 	})
@@ -269,34 +366,21 @@ func TestBufReuseThroughForwarding(t *testing.T) {
 	for _, p := range e.Ports {
 		p.Rx[0].SetOffered(rate, 64, nil)
 	}
-	ifaces := []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)}
-	env.Go("worker", func(p *sim.Proc) {
-		for p.Now() < sim.Time(5*sim.Millisecond) {
-			n := 0
-			for i, f := range ifaces {
-				chunk := f.FetchChunk(p, 64, nil)
-				n += len(chunk)
-				e.Send(p, 0, 1-i, chunk)
-			}
-			if n == 0 && !ifaces[0].Wait(p) {
-				return
-			}
-		}
-	})
+	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
+		max: 64, until: sim.Time(5 * sim.Millisecond), dst: otherPort}
+	env.Task("worker", w.step)
 	env.Run(sim.Time(5 * sim.Millisecond))
 	if e.Pool.Allocs > 4096 {
 		t.Errorf("pool allocated %d cells; recycling broken", e.Pool.Allocs)
 	}
 }
 
-var _ = packet.Buf{} // keep the import if helpers change
-
-// TestBlockedIsElapsedLessCharged: Blocked is exactly the time
-// FetchChunk and Send take beyond the cycles they charge. One core
-// forwards two ports of 1514 B line rate into one TX port, so the TX
-// ring fills and Send waits, and each fetch of a large batch waits for
-// the previous one's RX DMA. The run goes on until the worker stops,
-// so that no wait is in progress when Blocked is read.
+// TestBlockedIsElapsedLessCharged: Blocked is exactly the time a fetch
+// and a send take beyond the cycles they charge. One core forwards two
+// ports of 1514 B line rate into one TX port, so the TX ring fills and
+// Post waits, and each fetch of a large batch waits for the previous
+// one's RX DMA. The run goes on until the worker stops, so that no wait
+// is in progress when Blocked is read.
 func TestBlockedIsElapsedLessCharged(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := DefaultConfig()
@@ -305,37 +389,25 @@ func TestBlockedIsElapsedLessCharged(t *testing.T) {
 	for _, p := range e.Ports {
 		p.Rx[0].SetOffered(model.PortPacketRate(1514), 1514, nil)
 	}
-	ifaces := []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)}
 	var rxWait, txWait sim.Duration
-	env.Go("worker", func(p *sim.Proc) {
-		for p.Now() < sim.Time(5*sim.Millisecond) {
-			progress := false
-			for _, f := range ifaces {
-				start := p.Now()
-				chunk := f.FetchChunk(p, cfg.BatchCap, nil)
-				cycles := model.IOBatchCycles * model.IORxShare
-				for _, b := range chunk {
-					cycles += f.hugeRxCycles(min(b.Size(), model.HugeCellDataBytes))
-				}
-				if len(chunk) == 0 {
-					cycles = 0
-				}
-				rxWait += sim.Duration(p.Now()-start) - model.Cycles(cycles)
-				if len(chunk) == 0 {
-					continue
-				}
-				progress = true
-				start = p.Now()
-				e.Send(p, 0, 0, chunk)
-				tx := float64(model.IOBatchCycles * model.IOTxShare)
-				tx += float64(float64(len(chunk)) * model.IOPerPacketCycles * model.IOTxShare)
-				txWait += sim.Duration(p.Now()-start) - model.Cycles(tx)
+	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
+		max: cfg.BatchCap, until: sim.Time(5 * sim.Millisecond), dst: func(int) int { return 0 },
+		fetched: func(f *Iface, chunk []*packet.Buf, took sim.Duration) {
+			var cycles float64
+			if len(chunk) > 0 {
+				cycles = model.IOBatchCycles * model.IORxShare
 			}
-			if !progress && !ifaces[0].Wait(p) {
-				return
+			for _, b := range chunk {
+				cycles += f.hugeRxCycles(min(b.Size(), model.HugeCellDataBytes))
 			}
-		}
-	})
+			rxWait += took - model.Cycles(cycles)
+		},
+		sent: func(chunk []*packet.Buf, took sim.Duration) {
+			tx := float64(model.IOBatchCycles * model.IOTxShare)
+			tx += float64(float64(len(chunk)) * model.IOPerPacketCycles * model.IOTxShare)
+			txWait += took - model.Cycles(tx)
+		}}
+	env.Task("worker", w.step)
 	env.Run(0)
 	if rxWait <= 0 || txWait <= 0 {
 		t.Fatalf("RX wait %v, TX wait %v: want both waits exercised", rxWait, txWait)

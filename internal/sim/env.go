@@ -1,9 +1,8 @@
 // Package sim is a deterministic, process-oriented discrete-event
-// simulation engine. It provides a virtual clock, cooperatively scheduled
-// processes (one runnable at a time, SimPy-style), blocking FIFO queues
-// and serializing servers for bandwidth links. A
-// process that never blocks mid-body can run as a task instead of a
-// goroutine (Env.Task): a step function the event loop calls inline.
+// simulation engine. It provides a virtual clock, processes run one at a
+// time (SimPy-style), FIFO queues and serializing servers for bandwidth
+// links. The program's processes are tasks (Env.Task): step functions
+// the event loop calls inline, which never block.
 //
 // All PacketShader hardware models (NICs, PCIe links, GPU, CPU cores) run
 // as sim processes, so every throughput and latency number reported by the
@@ -14,11 +13,9 @@
 // typed values (a process wakeup carries the *Proc directly; closures
 // exist only for true callbacks) stored by value in two reused arrays —
 // a binary min-heap (events.go) for future events and a FIFO ring for
-// same-instant wakeups — so Sleep and queue hand-offs allocate nothing
-// and same-instant wakeups skip the heap entirely. Control
-// transfers directly from the yielding process to the next runnable one
-// with a single channel operation — none at all when that one is a task —
-// and there is no separate scheduler goroutine to bounce through.
+// same-instant wakeups — so wakeups and queue hand-offs allocate
+// nothing, same-instant wakeups skip the heap entirely, and a task's
+// wakeup is a call of its step.
 //
 // Busy time has one rule: an activity counts as it runs, up to the
 // instant of the reading. A Server's BusyTime leaves out the service it

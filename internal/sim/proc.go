@@ -1,13 +1,14 @@
 package sim
 
-// Proc is a simulated process. It comes in two forms. A goroutine
-// process (Env.Go) advances virtual time by sleeping and by blocking on
-// queues and servers, anywhere in its body. A task (Env.Task)
-// has no goroutine: the event loop calls its step function inline at
-// each wakeup, and the step arms the next wakeup (WakeAfter,
-// Queue.Await) and returns. Exactly one process (or the scheduler loop
-// in Env.drive) runs at any instant, so simulations are deterministic
-// and need no locking.
+// Proc is a simulated process. It comes in two forms. A task
+// (Env.Task), the form of every process in the program, has no
+// goroutine: the event loop calls its step function inline at each
+// wakeup, and the step arms the next wakeup (WakeAfter, Queue.Await)
+// and returns. A goroutine process (Env.Go), which only bench/micro.go
+// and tests start, advances virtual time by sleeping and by blocking on
+// queues anywhere in its body. Exactly one process (or the scheduler
+// loop in Env.drive) runs at any instant, so simulations are
+// deterministic and need no locking.
 type Proc struct {
 	env    *Env
 	name   string
@@ -22,7 +23,8 @@ type Proc struct {
 func (p *Proc) Now() Time { return p.env.now }
 
 // Go starts fn as a new process, scheduled to begin at the current virtual
-// time (after already-queued events at the same instant).
+// time (after already-queued events at the same instant). Its only
+// non-test caller is bench/micro.go; the program's processes are tasks.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Env.Go on closed Env")
@@ -127,7 +129,8 @@ func (p *Proc) yield() { p.env.drive(p, false) }
 
 // Sleep advances the process by d of virtual time. Negative or zero
 // durations still yield (allowing same-instant events to interleave
-// deterministically in FIFO order).
+// deterministically in FIFO order). Its only non-test caller is
+// bench/micro.go.
 func (p *Proc) Sleep(d Duration) {
 	p.mustBlock("Proc.Sleep")
 	if d < 0 {
@@ -139,7 +142,7 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // SleepUntil sleeps until absolute time t (no-op if t is in the past,
-// but still yields).
+// but still yields). Its only non-test caller is bench/micro.go.
 func (p *Proc) SleepUntil(t Time) {
 	p.mustBlock("Proc.SleepUntil")
 	d := Duration(t - p.env.now)

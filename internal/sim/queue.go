@@ -41,7 +41,8 @@ func (q *Queue[T]) wakePutter() {
 	}
 }
 
-// Put appends v, blocking p while the queue is full.
+// Put appends v, blocking p while the queue is full. Its only non-test
+// caller is bench/micro.go.
 func (q *Queue[T]) Put(p *Proc, v T) {
 	p.mustBlock("Queue.Put")
 	for q.full() {
@@ -79,7 +80,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 }
 
 // Get removes and returns the head item, blocking p while the queue is
-// empty.
+// empty. Its only non-test caller is bench/micro.go.
 func (q *Queue[T]) Get(p *Proc) T {
 	p.mustBlock("Queue.Get")
 	for q.items.Len() == 0 {

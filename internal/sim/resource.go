@@ -1,10 +1,10 @@
 package sim
 
 // Server is a FIFO single-server resource: a hardware unit (DMA engine,
-// PCIe link, GPU copy engine) that handles one request at a time. Use
-// charges the caller the service duration plus any queueing delay behind
-// earlier requests. This serializing behaviour is what creates contention
-// on shared links in the simulation.
+// PCIe link, GPU copy engine) that handles one request at a time. A
+// reservation completes after the service duration plus any queueing
+// delay behind earlier requests, which is what creates contention on
+// shared links in the simulation.
 type Server struct {
 	env  *Env
 	name string
@@ -77,19 +77,9 @@ func (s *Server) reserve(notBefore Time, d Duration) Time {
 	return s.freeAt
 }
 
-// Use blocks p until the server has completed all earlier requests and
-// then for d of service time. It returns the total time p waited
-// (queueing + service).
-func (s *Server) Use(p *Proc, d Duration) Duration {
-	p.mustBlock("Server.Use")
-	start := s.env.now
-	p.SleepUntil(s.reserve(start, d))
-	return Duration(s.env.now - start)
-}
-
-// Schedule reserves d of service time without blocking and returns the
-// completion time. Useful for fire-and-forget DMA where the initiator
-// does not wait (e.g. NIC TX descriptors).
+// Schedule reserves d of service time behind the queued work and
+// returns the completion time, for an initiator that waits for it (it
+// wakes then) or not (NIC TX descriptors).
 func (s *Server) Schedule(d Duration) Time {
 	return s.reserve(s.env.now, d)
 }
@@ -179,7 +169,7 @@ func (s *Server) BusyTime() Duration {
 }
 
 // Spans returns how many services of positive length the server has
-// been charged: one per Use, Schedule or ScheduleAt, n per ScheduleRun
+// been charged: one per Schedule or ScheduleAt, n per ScheduleRun
 // and one per ScheduleChain element, exactly the spans the hooks see
 // when installed. Like the hooks, it counts a service when it is
 // booked.

@@ -341,19 +341,27 @@ func TestBusyClockClipsAtReadings(t *testing.T) {
 	}
 }
 
+// steps starts a task that runs fns in turn, one per wakeup: each but
+// the last arms the wakeup of the next.
+func steps(env *Env, name string, fns ...func(p *Proc)) *Proc {
+	next := 0
+	return env.Task(name, func(p *Proc) {
+		next++
+		fns[next-1](p)
+	})
+}
+
 func TestServerSerializes(t *testing.T) {
 	env := NewEnv()
 	srv := NewServer(env, "link")
 	var aDone, bDone Time
-	env.Go("a", func(p *Proc) {
-		srv.Use(p, 10*Microsecond)
-		aDone = p.Now()
-	})
-	env.Go("b", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
-		srv.Use(p, 10*Microsecond)
-		bDone = p.Now()
-	})
+	steps(env, "a",
+		func(p *Proc) { p.WakeAt(srv.Schedule(10 * Microsecond)) },
+		func(p *Proc) { aDone = p.Now() })
+	steps(env, "b",
+		func(p *Proc) { p.WakeAfter(1 * Microsecond) },
+		func(p *Proc) { p.WakeAt(srv.Schedule(10 * Microsecond)) },
+		func(p *Proc) { bDone = p.Now() })
 	env.Run(0)
 	if aDone != Time(10*Microsecond) {
 		t.Errorf("a done at %v, want 10us", aDone)
@@ -367,12 +375,11 @@ func TestServerIdleGap(t *testing.T) {
 	env := NewEnv()
 	srv := NewServer(env, "link")
 	var done Time
-	env.Go("a", func(p *Proc) {
-		srv.Use(p, 5*Microsecond)
-		p.Sleep(100 * Microsecond) // server idles
-		srv.Use(p, 5*Microsecond)
-		done = p.Now()
-	})
+	steps(env, "a",
+		func(p *Proc) { p.WakeAt(srv.Schedule(5 * Microsecond)) },
+		func(p *Proc) { p.WakeAfter(100 * Microsecond) }, // server idles
+		func(p *Proc) { p.WakeAt(srv.Schedule(5 * Microsecond)) },
+		func(p *Proc) { done = p.Now() })
 	env.Run(0)
 	if done != Time(110*Microsecond) {
 		t.Errorf("done at %v, want 110us (idle gap must not accumulate)", done)
@@ -473,11 +480,10 @@ func TestServerSpacingProperty(t *testing.T) {
 		var completions []Time
 		for i := 0; i < 20; i++ {
 			start := Duration(rng.Intn(1000)) * Nanosecond
-			env.Go("u", func(p *Proc) {
-				p.Sleep(start)
-				srv.Use(p, 100*Nanosecond)
-				completions = append(completions, p.Now())
-			})
+			steps(env, "u",
+				func(p *Proc) { p.WakeAfter(start) },
+				func(p *Proc) { p.WakeAt(srv.Schedule(100 * Nanosecond)) },
+				func(p *Proc) { completions = append(completions, p.Now()) })
 		}
 		env.Run(0)
 		for i := 1; i < len(completions); i++ {
@@ -657,13 +663,14 @@ func TestServerBusyHooksTileBusyTime(t *testing.T) {
 	if srv.ID() != 1 || srv.Name() != "link" {
 		t.Errorf("identity = %d/%q, want 1/link", srv.ID(), srv.Name())
 	}
-	env.Go("a", func(p *Proc) {
-		srv.Use(p, 10*Microsecond)
-		p.Sleep(5 * Microsecond)
-		srv.Schedule(3 * Microsecond)
-		srv.ScheduleAt(Time(100*Microsecond), 2*Microsecond)
-		srv.Schedule(0) // zero reservations emit no span
-	})
+	steps(env, "a",
+		func(p *Proc) { p.WakeAt(srv.Schedule(10 * Microsecond)) },
+		func(p *Proc) { p.WakeAfter(5 * Microsecond) },
+		func(p *Proc) {
+			srv.Schedule(3 * Microsecond)
+			srv.ScheduleAt(Time(100*Microsecond), 2*Microsecond)
+			srv.Schedule(0) // zero reservations emit no span
+		})
 	env.Run(0)
 	if len(h.spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(h.spans))
@@ -717,7 +724,7 @@ func clippedBusy(spans [][2]Time, now Time) Duration {
 }
 
 // TestServerCountsTheSpansHooksSee: whichever way a service is charged —
-// Use, Schedule, ScheduleAt, ScheduleRun or ScheduleChain with their
+// Schedule, ScheduleAt, ScheduleRun or ScheduleChain with their
 // spans reported through Report — the server's own Spans equal the
 // spans hooks installed from the start see, and its BusyTime, read after
 // every round while service is still booked ahead, equals those spans
@@ -728,7 +735,6 @@ func TestServerCountsTheSpansHooksSee(t *testing.T) {
 		name   string
 		charge func(p *Proc, s *Server, d Duration)
 	}{
-		{"Use", func(p *Proc, s *Server, d Duration) { s.Use(p, d) }},
 		{"Schedule", func(_ *Proc, s *Server, d Duration) { s.Schedule(d) }},
 		{"ScheduleAt", func(p *Proc, s *Server, d Duration) { s.ScheduleAt(p.Now()+Time(3*d), d) }},
 		{"ScheduleRun", func(_ *Proc, s *Server, d Duration) {
@@ -761,14 +767,17 @@ func TestServerCountsTheSpansHooksSee(t *testing.T) {
 			}
 		}
 	}
-	env.Go("driver", func(p *Proc) {
-		for _, d := range []Duration{3 * Nanosecond, 0, 7 * Nanosecond} {
-			for i, c := range charges {
-				c.charge(p, servers[i], d)
-			}
-			check(p.Now())
-			p.Sleep(Microsecond)
+	ds, round := []Duration{3 * Nanosecond, 0, 7 * Nanosecond}, 0
+	env.Task("driver", func(p *Proc) {
+		if round == len(ds) {
+			return
 		}
+		for i, c := range charges {
+			c.charge(p, servers[i], ds[round])
+		}
+		check(p.Now())
+		round++
+		p.WakeAfter(Microsecond)
 	})
 	env.Run(0)
 	check(env.Now())

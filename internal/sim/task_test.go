@@ -21,14 +21,13 @@ func panicMessage(fn func()) (msg string) {
 
 // TestTaskMisusePanics: a blocking call on a task's Proc, and a
 // task-only arming call on a goroutine Proc, panic with a message that
-// names the call — before any side effect (no getter registered, no
-// server time reserved).
+// names the call — before any side effect (no getter or putter
+// registered).
 func TestTaskMisusePanics(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
 	q := NewQueue[int](env, 1)
 	q.TryPut(1) // full: Put would block, Get would not — both must panic
-	srv := NewServer(env, "srv")
 
 	blocking := []struct {
 		call string
@@ -38,7 +37,6 @@ func TestTaskMisusePanics(t *testing.T) {
 		{"Proc.SleepUntil", func(p *Proc) { p.SleepUntil(5) }},
 		{"Queue.Get", func(p *Proc) { q.Get(p) }},
 		{"Queue.Put", func(p *Proc) { q.Put(p, 2) }},
-		{"Server.Use", func(p *Proc) { srv.Use(p, Nanosecond) }},
 	}
 	var got []string
 	env.Task("misuser", func(p *Proc) {
@@ -55,8 +53,7 @@ func TestTaskMisusePanics(t *testing.T) {
 			t.Errorf("%s on a task: panic %q does not name the call", c.call, got[i])
 		}
 	}
-	if q.Len() != 1 || q.getters.Len() != 0 || q.putters.Len() != 0 ||
-		srv.BusyTime() != 0 || srv.Spans() != 0 || srv.Backlog() != 0 {
+	if q.Len() != 1 || q.getters.Len() != 0 || q.putters.Len() != 0 {
 		t.Error("a refused blocking call left a side effect behind")
 	}
 
@@ -102,7 +99,6 @@ type schedFixture struct {
 	a    *Proc
 	full *Queue[int] // holds one item: Get would not wait
 	room *Queue[int] // unbounded: Put would not wait
-	srv  *Server
 	op   func(f *schedFixture)
 }
 
@@ -114,7 +110,6 @@ func newSchedFixture() *schedFixture {
 		a:    env.Go("a", func(p *Proc) { park.Get(p) }),
 		full: NewQueue[int](env, 0),
 		room: NewQueue[int](env, 0),
-		srv:  NewServer(env, "srv"),
 	}
 	env.Run(0)
 	f.full.TryPut(1)
@@ -140,7 +135,6 @@ func TestSchedulerContextMustNotBlock(t *testing.T) {
 		{"Proc.SleepUntil on a from scheduler context", func(f *schedFixture) { f.a.SleepUntil(f.env.Now() + 5) }},
 		{"Queue.Get on a from scheduler context", func(f *schedFixture) { f.full.Get(f.a) }},
 		{"Queue.Put on a from scheduler context", func(f *schedFixture) { f.room.Put(f.a, 2) }},
-		{"Server.Use on a from scheduler context", func(f *schedFixture) { f.srv.Use(f.a, Nanosecond) }},
 		{"Env.Run re-entered", func(f *schedFixture) { f.env.Run(0) }},
 	}
 	contexts := []struct {
@@ -380,7 +374,7 @@ func buildTaskRing(n int) (w *World, sums []int) {
 		ticks := 0
 		pt.Env().Task("timer", func(p *Proc) {
 			if ticks > 0 {
-				link.Send(p, ticks)
+				link.Post(p.Now(), p.Now(), ticks)
 			}
 			ticks++
 			p.WakeAfter(Duration(i+1) * 300 * Nanosecond)

@@ -145,7 +145,7 @@ type Link[T any] struct {
 	deliver  func()
 	lastSend Time // latest accepted departure time (FIFO wire)
 
-	// Sent counts messages accepted by Post, Send and SendAt; Dropped
+	// Sent counts messages accepted by Post and SendAt; Dropped
 	// counts arrivals a NewLink queue rejected because it was full at
 	// delivery time. Both are deterministic. Use an unbounded queue for
 	// lossless links.
@@ -203,19 +203,13 @@ func NewLink[T any](from, to *Partition, latency Duration, dst *Queue[T]) *Link[
 	return l
 }
 
-// Send transmits v from the calling process, to arrive at the
-// destination partition after the link latency. It never blocks; wire
-// serialization (bandwidth) should be modeled with a Server in the
-// sending partition before calling Send — or computed arithmetically
-// and expressed through SendAt or Post.
-func (l *Link[T]) Send(p *Proc, v T) { l.SendAt(p, p.Now(), v) }
-
 // SendAt transmits v from the calling process, departing at the future
 // instant depart (arrival is depart+latency): Post(p.Now(), depart, v)
-// from a process of the source partition.
+// from a process of the source partition. Its only non-test caller is
+// bench/micro.go.
 func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 	if p.env != l.from.env {
-		panic("sim: Link.Send from a process outside the source partition")
+		panic("sim: Link.SendAt from a process outside the source partition")
 	}
 	l.Post(p.Now(), depart, v)
 }
@@ -226,8 +220,8 @@ func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 // finishes serializing at D" — emits it without an event at S or D. It
 // must be called from the source partition (a process or callback of
 // its environment). The message waits at the sender until the barrier
-// after the window that holds sent, exactly where a Send at sent would
-// be flushed, so the destination orders it as it would that Send.
+// after the window that holds sent, exactly where a SendAt from sent
+// would be flushed, so the destination orders it as it would that one.
 // Departures on one link must be nondecreasing, which keeps the link
 // FIFO and its in-flight buffer in arrival order; a post that would
 // reorder the wire panics.

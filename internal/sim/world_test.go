@@ -62,7 +62,7 @@ func buildTrafficWorld(n int, seed uint64) (w *World, render func() string) {
 				if dst == i {
 					dst = (dst + 1) % n
 				}
-				links[i][dst].Send(p, msg{val: i*1000 + k, hops: 3})
+				links[i][dst].Post(p.Now(), p.Now(), msg{val: i*1000 + k, hops: 3})
 			}
 		})
 		env.Go("fwd", func(p *Proc) {
@@ -78,7 +78,7 @@ func buildTrafficWorld(n int, seed uint64) (w *World, render func() string) {
 				if dst == i {
 					dst = (dst + 1) % n
 				}
-				links[i][dst].Send(p, msg{val: m.val, hops: m.hops - 1})
+				links[i][dst].Post(p.Now(), p.Now(), msg{val: m.val, hops: m.hops - 1})
 			}
 		})
 	}
@@ -140,9 +140,9 @@ func TestWorldHorizonExactEvent(t *testing.T) {
 		l := NewLink(a, b, W, inbox)
 		a.Env().Go("send", func(p *Proc) {
 			p.SleepUntil(Time(W) - 1) // last instant of window [0, W-1]
-			l.Send(p, 1)
+			l.Post(p.Now(), p.Now(), 1)
 			p.Sleep(1) // first instant of the next window
-			l.Send(p, 2)
+			l.Post(p.Now(), p.Now(), 2)
 		})
 		var got []Time
 		b.Env().Go("recv", func(p *Proc) {
@@ -377,14 +377,14 @@ func buildSparseWorld(n int) (w *World, render func() string) {
 				logs[i] = append(logs[i], fmt.Sprintf("n%d t=%d v=%d", i, p.Now(), v))
 				if i == n-1 && v > 0 {
 					p.Sleep(15 * Nanosecond)
-					links[i][0].Send(p, v-1) // pong back
+					links[i][0].Post(p.Now(), p.Now(), v-1) // pong back
 				}
 			}
 		})
 	}
 	parts[0].Env().Go("ping", func(p *Proc) {
 		for k := 12; k > 0; k -= 2 {
-			links[0][n-1].Send(p, k)
+			links[0][n-1].Post(p.Now(), p.Now(), k)
 			v := inboxes[0].Get(p)
 			logs[0] = append(logs[0], fmt.Sprintf("n0 got t=%d v=%d", p.Now(), v))
 		}
@@ -392,7 +392,7 @@ func buildSparseWorld(n int) (w *World, render func() string) {
 	parts[1].Env().Go("burst", func(p *Proc) {
 		p.SleepUntil(Time(3 * Microsecond))
 		for k := 0; k < 5; k++ {
-			links[1][2].Send(p, 100+k)
+			links[1][2].Post(p.Now(), p.Now(), 100+k)
 		}
 	})
 	render = func() string {
@@ -450,7 +450,7 @@ func buildStarWorld() (w *World, render func() string, want string) {
 				for _, idx := range r.idxs {
 					if idx == k {
 						p.SleepUntil(r.at)
-						l.Send(p, k)
+						l.Post(p.Now(), p.Now(), k)
 					}
 				}
 			}
@@ -545,7 +545,7 @@ func TestLinkSendAt(t *testing.T) {
 		expectPanic("decreasing departure", func() { l.SendAt(p, Time(600*Nanosecond), 9) })
 		p.Sleep(Microsecond)
 		expectPanic("past departure", func() { l.SendAt(p, p.Now()-1, 9) })
-		l.Send(p, 4) // Send == SendAt(now)
+		l.SendAt(p, p.Now(), 4) // a departure at the send
 	})
 	b.Env().Go("foreign", func(p *Proc) {
 		expectPanic("send from outside the source partition", func() { l.SendAt(p, p.Now(), 9) })
@@ -594,7 +594,7 @@ func TestWorldSparseIdleSkip(t *testing.T) {
 		a.Env().Go("send", func(p *Proc) {
 			for k := 0; k < 5; k++ {
 				p.Sleep(Duration(1+k) * Millisecond) // huge inter-event gaps
-				l.Send(p, k)
+				l.Post(p.Now(), p.Now(), k)
 			}
 		})
 		var got []Time

@@ -18,8 +18,8 @@
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
 # server-span, golden, replay, FuzzCTR, FuzzChecksum, busy-time,
-# one-path and fabric-oracle checks failing on mutations of their own
-# kind.
+# one-path, fabric-oracle, FuzzHMACSHA1 and fused-multiply-add checks
+# failing on mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -111,7 +111,7 @@ go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
 go test -run '^$' -fuzz FuzzApplyMods -fuzztime 5s ./internal/openflow
 go test -run '^$' -fuzz FuzzFacadeOptions -fuzztime 5s .
 
-echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments; one §4 worker loop; one decoder"
+echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments; one §4 worker task; no goroutine process outside internal/sim; one decoder"
 ./scripts/onepath.sh
 
 # The byte-identity gate is the checked-in outputs: TestGoldenOutputs
@@ -163,8 +163,9 @@ go test -race -short ./internal/experiments
 # Internet checksum that drops the carry between its 64-bit words
 # fails FuzzChecksum, a server that counts service when it is booked
 # fails the golden run's util and pipeline share checks and
-# FuzzServerBusy, a second core.New( caller fails the one-path
-# gates, and a Link.flush that moves every pending message, a leaf
+# FuzzServerBusy, a second core.New( caller and a goroutine process in
+# table1 fail the one-path gates, model.Cycles' product unwrapped from
+# its float64(…) fails the fused-multiply-add gate, and a Link.flush that moves every pending message, a leaf
 # that skips its live-slot scan after a link went down and an inbox
 # peak that counts a batch starting at the arrival as waiting fail
 # the fabric's goroutine oracle, and windows off the lookahead grid

@@ -78,6 +78,11 @@
 #	                                                      files
 #	sha1-lane       blockSHA1x16's lanes 8-15 read the
 #	                messages of lanes 0-7                 FuzzHMACSHA1
+#	experiment-goroutine  table1 starts a goroutine
+#	                process (env.Go) again                the one-path gates
+#	fma-model       model.Cycles' product unwrapped from
+#	                its float64(…)                        the fused
+#	                                                      multiply-add gate
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -142,6 +147,11 @@
 # holds all sixteen lanes of a Batch flush to crypto/hmac; no golden byte
 # depends on an ICV's value, so TestGoldenOutputs cannot catch it (and on
 # a host without AVX-512 the lanes do not run: the row fails there).
+# experiment-goroutine's gate is scripts/onepath.sh's rule that no
+# non-test Go outside internal/sim calls .Go(. fma-model's gate is
+# check.sh's fused-multiply-add gate (fma below): arm64 and ppc64le
+# fuse Cycles' c/CPUFreqHz*1e12 + 0.5 once the product is unwrapped,
+# and the gate names model.go.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -185,6 +195,19 @@ replay() {
 	go run ./cmd/pshader -app ipv4 -prefixes 5000 -fib dynamic \
 		-ctrl scripts/pshaderd-demo.psc -warmup 2ms -duration 6ms \
 		-metrics -trace /dev/null 2>/dev/null | cmp cmd/pshader/testdata/pshaderd-demo.txt -
+}
+
+# fma is check.sh's fused-multiply-add gate, run in the tree.
+fma() {
+	for arch in arm64 ppc64le; do
+		GOARCH=$arch go build -trimpath -gcflags=-S ./internal/... 2>"$TMP/asm-$arch.txt"
+		fused="$(awk '$4 ~ /^FN?M(ADD|SUB)[DS]?$/ && $3 ~ /^\(packetshader\/internal\// { print $3 }' "$TMP/asm-$arch.txt" | sort -u)"
+		if [ -n "$fused" ]; then
+			echo "$arch fuses a multiply-add at (wrap the product in float64(…)):"
+			echo "$fused"
+			return 1
+		fi
+	done
 }
 
 # insert FILE ANCHOR TEXT adds TEXT as a new line after the one line of
@@ -367,9 +390,9 @@ mutate_inbox_tie() {
 
 mutate_launch_latency_host() {
 	f=internal/hw/gpu/gpu.go
-	insert $f 'd.exec.ScheduleAt(h2d, kernel))' \
-		'		d.ends = append(d.ends, d.exec.ScheduleAt(h2d+sim.Time(latency), kernel-latency))'
-	delete $f 'd.exec.ScheduleAt(h2d, kernel))'
+	insert $f 'd.exec.ScheduleAt(h2d, kernel); k == 0' \
+		'		if end := d.exec.ScheduleAt(h2d+sim.Time(latency), kernel-latency); k == 0 {'
+	delete $f 'd.exec.ScheduleAt(h2d, kernel); k == 0'
 	gate=$fullpoints want="point (fig11d, 64, CPU+GPU)" want2="outside its band"
 }
 
@@ -394,12 +417,27 @@ mutate_kappa_ulp_down() {
 	gate=$fullgolden want="fig11a differs from" want2="util ioh0-up"
 }
 
+mutate_experiment_goroutine() {
+	insert internal/experiments/micro.go 'link := pcie.NewLink(env, pcie.NewIOH(env, 0), "gpu")' \
+		'		env.Go("copier", func(p *sim.Proc) { p.Sleep(0) })'
+	gate=$onepath want="a process outside internal/sim is a task"
+}
+
+mutate_fma_model() {
+	f=internal/model/model.go
+	insert $f 'return sim.Duration(float64(c/CPUFreqHz*float64(sim.Second)) + 0.5)' \
+		'	return sim.Duration(c/CPUFreqHz*float64(sim.Second) + 0.5)'
+	delete $f 'return sim.Duration(float64(c/CPUFreqHz*float64(sim.Second)) + 0.5)'
+	gate=fma want="fuses a multiply-add at" want2="packetshader/internal/model/model.go:"
+}
+
 if [ $# -eq 0 ]; then
 	set -- shared-pointer shared-global walltime map-order bare-ps shared-fixture \
 		h2d-slow leak-app-drop sched-callback global-rand tx-run-offset tie-break \
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
 		checksum-carry busy-booked second-core-new post-early window-skip ecmp-stale-live \
-		inbox-tie launch-latency-host kappa-ulp-down scatter-order sha1-lane
+		inbox-tie launch-latency-host kappa-ulp-down scatter-order sha1-lane \
+		experiment-goroutine fma-model
 fi
 
 status=0
@@ -438,6 +476,8 @@ for m in "$@"; do
 	kappa-ulp-down) mutate_kappa_ulp_down ;;
 	scatter-order) mutate_scatter_order ;;
 	sha1-lane) mutate_sha1_lane ;;
+	experiment-goroutine) mutate_experiment_goroutine ;;
+	fma-model) mutate_fma_model ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
