@@ -121,6 +121,11 @@ func BenchmarkFabricWorkers(b *testing.B) {
 // arithmetic in arrive), which makes ns/op the price of the engine's
 // event store and window barriers plus the per-batch routing;
 // FabricWorkers/p1 is a 16-node full mesh and not what bench/ runs.
+// Back-to-back runs here keep the collector busy, so a profile shows
+// a GC share (write barriers, object lookup) that bench/ does not
+// have: its timed window starts right after a forced collection and
+// allocates under 2 MB against a 32 MiB live heap, and its
+// go.gc_cycles_per_sim_ms reads 0 on fabric-ls64.
 func BenchmarkFabricLS64(b *testing.B) {
 	cfg := cluster.FabricConfig{
 		Topo: &cluster.LeafSpine{

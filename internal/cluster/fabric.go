@@ -150,10 +150,9 @@ type fabricNode struct {
 	txTime  []sim.Duration // one batch on the wire, per slot
 
 	// generator-owned: what its steps keep between wake-ups. gen holds
-	// the destinations this node offers traffic to, earliest next
-	// emission at the root; genArmed says the armed wake-up emits to
-	// that root (false before the first).
-	gen        genHeap
+	// the destinations this node offers traffic to; genArmed says the
+	// armed wake-up emits to its front (false before the first).
+	gen        generator
 	genArmed   bool
 	rng        uint64
 	zipf       []float64 // nil: every batch is its own flow
@@ -226,48 +225,79 @@ func (a *genSlot) before(b *genSlot) bool {
 	return a.next < b.next || a.next == b.next && a.dst < b.dst
 }
 
-// genHeap holds a generator's destinations as a binary min-heap over
-// (next, dst): the root is the earliest pending destination, ties to
-// the lower index. Only the root's key ever changes (an emission moves
-// it one interval later), so the heap needs one operation, down.
-type genHeap []genSlot
+// genRing is one run of a generator's slots that share an interval,
+// slots[lo:hi], whose earliest slot is head.
+type genRing struct{ lo, hi, head int }
 
-// down sifts the hole at i down to where g belongs and puts g there.
-// It picks the smaller child with 0/1 arithmetic, as sim's event heap
-// does and for its reason: which child is smaller is a coin toss the
-// CPU cannot predict, and arithmetic has no branch to mispredict.
-func (h genHeap) down(i int, g genSlot) {
+// generator holds a node's destinations in emission order without
+// sifting them. Every first emission is drawn in [0, interval), so
+// destinations of one interval emit in a fixed cyclic order: sorted by
+// (next, dst), the first one's next emission lands past every other's.
+// slots is sorted by (interval, next, dst), each run of equal intervals
+// is a ring rotating at its head, and rings is a min-heap over the
+// heads' (next, dst). A uniform row is one ring.
+type generator struct {
+	slots []genSlot
+	rings []genRing
+}
+
+// newGenerator orders slots, at most one per destination, into rings.
+func newGenerator(slots []genSlot) generator {
+	for i := 1; i < len(slots); i++ { // an insertion sort: a row is short
+		s := slots[i]
+		j := i
+		for ; j > 0 && (s.interval < slots[j-1].interval || s.interval == slots[j-1].interval && s.before(&slots[j-1])); j-- {
+			slots[j] = slots[j-1]
+		}
+		slots[j] = s
+	}
+	g := generator{slots: slots}
+	for lo, hi := 0, 1; lo < len(slots); lo, hi = hi, hi+1 {
+		for hi < len(slots) && slots[hi].interval == slots[lo].interval {
+			hi++
+		}
+		g.rings = append(g.rings, genRing{lo, hi, lo})
+	}
+	for i := len(g.rings)/2 - 1; i >= 0; i-- {
+		g.down(i)
+	}
+	return g
+}
+
+// front is the earliest pending destination, ties to the lower index.
+func (g *generator) front() *genSlot { return &g.slots[g.rings[0].head] }
+
+// advance moves the front destination one interval later: its ring
+// rotates, and the ring sifts down to where its new head belongs.
+func (g *generator) advance() {
+	r := &g.rings[0]
+	s := &g.slots[r.head]
+	s.next += sim.Time(s.interval)
+	if r.head++; r.head == r.hi {
+		r.head = r.lo
+	}
+	g.down(0)
+}
+
+// down sifts ring i down the heap.
+func (g *generator) down(i int) {
+	h := g.rings
+	r := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		if r := c + 1; r < len(h) {
-			rc, lc := &h[r], &h[c]
-			c += b2i(rc.next < lc.next) | b2i(rc.next == lc.next)&b2i(rc.dst < lc.dst)
+		if c+1 < len(h) && g.slots[h[c+1].head].before(&g.slots[h[c].head]) {
+			c++
 		}
-		if !h[c].before(&g) {
+		if !g.slots[h[c].head].before(&g.slots[r.head]) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = g
-}
-
-// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// init orders arbitrary slots into a heap.
-func (h genHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, h[i])
-	}
+	h[i] = r
 }
 
 // splitmix64 draws the next value of the stateful sim.SplitMix64
@@ -546,24 +576,31 @@ func (nd *fabricNode) faultsAt(t sim.Time) {
 	}
 }
 
-// initGenerator builds the generator's heap from this node's matrix
-// row: per destination with traffic, the batch period at the offered
-// rate and a first emission phase-offset by the seed so nodes do not
-// emit in lockstep.
+// initGenerator builds the generator from this node's matrix row: per
+// destination with traffic, the batch period at the offered rate and a
+// first emission phase-offset by the seed so nodes do not emit in
+// lockstep.
 func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) {
 	nd.rng = seed ^ (uint64(nd.id+1) * 0x9e3779b97f4a7c15)
+	n := 0
+	for _, rate := range row {
+		if rate > 0 {
+			n++
+		}
+	}
+	slots := make([]genSlot, 0, n)
 	for j, rate := range row {
 		if rate <= 0 {
 			continue
 		}
 		interval := gbpsTime(rate)
-		nd.gen = append(nd.gen, genSlot{
+		slots = append(slots, genSlot{
 			next:     sim.Time(splitmix64(&nd.rng) % uint64(interval)),
 			interval: interval,
 			dst:      j,
 		})
 	}
-	nd.gen.init()
+	nd.gen = newGenerator(slots)
 	nd.zipf = zipf
 	if zipf != nil {
 		nd.flowLeft = make([]int, len(row))
@@ -582,8 +619,7 @@ func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) 
 // external port but no link.
 func (nd *fabricNode) generate(p *sim.Proc) {
 	if nd.genArmed {
-		g := nd.gen[0]
-		j := g.dst
+		j := nd.gen.front().dst
 		b := batch{src: int32(nd.id), dst: int32(j), born: p.Now()}
 		if nd.zipf == nil {
 			b.hash = drawFlowHash(&nd.rng)
@@ -597,13 +633,13 @@ func (nd *fabricNode) generate(p *sim.Proc) {
 		}
 		nd.genBatches++
 		nd.arrive(b) // own ingress enters the local forwarding budget
-		nd.gen.down(0, genSlot{next: g.next + sim.Time(g.interval), interval: g.interval, dst: j})
+		nd.gen.advance()
 	}
-	if len(nd.gen) == 0 || nd.gen[0].next > nd.horizon {
+	if len(nd.gen.rings) == 0 || nd.gen.front().next > nd.horizon {
 		return
 	}
 	nd.genArmed = true
-	p.WakeAfter(sim.Duration(nd.gen[0].next - p.Now()))
+	p.WakeAfter(sim.Duration(nd.gen.front().next - p.Now()))
 }
 
 // drawFlowHash draws a new flow's key material from the stream at rng

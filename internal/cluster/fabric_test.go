@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,17 +235,19 @@ func TestFabricOfferedMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestGenHeapMatchesLinearScan steps the generator's destination heap
-// against the scan it replaced — earliest next emission, ties to the
+// TestGeneratorMatchesLinearScan steps the generator's rotating rings
+// against the scan they replaced — earliest next emission, ties to the
 // lower index — for 10^4 emissions per row and requires the same
 // (destination, time) sequence. The rows: mixed intervals with gaps in
 // the destination numbering (zero-rate destinations are never in the
-// heap; the scan skips their -1) and two destinations of equal interval
-// and phase, which tie at every emission; eight destinations that all
-// tie always; one destination alone; and 64 destinations with SplitMix
-// intervals of 1–50 ps, where ties are frequent and irregular.
-func TestGenHeapMatchesLinearScan(t *testing.T) {
-	rows := map[string]genHeap{
+// generator; the scan skips their -1) and two destinations of equal
+// interval and phase, which tie at every emission; eight destinations
+// that all tie always, one ring; one destination alone; 64
+// destinations with SplitMix intervals of 1–50 ps, where ties are
+// frequent and irregular and most rings hold several slots; and a
+// matrix row with zero cells and three rates through initGenerator.
+func TestGeneratorMatchesLinearScan(t *testing.T) {
+	rows := map[string][]genSlot{
 		"mixed": {
 			{next: 0, interval: 7, dst: 0}, {next: 5, interval: 11, dst: 2},
 			{next: 5, interval: 13, dst: 3}, {next: 999, interval: 1000, dst: 5},
@@ -254,7 +257,7 @@ func TestGenHeapMatchesLinearScan(t *testing.T) {
 		"single":   {{next: 4, interval: 9, dst: 3}},
 		"wide":     {},
 	}
-	for j := 7; j >= 0; j-- { // descending: init has to reorder all of it
+	for j := 7; j >= 0; j-- { // descending: the sort has to reorder all of it
 		rows["all-tied"] = append(rows["all-tied"], genSlot{next: 1, interval: 5, dst: j})
 	}
 	rng := uint64(16)
@@ -263,16 +266,22 @@ func TestGenHeapMatchesLinearScan(t *testing.T) {
 		rows["wide"] = append(rows["wide"], genSlot{
 			next: sim.Time(splitmix64(&rng) % uint64(interval)), interval: interval, dst: j})
 	}
-	for name, h := range rows {
+	gens := map[string]generator{}
+	for name, slots := range rows {
+		gens[name] = newGenerator(slices.Clone(slots))
+	}
+	nd := &fabricNode{id: 3}
+	nd.initGenerator([]float64{0, 10, 10, 0, 2.5, 10, 40, 0, 2.5, 40}, 7, nil)
+	rows["matrix"], gens["matrix"] = slices.Clone(nd.gen.slots), nd.gen
+	for name, g := range gens {
 		next := make([]sim.Time, 64)
 		interval := make([]sim.Duration, 64)
 		for j := range next {
 			next[j] = -1
 		}
-		for _, g := range h {
-			next[g.dst], interval[g.dst] = g.next, g.interval
+		for _, s := range rows[name] {
+			next[s.dst], interval[s.dst] = s.next, s.interval
 		}
-		h.init()
 		for n := 0; n < 10_000; n++ {
 			j := -1
 			for k := range next {
@@ -280,12 +289,12 @@ func TestGenHeapMatchesLinearScan(t *testing.T) {
 					j = k
 				}
 			}
-			if h[0].dst != j || h[0].next != next[j] {
-				t.Fatalf("%s: emission %d: heap emits to %d at %d, scan to %d at %d",
-					name, n, h[0].dst, h[0].next, j, next[j])
+			if f := g.front(); f.dst != j || f.next != next[j] {
+				t.Fatalf("%s: emission %d: the generator emits to %d at %d, the scan to %d at %d",
+					name, n, f.dst, f.next, j, next[j])
 			}
 			next[j] += sim.Time(interval[j])
-			h.down(0, genSlot{next: h[0].next + sim.Time(h[0].interval), interval: h[0].interval, dst: j})
+			g.advance()
 		}
 	}
 }
@@ -372,7 +381,7 @@ func runFabricOracle(cfg FabricConfig) (FabricResult, FabricMetrics, error) {
 // fabric ran on tasks, body verbatim but for the inbox: the
 // differential oracle for fabricNode.generate (whose comment says what
 // both do), and with its linear scan for the earliest destination, for
-// genHeap.
+// the generator's rings.
 func (o *oracleNode) generate(p *sim.Proc, cfg *FabricConfig, zipf []float64) {
 	nd := o.nd
 	ext := len(cfg.Matrix)
@@ -707,7 +716,7 @@ func TestFabricLinkDiesMidBudget(t *testing.T) {
 	nd := probe.nodes[0]
 	nd.initGenerator(cfg.Matrix[0], cfg.Seed, nil)
 	// An idle forwarder takes a batch the instant the generator emits it.
-	taken, fwd := nd.gen[0].next, nd.fwdTime
+	taken, fwd := nd.gen.front().next, nd.fwdTime
 	probe.world.Close()
 
 	cfg.Faults = faults.NewPlan().Add(faults.Event{

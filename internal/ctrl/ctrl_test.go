@@ -498,7 +498,7 @@ func TestControllerDeliversPlanAtScheduledTimes(t *testing.T) {
 	for _, ms := range []float64{10.5, 11.25, 11.75, 12.5, 13.5} {
 		env.At(sim.Time(ms*float64(sim.Millisecond)), func() {
 			got = append(got, state{r.Engine.Ports[2].Tx.CarrierUp(),
-				r.Devices[0].Healthy(), r.Devices[1].Healthy()})
+				!r.Devices[0].Failed, !r.Devices[1].Failed})
 		})
 	}
 	env.Run(0)

@@ -85,11 +85,12 @@ type Device struct {
 	// far, part by part.
 	Parts LaunchParts
 
-	// failed marks the device as stalled/failed (fault injection): a
-	// failed device never completes a launch — StartLaunch times out
-	// its watchdog instead. Failure takes effect at launch boundaries;
-	// a launch already in flight completes normally.
-	failed bool
+	// Failed marks the device as stalled (fault injection, through
+	// Fail and Repair): a failed device never completes a launch —
+	// StartLaunch times out its watchdog instead. Failure takes effect
+	// at launch boundaries; a launch already in flight completes
+	// normally.
+	Failed bool
 	// Stalls counts launches that hit the watchdog on a failed device.
 	Stalls uint64
 
@@ -139,13 +140,10 @@ func (d *Device) ExecBusy() sim.Duration { return d.exec.BusyTime() }
 
 // Fail marks the device as stalled: launches started after it burn
 // their watchdog timeout and report failure until Repair.
-func (d *Device) Fail() { d.failed = true }
+func (d *Device) Fail() { d.Failed = true }
 
 // Repair restores the device; the next probe launch succeeds.
-func (d *Device) Repair() { d.failed = false }
-
-// Healthy reports whether the device currently completes launches.
-func (d *Device) Healthy() bool { return !d.failed }
+func (d *Device) Repair() { d.Failed = false }
 
 // EnableTrace attaches tr to the device, recording launch stage spans
 // on a per-device track. A nil tr disables tracing.
@@ -191,7 +189,7 @@ type Flight struct {
 // timeout — the time a real driver waits before declaring the launch
 // hung — and the launch runs no functional work.
 func (d *Device) StartLaunch(p *sim.Proc, f *Flight, spec *KernelSpec, watchdog sim.Duration, nStreams, threads, inBytes, outBytes, streamBytes int, fn func()) (sim.Time, bool) {
-	if threads > 0 && d.failed {
+	if threads > 0 && d.Failed {
 		d.Stalls++
 		*f = Flight{threads: threads, start: p.Now(), ends: f.ends[:0], stall: true}
 		return p.Now() + sim.Time(max(watchdog, 0)), true

@@ -282,7 +282,7 @@ func runTwinLaunches(task bool, streams int, failed bool) twinRun {
 				}
 				faults(i)
 				ok := true
-				if streams == 1 && dev.Healthy() {
+				if streams == 1 && !dev.Failed {
 					dev.Launch(p, &KernelIPsec, s.threads, s.in, s.out, s.str, nil)
 				} else {
 					next, wait := dev.StartLaunch(p, &f, &KernelIPsec, watchdog, streams, s.threads, s.in, s.out, s.str, nil)
@@ -725,8 +725,8 @@ func TestLaunchCheckedWatchdogAndRepair(t *testing.T) {
 		before: func(i int) {
 			if i == 0 {
 				dev.Fail()
-				if dev.Healthy() {
-					t.Error("Healthy() true after Fail()")
+				if !dev.Failed {
+					t.Error("Failed false after Fail()")
 				}
 			} else {
 				dev.Repair()

@@ -19,10 +19,6 @@ type Ring[T any] struct {
 // Len returns the number of buffered elements.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the current backing-array capacity (for tests asserting
-// that drained rings do not grow without bound).
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // grow doubles the backing array (capacity is always a power of two, so
 // index masking stays a single AND).
 func (r *Ring[T]) grow() {

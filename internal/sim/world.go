@@ -33,7 +33,7 @@ type World struct {
 	running   bool
 	closed    bool
 
-	dirty []uint64 // one bit per link with pending messages, by creation index
+	dirty []uint64 // one bit per link with unpublished messages, by creation index
 
 	stats   WorldStats // windows and barriers (Stats adds the partitions')
 	lastEnd Time       // the latest window's end (-1 before the first)
@@ -57,8 +57,8 @@ type Partition struct {
 	env   *Env
 
 	// dirty lists the creation indexes of this partition's outgoing
-	// links whose pending buffer became non-empty in the current
-	// window. Only this partition appends (Link.Post runs in the source
+	// links whose log gained its first unpublished message in the
+	// current window. Only this partition appends (Link.Post runs in the source
 	// partition), so the list needs no synchronization; the barrier
 	// folds it into the world's bitmap and clears it.
 	dirty []int
@@ -94,25 +94,16 @@ func (pt *Partition) Env() *Env { return pt.env }
 // Name returns the name given at NewPartition time.
 func (pt *Partition) Name() string { return pt.name }
 
-// Partitions returns the world's partitions in creation order.
-func (w *World) Partitions() []*Partition { return w.parts }
-
 // Lookahead returns the minimum link latency, the window width used by
 // Run (0 if the world has no links yet, in which case Run uses a single
 // window: unlinked partitions never interact).
 func (w *World) Lookahead() Duration { return w.lookahead }
 
-// linkItem is one in-flight message: its arrival time and payload.
-type linkItem[T any] struct {
-	at Time
-	v  T
-}
-
-// postItem is one message waiting at the sender: the instant it is
-// logically sent, and the message.
-type postItem[T any] struct {
-	sent Time
-	msg  linkItem[T]
+// message is one message on a link: the instant it is logically sent,
+// its arrival time and its payload.
+type message[T any] struct {
+	sent, at Time
+	v        T
 }
 
 // Link is a unidirectional cross-partition channel with latency. A
@@ -127,23 +118,28 @@ type Link[T any] struct {
 	recv     func(T)
 	idx      int // creation index across the world's links
 
-	// pending holds posted messages in post order until the barrier
-	// after the window holding their send instant. Only the source
-	// partition appends to it, and only the barrier removes from it.
-	pending []postItem[T]
-
-	// inflight holds flushed messages awaiting delivery, in arrival
-	// order (departures are nondecreasing per link, so arrivals are
-	// too). Only the barrier appends to it, and only the destination
-	// partition removes from it. One reusable callback (deliver) walks
-	// it: each scheduled event delivers every message due at that
-	// instant and re-arms at the next arrival, so a window's burst
-	// costs one scheduled event per distinct arrival instant instead of
-	// one closure per message.
-	inflight Ring[linkItem[T]]
-	armed    bool
-	deliver  func()
-	lastSend Time // latest accepted departure time (FIFO wire)
+	// log holds every message posted and not yet delivered, in post
+	// order, which is arrival order too (departures are nondecreasing
+	// per link). Three cursors cut it. The source appends at the tail.
+	// The barrier after the window holding a message's send instant
+	// publishes it by advancing pub, and sets dq = log[:pub], the
+	// destination's own view of the published messages. The destination
+	// delivers dq[head] and advances head, and never writes the array.
+	// So while partitions run concurrently the source writes only at
+	// and beyond the tail (an append that reallocates only reads the
+	// old array), the destination writes only head, and each side keeps
+	// its own slice header; only the serial barrier writes both, when
+	// it compacts the log by copying [head, len) down to 0. One reusable
+	// callback (deliver) walks dq: each scheduled event delivers every
+	// message due at that instant and re-arms at the next arrival, so a
+	// window's burst costs one scheduled event per distinct arrival
+	// instant instead of one closure per message.
+	log       []message[T]
+	dq        []message[T]
+	pub, head int
+	armed     bool
+	deliver   func()
+	lastSend  Time // latest accepted departure time (FIFO wire)
 
 	// Sent counts messages accepted by Post and SendAt; Dropped
 	// counts arrivals a NewLink queue rejected because it was full at
@@ -223,8 +219,8 @@ func (l *Link[T]) SendAt(p *Proc, depart Time, v T) {
 // after the window that holds sent, exactly where a SendAt from sent
 // would be flushed, so the destination orders it as it would that one.
 // Departures on one link must be nondecreasing, which keeps the link
-// FIFO and its in-flight buffer in arrival order; a post that would
-// reorder the wire panics.
+// FIFO and its log in arrival order; a post that would reorder the
+// wire panics.
 func (l *Link[T]) Post(sent, depart Time, v T) {
 	if sent < l.from.env.now {
 		panic("sim: Link.Post sent before now")
@@ -237,62 +233,67 @@ func (l *Link[T]) Post(sent, depart Time, v T) {
 	}
 	l.lastSend = depart
 	l.Sent++
-	if len(l.pending) == 0 {
+	if len(l.log) == l.pub {
 		l.from.dirty = append(l.from.dirty, l.idx)
 	}
-	l.pending = append(l.pending, postItem[T]{sent, linkItem[T]{depart + Time(l.latency), v}})
+	l.log = append(l.log, message[T]{sent, depart + Time(l.latency), v})
 }
 
 // InFlight returns the number of messages sent and not yet delivered:
-// those still pending at the sender and those flushed toward the
+// those still waiting at the sender and those published toward the
 // destination.
-func (l *Link[T]) InFlight() int { return len(l.pending) + l.inflight.Len() }
+func (l *Link[T]) InFlight() int { return len(l.log) - l.head }
 
 // flush runs at the window barrier that ends at end, on the World.Run
-// goroutine, after all partitions have joined. It moves in-flight every
-// pending message sent by end, stopping at the first one sent later (a
-// message never overtakes an earlier post), arms the delivery callback,
-// and reports whether it moved any. Every message it moves arrives
-// strictly beyond its window (sent at t ≥ window start, arrival ≥
-// t+latency ≥ start+lookahead > end), so arming here — before the next
-// window starts — delivers it exactly when a serial run would.
+// goroutine, after all partitions have joined. It drops the delivered
+// messages off the log's front, publishes every message sent by end,
+// stopping at the first one sent later (a message never overtakes an
+// earlier post), arms the delivery callback, and reports whether it
+// published any. Every message it publishes arrives strictly beyond
+// its window (sent at t ≥ window start, arrival ≥ t+latency ≥
+// start+lookahead > end), so arming here — before the next window
+// starts — delivers it exactly when a serial run would.
 func (l *Link[T]) flush(end Time) bool {
-	n := 0
-	for n < len(l.pending) && l.pending[n].sent <= end {
-		l.inflight.PushBack(l.pending[n].msg)
-		n++
+	if l.head > 0 {
+		n := copy(l.log, l.log[l.head:])
+		clear(l.log[n:])
+		l.log, l.pub, l.head = l.log[:n], l.pub-l.head, 0
 	}
-	if n == 0 {
+	pub := l.pub
+	for l.pub < len(l.log) && l.log[l.pub].sent <= end {
+		l.pub++
+	}
+	l.dq = l.log[:l.pub]
+	if l.pub == pub {
 		return false
 	}
-	rest := copy(l.pending, l.pending[n:])
-	clear(l.pending[rest:])
-	l.pending = l.pending[:rest]
 	if !l.armed {
 		l.armed = true
-		l.to.env.At(l.inflight.Front().at, l.deliver)
+		l.to.env.At(l.dq[0].at, l.deliver)
 	}
 	return true
 }
 
-// waiting reports the send instant of the earliest pending message.
+// waiting reports the send instant of the earliest unpublished message.
 func (l *Link[T]) waiting() (Time, bool) {
-	if len(l.pending) == 0 {
+	if l.pub == len(l.log) {
 		return 0, false
 	}
-	return l.pending[0].sent, true
+	return l.log[l.pub].sent, true
 }
 
 // deliverDue runs in the destination environment at an arrival instant:
-// it hands every in-flight message due now to the receiver, in send
+// it hands every published message due now to the receiver, in send
 // order, and re-arms at the next arrival, if any.
 func (l *Link[T]) deliverDue() {
 	now := l.to.env.Now()
-	for l.inflight.Len() > 0 && l.inflight.Front().at == now {
-		l.recv(l.inflight.PopFront().v)
+	for l.head < len(l.dq) && l.dq[l.head].at == now {
+		v := l.dq[l.head].v
+		l.head++
+		l.recv(v)
 	}
-	if l.inflight.Len() > 0 {
-		l.to.env.At(l.inflight.Front().at, l.deliver)
+	if l.head < len(l.dq) {
+		l.to.env.At(l.dq[l.head].at, l.deliver)
 	} else {
 		l.armed = false
 	}
@@ -353,7 +354,7 @@ func (w *World) Run(until Time, workers int) Time {
 }
 
 // barrier flushes the messages sent by end. Only links that hold
-// pending messages are visited: the per-partition dirty lists set one
+// unpublished messages are visited: the per-partition dirty lists set one
 // bit per link in a bitmap over the creation indexes — here, serially,
 // so the workers never share a word — and the bitmap is walked lowest
 // bit first. That is creation order, the order a flush-all pass would
@@ -361,7 +362,7 @@ func (w *World) Run(until Time, workers int) Time {
 // dirty tracking is schedule-invisible. A link keeps its bit while it
 // holds messages posted for a later window. The advance barrier
 // (WaitGroup) has already ordered the workers' writes to the dirty
-// lists and pending buffers before this read.
+// lists and link logs before this read.
 func (w *World) barrier(end Time) {
 	w.fold()
 	if w.flushAll {
@@ -434,7 +435,7 @@ func (w *World) advance(end Time, workers int) {
 // fanOut runs worker k of n over partitions k, k+n, … — stripes, not
 // contiguous blocks, because a leaf–spine fabric numbers its busy
 // spines last. The WaitGroup orders the partitions' memory effects
-// before barrier reads the links' pending buffers. It is its own
+// before barrier reads the links' logs. It is its own
 // function so that the goroutines' captures (and the WaitGroup) reach
 // the heap only on this path: inside advance they would cost the
 // one-worker schedule an allocation per window.

@@ -190,7 +190,7 @@ func TestWorldNoLinksSingleWindow(t *testing.T) {
 			t.Fatalf("partition %d ticked %d times, want 10", i, n)
 		}
 	}
-	for _, pt := range w.Partitions() {
+	for _, pt := range w.parts {
 		if pt.Env().Now() != Time(10*Microsecond) {
 			t.Fatalf("partition %s clock %v, want horizon", pt.Name(), pt.Env().Now())
 		}
@@ -679,14 +679,76 @@ func TestLinkPostFlushesAfterItsSendWindow(t *testing.T) {
 			b.Env().At(Time(4*W), func() { order = append(order, "local") })
 		})
 		w.Run(Time(2400*Nanosecond), workers)
-		if len(l.pending) != 1 || l.inflight.Len() != 0 {
-			t.Errorf("workers=%d: at 2.4 µs %d pending and %d in flight, want the message still pending",
-				workers, len(l.pending), l.inflight.Len())
+		if len(l.log) != 1 || l.pub != 0 {
+			t.Errorf("workers=%d: at 2.4 µs %d logged and %d published, want the message logged and unpublished",
+				workers, len(l.log), l.pub)
 		}
 		w.Run(Time(5*W), workers)
 		w.Close()
 		if want := []string{"local", "message 1"}; !reflect.DeepEqual(order, want) {
 			t.Errorf("workers=%d: at 4 µs the destination ran %q, want %q", workers, order, want)
+		}
+	}
+}
+
+// TestLinkLogStaysBounded: eight partitions in a ring post to both
+// neighbours every 100 ns for 2 ms — 20,000 messages a link, each sent
+// half a window ahead of its poster's clock, so every barrier finds
+// messages published and not yet delivered beside messages not yet
+// published. The barrier compacts each log, so its capacity stays
+// within a few windows' worth of messages on one worker and on eight,
+// and every message arrives.
+func TestLinkLogStaysBounded(t *testing.T) {
+	const (
+		W     = Microsecond
+		gap   = 100 * Nanosecond
+		until = Time(2 * Millisecond)
+		n     = 8
+	)
+	perWindow := int(W / gap)
+	for _, workers := range []int{1, 8} {
+		w := NewWorld()
+		parts := make([]*Partition, n)
+		for i := range parts {
+			parts[i] = w.NewPartition(fmt.Sprint("p", i))
+		}
+		got := make([]uint64, n)
+		var links []*Link[int]
+		for i, pt := range parts {
+			env := pt.Env()
+			var out []*Link[int]
+			for _, d := range []int{1, n - 1} {
+				to := (i + d) % n
+				l := NewLinkFunc(pt, parts[to], W, func(int) { got[to]++ })
+				out = append(out, l)
+				links = append(links, l)
+			}
+			var tick func()
+			tick = func() {
+				sent := env.Now() + Time(W/2)
+				for _, l := range out {
+					l.Post(sent, sent+Time(gap), i)
+				}
+				env.After(gap, tick)
+			}
+			env.At(0, tick)
+		}
+		w.Run(until, workers)
+		w.Close()
+		var sent, delivered, inFlight uint64
+		for i, l := range links {
+			if c := cap(l.log); c > 8*perWindow {
+				t.Errorf("workers=%d: link %d's log has capacity %d after %d messages, want at most %d",
+					workers, i, c, l.Sent, 8*perWindow)
+			}
+			sent += l.Sent
+			inFlight += uint64(l.InFlight())
+		}
+		for _, g := range got {
+			delivered += g
+		}
+		if want := uint64(2 * n * (int(until/Time(gap)) + 1)); sent != want || delivered+inFlight != sent {
+			t.Errorf("workers=%d: %d sent (want %d), %d delivered and %d in flight", workers, sent, want, delivered, inFlight)
 		}
 	}
 }

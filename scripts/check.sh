@@ -165,11 +165,12 @@ go test -race -short ./internal/experiments
 # fails the golden run's util and pipeline share checks and
 # FuzzServerBusy, a second core.New( caller and a goroutine process in
 # table1 fail the one-path gates, model.Cycles' product unwrapped from
-# its float64(…) fails the fused-multiply-add gate, and a Link.flush that moves every pending message, a leaf
-# that skips its live-slot scan after a link went down and an inbox
-# peak that counts a batch starting at the arrival as waiting fail
-# the fabric's goroutine oracle, and windows off the lookahead grid
-# fail the golden files.
+# its float64(…) fails the fused-multiply-add gate, a Link.flush that
+# publishes every posted message, a leaf that skips its live-slot scan
+# after a link went down and an inbox peak that counts a batch starting
+# at the arrival as waiting fail the fabric's goroutine oracle, windows
+# off the lookahead grid fail the golden files, and churn writing the
+# shared BGP fixture fails fig11a's golden file.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 
