@@ -58,7 +58,8 @@ lint:
 # engine, the IOH's coupling one ulp low, a master that scatters its
 # chunks in reverse order, a SHA-1 lane reading another's message, a
 # goroutine process in table1, model.Cycles' product unwrapped from its
-# float64(…), churn writing the shared BGP fixture) and
+# float64(…), churn writing the shared BGP fixture, a GPU hold-out that
+# doubles past its cap) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
@@ -67,8 +68,9 @@ lint:
 # lines, the pshaderd replay, FuzzCTR, FuzzChecksum, the golden run's
 # util and share checks and FuzzServerBusy, the one-path gates, the
 # fabric's goroutine oracle, the golden files, the oracle twice more,
-# the full paper points, the full golden files twice, FuzzHMACSHA1, the
-# one-path gates, the fused-multiply-add gate, the full golden files)
+# the full paper points, the full golden files twice, FuzzHMACSHA1 and
+# the full golden files' tx.digest, the one-path gates, the
+# fused-multiply-add gate, the full golden files, the backoff test)
 # fails on it.
 # `make check` runs it too.
 gates:

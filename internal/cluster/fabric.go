@@ -337,24 +337,29 @@ type fabric struct {
 	zipf  []float64
 }
 
-// checkMatrix rejects a traffic matrix the generators cannot run: on
-// top of Matrix.check over the external nodes, every positive rate must
-// be a batchTime (the generator divides by that interval and adds it to
-// emission times).
-func checkMatrix(m Matrix, ext int, max sim.Duration) error {
-	if err := m.check(ext); err != nil {
-		return fmt.Errorf("fabric: %w", err)
-	}
-	for i, row := range m {
-		for j, rate := range row {
-			if rate > 0 {
-				if _, err := batchTime(rate, max); err != nil {
-					return fmt.Errorf("fabric: matrix[%d][%d] batch interval: %w", i, j, err)
-				}
-			}
+// genSlots converts node i's row of a checked traffic matrix into its
+// generator's slots, one per destination with traffic, converting each
+// rate once: every positive rate must be a batchTime (the generator
+// divides by that interval and adds it to emission times). The first
+// emissions are initGenerator's to draw.
+func genSlots(m Matrix, i int, max sim.Duration) ([]genSlot, error) {
+	n := 0
+	for _, rate := range m[i] {
+		if rate > 0 {
+			n++
 		}
 	}
-	return nil
+	slots := make([]genSlot, 0, n)
+	for j, rate := range m[i] {
+		if rate > 0 {
+			interval, err := batchTime(rate, max)
+			if err != nil {
+				return nil, fmt.Errorf("fabric: matrix[%d][%d] batch interval: %w", i, j, err)
+			}
+			slots = append(slots, genSlot{interval: interval, dst: j})
+		}
+	}
+	return slots, nil
 }
 
 // newFabric validates cfg and builds the world: one partition and node
@@ -377,8 +382,8 @@ func newFabric(cfg FabricConfig, recv func(nd *fabricNode) func(batch)) (*fabric
 	}
 	maxTime := math.MaxInt64 - cfg.Horizon
 	n, ext := topo.Nodes(), topo.Externals()
-	if err := checkMatrix(cfg.Matrix, ext, maxTime); err != nil {
-		return nil, err
+	if err := cfg.Matrix.check(ext); err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 
 	f := &fabric{cfg: cfg, world: sim.NewWorld(), nodes: make([]*fabricNode, n)}
@@ -404,6 +409,9 @@ func newFabric(cfg FabricConfig, recv func(nd *fabricNode) func(batch)) (*fabric
 		if i < ext {
 			if nd.extTime, err = batchTime(topo.ExternalGbps(i), maxTime); err != nil {
 				return fail(fmt.Errorf("fabric: node %d external port: %w", i, err))
+			}
+			if nd.gen.slots, err = genSlots(cfg.Matrix, i, maxTime); err != nil {
+				return fail(err)
 			}
 		}
 	}
@@ -519,7 +527,7 @@ func startFabric(cfg FabricConfig) (*fabric, error) {
 		return nil, err
 	}
 	for _, nd := range f.nodes[:f.cfg.Topo.Externals()] { // each task touches its own node only
-		nd.initGenerator(f.cfg.Matrix[nd.id], f.cfg.Seed, f.zipf)
+		nd.initGenerator(f.cfg.Seed, f.zipf)
 		nd.env.Task("gen", nd.generate)
 	}
 	return f, nil
@@ -576,35 +584,20 @@ func (nd *fabricNode) faultsAt(t sim.Time) {
 	}
 }
 
-// initGenerator builds the generator from this node's matrix row: per
-// destination with traffic, the batch period at the offered rate and a
-// first emission phase-offset by the seed so nodes do not emit in
-// lockstep.
-func (nd *fabricNode) initGenerator(row []float64, seed uint64, zipf []float64) {
+// initGenerator builds the generator from the slots newFabric gave it
+// (genSlots): each slot's first emission is phase-offset by the seed so
+// nodes do not emit in lockstep.
+func (nd *fabricNode) initGenerator(seed uint64, zipf []float64) {
 	nd.rng = seed ^ (uint64(nd.id+1) * 0x9e3779b97f4a7c15)
-	n := 0
-	for _, rate := range row {
-		if rate > 0 {
-			n++
-		}
-	}
-	slots := make([]genSlot, 0, n)
-	for j, rate := range row {
-		if rate <= 0 {
-			continue
-		}
-		interval := gbpsTime(rate)
-		slots = append(slots, genSlot{
-			next:     sim.Time(splitmix64(&nd.rng) % uint64(interval)),
-			interval: interval,
-			dst:      j,
-		})
+	slots := nd.gen.slots
+	for k := range slots {
+		slots[k].next = sim.Time(splitmix64(&nd.rng) % uint64(slots[k].interval))
 	}
 	nd.gen = newGenerator(slots)
 	nd.zipf = zipf
 	if zipf != nil {
-		nd.flowLeft = make([]int, len(row))
-		nd.flowHash = make([]uint32, len(row))
+		nd.flowLeft = make([]int, nd.topo.Externals())
+		nd.flowHash = make([]uint32, nd.topo.Externals())
 	}
 }
 

@@ -271,7 +271,12 @@ func TestGeneratorMatchesLinearScan(t *testing.T) {
 		gens[name] = newGenerator(slices.Clone(slots))
 	}
 	nd := &fabricNode{id: 3}
-	nd.initGenerator([]float64{0, 10, 10, 0, 2.5, 10, 40, 0, 2.5, 40}, 7, nil)
+	for j, rate := range []float64{0, 10, 10, 0, 2.5, 10, 40, 0, 2.5, 40} {
+		if rate > 0 {
+			nd.gen.slots = append(nd.gen.slots, genSlot{interval: gbpsTime(rate), dst: j})
+		}
+	}
+	nd.initGenerator(7, nil)
 	rows["matrix"], gens["matrix"] = slices.Clone(nd.gen.slots), nd.gen
 	for name, g := range gens {
 		next := make([]sim.Time, 64)
@@ -714,7 +719,7 @@ func TestFabricLinkDiesMidBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd := probe.nodes[0]
-	nd.initGenerator(cfg.Matrix[0], cfg.Seed, nil)
+	nd.initGenerator(cfg.Seed, nil)
 	// An idle forwarder takes a batch the instant the generator emits it.
 	taken, fwd := nd.gen.front().next, nd.fwdTime
 	probe.world.Close()

@@ -159,6 +159,7 @@ type Config struct {
 	// fixed but only capped"). It, GatherMax and OpportunisticOffload
 	// are the router's live knobs: Router.SetChunkCap and its siblings
 	// rewrite them mid-run, and the workers and masters read them here.
+	// A worker never fetches more than model.MaxChunkSize packets.
 	ChunkCap int
 	// GatherMax bounds chunks gathered into one GPU launch (§5.4).
 	GatherMax int
@@ -170,11 +171,6 @@ type Config struct {
 	// OpportunisticOffload processes small chunks on the CPU for low
 	// latency under light load (§7).
 	OpportunisticOffload bool
-	// OppThreshold is the chunk size at or below which opportunistic
-	// offload keeps work on the CPU. Production runs all use the default
-	// (32); it stays a field because tests lower and raise it to put a
-	// given load on either side of the threshold.
-	OppThreshold int
 
 	// PacketSize and OfferedGbpsPerPort configure the generator-driven
 	// workload applied to every port.
@@ -185,27 +181,20 @@ type Config struct {
 	// applications (see FIBUpdateMode; read by the assembly layer, not
 	// the framework).
 	FIBUpdate FIBUpdateMode
-
-	// GPUWatchdog is how long a master waits on a launch before
-	// declaring the device stalled and falling back to the CPU path.
-	// Zero selects the default.
-	GPUWatchdog sim.Duration
-	// GPUBackoff is the initial hold-out after a detected stall; each
-	// further failed probe doubles it up to GPUBackoffMax. Zero selects
-	// the defaults.
-	//
-	// Production runs all use the three defaults; they stay fields
-	// because tests shorten them to reach the back-off doubling and its
-	// cap inside horizons of a few simulated milliseconds.
-	GPUBackoff    sim.Duration
-	GPUBackoffMax sim.Duration
 }
 
-// Recovery-policy defaults (used when the Config fields are zero).
+// OppThreshold is the chunk size at or below which opportunistic
+// offload (§7) keeps a chunk's work on the CPU.
+const OppThreshold = 32
+
+// The GPU recovery policy: a master waits GPUWatchdog on a launch before
+// it declares the device stalled and falls back to the CPU path, then
+// holds the device out for GPUBackoff; each further failed probe
+// doubles the hold-out, up to GPUBackoffMax.
 const (
-	defaultGPUWatchdog   = 500 * sim.Microsecond
-	defaultGPUBackoff    = 1 * sim.Millisecond
-	defaultGPUBackoffMax = 8 * sim.Millisecond
+	GPUWatchdog   = 500 * sim.Microsecond
+	GPUBackoff    = 1 * sim.Millisecond
+	GPUBackoffMax = 8 * sim.Millisecond
 )
 
 // DefaultConfig returns the paper's CPU+GPU configuration at full load.
@@ -218,12 +207,8 @@ func DefaultConfig() Config {
 		Pipelining:           true,
 		Streams:              1,
 		OpportunisticOffload: false,
-		OppThreshold:         32,
 		PacketSize:           64,
 		OfferedGbpsPerPort:   10,
-		GPUWatchdog:          defaultGPUWatchdog,
-		GPUBackoff:           defaultGPUBackoff,
-		GPUBackoffMax:        defaultGPUBackoffMax,
 	}
 }
 
@@ -291,20 +276,6 @@ func New(env *sim.Env, cfg Config, app App) *Router {
 	workersPerNode := model.CoresPerNode
 	if cfg.Mode == ModeGPU {
 		workersPerNode = model.CoresPerNode - 1
-	}
-	// Hand-built Configs may leave the recovery knobs zero; normalize so
-	// the watchdog path is always well-defined.
-	if cfg.GPUWatchdog <= 0 {
-		cfg.GPUWatchdog = defaultGPUWatchdog
-	}
-	if cfg.GPUBackoff <= 0 {
-		cfg.GPUBackoff = defaultGPUBackoff
-	}
-	if cfg.GPUBackoffMax < cfg.GPUBackoff {
-		cfg.GPUBackoffMax = defaultGPUBackoffMax
-		if cfg.GPUBackoffMax < cfg.GPUBackoff {
-			cfg.GPUBackoffMax = cfg.GPUBackoff
-		}
 	}
 	cfg.IO.QueuesPerPort = workersPerNode
 	r := &Router{Env: env, Cfg: cfg, App: app, Engine: pktio.New(env, cfg.IO)}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"packetshader/internal/faults"
@@ -180,7 +181,6 @@ func TestNoGatherProcessesOneChunkPerLaunch(t *testing.T) {
 func TestOpportunisticOffloadLightLoad(t *testing.T) {
 	cfg := smallConfig(ModeGPU)
 	cfg.OpportunisticOffload = true
-	cfg.OppThreshold = 64
 	cfg.OfferedGbpsPerPort = 0.05 // very light: tiny chunks
 	r := runRouter(t, cfg, newEchoApp(2), 5*sim.Millisecond)
 	if r.Stats.ChunksCPU == 0 {
@@ -191,14 +191,44 @@ func TestOpportunisticOffloadLightLoad(t *testing.T) {
 	}
 }
 
+// TestOpportunisticOffloadHeavyLoadUsesGPU: at line rate the queues
+// fill every chunk to its cap, so the cap alone puts the chunks on
+// either side of OppThreshold: a chunk of OppThreshold packets stays on
+// the CPU, one more packet sends it to the GPU.
 func TestOpportunisticOffloadHeavyLoadUsesGPU(t *testing.T) {
-	cfg := smallConfig(ModeGPU)
-	cfg.OpportunisticOffload = true
-	cfg.OppThreshold = 16
+	for _, tc := range []struct {
+		chunkCap int
+		gpu      bool
+	}{{model.MaxChunkSize, true}, {OppThreshold + 1, true}, {OppThreshold, false}} {
+		cfg := smallConfig(ModeGPU)
+		cfg.OpportunisticOffload = true
+		cfg.OfferedGbpsPerPort = 10
+		cfg.ChunkCap = tc.chunkCap
+		r := runRouter(t, cfg, newEchoApp(2), 3*sim.Millisecond)
+		if got := r.Stats.ChunksGPU > 0; got != tc.gpu || r.Stats.Packets == 0 {
+			t.Errorf("chunk cap %d: %d GPU and %d CPU chunks, want GPU chunks %v",
+				tc.chunkCap, r.Stats.ChunksGPU, r.Stats.ChunksCPU, tc.gpu)
+		}
+	}
+}
+
+// TestChunkCapClampedToMaxChunkSize: a chunk cap above
+// model.MaxChunkSize fetches full chunks of MaxChunkSize packets, never
+// more, from queues that hold more: a costly CPU path at line rate
+// leaves each round's queues full.
+func TestChunkCapClampedToMaxChunkSize(t *testing.T) {
+	cfg := smallConfig(ModeCPUOnly)
 	cfg.OfferedGbpsPerPort = 10
-	r := runRouter(t, cfg, newEchoApp(2), 3*sim.Millisecond)
-	if r.Stats.ChunksGPU == 0 {
-		t.Error("heavy load never reached the GPU")
+	cfg.ChunkCap = 4 * model.MaxChunkSize
+	app := newEchoApp(2)
+	app.cpuPerPkt = 2000
+	env, r := newRouter(cfg, app)
+	largest := 0
+	r.chunkDone = func(c *Chunk) { largest = max(largest, len(c.Bufs)) }
+	r.Start()
+	env.Run(sim.Time(3 * sim.Millisecond))
+	if largest != model.MaxChunkSize {
+		t.Errorf("largest chunk %d packets with chunk cap %d, want %d", largest, cfg.ChunkCap, model.MaxChunkSize)
 	}
 }
 
@@ -341,15 +371,13 @@ func TestBufPoolBoundedUnderLoad(t *testing.T) {
 }
 
 func TestGPUOutageFallsBackAndRecovers(t *testing.T) {
+	const fail, outage = 2 * sim.Millisecond, 3 * sim.Millisecond
 	app := newEchoApp(2)
 	cfg := smallConfig(ModeGPU)
-	cfg.GPUWatchdog = 100 * sim.Microsecond
-	cfg.GPUBackoff = 500 * sim.Microsecond
-	cfg.GPUBackoffMax = 2 * sim.Millisecond
 	env, r := newRouter(cfg, app)
-	arm(env, r, faults.NewPlan().GPUOutage(0, 2*sim.Millisecond, 3*sim.Millisecond))
+	arm(env, r, faults.NewPlan().GPUOutage(0, fail, outage))
 	r.Start()
-	env.Run(sim.Time(10 * sim.Millisecond))
+	env.Run(sim.Time(fail + outage + GPUBackoffMax + sim.Millisecond))
 
 	if r.Stats.GPUStalls == 0 {
 		t.Fatal("watchdog never detected the stall")
@@ -364,11 +392,12 @@ func TestGPUOutageFallsBackAndRecovers(t *testing.T) {
 		t.Error("master still holds the GPU out after repair")
 	}
 	deg := r.DegradedTime()
-	// Outage spans from detection (~2ms + watchdog) until the first
-	// successful probe after the 5ms repair; backoff can push that probe
-	// past repair, but never beyond repair + backoff cap + a launch.
-	if deg < 2*sim.Millisecond || deg > 7*sim.Millisecond {
-		t.Errorf("degraded time = %v, want within (2ms, 7ms)", deg)
+	// The outage spans from detection (a watchdog after the failure, at
+	// the latest) until the first successful probe after the repair;
+	// backoff can push that probe past the repair, but never by more
+	// than the backoff cap.
+	if lo, hi := outage-GPUWatchdog, outage+GPUBackoffMax; deg < lo || deg > hi {
+		t.Errorf("degraded time = %v, want within [%v, %v]", deg, lo, hi)
 	}
 	// The GPU path must be live again: launches strictly after recovery.
 	if r.Stats.GPULaunches == 0 || r.Stats.ChunksGPU == 0 {
@@ -380,19 +409,42 @@ func TestGPUOutageFallsBackAndRecovers(t *testing.T) {
 	}
 }
 
+// TestGPUBackoffDoublesToItsCap: through an outage that outlasts them,
+// the hold-outs after successive stalls are GPUBackoff, then double per
+// failed probe until they reach GPUBackoffMax, and stay there.
+func TestGPUBackoffDoublesToItsCap(t *testing.T) {
+	env, r := newRouter(smallConfig(ModeGPU), newEchoApp(2))
+	arm(env, r, faults.NewPlan().GPUOutage(0, sim.Millisecond, 40*sim.Millisecond))
+	r.Start()
+	want := []sim.Duration{GPUBackoff, 2 * GPUBackoff, 4 * GPUBackoff, GPUBackoffMax, GPUBackoffMax}
+	var got []sim.Duration
+	m := r.masters[0]
+	// Hold-outs last at least GPUBackoff, so a 100 µs step sees each stall.
+	for now := sim.Time(0); len(got) < len(want) && now < sim.Time(40*sim.Millisecond); {
+		now += sim.Time(100 * sim.Microsecond)
+		stalls := r.Stats.GPUStalls
+		env.Run(now)
+		if r.Stats.GPUStalls != stalls {
+			if r.Stats.GPUStalls != stalls+1 || m.retryAt-now > sim.Time(m.backoff) {
+				t.Fatalf("at %v: stalls %d -> %d, retry at %v with hold-out %v",
+					now, stalls, r.Stats.GPUStalls, m.retryAt, m.backoff)
+			}
+			got = append(got, m.backoff)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("hold-outs %v ps, want %v ps", got, want)
+	}
+}
+
 func TestGPUOutageThroughputStaysUp(t *testing.T) {
 	// Delivered throughput during the outage must stay within the
 	// CPU-only envelope, not collapse to zero — the graceful part.
 	app := newEchoApp(2)
-	base := smallConfig(ModeGPU)
-	base.GPUWatchdog = 100 * sim.Microsecond
-	base.GPUBackoff = 1 * sim.Millisecond
-
 	cpuOnly := runRouter(t, smallConfig(ModeCPUOnly), app, 6*sim.Millisecond)
 	envelope := cpuOnly.DeliveredGbps()
 
-	cfg := base
-	env, r := newRouter(cfg, newEchoApp(2))
+	env, r := newRouter(smallConfig(ModeGPU), newEchoApp(2))
 	arm(env, r, faults.NewPlan().GPUOutage(0, 1*sim.Millisecond, 20*sim.Millisecond))
 	r.Start()
 	env.Run(sim.Time(3 * sim.Millisecond)) // fail at 1ms, detect, degrade
@@ -480,9 +532,7 @@ func TestFaultPlanIgnoredGracefullyInCPUMode(t *testing.T) {
 
 func TestFaultRunsDeterministic(t *testing.T) {
 	run := func() (Stats, uint64, sim.Duration) {
-		cfg := smallConfig(ModeGPU)
-		cfg.GPUWatchdog = 100 * sim.Microsecond
-		env, r := newRouter(cfg, newEchoApp(2))
+		env, r := newRouter(smallConfig(ModeGPU), newEchoApp(2))
 		arm(env, r, faults.NewPlan().
 			GPUOutage(0, 1*sim.Millisecond, 2*sim.Millisecond).
 			LinkFlap(1, 2*sim.Millisecond, 500*sim.Microsecond))
@@ -553,9 +603,6 @@ func TestRouterRunsAsTasks(t *testing.T) {
 	opp := smallConfig(ModeGPU)
 	opp.OpportunisticOffload = true
 	opp.OfferedGbpsPerPort = 0.5
-	outage := smallConfig(ModeGPU)
-	outage.GPUWatchdog = 100 * sim.Microsecond
-	outage.GPUBackoff = 500 * sim.Microsecond
 	cases := []struct {
 		name string
 		cfg  Config
@@ -565,7 +612,7 @@ func TestRouterRunsAsTasks(t *testing.T) {
 		{"gpu", smallConfig(ModeGPU), nil, func(r *Router) bool { return r.Stats.ChunksGPU > 0 }},
 		{"cpu", smallConfig(ModeCPUOnly), nil, func(r *Router) bool { return r.Stats.ChunksCPU > 0 }},
 		{"opportunistic", opp, nil, func(r *Router) bool { return r.Stats.ChunksCPU > 0 }},
-		{"outage", outage, faults.NewPlan().
+		{"outage", smallConfig(ModeGPU), faults.NewPlan().
 			GPUOutage(0, 1*sim.Millisecond, 2*sim.Millisecond).
 			LinkFlap(1, 2*sim.Millisecond, 1*sim.Millisecond),
 			func(r *Router) bool { return r.Stats.FallbackChunks > 0 && r.CarrierDrops() > 0 }},

@@ -119,7 +119,7 @@ func (m *master) step(p *sim.Proc) {
 				m.k, m.at = 0, mFallback
 				continue
 			}
-			next, wait := m.dev.StartLaunch(p, &m.flight, spec, r.Cfg.GPUWatchdog, r.Cfg.Streams,
+			next, wait := m.dev.StartLaunch(p, &m.flight, spec, GPUWatchdog, r.Cfg.Streams,
 				threads, inB, outB, strB, m.kernels)
 			if wait {
 				m.at = mLaunch
@@ -215,12 +215,9 @@ func (m *master) stall(p *sim.Proc, track obs.TrackID) {
 	if !m.gpuOut {
 		m.gpuOut = true
 		m.outSince = p.Now()
-		m.backoff = r.Cfg.GPUBackoff
-	} else if m.backoff < r.Cfg.GPUBackoffMax {
-		m.backoff *= 2
-		if m.backoff > r.Cfg.GPUBackoffMax {
-			m.backoff = r.Cfg.GPUBackoffMax
-		}
+		m.backoff = GPUBackoff
+	} else {
+		m.backoff = min(2*m.backoff, GPUBackoffMax)
 	}
 	m.retryAt = p.Now() + sim.Time(m.backoff)
 }

@@ -99,7 +99,7 @@ func (w *worker) step(p *sim.Proc) {
 		case wRound:
 			// The knobs a control command may retune, read once per round:
 			// a retune governs every chunk fetched from the next round on.
-			w.chunkCap, w.opp = cfg.ChunkCap, cfg.OpportunisticOffload
+			w.chunkCap, w.opp = min(cfg.ChunkCap, model.MaxChunkSize), cfg.OpportunisticOffload
 			w.at = wDrain
 		case wDrain:
 			if c, ok := w.outQ.TryGet(); ok {
@@ -173,7 +173,7 @@ func (w *worker) step(p *sim.Proc) {
 			r.workerBusy.End(c.stamps[stampFetch], p.Now())
 			o.tr.SpanUntil(track, "pre-shade", c.stamps[stampFetched], p.Now())
 			offload := gpuMode && c.Threads > 0
-			if offload && w.opp && len(c.Bufs) <= cfg.OppThreshold {
+			if offload && w.opp && len(c.Bufs) <= OppThreshold {
 				// §7: light load — keep the work on the CPU for latency.
 				offload = false
 			}

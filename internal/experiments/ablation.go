@@ -31,10 +31,7 @@ func ablation(c *Ctx) *Result {
 		{"- chunk pipelining", packetshader.WithoutPipelining()},
 		{"+ concurrent copy & execution (4 streams)", packetshader.WithStreams(4)},
 		{"- software prefetch", func(c *packetshader.Config) { c.IO.Prefetch = false }},
-		{"- queue alignment & per-queue counters", func(c *packetshader.Config) {
-			c.IO.AlignQueueData = false
-			c.IO.PerQueueCounters = false
-		}},
+		{"- queue alignment & per-queue counters", func(c *packetshader.Config) { c.IO.QueueLocal = false }},
 		{"skb buffers instead of huge buffers", func(c *packetshader.Config) { c.IO.Mode = pktio.ModeSkb }},
 		{"CPU-only", packetshader.WithMode(core.ModeCPUOnly)},
 	}

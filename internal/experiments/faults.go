@@ -61,11 +61,10 @@ func faultCurve(res *Result) {
 			Num("%.2f", rep.DeliveredGbps), Label(phase))
 	}
 
-	cfg := inst.Router.Cfg
 	res.Note("GPU fails on both nodes at t=%dms, repaired at t=%dms; watchdog %.0fus, backoff %.0fus..%.0fus",
 		int(faultAt/sim.Millisecond), int((faultAt+faultOutageLen)/sim.Millisecond),
-		cfg.GPUWatchdog.Microseconds(), cfg.GPUBackoff.Microseconds(),
-		cfg.GPUBackoffMax.Microseconds())
+		core.GPUWatchdog.Microseconds(), core.GPUBackoff.Microseconds(),
+		core.GPUBackoffMax.Microseconds())
 	res.Note("stalls=%d fallback_chunks=%d carrier_drops=%d degraded=%.0fus",
 		rep.Stats.GPUStalls, rep.Stats.FallbackChunks, inst.Router.CarrierDrops(),
 		rep.DegradedTime.Microseconds())

@@ -44,10 +44,10 @@ func ioWorkersPerNode(cfg pktio.Config) int {
 
 // ioHarness is the one way a §4 figure drives the packet I/O engine:
 // build it from cfg, offer line rate split over each port's queues, bind
-// the queues to workers through place, run an ioWorker task on every
-// worker — packets move with no application processing — for window,
-// and hand back the engine for the caller to read.
-func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, pktSize int, window sim.Duration) *pktio.Engine {
+// the queues to workers through place, run an ioWorker task fetching at
+// most batch packets at a time on every worker — packets move with no
+// application processing — for window, and hand back the engine.
+func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, batch, pktSize int, window sim.Duration) *pktio.Engine {
 	env := sim.NewEnv()
 	defer env.Close()
 	e := pktio.New(env, cfg)
@@ -66,7 +66,7 @@ func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, pktSize int, 
 			for port := lo; port < hi; port++ {
 				ifaces = append(ifaces, e.OpenIface(port, queue, n))
 			}
-			env.Task("worker", ioWorker(e, wl, n, ifaces, pktSize, sim.Time(window)))
+			env.Task("worker", ioWorker(e, wl, n, ifaces, batch, pktSize, sim.Time(window)))
 		}
 	}
 	env.Run(sim.Time(window))
@@ -92,7 +92,7 @@ const (
 // TX-only), and after a round that fetched nothing it idles on its
 // first interface until that has packets. It arms nothing once the
 // window is over or that interface has no offered load.
-func ioWorker(e *pktio.Engine, wl ioWorkload, node int, ifaces []*pktio.Iface, pktSize int, window sim.Time) func(*sim.Proc) {
+func ioWorker(e *pktio.Engine, wl ioWorkload, node int, ifaces []*pktio.Iface, batch, pktSize int, window sim.Time) func(*sim.Proc) {
 	perNode := e.Cfg.Ports / e.Cfg.Nodes
 	outBase := node * perNode
 	if wl == wlForwardCrossing {
@@ -104,7 +104,7 @@ func ioWorker(e *pktio.Engine, wl ioWorkload, node int, ifaces []*pktio.Iface, p
 	// port, and when the current wait in the engine began.
 	at, rr, polled, port, progress := ioRound, 0, 0, 0, false
 	var f *pktio.Iface
-	chunk := make([]*packet.Buf, e.Cfg.BatchCap)
+	chunk := make([]*packet.Buf, batch)
 	var since sim.Time
 	// send charges the TX cycles of the chunk for to, then posts it.
 	send := func(p *sim.Proc, to int) {
@@ -158,7 +158,7 @@ func ioWorker(e *pktio.Engine, wl ioWorkload, node int, ifaces []*pktio.Iface, p
 					return
 				}
 			case ioPolled:
-				got, cost := f.FetchNow(e.Cfg.BatchCap, chunk[:0], since)
+				got, cost := f.FetchNow(batch, chunk[:0], since)
 				if at = ioPoll; got != nil {
 					at, chunk, progress = ioFetched, got, true
 					p.WakeAfter(cost)
@@ -206,8 +206,7 @@ func table3(c *Ctx) *Result {
 		cfg := pktio.DefaultConfig()
 		cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 1, 1
 		cfg.Mode = pktio.ModeSkb
-		cfg.BatchCap = 64
-		e := ioHarness(cfg, numaAware, wlRxOnly, 64, 10*sim.Millisecond)
+		e := ioHarness(cfg, numaAware, wlRxOnly, 64, 64, 10*sim.Millisecond)
 		rx, _, _, _ := e.AggregateStats()
 		return out{e.RxBreakdown(), rx}
 	})[0]
@@ -240,8 +239,7 @@ func fig5(c *Ctx) *Result {
 	gbps := MapPoints(c, len(batches), func(i int, _ *Point) float64 {
 		cfg := pktio.DefaultConfig()
 		cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 2, 1
-		cfg.BatchCap = batches[i]
-		return ioHarness(cfg, numaAware, wlForward, 64, 20*sim.Millisecond).DeliveredGbps(0)
+		return ioHarness(cfg, numaAware, wlForward, batches[i], 64, 20*sim.Millisecond).DeliveredGbps(0)
 	})
 	base := gbps[0] // batch size 1
 	for i, batch := range batches {
@@ -268,7 +266,7 @@ func fig6(c *Ctx) *Result {
 		cfg := pktio.DefaultConfig()
 		cfg.QueuesPerPort = model.CoresPerNode // 4 workers per node in §4.6
 		wl, size := workloads[k%len(workloads)], sizes[k/len(workloads)]
-		e := ioHarness(cfg, numaAware, wl, size, window)
+		e := ioHarness(cfg, numaAware, wl, model.MaxChunkSize, size, window)
 		if wl != wlRxOnly {
 			return e.DeliveredGbps(0)
 		}
@@ -306,7 +304,7 @@ func numa(c *Ctx) *Result {
 			cfg.QueuesPerPort = model.CoresPerNode * cfg.Nodes
 			place = numaBlind
 		}
-		return ioHarness(cfg, place, wlForward, 64, 10*sim.Millisecond).DeliveredGbps(0)
+		return ioHarness(cfg, place, wlForward, model.MaxChunkSize, 64, 10*sim.Millisecond).DeliveredGbps(0)
 	})
 	r.AddRow(Label("NUMA-aware"), Num("%.1f", vals[0]))
 	r.AddRow(Label("NUMA-blind"), Num("%.1f", vals[1]))

@@ -121,18 +121,16 @@ func TestDriversHoldTheirExactValues(t *testing.T) {
 	table3 := pktio.DefaultConfig()
 	table3.Nodes, table3.Ports, table3.QueuesPerPort = 1, 1, 1
 	table3.Mode = pktio.ModeSkb
-	table3.BatchCap = 64
 	fig5 := func(batch int) *pktio.Engine {
 		cfg := pktio.DefaultConfig()
 		cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 2, 1
-		cfg.BatchCap = batch
-		return ioHarness(cfg, numaAware, wlForward, 64, 20*sim.Millisecond)
+		return ioHarness(cfg, numaAware, wlForward, batch, 64, 20*sim.Millisecond)
 	}
 	for _, r := range []struct {
 		name      string
 		got, want engineValues
 	}{
-		{"table3", read(ioHarness(table3, numaAware, wlRxOnly, 64, 10*sim.Millisecond)),
+		{"table3", read(ioHarness(table3, numaAware, wlRxOnly, 64, 64, 10*sim.Millisecond)),
 			engineValues{rx: 9408, rxDropped: 129803, bins: pktio.Breakdown{
 				SkbInit: 1.2907775999997712e+06, SkbAlloc: 2.107392e+06, MemSubsystem: 1.3223884799997803e+07,
 				Driver: 3.5035391999994325e+06, Others: 2.5815551999995424e+06, CacheMisses: 3.6352511999994214e+06}}},

@@ -36,13 +36,6 @@ type KernelSpec struct {
 	// PerThreadNs is GPU-wide serialized per-thread overhead (per-packet
 	// state setup in IPsec); zero for pure lookup kernels.
 	PerThreadNs float64
-	// DivergenceFactor models warp code-path divergence (§5.5): when
-	// the 32 threads of a warp take both sides of a data-dependent
-	// branch, the SIMT hardware executes both paths with masking,
-	// multiplying the compute time. 1 (or 0) means no divergence; the
-	// paper's kernels keep it there by sorting packets into uniform
-	// warps.
-	DivergenceFactor float64
 }
 
 // ExecTime returns the kernel execution time for a launch of threads
@@ -52,9 +45,9 @@ func (k *KernelSpec) ExecTime(threads, streamBytes int) sim.Duration {
 		return 0
 	}
 	t := float64(threads)
-	// Throughput terms (saturated device).
-	div := max(k.DivergenceFactor, 1)
-	compute := t * k.ComputeCycles * div / (model.GPUCores * model.GPUFreqHz)
+	// Throughput terms (saturated device). Warp divergence is not
+	// charged: every kernel runs uniform warps (§5.5).
+	compute := t * k.ComputeCycles / (model.GPUCores * model.GPUFreqHz)
 	mem := t * k.RandomAccesses / model.GPURandomAccessPerSec
 	var stream, perThread float64
 	if k.StreamBytesPerSec > 0 {

@@ -676,41 +676,6 @@ func TestStreamsHurtLightKernel(t *testing.T) {
 	}
 }
 
-func TestDivergencePenaltyOnComputeBoundKernel(t *testing.T) {
-	// A compute-heavy kernel (e.g. differentiated packet processing
-	// with per-packet cipher suites, §5.5) pays for warp divergence;
-	// sorting packets into uniform warps (factor 1) removes it.
-	base := KernelSpec{Name: "cipher", ComputeCycles: 5000}
-	diverged := base
-	diverged.DivergenceFactor = 2 // both sides of one branch
-	uniform := base.ExecTime(10000, 0)
-	split := diverged.ExecTime(10000, 0)
-	if split < uniform*19/10 {
-		t.Errorf("divergence x2: %v vs %v, want ≈2x on a compute-bound kernel", split, uniform)
-	}
-}
-
-func TestDivergenceIrrelevantForMemoryBoundKernel(t *testing.T) {
-	// The lookup kernels are memory-bound: divergence must not change
-	// their cost (the SIMT masking overlaps with memory stalls).
-	diverged := KernelIPv6
-	diverged.DivergenceFactor = 4
-	a := KernelIPv6.ExecTime(65536, 0)
-	b := diverged.ExecTime(65536, 0)
-	if b != a {
-		t.Errorf("memory-bound kernel slowed by divergence: %v vs %v", b, a)
-	}
-}
-
-func TestDivergenceZeroTreatedAsOne(t *testing.T) {
-	k := KernelSpec{ComputeCycles: 1000}
-	k2 := k
-	k2.DivergenceFactor = 1
-	if k.ExecTime(1000, 0) != k2.ExecTime(1000, 0) {
-		t.Error("zero divergence factor differs from 1")
-	}
-}
-
 // TestLaunchCheckedWatchdogAndRepair: a launch on a failed device
 // burns its watchdog, runs no kernel and reports failure; after Repair
 // the next launch completes.

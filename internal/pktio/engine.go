@@ -40,16 +40,14 @@ type Config struct {
 	Nodes         int // NUMA nodes (2 in the testbed)
 	Ports         int // 10GbE ports (8)
 	QueuesPerPort int // RSS RX queues per port
-	BatchCap      int // max packets fetched per batch (Figure 5 sweep)
 
 	Mode BufferMode
 
-	// AlignQueueData pads per-queue state to cache lines; when false the
-	// false-sharing penalty of §4.4 applies.
-	AlignQueueData bool
-	// PerQueueCounters keeps statistics per queue; when false every
-	// packet pays a coherence miss on shared per-NIC counters (§4.4).
-	PerQueueCounters bool
+	// QueueLocal is the §4.4 per-queue layout: queue state padded to
+	// cache lines and statistics kept per queue. When false every
+	// packet pays the false-sharing penalty and a coherence miss on
+	// shared per-NIC counters.
+	QueueLocal bool
 	// Prefetch enables the software prefetch of §4.3 that hides the
 	// compulsory cache misses of DMA-invalidated buffers.
 	Prefetch bool
@@ -58,14 +56,12 @@ type Config struct {
 // DefaultConfig is the full PacketShader engine on the paper's testbed.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:            model.NumNodes,
-		Ports:            model.NumPorts,
-		QueuesPerPort:    model.CoresPerNode - 1, // workers per node (§5.1)
-		BatchCap:         model.MaxChunkSize,
-		Mode:             ModeHuge,
-		AlignQueueData:   true,
-		PerQueueCounters: true,
-		Prefetch:         true,
+		Nodes:         model.NumNodes,
+		Ports:         model.NumPorts,
+		QueuesPerPort: model.CoresPerNode - 1, // workers per node (§5.1)
+		Mode:          ModeHuge,
+		QueueLocal:    true,
+		Prefetch:      true,
 	}
 }
 
@@ -197,10 +193,8 @@ func (f *Iface) hugeRxCycles(size int) float64 {
 		c += model.CompulsoryMissCycles
 		e.breakdown.CacheMisses += model.CompulsoryMissCycles
 	}
-	if !e.Cfg.AlignQueueData {
+	if !e.Cfg.QueueLocal {
 		c += model.FalseSharingPenaltyCycles
-	}
-	if !e.Cfg.PerQueueCounters {
 		c += model.SharedCounterPenaltyCycles
 	}
 	return float64(c * f.remoteFactor())
@@ -226,10 +220,8 @@ func (f *Iface) skbRxCycles() float64 {
 	e.breakdown.Driver += model.SkbDriverCycles
 	e.breakdown.Others += model.SkbOtherCycles
 	e.breakdown.CacheMisses += model.CompulsoryMissCycles
-	if !e.Cfg.AlignQueueData {
+	if !e.Cfg.QueueLocal {
 		c += model.FalseSharingPenaltyCycles
-	}
-	if !e.Cfg.PerQueueCounters {
 		c += model.SharedCounterPenaltyCycles
 	}
 	return float64(c * f.remoteFactor())
@@ -244,12 +236,12 @@ func (f *Iface) FetchWait() (sim.Time, bool) {
 }
 
 // FetchNow is the rest of the fetch once the wait FetchWait began at
-// since is over: it fetches up to max packets into out and returns them
-// with the CPU time, the batch and per-packet RX costs, they cost the
-// caller (nil and 0 when the queue is empty).
+// since is over: it fetches at most max packets, the caller's batch,
+// into out and returns them with the CPU time, the batch and per-packet
+// RX costs, they cost the caller (nil and 0 when the queue is empty).
 func (f *Iface) FetchNow(max int, out []*packet.Buf, since sim.Time) ([]*packet.Buf, sim.Duration) {
 	f.Engine.blocked.End(since, f.Engine.Env.Now())
-	got := f.Queue.FetchNow(min(max, f.Engine.Cfg.BatchCap), out)
+	got := f.Queue.FetchNow(max, out)
 	n := len(got) - len(out)
 	if n <= 0 {
 		return nil, 0
@@ -278,7 +270,7 @@ func (e *Engine) SendCost(workerNode, port, n int) sim.Duration {
 	}
 	cycles := float64(model.IOBatchCycles * model.IOTxShare * factor)
 	cycles += float64(float64(n) * model.IOPerPacketCycles * model.IOTxShare * factor)
-	if !e.Cfg.PerQueueCounters {
+	if !e.Cfg.QueueLocal {
 		cycles += float64(float64(n) * model.SharedCounterPenaltyCycles)
 	}
 	return model.Cycles(cycles)

@@ -117,9 +117,9 @@ func (w *worker) step(p *sim.Proc) {
 func otherPort(i int) int { return 1 - i }
 
 // forwardOneCore runs the §4.6 minimal-forwarding loop (RX + TX, no
-// lookup) on a single worker serving two ports at 64B line rate, with
-// the given batch cap — the Figure 5 experiment.
-func forwardOneCore(cfg Config, window sim.Duration) float64 {
+// lookup) on a single worker serving two ports at 64B line rate,
+// fetching batches of at most batch packets — the Figure 5 experiment.
+func forwardOneCore(cfg Config, batch int, window sim.Duration) float64 {
 	env := sim.NewEnv()
 	cfg.Nodes = 1
 	cfg.Ports = 2
@@ -130,18 +130,14 @@ func forwardOneCore(cfg Config, window sim.Duration) float64 {
 		p.Rx[0].SetOffered(rate, 64, nil)
 	}
 	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
-		max: cfg.BatchCap, until: sim.Time(window), dst: otherPort}
+		max: batch, until: sim.Time(window), dst: otherPort}
 	env.Task("worker", w.step)
 	env.Run(sim.Time(window))
 	return e.DeliveredGbps(0)
 }
 
 func TestFig5BatchOneMatchesPaper(t *testing.T) {
-	got := forwardOneCore(func() Config {
-		c := DefaultConfig()
-		c.BatchCap = 1
-		return c
-	}(), 20*sim.Millisecond)
+	got := forwardOneCore(DefaultConfig(), 1, 20*sim.Millisecond)
 	// Figure 5: packet-by-packet ≈ 0.78 Gbps.
 	if math.Abs(got-0.78) > 0.12 {
 		t.Errorf("batch=1 forwarding = %.2f Gbps, paper says 0.78", got)
@@ -149,11 +145,7 @@ func TestFig5BatchOneMatchesPaper(t *testing.T) {
 }
 
 func TestFig5Batch64MatchesPaper(t *testing.T) {
-	got := forwardOneCore(func() Config {
-		c := DefaultConfig()
-		c.BatchCap = 64
-		return c
-	}(), 20*sim.Millisecond)
+	got := forwardOneCore(DefaultConfig(), 64, 20*sim.Millisecond)
 	// Figure 5: batch 64 ≈ 10.5 Gbps, speedup 13.5.
 	if math.Abs(got-10.5) > 1.0 {
 		t.Errorf("batch=64 forwarding = %.2f Gbps, paper says 10.5", got)
@@ -164,9 +156,7 @@ func TestFig5MonotoneAndSaturating(t *testing.T) {
 	var prev float64
 	rates := map[int]float64{}
 	for _, b := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		cfg := DefaultConfig()
-		cfg.BatchCap = b
-		got := forwardOneCore(cfg, 10*sim.Millisecond)
+		got := forwardOneCore(DefaultConfig(), b, 10*sim.Millisecond)
 		if got+0.05 < prev {
 			t.Errorf("throughput fell from %.2f to %.2f at batch %d", prev, got, b)
 		}
@@ -187,11 +177,10 @@ func TestFig5MonotoneAndSaturating(t *testing.T) {
 
 func TestSkbPathMuchSlowerThanHuge(t *testing.T) {
 	huge := DefaultConfig()
-	huge.BatchCap = 64
 	skb := huge
 	skb.Mode = ModeSkb
-	h := forwardOneCore(huge, 10*sim.Millisecond)
-	s := forwardOneCore(skb, 10*sim.Millisecond)
+	h := forwardOneCore(huge, 64, 10*sim.Millisecond)
+	s := forwardOneCore(skb, 64, 10*sim.Millisecond)
 	// skb adds ≈2800 RX cycles/packet on top: expect several-fold drop.
 	if s >= h/2 {
 		t.Errorf("skb path %.2f Gbps vs huge %.2f — expected a large gap", s, h)
@@ -230,11 +219,10 @@ func TestTable3BreakdownShares(t *testing.T) {
 
 func TestPrefetchRemovesCompulsoryMisses(t *testing.T) {
 	with := DefaultConfig()
-	with.BatchCap = 64
 	without := with
 	without.Prefetch = false
-	w := forwardOneCore(with, 10*sim.Millisecond)
-	wo := forwardOneCore(without, 10*sim.Millisecond)
+	w := forwardOneCore(with, 64, 10*sim.Millisecond)
+	wo := forwardOneCore(without, 64, 10*sim.Millisecond)
 	if wo >= w {
 		t.Errorf("no-prefetch %.2f ≥ prefetch %.2f Gbps", wo, w)
 	}
@@ -242,12 +230,10 @@ func TestPrefetchRemovesCompulsoryMisses(t *testing.T) {
 
 func TestFalseSharingAndSharedCountersCost(t *testing.T) {
 	base := DefaultConfig()
-	base.BatchCap = 64
 	bad := base
-	bad.AlignQueueData = false
-	bad.PerQueueCounters = false
-	g := forwardOneCore(base, 10*sim.Millisecond)
-	b := forwardOneCore(bad, 10*sim.Millisecond)
+	bad.QueueLocal = false
+	g := forwardOneCore(base, 64, 10*sim.Millisecond)
+	b := forwardOneCore(bad, 64, 10*sim.Millisecond)
 	// §4.4: ~20% per-packet cycle increase from the two effects.
 	if b >= g {
 		t.Errorf("unaligned+shared counters %.2f ≥ tuned %.2f", b, g)
@@ -334,11 +320,12 @@ func TestSendEmptyIsFree(t *testing.T) {
 	}
 }
 
-func TestFetchChunkRespectsBatchCap(t *testing.T) {
+// TestFetchTakesAtMostMax: from a queue holding thousands of packets, a
+// fetch takes exactly the caller's max.
+func TestFetchTakesAtMostMax(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := DefaultConfig()
 	cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 1, 1
-	cfg.BatchCap = 16
 	e := New(env, cfg)
 	e.Ports[0].Rx[0].SetOffered(14e6, 64, nil)
 	iface := e.OpenIface(0, 0, 0)
@@ -347,9 +334,11 @@ func TestFetchChunkRespectsBatchCap(t *testing.T) {
 			p.WakeAfter(1 * sim.Millisecond) // thousands queued
 			return
 		}
-		iface.FetchWait()
-		if chunk, _ := iface.FetchNow(9999, nil, p.Now()); len(chunk) != 16 {
-			t.Errorf("chunk = %d, want capped at 16", len(chunk))
+		for _, max := range []int{1, 16, 1000} {
+			iface.FetchWait()
+			if chunk, _ := iface.FetchNow(max, nil, p.Now()); len(chunk) != max {
+				t.Errorf("fetch of at most %d took %d", max, len(chunk))
+			}
 		}
 	})
 	env.Run(0)
@@ -391,7 +380,7 @@ func TestBlockedIsElapsedLessCharged(t *testing.T) {
 	}
 	var rxWait, txWait sim.Duration
 	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
-		max: cfg.BatchCap, until: sim.Time(5 * sim.Millisecond), dst: func(int) int { return 0 },
+		max: model.MaxChunkSize, until: sim.Time(5 * sim.Millisecond), dst: func(int) int { return 0 },
 		fetched: func(f *Iface, chunk []*packet.Buf, took sim.Duration) {
 			var cycles float64
 			if len(chunk) > 0 {

@@ -27,6 +27,7 @@ package packetshader
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"packetshader/internal/apps"
@@ -183,6 +184,7 @@ type Instance struct {
 	fib     ctrl.FIBApplier // nil unless built with an updatable FIB
 	reg     *obs.Registry   // set by EnableObs, snapshotted by metrics commands
 	latency *obs.Histogram  // set by EnableObs: each frame's GenAt to wire completion
+	digest  *obs.Counter    // set by EnableObs: CRC-32C of every frame transmitted so far
 	tap     func(b *packet.Buf, at sim.Time)
 }
 
@@ -253,6 +255,9 @@ func New(app core.App, src Source, opts ...Option) (*Instance, error) {
 			sink.Observe(b, at)
 			if inst.latency != nil && b.GenAt != 0 {
 				inst.latency.ObserveDuration(sim.Duration(at - b.GenAt))
+			}
+			if inst.digest != nil {
+				inst.digest.Set(uint64(crc32.Update(uint32(inst.digest.Value()), castagnoli, b.Data)))
 			}
 			if inst.tap != nil {
 				inst.tap(b, at)
@@ -384,12 +389,18 @@ func OpenFlowSwitch(sw *openflow.Switch, src Source, opts ...Option) (*Instance,
 // registry also becomes the source for a control script's `metrics`
 // command. The registry's tx.latency histogram is what the latency
 // sink measures, at picosecond resolution: every frame's generation to
-// its wire completion.
+// its wire completion. Its tx.digest counter is a CRC-32C chained over
+// the bytes of every transmitted frame, in transmit order.
 func (i *Instance) EnableObs(tr *obs.Tracer, reg *obs.Registry) {
 	i.Router.EnableObs(tr, reg)
 	i.reg = reg
 	i.latency = reg.Histogram("tx.latency", obs.UnitDuration)
+	i.digest = reg.Counter("tx.digest")
 }
+
+// castagnoli is the CRC-32C table tx.digest uses: the hardware-assisted
+// polynomial, so digesting every frame of a run stays cheap.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TapTx registers an extra observer called for every transmitted frame
 // (after the latency sink) — the hook pcap capture uses.

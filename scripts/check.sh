@@ -18,8 +18,8 @@
 # which shows the race, pslint, paper-point, packet-ledger, engine,
 # route-determinism, TX-oracle, event-store, fabric-model, fabric-ledger,
 # server-span, golden, replay, FuzzCTR, FuzzChecksum, busy-time,
-# one-path, fabric-oracle, FuzzHMACSHA1 and fused-multiply-add checks
-# failing on mutations of their own kind.
+# one-path, fabric-oracle, FuzzHMACSHA1, fused-multiply-add and GPU
+# backoff checks failing on mutations of their own kind.
 # `make check` runs it, and so does CI — there is no second copy of
 # these steps in .github/workflows/ci.yml.
 set -eu
@@ -169,8 +169,10 @@ go test -race -short ./internal/experiments
 # publishes every posted message, a leaf that skips its live-slot scan
 # after a link went down and an inbox peak that counts a batch starting
 # at the arrival as waiting fail the fabric's goroutine oracle, windows
-# off the lookahead grid fail the golden files, and churn writing the
-# shared BGP fixture fails fig11a's golden file.
+# off the lookahead grid fail the golden files, churn writing the
+# shared BGP fixture fails fig11a's golden file, a SHA-1 lane reading
+# another's message fails FuzzHMACSHA1 and fig11d's golden tx.digest,
+# and a GPU hold-out doubling past its cap fails the backoff test.
 echo "== gates (scripts/gates.sh: each mutation caught by its gate)"
 ./scripts/gates.sh
 

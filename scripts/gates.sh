@@ -77,7 +77,9 @@
 #	                chunks in reverse order               the full golden
 #	                                                      files
 #	sha1-lane       blockSHA1x16's lanes 8-15 read the
-#	                messages of lanes 0-7                 FuzzHMACSHA1
+#	                messages of lanes 0-7                 FuzzHMACSHA1 and
+#	                                                      the full golden
+#	                                                      files
 #	experiment-goroutine  table1 starts a goroutine
 #	                process (env.Go) again                the one-path gates
 #	fma-model       model.Cycles' product unwrapped from
@@ -86,6 +88,8 @@
 #	churn-fixture   churn reverses the shared BGP
 #	                fixture's entries in place            the full golden
 #	                                                      files
+#	backoff-cap     the master's GPU hold-out doubles
+#	                past GPUBackoffMax                    the backoff test
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -146,10 +150,11 @@
 # cell, only fig11a's first ioh0-up util line. scatter-order's gate is
 # the full TestGoldenOutputs too: the master's scatter makes same-instant
 # schedule calls, one per chunk, so returning the chunks in another order
-# moves fig11a's sim.digest lines. sha1-lane's gate is FuzzHMACSHA1, which
-# holds all sixteen lanes of a Batch flush to crypto/hmac; no golden byte
-# depends on an ICV's value, so TestGoldenOutputs cannot catch it (and on
-# a host without AVX-512 the lanes do not run: the row fails there).
+# moves fig11a's sim.digest lines. sha1-lane names two gates:
+# FuzzHMACSHA1, which holds all sixteen lanes of a Batch flush to
+# crypto/hmac, and the full TestGoldenOutputs, whose fig11d metrics dumps
+# print a tx.digest line hashing every transmitted frame, ICVs included
+# (on a host without AVX-512 the lanes do not run: the row fails there).
 # experiment-goroutine's gate is scripts/onepath.sh's rule that no
 # non-test Go outside internal/sim calls .Go(. fma-model's gate is
 # check.sh's fused-multiply-add gate (fma below): arm64 and ppc64le
@@ -160,7 +165,9 @@
 # the fixture's build, run after the write. pslint's sharedfixture
 # analyzer does not see it: it looks only at a MapPoints job's writes
 # to package variables, not at a driver's write through the slice
-# BGPFixture returns.
+# BGPFixture returns. backoff-cap's gate is TestGPUBackoffDoublesToItsCap,
+# which holds the hold-outs of five stalls in one outage to 1, 2, 4, 8
+# and 8 ms; no golden run stalls often enough to reach the cap.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -191,7 +198,8 @@ clustertests="go test -count=1 ./internal/cluster"
 spangates="go test -count=1 -run TestServerCountsTheSpansHooksSee|TestGoldenOutputs ./internal/sim ./internal/experiments"
 ctrfuzz="go test -count=1 -run FuzzCTR ./internal/ipsec"
 csumfuzz="go test -count=1 -run FuzzChecksum ./internal/packet"
-hmacfuzz="go test -count=1 -run FuzzHMACSHA1 ./internal/ipsec"
+sha1gates="go test -count=1 -run FuzzHMACSHA1|TestGoldenOutputs ./internal/ipsec ./internal/experiments"
+backofftest="go test -count=1 -run TestGPUBackoffDoublesToItsCap ./internal/core"
 busygates="go test -count=1 -run TestUtilLinesAtMost1000|TestPipelineCoreSharesAtMost100|FuzzServerBusy ./internal/experiments ./internal/sim"
 oracle="go test -count=1 -run TestFabricTasksMatchGoroutineOracle ./internal/cluster"
 golden="go test -count=1 -short -run TestGoldenOutputs ./internal/experiments"
@@ -416,7 +424,7 @@ mutate_sha1_lane() {
 	f=internal/ipsec/sha1x16_amd64.s
 	insert $f 'VMOVDQU64 64(AX), Z8' '	VMOVDQU64 (AX), Z8'
 	delete $f 'VMOVDQU64 64(AX), Z8'
-	gate=$hmacfuzz want="lane 8 of 16"
+	gate=$sha1gates want="lane 8 of 16" want2="fig11d differs from"
 }
 
 mutate_kappa_ulp_down() {
@@ -438,6 +446,13 @@ mutate_churn_fixture() {
 	gate=$fullgolden want="fig11a differs from"
 }
 
+mutate_backoff_cap() {
+	f=internal/core/master.go
+	insert $f 'm.backoff = min(2*m.backoff, GPUBackoffMax)' '		m.backoff = 2 * m.backoff'
+	delete $f 'm.backoff = min(2*m.backoff, GPUBackoffMax)'
+	gate=$backofftest want="hold-outs"
+}
+
 mutate_fma_model() {
 	f=internal/model/model.go
 	insert $f 'return sim.Duration(float64(c/CPUFreqHz*float64(sim.Second)) + 0.5)' \
@@ -452,7 +467,7 @@ if [ $# -eq 0 ]; then
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
 		checksum-carry busy-booked second-core-new post-early window-skip ecmp-stale-live \
 		inbox-tie launch-latency-host kappa-ulp-down scatter-order sha1-lane \
-		experiment-goroutine fma-model churn-fixture
+		experiment-goroutine fma-model churn-fixture backoff-cap
 fi
 
 status=0
@@ -494,6 +509,7 @@ for m in "$@"; do
 	experiment-goroutine) mutate_experiment_goroutine ;;
 	fma-model) mutate_fma_model ;;
 	churn-fixture) mutate_churn_fixture ;;
+	backoff-cap) mutate_backoff_cap ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2
