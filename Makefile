@@ -59,7 +59,7 @@ lint:
 # chunks in reverse order, a SHA-1 lane reading another's message, a
 # goroutine process in table1, model.Cycles' product unwrapped from its
 # float64(…), churn writing the shared BGP fixture, a GPU hold-out that
-# doubles past its cap) and
+# doubles past its cap, a FetchNow call in a §4 driver) and
 # fails unless the gate meant for each (the cluster race test, pslint,
 # the paper points, the packet ledger, the engine's own panic, the
 # route tests, the TX oracle and the golden files, FuzzEventStore and
@@ -70,8 +70,8 @@ lint:
 # fabric's goroutine oracle, the golden files, the oracle twice more,
 # the full paper points, the full golden files twice, FuzzHMACSHA1 and
 # the full golden files' tx.digest, the one-path gates, the
-# fused-multiply-add gate, the full golden files, the backoff test)
-# fails on it.
+# fused-multiply-add gate, the full golden files, the backoff test, the
+# one-path gates) fails on it.
 # `make check` runs it too.
 gates:
 	./scripts/gates.sh

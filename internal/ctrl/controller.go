@@ -173,15 +173,25 @@ func (c *Controller) run(cmd Command) (applied, cells uint64, errs string) {
 	return 0, 0, ""
 }
 
-// stats streams the framework counter snapshot on one line and the
-// packet ledger on the next.
+// stats streams the framework counter snapshot on one line, ending with
+// the frames each port has received (fetched or dropped at its RX
+// rings, so a deaf port's count stops), and the packet ledger on the
+// next.
 func (c *Controller) stats() {
 	r := c.router
 	rx, rxDropped, tx, txDropped := r.Engine.AggregateStats()
-	c.printf("@%v stats packets=%d rx=%d rx_dropped=%d tx=%d tx_dropped=%d app_drops=%d chunks_cpu=%d chunks_gpu=%d launches=%d delivered_gbps=%.2f\n",
+	c.printf("@%v stats packets=%d rx=%d rx_dropped=%d tx=%d tx_dropped=%d app_drops=%d chunks_cpu=%d chunks_gpu=%d launches=%d delivered_gbps=%.2f rx_ports=",
 		c.env.Now(), r.Stats.Packets, rx, rxDropped, tx, txDropped,
 		r.Stats.Drops, r.Stats.ChunksCPU, r.Stats.ChunksGPU,
 		r.Stats.GPULaunches, r.DeliveredGbps())
+	for i, p := range r.Engine.Ports {
+		var n uint64
+		for _, q := range p.Rx {
+			n += q.Stats.Packets + q.Stats.Dropped
+		}
+		c.printf("%s%d", pick(i == 0, "", "/"), n)
+	}
+	c.printf("\n")
 	c.printf("@%v ledger", c.env.Now())
 	for i, n := range r.Ledger().Counts() {
 		c.printf(" %s=%d", core.LedgerNames[i], n)

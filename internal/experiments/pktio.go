@@ -2,20 +2,12 @@ package experiments
 
 import (
 	"packetshader/internal/model"
-	"packetshader/internal/packet"
 	"packetshader/internal/pktio"
 	"packetshader/internal/sim"
 )
 
-// ioWorkload selects what the packet-I/O harness measures (§4.6).
-type ioWorkload int
-
-const (
-	wlRxOnly ioWorkload = iota
-	wlTxOnly
-	wlForward
-	wlForwardCrossing
-)
+// The §4.6 workloads, as the drivers name them.
+const wlRxOnly, wlTxOnly, wlForward, wlForwardCrossing = pktio.RxOnly, pktio.TxOnly, pktio.Forward, pktio.ForwardCrossing
 
 // ioPlacement says which RX queues worker w of a node polls: queue
 // `queue` of ports lo … hi-1.
@@ -44,10 +36,10 @@ func ioWorkersPerNode(cfg pktio.Config) int {
 
 // ioHarness is the one way a §4 figure drives the packet I/O engine:
 // build it from cfg, offer line rate split over each port's queues, bind
-// the queues to workers through place, run an ioWorker task fetching at
-// most batch packets at a time on every worker — packets move with no
-// application processing — for window, and hand back the engine.
-func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, batch, pktSize int, window sim.Duration) *pktio.Engine {
+// the queues to workers through place, run the engine's Worker task
+// fetching at most batch packets at a time on every worker for window,
+// and hand back the engine.
+func ioHarness(cfg pktio.Config, place ioPlacement, wl pktio.Workload, batch, pktSize int, window sim.Duration) *pktio.Engine {
 	env := sim.NewEnv()
 	defer env.Close()
 	e := pktio.New(env, cfg)
@@ -66,127 +58,11 @@ func ioHarness(cfg pktio.Config, place ioPlacement, wl ioWorkload, batch, pktSiz
 			for port := lo; port < hi; port++ {
 				ifaces = append(ifaces, e.OpenIface(port, queue, n))
 			}
-			env.Task("worker", ioWorker(e, wl, n, ifaces, batch, pktSize, sim.Time(window)))
+			env.Task("worker", e.Worker(wl, n, ifaces, batch, pktSize, sim.Time(window)))
 		}
 	}
 	env.Run(sim.Time(window))
 	return e
-}
-
-// The points at which an ioWorker's step resumes: a round starts, if
-// the window has not ended; poll the next interface; its RX-DMA wait is
-// over; its RX cycles are charged; post the chunk to the TX ring, or
-// wait for room; the idle wait for packets is over.
-const (
-	ioRound = iota
-	ioPoll
-	ioPolled
-	ioFetched
-	ioPost
-	ioWoken
-)
-
-// ioWorker returns the step of one worker of node, a sim task: until
-// window it polls its interfaces round-robin and sends each chunk out of
-// a port of the output node (drops it when RX-only; synthesizes it when
-// TX-only), and after a round that fetched nothing it idles on its
-// first interface until that has packets. It arms nothing once the
-// window is over or that interface has no offered load.
-func ioWorker(e *pktio.Engine, wl ioWorkload, node int, ifaces []*pktio.Iface, batch, pktSize int, window sim.Time) func(*sim.Proc) {
-	perNode := e.Cfg.Ports / e.Cfg.Nodes
-	outBase := node * perNode
-	if wl == wlForwardCrossing {
-		outBase = ((node + 1) % e.Cfg.Nodes) * perNode
-	}
-	// What the step keeps across its waits: where it resumes, the
-	// round's polls, the interface polled, the chunk in hand (Post
-	// consumes it at once, so one slice serves every batch) and its
-	// port, and when the current wait in the engine began.
-	at, rr, polled, port, progress := ioRound, 0, 0, 0, false
-	var f *pktio.Iface
-	chunk := make([]*packet.Buf, batch)
-	var since sim.Time
-	// send charges the TX cycles of the chunk for to, then posts it.
-	send := func(p *sim.Proc, to int) {
-		cost := e.SendCost(node, to, len(chunk))
-		at, port, since = ioPost, to, p.Now()+sim.Time(cost)
-		p.WakeAfter(cost)
-	}
-	return func(p *sim.Proc) {
-		for {
-			switch at {
-			case ioRound:
-				if p.Now() >= window {
-					return
-				}
-				at, polled, progress = ioPoll, 0, false
-				if wl != wlTxOnly {
-					continue
-				}
-				// Synthesize and transmit; pace against ring backlog so
-				// the simulation does not spin generating drops.
-				tx := e.Ports[outBase+rr%perNode]
-				rr++
-				if at = ioRound; tx.Tx.Pending() > model.TxRingSize/2 {
-					p.WakeAfter(20 * sim.Microsecond)
-					return
-				}
-				for i := range chunk {
-					chunk[i] = e.Pool.Get(pktSize)
-				}
-				send(p, tx.ID)
-				return
-			case ioPoll:
-				if polled == len(ifaces) {
-					at = ioRound
-					if progress {
-						continue
-					}
-					if d, wait, ok := ifaces[0].Queue.PacketWait(); wait || !ok {
-						if wait {
-							at = ioWoken
-							p.WakeAfter(d)
-						}
-						return
-					}
-					continue
-				}
-				f, rr, polled = ifaces[rr%len(ifaces)], rr+1, polled+1
-				at, since = ioPolled, p.Now()
-				if edge, wait := f.FetchWait(); wait {
-					p.WakeAt(edge)
-					return
-				}
-			case ioPolled:
-				got, cost := f.FetchNow(batch, chunk[:0], since)
-				if at = ioPoll; got != nil {
-					at, chunk, progress = ioFetched, got, true
-					p.WakeAfter(cost)
-					return
-				}
-			case ioFetched:
-				if wl != wlRxOnly {
-					send(p, outBase+rr%perNode)
-					return
-				}
-				for _, b := range chunk {
-					b.Release()
-				}
-				at = ioPoll
-			case ioPost:
-				if next, wait := e.Post(port, chunk, since); wait {
-					p.WakeAt(next)
-					return
-				}
-				if at = ioPoll; wl == wlTxOnly {
-					at = ioRound
-				}
-			case ioWoken:
-				ifaces[0].Queue.Update() // as WaitForPackets does
-				at = ioRound
-			}
-		}
-	}
 }
 
 // table3 regenerates the paper's Table 3: the CPU cycle breakdown of
@@ -198,19 +74,14 @@ func table3(c *Ctx) *Result {
 		Title:  "CPU cycle breakdown in packet RX (skb path, 64B)",
 		Header: []string{"Functional bins", "Cycles", "Share", "paper"},
 	}
-	type out struct {
-		bd pktio.Breakdown
-		rx uint64
-	}
-	pt := MapPoints(c, 1, func(int, *Point) out {
+	e := MapPoints(c, 1, func(int, *Point) *pktio.Engine {
 		cfg := pktio.DefaultConfig()
 		cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 1, 1
 		cfg.Mode = pktio.ModeSkb
-		e := ioHarness(cfg, numaAware, wlRxOnly, 64, 64, 10*sim.Millisecond)
-		rx, _, _, _ := e.AggregateStats()
-		return out{e.RxBreakdown(), rx}
+		return ioHarness(cfg, numaAware, wlRxOnly, 64, 64, 10*sim.Millisecond)
 	})[0]
-	bd, rx := pt.bd, pt.rx
+	rx, _, _, _ := e.AggregateStats()
+	bd := e.RxBreakdown()
 	total := bd.Total()
 	row := func(name string, cycles float64) {
 		r.AddRow(Label(name), Num("%.0f", cycles/float64(rx)),
@@ -259,7 +130,7 @@ func fig6(c *Ctx) *Result {
 	}
 	window := 30 * sim.Millisecond
 	sizes := []int{64, 128, 256, 512, 1024, 1514}
-	workloads := []ioWorkload{wlRxOnly, wlTxOnly, wlForward, wlForwardCrossing}
+	workloads := []pktio.Workload{wlRxOnly, wlTxOnly, wlForward, wlForwardCrossing}
 	// One job per (packet size, workload) cell: each full-machine run is
 	// independent, so the whole table fans out.
 	vals := MapPoints(c, len(sizes)*len(workloads), func(k int, _ *Point) float64 {

@@ -13,7 +13,7 @@ import (
 // (port, queue) must be opened by exactly one worker — an RX queue has
 // one owner (Figure 8b), and an unpolled queue is offered load nobody
 // fetches — and every worker must get at least one interface, because
-// an ioWorker idles on its first.
+// a pktio Worker idles on its first.
 func TestIOPlacementBindsEveryQueueOnce(t *testing.T) {
 	shape := func(nodes, ports, queues int) pktio.Config {
 		cfg := pktio.DefaultConfig()

@@ -132,10 +132,7 @@ func New(env *sim.Env, cfg Config) *Engine {
 		portsPerNode = cfg.Ports
 	}
 	for i := 0; i < cfg.Ports; i++ {
-		node := i / portsPerNode
-		if node >= cfg.Nodes {
-			node = cfg.Nodes - 1
-		}
+		node := min(i/portsPerNode, cfg.Nodes-1)
 		p := &Port{ID: i, Node: node}
 		path := []*pcie.IOH{e.IOHs[node]}
 		for q := 0; q < cfg.QueuesPerPort; q++ {
@@ -157,6 +154,7 @@ type Iface struct {
 	// WorkerNode is the NUMA node of the owning worker; node-crossing
 	// access applies the §4.5 penalties.
 	WorkerNode int
+	since      sim.Time // when the fetch in progress began (FetchWait)
 }
 
 // OpenIface binds (port, queue) for a worker on workerNode. With
@@ -231,16 +229,17 @@ func (f *Iface) skbRxCycles() float64 {
 // the previous fetch's RX DMA, and until when. The wait counts in
 // Blocked from now until FetchNow, which must follow.
 func (f *Iface) FetchWait() (sim.Time, bool) {
-	f.Engine.blocked.Begin(f.Engine.Env.Now())
+	f.since = f.Engine.Env.Now()
+	f.Engine.blocked.Begin(f.since)
 	return f.Queue.DMAWait()
 }
 
-// FetchNow is the rest of the fetch once the wait FetchWait began at
-// since is over: it fetches at most max packets, the caller's batch,
-// into out and returns them with the CPU time, the batch and per-packet
-// RX costs, they cost the caller (nil and 0 when the queue is empty).
-func (f *Iface) FetchNow(max int, out []*packet.Buf, since sim.Time) ([]*packet.Buf, sim.Duration) {
-	f.Engine.blocked.End(since, f.Engine.Env.Now())
+// FetchNow is the rest of the fetch once FetchWait's wait is over: it
+// fetches at most max packets, the caller's batch, into out and returns
+// them with the CPU time, the batch and per-packet RX costs, they cost
+// the caller (nil and 0 when the queue is empty).
+func (f *Iface) FetchNow(max int, out []*packet.Buf) ([]*packet.Buf, sim.Duration) {
+	f.Engine.blocked.End(f.since, f.Engine.Env.Now())
 	got := f.Queue.FetchNow(max, out)
 	n := len(got) - len(out)
 	if n <= 0 {

@@ -1,7 +1,6 @@
 package pktio
 
 import (
-	"math"
 	"testing"
 
 	"packetshader/internal/model"
@@ -9,117 +8,11 @@ import (
 	"packetshader/internal/sim"
 )
 
-// worker is the fetch → send loop the tests drive the engine with, a
-// sim task on node 0. Each round, until until, polls the interfaces in
-// order, fetching up to max packets from each, and sends each chunk to
-// port dst(i), or drops it when dst is nil; a round that fetched
-// nothing idles on the first interface until it has packets. fetched
-// and sent, if set, see each fetch's and each send's packets and the
-// time it took.
-type worker struct {
-	e       *Engine
-	ifaces  []*Iface
-	max     int
-	until   sim.Time
-	dst     func(i int) int
-	fetched func(f *Iface, chunk []*packet.Buf, took sim.Duration)
-	sent    func(chunk []*packet.Buf, took sim.Duration)
-
-	at           int // where step resumes: one of the w* points below
-	i            int // the interface polled
-	progress     bool
-	chunk        []*packet.Buf
-	start, since sim.Time
-}
-
-const (
-	wRound   = iota // a round starts, if until has not passed
-	wPoll           // poll interface i
-	wPolled         // its RX-DMA wait is over
-	wFetched        // its RX cycles are charged
-	wSent           // the TX cycles are charged
-	wPost           // post to the TX ring, or wait for room
-	wWoken          // the idle wait for packets is over
-)
-
-func (w *worker) step(p *sim.Proc) {
-	for {
-		switch w.at {
-		case wRound:
-			if p.Now() >= w.until {
-				return
-			}
-			w.i, w.progress, w.at = 0, false, wPoll
-		case wPoll:
-			if w.i == len(w.ifaces) {
-				w.at = wRound
-				if w.progress {
-					continue
-				}
-				d, wait, ok := w.ifaces[0].Queue.PacketWait()
-				if !ok {
-					return
-				}
-				if wait {
-					w.at = wWoken
-					p.WakeAfter(d)
-					return
-				}
-				continue
-			}
-			w.start, w.at = p.Now(), wPolled
-			if edge, wait := w.ifaces[w.i].FetchWait(); wait {
-				p.WakeAt(edge)
-				return
-			}
-		case wPolled:
-			got, cost := w.ifaces[w.i].FetchNow(w.max, nil, w.start)
-			if w.chunk, w.at = got, wFetched; got != nil {
-				p.WakeAfter(cost)
-				return
-			}
-		case wFetched:
-			if w.fetched != nil {
-				w.fetched(w.ifaces[w.i], w.chunk, sim.Duration(p.Now()-w.start))
-			}
-			w.at = wPoll
-			if len(w.chunk) == 0 || w.dst == nil {
-				for _, b := range w.chunk {
-					b.Release()
-				}
-				w.progress = w.progress || len(w.chunk) > 0
-				w.i++
-				continue
-			}
-			w.progress, w.start, w.at = true, p.Now(), wSent
-			p.WakeAfter(w.e.SendCost(0, w.dst(w.i), len(w.chunk)))
-			return
-		case wSent:
-			w.since, w.at = p.Now(), wPost
-		case wPost:
-			if next, wait := w.e.Post(w.dst(w.i), w.chunk, w.since); wait {
-				p.WakeAt(next)
-				return
-			}
-			if w.sent != nil {
-				w.sent(w.chunk, sim.Duration(p.Now()-w.start))
-			}
-			w.i, w.at = w.i+1, wPoll
-		case wWoken:
-			w.ifaces[0].Queue.Update()
-			w.at = wRound
-		}
-	}
-}
-
-// otherPort forwards interface i's packets out of the other of two
-// ports.
-func otherPort(i int) int { return 1 - i }
-
 // forwardOneCore runs the §4.6 minimal-forwarding loop (RX + TX, no
 // lookup) on a single worker serving two ports at 64B line rate,
-// fetching batches of at most batch packets — the Figure 5 experiment.
-func forwardOneCore(cfg Config, batch int, window sim.Duration) float64 {
+// fetching batches of at most batch packets — the Figure 5 experiment —
+// and hands back the engine.
+func forwardOneCore(cfg Config, batch int, window sim.Duration) *Engine {
 	env := sim.NewEnv()
 	cfg.Nodes = 1
 	cfg.Ports = 2
@@ -129,34 +22,17 @@ func forwardOneCore(cfg Config, batch int, window sim.Duration) float64 {
 	for _, p := range e.Ports {
 		p.Rx[0].SetOffered(rate, 64, nil)
 	}
-	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
-		max: batch, until: sim.Time(window), dst: otherPort}
-	env.Task("worker", w.step)
+	ifaces := []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)}
+	env.Task("worker", e.Worker(Forward, 0, ifaces, batch, 64, sim.Time(window)))
 	env.Run(sim.Time(window))
-	return e.DeliveredGbps(0)
-}
-
-func TestFig5BatchOneMatchesPaper(t *testing.T) {
-	got := forwardOneCore(DefaultConfig(), 1, 20*sim.Millisecond)
-	// Figure 5: packet-by-packet ≈ 0.78 Gbps.
-	if math.Abs(got-0.78) > 0.12 {
-		t.Errorf("batch=1 forwarding = %.2f Gbps, paper says 0.78", got)
-	}
-}
-
-func TestFig5Batch64MatchesPaper(t *testing.T) {
-	got := forwardOneCore(DefaultConfig(), 64, 20*sim.Millisecond)
-	// Figure 5: batch 64 ≈ 10.5 Gbps, speedup 13.5.
-	if math.Abs(got-10.5) > 1.0 {
-		t.Errorf("batch=64 forwarding = %.2f Gbps, paper says 10.5", got)
-	}
+	return e
 }
 
 func TestFig5MonotoneAndSaturating(t *testing.T) {
 	var prev float64
 	rates := map[int]float64{}
 	for _, b := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		got := forwardOneCore(DefaultConfig(), b, 10*sim.Millisecond)
+		got := forwardOneCore(DefaultConfig(), b, 10*sim.Millisecond).DeliveredGbps(0)
 		if got+0.05 < prev {
 			t.Errorf("throughput fell from %.2f to %.2f at batch %d", prev, got, b)
 		}
@@ -179,50 +55,20 @@ func TestSkbPathMuchSlowerThanHuge(t *testing.T) {
 	huge := DefaultConfig()
 	skb := huge
 	skb.Mode = ModeSkb
-	h := forwardOneCore(huge, 64, 10*sim.Millisecond)
-	s := forwardOneCore(skb, 64, 10*sim.Millisecond)
+	h := forwardOneCore(huge, 64, 10*sim.Millisecond).DeliveredGbps(0)
+	s := forwardOneCore(skb, 64, 10*sim.Millisecond).DeliveredGbps(0)
 	// skb adds ≈2800 RX cycles/packet on top: expect several-fold drop.
 	if s >= h/2 {
 		t.Errorf("skb path %.2f Gbps vs huge %.2f — expected a large gap", s, h)
 	}
 }
 
-func TestTable3BreakdownShares(t *testing.T) {
-	env := sim.NewEnv()
-	cfg := DefaultConfig()
-	cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 1, 1
-	cfg.Mode = ModeSkb
-	e := New(env, cfg)
-	e.Ports[0].Rx[0].SetOffered(model.PortPacketRate(64), 64, nil)
-	// The worker silently drops what it fetches, as the Table 3 setup
-	// does.
-	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0)}, max: 64, until: sim.Time(5 * sim.Millisecond)}
-	env.Task("rx-drop", w.step)
-	env.Run(sim.Time(5 * sim.Millisecond))
-	bd := e.RxBreakdown()
-	total := bd.Total()
-	if total == 0 {
-		t.Fatal("no breakdown recorded")
-	}
-	check := func(name string, got, want float64) {
-		if math.Abs(got/total-want) > 0.015 {
-			t.Errorf("%s share = %.1f%%, paper says %.1f%%", name, got/total*100, want*100)
-		}
-	}
-	check("skb init", bd.SkbInit, 0.049)
-	check("skb alloc", bd.SkbAlloc, 0.080)
-	check("memory subsystem", bd.MemSubsystem, 0.502)
-	check("driver", bd.Driver, 0.133)
-	check("others", bd.Others, 0.098)
-	check("cache misses", bd.CacheMisses, 0.138)
-}
-
 func TestPrefetchRemovesCompulsoryMisses(t *testing.T) {
 	with := DefaultConfig()
 	without := with
 	without.Prefetch = false
-	w := forwardOneCore(with, 64, 10*sim.Millisecond)
-	wo := forwardOneCore(without, 64, 10*sim.Millisecond)
+	w := forwardOneCore(with, 64, 10*sim.Millisecond).DeliveredGbps(0)
+	wo := forwardOneCore(without, 64, 10*sim.Millisecond).DeliveredGbps(0)
 	if wo >= w {
 		t.Errorf("no-prefetch %.2f ≥ prefetch %.2f Gbps", wo, w)
 	}
@@ -232,8 +78,8 @@ func TestFalseSharingAndSharedCountersCost(t *testing.T) {
 	base := DefaultConfig()
 	bad := base
 	bad.QueueLocal = false
-	g := forwardOneCore(base, 64, 10*sim.Millisecond)
-	b := forwardOneCore(bad, 64, 10*sim.Millisecond)
+	g := forwardOneCore(base, 64, 10*sim.Millisecond).DeliveredGbps(0)
+	b := forwardOneCore(bad, 64, 10*sim.Millisecond).DeliveredGbps(0)
 	// §4.4: ~20% per-packet cycle increase from the two effects.
 	if b >= g {
 		t.Errorf("unaligned+shared counters %.2f ≥ tuned %.2f", b, g)
@@ -259,7 +105,7 @@ func TestNUMABlindRoutesDMAAcrossHubs(t *testing.T) {
 		case 2:
 			// Fetch, and charge the RX cycles while the DMA runs.
 			iface.FetchWait()
-			_, cost := iface.FetchNow(64, nil, p.Now())
+			_, cost := iface.FetchNow(64, nil)
 			p.WakeAfter(cost)
 		}
 	})
@@ -293,7 +139,7 @@ func TestAggregateStatsOnDemand(t *testing.T) {
 		}
 		for _, f := range ifaces {
 			f.FetchWait()
-			chunk, _ := f.FetchNow(256, nil, p.Now())
+			chunk, _ := f.FetchNow(256, nil)
 			e.Post(1, chunk, p.Now())
 		}
 	})
@@ -336,7 +182,7 @@ func TestFetchTakesAtMostMax(t *testing.T) {
 		}
 		for _, max := range []int{1, 16, 1000} {
 			iface.FetchWait()
-			if chunk, _ := iface.FetchNow(max, nil, p.Now()); len(chunk) != max {
+			if chunk, _ := iface.FetchNow(max, nil); len(chunk) != max {
 				t.Errorf("fetch of at most %d took %d", max, len(chunk))
 			}
 		}
@@ -347,61 +193,83 @@ func TestFetchTakesAtMostMax(t *testing.T) {
 func TestBufReuseThroughForwarding(t *testing.T) {
 	// The pool must recycle buffers through the fetch→send cycle: no
 	// unbounded growth (the huge-buffer property).
-	env := sim.NewEnv()
-	cfg := DefaultConfig()
-	cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 2, 1
-	e := New(env, cfg)
-	rate := model.PortPacketRate(64)
-	for _, p := range e.Ports {
-		p.Rx[0].SetOffered(rate, 64, nil)
-	}
-	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
-		max: 64, until: sim.Time(5 * sim.Millisecond), dst: otherPort}
-	env.Task("worker", w.step)
-	env.Run(sim.Time(5 * sim.Millisecond))
-	if e.Pool.Allocs > 4096 {
+	if e := forwardOneCore(DefaultConfig(), 64, 5*sim.Millisecond); e.Pool.Allocs > 4096 {
 		t.Errorf("pool allocated %d cells; recycling broken", e.Pool.Allocs)
 	}
 }
 
 // TestBlockedIsElapsedLessCharged: Blocked is exactly the time a fetch
-// and a send take beyond the cycles they charge. One core forwards two
-// ports of 1514 B line rate into one TX port, so the TX ring fills and
-// Post waits, and each fetch of a large batch waits for the previous
-// one's RX DMA. The run goes on until the worker stops, so that no wait
-// is in progress when Blocked is read.
+// and a send take beyond the cycles they charge. A task on one core
+// fetches two full batches of 1514 B packets back to back, so the
+// second waits for the first's RX DMA, and posts one to a TX ring it
+// has filled, so Post waits for room. The task ends when the post
+// does, so that no wait is in progress when Blocked is read.
 func TestBlockedIsElapsedLessCharged(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := DefaultConfig()
-	cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 2, 1
+	cfg.Nodes, cfg.Ports, cfg.QueuesPerPort = 1, 1, 1
 	e := New(env, cfg)
-	for _, p := range e.Ports {
-		p.Rx[0].SetOffered(model.PortPacketRate(1514), 1514, nil)
+	e.Ports[0].Rx[0].SetOffered(model.PortPacketRate(1514), 1514, nil)
+	f, tx := e.OpenIface(0, 0, 0), e.Ports[0].Tx
+	var (
+		step           int
+		start, end     sim.Time
+		since          sim.Time
+		chunk          []*packet.Buf
+		charged        sim.Duration
+		rxWait, txWait bool
+	)
+	// fetch takes a full batch and charges its RX cycles.
+	fetch := func(p *sim.Proc) {
+		var cost sim.Duration
+		chunk, cost = f.FetchNow(model.MaxChunkSize, nil)
+		charged += cost
+		p.WakeAfter(cost)
 	}
-	var rxWait, txWait sim.Duration
-	w := &worker{e: e, ifaces: []*Iface{e.OpenIface(0, 0, 0), e.OpenIface(1, 0, 0)},
-		max: model.MaxChunkSize, until: sim.Time(5 * sim.Millisecond), dst: func(int) int { return 0 },
-		fetched: func(f *Iface, chunk []*packet.Buf, took sim.Duration) {
-			var cycles float64
-			if len(chunk) > 0 {
-				cycles = model.IOBatchCycles * model.IORxShare
+	env.Task("fetch-send", func(p *sim.Proc) {
+		switch step++; step {
+		case 1: // let the RX ring fill
+			p.WakeAfter(3 * sim.Millisecond)
+		case 2: // fill the TX ring; the first fetch does not wait
+			full := make([]*packet.Buf, model.TxRingSize)
+			for i := range full {
+				full[i] = e.Pool.Get(1514)
 			}
+			tx.Transmit(full)
+			start = p.Now()
+			f.FetchWait()
+			fetch(p)
+		case 3: // the second fetch, back to back, waits for the first's RX DMA
 			for _, b := range chunk {
-				cycles += f.hugeRxCycles(min(b.Size(), model.HugeCellDataBytes))
+				b.Release()
 			}
-			rxWait += took - model.Cycles(cycles)
-		},
-		sent: func(chunk []*packet.Buf, took sim.Duration) {
-			tx := float64(model.IOBatchCycles * model.IOTxShare)
-			tx += float64(float64(len(chunk)) * model.IOPerPacketCycles * model.IOTxShare)
-			txWait += took - model.Cycles(tx)
-		}}
-	env.Task("worker", w.step)
+			var edge sim.Time
+			if edge, rxWait = f.FetchWait(); rxWait {
+				p.WakeAt(edge)
+				return
+			}
+			fetch(p)
+			step++
+		case 4:
+			fetch(p)
+		case 5: // send the second batch to the full ring
+			cost := e.SendCost(0, 0, len(chunk))
+			charged += cost
+			since = p.Now() + sim.Time(cost)
+			p.WakeAfter(cost)
+		default: // Post waits until the wire has drained room for it
+			next, wait := e.Post(0, chunk, since)
+			if end = p.Now(); wait {
+				txWait = true
+				p.WakeAt(next)
+			}
+		}
+	})
 	env.Run(0)
-	if rxWait <= 0 || txWait <= 0 {
-		t.Fatalf("RX wait %v, TX wait %v: want both waits exercised", rxWait, txWait)
+	if !rxWait || !txWait {
+		t.Fatalf("RX-DMA wait %v, TX-ring wait %v: want both waits exercised", rxWait, txWait)
 	}
-	if e.Blocked() != rxWait+txWait {
-		t.Errorf("Blocked = %v; elapsed less charged: RX %v + TX %v", e.Blocked(), rxWait, txWait)
+	if want := sim.Duration(end-start) - charged; e.Blocked() != want {
+		t.Errorf("Blocked = %v; elapsed less charged = %v", e.Blocked(), want)
 	}
 }

@@ -111,7 +111,7 @@ go test -run '^$' -fuzz FuzzDynamicTable -fuzztime 5s ./internal/lookup/ipv4
 go test -run '^$' -fuzz FuzzApplyMods -fuzztime 5s ./internal/openflow
 go test -run '^$' -fuzz FuzzFacadeOptions -fuzztime 5s .
 
-echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments; one §4 worker task; no goroutine process outside internal/sim; one decoder"
+echo "== one path: core.New only in packetshader.go; no measurement callbacks in experiments; one §4 worker task, no fetch outside pktio, core and hw/nic; no goroutine process outside internal/sim; one decoder"
 ./scripts/onepath.sh
 
 # The byte-identity gate is the checked-in outputs: TestGoldenOutputs
@@ -163,8 +163,8 @@ go test -race -short ./internal/experiments
 # Internet checksum that drops the carry between its 64-bit words
 # fails FuzzChecksum, a server that counts service when it is booked
 # fails the golden run's util and pipeline share checks and
-# FuzzServerBusy, a second core.New( caller and a goroutine process in
-# table1 fail the one-path gates, model.Cycles' product unwrapped from
+# FuzzServerBusy, a second core.New( caller, a goroutine process in
+# table1 and a FetchNow call in a §4 driver fail the one-path gates, model.Cycles' product unwrapped from
 # its float64(…) fails the fused-multiply-add gate, a Link.flush that
 # publishes every posted message, a leaf that skips its live-slot scan
 # after a link went down and an inbox peak that counts a batch starting

@@ -90,6 +90,8 @@
 #	                                                      files
 #	backoff-cap     the master's GPU hold-out doubles
 #	                past GPUBackoffMax                    the backoff test
+#	experiment-fetch  a §4 driver calls Iface.FetchNow
+#	                itself again                          the one-path gates
 #
 # The -race gate is `go test -race -run 'ByteIdenticalAcrossWorkers'
 # ./internal/cluster`, which advances the fabric's partitions on 2 and
@@ -120,7 +122,8 @@
 # count is part of the stdout); the demo retunes the chunk cap while
 # workers are mid-round, so a cap read at the wrong point moves it, and
 # it takes port 2 down and up again before its last stats line, whose
-# rx count a port that stays deaf moves. FuzzCTR's seeds hold both
+# rx_dropped and third rx_ports count (port 2's frames, fetched or
+# dropped) a port that stays deaf moves. FuzzCTR's seeds hold both
 # AES-CTR paths to a block-at-a-time loop whose counter starts at 1.
 # FuzzChecksum's seeds hold Checksum and TransportChecksumIPv4 to the
 # 16-bit RFC 1071 loop; a run of 0xff bytes carries out of every 64-bit
@@ -168,6 +171,9 @@
 # BGPFixture returns. backoff-cap's gate is TestGPUBackoffDoublesToItsCap,
 # which holds the hold-outs of five stalls in one outage to 1, 2, 4, 8
 # and 8 ms; no golden run stalls often enough to reach the cap.
+# experiment-fetch's gate is scripts/onepath.sh's rule that no non-test
+# Go outside internal/pktio, internal/core and internal/hw/nic calls
+# FetchNow(: the §4 drivers run the engine's one fetch → send task.
 # `make check` runs this script after its own gates.
 set -eu
 
@@ -453,6 +459,12 @@ mutate_backoff_cap() {
 	gate=$backofftest want="hold-outs"
 }
 
+mutate_experiment_fetch() {
+	insert internal/experiments/pktio.go 'e := pktio.New(env, cfg)' \
+		'	_ = func(f *pktio.Iface) { f.FetchNow(batch, nil) }'
+	gate=$onepath want="only pktio, core and hw/nic fetch packets"
+}
+
 mutate_fma_model() {
 	f=internal/model/model.go
 	insert $f 'return sim.Duration(float64(c/CPUFreqHz*float64(sim.Second)) + 0.5)' \
@@ -467,7 +479,7 @@ if [ $# -eq 0 ]; then
 		model-vlb-share fabric-lost-batch chain-spans fetch-cap link-up-rx ctr-off-by-one \
 		checksum-carry busy-booked second-core-new post-early window-skip ecmp-stale-live \
 		inbox-tie launch-latency-host kappa-ulp-down scatter-order sha1-lane \
-		experiment-goroutine fma-model churn-fixture backoff-cap
+		experiment-goroutine fma-model churn-fixture backoff-cap experiment-fetch
 fi
 
 status=0
@@ -510,6 +522,7 @@ for m in "$@"; do
 	fma-model) mutate_fma_model ;;
 	churn-fixture) mutate_churn_fixture ;;
 	backoff-cap) mutate_backoff_cap ;;
+	experiment-fetch) mutate_experiment_fetch ;;
 	*)
 		echo "unknown mutation $m"
 		exit 2

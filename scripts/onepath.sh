@@ -2,15 +2,18 @@
 # onepath.sh holds the repository's one-path rules: a router is stood up
 # in one place, the facade's New (core.New has one non-test caller,
 # packetshader.go); the paper's figures measure through Instance.Run and
-# tap through Instance.TapTx; the §4 figures share one worker task; every
-# process of the program is a sim task; and there is one frame decoder. It reads the files with plain grep, so it
-# runs in any copy of the tree, a git checkout or not. bench/ is its own
-# module with its own rules and is not searched.
+# tap through Instance.TapTx; the §4 figures share one worker task, and
+# nothing outside pktio, core and hw/nic fetches packets; every process
+# of the program is a sim task; and there is one frame decoder. It reads
+# the files with plain grep, so it runs in any copy of the tree, a git
+# checkout or not. bench/ is its own module with its own rules and is
+# not searched.
 #
 #	scripts/onepath.sh
 #
 # `make check` runs it, and scripts/gates.sh shows it failing on a second
-# core.New( call and on a goroutine process in table1.
+# core.New( call, on a goroutine process in table1 and on a fetch in a §4
+# driver.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,9 +34,17 @@ if grep -rn --exclude='*_test.go' 'ResetMeasurement\|OnComplete' internal/experi
 	echo "experiments measure through Instance.Run and tap through Instance.TapTx"
 	exit 1
 fi
-# The §4 figures likewise share one harness and one worker task.
+# The §4 figures likewise share one harness and one worker task, the
+# engine's Worker: outside the engine, the NIC and the router's own
+# worker, nothing fetches packets.
 if [ "$(grep -c 'env\.Task(' internal/experiments/pktio.go)" != 1 ]; then
-	echo "internal/experiments/pktio.go starts workers in one place, ioHarness (one env.Task running ioWorker's step)"
+	echo "internal/experiments/pktio.go starts workers in one place, ioHarness (one env.Task running pktio's Worker)"
+	exit 1
+fi
+fetches="$(grep -rn --include='*.go' --exclude='*_test.go' 'FetchNow(' $src | grep -v '^internal/pktio/\|^internal/core/\|^internal/hw/nic/' || true)"
+if [ -n "$fetches" ]; then
+	echo "only pktio, core and hw/nic fetch packets; a §4 driver runs pktio's Worker:"
+	echo "$fetches"
 	exit 1
 fi
 # A process of the program is a sim task, never a goroutine process:
